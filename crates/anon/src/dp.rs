@@ -3,8 +3,9 @@
 //! provides the Laplace mechanism for numeric aggregates and randomized
 //! response for boolean attributes.
 
+use rand::distributions::{Distribution, Laplace};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use paradise_engine::{Frame, Value};
 
@@ -27,12 +28,6 @@ impl LaplaceMechanism {
         Ok(LaplaceMechanism { rng: StdRng::seed_from_u64(seed), epsilon })
     }
 
-    /// A Laplace(0, scale) sample via inverse CDF.
-    fn sample(&mut self, scale: f64) -> f64 {
-        let u: f64 = self.rng.gen_range(-0.5..0.5);
-        -scale * u.signum() * (1.0 - 2.0 * u.abs()).ln()
-    }
-
     /// Release `value` with the given L1 `sensitivity`.
     pub fn release(&mut self, value: f64, sensitivity: f64) -> AnonResult<f64> {
         if sensitivity <= 0.0 || !sensitivity.is_finite() {
@@ -40,7 +35,7 @@ impl LaplaceMechanism {
                 "sensitivity must be > 0, got {sensitivity}"
             )));
         }
-        Ok(value + self.sample(sensitivity / self.epsilon))
+        Ok(value + laplace_noise(&mut self.rng, sensitivity / self.epsilon))
     }
 
     /// DP count of rows (sensitivity 1).
@@ -96,6 +91,13 @@ impl LaplaceMechanism {
     }
 }
 
+/// One Laplace(0, `scale`) draw from the workspace's single sampler
+/// (the one `paradise_engine::noise` uses), whose tail guard keeps the
+/// extreme uniform draw finite.
+fn laplace_noise<R: RngCore>(rng: &mut R, scale: f64) -> f64 {
+    Laplace::new(scale).expect("scale is sensitivity / epsilon, both validated > 0").sample(rng)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,10 +116,25 @@ mod tests {
     }
 
     #[test]
+    fn extreme_uniform_draw_releases_a_finite_value() {
+        // next_u64 = 0 is the uniform draw -0.5, where the inverse CDF
+        // takes ln(0); a 2^-53 event no seed search reaches
+        struct ZeroRng;
+        impl RngCore for ZeroRng {
+            fn next_u64(&mut self) -> u64 {
+                0
+            }
+        }
+        let noise = laplace_noise(&mut ZeroRng, 2.0);
+        assert!((100.0 + noise).is_finite(), "release was {}", 100.0 + noise);
+        assert!(noise < 0.0, "the draw is the far negative tail");
+    }
+
+    #[test]
     fn noise_is_centred() {
         let mut m = LaplaceMechanism::new(1.0, 7).unwrap();
         let n = 5000;
-        let mean: f64 = (0..n).map(|_| m.sample(1.0)).sum::<f64>() / n as f64;
+        let mean: f64 = (0..n).map(|_| laplace_noise(&mut m.rng, 1.0)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.1, "sample mean {mean}");
     }
 

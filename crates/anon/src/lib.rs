@@ -19,6 +19,7 @@
 //! assert!(achieved_k(&result.frame, &[0]).unwrap().unwrap() >= 3);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dp;

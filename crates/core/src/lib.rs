@@ -42,6 +42,7 @@
 //! assert_eq!(outcomes[0].1.stages.len(), 4); // sensor, appliance, media center, server
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checks;
@@ -72,7 +73,8 @@ pub use fragment::{
 };
 pub use postprocess::{postprocess, AnonDecision, AnonStrategy, PostprocessOutcome};
 pub use preprocess::{preprocess, PreprocessOptions, PreprocessOutcome, RewriteAction};
-pub use processor::{Outcome, PlanCacheStats, Processor, ProcessorOptions};
+pub use paradise_engine::PlanCacheStats;
+pub use processor::{Outcome, Processor, ProcessorOptions};
 pub use remainder::{filter_by_class, identity, ActionClass, Remainder};
 pub use runtime::{HandleStats, QueryHandle, Runtime, RuntimeStats};
 pub use storage::DurabilityStats;

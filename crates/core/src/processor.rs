@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use paradise_engine::{Catalog, Frame};
+use paradise_engine::{Catalog, Frame, PlanCacheStats};
 use paradise_nodes::{ProcessingChain, Stage, StageReport, TrafficLog};
 use paradise_policy::ModulePolicy;
 use paradise_sql::ast::Query;
@@ -64,18 +64,6 @@ struct CachedPlan {
     /// Fingerprint of the source-table schemas across the chain at
     /// caching time; a mismatch invalidates the entry.
     fingerprint: u64,
-}
-
-/// Hit/miss counters of the fragment-plan cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PlanCacheStats {
-    /// Runs served from the cache.
-    pub hits: u64,
-    /// Runs that had to preprocess + fragment from scratch.
-    pub misses: u64,
-    /// Misses caused by a source-schema change under a cached plan
-    /// (also counted in `misses`).
-    pub invalidations: u64,
 }
 
 /// Fingerprint the schemas of `tables` as installed anywhere in
@@ -270,8 +258,8 @@ impl Processor {
     /// Aggregated hit/miss/invalidation counters of the chain nodes'
     /// compiled-plan caches (the engine-level cache layer; see
     /// `paradise_engine::plan::PlanCache`).
-    pub fn engine_plan_stats(&self) -> paradise_engine::plan::PlanCacheStats {
-        let mut total = paradise_engine::plan::PlanCacheStats::default();
+    pub fn engine_plan_stats(&self) -> PlanCacheStats {
+        let mut total = PlanCacheStats::default();
         for node in self.chain.nodes() {
             let s = node.plan_cache_stats();
             total.hits += s.hits;

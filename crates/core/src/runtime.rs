@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use minipool::ThreadPool;
-use paradise_engine::{plan as engine_plan, Catalog, Frame, ShardSpec};
+use paradise_engine::{plan as engine_plan, Catalog, Frame, PlanCacheStats, ShardSpec};
 use paradise_nodes::ProcessingChain;
 use paradise_policy::{
     parse_policy, policy_to_xml, DpConfig, EpsilonLedger, ModulePolicy, Policy, PolicyVersion,
@@ -52,8 +52,7 @@ use crate::fragment::{assign_to_chain, fragment_query, FragmentPlan};
 use crate::incremental::{run_stages_delta, HandleDeltaState, SharedPlans};
 use crate::preprocess::{preprocess, PreprocessOutcome};
 use crate::processor::{
-    assemble_outcome, execute_pipeline, source_fingerprint, Outcome, PlanCacheStats,
-    ProcessorOptions,
+    assemble_outcome, execute_pipeline, source_fingerprint, Outcome, ProcessorOptions,
 };
 use crate::remainder::Remainder;
 use crate::storage::{
@@ -147,7 +146,7 @@ pub struct RuntimeStats {
     pub plan: PlanCacheStats,
     /// Compiled-plan counters summed over every node of every live
     /// handle's chain.
-    pub engine: engine_plan::PlanCacheStats,
+    pub engine: PlanCacheStats,
     /// Fragment plans in the cross-handle sharing pool: identical
     /// fragments registered by different handles (or modules) compile
     /// once and share one `Arc<CompiledPlan>` from here.
@@ -173,7 +172,7 @@ pub struct HandleStats {
     /// This handle's rewrite/fragment-plan counters.
     pub plan: PlanCacheStats,
     /// Compiled-plan counters summed over the handle's chain nodes.
-    pub engine: engine_plan::PlanCacheStats,
+    pub engine: PlanCacheStats,
 }
 
 /// The long-lived continuous-query runtime (see the module docs).
@@ -1741,8 +1740,8 @@ fn run_handle(
 }
 
 /// Sum the compiled-plan cache counters over a chain's nodes.
-fn chain_plan_stats(chain: &ProcessingChain) -> engine_plan::PlanCacheStats {
-    let mut total = engine_plan::PlanCacheStats::default();
+fn chain_plan_stats(chain: &ProcessingChain) -> PlanCacheStats {
+    let mut total = PlanCacheStats::default();
     for node in chain.nodes() {
         let s = node.plan_cache_stats();
         total.hits += s.hits;

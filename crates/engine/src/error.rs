@@ -24,8 +24,6 @@ pub enum EngineError {
     },
     /// An operation was applied to incompatible value types.
     TypeMismatch(String),
-    /// Strict-mode violation: a non-aggregated column outside `GROUP BY`.
-    NotGrouped(String),
     /// The query uses a construct the engine does not support.
     Unsupported(String),
     /// A table with this name already exists in the catalog.
@@ -60,10 +58,6 @@ impl fmt::Display for EngineError {
                 write!(f, "{function} expects {expected} argument(s), got {got}")
             }
             EngineError::TypeMismatch(msg) => write!(f, "type mismatch: {msg}"),
-            EngineError::NotGrouped(name) => write!(
-                f,
-                "column {name:?} must appear in GROUP BY or be used in an aggregate (strict mode)"
-            ),
             EngineError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             EngineError::DuplicateTable(name) => write!(f, "table {name:?} already exists"),
             EngineError::SchemaMismatch { expected, got } => {
@@ -91,7 +85,6 @@ mod tests {
     #[test]
     fn display_messages_are_informative() {
         assert!(EngineError::UnknownTable("d9".into()).to_string().contains("d9"));
-        assert!(EngineError::NotGrouped("t".into()).to_string().contains("GROUP BY"));
         let e = EngineError::WrongArity { function: "AVG".into(), expected: "1".into(), got: 2 };
         assert_eq!(e.to_string(), "AVG expects 1 argument(s), got 2");
     }

@@ -1,6 +1,10 @@
-//! Expression evaluation with SQL three-valued logic: a row-level
-//! interpreter (the reference semantics) plus a column-at-a-time batch
-//! evaluator used by the executor's hot paths.
+//! Expression evaluation with SQL three-valued logic: the row-level
+//! interpreter [`eval_expr`] (the reference semantics — also the
+//! short-circuit/error fallback of compiled programs, the subquery
+//! evaluator and the sensor filter's predicate) plus the [`Batch`]
+//! values and dense binary kernels that
+//! [`ExprProgram`](crate::plan::ExprProgram), the one column-at-a-time
+//! evaluator, runs on.
 
 use std::sync::Arc;
 
@@ -545,274 +549,6 @@ impl Batch {
         match self {
             Batch::Col(c) => c,
             other => Arc::new(other.into_column(n)),
-        }
-    }
-}
-
-/// Evaluate `expr` once per row of `frame`, column-at-a-time.
-///
-/// Semantics match [`eval_expr`] exactly. The batch path evaluates
-/// sub-expressions eagerly; where the row interpreter would have
-/// short-circuited past an erroring sub-expression (`AND`/`OR`, `CASE`
-/// branches, `IN` list tails), the eager pass can surface an error the
-/// row semantics would not — so on any error we fall back to the row
-/// interpreter, which reproduces the reference behaviour (including
-/// *which* error, if the row path errors too).
-pub fn eval_expr_batch(
-    expr: &Expr,
-    frame: &Frame,
-    ctx: &EvalContext<'_>,
-) -> EngineResult<Batch> {
-    // the row interpreter never evaluates anything over zero rows, so
-    // neither may the batch path (a type error in a predicate over an
-    // empty relation must not surface)
-    if frame.is_empty() {
-        return Ok(Batch::Col(Arc::new(ColumnData::empty(DataType::Float))));
-    }
-    match eval_batch_inner(expr, frame, ctx) {
-        Ok(batch) => Ok(batch),
-        Err(_) => {
-            let mut out = ColumnData::with_capacity(DataType::Float, frame.len());
-            for i in 0..frame.len() {
-                let row = frame.row(i);
-                out.push(eval_expr(expr, &row, ctx)?);
-            }
-            Ok(Batch::Col(Arc::new(out)))
-        }
-    }
-}
-
-/// Evaluate a predicate over every row: one `bool` per row, NULL counts
-/// as false (the `WHERE`/`HAVING` filter semantics of
-/// [`eval_predicate`]).
-pub fn eval_predicate_mask(
-    expr: &Expr,
-    frame: &Frame,
-    ctx: &EvalContext<'_>,
-) -> EngineResult<Vec<bool>> {
-    let n = frame.len();
-    match eval_expr_batch(expr, frame, ctx)? {
-        Batch::Const(v) => {
-            let keep = to_bool3(&v)?.unwrap_or(false);
-            Ok(vec![keep; n])
-        }
-        Batch::Col(c) => {
-            if let Some(bools) = c.bool_slice() {
-                return Ok(bools.iter().map(|b| b.unwrap_or(false)).collect());
-            }
-            let mut mask = Vec::with_capacity(n);
-            for i in 0..n {
-                mask.push(to_bool3(&c.value(i))?.unwrap_or(false));
-            }
-            Ok(mask)
-        }
-    }
-}
-
-fn eval_batch_inner(
-    expr: &Expr,
-    frame: &Frame,
-    ctx: &EvalContext<'_>,
-) -> EngineResult<Batch> {
-    let n = frame.len();
-    match expr {
-        Expr::Literal(lit) => Ok(Batch::Const(literal_value(lit))),
-        Expr::Column(c) => {
-            let idx = ctx.schema.resolve(c.qualifier.as_deref(), &c.name)?;
-            Ok(Batch::Col(frame.column_arc(idx)))
-        }
-        Expr::Wildcard => Err(EngineError::Unsupported(
-            "'*' is only valid inside COUNT(*)".into(),
-        )),
-        // row-invariant: delegate to the row interpreter once
-        Expr::Subquery(_) | Expr::Exists(_) => {
-            let row = Row::new();
-            Ok(Batch::Const(eval_expr(expr, &row, ctx)?))
-        }
-        Expr::Unary { op, expr } => {
-            match eval_batch_inner(expr, frame, ctx)? {
-                Batch::Const(v) => Ok(Batch::Const(eval_unary(*op, v)?)),
-                Batch::Col(c) => {
-                    let hint = c.data_type().unwrap_or(DataType::Float);
-                    let mut out = ColumnData::with_capacity(hint, n);
-                    for i in 0..n {
-                        out.push(eval_unary(*op, c.value(i))?);
-                    }
-                    Ok(Batch::Col(Arc::new(out)))
-                }
-            }
-        }
-        Expr::Binary { left, op, right } => {
-            let l = eval_batch_inner(left, frame, ctx)?;
-            match op {
-                BinaryOp::And | BinaryOp::Or => {
-                    let r = eval_batch_inner(right, frame, ctx)?;
-                    if let (Batch::Const(a), Batch::Const(b)) = (&l, &r) {
-                        let out = match op {
-                            BinaryOp::And => and3(to_bool3(a)?, to_bool3(b)?),
-                            _ => or3(to_bool3(a)?, to_bool3(b)?),
-                        };
-                        return Ok(Batch::Const(out.map(Value::Bool).unwrap_or(Value::Null)));
-                    }
-                    let mut out = ColumnData::with_capacity(DataType::Boolean, n);
-                    for i in 0..n {
-                        let a = to_bool3(&l.value(i))?;
-                        let b = to_bool3(&r.value(i))?;
-                        let v = match op {
-                            BinaryOp::And => and3(a, b),
-                            _ => or3(a, b),
-                        };
-                        out.push(v.map(Value::Bool).unwrap_or(Value::Null));
-                    }
-                    Ok(Batch::Col(Arc::new(out)))
-                }
-                _ => {
-                    let r = eval_batch_inner(right, frame, ctx)?;
-                    eval_binary_batch(l, *op, r, n)
-                }
-            }
-        }
-        Expr::Function(call) => {
-            if call.over.is_some() {
-                return Err(EngineError::Unsupported(
-                    "window function outside the executor's window stage".into(),
-                ));
-            }
-            let args: Vec<Batch> = call
-                .args
-                .iter()
-                .map(|a| eval_batch_inner(a, frame, ctx))
-                .collect::<EngineResult<_>>()?;
-            if args.iter().all(|a| matches!(a, Batch::Const(_))) {
-                let vals: Vec<Value> = args.iter().map(|a| a.value(0)).collect();
-                return Ok(Batch::Const(eval_scalar_function(&call.name, &vals)?));
-            }
-            let mut out = ColumnData::with_capacity(DataType::Float, n);
-            let mut vals: Vec<Value> = Vec::with_capacity(args.len());
-            for i in 0..n {
-                vals.clear();
-                vals.extend(args.iter().map(|a| a.value(i)));
-                out.push(eval_scalar_function(&call.name, &vals)?);
-            }
-            Ok(Batch::Col(Arc::new(out)))
-        }
-        Expr::Case { operand, branches, else_result } => {
-            let operand = operand
-                .as_deref()
-                .map(|e| eval_batch_inner(e, frame, ctx))
-                .transpose()?;
-            let whens: Vec<Batch> = branches
-                .iter()
-                .map(|b| eval_batch_inner(&b.when, frame, ctx))
-                .collect::<EngineResult<_>>()?;
-            let thens: Vec<Batch> = branches
-                .iter()
-                .map(|b| eval_batch_inner(&b.then, frame, ctx))
-                .collect::<EngineResult<_>>()?;
-            let else_b = else_result
-                .as_deref()
-                .map(|e| eval_batch_inner(e, frame, ctx))
-                .transpose()?;
-            let mut out = ColumnData::with_capacity(DataType::Float, n);
-            for i in 0..n {
-                let mut chosen: Option<Value> = None;
-                match &operand {
-                    Some(op) => {
-                        let ov = op.value(i);
-                        for (w, t) in whens.iter().zip(&thens) {
-                            if ov.sql_eq(&w.value(i)) == Some(true) {
-                                chosen = Some(t.value(i));
-                                break;
-                            }
-                        }
-                    }
-                    None => {
-                        for (w, t) in whens.iter().zip(&thens) {
-                            if to_bool3(&w.value(i))?.unwrap_or(false) {
-                                chosen = Some(t.value(i));
-                                break;
-                            }
-                        }
-                    }
-                }
-                let v = chosen.unwrap_or_else(|| {
-                    else_b.as_ref().map(|e| e.value(i)).unwrap_or(Value::Null)
-                });
-                out.push(v);
-            }
-            Ok(Batch::Col(Arc::new(out)))
-        }
-        Expr::Between { expr, low, high, negated } => {
-            let v = eval_batch_inner(expr, frame, ctx)?;
-            let lo = eval_batch_inner(low, frame, ctx)?;
-            let hi = eval_batch_inner(high, frame, ctx)?;
-            let mut out = ColumnData::with_capacity(DataType::Boolean, n);
-            for i in 0..n {
-                let x = v.value(i);
-                let ge = ge3(&x, &lo.value(i));
-                let le = le3(&x, &hi.value(i));
-                out.push(match and3(ge, le) {
-                    Some(b) => Value::Bool(b != *negated),
-                    None => Value::Null,
-                });
-            }
-            Ok(Batch::Col(Arc::new(out)))
-        }
-        Expr::InList { expr, list, negated } => {
-            let v = eval_batch_inner(expr, frame, ctx)?;
-            let items: Vec<Batch> = list
-                .iter()
-                .map(|e| eval_batch_inner(e, frame, ctx))
-                .collect::<EngineResult<_>>()?;
-            let mut out = ColumnData::with_capacity(DataType::Boolean, n);
-            for i in 0..n {
-                let x = v.value(i);
-                let mut saw_null = false;
-                let mut hit = false;
-                for item in &items {
-                    match x.sql_eq(&item.value(i)) {
-                        Some(true) => {
-                            hit = true;
-                            break;
-                        }
-                        Some(false) => {}
-                        None => saw_null = true,
-                    }
-                }
-                out.push(if hit {
-                    Value::Bool(!*negated)
-                } else if saw_null {
-                    Value::Null
-                } else {
-                    Value::Bool(*negated)
-                });
-            }
-            Ok(Batch::Col(Arc::new(out)))
-        }
-        Expr::IsNull { expr, negated } => match eval_batch_inner(expr, frame, ctx)? {
-            Batch::Const(v) => Ok(Batch::Const(Value::Bool(v.is_null() != *negated))),
-            Batch::Col(c) => {
-                let mut out = ColumnData::with_capacity(DataType::Boolean, n);
-                for i in 0..n {
-                    out.push(Value::Bool(c.is_null(i) != *negated));
-                }
-                Ok(Batch::Col(Arc::new(out)))
-            }
-        },
-        Expr::Cast { expr, type_name } => {
-            let target = DataType::parse(type_name).ok_or_else(|| {
-                EngineError::Unsupported(format!("unknown cast target {type_name:?}"))
-            })?;
-            match eval_batch_inner(expr, frame, ctx)? {
-                Batch::Const(v) => Ok(Batch::Const(v.cast(target)?)),
-                Batch::Col(c) => {
-                    let mut out = ColumnData::with_capacity(target, n);
-                    for i in 0..n {
-                        out.push(c.value(i).cast(target)?);
-                    }
-                    Ok(Batch::Col(Arc::new(out)))
-                }
-            }
         }
     }
 }

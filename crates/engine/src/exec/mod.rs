@@ -4,221 +4,73 @@
 //! `FROM` → `WHERE` → `GROUP BY`+aggregates → `HAVING` → window functions
 //! → projection → `DISTINCT` → `ORDER BY` → `LIMIT`/`OFFSET` → `UNION`.
 //!
-//! ## Compiled vs. columnar vs. row-at-a-time execution
+//! ## One executor
 //!
-//! The default engine ([`ExecMode::Compiled`]) compiles the query into
-//! a physical plan first (see [`crate::plan`]): ordinals pre-resolved,
-//! expressions lowered to flat instruction programs, strategies
-//! pre-selected — then executes the plan. Continuous queries compile
-//! once and re-run the plan every tick.
+//! There is exactly one way to run a query: [`Executor::compile`] binds
+//! it against the catalog's schemas into a physical plan (see
+//! [`crate::plan`]: ordinals pre-resolved, expressions lowered to flat
+//! instruction programs, strategies pre-selected) and
+//! [`Executor::run_plan`] executes that plan. [`Executor::execute`] is
+//! the two in sequence; continuous queries compile once and re-run the
+//! plan every tick. This module holds the executor handle and the
+//! plan-independent kernels (joins, `DISTINCT`, sorting, output type
+//! finalisation); the reference the equivalence suites compare against
+//! is a naive row-at-a-time oracle that lives with the tests
+//! (`crates/engine/tests/oracle/`), not in the library.
 //!
-//! [`ExecMode::Columnar`] interprets the AST directly but still runs
-//! the hot operators column-at-a-time over the typed buffers of
-//! [`Frame`]: predicates become masks
-//! ([`crate::eval::eval_predicate_mask`]), projections of plain columns
-//! share buffers zero-copy, and grouped aggregation / window
-//! partitioning read their keys and arguments from batch-evaluated
-//! columns instead of cloning `Value`s cell-by-cell.
+//! ## Static vs. data-dependent errors
 //!
-//! [`ExecMode::RowAtATime`] keeps the original row-major operators (see
-//! [`rows`]) as the executable reference semantics; the equivalence
-//! suite runs every corpus query through all three modes and asserts
-//! identical frames.
+//! An error that is a property of (query, schema) — unknown table,
+//! column or window function, wrong aggregate arity, `UNION` branches
+//! of different widths, `SELECT *` with aggregation — surfaces from
+//! `compile`, whatever the data. An error that depends on the values
+//! (`WHERE 'abc'`, `ABS('nope')`, an unknown scalar function) surfaces
+//! when a row is actually evaluated, so it never fires over an empty
+//! input.
 //!
-//! ## Lenient vs. strict GROUP BY
+//! ## Lenient GROUP BY
 //!
 //! The paper's rewritten query projects `t` while grouping by `x, y`
-//! (§4.2). In **lenient** mode (the default, matching the paper) such
-//! columns take their value from the first row of each group. **Strict**
-//! mode rejects them like `ONLY_FULL_GROUP_BY`.
+//! (§4.2): non-grouped, non-aggregated columns take their value from
+//! the first row of each group.
 
 pub mod aggregate;
-pub mod rows;
 pub mod window;
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use paradise_sql::analysis::is_aggregate_function;
-use paradise_sql::ast::{
-    expr_has_aggregate, Expr, FunctionCall, Query, SelectItem, SortOrder, TableRef,
-};
+use paradise_sql::ast::{Expr, FunctionCall, Query, SortOrder};
 use paradise_sql::visit::transform_expr;
 
 use crate::catalog::Catalog;
 use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{
-    eval_expr, eval_expr_batch, eval_predicate, eval_predicate_mask, Batch, EvalContext,
-};
+use crate::eval::{eval_predicate, EvalContext};
 use crate::frame::{Frame, Row};
 use crate::schema::{Column, Schema};
-use crate::value::{DataType, GroupKey, Value};
+use crate::value::{GroupKey, Value};
 
-use aggregate::{AggKind, Accumulator};
-
-/// Which operator implementations to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Compile the query to a physical plan (pre-resolved ordinals,
-    /// expression programs, pre-selected strategies) and run that — the
-    /// fast default. Queries the planner cannot compile fall back to
-    /// the columnar interpreter transparently.
-    #[default]
-    Compiled,
-    /// Column-at-a-time interpretation directly over the AST; kept as
-    /// executable reference semantics for the compiled path.
-    Columnar,
-    /// The original row-major operators, kept as the executable
-    /// reference semantics for equivalence testing.
-    RowAtATime,
-}
-
-/// Execution options.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecOptions {
-    /// Reject non-grouped, non-aggregated columns (ONLY_FULL_GROUP_BY).
-    pub strict_group_by: bool,
-    /// Safety valve for joins: maximum produced rows before aborting.
-    /// `0` means the default of 10 million.
-    pub max_rows: usize,
-    /// Operator implementation to use.
-    pub mode: ExecMode,
-}
-
-impl ExecOptions {
-    fn effective_max_rows(&self) -> usize {
-        if self.max_rows == 0 {
-            10_000_000
-        } else {
-            self.max_rows
-        }
-    }
-}
+/// Safety valve for joins: maximum produced rows before aborting.
+const MAX_JOIN_ROWS: usize = 10_000_000;
 
 /// Query executor bound to a catalog.
 pub struct Executor<'a> {
     pub(crate) catalog: &'a Catalog,
-    pub(crate) options: ExecOptions,
 }
 
 impl<'a> Executor<'a> {
-    /// Executor with default (lenient, paper-compatible, columnar)
-    /// options.
+    /// Executor over `catalog`.
     pub fn new(catalog: &'a Catalog) -> Self {
-        Executor { catalog, options: ExecOptions::default() }
+        Executor { catalog }
     }
 
-    /// Executor with explicit options.
-    pub fn with_options(catalog: &'a Catalog, options: ExecOptions) -> Self {
-        Executor { catalog, options }
-    }
-
-    /// Execute a query to a materialised [`Frame`].
-    ///
-    /// In [`ExecMode::Compiled`] (the default) the query is compiled to
-    /// a physical plan first (see [`crate::plan`]); anything the
-    /// planner cannot compile — or any compile-time resolution error —
-    /// falls back to the AST interpreter, which reproduces the
-    /// reference behaviour (including which error surfaces).
+    /// Execute a query to a materialised [`Frame`]: compile it to a
+    /// physical plan, then run the plan. A statically invalid query
+    /// fails in the compile step, before any data is read.
     pub fn execute(&self, query: &Query) -> EngineResult<Frame> {
-        if self.options.mode == ExecMode::Compiled {
-            if let Ok(plan) = self.compile(query) {
-                return self.run_plan(&plan);
-            }
-        }
-        self.execute_ast(query)
-    }
-
-    /// Execute by direct AST interpretation (columnar or row-at-a-time
-    /// per the options), bypassing the planner.
-    pub(crate) fn execute_ast(&self, query: &Query) -> EngineResult<Frame> {
-        let mut result = self.execute_block(query)?;
-        for (all, q) in &query.unions {
-            let next = self.execute_block(q)?;
-            if next.schema.len() != result.schema.len() {
-                return Err(EngineError::Unsupported(format!(
-                    "UNION branches have different widths ({} vs {})",
-                    result.schema.len(),
-                    next.schema.len()
-                )));
-            }
-            result.append(next)?;
-            if !all {
-                result = dedupe_frame(&result);
-            }
-        }
-        Ok(result)
-    }
-
-    fn execute_block(&self, query: &Query) -> EngineResult<Frame> {
-        // FROM
-        let input = match &query.from {
-            Some(table) => self.eval_table(table)?,
-            None => Frame::new(Schema::default(), vec![vec![]])?, // one empty row
-        };
-
-        if self.options.mode == ExecMode::RowAtATime {
-            return rows::execute_block_rows(self, query, input);
-        }
-
-        // WHERE (columnar: predicate mask + bulk gather)
-        let subquery_fn = |q: &Query| self.execute(q);
-        let filtered = match &query.where_clause {
-            Some(pred) => {
-                let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
-                let mask = eval_predicate_mask(pred, &input, &ctx)?;
-                input.filter_rows(&mask)
-            }
-            None => input,
-        };
-
-        if query_aggregates(query) {
-            self.execute_aggregation(query, filtered)
-        } else {
-            self.execute_plain(query, filtered)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // FROM evaluation (shared by both modes)
-    // ------------------------------------------------------------------
-
-    pub(crate) fn eval_table(&self, table: &TableRef) -> EngineResult<Frame> {
-        match table {
-            TableRef::Table { name, alias } => {
-                let frame = self.catalog.get(name)?;
-                let source = alias.as_deref().unwrap_or(name);
-                // requalified schema over *shared* column buffers: a scan
-                // copies pointers, not cells
-                let columns = (0..frame.schema.len()).map(|c| frame.column_arc(c)).collect();
-                Frame::from_arc_columns(frame.schema.with_source(source), columns)
-            }
-            TableRef::Subquery { query, alias } => {
-                let frame = self.execute(query)?;
-                match alias {
-                    Some(a) => {
-                        let schema = frame.schema.with_source(a);
-                        let columns =
-                            (0..frame.schema.len()).map(|c| frame.column_arc(c)).collect();
-                        Frame::from_arc_columns(schema, columns)
-                    }
-                    None => Ok(frame),
-                }
-            }
-            TableRef::Join { left, right, kind, on } => {
-                let l = self.eval_table(left)?;
-                let r = self.eval_table(right)?;
-                // strategy selection: recognise the single-equality ON
-                // shape here (the compiled plan pre-selects this once)
-                let equi = if matches!(kind, paradise_sql::ast::JoinKind::Cross) {
-                    None
-                } else {
-                    on.as_ref().and_then(|p| equi_join_columns(p, &l.schema, &r.schema))
-                };
-                self.join_frames(l, r, *kind, on.as_ref(), equi)
-            }
-        }
+        self.run_plan(&self.compile(query)?)
     }
 
     /// Join two materialised frames. `equi` carries the pre-selected
@@ -242,8 +94,7 @@ impl<'a> Executor<'a> {
         let schema = left.schema.join(&right.schema);
         let subquery_fn = |q: &Query| self.execute(q);
         let ctx = EvalContext { schema: &schema, subquery: Some(&subquery_fn) };
-        let max_rows = self.options.effective_max_rows();
-        let left_rows = left.to_rows();
+                let left_rows = left.to_rows();
         let right_rows = right.to_rows();
         let mut out: Vec<Row> = Vec::new();
         let null_right: Row = vec![Value::Null; right.schema.len()];
@@ -265,9 +116,9 @@ impl<'a> Executor<'a> {
                     matched = true;
                     right_matched[ri] = true;
                     out.push(combined);
-                    if out.len() > max_rows {
+                    if out.len() > MAX_JOIN_ROWS {
                         return Err(EngineError::Unsupported(format!(
-                            "join exceeded {max_rows} rows"
+                            "join exceeded {MAX_JOIN_ROWS} rows"
                         )));
                     }
                 }
@@ -305,8 +156,7 @@ impl<'a> Executor<'a> {
     ) -> EngineResult<Frame> {
         use paradise_sql::ast::JoinKind;
         let schema = left.schema.join(&right.schema);
-        let max_rows = self.options.effective_max_rows();
-        let rk = right.column(right_key);
+                let rk = right.column(right_key);
         let mut index: HashMap<GroupKey, Vec<usize>> = HashMap::new();
         for j in 0..right.len() {
             // SQL equality: NULL keys never match
@@ -336,9 +186,9 @@ impl<'a> Executor<'a> {
                         combined.extend(lrow.iter().cloned());
                         combined.extend(right.row(j));
                         out.push(combined);
-                        if out.len() > max_rows {
+                        if out.len() > MAX_JOIN_ROWS {
                             return Err(EngineError::Unsupported(format!(
-                                "join exceeded {max_rows} rows"
+                                "join exceeded {MAX_JOIN_ROWS} rows"
                             )));
                         }
                     }
@@ -362,422 +212,6 @@ impl<'a> Executor<'a> {
         }
         Ok(Frame::from_rows(schema, out))
     }
-
-    // ------------------------------------------------------------------
-    // non-aggregated path (columnar)
-    // ------------------------------------------------------------------
-
-    fn execute_plain(&self, query: &Query, input: Frame) -> EngineResult<Frame> {
-        // window functions over the filtered input
-        let mut window_calls: Vec<FunctionCall> = Vec::new();
-        for item in &query.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                window::collect_window_calls(expr, &mut window_calls);
-            }
-        }
-        for o in &query.order_by {
-            window::collect_window_calls(&o.expr, &mut window_calls);
-        }
-
-        let (work, rewrite_map) = if window_calls.is_empty() {
-            (input, Vec::new())
-        } else {
-            window::attach_window_columns(self, input, window_calls)?
-        };
-
-        let rewrite = |expr: &Expr| -> Expr {
-            if rewrite_map.is_empty() {
-                return expr.clone();
-            }
-            window::replace_window_calls(expr.clone(), &rewrite_map)
-        };
-
-        let subquery_fn = |q: &Query| self.execute(q);
-        let ctx = EvalContext { schema: &work.schema, subquery: Some(&subquery_fn) };
-        let n = work.len();
-
-        // projection: wildcard splices share buffers, expressions are
-        // batch-evaluated once per column
-        let (out_schema, item_exprs) = self.projection_plan(query, &work.schema, &rewrite)?;
-        let mut out_cols: Vec<Arc<ColumnData>> = Vec::with_capacity(out_schema.len());
-        for plan in &item_exprs {
-            match plan {
-                ProjPlan::Splice(indices) => {
-                    for &i in indices {
-                        out_cols.push(work.column_arc(i));
-                    }
-                }
-                ProjPlan::Expr(e) => {
-                    let batch = eval_expr_batch(e, &work, &ctx)?;
-                    out_cols.push(batch.into_column_arc(n));
-                }
-            }
-        }
-        let mut frame = Frame::from_arc_columns(out_schema, out_cols)?;
-        finalise_types(&mut frame);
-
-        // ORDER BY keys: aliases resolve against the projected output,
-        // everything else against the input (batch-evaluated once)
-        let mut key_cols: Vec<Arc<ColumnData>> = Vec::with_capacity(query.order_by.len());
-        for o in &query.order_by {
-            let e = rewrite(&o.expr);
-            key_cols.push(match order_key_source(&e, &frame.schema, ctx.schema)? {
-                KeySource::OutCol(idx) => frame.column_arc(idx),
-                KeySource::Input => eval_expr_batch(&e, &work, &ctx)?.into_column_arc(n),
-            });
-        }
-
-        if query.distinct {
-            // DISTINCT applies before ORDER BY; keep first occurrences
-            let kept = distinct_indices(&frame);
-            if kept.len() < frame.len() {
-                frame = frame.select_rows(&kept);
-                key_cols = key_cols.iter().map(|c| Arc::new(c.gather(&kept))).collect();
-            }
-        }
-
-        if !query.order_by.is_empty() {
-            // LIMIT/OFFSET pushdown: slice the permutation, gather only
-            // the surviving rows
-            let orders: Vec<SortOrder> = query.order_by.iter().map(|o| o.order).collect();
-            let mut perm = sort_permutation(&key_cols, &orders, frame.len());
-            if let Some(offset) = query.offset {
-                let offset = (offset as usize).min(perm.len());
-                perm.drain(..offset);
-            }
-            if let Some(limit) = query.limit {
-                perm.truncate(limit as usize);
-            }
-            frame = frame.select_rows(&perm);
-        } else {
-            apply_limit_offset_frame(&mut frame, query);
-        }
-        Ok(frame)
-    }
-
-    /// Compute ORDER BY key values for one row: aliases resolve against
-    /// the projected output, everything else against the input row.
-    /// (Used by the aggregation tail and the row-at-a-time path.)
-    pub(crate) fn order_keys(
-        &self,
-        order_exprs: &[Expr],
-        input_row: &Row,
-        out_row: &Row,
-        out_schema: &Schema,
-        ctx: &EvalContext<'_>,
-    ) -> EngineResult<Vec<Value>> {
-        let mut keys = Vec::with_capacity(order_exprs.len());
-        for e in order_exprs {
-            match order_key_source(e, out_schema, ctx.schema)? {
-                KeySource::OutCol(idx) => keys.push(out_row[idx].clone()),
-                KeySource::Input => keys.push(eval_expr(e, input_row, ctx)?),
-            }
-        }
-        Ok(keys)
-    }
-
-    /// Build the output schema and per-item evaluation plan.
-    pub(crate) fn projection_plan(
-        &self,
-        query: &Query,
-        input: &Schema,
-        rewrite: &dyn Fn(&Expr) -> Expr,
-    ) -> EngineResult<(Schema, Vec<ProjPlan>)> {
-        let mut out = Schema::default();
-        let mut plans = Vec::with_capacity(query.items.len());
-        for item in &query.items {
-            match item {
-                SelectItem::Wildcard => {
-                    let indices: Vec<usize> = (0..input.len()).collect();
-                    for c in input.columns() {
-                        out.push(Column::new(c.name.clone(), c.data_type));
-                    }
-                    plans.push(ProjPlan::Splice(indices));
-                }
-                SelectItem::QualifiedWildcard(q) => {
-                    let mut indices = Vec::new();
-                    for (i, c) in input.columns().iter().enumerate() {
-                        if c.source.as_deref().is_some_and(|s| s.eq_ignore_ascii_case(q)) {
-                            indices.push(i);
-                            out.push(Column::new(c.name.clone(), c.data_type));
-                        }
-                    }
-                    if indices.is_empty() {
-                        return Err(EngineError::UnknownTable(q.clone()));
-                    }
-                    plans.push(ProjPlan::Splice(indices));
-                }
-                SelectItem::Expr { expr, alias } => {
-                    let rewritten = rewrite(expr);
-                    let name = match alias {
-                        Some(a) => a.clone(),
-                        None => match expr {
-                            Expr::Column(c) => c.name.clone(),
-                            other => format!("{other}").to_lowercase(),
-                        },
-                    };
-                    let dtype = match &rewritten {
-                        Expr::Column(c) => {
-                            let idx = input.resolve(c.qualifier.as_deref(), &c.name)?;
-                            input.columns()[idx].data_type
-                        }
-                        _ => DataType::Float, // refined by finalise_types
-                    };
-                    out.push(Column::new(name, dtype));
-                    plans.push(ProjPlan::Expr(rewritten));
-                }
-            }
-        }
-        Ok((out, plans))
-    }
-
-    // ------------------------------------------------------------------
-    // aggregation path (columnar keys and arguments)
-    // ------------------------------------------------------------------
-
-    fn execute_aggregation(&self, query: &Query, input: Frame) -> EngineResult<Frame> {
-        if query.has_wildcard() {
-            return Err(EngineError::Unsupported("SELECT * with GROUP BY/aggregates".into()));
-        }
-        let subquery_fn = |q: &Query| self.execute(q);
-        let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
-        let n = input.len();
-
-        // 1. group rows: keys evaluated column-at-a-time
-        let grouped: Vec<Vec<usize>> = if query.group_by.is_empty() {
-            vec![(0..n).collect()]
-        } else {
-            let key_cols: Vec<Arc<ColumnData>> = query
-                .group_by
-                .iter()
-                .map(|g| Ok(eval_expr_batch(g, &input, &ctx)?.into_column_arc(n)))
-                .collect::<EngineResult<_>>()?;
-            group_indices(&key_cols, n)
-        };
-
-        // 2. collect aggregate calls from items, HAVING and ORDER BY
-        let mut agg_calls: Vec<FunctionCall> = Vec::new();
-        for item in &query.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                collect_aggregate_calls(expr, &mut agg_calls);
-            }
-        }
-        if let Some(h) = &query.having {
-            collect_aggregate_calls(h, &mut agg_calls);
-        }
-        for o in &query.order_by {
-            collect_aggregate_calls(&o.expr, &mut agg_calls);
-        }
-
-        // batch-evaluate every aggregate argument once over the input;
-        // with zero groups nothing would consume them (and the row path
-        // never checks the calls either), so skip the prep entirely
-        let mut call_kinds: Vec<AggKind> = Vec::with_capacity(agg_calls.len());
-        let mut call_args: Vec<Vec<Batch>> = Vec::with_capacity(agg_calls.len());
-        let live_calls: &[FunctionCall] = if grouped.is_empty() { &[] } else { &agg_calls };
-        for call in live_calls {
-            let kind = AggKind::from_name(&call.name)
-                .ok_or_else(|| EngineError::UnknownFunction(call.name.clone()))?;
-            if call.args.len() != kind.arity() {
-                return Err(EngineError::WrongArity {
-                    function: call.name.clone(),
-                    expected: kind.arity().to_string(),
-                    got: call.args.len(),
-                });
-            }
-            let args: Vec<Batch> = call
-                .args
-                .iter()
-                .map(|a| match a {
-                    Expr::Wildcard => Ok(Batch::Const(Value::Int(1))),
-                    other => eval_expr_batch(other, &input, &ctx),
-                })
-                .collect::<EngineResult<_>>()?;
-            call_kinds.push(kind);
-            call_args.push(args);
-        }
-
-        // 3. per group: synthetic row = representative row ++ agg values
-        let mut ext_schema = input.schema.clone();
-        let agg_col_names: Vec<String> =
-            (0..agg_calls.len()).map(|i| format!("__agg{i}")).collect();
-        for name in &agg_col_names {
-            ext_schema.push(Column::new(name.clone(), DataType::Float));
-        }
-
-        // strict-mode check: bare columns outside aggregates must be grouped
-        if self.options.strict_group_by {
-            let grouped: HashSet<String> = query
-                .group_by
-                .iter()
-                .filter_map(|g| match g {
-                    Expr::Column(c) => Some(c.name.to_ascii_lowercase()),
-                    _ => None,
-                })
-                .collect();
-            for item in &query.items {
-                if let SelectItem::Expr { expr, .. } = item {
-                    check_strict_grouping(expr, &grouped, &query.group_by)?;
-                }
-            }
-        }
-
-        let rewrite = |expr: &Expr| -> Expr {
-            replace_aggregate_calls(expr.clone(), &agg_calls, &agg_col_names)
-        };
-
-        let ext_ctx_schema = ext_schema.clone();
-        let ext_ctx = EvalContext { schema: &ext_ctx_schema, subquery: Some(&subquery_fn) };
-
-        let having_rewritten = query.having.as_ref().map(&rewrite);
-
-        // projection plan over the extended schema
-        let mut out_schema = Schema::default();
-        let mut item_exprs: Vec<Expr> = Vec::with_capacity(query.items.len());
-        for item in &query.items {
-            let SelectItem::Expr { expr, alias } = item else { unreachable!() };
-            let name = match alias {
-                Some(a) => a.clone(),
-                None => match expr {
-                    Expr::Column(c) => c.name.clone(),
-                    other => format!("{other}").to_lowercase(),
-                },
-            };
-            out_schema.push(Column::new(name, DataType::Float));
-            item_exprs.push(rewrite(expr));
-        }
-        // precompile plain column items (including the synthetic __aggN
-        // references) to indices, so per-group projection is a lookup
-        // instead of a name resolution
-        let item_plans: Vec<AggItemPlan> = item_exprs
-            .into_iter()
-            .map(|e| match &e {
-                Expr::Column(c) => match ext_schema.try_resolve(c.qualifier.as_deref(), &c.name)
-                {
-                    Some(idx) => AggItemPlan::Col(idx),
-                    None => AggItemPlan::Expr(e),
-                },
-                _ => AggItemPlan::Expr(e),
-            })
-            .collect();
-        let order_exprs: Vec<Expr> = query.order_by.iter().map(|o| rewrite(&o.expr)).collect();
-
-        let mut out_rows: Vec<Row> = Vec::with_capacity(grouped.len());
-        let mut sort_keys: Vec<Vec<Value>> = Vec::new();
-        let mut arg_buf: Vec<Value> = Vec::new();
-        for indices in &grouped {
-            // representative row: first of group, or all-NULL for the
-            // global empty group
-            let mut synthetic: Row = match indices.first() {
-                Some(&i) => input.row(i),
-                None => vec![Value::Null; input.schema.len()],
-            };
-            for (ci, call) in agg_calls.iter().enumerate() {
-                let mut acc = Accumulator::new(call_kinds[ci], call.distinct);
-                for &ri in indices {
-                    arg_buf.clear();
-                    arg_buf.extend(call_args[ci].iter().map(|b| b.value(ri)));
-                    acc.update(&arg_buf)?;
-                }
-                synthetic.push(acc.finish());
-            }
-            if let Some(h) = &having_rewritten {
-                if !eval_predicate(h, &synthetic, &ext_ctx)? {
-                    continue;
-                }
-            }
-            let mut out = Vec::with_capacity(item_plans.len());
-            for plan in &item_plans {
-                match plan {
-                    AggItemPlan::Col(idx) => out.push(synthetic[*idx].clone()),
-                    AggItemPlan::Expr(e) => out.push(eval_expr(e, &synthetic, &ext_ctx)?),
-                }
-            }
-            if !order_exprs.is_empty() {
-                let keys =
-                    self.order_keys(&order_exprs, &synthetic, &out, &out_schema, &ext_ctx)?;
-                sort_keys.push(keys);
-            }
-            out_rows.push(out);
-        }
-
-        if query.distinct {
-            let (rows, keys) = dedupe_with_keys(out_rows, sort_keys);
-            out_rows = rows;
-            sort_keys = keys;
-        }
-        if !query.order_by.is_empty() {
-            out_rows = sort_by_keys(out_rows, sort_keys, &query.order_by);
-        }
-        let mut frame = Frame::from_rows(out_schema, out_rows);
-        finalise_types(&mut frame);
-        apply_limit_offset_frame(&mut frame, query);
-        Ok(frame)
-    }
-}
-
-/// Does the query need the aggregation path?
-pub(crate) fn query_aggregates(query: &Query) -> bool {
-    !query.group_by.is_empty()
-        || query.having.is_some()
-        || query
-            .items
-            .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr_has_aggregate(expr, &is_aggregate_function)))
-}
-
-/// Per-item projection plan.
-pub(crate) enum ProjPlan {
-    /// Copy these input column indices (wildcards).
-    Splice(Vec<usize>),
-    /// Evaluate this (window-rewritten) expression.
-    Expr(Expr),
-}
-
-/// Per-item plan of the aggregation projection (over the extended
-/// schema of representative row ++ synthetic aggregate columns).
-pub(crate) enum AggItemPlan {
-    /// A plain column of the extended row.
-    Col(usize),
-    /// A compound expression, evaluated per group.
-    Expr(Expr),
-}
-
-/// Partition `0..n` by the grouping key columns, groups in
-/// first-appearance order. Single-key grouping avoids the per-row
-/// `Vec<GroupKey>` allocation of the general case.
-pub(crate) fn group_indices(key_cols: &[Arc<ColumnData>], n: usize) -> Vec<Vec<usize>> {
-    use std::collections::hash_map::Entry;
-    let mut out: Vec<Vec<usize>> = Vec::new();
-    match key_cols {
-        [] => out.push((0..n).collect()),
-        [col] => {
-            let mut slots: HashMap<GroupKey, usize> = HashMap::new();
-            for ri in 0..n {
-                match slots.entry(col.group_key_at(ri)) {
-                    Entry::Occupied(e) => out[*e.get()].push(ri),
-                    Entry::Vacant(e) => {
-                        e.insert(out.len());
-                        out.push(vec![ri]);
-                    }
-                }
-            }
-        }
-        cols => {
-            let mut slots: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-            for ri in 0..n {
-                let key: Vec<GroupKey> = cols.iter().map(|c| c.group_key_at(ri)).collect();
-                match slots.entry(key) {
-                    Entry::Occupied(e) => out[*e.get()].push(ri),
-                    Entry::Vacant(e) => {
-                        e.insert(out.len());
-                        out.push(vec![ri]);
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 /// Recognise `left_col = right_col` ON conditions: returns the column
@@ -833,42 +267,6 @@ pub(crate) fn hash_joinable(a: &ColumnData, b: &ColumnData) -> bool {
         return no_nan(x) && no_nan(y);
     }
     false
-}
-
-/// Where an ORDER BY key comes from.
-pub(crate) enum KeySource {
-    /// A projected output column (pure alias or positional reference).
-    OutCol(usize),
-    /// Evaluated against the input.
-    Input,
-}
-
-/// Decide how one ORDER BY expression resolves (schema-driven, so it is
-/// computed once, not per row).
-pub(crate) fn order_key_source(
-    e: &Expr,
-    out_schema: &Schema,
-    input_schema: &Schema,
-) -> EngineResult<KeySource> {
-    if let Expr::Column(c) = e {
-        if c.qualifier.is_none() {
-            if let Some(idx) = out_schema.try_resolve(None, &c.name) {
-                // prefer the projected value when the name is not
-                // resolvable in the input (pure alias)
-                if input_schema.try_resolve(None, &c.name).is_none() {
-                    return Ok(KeySource::OutCol(idx));
-                }
-            }
-        }
-    }
-    // positional reference: ORDER BY 1
-    if let Expr::Literal(paradise_sql::ast::Literal::Integer(i)) = e {
-        let idx = (*i - 1) as usize;
-        if *i >= 1 && idx < out_schema.len() {
-            return Ok(KeySource::OutCol(idx));
-        }
-    }
-    Ok(KeySource::Input)
 }
 
 /// Collect non-windowed aggregate calls (deduplicated structurally).
@@ -928,68 +326,6 @@ pub(crate) fn replace_aggregate_calls(expr: Expr, calls: &[FunctionCall], names:
             .map(|i| Expr::Column(paradise_sql::ast::ColumnRef::bare(names[i].clone()))),
         _ => None,
     })
-}
-
-/// Strict-mode check: columns outside aggregates must be grouped.
-pub(crate) fn check_strict_grouping(
-    expr: &Expr,
-    grouped: &HashSet<String>,
-    group_exprs: &[Expr],
-) -> EngineResult<()> {
-    // whole expression equals a grouping expression → fine
-    if group_exprs.iter().any(|g| g == expr) {
-        return Ok(());
-    }
-    match expr {
-        Expr::Column(c) => {
-            if grouped.contains(&c.name.to_ascii_lowercase()) {
-                Ok(())
-            } else {
-                Err(EngineError::NotGrouped(c.name.clone()))
-            }
-        }
-        Expr::Function(f) if f.over.is_none() && is_aggregate_function(&f.name) => Ok(()),
-        Expr::Function(f) => {
-            for a in &f.args {
-                check_strict_grouping(a, grouped, group_exprs)?;
-            }
-            Ok(())
-        }
-        Expr::Unary { expr, .. } => check_strict_grouping(expr, grouped, group_exprs),
-        Expr::Binary { left, right, .. } => {
-            check_strict_grouping(left, grouped, group_exprs)?;
-            check_strict_grouping(right, grouped, group_exprs)
-        }
-        Expr::Case { operand, branches, else_result } => {
-            if let Some(op) = operand {
-                check_strict_grouping(op, grouped, group_exprs)?;
-            }
-            for b in branches {
-                check_strict_grouping(&b.when, grouped, group_exprs)?;
-                check_strict_grouping(&b.then, grouped, group_exprs)?;
-            }
-            if let Some(e) = else_result {
-                check_strict_grouping(e, grouped, group_exprs)?;
-            }
-            Ok(())
-        }
-        Expr::Between { expr, low, high, .. } => {
-            check_strict_grouping(expr, grouped, group_exprs)?;
-            check_strict_grouping(low, grouped, group_exprs)?;
-            check_strict_grouping(high, grouped, group_exprs)
-        }
-        Expr::InList { expr, list, .. } => {
-            check_strict_grouping(expr, grouped, group_exprs)?;
-            for e in list {
-                check_strict_grouping(e, grouped, group_exprs)?;
-            }
-            Ok(())
-        }
-        Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
-            check_strict_grouping(expr, grouped, group_exprs)
-        }
-        _ => Ok(()),
-    }
 }
 
 /// Infer better output types from the materialised columns (projection
@@ -1070,51 +406,4 @@ pub(crate) fn sort_permutation(
         std::cmp::Ordering::Equal
     });
     perm
-}
-
-pub(crate) fn dedupe_with_keys(
-    rows: Vec<Row>,
-    keys: Vec<Vec<Value>>,
-) -> (Vec<Row>, Vec<Vec<Value>>) {
-    let mut seen: HashSet<Vec<GroupKey>> = HashSet::with_capacity(rows.len());
-    let has_keys = !keys.is_empty();
-    let mut out_rows = Vec::with_capacity(rows.len());
-    let mut out_keys = Vec::with_capacity(keys.len());
-    for (i, row) in rows.into_iter().enumerate() {
-        if seen.insert(row.iter().map(Value::group_key).collect()) {
-            if has_keys {
-                out_keys.push(keys[i].clone());
-            }
-            out_rows.push(row);
-        }
-    }
-    (out_rows, out_keys)
-}
-
-pub(crate) fn sort_by_keys(
-    rows: Vec<Row>,
-    keys: Vec<Vec<Value>>,
-    order: &[paradise_sql::ast::OrderByItem],
-) -> Vec<Row> {
-    let mut paired: Vec<(Vec<Value>, Row)> = keys.into_iter().zip(rows).collect();
-    paired.sort_by(|(ka, _), (kb, _)| {
-        for (i, item) in order.iter().enumerate() {
-            let ord = ka[i].total_cmp(&kb[i]);
-            let ord = if item.order == SortOrder::Desc { ord.reverse() } else { ord };
-            if !ord.is_eq() {
-                return ord;
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
-    paired.into_iter().map(|(_, r)| r).collect()
-}
-
-pub(crate) fn apply_limit_offset_frame(frame: &mut Frame, query: &Query) {
-    if let Some(offset) = query.offset {
-        frame.skip_rows(offset as usize);
-    }
-    if let Some(limit) = query.limit {
-        frame.truncate(limit as usize);
-    }
 }

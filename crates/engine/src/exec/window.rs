@@ -10,26 +10,13 @@
 //!
 //! Besides the aggregate kinds, `ROW_NUMBER()` and `RANK()` are supported.
 //!
-//! Partition keys, sort keys and aggregate arguments are evaluated
-//! column-at-a-time over the input frame (one batch per expression, not
-//! one `eval_expr` per row); each computed window lands in the frame as
-//! a fresh column buffer via [`Frame::push_column`].
+//! This module holds the AST side — finding window calls and replacing
+//! them by references to their synthetic `__winN` columns; the planner
+//! compiles each call to a window plan and computes its column (see
+//! `crate::plan`).
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use paradise_sql::ast::{ColumnRef, Expr, FunctionCall, SortOrder};
+use paradise_sql::ast::{ColumnRef, Expr, FunctionCall};
 use paradise_sql::visit::transform_expr;
-
-use crate::column::ColumnData;
-use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_expr_batch, Batch, EvalContext};
-use crate::frame::Frame;
-use crate::schema::Column;
-use crate::value::{DataType, GroupKey, Value};
-
-use super::aggregate::{AggKind, Accumulator};
-use super::Executor;
 
 /// Collect window function calls (structurally deduplicated).
 pub fn collect_window_calls(expr: &Expr, out: &mut Vec<FunctionCall>) {
@@ -76,25 +63,6 @@ pub fn collect_window_calls(expr: &Expr, out: &mut Vec<FunctionCall>) {
     }
 }
 
-/// Compute every window call over `input` and return the frame extended
-/// with one synthetic column per call, plus the (call → column name) map
-/// used to rewrite expressions.
-pub fn attach_window_columns(
-    executor: &Executor<'_>,
-    input: Frame,
-    calls: Vec<FunctionCall>,
-) -> EngineResult<(Frame, Vec<(FunctionCall, String)>)> {
-    let mut frame = input;
-    let mut map = Vec::with_capacity(calls.len());
-    for (i, call) in calls.into_iter().enumerate() {
-        let name = format!("__win{i}");
-        let values = compute_window(executor, &frame, &call)?;
-        frame.push_column(Column::new(name.clone(), DataType::Float), values)?;
-        map.push((call, name));
-    }
-    Ok((frame, map))
-}
-
 /// Replace window calls with their synthetic column references.
 pub fn replace_window_calls(expr: Expr, map: &[(FunctionCall, String)]) -> Expr {
     transform_expr(expr, &mut |e| match &e {
@@ -106,155 +74,14 @@ pub fn replace_window_calls(expr: Expr, map: &[(FunctionCall, String)]) -> Expr 
     })
 }
 
-/// Compute one window call: one output value per input row, in input
-/// row order.
-fn compute_window(
-    executor: &Executor<'_>,
-    input: &Frame,
-    call: &FunctionCall,
-) -> EngineResult<ColumnData> {
-    let over = call.over.as_ref().expect("window call");
-    let subquery_fn = |q: &paradise_sql::ast::Query| executor.execute(q);
-    let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
-    let n = input.len();
-
-    // partition rows (keys batch-evaluated, one column per expression)
-    let part_cols: Vec<Arc<ColumnData>> = over
-        .partition_by
-        .iter()
-        .map(|p| Ok(eval_expr_batch(p, input, &ctx)?.into_column_arc(n)))
-        .collect::<EngineResult<_>>()?;
-    let mut partitions: HashMap<Vec<GroupKey>, Vec<usize>> = HashMap::new();
-    for ri in 0..n {
-        let key: Vec<GroupKey> = part_cols.iter().map(|c| c.group_key_at(ri)).collect();
-        partitions.entry(key).or_default().push(ri);
-    }
-
-    let mut out = vec![Value::Null; n];
-    let upper = call.name.to_ascii_uppercase();
-    let ranking = matches!(upper.as_str(), "ROW_NUMBER" | "RANK" | "DENSE_RANK");
-    let agg_kind = AggKind::from_name(&call.name);
-    if !ranking && agg_kind.is_none() {
-        return Err(EngineError::UnknownFunction(format!("{} OVER", call.name)));
-    }
-
-    // sort keys and aggregate arguments, batch-evaluated globally
-    let key_cols: Vec<Arc<ColumnData>> = over
-        .order_by
-        .iter()
-        .map(|o| Ok(eval_expr_batch(&o.expr, input, &ctx)?.into_column_arc(n)))
-        .collect::<EngineResult<_>>()?;
-    let arg_batches: Vec<Batch> = if ranking {
-        Vec::new()
-    } else {
-        call.args
-            .iter()
-            .map(|a| match a {
-                Expr::Wildcard => Ok(Batch::Const(Value::Int(1))),
-                other => eval_expr_batch(other, input, &ctx),
-            })
-            .collect::<EngineResult<_>>()?
-    };
-    // equal sort keys ⇒ peers
-    let peers_eq = |a: usize, b: usize| -> bool {
-        key_cols.iter().all(|c| c.cmp_at(a, c, b).is_eq())
-    };
-
-    let mut arg_buf: Vec<Value> = Vec::with_capacity(arg_batches.len());
-    for indices in partitions.values() {
-        // sort partition by ORDER BY keys (stable on input order)
-        let mut ordered: Vec<usize> = (0..indices.len()).collect();
-        if !over.order_by.is_empty() {
-            ordered.sort_by(|&a, &b| {
-                for (col, o) in key_cols.iter().zip(&over.order_by) {
-                    let ord = col.cmp_at(indices[a], col, indices[b]);
-                    let ord = if o.order == SortOrder::Desc { ord.reverse() } else { ord };
-                    if !ord.is_eq() {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-        }
-
-        if ranking {
-            compute_ranking(&upper, indices, &ordered, &over.order_by, &peers_eq, &mut out);
-            continue;
-        }
-        let kind = agg_kind.expect("checked above");
-
-        if over.order_by.is_empty() {
-            // whole-partition value
-            let mut acc = Accumulator::new(kind, call.distinct);
-            for &pos in &ordered {
-                let ri = indices[pos];
-                arg_buf.clear();
-                arg_buf.extend(arg_batches.iter().map(|b| b.value(ri)));
-                acc.update(&arg_buf)?;
-            }
-            let v = acc.finish();
-            for &pos in &ordered {
-                out[indices[pos]] = v.clone();
-            }
-        } else {
-            // running aggregate with peer groups
-            let mut acc = Accumulator::new(kind, call.distinct);
-            let mut i = 0;
-            while i < ordered.len() {
-                // find the peer group [i, j)
-                let mut j = i + 1;
-                while j < ordered.len() && peers_eq(indices[ordered[i]], indices[ordered[j]]) {
-                    j += 1;
-                }
-                for &pos in &ordered[i..j] {
-                    let ri = indices[pos];
-                    arg_buf.clear();
-                    arg_buf.extend(arg_batches.iter().map(|b| b.value(ri)));
-                    acc.update(&arg_buf)?;
-                }
-                let v = acc.finish();
-                for &pos in &ordered[i..j] {
-                    out[indices[pos]] = v.clone();
-                }
-                i = j;
-            }
-        }
-    }
-    Ok(ColumnData::from_values(out))
-}
-
-fn compute_ranking(
-    name: &str,
-    indices: &[usize],
-    ordered: &[usize],
-    order_by: &[paradise_sql::ast::OrderByItem],
-    peers_eq: &dyn Fn(usize, usize) -> bool,
-    out: &mut [Value],
-) {
-    let mut rank = 0u64;
-    let mut dense = 0u64;
-    for (i, &pos) in ordered.iter().enumerate() {
-        let new_peer_group = i == 0
-            || order_by.is_empty()
-            || !peers_eq(indices[ordered[i - 1]], indices[pos]);
-        if new_peer_group {
-            rank = (i + 1) as u64;
-            dense += 1;
-        }
-        let v = match name {
-            "ROW_NUMBER" => (i + 1) as i64,
-            "RANK" => rank as i64,
-            _ => dense as i64,
-        };
-        out[indices[pos]] = Value::Int(v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::catalog::Catalog;
+    use crate::error::EngineError;
+    use crate::exec::Executor;
+    use crate::frame::Frame;
     use crate::schema::Schema;
+    use crate::value::{DataType, Value};
     use paradise_sql::parse_query;
 
     fn catalog() -> Catalog {
@@ -413,20 +240,5 @@ mod tests {
             .execute(&parse_query("SELECT nope(v) OVER () FROM d").unwrap())
             .unwrap_err();
         assert!(matches!(err, EngineError::UnknownFunction(_)));
-    }
-
-    #[test]
-    fn both_modes_agree_on_windows() {
-        let c = catalog();
-        let sql = "SELECT g, SUM(v) OVER (PARTITION BY g ORDER BY t) AS rs FROM d";
-        let q = parse_query(sql).unwrap();
-        let columnar = Executor::new(&c).execute(&q).unwrap();
-        let row_mode = Executor::with_options(
-            &c,
-            crate::exec::ExecOptions { mode: crate::exec::ExecMode::RowAtATime, ..Default::default() },
-        )
-        .execute(&q)
-        .unwrap();
-        assert_eq!(columnar, row_mode);
     }
 }

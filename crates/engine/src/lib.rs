@@ -1,14 +1,19 @@
 //! # paradise-engine
 //!
 //! An in-memory relational execution engine for the PArADISE
-//! reproduction. It interprets the `paradise-sql` AST directly: scans,
+//! reproduction. It binds a `paradise-sql` AST against the catalog's
+//! schemas into a physical plan ([`Executor::compile`], total over the
+//! supported subset: a plan or a typed [`EngineError`]) and runs that
+//! plan ([`Executor::run_plan`]) — the one executor behind scans,
 //! filters, joins, grouping/aggregation (including the SQL:2011
-//! regression aggregates), window functions, sorting and set operations —
+//! regression aggregates), window functions, sorting and set operations:
 //! everything the paper's vertical hierarchy of query processors needs,
 //! at every level from "cloud DBMS" down to "sensor firmware filter".
+//! Continuous queries compile once ([`PlanCache`]) and re-run, or fold
+//! deltas ([`IncrementalPlan`]).
 //!
 //! Frames are stored **column-major** ([`column::ColumnData`] buffers
-//! behind copy-on-write [`std::sync::Arc`]s), so the hot operators run
+//! behind copy-on-write [`std::sync::Arc`]s), so the operators run
 //! column-at-a-time and frame clones are O(columns).
 //!
 //! ```
@@ -25,6 +30,7 @@
 //! assert_eq!(result.to_rows(), vec![vec![Value::Int(5)]]);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalog;
@@ -43,7 +49,7 @@ pub use catalog::{Catalog, Watermark};
 pub use column::ColumnData;
 pub use error::{EngineError, EngineResult};
 pub use exec::aggregate::AggKind;
-pub use exec::{ExecMode, ExecOptions, Executor};
+pub use exec::Executor;
 pub use frame::{Frame, Row};
 pub use noise::{apply_laplace, NoiseKind, NoiseSpec};
 pub use plan::{

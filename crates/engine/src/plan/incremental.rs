@@ -39,7 +39,7 @@ use minipool::ThreadPool;
 use super::sharded::{refresh_having_mask, ShardedGroupedState};
 use super::{
     agg_finalize_masked, compile_query, filter_rows_parallel, schema_fingerprint, AggBody,
-    ArgFold, ArgStep, Body, DTypeSrc, ExprProgram, Executor, FxHashMap, PNode, ProjStep,
+    ArgFold, ArgStep, Body, ExprProgram, Executor, FxHashMap, PNode, ProjStep,
 };
 use crate::catalog::Watermark;
 use crate::column::ColumnData;
@@ -308,10 +308,7 @@ impl<'a> Executor<'a> {
     /// shape is not incrementally maintainable (see the module docs) —
     /// callers then use the compiled full-rescan plan.
     pub fn compile_incremental(&self, query: &paradise_sql::ast::Query) -> EngineResult<Option<IncrementalPlan>> {
-        if !query.unions.is_empty() {
-            return Ok(None);
-        }
-        let Some((node, _)) = compile_query(self, query)? else { return Ok(None) };
+        let (node, _) = compile_query(self, query)?;
         let PNode::Block(block) = node else { return Ok(None) };
         let super::BlockPlan { input, filter, body } = *block;
         let PNode::Scan { table, source } = input else { return Ok(None) };
@@ -339,14 +336,7 @@ impl<'a> Executor<'a> {
                 if !progs_pure {
                     return Ok(None);
                 }
-                let mut out_schema = Schema::default();
-                for (name, dsrc) in &p.out_cols {
-                    let dt = match dsrc {
-                        DTypeSrc::Input(i) => in_schema.columns()[*i].data_type,
-                        DTypeSrc::Fixed(dt) => *dt,
-                    };
-                    out_schema.push(Column::new(name.clone(), dt));
-                }
+                let out_schema = p.declared_schema(&in_schema);
                 IncKind::Append { items: p.items, out_schema }
             }
             Body::Agg(a) => {

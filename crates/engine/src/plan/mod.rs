@@ -6,19 +6,19 @@
 //! expressions to flat postorder instruction buffers
 //! ([`program::ExprProgram`]), and pre-selects strategies (hash vs.
 //! nested-loop join candidates, projected-vs-input `ORDER BY` key
-//! sources, the window/aggregate kinds). Execution then runs the same
-//! columnar kernels as the AST interpreter — plus partition-parallel
-//! grouped aggregation, window computation and filter/select gathers
-//! over the vendored [`minipool`] scoped thread pool (sized by the
+//! sources, the window/aggregate kinds). Execution runs columnar
+//! kernels over the typed buffers — plus partition-parallel grouped
+//! aggregation, window computation and filter/select gathers over the
+//! vendored [`minipool`] scoped thread pool (sized by the
 //! `PARADISE_THREADS` knob; serial when 1).
 //!
-//! Anything the planner cannot compile natively degrades gracefully:
-//! per-node as an interpreted fragment (`PNode::Interpret`), or — on any
-//! compile-time resolution error — by [`Executor::execute`] falling
-//! back to the AST interpreter wholesale, which reproduces the exact
-//! reference behaviour. The equivalence suite pins
-//! `compiled == columnar-interpreted == row-at-a-time` over the whole
-//! corpus.
+//! Compilation is **total** over the supported SQL subset: every query
+//! either yields a plan or a typed [`EngineError`] — there is no
+//! interpreter behind the planner. Whatever is wrong with a query as a
+//! property of (query, schema) is reported here, before execution and
+//! whatever the data; execution never sees an unbound shape. The
+//! equivalence suites pin `compiled == naive row oracle` over the whole
+//! corpus (the oracle lives in `crates/engine/tests/oracle/`).
 //!
 //! A [`PlanCache`] maps `(query AST, schema fingerprint)` to compiled
 //! plans with hit/miss/invalidation counters; `paradise-nodes` keeps
@@ -39,8 +39,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use minipool::ThreadPool;
+use paradise_sql::analysis::is_aggregate_function;
 use paradise_sql::ast::{
-    Expr, FunctionCall, JoinKind, Query, SelectItem, SortOrder, TableRef,
+    Expr, FunctionCall, JoinKind, Literal, Query, SelectItem, SortOrder, TableRef,
 };
 
 use crate::catalog::Catalog;
@@ -49,9 +50,8 @@ use crate::error::{EngineError, EngineResult};
 use crate::eval::{Batch, EvalContext};
 use crate::exec::aggregate::{Accumulator, AggKind};
 use crate::exec::{
-    self, check_strict_grouping, collect_aggregate_calls, distinct_indices, equi_join_columns,
-    finalise_types, order_key_source, query_aggregates, replace_aggregate_calls, window, Executor,
-    KeySource, ProjPlan,
+    self, collect_aggregate_calls, dedupe_frame, distinct_indices, equi_join_columns,
+    finalise_types, replace_aggregate_calls, window, Executor,
 };
 use crate::frame::Frame;
 use crate::schema::{Column, Schema};
@@ -199,10 +199,6 @@ impl CompiledPlan {
 /// One operator of the physical DAG.
 #[derive(Debug, Clone)]
 enum PNode {
-    /// Fallback: interpret this (sub)query over the AST. Used for
-    /// shapes the planner does not compile natively (UNIONs, wildcard
-    /// aggregation errors, …).
-    Interpret(Box<Query>),
     /// `SELECT` without `FROM`: one empty row.
     Unit,
     /// Base-table scan; shares the catalog buffers zero-copy.
@@ -225,6 +221,14 @@ enum PNode {
     },
     /// One `SELECT` block: filter + (plain | aggregation) body.
     Block(Box<BlockPlan>),
+    /// `UNION [ALL]` chain: `head`, then each `(all, branch)` appended
+    /// in order, de-duplicating after every non-`ALL` step. Branch
+    /// widths are checked at compile time; the result keeps the head's
+    /// (run-time finalised) schema.
+    Union {
+        head: Box<PNode>,
+        rest: Vec<(bool, PNode)>,
+    },
 }
 
 #[derive(Debug, Clone)]
@@ -241,8 +245,7 @@ enum Body {
 }
 
 /// Where an output column's declared-type hint comes from (refined by
-/// `finalise_types` against the actual buffers, exactly like the
-/// interpreter).
+/// `finalise_types` against the actual buffers).
 #[derive(Debug, Clone, Copy)]
 enum DTypeSrc {
     Input(usize),
@@ -274,6 +277,22 @@ struct PlainBody {
     distinct: bool,
     limit: Option<u64>,
     offset: Option<u64>,
+}
+
+impl PlainBody {
+    /// The output schema with its declared (pre-finalisation) types,
+    /// over an `input` of the shape the block's work frame has.
+    fn declared_schema(&self, input: &Schema) -> Schema {
+        let mut schema = Schema::default();
+        for (name, dsrc) in &self.out_cols {
+            let dt = match dsrc {
+                DTypeSrc::Input(i) => input.columns()[*i].data_type,
+                DTypeSrc::Fixed(dt) => *dt,
+            };
+            schema.push(Column::new(name.clone(), dt));
+        }
+        schema
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -372,15 +391,13 @@ struct WindowPlan {
 // ---------------------------------------------------------------------
 
 impl<'a> Executor<'a> {
-    /// Compile `query` against the executor's catalog. Errors (unknown
-    /// tables/columns, unsupported constructs in scalar position) make
-    /// [`Executor::execute`] fall back to the AST interpreter, which
-    /// reproduces the same runtime outcome.
+    /// Compile `query` against the executor's catalog. Total over the
+    /// supported SQL subset: a query that cannot run — unknown table,
+    /// column or window function, wrong aggregate arity, `UNION`
+    /// branches of different widths, `SELECT *` with aggregation — is
+    /// a typed error here, whatever the data.
     pub fn compile(&self, query: &Query) -> EngineResult<CompiledPlan> {
-        let root = match compile_query(self, query)? {
-            Some((node, _schema)) => node,
-            None => PNode::Interpret(Box::new(query.clone())),
-        };
+        let (root, _schema) = compile_query(self, query)?;
         let tables = paradise_sql::analysis::base_relations(query);
         let fingerprint = schema_fingerprint(self.catalog, &tables);
         Ok(CompiledPlan { root, tables, fingerprint })
@@ -398,68 +415,47 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// `None` = the sub-plan's output schema is not statically derivable;
-/// the caller interprets its enclosing block instead.
-type Compiled = Option<(PNode, Schema)>;
+/// A compiled (sub)plan with its statically derived output schema
+/// (names and declared types; what enclosing blocks resolve against).
+type Compiled = (PNode, Schema);
 
 fn compile_query(exec: &Executor<'_>, query: &Query) -> EngineResult<Compiled> {
-    if !query.unions.is_empty() {
-        // UNION result schemas depend on runtime type finalisation;
-        // interpret the whole chain
-        return Ok(None);
+    let (head, schema) = compile_block(exec, query)?;
+    if query.unions.is_empty() {
+        return Ok((head, schema));
     }
-    compile_block(exec, query)
+    let mut rest = Vec::with_capacity(query.unions.len());
+    for (all, branch) in &query.unions {
+        let (node, branch_schema) = compile_block(exec, branch)?;
+        if branch_schema.len() != schema.len() {
+            return Err(EngineError::Unsupported(format!(
+                "UNION branches have different widths ({} vs {})",
+                schema.len(),
+                branch_schema.len()
+            )));
+        }
+        rest.push((*all, node));
+    }
+    Ok((PNode::Union { head: Box::new(head), rest }, schema))
 }
 
 fn compile_block(exec: &Executor<'_>, query: &Query) -> EngineResult<Compiled> {
     let (input, input_schema) = match &query.from {
-        Some(t) => match compile_table(exec, t)? {
-            Some(pair) => pair,
-            None => return interpret_block(query),
-        },
+        Some(t) => compile_table(exec, t)?,
         None => (PNode::Unit, Schema::default()),
     };
     let filter = match &query.where_clause {
         Some(p) => Some(ExprProgram::compile(p, &input_schema)?),
         None => None,
     };
-    if query_aggregates(query) {
-        compile_agg(exec, query, input, &input_schema, filter)
+    if query.is_aggregating(&is_aggregate_function) {
+        compile_agg(query, input, &input_schema, filter)
     } else {
-        compile_plain(exec, query, input, &input_schema, filter)
+        compile_plain(query, input, &input_schema, filter)
     }
 }
 
-/// Wrap a block as an interpreted node when its output names are still
-/// statically known (so enclosing blocks stay compiled); bubble `None`
-/// otherwise.
-fn interpret_block(query: &Query) -> EngineResult<Compiled> {
-    match static_out_names(query) {
-        Some(names) => {
-            let mut schema = Schema::default();
-            for n in names {
-                schema.push(Column::new(n, DataType::Float));
-            }
-            Ok(Some((PNode::Interpret(Box::new(query.clone())), schema)))
-        }
-        None => Ok(None),
-    }
-}
-
-/// Output column names of a block, when derivable without the input
-/// schema (i.e. no wildcards).
-fn static_out_names(query: &Query) -> Option<Vec<String>> {
-    let mut names = Vec::with_capacity(query.items.len());
-    for item in &query.items {
-        match item {
-            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => return None,
-            SelectItem::Expr { expr, alias } => names.push(item_name(expr, alias)),
-        }
-    }
-    Some(names)
-}
-
-/// The interpreter's output-column naming rule.
+/// The output-column naming rule.
 fn item_name(expr: &Expr, alias: &Option<String>) -> String {
     match alias {
         Some(a) => a.clone(),
@@ -476,24 +472,19 @@ fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled
             let frame = exec.catalog.get(name)?;
             let source = alias.as_deref().unwrap_or(name).to_string();
             let schema = frame.schema.with_source(&source);
-            Ok(Some((PNode::Scan { table: name.clone(), source }, schema)))
+            Ok((PNode::Scan { table: name.clone(), source }, schema))
         }
-        TableRef::Subquery { query, alias } => match compile_query(exec, query)? {
-            Some((node, schema)) => {
-                let schema = match alias {
-                    Some(a) => schema.with_source(a),
-                    None => schema,
-                };
-                Ok(Some((
-                    PNode::Derived { input: Box::new(node), alias: alias.clone() },
-                    schema,
-                )))
-            }
-            None => Ok(None),
-        },
+        TableRef::Subquery { query, alias } => {
+            let (node, schema) = compile_query(exec, query)?;
+            let schema = match alias {
+                Some(a) => schema.with_source(a),
+                None => schema,
+            };
+            Ok((PNode::Derived { input: Box::new(node), alias: alias.clone() }, schema))
+        }
         TableRef::Join { left, right, kind, on } => {
-            let Some((l, ls)) = compile_table(exec, left)? else { return Ok(None) };
-            let Some((r, rs)) = compile_table(exec, right)? else { return Ok(None) };
+            let (l, ls) = compile_table(exec, left)?;
+            let (r, rs) = compile_table(exec, right)?;
             // pre-select the join strategy: recognise the single-equality
             // ON shape once; the typed-buffer check still runs at
             // execution time (buffers are dynamically typed)
@@ -503,7 +494,7 @@ fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled
                 on.as_ref().and_then(|p| equi_join_columns(p, &ls, &rs))
             };
             let schema = ls.join(&rs);
-            Ok(Some((
+            Ok((
                 PNode::Join {
                     left: Box::new(l),
                     right: Box::new(r),
@@ -512,19 +503,50 @@ fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled
                     equi,
                 },
                 schema,
-            )))
+            ))
         }
     }
 }
 
+/// Compile the `ORDER BY` keys of a block. A bare name that resolves in
+/// the projected output but not in the block's input (a pure alias) and
+/// a positional `ORDER BY 1` read the output column; everything else is
+/// a program over `in_schema` (the window- or aggregate-extended input).
+fn compile_order(
+    query: &Query,
+    rewrite: &dyn Fn(&Expr) -> Expr,
+    out_schema: &Schema,
+    in_schema: &Schema,
+) -> EngineResult<Vec<(OrderKeySrc, SortOrder)>> {
+    let mut order = Vec::with_capacity(query.order_by.len());
+    for o in &query.order_by {
+        let e = rewrite(&o.expr);
+        let out_col = match &e {
+            Expr::Column(c) if c.qualifier.is_none() => out_schema
+                .try_resolve(None, &c.name)
+                .filter(|_| in_schema.try_resolve(None, &c.name).is_none()),
+            Expr::Literal(Literal::Integer(i)) => i
+                .checked_sub(1)
+                .and_then(|idx| usize::try_from(idx).ok())
+                .filter(|idx| *idx < out_schema.len()),
+            _ => None,
+        };
+        let src = match out_col {
+            Some(i) => OrderKeySrc::OutCol(i),
+            None => OrderKeySrc::Prog(ExprProgram::compile(&e, in_schema)?),
+        };
+        order.push((src, o.order));
+    }
+    Ok(order)
+}
+
 fn compile_plain(
-    exec: &Executor<'_>,
     query: &Query,
     input: PNode,
     input_schema: &Schema,
     filter: Option<ExprProgram>,
 ) -> EngineResult<Compiled> {
-    // windows: collected in the interpreter's order (items, then ORDER BY)
+    // windows: collected from the items, then from ORDER BY
     let mut calls: Vec<FunctionCall> = Vec::new();
     for item in &query.items {
         if let SelectItem::Expr { expr, .. } = item {
@@ -550,55 +572,58 @@ fn compile_plain(
         window::replace_window_calls(expr.clone(), &rewrite_map)
     };
 
-    let (out_schema, proj) = exec.projection_plan(query, &work_schema, &rewrite)?;
-    let mut items = Vec::with_capacity(proj.len());
-    let mut out_cols = Vec::with_capacity(out_schema.len());
-    let mut names = out_schema.columns().iter().map(|c| c.name.clone());
-    for p in proj {
-        match p {
-            ProjPlan::Splice(indices) => {
-                for &i in &indices {
-                    out_cols.push((names.next().expect("aligned"), DTypeSrc::Input(i)));
+    // projection: wildcards splice input ordinals (zero-copy at run
+    // time), expressions compile to programs over the work schema
+    let mut items = Vec::with_capacity(query.items.len());
+    let mut out_cols = Vec::with_capacity(query.items.len());
+    for item in &query.items {
+        let indices: Vec<usize> = match item {
+            SelectItem::Wildcard => (0..work_schema.len()).collect(),
+            SelectItem::QualifiedWildcard(q) => {
+                let of_source = |c: &Column| {
+                    c.source.as_deref().is_some_and(|s| s.eq_ignore_ascii_case(q))
+                };
+                let hits: Vec<usize> = (0..work_schema.len())
+                    .filter(|&i| of_source(&work_schema.columns()[i]))
+                    .collect();
+                if hits.is_empty() {
+                    return Err(EngineError::UnknownTable(q.clone()));
                 }
-                items.push(ProjStep::Splice(indices));
+                hits
             }
-            ProjPlan::Expr(e) => {
+            SelectItem::Expr { expr, alias } => {
+                let e = rewrite(expr);
                 let dsrc = match &e {
-                    Expr::Column(c) => DTypeSrc::Input(
-                        work_schema.resolve(c.qualifier.as_deref(), &c.name)?,
-                    ),
+                    Expr::Column(c) => {
+                        DTypeSrc::Input(work_schema.resolve(c.qualifier.as_deref(), &c.name)?)
+                    }
+                    // refined by finalise_types at run time
                     _ => DTypeSrc::Fixed(DataType::Float),
                 };
-                out_cols.push((names.next().expect("aligned"), dsrc));
+                out_cols.push((item_name(expr, alias), dsrc));
                 items.push(ProjStep::Prog(ExprProgram::compile(&e, &work_schema)?));
+                continue;
             }
-        }
-    }
-
-    let mut order = Vec::with_capacity(query.order_by.len());
-    for o in &query.order_by {
-        let e = rewrite(&o.expr);
-        let src = match order_key_source(&e, &out_schema, &work_schema)? {
-            KeySource::OutCol(i) => OrderKeySrc::OutCol(i),
-            KeySource::Input => OrderKeySrc::Prog(ExprProgram::compile(&e, &work_schema)?),
         };
-        order.push((src, o.order));
+        for &i in &indices {
+            out_cols.push((work_schema.columns()[i].name.clone(), DTypeSrc::Input(i)));
+        }
+        items.push(ProjStep::Splice(indices));
     }
 
-    let node = PNode::Block(Box::new(BlockPlan {
-        input,
-        filter,
-        body: Body::Plain(Box::new(PlainBody {
-            windows,
-            items,
-            out_cols,
-            order,
-            distinct: query.distinct,
-            limit: query.limit,
-            offset: query.offset,
-        })),
-    }));
-    Ok(Some((node, out_schema)))
+    let mut body = PlainBody {
+        windows,
+        items,
+        out_cols,
+        order: Vec::new(),
+        distinct: query.distinct,
+        limit: query.limit,
+        offset: query.offset,
+    };
+    let out_schema = body.declared_schema(&work_schema);
+    body.order = compile_order(query, &rewrite, &out_schema, &work_schema)?;
+    let node = PNode::Block(Box::new(BlockPlan { input, filter, body: Body::Plain(Box::new(body)) }));
+    Ok((node, out_schema))
 }
 
 fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<WindowPlan> {
@@ -638,34 +663,14 @@ fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<Wi
 }
 
 fn compile_agg(
-    exec: &Executor<'_>,
     query: &Query,
     input: PNode,
     input_schema: &Schema,
     filter: Option<ExprProgram>,
 ) -> EngineResult<Compiled> {
     if query.has_wildcard() {
-        // the interpreter rejects `SELECT *` with aggregation at runtime
-        return interpret_block(query);
+        return Err(EngineError::Unsupported("SELECT * with GROUP BY/aggregates".into()));
     }
-    if exec.options.strict_group_by {
-        // static property: check once at compile time; violations fall
-        // back to the interpreter, which raises the reference error
-        let grouped: std::collections::HashSet<String> = query
-            .group_by
-            .iter()
-            .filter_map(|g| match g {
-                Expr::Column(c) => Some(c.name.to_ascii_lowercase()),
-                _ => None,
-            })
-            .collect();
-        for item in &query.items {
-            if let SelectItem::Expr { expr, .. } = item {
-                check_strict_grouping(expr, &grouped, &query.group_by)?;
-            }
-        }
-    }
-
     let group: Vec<ExprProgram> = query
         .group_by
         .iter()
@@ -739,15 +744,7 @@ fn compile_agg(
         out_schema.push(Column::new(name.clone(), DataType::Float));
     }
 
-    let mut order = Vec::with_capacity(query.order_by.len());
-    for o in &query.order_by {
-        let e = rewrite(&o.expr);
-        let src = match order_key_source(&e, &out_schema, &ext_schema)? {
-            KeySource::OutCol(i) => OrderKeySrc::OutCol(i),
-            KeySource::Input => OrderKeySrc::Prog(ExprProgram::compile(&e, &ext_schema)?),
-        };
-        order.push((src, o.order));
-    }
+    let mut order = compile_order(query, &rewrite, &out_schema, &ext_schema)?;
 
     // Representative-column pruning: the post-grouping stages only need
     // the input columns that items/HAVING/ORDER actually read, so the
@@ -832,7 +829,7 @@ fn compile_agg(
             offset: query.offset,
         })),
     }));
-    Ok(Some((node, out_schema)))
+    Ok((node, out_schema))
 }
 
 // ---------------------------------------------------------------------
@@ -841,7 +838,6 @@ fn compile_agg(
 
 fn exec_node(exec: &Executor<'_>, node: &PNode) -> EngineResult<Frame> {
     match node {
-        PNode::Interpret(q) => exec.execute_ast(q),
         PNode::Unit => Frame::new(Schema::default(), vec![vec![]]),
         PNode::Scan { table, source } => {
             let frame = exec.catalog.get(table)?;
@@ -866,6 +862,16 @@ fn exec_node(exec: &Executor<'_>, node: &PNode) -> EngineResult<Frame> {
             exec.join_frames(l, r, *kind, on.as_ref(), *equi)
         }
         PNode::Block(block) => exec_block(exec, block),
+        PNode::Union { head, rest } => {
+            let mut result = exec_node(exec, head)?;
+            for (all, branch) in rest {
+                result.append(exec_node(exec, branch)?)?;
+                if !all {
+                    result = dedupe_frame(&result);
+                }
+            }
+            Ok(result)
+        }
     }
 }
 
@@ -873,9 +879,9 @@ fn exec_block(exec: &Executor<'_>, block: &BlockPlan) -> EngineResult<Frame> {
     let input = exec_node(exec, &block.input)?;
     let filtered = match &block.filter {
         Some(p) => {
-            // subqueries interpret columnar-style: re-compiling them per
-            // tick would defeat the compile-once contract
-            let subquery_fn = |q: &Query| exec.execute_ast(q);
+            // a subquery body is bound when it is evaluated (its static
+            // errors are as lazy as the expression around it)
+            let subquery_fn = |q: &Query| exec.execute(q);
             let mask = {
                 let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
                 p.eval_mask(&input, &ctx)?
@@ -891,7 +897,7 @@ fn exec_block(exec: &Executor<'_>, block: &BlockPlan) -> EngineResult<Frame> {
 }
 
 fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResult<Frame> {
-    let subquery_fn = |q: &Query| exec.execute_ast(q);
+    let subquery_fn = |q: &Query| exec.execute(q);
 
     // window columns, attached in plan order
     let mut work = input;
@@ -917,15 +923,7 @@ fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResu
             ProjStep::Prog(p) => out_arcs.push(p.eval(&work, &ctx)?.into_column_arc(n)),
         }
     }
-    let mut out_schema = Schema::default();
-    for (name, dsrc) in &body.out_cols {
-        let dt = match dsrc {
-            DTypeSrc::Input(i) => work.schema.columns()[*i].data_type,
-            DTypeSrc::Fixed(dt) => *dt,
-        };
-        out_schema.push(Column::new(name.clone(), dt));
-    }
-    let mut frame = Frame::from_arc_columns(out_schema, out_arcs)?;
+    let mut frame = Frame::from_arc_columns(body.declared_schema(&work.schema), out_arcs)?;
     finalise_types(&mut frame);
 
     let mut key_cols: Vec<Arc<ColumnData>> = Vec::with_capacity(body.order.len());
@@ -938,8 +936,9 @@ fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResu
     sort_distinct_tail(frame, key_cols, &body.order, body.distinct, body.limit, body.offset)
 }
 
-/// Shared DISTINCT → ORDER BY → LIMIT/OFFSET tail of both block bodies,
-/// matching the interpreter's operator order exactly.
+/// Shared DISTINCT → ORDER BY → LIMIT/OFFSET tail of both block bodies
+/// (DISTINCT applies before ORDER BY; LIMIT/OFFSET slice the sort
+/// permutation so only surviving rows are gathered).
 fn sort_distinct_tail(
     mut frame: Frame,
     mut key_cols: Vec<Arc<ColumnData>>,
@@ -979,7 +978,7 @@ fn sort_distinct_tail(
 
 fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<Frame> {
     let n = input.len();
-    let subquery_fn = |q: &Query| exec.execute_ast(q);
+    let subquery_fn = |q: &Query| exec.execute(q);
 
     // 1. group rows (first-appearance order, CSR layout)
     let grouping = if body.group.is_empty() {
@@ -996,7 +995,7 @@ fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<F
 
     // 2. batch-evaluate the aggregate arguments once over the input
     // (with zero groups nothing consumes them; programs never evaluate
-    // over empty frames, so this stays error-free like the interpreter)
+    // over empty frames, so data-dependent errors stay silent there)
     let arg_batches: Vec<Vec<Batch>> = {
         let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
         eval_call_args(&body.calls, &input, &ctx)?
@@ -1034,7 +1033,7 @@ fn agg_finalize_masked(
     ext_all: Frame,
     mask: Option<&[bool]>,
 ) -> EngineResult<Frame> {
-    let subquery_fn = |q: &Query| exec.execute_ast(q);
+    let subquery_fn = |q: &Query| exec.execute(q);
 
     // 5. HAVING over the extended frame
     let ext = match (&body.having, mask) {
@@ -1079,8 +1078,7 @@ fn agg_finalize_masked(
 
 /// Representative (first) values of the referenced input columns per
 /// group ++ one column per aggregate call. A single empty group (global
-/// aggregation over zero rows) yields one all-NULL representative row,
-/// like the interpreter.
+/// aggregation over zero rows) yields one all-NULL representative row.
 fn build_ext_frame(
     input: &Frame,
     grouping: &Grouping,
@@ -1183,8 +1181,7 @@ impl Grouping {
 }
 
 /// Partition `0..n` by the key columns, groups in first-appearance
-/// order. Same contract as the interpreter's grouping, but Fx-hashed
-/// with dense single-key fast paths (float-bit / integer keys skip the
+/// order, Fx-hashed with dense single-key fast paths (float-bit / integer keys skip the
 /// `GroupKey` enum entirely) — hashing dominates the per-tick cost of
 /// `GROUP BY` at scale.
 fn group_rows(key_cols: &[Arc<ColumnData>], n: usize) -> Grouping {
@@ -1286,8 +1283,8 @@ impl NumView<'_> {
 
 /// How one aggregate call's pre-batched arguments feed an
 /// [`Accumulator`], with typed fast paths for the numeric kinds. The
-/// generic arm reproduces the interpreter's per-row `Value` loop bit
-/// for bit; the fast arms update the same sums in the same order, so
+/// generic arm is the reference per-row `Value` loop; the fast arms
+/// update the same sums in the same order, so
 /// results are identical either way. Shared by full-rescan grouped
 /// aggregation, running windows and the incremental fold (which keeps
 /// its accumulators alive across ticks).
@@ -1384,8 +1381,8 @@ impl<'a> RowAcc<'a> {
 
 /// All aggregate calls over a contiguous range of groups; accumulators
 /// are constructed once and reset per group. Returns one value column
-/// per call (covering the range), in the interpreter's group-major
-/// evaluation order so errors surface identically.
+/// per call (covering the range), in group-major evaluation order so
+/// errors surface in the same order however the range is chunked.
 fn accumulate_range(
     calls: &[AggCallPlan],
     arg_batches: &[Vec<Batch>],
@@ -1761,9 +1758,7 @@ struct CacheEntry {
     /// Caller-chosen key extension (e.g. a privacy-policy version); an
     /// entry only hits for the salt it was compiled under.
     salt: u64,
-    /// `None`: the query is not compilable — interpret it (and don't
-    /// retry until the schema fingerprint changes).
-    plan: Option<Arc<CompiledPlan>>,
+    plan: Arc<CompiledPlan>,
     /// The incremental (delta-aware) plan, compiled lazily on the first
     /// request: outer `None` = not attempted yet, `Some(None)` = shape
     /// is not incrementally maintainable (don't retry until the schema
@@ -1777,7 +1772,9 @@ struct CacheEntry {
 /// Keys hash via [`ast_key`] (no allocation); a hit verifies the stored
 /// AST by structural equality, so hash collisions can never serve a
 /// wrong plan. A fingerprint mismatch counts as an invalidation and
-/// recompiles in place.
+/// recompiles in place. Only plans are cached: a query that fails to
+/// compile returns its typed error on every lookup (counted as a miss)
+/// and leaves no entry behind.
 ///
 /// The `salt` is an opaque caller-supplied key extension. The runtime
 /// layer passes the module's privacy-policy *version* here, so a policy
@@ -1802,7 +1799,7 @@ impl PlanCache {
         self.stats
     }
 
-    /// Number of cached (compiled or interpret-marked) entries.
+    /// Number of cached plans.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -1813,13 +1810,12 @@ impl PlanCache {
     }
 
     /// Look up (or compile) the plan for `query` against `exec`'s
-    /// catalog. Returns `None` when the query is not compilable — the
-    /// caller interprets it; that verdict is cached too.
+    /// catalog; a query that does not compile is the compile error.
     pub fn get_or_compile(
         &mut self,
         exec: &Executor<'_>,
         query: &Query,
-    ) -> Option<Arc<CompiledPlan>> {
+    ) -> EngineResult<Arc<CompiledPlan>> {
         self.get_or_compile_salted(exec, query, 0)
     }
 
@@ -1831,8 +1827,8 @@ impl PlanCache {
         exec: &Executor<'_>,
         query: &Query,
         salt: u64,
-    ) -> Option<Arc<CompiledPlan>> {
-        self.lookup(exec, query, salt, false).0
+    ) -> EngineResult<Arc<CompiledPlan>> {
+        Ok(self.lookup(exec, query, salt, false)?.0)
     }
 
     /// One cache operation that returns **both** plan flavours of a
@@ -1848,7 +1844,7 @@ impl PlanCache {
         exec: &Executor<'_>,
         query: &Query,
         salt: u64,
-    ) -> (Option<Arc<CompiledPlan>>, Option<Arc<IncrementalPlan>>) {
+    ) -> EngineResult<(Arc<CompiledPlan>, Option<Arc<IncrementalPlan>>)> {
         self.lookup(exec, query, salt, true)
     }
 
@@ -1858,57 +1854,65 @@ impl PlanCache {
         query: &Query,
         salt: u64,
         want_inc: bool,
-    ) -> (Option<Arc<CompiledPlan>>, Option<Arc<IncrementalPlan>>) {
-        let ensure_inc = |entry: &mut CacheEntry| -> Option<Arc<IncrementalPlan>> {
-            if entry.inc.is_none() {
-                entry.inc =
-                    Some(exec.compile_incremental(&entry.query).ok().flatten().map(Arc::new));
-            }
-            entry.inc.clone().expect("just ensured")
+    ) -> EngineResult<(Arc<CompiledPlan>, Option<Arc<IncrementalPlan>>)> {
+        let with_inc = |entry: &mut CacheEntry| {
+            let inc = want_inc.then(|| {
+                entry
+                    .inc
+                    .get_or_insert_with(|| {
+                        exec.compile_incremental(&entry.query).ok().flatten().map(Arc::new)
+                    })
+                    .clone()
+            });
+            (Arc::clone(&entry.plan), inc.flatten())
         };
         let key = ast_key(query);
-        if let Some(list) = self.entries.get_mut(&key) {
-            if let Some(entry) = list.iter_mut().find(|e| e.query == *query && e.salt == salt) {
-                let fp = schema_fingerprint(exec.catalog, &entry.tables);
-                if fp == entry.fingerprint {
-                    self.stats.hits += 1;
-                    let inc = if want_inc { ensure_inc(entry) } else { None };
-                    return (entry.plan.clone(), inc);
-                }
-                // schemas changed under the plan: recompile in place
-                self.stats.misses += 1;
-                self.stats.invalidations += 1;
-                let plan = exec.compile(query).ok().map(Arc::new);
-                entry.fingerprint = plan.as_ref().map(|p| p.fingerprint()).unwrap_or(fp);
-                entry.plan = plan.clone();
-                entry.inc = None;
-                let inc = if want_inc { ensure_inc(entry) } else { None };
-                return (plan, inc);
+        let found = self.entries.get_mut(&key).and_then(|list| {
+            let at = list.iter().position(|e| e.query == *query && e.salt == salt)?;
+            Some((list, at))
+        });
+        if let Some((list, at)) = found {
+            let entry = &mut list[at];
+            if schema_fingerprint(exec.catalog, &entry.tables) == entry.fingerprint {
+                self.stats.hits += 1;
+                return Ok(with_inc(entry));
             }
+            // schemas changed under the plan: recompile in place, or
+            // drop the entry when the query no longer compiles
+            self.stats.misses += 1;
+            self.stats.invalidations += 1;
+            return match exec.compile(query) {
+                Ok(plan) => {
+                    entry.fingerprint = plan.fingerprint();
+                    entry.plan = Arc::new(plan);
+                    entry.inc = None;
+                    Ok(with_inc(entry))
+                }
+                Err(e) => {
+                    list.swap_remove(at);
+                    self.len -= 1;
+                    Err(e)
+                }
+            };
         }
         self.stats.misses += 1;
+        let plan = exec.compile(query)?;
         if self.len >= MAX_CACHED_PLANS {
             self.entries.clear();
             self.len = 0;
         }
-        let tables = paradise_sql::analysis::base_relations(query);
-        let plan = exec.compile(query).ok().map(Arc::new);
-        let fingerprint = plan
-            .as_ref()
-            .map(|p| p.fingerprint())
-            .unwrap_or_else(|| schema_fingerprint(exec.catalog, &tables));
         let mut entry = CacheEntry {
             query: query.clone(),
-            tables,
-            fingerprint,
+            tables: plan.tables().to_vec(),
+            fingerprint: plan.fingerprint(),
             salt,
-            plan: plan.clone(),
+            plan: Arc::new(plan),
             inc: None,
         };
-        let inc = if want_inc { ensure_inc(&mut entry) } else { None };
+        let out = with_inc(&mut entry);
         self.entries.entry(key).or_default().push(entry);
         self.len += 1;
-        (plan, inc)
+        Ok(out)
     }
 
     /// Insert a plan compiled elsewhere (cross-handle plan sharing in
@@ -1942,20 +1946,17 @@ impl PlanCache {
             tables: plan.tables().to_vec(),
             fingerprint: plan.fingerprint(),
             salt,
-            plan: Some(plan),
+            plan,
             inc: None,
         });
         self.len += 1;
         true
     }
 
-    /// Iterate the successfully compiled entries — the harvest side of
-    /// cross-handle plan sharing.
+    /// Iterate the cached plans — the harvest side of cross-handle plan
+    /// sharing.
     pub fn compiled_entries(&self) -> impl Iterator<Item = (&Query, &Arc<CompiledPlan>)> {
-        self.entries
-            .values()
-            .flatten()
-            .filter_map(|e| e.plan.as_ref().map(|p| (&e.query, p)))
+        self.entries.values().flatten().map(|e| (&e.query, &e.plan))
     }
 
     /// Evict every entry whose salt differs from `current`, counting
@@ -1984,7 +1985,6 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecMode, ExecOptions};
     use paradise_sql::parse_query;
 
     fn catalog() -> Catalog {
@@ -2009,38 +2009,6 @@ mod tests {
         c
     }
 
-    const QUERIES: &[&str] = &[
-        "SELECT * FROM stream",
-        "SELECT x, t FROM stream WHERE z < 2",
-        "SELECT x, AVG(z) AS za FROM stream GROUP BY x HAVING SUM(z) > 1 ORDER BY za DESC",
-        "SELECT SUM(z) OVER (PARTITION BY x ORDER BY t) FROM stream",
-        "SELECT DISTINCT x FROM stream ORDER BY x LIMIT 3",
-        "SELECT a.x FROM stream a JOIN stream b ON a.t = b.t WHERE a.z < 1",
-        "SELECT za FROM (SELECT x, AVG(z) AS za FROM stream GROUP BY x)",
-        "SELECT COUNT(*) FROM stream",
-        "SELECT regr_intercept(y, x) AS ri FROM stream",
-        "SELECT x FROM stream ORDER BY t DESC LIMIT 5 OFFSET 2",
-        "SELECT x FROM stream UNION SELECT y FROM stream",
-    ];
-
-    #[test]
-    fn compiled_matches_interpreted() {
-        let c = catalog();
-        let compiled_exec = Executor::new(&c);
-        let interp_exec = Executor::with_options(
-            &c,
-            ExecOptions { mode: ExecMode::Columnar, ..Default::default() },
-        );
-        for sql in QUERIES {
-            let q = parse_query(sql).unwrap();
-            let plan = compiled_exec.compile(&q).unwrap();
-            let a = compiled_exec.run_plan(&plan).unwrap();
-            let b = interp_exec.execute(&q).unwrap();
-            assert_eq!(a.schema, b.schema, "schema diverges for {sql}");
-            assert_eq!(a.to_rows(), b.to_rows(), "rows diverge for {sql}");
-        }
-    }
-
     #[test]
     fn stale_plan_is_rejected() {
         let c = catalog();
@@ -2062,8 +2030,8 @@ mod tests {
         let mut cache = PlanCache::new();
         {
             let exec = Executor::new(&c);
-            assert!(cache.get_or_compile(&exec, &q).is_some());
-            assert!(cache.get_or_compile(&exec, &q).is_some());
+            assert!(cache.get_or_compile(&exec, &q).is_ok());
+            assert!(cache.get_or_compile(&exec, &q).is_ok());
         }
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -2088,10 +2056,10 @@ mod tests {
         let mut cache = PlanCache::new();
         let exec = Executor::new(&c);
         // the same query under two salts compiles twice, hits per salt
-        assert!(cache.get_or_compile_salted(&exec, &q, 1).is_some());
-        assert!(cache.get_or_compile_salted(&exec, &q, 2).is_some());
-        assert!(cache.get_or_compile_salted(&exec, &q, 1).is_some());
-        assert!(cache.get_or_compile_salted(&exec, &q, 2).is_some());
+        assert!(cache.get_or_compile_salted(&exec, &q, 1).is_ok());
+        assert!(cache.get_or_compile_salted(&exec, &q, 2).is_ok());
+        assert!(cache.get_or_compile_salted(&exec, &q, 1).is_ok());
+        assert!(cache.get_or_compile_salted(&exec, &q, 2).is_ok());
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 2);
         assert_eq!(cache.len(), 2);
@@ -2100,7 +2068,7 @@ mod tests {
         assert_eq!(cache.purge_salt(3), 2);
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().invalidations, 2);
-        assert!(cache.get_or_compile_salted(&exec, &q, 3).is_some());
+        assert!(cache.get_or_compile_salted(&exec, &q, 3).is_ok());
         assert_eq!(cache.stats().misses, 3);
         // purging with the live salt evicts nothing
         assert_eq!(cache.purge_salt(3), 0);
@@ -2108,18 +2076,32 @@ mod tests {
     }
 
     #[test]
-    fn uncompilable_queries_cache_the_interpret_verdict() {
+    fn failed_compiles_are_errors_and_never_cached() {
         let c = catalog();
-        let q = parse_query("SELECT x FROM stream UNION SELECT y FROM stream").unwrap();
         let mut cache = PlanCache::new();
         let exec = Executor::new(&c);
-        // UNION compiles to an Interpret root — still a usable plan
-        assert!(cache.get_or_compile(&exec, &q).is_some());
-        // a query over a missing table is not compilable at all
+        // a query over a missing table is its typed error on every
+        // lookup: a miss each time, no entry left behind
         let missing = parse_query("SELECT q FROM nowhere").unwrap();
-        assert!(cache.get_or_compile(&exec, &missing).is_none());
-        assert!(cache.get_or_compile(&exec, &missing).is_none());
-        assert_eq!(cache.stats().hits, 1, "the interpret verdict is cached");
+        for _ in 0..2 {
+            let err = cache.get_or_compile(&exec, &missing).unwrap_err();
+            assert_eq!(err, EngineError::UnknownTable("nowhere".into()));
+        }
+        assert_eq!(cache.stats(), PlanCacheStats { hits: 0, misses: 2, invalidations: 0 });
+        assert!(cache.is_empty());
+
+        // a cached plan whose query stops compiling after a schema
+        // change is dropped, not served and not kept
+        let q = parse_query("SELECT x FROM stream UNION SELECT y FROM stream").unwrap();
+        assert!(cache.get_or_compile(&exec, &q).is_ok());
+        assert_eq!(cache.len(), 1);
+        let mut c2 = Catalog::new();
+        let schema = Schema::from_pairs(&[("x", DataType::Float)]);
+        c2.register("stream", Frame::new(schema, vec![]).unwrap()).unwrap();
+        let err = cache.get_or_compile(&Executor::new(&c2), &q).unwrap_err();
+        assert_eq!(err, EngineError::UnknownColumn("y".into()));
+        assert_eq!(cache.stats().invalidations, 1);
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //!
 //! [`ExprProgram::compile`] resolves every column reference to an
 //! ordinal against the input schema **once**; [`ExprProgram::eval`]
-//! then runs a small stack machine over [`Batch`] values, reusing the
-//! exact batch kernels of [`crate::eval`] (dense numeric comparison /
-//! arithmetic, three-valued logic). Semantics — including the
-//! fall-back-to-the-row-interpreter-on-error rule and the
-//! no-evaluation-over-empty-frames rule — match
-//! [`crate::eval::eval_expr_batch`] instruction for instruction, which
-//! the proptest suite pins down.
+//! then runs a small stack machine over [`Batch`] values on the dense
+//! kernels of [`crate::eval`] (numeric comparison / arithmetic,
+//! three-valued logic). It is the engine's only column-at-a-time
+//! expression evaluator. Two rules tie it to the row-level reference
+//! [`eval_expr`], which the proptest suite pins down: the machine
+//! evaluates sub-expressions eagerly, so where the row interpreter
+//! would have short-circuited past an erroring sub-expression
+//! (`AND`/`OR`, `CASE` branches, `IN` list tails) any error makes it
+//! re-run row by row, reproducing the reference result (or *which*
+//! error); and nothing is evaluated over an empty frame, so a
+//! data-dependent error never surfaces over zero rows.
 
 use std::sync::Arc;
 
@@ -71,9 +75,8 @@ pub struct ExprProgram {
 
 impl ExprProgram {
     /// Compile `expr` against `schema`. Fails on unresolvable columns
-    /// and on constructs the batch evaluator cannot run (bare `*`,
-    /// window calls, unknown cast targets) — callers fall back to the
-    /// AST interpreter, which reproduces the same runtime behaviour.
+    /// and on constructs no scalar position accepts (bare `*`, window
+    /// calls, unknown cast targets) — static errors of the query.
     pub fn compile(expr: &Expr, schema: &Schema) -> EngineResult<ExprProgram> {
         let mut program =
             ExprProgram { instrs: Vec::new(), fallback: expr.clone(), has_subquery: false };
@@ -200,10 +203,10 @@ impl ExprProgram {
         Ok(())
     }
 
-    /// Evaluate over every row of `frame`, column-at-a-time. Matches
-    /// [`crate::eval::eval_expr_batch`]: nothing is evaluated over an
-    /// empty frame, and any stack-machine error falls back to the row
-    /// interpreter so the reference error (or result) surfaces.
+    /// Evaluate over every row of `frame`, column-at-a-time. Nothing
+    /// is evaluated over an empty frame, and any stack-machine error
+    /// falls back to the row interpreter so the reference error (or
+    /// result) surfaces.
     pub fn eval(&self, frame: &Frame, ctx: &EvalContext<'_>) -> EngineResult<Batch> {
         if frame.is_empty() {
             return Ok(Batch::Col(Arc::new(ColumnData::empty(DataType::Float))));
@@ -481,7 +484,6 @@ fn clamp_dense(args: &[Batch], n: usize) -> Option<ColumnData> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_expr_batch;
     use paradise_sql::parse_expr;
 
     fn frame() -> Frame {
@@ -502,20 +504,22 @@ mod tests {
         .unwrap()
     }
 
+    /// The program over the whole frame equals the row interpreter
+    /// applied to every row.
     fn check(src: &str) {
         let e = parse_expr(src).unwrap();
         let f = frame();
         let ctx = EvalContext::new(&f.schema);
         let program = ExprProgram::compile(&e, &f.schema).unwrap();
         let compiled = program.eval(&f, &ctx).unwrap();
-        let reference = eval_expr_batch(&e, &f, &ctx).unwrap();
         for i in 0..f.len() {
-            assert_eq!(compiled.value(i), reference.value(i), "row {i} of {src}");
+            let reference = eval_expr(&e, &f.row(i), &ctx).unwrap();
+            assert_eq!(compiled.value(i), reference, "row {i} of {src}");
         }
     }
 
     #[test]
-    fn programs_match_batch_evaluator() {
+    fn programs_match_the_row_interpreter() {
         for src in [
             "x + 1",
             "x > 1.6 AND t < 3",
@@ -550,17 +554,14 @@ mod tests {
 
     #[test]
     fn error_fallback_reproduces_row_semantics() {
-        // `name > 5` errors row-wise only where name is non-null; the
-        // batch path errors eagerly and must fall back identically
-        let e = parse_expr("name = 'ada' OR x > 1").unwrap();
+        // `name > 5` is a type error wherever it is evaluated; the row
+        // interpreter short-circuits past it (`t < 0` is false on every
+        // row), the eager stack machine does not
+        let src = "t < 0 AND name > 5";
         let f = frame();
-        let ctx = EvalContext::new(&f.schema);
-        let program = ExprProgram::compile(&e, &f.schema).unwrap();
-        let compiled = program.eval(&f, &ctx).unwrap();
-        let reference = eval_expr_batch(&e, &f, &ctx).unwrap();
-        for i in 0..f.len() {
-            assert_eq!(compiled.value(i), reference.value(i));
-        }
+        let program = ExprProgram::compile(&parse_expr(src).unwrap(), &f.schema).unwrap();
+        assert!(program.run(&f, &EvalContext::new(&f.schema)).is_err());
+        check(src);
     }
 
     #[test]

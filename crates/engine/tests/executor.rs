@@ -1,8 +1,8 @@
 //! End-to-end executor tests, including the paper's §4.2 query fragments.
 
-use paradise_engine::{
-    Catalog, DataType, EngineError, ExecOptions, Executor, Frame, Schema, Value,
-};
+mod oracle;
+
+use paradise_engine::{Catalog, DataType, EngineError, Executor, Frame, Schema, Value};
 use paradise_sql::parse_query;
 
 fn sensor_catalog() -> Catalog {
@@ -67,17 +67,6 @@ fn media_center_fragment_group_by_having() {
     assert_eq!(f.value(0, 2), Value::Float(75.0));
     // lenient group-by: t comes from the group's first row
     assert_eq!(f.value(0, 3), Value::Int(1));
-}
-
-#[test]
-fn strict_mode_rejects_ungrouped_column() {
-    let c = sensor_catalog();
-    let opts = ExecOptions { strict_group_by: true, ..ExecOptions::default() };
-    let e = Executor::with_options(&c, opts);
-    let err = e
-        .execute(&parse_query("SELECT x, t, AVG(z) FROM stream GROUP BY x").unwrap())
-        .unwrap_err();
-    assert!(matches!(err, EngineError::NotGrouped(name) if name == "t"));
 }
 
 #[test]
@@ -530,27 +519,139 @@ fn int_float_join_keys_fall_back_to_sql_eq_semantics() {
 
 #[test]
 fn predicates_are_not_evaluated_over_empty_relations() {
-    // the row interpreter never touches a predicate when there are no
-    // rows; the batch path must not surface a type error either
+    // data-dependent errors stay lazy: nothing evaluates a predicate or
+    // a scalar call when there are no rows, in the engine as in the
+    // row-at-a-time oracle
     let empty = Frame::empty(Schema::from_pairs(&[("x", DataType::Integer)]));
     let mut c = Catalog::new();
     c.register("d", empty).unwrap();
-    for sql in [
-        "SELECT x FROM d WHERE 'abc'",
-        "SELECT ABS('nope') FROM d",
-        "SELECT x, SUM(x, x) FROM d GROUP BY x",
-    ] {
+    for sql in ["SELECT x FROM d WHERE 'abc'", "SELECT ABS('nope') FROM d"] {
         let f = run(&c, sql);
         assert!(f.is_empty(), "{sql} must yield an empty result, not an error");
-        let row_mode = Executor::with_options(
-            &c,
-            ExecOptions {
-                mode: paradise_engine::ExecMode::RowAtATime,
-                ..Default::default()
-            },
-        )
-        .execute(&parse_query(sql).unwrap())
-        .unwrap();
-        assert!(row_mode.is_empty());
+        assert_eq!(f, oracle::run(&c, &parse_query(sql).unwrap()).unwrap(), "{sql}");
+    }
+}
+
+/// A catalog holding `d(x INTEGER)` with the given rows.
+fn d_catalog(rows: Vec<Vec<Value>>) -> Catalog {
+    let schema = Schema::from_pairs(&[("x", DataType::Integer)]);
+    let mut c = Catalog::new();
+    c.register("d", Frame::new(schema, rows).unwrap()).unwrap();
+    c
+}
+
+#[test]
+fn static_errors_surface_at_compile() {
+    // an error that is a property of (query, schema) comes from
+    // `compile`, with the same text over empty and non-empty inputs
+    let cases: &[(&str, &str)] = &[
+        ("SELECT * FROM nope", "unknown table or stream \"nope\""),
+        ("SELECT y FROM d", "unknown column \"y\""),
+        ("SELECT x FROM d WHERE y > 1", "unknown column \"y\""),
+        ("SELECT nope(x) OVER () FROM d", "unknown function \"nope OVER\""),
+        ("SELECT x, SUM(x, x) FROM d GROUP BY x", "SUM expects 1 argument(s), got 2"),
+        (
+            "SELECT x FROM d UNION SELECT x, x FROM d",
+            "unsupported: UNION branches have different widths (1 vs 2)",
+        ),
+        ("SELECT * FROM d GROUP BY x", "unsupported: SELECT * with GROUP BY/aggregates"),
+    ];
+    for rows in [Vec::new(), vec![vec![Value::Int(1)], vec![Value::Int(2)]]] {
+        let populated = !rows.is_empty();
+        let c = d_catalog(rows);
+        let exec = Executor::new(&c);
+        for (sql, message) in cases {
+            let query = parse_query(sql).unwrap();
+            let err = exec.compile(&query).expect_err(sql);
+            assert_eq!(err.to_string(), *message, "{sql} (populated: {populated})");
+            assert_eq!(exec.execute(&query).unwrap_err(), err, "{sql}");
+            if populated {
+                // with rows to trip over, the lazy oracle finds the same error
+                assert_eq!(oracle::run(&c, &query).unwrap_err(), err, "{sql}");
+            }
+        }
+    }
+}
+
+/// Shapes the deleted in-library reference comparisons covered: every
+/// operator of the planner, compiled once, run twice, against the oracle.
+#[test]
+fn compiled_plans_match_the_oracle() {
+    let schema = Schema::from_pairs(&[
+        ("x", DataType::Float),
+        ("y", DataType::Float),
+        ("z", DataType::Float),
+        ("t", DataType::Integer),
+    ]);
+    let rows = (0..200)
+        .map(|i| {
+            vec![
+                Value::Float((i % 9) as f64),
+                Value::Float((i % 4) as f64),
+                Value::Float((i % 3) as f64 * 0.9),
+                Value::Int(i),
+            ]
+        })
+        .collect();
+    let mut c = Catalog::new();
+    c.register("stream", Frame::new(schema, rows).unwrap()).unwrap();
+    let exec = Executor::new(&c);
+    for sql in [
+        "SELECT * FROM stream",
+        "SELECT x, t FROM stream WHERE z < 2",
+        "SELECT x, AVG(z) AS za FROM stream GROUP BY x HAVING SUM(z) > 1 ORDER BY za DESC",
+        "SELECT SUM(z) OVER (PARTITION BY x ORDER BY t) FROM stream",
+        "SELECT x, ROW_NUMBER() OVER (PARTITION BY x ORDER BY z DESC) AS rn, RANK() OVER (ORDER BY y) FROM stream",
+        "SELECT DISTINCT x FROM stream ORDER BY x LIMIT 3",
+        "SELECT a.x FROM stream a JOIN stream b ON a.t = b.t WHERE a.z < 1",
+        "SELECT a.t, b.t FROM stream a FULL JOIN stream b ON a.t = b.t + 195 ORDER BY 1, 2",
+        "SELECT za FROM (SELECT x, AVG(z) AS za FROM stream GROUP BY x)",
+        "SELECT COUNT(*) FROM stream",
+        "SELECT regr_intercept(y, x) AS ri FROM stream",
+        "SELECT x FROM stream ORDER BY t DESC LIMIT 5 OFFSET 2",
+        "SELECT x FROM stream UNION SELECT y FROM stream",
+        "SELECT x, t FROM stream WHERE t < 3 UNION ALL SELECT y, t FROM stream WHERE t < 2 UNION SELECT 1, 1",
+        "SELECT s.* FROM (SELECT x, y FROM stream UNION SELECT y, x FROM stream) AS s ORDER BY 1, 2",
+        "SELECT t FROM stream WHERE z > (SELECT AVG(z) FROM stream) AND EXISTS (SELECT 1 FROM stream)",
+    ] {
+        let query = parse_query(sql).unwrap();
+        let plan = exec.compile(&query).unwrap_or_else(|e| panic!("{sql}: {e}"));
+        let once = exec.run_plan(&plan).unwrap();
+        assert_eq!(once, exec.run_plan(&plan).unwrap(), "re-running the plan diverged: {sql}");
+        let reference = oracle::run(&c, &query).unwrap();
+        assert_eq!(once.schema, reference.schema, "schema diverges for {sql}");
+        assert_eq!(once.to_rows(), reference.to_rows(), "rows diverge for {sql}");
+    }
+}
+
+/// Windows over a text partition key, with ties in the sort key: every
+/// ranking function and the running / whole-partition aggregate forms.
+#[test]
+fn window_queries_match_the_oracle() {
+    let schema = Schema::from_pairs(&[
+        ("g", DataType::Text),
+        ("t", DataType::Integer),
+        ("v", DataType::Integer),
+    ]);
+    let rows = (0..30)
+        .map(|i| {
+            let g = if i % 7 == 0 { Value::Null } else { Value::Str(format!("g{}", i % 3)) };
+            vec![g, Value::Int(i / 4), Value::Int(i * 13 % 10)]
+        })
+        .collect();
+    let mut c = Catalog::new();
+    c.register("d", Frame::new(schema, rows).unwrap()).unwrap();
+    for sql in [
+        "SELECT g, t, SUM(v) OVER (PARTITION BY g ORDER BY t) AS rs FROM d",
+        "SELECT g, SUM(v) OVER (PARTITION BY g) AS total, COUNT(*) OVER () AS n FROM d",
+        "SELECT g, v, ROW_NUMBER() OVER (PARTITION BY g ORDER BY v DESC) AS rn FROM d ORDER BY g, rn",
+        "SELECT t, RANK() OVER (ORDER BY t) AS r, DENSE_RANK() OVER (ORDER BY t) AS dr FROM d",
+        "SELECT ROW_NUMBER() OVER () AS rn, RANK() OVER (PARTITION BY g) AS r FROM d",
+        "SELECT COUNT(DISTINCT v) OVER (PARTITION BY g ORDER BY t DESC, v) AS dv FROM d",
+        "SELECT g FROM d ORDER BY AVG(v) OVER (PARTITION BY g), t, v LIMIT 11",
+        "SELECT MAX(v) OVER (PARTITION BY t) - v AS gap FROM d WHERE g IS NOT NULL",
+    ] {
+        let query = parse_query(sql).unwrap();
+        assert_eq!(run(&c, sql), oracle::run(&c, &query).unwrap(), "{sql}");
     }
 }

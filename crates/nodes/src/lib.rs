@@ -17,6 +17,7 @@
 //! assert_eq!(chain.nodes().len(), 5);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod capability;

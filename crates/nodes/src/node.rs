@@ -236,10 +236,8 @@ impl Node {
         let key = ast_key(fragment);
         let input_rows = self.admit(fragment, key, None)?;
         let executor = Executor::new(&self.catalog);
-        let result = match self.plans.get_or_compile_salted(&executor, fragment, self.plan_salt) {
-            Some(plan) => executor.run_plan(&plan),
-            None => executor.execute(fragment),
-        }?;
+        let plan = self.plans.get_or_compile_salted(&executor, fragment, self.plan_salt)?;
+        let result = executor.run_plan(&plan)?;
         self.account(input_rows, &result);
         Ok(result)
     }
@@ -276,7 +274,7 @@ impl Node {
         self.admit(fragment, key, input_bytes_hint)?;
         let executor = Executor::new(&self.catalog);
         let (_, inc) =
-            self.plans.get_or_compile_with_incremental(&executor, fragment, self.plan_salt);
+            self.plans.get_or_compile_with_incremental(&executor, fragment, self.plan_salt)?;
         let Some(inc) = inc else { return Ok(None) };
         let run = match shard {
             Some(spec) => executor.run_incremental_sharded(&inc, state, input, spec)?,
@@ -302,8 +300,8 @@ impl Node {
         self.plans.seed(&executor, fragment, self.plan_salt, plan)
     }
 
-    /// The successfully compiled plans of this node's cache — the
-    /// harvesting half of cross-handle plan sharing.
+    /// The plans of this node's cache — the harvesting half of
+    /// cross-handle plan sharing.
     pub fn shareable_plans(&self) -> Vec<(Query, Arc<CompiledPlan>)> {
         self.plans
             .compiled_entries()

@@ -15,6 +15,7 @@
 //! assert!(module.attribute("z").unwrap().requires_aggregation());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod budget;

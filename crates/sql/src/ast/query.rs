@@ -254,19 +254,15 @@ impl Query {
 
     /// Mutable variant of [`Query::innermost`].
     pub fn innermost_mut(&mut self) -> &mut Query {
-        // Written with a raw loop to appease the borrow checker.
-        let mut current: *mut Query = self;
-        loop {
-            // SAFETY: `current` always points into the same tree which we
-            // hold exclusively via `&mut self`; each iteration moves strictly
-            // deeper, never aliasing.
-            let q = unsafe { &mut *current };
-            match &mut q.from {
-                Some(TableRef::Subquery { query, .. }) => {
-                    current = &mut **query;
-                }
-                _ => return q,
-            }
+        // The shape test borrows immutably first: matching on
+        // `&mut self.from` directly would keep `self` borrowed in the
+        // arm that returns it.
+        if !matches!(self.from, Some(TableRef::Subquery { .. })) {
+            return self;
+        }
+        match &mut self.from {
+            Some(TableRef::Subquery { query, .. }) => query.innermost_mut(),
+            _ => unreachable!("shape checked above"),
         }
     }
 }

@@ -22,6 +22,7 @@
 //! assert_eq!(q, again);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

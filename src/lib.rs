@@ -110,6 +110,8 @@
 //! `BudgetExhausted` error when it runs out — see the README's
 //! "Differential privacy" section and `examples/dp_rewrite.rs`.
 
+#![forbid(unsafe_code)]
+
 pub use paradise_anon as anon;
 pub use paradise_core as core;
 pub use paradise_engine as engine;
@@ -132,8 +134,8 @@ pub mod prelude {
     };
     pub use paradise_core::remainder::{filter_by_class, ActionClass};
     pub use paradise_engine::{
-        Catalog, ColumnData, CompiledPlan, DataType, EngineError, ExecMode, ExecOptions, Executor,
-        Frame, PlanCache, Row, Schema, Value,
+        Catalog, ColumnData, CompiledPlan, DataType, EngineError, Executor, Frame, PlanCache,
+        PlanCacheStats, Row, Schema, Value,
     };
     pub use paradise_nodes::{
         Capability, Level, Node, SmartRoomConfig, SmartRoomSim, Stage, TrafficLog,

@@ -1,58 +1,18 @@
-//! Executor-equivalence suite: every query of the roundtrip corpus is
-//! executed three times over the same `SmartRoomSim` data — through the
-//! compiled physical-plan path (the default), the columnar AST
-//! interpreter (`ExecMode::Columnar`), and the retained row-at-a-time
-//! reference path (`ExecMode::RowAtATime`) — and the resulting frames
-//! must be identical (or all paths must fail with the same error).
+//! Executor-equivalence suite: every query of the shared corpus
+//! (`crates/sql/tests/corpus`) is executed over the same `SmartRoomSim`
+//! data by the engine — compile once, run the plan twice — and by the
+//! naive row-at-a-time oracle (`crates/engine/tests/oracle`), and the
+//! resulting frames must be identical, or both must fail with the same
+//! error. `Executor::compile` is total: it yields a plan or a typed
+//! error, never a panic and never a fallback.
 
+#[path = "../crates/sql/tests/corpus/mod.rs"]
+mod corpus;
+#[path = "../crates/engine/tests/oracle/mod.rs"]
+mod oracle;
+
+use corpus::CORPUS;
 use paradise::prelude::*;
-
-/// The corpus of `crates/sql/tests/roundtrip.rs`: paper-style queries
-/// over the ubisense `stream(x, y, z, t)` schema, spanning every
-/// syntactic feature the dialect supports.
-const CORPUS: &[&str] = &[
-    // projection / scan shapes
-    "SELECT * FROM stream",
-    "SELECT x, y FROM stream",
-    "SELECT DISTINCT x, y FROM stream",
-    "SELECT x AS px, y AS py FROM stream",
-    // filters
-    "SELECT * FROM stream WHERE z < 2",
-    "SELECT x FROM stream WHERE x > y AND z < 2",
-    "SELECT x FROM stream WHERE x > 1 OR NOT y < 2",
-    "SELECT x FROM stream WHERE x + 1 > y * 2 - 3",
-    "SELECT x FROM stream WHERE z BETWEEN 1 AND 2",
-    "SELECT x FROM stream WHERE t IN (1, 2, 3)",
-    "SELECT x FROM stream WHERE name LIKE 'bob%'",
-    "SELECT x FROM stream WHERE y IS NULL",
-    "SELECT x FROM stream WHERE y IS NOT NULL",
-    // aggregation
-    "SELECT AVG(z) FROM stream",
-    "SELECT COUNT(*) FROM stream",
-    "SELECT x, AVG(z) AS za FROM stream GROUP BY x",
-    "SELECT x, AVG(z) AS za FROM stream WHERE z < 2 GROUP BY x HAVING SUM(z) > 10",
-    // ordering and paging
-    "SELECT x FROM stream ORDER BY x",
-    "SELECT x FROM stream ORDER BY x DESC, y ASC LIMIT 5",
-    "SELECT x FROM stream ORDER BY t LIMIT 10 OFFSET 20",
-    // joins
-    "SELECT a.x FROM stream a JOIN stream b ON a.t = b.t",
-    "SELECT a.x, b.y FROM stream a LEFT JOIN stream b ON a.t = b.t WHERE b.y IS NULL",
-    // subqueries and set operations
-    "SELECT x FROM (SELECT x FROM stream)",
-    "SELECT za FROM (SELECT x, AVG(z) AS za FROM stream WHERE z < 2 GROUP BY x)",
-    "SELECT x FROM stream UNION SELECT y FROM stream",
-    // expressions
-    "SELECT CASE WHEN z < 1 THEN 'floor' ELSE 'air' END FROM stream",
-    "SELECT CAST(t AS FLOAT) FROM stream",
-    // windows (the paper's §4.2 rewrite target)
-    "SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) FROM stream",
-    "SELECT regr_intercept(y, x) OVER (PARTITION BY zAVG ORDER BY t) \
-     FROM (SELECT x, y, AVG(z) AS zAVG, t FROM stream \
-     WHERE x > y AND z < 2 GROUP BY x, y HAVING SUM(z) > 100)",
-    // ML-style UDF from Table 1
-    "SELECT filterByClass(z) FROM stream",
-];
 
 /// Extra queries over the tagged stream (text, boolean and NULL-bearing
 /// columns) so string comparison, LIKE, CASE and boolean predicates run
@@ -98,90 +58,74 @@ fn catalog() -> Catalog {
     c
 }
 
-fn assert_equivalent(catalog: &Catalog, sql: &str) {
+/// `compile` either yields a plan — which, run twice, gives the oracle's
+/// frame both times — or a typed error, the one the oracle trips over
+/// (every catalog here is populated, so the lazy oracle sees it too).
+/// Returns whether the query compiled.
+fn assert_equivalent(catalog: &Catalog, sql: &str) -> bool {
     let query = parse_query(sql).unwrap_or_else(|e| panic!("corpus query fails to parse: {sql}: {e}"));
-    // ExecMode::Compiled is the default: compile-once/run-many physical plans
-    let compiled = Executor::new(catalog).execute(&query);
-    let columnar = Executor::with_options(
-        catalog,
-        ExecOptions { mode: ExecMode::Columnar, ..Default::default() },
-    )
-    .execute(&query);
-    let row_mode = Executor::with_options(
-        catalog,
-        ExecOptions { mode: ExecMode::RowAtATime, ..Default::default() },
-    )
-    .execute(&query);
-    let pairs = [("compiled vs columnar", &compiled, &columnar), ("compiled vs row", &compiled, &row_mode)];
-    for (what, a, b) in pairs {
-        match (a, b) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a.schema, b.schema, "schemas diverge ({what}) for: {sql}");
-                assert_eq!(a.to_rows(), b.to_rows(), "rows diverge ({what}) for: {sql}");
-                assert_eq!(a, b, "frame equality diverges ({what}) for: {sql}");
-                assert_eq!(
-                    a.size_bytes(),
-                    b.size_bytes(),
-                    "size accounting diverges ({what}) for: {sql}"
-                );
-            }
-            (Err(a), Err(b)) => {
-                assert_eq!(a.to_string(), b.to_string(), "errors diverge ({what}) for: {sql}");
-            }
-            (a, b) => panic!(
-                "modes disagree ({what}) for {sql}: {:?} vs {:?}",
-                a.as_ref().map(|f| f.len()),
-                b.as_ref().map(|f| f.len())
-            ),
-        }
-    }
-}
-
-/// The compiled path must also agree when the plan is built once and
-/// re-run (the compile-once/run-many contract of continuous queries).
-fn assert_plan_reuse(catalog: &Catalog, sql: &str) {
-    let query = parse_query(sql).unwrap();
     let exec = Executor::new(catalog);
-    let Ok(plan) = exec.compile(&query) else {
-        return; // uncompilable queries run interpreted; covered above
+    let reference = oracle::run(catalog, &query);
+    let plan = match exec.compile(&query) {
+        Ok(plan) => plan,
+        Err(e) => {
+            let expected = reference.expect_err(sql);
+            assert_eq!(e.to_string(), expected.to_string(), "compile error diverges for: {sql}");
+            assert_eq!(exec.execute(&query).unwrap_err(), e, "execute must fail in compile: {sql}");
+            return false;
+        }
     };
     let once = exec.run_plan(&plan);
-    let twice = exec.run_plan(&plan);
-    match (once, twice, exec.execute(&query)) {
-        (Ok(a), Ok(b), Ok(c)) => {
-            assert_eq!(a, b, "re-running a plan changed the result for: {sql}");
-            assert_eq!(a, c, "plan reuse diverges from execute for: {sql}");
+    assert_eq!(once, exec.run_plan(&plan), "re-running a plan changed the result for: {sql}");
+    assert_eq!(once, exec.execute(&query), "plan reuse diverges from execute for: {sql}");
+    match (once, reference) {
+        (Ok(a), Ok(b)) => {
+            assert_eq!(a.schema, b.schema, "schemas diverge for: {sql}");
+            assert_eq!(a.to_rows(), b.to_rows(), "rows diverge for: {sql}");
+            assert_eq!(a, b, "frame equality diverges for: {sql}");
+            assert_eq!(a.size_bytes(), b.size_bytes(), "size accounting diverges for: {sql}");
         }
-        (Err(a), Err(b), Err(c)) => {
-            assert_eq!(a.to_string(), b.to_string(), "errors diverge for: {sql}");
-            assert_eq!(a.to_string(), c.to_string(), "errors diverge for: {sql}");
-        }
-        other => panic!("plan reuse disagrees for {sql}: {other:?}"),
+        (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "errors diverge for: {sql}"),
+        (a, b) => panic!(
+            "engine and oracle disagree for {sql}: {:?} vs {:?}",
+            a.as_ref().map(|f| f.len()),
+            b.as_ref().map(|f| f.len())
+        ),
     }
+    true
 }
 
+/// The whole corpus — the shared SQL corpus, the tagged extras and the
+/// benchmark's own query files (one query per line, `{n}` a row
+/// threshold; run over both of its stream shapes, the room
+/// `stream(x, y, z, t)` and the users `stream(uid, v)`).
 #[test]
-fn corpus_queries_agree_between_row_and_columnar_paths() {
-    let catalog = catalog();
-    for sql in CORPUS {
-        assert_equivalent(&catalog, sql);
-    }
-}
-
-#[test]
-fn tagged_queries_agree_between_row_and_columnar_paths() {
-    let catalog = catalog();
-    for sql in TAGGED_EXTRAS {
-        assert_equivalent(&catalog, sql);
-    }
-}
-
-#[test]
-fn corpus_queries_survive_compile_once_run_many() {
-    let catalog = catalog();
+fn compile_is_total() {
+    let room = catalog();
     for sql in CORPUS.iter().chain(TAGGED_EXTRAS) {
-        assert_plan_reuse(&catalog, sql);
+        assert_equivalent(&room, sql);
     }
+
+    let mut users = Catalog::new();
+    let schema = Schema::from_pairs(&[("uid", DataType::Integer), ("v", DataType::Integer)]);
+    let rows = (0..40).map(|i| vec![Value::Int(i % 7), Value::Int(i * 3 % 11)]).collect();
+    users.register("stream", Frame::new(schema, rows).unwrap()).unwrap();
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/benchmark/queries");
+    let mut files: Vec<_> = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path()).collect();
+    files.sort();
+    assert_eq!(files.len(), 6, "benchmark/queries changed: {files:?}");
+    let mut compiled = 0;
+    for file in files {
+        let text = std::fs::read_to_string(&file).unwrap();
+        for sql in text.lines().filter(|l| !l.trim().is_empty()) {
+            let sql = sql.replace("{n}", "3");
+            for catalog in [&room, &users] {
+                compiled += usize::from(assert_equivalent(catalog, &sql));
+            }
+        }
+    }
+    // every file but forbidden.sql compiles against the stream it is for
+    assert_eq!(compiled, 16, "benchmark queries that compile");
 }
 
 #[test]

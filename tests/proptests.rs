@@ -1,6 +1,9 @@
 //! Property-based tests over the whole stack: parser round-trips,
 //! fragmentation semantics preservation, anonymization invariants.
 
+#[path = "../crates/engine/tests/oracle/mod.rs"]
+mod oracle;
+
 use proptest::prelude::*;
 
 use paradise::anon::{achieved_k, direct_distance, mondrian, slice, SlicingConfig};
@@ -269,25 +272,7 @@ proptest! {
     }
 
     #[test]
-    fn row_mode_matches_columnar_mode(frame in arb_frame(), sql in arb_fragmentable_query()) {
-        let query = parse_query(&sql).unwrap();
-        let mut catalog = Catalog::new();
-        catalog.register("stream", frame).unwrap();
-        let columnar = Executor::new(&catalog).execute(&query).unwrap();
-        let row_mode = Executor::with_options(
-            &catalog,
-            ExecOptions { mode: ExecMode::RowAtATime, ..Default::default() },
-        )
-        .execute(&query)
-        .unwrap();
-        prop_assert_eq!(&columnar, &row_mode, "query: {}", sql);
-    }
-
-    #[test]
-    fn compiled_plans_match_the_columnar_interpreter(
-        frame in arb_frame(),
-        sql in arb_fragmentable_query(),
-    ) {
+    fn compiled_plans_match_the_oracle(frame in arb_frame(), sql in arb_fragmentable_query()) {
         let query = parse_query(&sql).unwrap();
         let mut catalog = Catalog::new();
         catalog.register("stream", frame).unwrap();
@@ -297,13 +282,32 @@ proptest! {
         let a = exec.run_plan(&plan).unwrap();
         let b = exec.run_plan(&plan).unwrap();
         prop_assert_eq!(&a, &b, "plan re-run diverged: {}", sql);
-        let interpreted = Executor::with_options(
-            &catalog,
-            ExecOptions { mode: ExecMode::Columnar, ..Default::default() },
-        )
-        .execute(&query)
-        .unwrap();
-        prop_assert_eq!(&a, &interpreted, "query: {}", sql);
+        let reference = oracle::run(&catalog, &query).unwrap();
+        prop_assert_eq!(&a, &reference, "query: {}", sql);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// DISTINCT, ORDER BY, grouping and UNION over frames whose columns
+    /// mix runtime types (the exact `Mixed` buffers next to typed ones)
+    /// agree with the oracle's per-`Value` semantics.
+    #[test]
+    fn mixed_frames_sort_group_and_dedupe_like_the_oracle(frame in arb_mixed_frame()) {
+        let mut catalog = Catalog::new();
+        catalog.register("m", frame).unwrap();
+        for sql in [
+            "SELECT DISTINCT c0 FROM m ORDER BY 1",
+            "SELECT * FROM m ORDER BY c0 DESC LIMIT 5 OFFSET 1",
+            "SELECT c0, COUNT(*) AS n FROM m GROUP BY c0 ORDER BY n DESC, c0",
+            "SELECT c0 FROM m UNION SELECT c0 FROM m WHERE c0 IS NOT NULL",
+            "SELECT c0, ROW_NUMBER() OVER (PARTITION BY c0) AS rn FROM m",
+        ] {
+            let query = parse_query(sql).unwrap();
+            let engine = Executor::new(&catalog).execute(&query).unwrap();
+            prop_assert_eq!(&engine, &oracle::run(&catalog, &query).unwrap(), "query: {}", sql);
+        }
     }
 }
 
@@ -375,18 +379,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn expression_programs_match_the_batch_interpreter(
+    fn expression_programs_match_the_row_interpreter(
         frame in arb_frame(),
         e in arb_stream_expr(),
     ) {
-        use paradise::engine::eval::{eval_expr_batch, EvalContext};
+        use paradise::engine::eval::{eval_expr, EvalContext};
         use paradise::engine::plan::ExprProgram;
         let ctx = EvalContext::new(&frame.schema);
         let program = ExprProgram::compile(&e, &frame.schema).expect("columns resolve");
-        match (program.eval(&frame, &ctx), eval_expr_batch(&e, &frame, &ctx)) {
+        // the reference: the row interpreter over every row in order,
+        // failing with the first row's error
+        let reference: Result<Vec<Value>, _> =
+            frame.iter_rows().map(|row| eval_expr(&e, &row, &ctx)).collect();
+        match (program.eval(&frame, &ctx), reference) {
             (Ok(a), Ok(b)) => {
-                for i in 0..frame.len() {
-                    prop_assert_eq!(a.value(i), b.value(i), "row {} of {}", i, e);
+                for (i, expected) in b.into_iter().enumerate() {
+                    prop_assert_eq!(a.value(i), expected, "row {} of {}", i, e);
                 }
             }
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string(), "expr: {}", e),

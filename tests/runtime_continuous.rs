@@ -246,6 +246,59 @@ fn tick_each_quarantines_failing_handles_without_poisoning_the_tick() {
     assert!(per_handle[1].1.is_ok());
 }
 
+#[test]
+fn statically_invalid_fragment_is_a_typed_error_on_the_first_tick() {
+    // the policy allows an attribute the stream does not have, so the
+    // rewrite passes and the fragment `… w …` is what fails — in the
+    // engine's compile step, before any row is read
+    let mut lenient = figure4_policy().modules.remove(0);
+    lenient.module_id = "Lenient".into();
+    lenient.attributes.push(AttributeRule::allowed("w"));
+    let mut runtime = Runtime::new(ProcessingChain::apartment())
+        .with_policy("ActionFilter", figure4_policy().modules.remove(0))
+        .with_policy("Lenient", lenient);
+    runtime.install_source("motion-sensor", "stream", stream(42, 200)).unwrap();
+
+    let bystander = runtime
+        .register("ActionFilter", &parse_query("SELECT x, y, z, t FROM stream").unwrap())
+        .unwrap();
+    let victim = runtime.register("Lenient", &parse_query("SELECT w, t FROM stream").unwrap()).unwrap();
+
+    let mut reference = Runtime::new(ProcessingChain::apartment())
+        .with_policy("ActionFilter", figure4_policy().modules.remove(0));
+    reference.install_source("motion-sensor", "stream", stream(42, 200)).unwrap();
+    reference
+        .register("ActionFilter", &parse_query("SELECT x, y, z, t FROM stream").unwrap())
+        .unwrap();
+
+    let mut misses_before = 0;
+    for round in 0..3u64 {
+        let per_handle = runtime.tick_each().unwrap();
+        let expect = reference.tick().unwrap();
+        assert_eq!(per_handle.len(), 2);
+        assert_eq!(per_handle[0].0, bystander);
+        let ok = per_handle[0].1.as_ref().expect("bystander executes normally");
+        assert_eq!(ok.result, expect[0].1.result, "bystander unaffected, round {round}");
+        assert_eq!(per_handle[1].0, victim);
+        let err = per_handle[1].1.as_ref().expect_err("the victim's fragment cannot compile");
+        assert!(
+            err.to_string().contains("unknown column \"w\""),
+            "typed engine error from the first tick on, round {round}: {err}"
+        );
+        // a failed compile is never cached as a plan (or as a verdict):
+        // the failing fragment is a fresh miss on every tick, while the
+        // upstream fragments that do compile turn into hits
+        let engine = runtime.handle_stats(victim).unwrap().engine;
+        assert!(engine.misses > misses_before, "round {round}: {engine:?}");
+        misses_before = engine.misses;
+        let batch = stream(900 + round, 10);
+        runtime.ingest("motion-sensor", "stream", batch.clone()).unwrap();
+        reference.ingest("motion-sensor", "stream", batch).unwrap();
+    }
+    // the atomic tick reports the same error
+    assert!(runtime.tick().unwrap_err().to_string().contains("unknown column \"w\""));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -255,7 +308,7 @@ proptest! {
     /// (a) the full-rescan runtime over the same stream, and — at the
     /// end of the schedule — (b) a fresh one-shot `Processor` over the
     /// retained window (whose engine is itself pinned against the
-    /// columnar interpreter by the executor equivalence suite).
+    /// row oracle by the executor equivalence suite).
     #[test]
     fn incremental_ticks_equal_full_rescan_over_random_schedules(
         seed in 1u64..400,
