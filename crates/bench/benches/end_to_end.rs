@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use paradise_bench::{
-    meeting_stream, paper_flat, paper_original, paper_processor, paper_runtime, users_runtime,
-    users_stream,
+    meeting_stream, paper_flat, paper_original, paper_runtime, users_runtime, users_stream,
 };
 
 fn bench_end_to_end(c: &mut Criterion) {
@@ -13,22 +12,14 @@ fn bench_end_to_end(c: &mut Criterion) {
     for rows in [1_000usize, 5_000, 20_000] {
         group.bench_with_input(BenchmarkId::new("paradise", rows), &rows, |b, &rows| {
             b.iter_batched(
-                || paper_processor(42, 10, rows / 10),
-                |mut p| p.run("ActionFilter", black_box(&paper_original())).unwrap(),
+                || paper_runtime(42, 10, rows / 10),
+                |mut rt| rt.run_once("ActionFilter", black_box(&paper_original())).unwrap(),
                 criterion::BatchSize::LargeInput,
             )
         });
-        // steady-state continuous query: the fragment-plan cache and
-        // every node's compiled-plan cache stay warm across ticks
-        group.bench_with_input(BenchmarkId::new("paradise_warm", rows), &rows, |b, &rows| {
-            let mut p = paper_processor(42, 10, rows / 10);
-            let q = paper_original();
-            p.run("ActionFilter", &q).unwrap();
-            b.iter(|| p.run("ActionFilter", black_box(&q)).unwrap())
-        });
         group.bench_with_input(BenchmarkId::new("cloud_baseline", rows), &rows, |b, &rows| {
-            let p = paper_processor(42, 10, rows / 10);
-            b.iter(|| p.cloud_baseline(black_box(&paper_original())).unwrap())
+            let rt = paper_runtime(42, 10, rows / 10);
+            b.iter(|| rt.cloud_baseline(black_box(&paper_original())).unwrap())
         });
     }
     group.finish();
@@ -71,44 +62,31 @@ fn bench_runtime_multi_query(c: &mut Criterion) {
 }
 
 /// Steady-state tick cost at a 100k-row retained window with 1k-row
-/// ingest batches — the tentpole measurement of delta-aware execution.
-/// Both entries run the *same* workload (the paper's flat query, which
-/// the Figure 4 policy rewrites into the incrementally-maintainable
-/// grouped aggregation):
-///
-/// * `runtime_incremental/window` disables the delta path — every tick
-///   rescans the full retained window, so cost ∝ window;
-/// * `runtime_incremental/batch` is the default delta-aware runtime —
-///   stateless stages process the 1k-row batch, the aggregation folds
-///   it into per-group accumulators, so cost ∝ batch (with one
-///   amortized rebuild per batched retention trim).
+/// ingest batches (the paper's flat query, which the Figure 4 policy
+/// rewrites into the incrementally-maintainable grouped aggregation):
+/// stateless stages process the 1k-row batch, the aggregation folds it
+/// into per-group accumulators, so cost ∝ batch (with one amortized
+/// rebuild per batched retention trim — `core.runtime.slow_tick_p50_us`
+/// in `benchmark/` is that rebuild's price).
 fn bench_runtime_incremental(c: &mut Criterion) {
     let mut group = c.benchmark_group("end_to_end");
     group.sample_size(2);
     const WINDOW: usize = 100_000;
     const BATCH_STEPS: usize = 100; // × 10 persons = 1k rows/tick
-    for (name, incremental) in [("window", false), ("batch", true)] {
-        group.bench_with_input(
-            BenchmarkId::new("runtime_incremental", name),
-            &incremental,
-            |b, &incremental| {
-                let mut runtime = paper_runtime(42, 10, WINDOW / 10)
-                    .with_retention(WINDOW)
-                    .with_incremental(incremental);
-                runtime.register("ActionFilter", &paper_flat()).unwrap();
-                let batches: Vec<_> =
-                    (0..32u64).map(|i| meeting_stream(1_000 + i, 10, BATCH_STEPS)).collect();
-                runtime.tick().unwrap(); // compile plans + build state once
-                let mut next = 0usize;
-                b.iter(|| {
-                    let batch = batches[next % batches.len()].clone();
-                    next += 1;
-                    runtime.ingest("motion-sensor", "stream", batch).unwrap();
-                    black_box(runtime.tick().unwrap())
-                })
-            },
-        );
-    }
+    group.bench_function(BenchmarkId::new("runtime_incremental", "batch"), |b| {
+        let mut runtime = paper_runtime(42, 10, WINDOW / 10).with_retention(WINDOW);
+        runtime.register("ActionFilter", &paper_flat()).unwrap();
+        let batches: Vec<_> =
+            (0..32u64).map(|i| meeting_stream(1_000 + i, 10, BATCH_STEPS)).collect();
+        runtime.tick().unwrap(); // compile plans + build state once
+        let mut next = 0usize;
+        b.iter(|| {
+            let batch = batches[next % batches.len()].clone();
+            next += 1;
+            runtime.ingest("motion-sensor", "stream", batch).unwrap();
+            black_box(runtime.tick().unwrap())
+        })
+    });
     group.finish();
 }
 

@@ -14,7 +14,7 @@ use paradise_anon::{
     direct_distance_ratio, kl_divergence, mondrian, slice, SlicingConfig,
 };
 use paradise_bench::{
-    meeting_stream, paper_original, paper_processor, paper_rewritten, query_corpus,
+    meeting_stream, paper_original, paper_rewritten, paper_runtime, query_corpus,
 };
 use paradise_core::{
     attack_answerable, fragment_query, preprocess, ConjunctiveQuery, PreprocessOptions,
@@ -105,9 +105,9 @@ fn table1() {
 /// EXP-F2 — Figure 2: the privacy-aware query processor, stage by stage.
 fn figure2() {
     banner("EXP-F2 (paper Figure 2): processor pipeline trace");
-    let mut processor = paper_processor(42, 10, 500);
-    let outcome = processor
-        .run("ActionFilter", &paper_original())
+    let mut runtime = paper_runtime(42, 10, 500);
+    let outcome = runtime
+        .run_once("ActionFilter", &paper_original())
         .expect("pipeline runs");
     println!("[preprocessor]   rewrote the query with {} action(s):", outcome.preprocess.actions.len());
     for a in &outcome.preprocess.actions {
@@ -146,12 +146,12 @@ fn figure3() {
     );
     println!("{}", "-".repeat(66));
     for (persons, steps) in [(4usize, 250usize), (10, 500), (10, 2000), (20, 5000)] {
-        let mut processor = paper_processor(42, persons, steps);
-        let (_, raw_bytes) = processor
+        let mut runtime = paper_runtime(42, persons, steps);
+        let (_, raw_bytes) = runtime
             .cloud_baseline(&paper_original())
             .expect("baseline runs");
-        let outcome = processor
-            .run("ActionFilter", &paper_original())
+        let outcome = runtime
+            .run_once("ActionFilter", &paper_original())
             .expect("pipeline runs");
         let shipped = outcome.result.size_bytes().max(1);
         println!(
@@ -164,8 +164,8 @@ fn figure3() {
         );
     }
     println!("\nper-hop volumes at 10 persons × 500 steps:");
-    let mut processor = paper_processor(42, 10, 500);
-    let outcome = processor.run("ActionFilter", &paper_original()).unwrap();
+    let mut runtime = paper_runtime(42, 10, 500);
+    let outcome = runtime.run_once("ActionFilter", &paper_original()).unwrap();
     for hop in &outcome.traffic.hops {
         println!(
             "  {:<14} → {:<14} {:>7} rows {:>10} bytes",
@@ -214,9 +214,9 @@ fn usecase() {
     println!("\nfragments (paper listings, bottom-up):");
     print!("{}", plan.describe());
 
-    let mut processor = paper_processor(42, 10, 500)
+    let mut runtime = paper_runtime(42, 10, 500)
         .with_remainder(filter_by_class(ActionClass::Walk));
-    let outcome = processor.run("ActionFilter", &original).expect("pipeline runs");
+    let outcome = runtime.run_once("ActionFilter", &original).expect("pipeline runs");
     println!("\nexecuted on simulated Ubisense data (10 persons × 500 ticks):");
     println!("  d' rows shipped to the cloud: {}", outcome.shipped.len());
     println!("  remainder: {}", outcome.remainder_applied.as_deref().unwrap_or("-"));
@@ -406,7 +406,7 @@ fn preprocess_exp() {
 fn ablation() {
     banner("EXP-AB: ablations — E2 profile and assignment policy");
 
-    use paradise_core::{assign_to_chain, AssignmentPolicy, Processor};
+    use paradise_core::{assign_to_chain, AssignmentPolicy, Runtime};
     use paradise_nodes::ProcessingChain;
 
     let rewritten = paper_rewritten();
@@ -433,12 +433,12 @@ fn ablation() {
     );
     for (label, chain) in [("paper E2", ProcessingChain::apartment()),
                            ("strict SQL-92", ProcessingChain::apartment_strict_sql92())] {
-        let mut processor = Processor::new(chain)
+        let mut runtime = Runtime::new(chain)
             .with_policy("ActionFilter", figure4_policy().modules.remove(0));
-        processor
+        runtime
             .install_source("motion-sensor", "stream", meeting_stream(42, 10, 500))
             .unwrap();
-        let outcome = processor.run("ActionFilter", &paper_original()).unwrap();
+        let outcome = runtime.run_once("ActionFilter", &paper_original()).unwrap();
         let to_cloud = outcome
             .stages
             .last()

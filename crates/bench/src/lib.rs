@@ -1,7 +1,7 @@
 //! Shared scenario builders for the experiment harness and the
 //! criterion benches.
 
-use paradise_core::{ProcessingChain, Processor, Runtime};
+use paradise_core::{ProcessingChain, Runtime};
 use paradise_engine::{DataType, Frame, Schema, Value};
 use paradise_nodes::{Level, Node, SmartRoomConfig, SmartRoomSim};
 use paradise_policy::{figure4_policy, AggregationSpec, AttributeRule, ModulePolicy};
@@ -46,20 +46,9 @@ pub fn meeting_stream(seed: u64, persons: usize, steps: usize) -> Frame {
     SmartRoomSim::with_config(seed, config).ubisense_positions(steps)
 }
 
-/// A ready-to-run processor for the §4.2 scenario with `rows ≈ persons ×
-/// steps` of simulated data at the sensor.
-pub fn paper_processor(seed: u64, persons: usize, steps: usize) -> Processor {
-    let mut processor = Processor::new(ProcessingChain::apartment())
-        .with_policy("ActionFilter", figure4_policy().modules.remove(0));
-    processor
-        .install_source("motion-sensor", "stream", meeting_stream(seed, persons, steps))
-        .expect("sensor node exists");
-    processor
-}
-
-/// A continuous-query runtime for the §4.2 scenario, seeded like
-/// [`paper_processor`] (same chain, policy and sensor data) — callers
-/// register queries and tick it over ingested batches.
+/// A runtime for the §4.2 scenario with `rows ≈ persons × steps` of
+/// simulated data at the sensor — callers `run_once`, or register
+/// queries and tick it over ingested batches.
 pub fn paper_runtime(seed: u64, persons: usize, steps: usize) -> Runtime {
     let mut runtime = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", figure4_policy().modules.remove(0));
@@ -164,8 +153,8 @@ mod tests {
     fn scenario_builders_work() {
         let frame = meeting_stream(1, 2, 10);
         assert_eq!(frame.len(), 20);
-        let mut p = paper_processor(1, 2, 10);
-        assert!(p.run("ActionFilter", &paper_original()).is_ok());
+        let mut rt = paper_runtime(1, 2, 10);
+        assert!(rt.run_once("ActionFilter", &paper_original()).is_ok());
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! Invalidation is cascade-shaped: a retention eviction or source
 //! replacement makes stage 0 rebuild from the full window; its rebuild
 //! flag travels down the pipeline so every downstream state rebuilds in
-//! the same tick. Results are **identical** to the full-rescan path —
-//! pinned by the engine's incremental equivalence suite and the
-//! runtime's ingest/tick/policy-swap proptests.
+//! the same tick. Results are **identical** to re-executing every
+//! fragment over its full input — pinned by the engine's incremental
+//! equivalence suite and, against the test-side reference
+//! (`tests/support/reference.rs`), by the runtime's
+//! ingest/tick/policy-swap proptests.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -144,8 +146,8 @@ pub(crate) fn run_stages_delta(
         // a failing stage may leave upstream states already advanced
         // past the tick's delta (their watermarks committed) while
         // downstream states never folded it. Rebuilding everything on
-        // the next tick keeps failed ticks convergent with the
-        // full-rescan path — no batch can be silently lost.
+        // the next tick keeps failed ticks convergent with a full
+        // re-execution — no batch can be silently lost.
         hs.reset();
     }
     result

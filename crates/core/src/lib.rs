@@ -15,11 +15,11 @@
 //!   and the paper's information-loss metrics (§3.2);
 //! * [`containment`] — the conjunctive-query containment check the paper
 //!   poses as its open problem (§4.1/§5);
-//! * [`Runtime`] — the continuous-query runtime: register a query once,
-//!   ingest stream batches, tick all registered queries (in parallel),
-//!   swap policies live with exact cache invalidation;
-//! * [`Processor`] — the one-shot Figure 2 pipeline (the session the
-//!   runtime ticks registered queries through).
+//! * [`Runtime`] — the one entry point, a continuous-query runtime:
+//!   register a query once, ingest stream batches, tick all registered
+//!   queries (in parallel), swap policies live with exact cache
+//!   invalidation; [`Runtime::run_once`] is the one-shot Figure 2
+//!   session (register, tick, remove) over the same path.
 //!
 //! ```
 //! use paradise_core::{Runtime, ProcessingChain};
@@ -52,9 +52,9 @@ pub mod dp;
 pub mod error;
 pub mod fragment;
 mod incremental;
+pub mod pipeline;
 pub mod postprocess;
 pub mod preprocess;
-pub mod processor;
 pub mod remainder;
 pub mod runtime;
 pub mod storage;
@@ -74,11 +74,11 @@ pub use fragment::{
 pub use postprocess::{postprocess, AnonDecision, AnonStrategy, PostprocessOutcome};
 pub use preprocess::{preprocess, PreprocessOptions, PreprocessOutcome, RewriteAction};
 pub use paradise_engine::PlanCacheStats;
-pub use processor::{Outcome, Processor, ProcessorOptions};
+pub use pipeline::{Outcome, RuntimeOptions};
 pub use remainder::{filter_by_class, identity, ActionClass, Remainder};
 pub use runtime::{HandleStats, QueryHandle, Runtime, RuntimeStats};
 pub use storage::DurabilityStats;
 pub use stream_gate::{GateDecision, IncrementalSensor, StreamGate};
 
-// Re-export the chain type users need to construct a processor.
+// Re-export the chain type users need to construct a runtime.
 pub use paradise_nodes::ProcessingChain;

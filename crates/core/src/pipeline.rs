@@ -1,0 +1,288 @@
+//! The shared tail of the Figure 2 pipeline: the options that steer a
+//! run, the [`Outcome`] a tick hands back per query, and its assembly
+//! from a chain run — anonymization step `A`, then the optional cloud
+//! remainder.
+
+use paradise_engine::Frame;
+use paradise_nodes::{ChainRun, ProcessingChain, Stage, StageReport, TrafficLog};
+
+use crate::checks::InformationGainReport;
+use crate::error::CoreResult;
+use crate::fragment::{AssignmentPolicy, FragmentPlan};
+use crate::postprocess::{postprocess, AnonStrategy, PostprocessOutcome};
+use crate::preprocess::{PreprocessOptions, PreprocessOutcome};
+use crate::remainder::Remainder;
+
+/// Runtime configuration (see
+/// [`Runtime::with_options`](crate::runtime::Runtime::with_options)).
+#[derive(Debug, Clone, Default)]
+pub struct RuntimeOptions {
+    /// Preprocessor options (relation substitutions…).
+    pub preprocess: PreprocessOptions,
+    /// Fragment-to-node assignment policy.
+    pub assignment: AssignmentPolicy,
+    /// Anonymization strategy for the postprocessor.
+    pub anon: AnonStrategy,
+    /// If set, run the §3.1 information-gain check against the raw data
+    /// and refuse rewritings that lose more than this KL threshold.
+    pub info_gain_threshold: Option<f64>,
+}
+
+/// Everything one query's tick produces, for inspection and experiments.
+#[derive(Debug)]
+pub struct Outcome {
+    /// Preprocessing (rewriting) report.
+    pub preprocess: PreprocessOutcome,
+    /// Information-gain report, when the check was enabled.
+    pub information_gain: Option<InformationGainReport>,
+    /// The fragmentation plan.
+    pub plan: FragmentPlan,
+    /// The stages as assigned to chain nodes.
+    pub stages: Vec<Stage>,
+    /// Per-stage execution reports.
+    pub stage_reports: Vec<StageReport>,
+    /// Traffic between nodes.
+    pub traffic: TrafficLog,
+    /// The raw shipped result `d'` before anonymization.
+    pub shipped: Frame,
+    /// Node at which the anonymization step `A` ran.
+    pub anonymized_at: String,
+    /// Postprocessing (anonymization) outcome; `frame` is what leaves
+    /// the apartment.
+    pub post: PostprocessOutcome,
+    /// Name of the applied cloud remainder, if any.
+    pub remainder_applied: Option<String>,
+    /// Final result after the remainder.
+    pub result: Frame,
+}
+
+/// Fingerprint the schemas of `tables` as installed anywhere in
+/// `chain` (first node owning each table wins; absent tables hash as
+/// absent). Drives the per-handle fragment-plan invalidation on schema
+/// change.
+pub(crate) fn source_fingerprint(chain: &ProcessingChain, tables: &[String]) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    for t in tables {
+        t.hash(&mut h);
+        let schema = chain
+            .nodes()
+            .iter()
+            .find_map(|n| n.catalog.get(t).ok().map(|f| &f.schema));
+        match schema {
+            Some(s) => paradise_engine::plan::schema_hash(s).hash(&mut h),
+            None => u64::MAX.hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
+/// §3.2: the anonymization runs at the last stage's node if powerful
+/// enough, otherwise data escalates to the next node that supports it.
+pub(crate) fn anonymization_site(chain: &ProcessingChain, stages: &[Stage]) -> String {
+    let last_node = stages.last().map(|s| s.node.as_str()).unwrap_or_default();
+    let nodes = chain.nodes();
+    let start = nodes.iter().position(|n| n.name == last_node).unwrap_or(0);
+    nodes[start..]
+        .iter()
+        .find(|n| n.capability.supports_anonymization)
+        .map(|n| n.name.clone())
+        .unwrap_or_else(|| last_node.to_string())
+}
+
+/// The tail of every tick: anonymization step `A` at the most powerful
+/// in-apartment node, the optional cloud remainder, and the assembled
+/// [`Outcome`].
+///
+/// Frames are handed on by *sharing column buffers* (`Frame::clone`
+/// bumps per-column `Arc`s): between the chain run's output and
+/// `Outcome.result` no row or cell is copied — `shipped`, the
+/// postprocessor input, `post.frame` and `result` all reference the
+/// same buffers unless a stage actually rewrites data.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn assemble_outcome(
+    chain: &ProcessingChain,
+    pre: PreprocessOutcome,
+    plan: FragmentPlan,
+    stages: Vec<Stage>,
+    run: ChainRun,
+    information_gain: Option<InformationGainReport>,
+    options: &RuntimeOptions,
+    remainder: Option<&Remainder>,
+) -> CoreResult<Outcome> {
+    let anonymized_at = anonymization_site(chain, &stages);
+    let shipped = run.result;
+    let post = postprocess(shipped.clone(), &options.anon)?;
+
+    let (result, remainder_applied) = match remainder {
+        Some(r) => (r.apply(post.frame.clone()), Some(r.name.clone())),
+        None => (post.frame.clone(), None),
+    };
+
+    Ok(Outcome {
+        preprocess: pre,
+        information_gain,
+        plan,
+        stages,
+        stage_reports: run.stages,
+        traffic: run.traffic,
+        shipped,
+        anonymized_at,
+        post,
+        remainder_applied,
+        result,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::CoreError;
+    use crate::runtime::Runtime;
+    use paradise_nodes::SmartRoomSim;
+    use paradise_policy::figure4_policy;
+    use paradise_sql::parse_query;
+
+    const PAPER_ORIGINAL: &str =
+        "SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) \
+         FROM (SELECT x, y, z, t FROM stream)";
+
+    fn runtime_with(options: RuntimeOptions) -> Runtime {
+        let mut rt = Runtime::new(ProcessingChain::apartment())
+            .with_policy("ActionFilter", figure4_policy().modules.remove(0))
+            .with_options(options);
+        // a meeting-sized population so that standing groups survive the
+        // Figure-4 policy's SUM(z) > 100 threshold
+        let config = paradise_nodes::SmartRoomConfig {
+            persons: 10,
+            switch_probability: 0.003,
+            ..Default::default()
+        };
+        let mut sim = SmartRoomSim::with_config(42, config);
+        rt.install_source("motion-sensor", "stream", sim.ubisense_positions(500)).unwrap();
+        rt
+    }
+
+    fn runtime() -> Runtime {
+        runtime_with(RuntimeOptions::default())
+    }
+
+    #[test]
+    fn end_to_end_paper_pipeline() {
+        let mut rt = runtime();
+        let q = parse_query(PAPER_ORIGINAL).unwrap();
+        let outcome = rt.run_once("ActionFilter", &q).unwrap();
+
+        // four fragments on the paper's nodes
+        let nodes: Vec<&str> = outcome.stages.iter().map(|s| s.node.as_str()).collect();
+        assert_eq!(
+            nodes,
+            vec!["motion-sensor", "appliance", "media-center", "local-server"]
+        );
+        // traffic decreases toward the top
+        assert!(outcome.traffic.hops.len() >= 2);
+        // anonymization at the local server (first node from the top
+        // stage that supports it)
+        assert_eq!(outcome.anonymized_at, "local-server");
+        assert_eq!(outcome.result.schema.len(), outcome.post.frame.schema.len());
+    }
+
+    #[test]
+    fn anonymization_escalates_past_nodes_without_the_power() {
+        // `x > y` needs the appliance, which cannot anonymize (§3.2):
+        // step `A` escalates to the first node above it that can
+        let mut rt = runtime();
+        let q = parse_query("SELECT x, y FROM stream").unwrap();
+        let outcome = rt.run_once("ActionFilter", &q).unwrap();
+        assert_eq!(outcome.stages.last().unwrap().node, "appliance");
+        assert_eq!(outcome.anonymized_at, "local-server");
+    }
+
+    #[test]
+    fn missing_policy_is_an_error() {
+        let mut rt = runtime();
+        let q = parse_query(PAPER_ORIGINAL).unwrap();
+        assert!(matches!(
+            rt.run_once("UnknownModule", &q),
+            Err(CoreError::NoPolicy(_))
+        ));
+    }
+
+    #[test]
+    fn cloud_baseline_ships_everything() {
+        let rt = runtime();
+        let q = parse_query("SELECT x, y, z, t FROM stream").unwrap();
+        let (result, raw_bytes) = rt.cloud_baseline(&q).unwrap();
+        assert_eq!(result.len(), 5000); // 500 steps × 10 persons
+        assert_eq!(raw_bytes, rt.integrated_catalog().get("stream").unwrap().size_bytes());
+    }
+
+    #[test]
+    fn paradise_ships_less_than_baseline() {
+        let mut rt = runtime();
+        let q = parse_query(PAPER_ORIGINAL).unwrap();
+        let (_, raw_bytes) = rt.cloud_baseline(&q).unwrap();
+        let outcome = rt.run_once("ActionFilter", &q).unwrap();
+        let shipped = outcome.traffic.last_hop_bytes();
+        assert!(
+            shipped < raw_bytes,
+            "PArADISE shipped {shipped} bytes, baseline {raw_bytes}"
+        );
+    }
+
+    #[test]
+    fn info_gain_check_can_reject() {
+        let mut rt = runtime_with(RuntimeOptions {
+            info_gain_threshold: Some(1e-12), // impossibly tight
+            ..RuntimeOptions::default()
+        });
+        // a flat query whose output columns survive rewriting, so the
+        // distributions are actually comparable
+        let q = parse_query("SELECT x, y, z, t FROM stream").unwrap();
+        let err = rt.run_once("ActionFilter", &q).unwrap_err();
+        assert!(matches!(err, CoreError::InsufficientInformation { .. }));
+    }
+
+    #[test]
+    fn info_gain_check_passes_with_loose_threshold() {
+        let mut rt = runtime_with(RuntimeOptions {
+            info_gain_threshold: Some(1e6),
+            ..RuntimeOptions::default()
+        });
+        let q = parse_query("SELECT x, y, z, t FROM stream").unwrap();
+        let outcome = rt.run_once("ActionFilter", &q).unwrap();
+        let report = outcome.information_gain.unwrap();
+        assert!(report.divergence > 0.0);
+        assert!(!report.compared_columns.is_empty());
+    }
+
+    #[test]
+    fn remainder_is_applied_at_the_cloud() {
+        let mut rt = runtime().with_remainder(crate::remainder::filter_by_class(
+            crate::remainder::ActionClass::Walk,
+        ));
+        let q = parse_query(PAPER_ORIGINAL).unwrap();
+        let outcome = rt.run_once("ActionFilter", &q).unwrap();
+        assert!(outcome.remainder_applied.as_deref().unwrap().contains("filterByClass"));
+        // the remainder appends the action column
+        assert_eq!(
+            outcome.result.schema.len(),
+            outcome.post.frame.schema.len() + 1
+        );
+    }
+
+    #[test]
+    fn pipeline_output_shares_buffers_with_shipped() {
+        // with anonymization off and no remainder, the final result IS
+        // the shipped frame: between the chain run's output and
+        // Outcome.result no frame/row is copied, only Arcs are bumped
+        let mut rt = runtime_with(RuntimeOptions {
+            anon: AnonStrategy::None,
+            ..RuntimeOptions::default()
+        });
+        let q = parse_query(PAPER_ORIGINAL).unwrap();
+        let outcome = rt.run_once("ActionFilter", &q).unwrap();
+        assert!(outcome.post.frame.shares_columns(&outcome.shipped));
+        assert!(outcome.result.shares_columns(&outcome.shipped));
+    }
+}

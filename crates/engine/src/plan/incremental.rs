@@ -288,6 +288,25 @@ impl GroupState {
         }
         state
     }
+
+    /// Forget every group and keep the buffers: a rebuild over a
+    /// stationary window then re-grows neither the key map nor the
+    /// per-group columns (one rehash-and-copy per rebuild otherwise).
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.n_groups = 0;
+        for col in self.reps.iter_mut().chain(self.vals.iter_mut()) {
+            Arc::make_mut(col).truncate(0);
+        }
+        self.accs.iter_mut().for_each(Vec::clear);
+        self.touched.clear();
+        self.rows = 0;
+        if let Some(mask) = self.having.as_mut() {
+            mask.clear();
+        }
+        self.first_rows.clear();
+        self.new_keys.clear();
+    }
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -458,8 +477,24 @@ impl<'a> Executor<'a> {
         match &plan.kind {
             IncKind::Append { items, out_schema } => {
                 if reset {
-                    state.data =
-                        StateData::Append { out: Frame::empty(out_schema.clone()), rows_in: 0 };
+                    match &mut state.data {
+                        // a rebuild under the same plan refills the
+                        // buffers it owns: over a stationary window the
+                        // output never outgrows them, where fresh
+                        // exact-size ones are re-grown — a copy of the
+                        // whole output — by the first append after
+                        // every rebuild
+                        StateData::Append { out, rows_in } if compatible => {
+                            out.truncate(0);
+                            *rows_in = 0;
+                        }
+                        data => {
+                            *data = StateData::Append {
+                                out: Frame::empty(out_schema.clone()),
+                                rows_in: 0,
+                            };
+                        }
+                    }
                 }
                 let StateData::Append { out, rows_in } = &mut state.data else {
                     unreachable!("reset guarantees matching state")
@@ -491,7 +526,16 @@ impl<'a> Executor<'a> {
             }
             IncKind::Grouped(body) => {
                 if reset {
-                    state.data = StateData::Grouped(GroupState::new(body, &plan.in_schema));
+                    match &mut state.data {
+                        // as for the append state: keep the buffers
+                        // (the global group is seeded by `new` alone)
+                        StateData::Grouped(gs) if compatible && !body.group.is_empty() => {
+                            gs.clear();
+                        }
+                        data => {
+                            *data = StateData::Grouped(GroupState::new(body, &plan.in_schema));
+                        }
+                    }
                 }
                 let having_evals = &mut state.having_evals;
                 let StateData::Grouped(gs) = &mut state.data else {

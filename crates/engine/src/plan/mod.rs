@@ -1037,7 +1037,17 @@ fn agg_finalize_masked(
 
     // 5. HAVING over the extended frame
     let ext = match (&body.having, mask) {
-        (Some(_), Some(mask)) => filter_rows_parallel(&ext_all, mask, ThreadPool::global()),
+        // a maintained mask is the steady tick: all groups scanned,
+        // a few kept, every tick. One pass over the mask and a gather
+        // on the calling thread — fanning the columns out costs a pool
+        // hand-off each and makes the tick's latency depend on which
+        // thread wins them.
+        (Some(_), Some(mask)) => {
+            debug_assert_eq!(mask.len(), ext_all.len());
+            let kept: Vec<usize> =
+                mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i).collect();
+            ext_all.select_rows(&kept)
+        }
         (Some(h), None) => {
             let mask = {
                 let ctx = EvalContext { schema: &ext_all.schema, subquery: Some(&subquery_fn) };
@@ -1736,7 +1746,7 @@ fn select_rows_parallel(frame: &Frame, indices: &[usize], pool: &ThreadPool) -> 
 
 /// Upper bound on cached plans before an epoch-style reset (a stream of
 /// distinct ad-hoc queries must not grow memory forever).
-const MAX_CACHED_PLANS: usize = 1024;
+const PLAN_CACHE_CAPACITY: usize = 1024;
 
 /// Hit/miss/invalidation counters of a [`PlanCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1897,7 +1907,7 @@ impl PlanCache {
         }
         self.stats.misses += 1;
         let plan = exec.compile(query)?;
-        if self.len >= MAX_CACHED_PLANS {
+        if self.len >= PLAN_CACHE_CAPACITY {
             self.entries.clear();
             self.len = 0;
         }
@@ -1937,7 +1947,7 @@ impl PlanCache {
                 return false;
             }
         }
-        if self.len >= MAX_CACHED_PLANS {
+        if self.len >= PLAN_CACHE_CAPACITY {
             self.entries.clear();
             self.len = 0;
         }

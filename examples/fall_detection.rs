@@ -40,14 +40,14 @@ fn main() {
         }
     }
 
-    let mut processor =
-        Processor::new(ProcessingChain::apartment()).with_policy("FallDetect", module);
-    processor.install_source("motion-sensor", "stream", stream).unwrap();
+    let mut runtime =
+        Runtime::new(ProcessingChain::apartment()).with_policy("FallDetect", module);
+    runtime.install_source("motion-sensor", "stream", stream).unwrap();
 
     // --- Poodle's fall-detection query: low tag positions
     let query = parse_query("SELECT z, t FROM (SELECT x, y, z, t FROM stream) WHERE z < 0.5")
         .unwrap();
-    let outcome = processor.run("FallDetect", &query).expect("fall query runs");
+    let outcome = runtime.run_once("FallDetect", &query).expect("fall query runs");
 
     println!("rewritten: {}", outcome.preprocess.query);
     println!("fragments:\n{}", outcome.plan.describe());
@@ -65,7 +65,7 @@ fn main() {
 
     // --- the profiling query Poodle would *like* to run is not so lucky:
     let profiling = parse_query("SELECT x, y, t FROM (SELECT x, y, t FROM stream)").unwrap();
-    let profile_outcome = processor.run("FallDetect", &profiling).expect("runs, aggregated");
+    let profile_outcome = runtime.run_once("FallDetect", &profiling).expect("runs, aggregated");
     println!(
         "\nprofiling query was rewritten to:\n  {}",
         profile_outcome.preprocess.query
@@ -78,7 +78,7 @@ fn main() {
     // --- and a flat-out location-history request for a denied attribute
     //     (the tag id is not even in the policy):
     let tracking = parse_query("SELECT tag FROM stream").unwrap();
-    match processor.run("FallDetect", &tracking) {
+    match runtime.run_once("FallDetect", &tracking) {
         Err(e) => println!("\ntracking query rejected: {e}"),
         Ok(_) => unreachable!("policy must deny the tag attribute"),
     }

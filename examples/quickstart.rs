@@ -27,7 +27,7 @@ fn main() {
     }
 
     // --- 2. the apartment: sensor → appliance → media center → PC → cloud
-    let mut processor = Processor::new(ProcessingChain::apartment())
+    let mut runtime = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", module)
         .with_remainder(filter_by_class(ActionClass::Walk));
 
@@ -36,7 +36,7 @@ fn main() {
     let mut sim = SmartRoomSim::with_config(42, config);
     let stream = sim.ubisense_positions(500);
     println!("\nsensor stream: {} rows, {} bytes", stream.len(), stream.size_bytes());
-    processor
+    runtime
         .install_source("motion-sensor", "stream", stream)
         .expect("sensor node exists");
 
@@ -49,8 +49,8 @@ fn main() {
     .expect("query parses");
     println!("\noriginal query:\n  {query}");
 
-    // --- 4. run the full PArADISE pipeline
-    let outcome = processor.run("ActionFilter", &query).expect("pipeline runs");
+    // --- 4. run the full PArADISE pipeline, once
+    let outcome = runtime.run_once("ActionFilter", &query).expect("pipeline runs");
 
     println!("\nrewritten query:\n  {}", outcome.preprocess.query);
     println!("\nrewrite actions:");

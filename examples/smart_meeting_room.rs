@@ -50,15 +50,15 @@ fn main() {
     println!("{}", policy_to_xml(&Policy::single(ubisense_policy.clone())));
 
     // --- a meeting-support query: where are people concentrated?
-    let mut processor =
-        Processor::new(ProcessingChain::apartment()).with_policy("MeetingAssist", ubisense_policy);
-    processor.install_source("motion-sensor", "ubisense", ubisense).unwrap();
+    let mut runtime =
+        Runtime::new(ProcessingChain::apartment()).with_policy("MeetingAssist", ubisense_policy);
+    runtime.install_source("motion-sensor", "ubisense", ubisense).unwrap();
 
     let query = parse_query(
         "SELECT x, y, z, t FROM (SELECT x, y, z, t FROM ubisense)",
     )
     .unwrap();
-    match processor.run("MeetingAssist", &query) {
+    match runtime.run_once("MeetingAssist", &query) {
         Ok(outcome) => {
             println!("rewritten: {}", outcome.preprocess.query);
             println!("fragments:\n{}", outcome.plan.describe());

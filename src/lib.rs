@@ -16,7 +16,7 @@
 //! | [`policy`] | PP4SE policy model, XML format, validation, generation |
 //! | [`anon`] | k-anonymity, slicing, QID detection, DD/KL metrics, DP |
 //! | [`nodes`] | capability levels E1–E4, processing chain, sensor simulators |
-//! | [`core`] | preprocessor, vertical fragmenter, postprocessor, containment, the continuous-query [`Runtime`](crate::core::Runtime) (and the one-shot [`Processor`](crate::core::Processor)) |
+//! | [`core`] | preprocessor, vertical fragmenter, postprocessor, containment, the continuous-query [`Runtime`](crate::core::Runtime) — the one entry point; [`run_once`](crate::core::Runtime::run_once) is its one-shot session |
 //! | [`server`] | multi-tenant TCP serving layer: admission control, bounded ingest queues, quarantine, [`Server`](crate::server::Server)/[`Client`](crate::server::Client) |
 //!
 //! ## Quickstart
@@ -33,10 +33,11 @@
 //! per-group accumulators, and only shapes that genuinely need full
 //! history (windows over history, joins) rescan — so steady-state
 //! tick cost tracks the batch size, not the retained stream window.
-//! Results are identical to a full rescan; see the README's
-//! "Incremental (delta-aware) tick execution" section for the shape
-//! table, and `Runtime::with_incremental(false)` for the reference
-//! full-rescan mode. For many-user streams,
+//! Results are identical to re-executing every fragment over its full
+//! input (pinned against the test-side reference in
+//! `tests/support/reference.rs`); see the README's "Incremental
+//! (delta-aware) tick execution" section for the shape table. For
+//! many-user streams,
 //! [`Runtime::with_partitioning`](crate::core::Runtime::with_partitioning)
 //! shards each stream by a hash of a declared partition key and folds
 //! tick work partition-parallel over the thread pool — same results,
@@ -91,9 +92,9 @@
 //! log back to exactly the pre-crash state — see the README's
 //! "Durability" section and `examples/durable_runtime.rs`.
 //!
-//! For one-shot/ad-hoc runs the original
-//! [`Processor::run`](crate::core::Processor::run) remains available
-//! (it shares the runtime's execution path).
+//! For one-shot/ad-hoc runs,
+//! [`Runtime::run_once`](crate::core::Runtime::run_once) is register →
+//! tick → remove over the same path.
 //!
 //! To serve a runtime to multiple tenants over TCP — with per-module
 //! admission control, bounded per-connection ingest queues (shed or
@@ -129,8 +130,8 @@ pub mod prelude {
     pub use paradise_core::{
         attack_answerable, fragment_query, postprocess, preprocess, AnonStrategy,
         AssignmentPolicy, ConjunctiveQuery, CoreError, DurabilityStats, FragmentPlan,
-        HandleStats, Outcome, PreprocessOptions, ProcessingChain, Processor, ProcessorOptions,
-        QueryHandle, RewriteAction, Runtime, RuntimeStats,
+        HandleStats, Outcome, PreprocessOptions, ProcessingChain, QueryHandle, RewriteAction,
+        Runtime, RuntimeOptions, RuntimeStats,
     };
     pub use paradise_core::remainder::{filter_by_class, ActionClass};
     pub use paradise_engine::{

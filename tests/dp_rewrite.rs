@@ -1,8 +1,9 @@
 //! Utility/equivalence pins for the differential-privacy rewrite mode:
 //! `ε = ∞` (and DP off) must be **bitwise** identical to the exact
-//! engine across serial/sharded and incremental/full-rescan execution;
-//! fixed-seed noisy results must be deterministic across all four
-//! execution modes and inside analytic Laplace tail bounds; and the
+//! engine across serial/sharded execution; fixed-seed noisy results
+//! must be deterministic across shard counts, bitwise equal to the
+//! test-side reference's `apply_laplace` output, and inside analytic
+//! Laplace tail bounds; and the
 //! epsilon ledger must survive kill-and-recover without regaining a
 //! single spent epsilon (replaying bitwise-identical noise).
 
@@ -10,6 +11,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use paradise::prelude::*;
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::reference;
 
 const DP_QUERY: &str =
     "SELECT x, COUNT(*) AS n, SUM(z) AS sz, AVG(z) AS az FROM stream GROUP BY x ORDER BY x";
@@ -73,10 +78,9 @@ fn policy(module: &str, dp: Option<DpConfig>) -> ModulePolicy {
     m
 }
 
-fn runtime(shards: usize, incremental: bool, dp: Option<DpConfig>) -> Runtime {
-    let mut rt = Runtime::new(ProcessingChain::apartment())
-        .with_incremental(incremental)
-        .with_policy("Mod", policy("Mod", dp));
+fn runtime(shards: usize, dp: Option<DpConfig>) -> Runtime {
+    let mut rt =
+        Runtime::new(ProcessingChain::apartment()).with_policy("Mod", policy("Mod", dp));
     if shards > 1 {
         rt = rt.with_partitioning("x", shards);
     }
@@ -87,11 +91,23 @@ fn runtime(shards: usize, incremental: bool, dp: Option<DpConfig>) -> Runtime {
 /// Fixed schedule: register, then ingest+tick rounds; returns each
 /// tick's result rows.
 fn run_schedule(rt: &mut Runtime, ticks: u64) -> Vec<Vec<Row>> {
-    rt.register("Mod", &parse_query(DP_QUERY).unwrap()).unwrap();
+    run_schedule_checked(rt, ticks, |_, _, _| {})
+}
+
+/// [`run_schedule`], handing every tick's outcome (with the runtime as
+/// it stands right after the tick) to `check`.
+fn run_schedule_checked(
+    rt: &mut Runtime,
+    ticks: u64,
+    mut check: impl FnMut(&Runtime, QueryHandle, &Outcome),
+) -> Vec<Vec<Row>> {
+    let handle = rt.register("Mod", &parse_query(DP_QUERY).unwrap()).unwrap();
     (0..ticks)
         .map(|round| {
             rt.ingest("motion-sensor", "stream", users(100 + round, 60)).unwrap();
-            rt.tick().unwrap()[0].1.result.to_rows()
+            let outcome = rt.tick().unwrap().remove(0).1;
+            check(rt, handle, &outcome);
+            outcome.result.to_rows()
         })
         .collect()
 }
@@ -109,29 +125,23 @@ fn as_f64(v: &Value) -> f64 {
 // --------------------------------------------------------------------
 
 /// DP off and `ε = ∞` (even with clamp bounds configured) must be
-/// bitwise-equal to the exact engine, across shard counts {1, 4} and
-/// incremental/full-rescan — and must neither spend budget nor draw
-/// noise.
+/// bitwise-equal to the exact engine, across shard counts {1, 4} — and
+/// must neither spend budget nor draw noise.
 #[test]
 fn dp_off_and_infinite_epsilon_match_the_exact_engine_bitwise() {
     for shards in [1usize, 4] {
-        for incremental in [true, false] {
-            let exact = run_schedule(&mut runtime(shards, incremental, None), 4);
-            for dp in [
-                DpConfig::new(f64::INFINITY, f64::INFINITY),
-                DpConfig::new(f64::INFINITY, f64::INFINITY).with_clamp(CLAMP.0, CLAMP.1),
-            ] {
-                let mut rt = runtime(shards, incremental, Some(dp));
-                let got = run_schedule(&mut rt, 4);
-                assert_eq!(
-                    got, exact,
-                    "shards={shards} incremental={incremental}: ε=∞ must be bitwise exact"
-                );
-                let stats = rt.stats();
-                assert_eq!(stats.dp_noise_draws, 0, "ε=∞ draws no noise");
-                assert_eq!(stats.dp_epsilon_spent_micro, 0, "ε=∞ spends no budget");
-                assert!(rt.epsilon_ledger("Mod").is_none(), "nothing was ever spent");
-            }
+        let exact = run_schedule(&mut runtime(shards, None), 4);
+        for dp in [
+            DpConfig::new(f64::INFINITY, f64::INFINITY),
+            DpConfig::new(f64::INFINITY, f64::INFINITY).with_clamp(CLAMP.0, CLAMP.1),
+        ] {
+            let mut rt = runtime(shards, Some(dp));
+            let got = run_schedule(&mut rt, 4);
+            assert_eq!(got, exact, "shards={shards}: ε=∞ must be bitwise exact");
+            let stats = rt.stats();
+            assert_eq!(stats.dp_noise_draws, 0, "ε=∞ draws no noise");
+            assert_eq!(stats.dp_epsilon_spent_micro, 0, "ε=∞ spends no budget");
+            assert!(rt.epsilon_ledger("Mod").is_none(), "nothing was ever spent");
         }
     }
 }
@@ -145,25 +155,26 @@ fn noisy_config() -> DpConfig {
 }
 
 /// Fixed-seed noisy ticks are deterministic: identical runs agree
-/// bitwise, and all four execution modes (serial/sharded ×
-/// incremental/full-rescan) produce the same noisy bytes, because
-/// shard merge happens pre-noise and the seed depends only on
-/// (handle, ledger position).
+/// bitwise, serial and sharded execution produce the same noisy bytes
+/// (shard merge happens pre-noise and the seed depends only on
+/// (handle, ledger position)) — and every tick equals, bitwise, the
+/// reference's `apply_laplace` over a full re-execution.
 #[test]
-fn noisy_results_are_deterministic_across_runs_and_execution_modes() {
-    let reference = run_schedule(&mut runtime(1, true, Some(noisy_config())), 4);
+fn noisy_results_are_deterministic_and_equal_the_reference_bitwise() {
+    let first_run = run_schedule(&mut runtime(1, Some(noisy_config())), 4);
+    let module = policy("Mod", Some(noisy_config()));
+    let query = parse_query(DP_QUERY).unwrap();
     for shards in [1usize, 4] {
-        for incremental in [true, false] {
-            let mut rt = runtime(shards, incremental, Some(noisy_config()));
-            let got = run_schedule(&mut rt, 4);
-            assert_eq!(
-                got, reference,
-                "shards={shards} incremental={incremental}: noisy ticks must be deterministic"
-            );
-            let stats = rt.stats();
-            assert!(stats.dp_noise_draws > 0, "the noisy path must actually draw");
-            assert_eq!(stats.dp_epsilon_spent_micro, 4_000_000, "4 ticks × ε=1.0");
-        }
+        let mut rt = runtime(shards, Some(noisy_config()));
+        let got = run_schedule_checked(&mut rt, 4, |rt, handle, got| {
+            let expect = reference(rt, &module, &query, None, Some(handle)).unwrap();
+            assert_eq!(got.result, expect.result, "shards={shards}: noisy tick != reference");
+            assert_eq!(got.shipped, expect.shipped, "shards={shards}: noisy shipped != reference");
+        });
+        assert_eq!(got, first_run, "shards={shards}: noisy ticks must be deterministic");
+        let stats = rt.stats();
+        assert!(stats.dp_noise_draws > 0, "the noisy path must actually draw");
+        assert_eq!(stats.dp_epsilon_spent_micro, 4_000_000, "4 ticks × ε=1.0");
     }
 }
 
@@ -173,8 +184,8 @@ fn noisy_results_are_deterministic_across_runs_and_execution_modes() {
 /// bad luck. Group keys must pass through exactly.
 #[test]
 fn noisy_aggregates_sit_inside_analytic_tail_bounds() {
-    let exact = run_schedule(&mut runtime(1, true, None), 4);
-    let noisy = run_schedule(&mut runtime(1, true, Some(noisy_config())), 4);
+    let exact = run_schedule(&mut runtime(1, None), 4);
+    let noisy = run_schedule(&mut runtime(1, Some(noisy_config())), 4);
 
     // ε=1 split over 3 noised columns → ε_col = 1/3:
     //   COUNT: Δ=1            → b =  3
@@ -215,7 +226,7 @@ fn noisy_aggregates_sit_inside_analytic_tail_bounds() {
 /// (no refunds).
 #[test]
 fn budget_exhaustion_is_typed_and_swapping_a_larger_budget_resumes() {
-    let mut rt = runtime(1, true, Some(DpConfig::new(1.0, 3.0).with_clamp(CLAMP.0, CLAMP.1)));
+    let mut rt = runtime(1, Some(DpConfig::new(1.0, 3.0).with_clamp(CLAMP.0, CLAMP.1)));
     rt.register("Mod", &parse_query(DP_QUERY).unwrap()).unwrap();
     for _ in 0..3 {
         rt.ingest("motion-sensor", "stream", users(7, 40)).unwrap();

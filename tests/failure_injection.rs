@@ -1,9 +1,7 @@
 //! Failure-injection tests: every way the pipeline can refuse or
 //! degrade must do so loudly and precisely.
 
-use paradise::core::{
-    fragment_query, preprocess, CoreError, PreprocessOptions, Processor, ProcessorOptions,
-};
+use paradise::core::{fragment_query, preprocess, CoreError, PreprocessOptions, RuntimeOptions};
 use paradise::nodes::{Capability, Node, NodeError, ProcessingChain};
 use paradise::policy::{parse_policy, PolicyError};
 use paradise::prelude::*;
@@ -127,7 +125,7 @@ fn undersized_node_reports_capacity_exhaustion() {
         Node::new("cloud", paradise::nodes::Level::Cloud),
     ])
     .unwrap();
-    let mut processor = Processor::new(chain)
+    let mut runtime = Runtime::new(chain)
         .with_policy("M", {
             let mut m = ModulePolicy::new("M");
             for attr in ["x", "y", "z", "t"] {
@@ -138,13 +136,13 @@ fn undersized_node_reports_capacity_exhaustion() {
         // Stack assignment keeps the aggregation on the tiny TV, which
         // must then refuse with a capacity error (§3.2: the data has to
         // escalate to a more powerful node)
-        .with_options(ProcessorOptions {
+        .with_options(RuntimeOptions {
             assignment: AssignmentPolicy::Stack,
             ..Default::default()
         });
-    processor.install_source("sensor", "stream", stream(5000)).unwrap();
+    runtime.install_source("sensor", "stream", stream(5000)).unwrap();
     let q = parse_query("SELECT x, AVG(z) AS za FROM stream GROUP BY x").unwrap();
-    let err = processor.run("M", &q).unwrap_err();
+    let err = runtime.run_once("M", &q).unwrap_err();
     assert!(matches!(
         err,
         CoreError::Node(NodeError::CapacityExceeded { .. })
@@ -163,30 +161,30 @@ fn spread_assignment_escalates_past_undersized_node() {
         Node::new("cloud", paradise::nodes::Level::Cloud),
     ])
     .unwrap();
-    let mut processor = Processor::new(chain).with_policy("M", {
+    let mut runtime = Runtime::new(chain).with_policy("M", {
         let mut m = ModulePolicy::new("M");
         for attr in ["x", "y", "z", "t"] {
             m.attributes.push(AttributeRule::allowed(attr));
         }
         m
     });
-    processor.install_source("sensor", "stream", stream(5000)).unwrap();
+    runtime.install_source("sensor", "stream", stream(5000)).unwrap();
     let q = parse_query("SELECT x, AVG(z) AS za FROM stream GROUP BY x").unwrap();
-    let outcome = processor.run("M", &q).unwrap();
+    let outcome = runtime.run_once("M", &q).unwrap();
     assert_eq!(outcome.stages.last().unwrap().node, "cloud");
     assert!(!outcome.result.is_empty());
 }
 
 #[test]
 fn unknown_source_table_errors_at_execution() {
-    let mut processor = Processor::new(ProcessingChain::apartment()).with_policy("M", {
+    let mut runtime = Runtime::new(ProcessingChain::apartment()).with_policy("M", {
         let mut m = ModulePolicy::new("M");
         m.attributes.push(AttributeRule::allowed("x"));
         m
     });
     // no install_source at all
     let q = parse_query("SELECT x FROM missing_stream").unwrap();
-    let err = processor.run("M", &q).unwrap_err();
+    let err = runtime.run_once("M", &q).unwrap_err();
     assert!(matches!(err, CoreError::Node(NodeError::Engine(_))));
 }
 
@@ -224,15 +222,15 @@ fn union_fragmentation_rejected_cleanly() {
 
 #[test]
 fn info_gain_rejection_names_the_numbers() {
-    let mut processor = Processor::new(ProcessingChain::apartment())
+    let mut runtime = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", figure4_policy().modules.remove(0))
-        .with_options(ProcessorOptions {
+        .with_options(RuntimeOptions {
             info_gain_threshold: Some(1e-12),
             ..Default::default()
         });
-    processor.install_source("motion-sensor", "stream", stream(500)).unwrap();
+    runtime.install_source("motion-sensor", "stream", stream(500)).unwrap();
     let q = parse_query("SELECT x, y, z, t FROM stream").unwrap();
-    let err = processor.run("ActionFilter", &q).unwrap_err();
+    let err = runtime.run_once("ActionFilter", &q).unwrap_err();
     let CoreError::InsufficientInformation { divergence, threshold } = err else {
         panic!("expected InsufficientInformation, got {err}");
     };

@@ -62,10 +62,10 @@ fn fragmented_execution_equals_unfragmented_execution() {
 
         // fragmented: through the chain
         let policy = parse_policy(FIG4_POLICY_XML).unwrap();
-        let mut processor = Processor::new(ProcessingChain::apartment())
+        let mut runtime = Runtime::new(ProcessingChain::apartment())
             .with_policy("ActionFilter", policy.modules[0].clone());
-        processor.install_source("motion-sensor", "stream", stream).unwrap();
-        let outcome = processor.run("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
+        runtime.install_source("motion-sensor", "stream", stream).unwrap();
+        let outcome = runtime.run_once("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
 
         assert_eq!(
             outcome.shipped.to_rows(), expected.to_rows(),
@@ -79,10 +79,10 @@ fn pipeline_reduces_data_leaving_the_apartment() {
     let stream = meeting_stream(42);
     let raw_bytes = stream.size_bytes();
     let policy = parse_policy(FIG4_POLICY_XML).unwrap();
-    let mut processor = Processor::new(ProcessingChain::apartment())
+    let mut runtime = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", policy.modules[0].clone());
-    processor.install_source("motion-sensor", "stream", stream).unwrap();
-    let outcome = processor.run("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
+    runtime.install_source("motion-sensor", "stream", stream).unwrap();
+    let outcome = runtime.run_once("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
 
     let shipped = outcome.result.size_bytes();
     assert!(
@@ -99,10 +99,10 @@ fn pipeline_reduces_data_leaving_the_apartment() {
 #[test]
 fn stages_run_on_the_paper_nodes() {
     let policy = parse_policy(FIG4_POLICY_XML).unwrap();
-    let mut processor = Processor::new(ProcessingChain::apartment())
+    let mut runtime = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", policy.modules[0].clone());
-    processor.install_source("motion-sensor", "stream", meeting_stream(7)).unwrap();
-    let outcome = processor.run("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
+    runtime.install_source("motion-sensor", "stream", meeting_stream(7)).unwrap();
+    let outcome = runtime.run_once("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
     let nodes: Vec<&str> = outcome.stages.iter().map(|s| s.node.as_str()).collect();
     assert_eq!(nodes, vec!["motion-sensor", "appliance", "media-center", "local-server"]);
     // every fragment respects its node's capability (would have errored
@@ -113,11 +113,11 @@ fn stages_run_on_the_paper_nodes() {
 #[test]
 fn remainder_filter_by_class_completes_the_r_call() {
     let policy = parse_policy(FIG4_POLICY_XML).unwrap();
-    let mut processor = Processor::new(ProcessingChain::apartment())
+    let mut runtime = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", policy.modules[0].clone())
         .with_remainder(filter_by_class(ActionClass::Walk));
-    processor.install_source("motion-sensor", "stream", meeting_stream(123)).unwrap();
-    let outcome = processor.run("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
+    runtime.install_source("motion-sensor", "stream", meeting_stream(123)).unwrap();
+    let outcome = runtime.run_once("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
     assert!(outcome.remainder_applied.unwrap().contains("action='walk'"));
     // the action column is appended by the classifier
     let names = outcome.result.schema.names();

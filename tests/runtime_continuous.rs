@@ -1,12 +1,17 @@
 //! The continuous-query runtime over the façade: equivalence with the
-//! one-shot `Processor`, steady-state cache behaviour over streaming
-//! ingest, and the policy hot-swap properties (a `set_policy` call
-//! invalidates exactly the affected module's handles; post-swap
-//! outcomes equal a fresh runtime built with the new policy).
+//! test-side reference (`support/reference.rs`), steady-state cache
+//! behaviour over streaming ingest, and the policy hot-swap properties
+//! (a `set_policy` call invalidates exactly the affected module's
+//! handles; post-swap outcomes equal a fresh runtime built with the new
+//! policy).
 
 use proptest::prelude::*;
 
 use paradise::prelude::*;
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::reference;
 
 const PAPER_ORIGINAL: &str = "SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) \
                               FROM (SELECT x, y, z, t FROM stream)";
@@ -47,9 +52,27 @@ fn stream(seed: u64, steps: usize) -> Frame {
 }
 
 #[test]
-fn ticks_over_ingest_match_one_shot_processor_runs() {
-    let mut runtime = Runtime::new(ProcessingChain::apartment())
-        .with_policy("ActionFilter", figure4_policy().modules.remove(0));
+fn first_tick_matches_the_reference() {
+    let policy = figure4_policy().modules.remove(0);
+    let mut runtime =
+        Runtime::new(ProcessingChain::apartment()).with_policy("ActionFilter", policy.clone());
+    runtime.install_source("motion-sensor", "stream", stream(42, 500)).unwrap();
+    let q = parse_query(PAPER_ORIGINAL).unwrap();
+    let handle = runtime.register("ActionFilter", &q).unwrap();
+    let ticked = runtime.tick().unwrap();
+    assert_eq!(ticked.len(), 1);
+    assert_eq!(ticked[0].0, handle);
+
+    let expect = reference(&runtime, &policy, &q, None, None).unwrap();
+    assert_eq!(ticked[0].1.result, expect.result);
+    assert_eq!(ticked[0].1.anonymized_at, expect.anonymized_at);
+}
+
+#[test]
+fn ticks_over_ingest_match_the_reference() {
+    let policy = figure4_policy().modules.remove(0);
+    let mut runtime =
+        Runtime::new(ProcessingChain::apartment()).with_policy("ActionFilter", policy.clone());
     runtime.install_source("motion-sensor", "stream", stream(42, 300)).unwrap();
     let handles: Vec<QueryHandle> = QUERIES
         .iter()
@@ -65,18 +88,14 @@ fn ticks_over_ingest_match_one_shot_processor_runs() {
             "results keep registration order"
         );
 
-        // a fresh one-shot processor over the same accumulated stream
-        // must produce identical results for every query
-        let accumulated =
-            runtime.chain().node("motion-sensor").unwrap().catalog.get("stream").unwrap().clone();
-        let mut processor = Processor::new(ProcessingChain::apartment())
-            .with_policy("ActionFilter", figure4_policy().modules.remove(0));
-        processor.install_source("motion-sensor", "stream", accumulated).unwrap();
+        // the reference over the same accumulated stream must produce
+        // identical results for every query
         for (query, (_, outcome)) in QUERIES.iter().zip(&ticked) {
-            let reference = processor.run("ActionFilter", &parse_query(query).unwrap()).unwrap();
-            assert_eq!(outcome.result, reference.result, "query {query:?} round {round}");
-            assert_eq!(outcome.shipped, reference.shipped);
-            assert_eq!(outcome.anonymized_at, reference.anonymized_at);
+            let expect =
+                reference(&runtime, &policy, &parse_query(query).unwrap(), None, None).unwrap();
+            assert_eq!(outcome.result, expect.result, "query {query:?} round {round}");
+            assert_eq!(outcome.shipped, expect.shipped);
+            assert_eq!(outcome.anonymized_at, expect.anonymized_at);
         }
     }
 }
@@ -166,18 +185,18 @@ fn retention_eviction_is_batched_and_deltas_survive_trims() {
     assert_eq!(len(&runtime), 1000, "over slack: one batched trim to the cap");
 
     // delta execution stays correct across the trim: the tick after an
-    // eviction equals a fresh full-rescan runtime over the same window
+    // eviction equals the reference over the retained window
     let ticked = runtime.tick().unwrap();
-    let retained =
-        runtime.chain().node("motion-sensor").unwrap().catalog.get("stream").unwrap().clone();
-    let mut reference = Runtime::new(ProcessingChain::apartment())
-        .with_policy("ActionFilter", figure4_policy().modules.remove(0))
-        .with_incremental(false);
-    reference.install_source("motion-sensor", "stream", retained).unwrap();
-    reference.register("ActionFilter", &parse_query("SELECT x, y, z, t FROM stream").unwrap()).unwrap();
-    let expect = reference.tick().unwrap();
+    let expect = reference(
+        &runtime,
+        &figure4_policy().modules.remove(0),
+        &parse_query("SELECT x, y, z, t FROM stream").unwrap(),
+        None,
+        None,
+    )
+    .unwrap();
     assert_eq!(ticked[0].0, handle);
-    assert_eq!(ticked[0].1.result, expect[0].1.result, "post-trim tick must match rescan");
+    assert_eq!(ticked[0].1.result, expect.result, "post-trim tick must match the reference");
 }
 
 #[test]
@@ -304,13 +323,12 @@ proptest! {
 
     /// The tentpole equivalence: over a randomized schedule of ingests
     /// (small and eviction-forcing), data-less ticks and live policy
-    /// swaps, the delta-aware runtime produces outcomes identical to
-    /// (a) the full-rescan runtime over the same stream, and — at the
-    /// end of the schedule — (b) a fresh one-shot `Processor` over the
-    /// retained window (whose engine is itself pinned against the
-    /// row oracle by the executor equivalence suite).
+    /// swaps, every tick's outcomes are identical to the reference
+    /// evaluated over the retained window under each module's current
+    /// policy (whose engine is itself pinned against the row oracle by
+    /// the executor equivalence suite).
     #[test]
-    fn incremental_ticks_equal_full_rescan_over_random_schedules(
+    fn ticks_equal_the_reference_over_random_schedules(
         seed in 1u64..400,
         cap in 250usize..450,
         ops in proptest::collection::vec(0u8..4, 4..10),
@@ -319,89 +337,47 @@ proptest! {
     ) {
         // one module per corpus query (the flat projection rewrites to
         // the incrementally-maintained aggregation; the window queries
-        // exercise the transparent full-rescan fallback above the
-        // aggregation barrier)
-        let corpus: Vec<&str> = QUERIES.iter().copied().chain(["SELECT x, y, z, t FROM stream"]).collect();
-        let source = stream(seed, 25);
-        let build = |incremental: bool| {
-            let mut rt = Runtime::new(ProcessingChain::apartment())
-                .with_retention(cap)
-                .with_incremental(incremental);
-            for (i, _) in corpus.iter().enumerate() {
-                rt.set_policy(format!("Mod{i}"), policy_variant(&format!("Mod{i}"), 2, 100));
-            }
-            rt.install_source("motion-sensor", "stream", source.clone()).unwrap();
-            for (i, q) in corpus.iter().enumerate() {
-                rt.register(&format!("Mod{i}"), &parse_query(q).unwrap()).unwrap();
-            }
-            rt
-        };
-        let mut inc = build(true);
-        let mut full = build(false);
+        // exercise the full-mode stages above the aggregation barrier)
+        let corpus: Vec<Query> = QUERIES
+            .iter()
+            .copied()
+            .chain(["SELECT x, y, z, t FROM stream"])
+            .map(|q| parse_query(q).unwrap())
+            .collect();
+        let mut policies: Vec<ModulePolicy> =
+            (0..corpus.len()).map(|i| policy_variant(&format!("Mod{i}"), 2, 100)).collect();
+        let mut rt = Runtime::new(ProcessingChain::apartment()).with_retention(cap);
+        for policy in &policies {
+            rt.set_policy(policy.module_id.clone(), policy.clone());
+        }
+        rt.install_source("motion-sensor", "stream", stream(seed, 25)).unwrap();
+        for (policy, q) in policies.iter().zip(&corpus) {
+            rt.register(&policy.module_id, q).unwrap();
+        }
 
         for (step, op) in ops.iter().enumerate() {
             match op {
-                0 => {
-                    // small batch: folds as a pure delta
-                    let batch = stream(1000 + step as u64, 4);
-                    inc.ingest("motion-sensor", "stream", batch.clone()).unwrap();
-                    full.ingest("motion-sensor", "stream", batch).unwrap();
-                }
-                1 => {
-                    // big batch: overruns the retention slack and forces
-                    // a batched eviction + state rebuild
-                    let batch = stream(2000 + step as u64, 30);
-                    inc.ingest("motion-sensor", "stream", batch.clone()).unwrap();
-                    full.ingest("motion-sensor", "stream", batch).unwrap();
-                }
+                // small batch: folds as a pure delta
+                0 => rt.ingest("motion-sensor", "stream", stream(1000 + step as u64, 4)).unwrap(),
+                // big batch: overruns the retention slack and forces a
+                // batched eviction + state rebuild
+                1 => rt.ingest("motion-sensor", "stream", stream(2000 + step as u64, 30)).unwrap(),
                 2 => {} // data-less tick: empty deltas
                 _ => {
                     // live policy swap of one module
-                    let m = format!("Mod{}", step % corpus.len());
-                    inc.set_policy(&m, policy_variant(&m, z_swap, sum_swap));
-                    full.set_policy(&m, policy_variant(&m, z_swap, sum_swap));
+                    let i = step % corpus.len();
+                    policies[i] = policy_variant(&format!("Mod{i}"), z_swap, sum_swap);
+                    rt.set_policy(policies[i].module_id.clone(), policies[i].clone());
                 }
             }
-            let a = inc.tick().unwrap();
-            let b = full.tick().unwrap();
-            prop_assert_eq!(a.len(), b.len());
-            for ((ha, oa), (hb, ob)) in a.iter().zip(&b) {
-                prop_assert_eq!(ha, hb);
-                prop_assert_eq!(&oa.result, &ob.result, "result diverges at step {}", step);
-                prop_assert_eq!(&oa.shipped, &ob.shipped, "shipped diverges at step {}", step);
-                prop_assert_eq!(&oa.anonymized_at, &ob.anonymized_at);
+            let ticked = rt.tick().unwrap();
+            prop_assert_eq!(ticked.len(), corpus.len());
+            for ((_, got), (policy, q)) in ticked.iter().zip(policies.iter().zip(&corpus)) {
+                let expect = reference(&rt, policy, q, None, None).unwrap();
+                prop_assert_eq!(&got.result, &expect.result, "result diverges at step {}", step);
+                prop_assert_eq!(&got.shipped, &expect.shipped, "shipped diverges at step {}", step);
+                prop_assert_eq!(&got.anonymized_at, &expect.anonymized_at);
             }
-        }
-
-        // final cross-check against the one-shot processor path: replay
-        // each module's policy history (swapped at any op-3 step
-        // addressing it, initial otherwise) on a fresh processor over
-        // the retained window
-        let retained = inc
-            .chain()
-            .node("motion-sensor")
-            .unwrap()
-            .catalog
-            .get("stream")
-            .unwrap()
-            .clone();
-        let last = inc.tick().unwrap();
-        for (i, q) in corpus.iter().enumerate() {
-            let module = format!("Mod{i}");
-            let was_swapped = ops
-                .iter()
-                .enumerate()
-                .any(|(step, op)| *op >= 3 && step % corpus.len() == i);
-            let policy = if was_swapped {
-                policy_variant(&module, z_swap, sum_swap)
-            } else {
-                policy_variant(&module, 2, 100)
-            };
-            let mut processor =
-                Processor::new(ProcessingChain::apartment()).with_policy(&module, policy);
-            processor.install_source("motion-sensor", "stream", retained.clone()).unwrap();
-            let reference = processor.run(&module, &parse_query(q).unwrap()).unwrap();
-            prop_assert_eq!(&last[i].1.result, &reference.result, "one-shot diverges for {}", q);
         }
     }
     #[test]

@@ -1,9 +1,9 @@
 //! Partition-parallel (sharded) tick execution over the façade:
 //! `Runtime::with_partitioning` must be a pure execution strategy —
-//! results bitwise-identical to serial incremental execution, to the
-//! full-rescan reference, and to a fresh one-shot `Processor`, across
-//! shard counts, randomized ingest/tick/evict/policy-swap schedules,
-//! and whatever `PARADISE_THREADS` the CI matrix sets.
+//! results bitwise-identical to serial execution and to the test-side
+//! reference (`support/reference.rs`), across shard counts, randomized
+//! ingest/tick/evict/policy-swap schedules, and whatever
+//! `PARADISE_THREADS` the CI matrix sets.
 //!
 //! All stream data here is integer-valued: integer sums are exact in
 //! f64, so equality assertions are exact even for groups that would
@@ -12,6 +12,10 @@
 use proptest::prelude::*;
 
 use paradise::prelude::*;
+
+#[path = "support/reference.rs"]
+mod reference;
+use reference::reference;
 
 const PAPER_ORIGINAL: &str = "SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) \
                               FROM (SELECT x, y, z, t FROM stream)";
@@ -73,19 +77,21 @@ fn users(seed: u64, rows: usize) -> Frame {
     Frame::new(schema, data).unwrap()
 }
 
+/// The policies [`build`] installs: one module per corpus query.
+fn initial_policies() -> Vec<ModulePolicy> {
+    (0..QUERIES.len()).map(|i| policy_variant(&format!("Mod{i}"), 2, 50)).collect()
+}
+
 /// Build a runtime over the apartment chain with one module per corpus
-/// query. `shards` = `None` keeps the serial incremental path,
-/// `Some(n)` declares n-way partitioning by `x`; `incremental = false`
-/// is the full-rescan reference.
-fn build(shards: Option<usize>, incremental: bool, cap: usize, source: &Frame) -> Runtime {
-    let mut rt = Runtime::new(ProcessingChain::apartment())
-        .with_retention(cap)
-        .with_incremental(incremental);
+/// query. `shards` = `None` keeps the serial path, `Some(n)` declares
+/// n-way partitioning by `x`.
+fn build(shards: Option<usize>, cap: usize, source: &Frame) -> Runtime {
+    let mut rt = Runtime::new(ProcessingChain::apartment()).with_retention(cap);
     if let Some(n) = shards {
         rt = rt.with_partitioning("x", n);
     }
-    for (i, _) in QUERIES.iter().enumerate() {
-        rt.set_policy(format!("Mod{i}"), policy_variant(&format!("Mod{i}"), 2, 50));
+    for policy in initial_policies() {
+        rt.set_policy(policy.module_id.clone(), policy);
     }
     rt.install_source("motion-sensor", "stream", source.clone()).unwrap();
     for (i, q) in QUERIES.iter().enumerate() {
@@ -94,17 +100,27 @@ fn build(shards: Option<usize>, incremental: bool, cap: usize, source: &Frame) -
     rt
 }
 
+/// What every handle of `rt` must have returned on the tick just run:
+/// the reference over `rt`'s retained window under `policies`.
+fn expected(rt: &Runtime, policies: &[ModulePolicy]) -> Vec<Outcome> {
+    policies
+        .iter()
+        .zip(QUERIES)
+        .map(|(policy, q)| reference(rt, policy, &parse_query(q).unwrap(), None, None).unwrap())
+        .collect()
+}
+
 /// Fixed-schedule determinism: the exact same ingest/evict/policy-swap
 /// schedule must produce identical per-tick outcomes at every shard
-/// count — and identical to the full-rescan reference — regardless of
-/// the thread count the CI matrix runs this under.
+/// count — and identical to the reference — regardless of the thread
+/// count the CI matrix runs this under.
 #[test]
 fn shard_count_never_changes_results() {
     let source = users(42, 300);
     let cap = 600;
     let mut variants: Vec<(usize, Runtime)> =
-        [1usize, 4, 64].iter().map(|&n| (n, build(Some(n), true, cap, &source))).collect();
-    let mut rescan = build(None, false, cap, &source);
+        [1usize, 4, 64].iter().map(|&n| (n, build(Some(n), cap, &source))).collect();
+    let mut policies = initial_policies();
 
     for step in 0..6u64 {
         match step {
@@ -114,33 +130,30 @@ fn shard_count_never_changes_results() {
                 for (_, rt) in &mut variants {
                     rt.ingest("motion-sensor", "stream", batch.clone()).unwrap();
                 }
-                rescan.ingest("motion-sensor", "stream", batch).unwrap();
             }
             4 => {
                 // live policy swap on the aggregation module
+                policies[0] = policy_variant("Mod0", 3, 0);
                 for (_, rt) in &mut variants {
-                    rt.set_policy("Mod0", policy_variant("Mod0", 3, 0));
+                    rt.set_policy("Mod0", policies[0].clone());
                 }
-                rescan.set_policy("Mod0", policy_variant("Mod0", 3, 0));
             }
             _ => {
                 let batch = users(100 + step, 120);
                 for (_, rt) in &mut variants {
                     rt.ingest("motion-sensor", "stream", batch.clone()).unwrap();
                 }
-                rescan.ingest("motion-sensor", "stream", batch).unwrap();
             }
         }
-        let expect = rescan.tick().unwrap();
         for (n, rt) in &mut variants {
             let got = rt.tick().unwrap();
+            let expect = expected(rt, &policies);
             assert_eq!(got.len(), expect.len());
-            for ((hg, og), (he, oe)) in got.iter().zip(&expect) {
-                assert_eq!(hg, he, "shards={n} step={step}: handle order");
+            for ((_, og), oe) in got.iter().zip(&expect) {
                 assert_eq!(
                     og.result.to_rows(),
                     oe.result.to_rows(),
-                    "shards={n} step={step}: result diverges from full rescan"
+                    "shards={n} step={step}: result diverges from the reference"
                 );
                 assert_eq!(og.shipped, oe.shipped, "shards={n} step={step}: shipped rows");
                 assert_eq!(og.anonymized_at, oe.anonymized_at);
@@ -154,19 +167,14 @@ fn shard_count_never_changes_results() {
 /// source replacement rebuilds every shard coherently.
 #[test]
 fn source_replacement_rebuilds_all_shards_coherently() {
-    let mut sharded = build(Some(4), true, 5000, &users(7, 200));
-    let mut rescan = build(None, false, 5000, &users(7, 200));
+    let mut sharded = build(Some(4), 5000, &users(7, 200));
     sharded.tick().unwrap();
-    rescan.tick().unwrap();
 
     // wholesale source replacement: shard states must rebuild, not fold
-    let replacement = users(8, 250);
-    sharded.install_source("motion-sensor", "stream", replacement.clone()).unwrap();
-    rescan.install_source("motion-sensor", "stream", replacement).unwrap();
-    let a = sharded.tick().unwrap();
-    let b = rescan.tick().unwrap();
-    for ((_, oa), (_, ob)) in a.iter().zip(&b) {
-        assert_eq!(oa.result.to_rows(), ob.result.to_rows(), "post-replacement tick");
+    sharded.install_source("motion-sensor", "stream", users(8, 250)).unwrap();
+    let got = sharded.tick().unwrap();
+    for ((_, og), oe) in got.iter().zip(&expected(&sharded, &initial_policies())) {
+        assert_eq!(og.result.to_rows(), oe.result.to_rows(), "post-replacement tick");
     }
 }
 
@@ -227,12 +235,11 @@ proptest! {
     /// The tentpole equivalence, runtime-level: over a randomized
     /// schedule of small ingests, eviction-forcing ingests, data-less
     /// ticks and live policy swaps, the sharded runtimes (1, 4 and 64
-    /// shards) produce outcomes identical to the serial incremental
-    /// runtime and the full-rescan runtime at every tick — and, at the
-    /// end of the schedule, to a fresh one-shot `Processor` over the
-    /// retained window replaying each module's policy history.
+    /// shards) and the serial runtime produce, at every tick, outcomes
+    /// identical to the reference over their retained window under
+    /// each module's current policy.
     #[test]
-    fn sharded_ticks_equal_serial_and_rescan_over_random_schedules(
+    fn sharded_and_serial_ticks_equal_the_reference_over_random_schedules(
         seed in 1u64..400,
         cap in 300usize..500,
         ops in proptest::collection::vec(0u8..4, 4..9),
@@ -240,18 +247,17 @@ proptest! {
         sum_swap in proptest::sample::select(vec![0i64, 25, 50]),
     ) {
         let source = users(seed, 250);
-        let mut sharded: Vec<(usize, Runtime)> =
-            [1usize, 4, 64].iter().map(|&n| (n, build(Some(n), true, cap, &source))).collect();
-        let mut serial = build(None, true, cap, &source);
-        let mut rescan = build(None, false, cap, &source);
+        let mut runtimes: Vec<(Option<usize>, Runtime)> = [None, Some(1usize), Some(4), Some(64)]
+            .iter()
+            .map(|&n| (n, build(n, cap, &source)))
+            .collect();
+        let mut policies = initial_policies();
 
         for (step, op) in ops.iter().enumerate() {
             let mut everyone = |f: &mut dyn FnMut(&mut Runtime)| {
-                for (_, rt) in &mut sharded {
+                for (_, rt) in &mut runtimes {
                     f(rt);
                 }
-                f(&mut serial);
-                f(&mut rescan);
             };
             match op {
                 0 => {
@@ -272,62 +278,26 @@ proptest! {
                 2 => {} // data-less tick: empty deltas on every shard
                 _ => {
                     // live policy swap of one module
-                    let m = format!("Mod{}", step % QUERIES.len());
+                    let i = step % QUERIES.len();
+                    policies[i] = policy_variant(&format!("Mod{i}"), z_swap, sum_swap);
                     everyone(&mut |rt| {
-                        rt.set_policy(&m, policy_variant(&m, z_swap, sum_swap));
+                        rt.set_policy(policies[i].module_id.clone(), policies[i].clone());
                     });
                 }
             }
-            let expect = rescan.tick().unwrap();
-            let serial_got = serial.tick().unwrap();
-            prop_assert_eq!(serial_got.len(), expect.len());
-            for ((hs, os), (he, oe)) in serial_got.iter().zip(&expect) {
-                prop_assert_eq!(hs, he);
-                prop_assert_eq!(&os.result, &oe.result, "serial != rescan at step {}", step);
-            }
-            for (n, rt) in &mut sharded {
+            for (n, rt) in &mut runtimes {
                 let got = rt.tick().unwrap();
+                let expect = expected(rt, &policies);
                 prop_assert_eq!(got.len(), expect.len());
-                for ((hg, og), (he, oe)) in got.iter().zip(&expect) {
-                    prop_assert_eq!(hg, he);
+                for ((_, og), oe) in got.iter().zip(&expect) {
                     prop_assert_eq!(
                         &og.result, &oe.result,
-                        "shards={} != rescan at step {}", n, step
+                        "shards={:?} != reference at step {}", n, step
                     );
                     prop_assert_eq!(&og.shipped, &oe.shipped);
                     prop_assert_eq!(&og.anonymized_at, &oe.anonymized_at);
                 }
             }
-        }
-
-        // final cross-check against the one-shot processor path over
-        // the retained window, replaying each module's policy history
-        let (_, widest) = sharded.last_mut().unwrap();
-        let retained = widest
-            .chain()
-            .node("motion-sensor")
-            .unwrap()
-            .catalog
-            .get("stream")
-            .unwrap()
-            .clone();
-        let last = widest.tick().unwrap();
-        for (i, q) in QUERIES.iter().enumerate() {
-            let module = format!("Mod{i}");
-            let was_swapped = ops
-                .iter()
-                .enumerate()
-                .any(|(step, op)| *op >= 3 && step % QUERIES.len() == i);
-            let policy = if was_swapped {
-                policy_variant(&module, z_swap, sum_swap)
-            } else {
-                policy_variant(&module, 2, 50)
-            };
-            let mut processor =
-                Processor::new(ProcessingChain::apartment()).with_policy(&module, policy);
-            processor.install_source("motion-sensor", "stream", retained.clone()).unwrap();
-            let reference = processor.run(&module, &parse_query(q).unwrap()).unwrap();
-            prop_assert_eq!(&last[i].1.result, &reference.result, "one-shot diverges for {}", q);
         }
     }
 }
