@@ -18,6 +18,12 @@ pub enum AnonError {
     BadParameter(String),
     /// The requested guarantee cannot be met (e.g. fewer than k rows).
     Infeasible(String),
+    /// A column that must be ordered (a Mondrian split column, an
+    /// ordered sensitive domain) holds NaN, which has no order.
+    NotANumber {
+        /// The column's index.
+        column: usize,
+    },
 }
 
 impl fmt::Display for AnonError {
@@ -31,6 +37,9 @@ impl fmt::Display for AnonError {
             AnonError::BadColumn(i) => write!(f, "column index {i} out of range"),
             AnonError::BadParameter(msg) => write!(f, "bad parameter: {msg}"),
             AnonError::Infeasible(msg) => write!(f, "infeasible: {msg}"),
+            AnonError::NotANumber { column } => {
+                write!(f, "column {column} holds NaN, which cannot be ordered")
+            }
         }
     }
 }

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use paradise_engine::{Frame, GroupKey, Value};
+use paradise_engine::{ColumnData, Frame, GroupKey, Value};
 
 use crate::error::{AnonError, AnonResult};
 use crate::hierarchy::{Hierarchy, SUPPRESSED};
@@ -237,7 +237,7 @@ pub fn mondrian(frame: &Frame, qid_columns: &[usize], k: usize) -> AnonResult<KA
     let mut anonymized = frame.clone();
     let indices: Vec<usize> = (0..frame.len()).collect();
     let mut partitions: Vec<Vec<usize>> = Vec::new();
-    split_partition(frame, qid_columns, k, indices, &mut partitions);
+    split_partition(frame, qid_columns, k, indices, &mut partitions)?;
     for part in &partitions {
         recode_partition(&mut anonymized, qid_columns, part);
     }
@@ -250,10 +250,10 @@ fn split_partition(
     k: usize,
     indices: Vec<usize>,
     out: &mut Vec<Vec<usize>>,
-) {
+) -> AnonResult<()> {
     if indices.len() < 2 * k {
         out.push(indices);
-        return;
+        return Ok(());
     }
     // choose the numeric QID with the widest normalised range
     let mut best: Option<(usize, f64)> = None;
@@ -283,25 +283,37 @@ fn split_partition(
     }
     let Some((split_col, _)) = best else {
         out.push(indices);
-        return;
+        return Ok(());
     };
     // median split (strict less / greater-equal)
     let col = frame.column(split_col);
-    let mut values: Vec<f64> = indices
-        .iter()
-        .map(|&ri| col.as_f64(ri).expect("checked numeric"))
-        .collect();
-    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in QIDs"));
+    let values = sorted_values(col, &indices, split_col)?;
     let median = values[values.len() / 2];
     let (left, right): (Vec<usize>, Vec<usize>) = indices
         .iter()
         .partition(|&&ri| col.as_f64(ri).expect("numeric") < median);
     if left.len() < k || right.len() < k {
         out.push(indices);
-        return;
+        return Ok(());
     }
-    split_partition(frame, qids, k, left, out);
-    split_partition(frame, qids, k, right, out);
+    split_partition(frame, qids, k, left, out)?;
+    split_partition(frame, qids, k, right, out)
+}
+
+/// The numeric values of `indices` in a (checked numeric) column,
+/// sorted for a median split — a NaN among them is a typed error.
+pub(crate) fn sorted_values(
+    col: &ColumnData,
+    indices: &[usize],
+    column: usize,
+) -> AnonResult<Vec<f64>> {
+    let mut values: Vec<f64> =
+        indices.iter().map(|&ri| col.as_f64(ri).expect("checked numeric")).collect();
+    if values.iter().any(|v| v.is_nan()) {
+        return Err(AnonError::NotANumber { column });
+    }
+    values.sort_by(|a, b| a.partial_cmp(b).expect("NaN was rejected"));
+    Ok(values)
 }
 
 /// Recode one partition's QID columns to range/set labels — shared with
@@ -464,6 +476,19 @@ mod tests {
             Err(AnonError::BadParameter(_))
         ));
         assert!(matches!(mondrian(&people(), &[0], 0), Err(AnonError::BadParameter(_))));
+    }
+
+    #[test]
+    fn nan_in_the_split_column_is_a_typed_error() {
+        let schema = Schema::from_pairs(&[("q", DataType::Float), ("s", DataType::Integer)]);
+        let rows = (0..20)
+            .map(|i| {
+                let q = if i == 5 { f64::NAN } else { i as f64 };
+                vec![Value::Float(q), Value::Int(i % 4)]
+            })
+            .collect();
+        let frame = Frame::new(schema, rows).unwrap();
+        assert_eq!(mondrian(&frame, &[0], 3).unwrap_err(), AnonError::NotANumber { column: 0 });
     }
 
     #[test]

@@ -117,7 +117,7 @@ pub fn mondrian_l_diverse(
     }
     let mut anonymized = frame.clone();
     let mut partitions: Vec<Vec<usize>> = Vec::new();
-    split(frame, qid_columns, sensitive, k, l, whole, &mut partitions);
+    split(frame, qid_columns, sensitive, k, l, whole, &mut partitions)?;
     for part in &partitions {
         crate::kanon::recode_partition_public(&mut anonymized, qid_columns, part);
     }
@@ -144,10 +144,10 @@ fn split(
     l: usize,
     indices: Vec<usize>,
     out: &mut Vec<Vec<usize>>,
-) {
+) -> AnonResult<()> {
     if indices.len() < 2 * k {
         out.push(indices);
-        return;
+        return Ok(());
     }
     // widest numeric QID
     let mut best: Option<(usize, f64)> = None;
@@ -177,14 +177,10 @@ fn split(
     }
     let Some((split_col, _)) = best else {
         out.push(indices);
-        return;
+        return Ok(());
     };
     let col = frame.column(split_col);
-    let mut values: Vec<f64> = indices
-        .iter()
-        .map(|&ri| col.as_f64(ri).expect("numeric"))
-        .collect();
-    values.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    let values = crate::kanon::sorted_values(col, &indices, split_col)?;
     let median = values[values.len() / 2];
     let (left, right): (Vec<usize>, Vec<usize>) = indices
         .iter()
@@ -195,10 +191,10 @@ fn split(
         && distinct_count(frame, &right, sensitive) >= l;
     if !feasible {
         out.push(indices);
-        return;
+        return Ok(());
     }
-    split(frame, qids, sensitive, k, l, left, out);
-    split(frame, qids, sensitive, k, l, right, out);
+    split(frame, qids, sensitive, k, l, left, out)?;
+    split(frame, qids, sensitive, k, l, right, out)
 }
 
 #[cfg(test)]
@@ -279,6 +275,20 @@ mod tests {
             mondrian_l_diverse(&f, &[0, 1], 2, 2, 4),
             Err(AnonError::Infeasible(_))
         ));
+    }
+
+    #[test]
+    fn nan_in_the_split_column_is_a_typed_error() {
+        let schema = Schema::from_pairs(&[("q", DataType::Float), ("s", DataType::Integer)]);
+        let rows = (0..20)
+            .map(|i| {
+                let q = if i == 5 { f64::NAN } else { i as f64 };
+                vec![Value::Float(q), Value::Int(i % 4)]
+            })
+            .collect();
+        let frame = Frame::new(schema, rows).unwrap();
+        let err = mondrian_l_diverse(&frame, &[0], 1, 3, 2).unwrap_err();
+        assert_eq!(err, AnonError::NotANumber { column: 0 });
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! hierarchies and Mondrian partitioning, column-wise **slicing**
 //! \[LLZM12\], **quasi-identifier detection**, the information-loss metrics
 //! the paper names (**Direct Distance**, **Kullback–Leibler divergence**)
-//! plus the discernibility cost, and a **differential privacy** \[Dwo11\]
-//! extension (Laplace mechanism, randomized response).
+//! plus the discernibility cost. Differential privacy is not here: the
+//! runtime noises DP aggregates at the stage boundary
+//! (`paradise_engine::apply_laplace`, planned by `paradise_core::dp`).
 //!
 //! ```
 //! use paradise_anon::{mondrian, achieved_k};
@@ -22,7 +23,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dp;
 pub mod error;
 pub mod hierarchy;
 pub mod kanon;
@@ -32,7 +32,6 @@ pub mod qid;
 pub mod tclose;
 pub mod slicing;
 
-pub use dp::LaplaceMechanism;
 pub use error::{AnonError, AnonResult};
 pub use hierarchy::{Hierarchy, SUPPRESSED};
 pub use kanon::{generalize_to_k, mondrian, GeneralizeConfig, KAnonResult};

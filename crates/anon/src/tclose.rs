@@ -37,8 +37,11 @@ pub fn t_closeness(
     let sens = frame.column(sensitive);
     let numeric = sens.all_numeric_or_null();
 
-    // global distribution
+    // global distribution; an ordered domain has no place for NaN
     let global: Vec<Value> = sens.iter_values().collect();
+    if numeric && global.iter().any(|v| v.as_f64().is_some_and(f64::is_nan)) {
+        return Err(AnonError::NotANumber { column: sensitive });
+    }
 
     // classes
     let cols: Vec<_> = qid_columns.iter().map(|&c| frame.column(c)).collect();
@@ -69,7 +72,7 @@ fn ordered_emd(class: &[Value], global: &[Value]) -> f64 {
         .chain(class.iter())
         .filter_map(|v| v.as_f64())
         .collect();
-    domain.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    domain.sort_by(|a, b| a.partial_cmp(b).expect("NaN was rejected"));
     domain.dedup();
     if domain.len() <= 1 {
         return 0.0;
@@ -84,7 +87,7 @@ fn ordered_emd(class: &[Value], global: &[Value]) -> f64 {
         for v in values {
             if let Some(x) = v.as_f64() {
                 let idx = domain
-                    .binary_search_by(|d| d.partial_cmp(&x).expect("no NaN"))
+                    .binary_search_by(|d| d.partial_cmp(&x).expect("NaN was rejected"))
                     .expect("value is in the union domain");
                 h[idx] += 1.0 / total;
             }
@@ -195,6 +198,18 @@ mod tests {
         // the class holding extreme-but-representative values is CLOSER
         // to the global distribution than the adjacent-low class
         assert!(t_spread < t_near, "spread {t_spread} vs near {t_near}");
+    }
+
+    #[test]
+    fn nan_in_an_ordered_sensitive_column_is_a_typed_error() {
+        let schema = Schema::from_pairs(&[("q", DataType::Integer), ("s", DataType::Float)]);
+        let rows = [1.0, f64::NAN, 3.0]
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| vec![Value::Int(i as i64 % 2), Value::Float(s)])
+            .collect();
+        let frame = Frame::new(schema, rows).unwrap();
+        assert_eq!(t_closeness(&frame, &[0], 1).unwrap_err(), AnonError::NotANumber { column: 1 });
     }
 
     #[test]

@@ -17,6 +17,15 @@
 //!   full input exactly as before — but when they sit above an
 //!   aggregation barrier that input is already tiny.
 //!
+//! The driver runs on the runtime's one chain, read-only. A stage's
+//! input is the upstream output bound to its executor under the
+//! upstream `publish_as` name for the duration of the stage call
+//! ([`Executor::with_input`]); nothing is installed into any catalog.
+//! Everything a stage keeps between ticks — mode, incremental state,
+//! compiled plans, fragment metadata — lives in the handle's
+//! `StageSlot`s, so a steady tick does no AST hashing and no cache
+//! lookup.
+//!
 //! Invalidation is cascade-shaped: a retention eviction or source
 //! replacement makes stage 0 rebuild from the full window; its rebuild
 //! flag travels down the pipeline so every downstream state rebuilds in
@@ -26,25 +35,19 @@
 //! (`tests/support/reference.rs`), by the runtime's
 //! ingest/tick/policy-swap proptests.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 
-use paradise_engine::plan::ast_key;
 use paradise_engine::{
-    CompiledPlan, DeltaInput, EngineError, Frame, IncrementalState, ShardSpec,
+    DeltaInput, EngineError, Executor, Frame, IncrementalState, PlanCache, PlanSet, ShardSpec,
 };
 use paradise_nodes::{
-    ChainRun, DeltaOutcome, Hop, NodeError, ProcessingChain, Stage, StageReport, TrafficLog,
+    ChainRun, FragmentMeta, Hop, NodeError, NodeResult, ProcessingChain, Stage, StageReport,
+    TrafficLog,
 };
 use paradise_sql::ast::Query;
 
 use crate::dp::DpPlan;
 use crate::error::{CoreError, CoreResult};
-
-/// The cross-handle plan pool: compiled fragment plans keyed by
-/// (node name, fragment AST hash). Owned by the runtime, read-shared
-/// into every handle's tick for just-in-time seeding.
-pub(crate) type SharedPlans = HashMap<(String, u64), Vec<(Query, Arc<CompiledPlan>)>>;
 
 /// Per-stage execution mode, discovered on the first tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,16 +60,20 @@ enum StageMode {
     Full,
 }
 
-/// One stage's memoized mode + incremental state.
+/// Everything about one stage of a handle's pipeline that outlives a
+/// tick: its mode, its incremental state, its compiled plans and its
+/// fragment's static metadata.
 #[derive(Debug)]
 struct StageSlot {
-    node: String,
-    key: u64,
     mode: StageMode,
     state: IncrementalState,
+    /// Taken from the runtime's plan cache when the slot has none, and
+    /// dropped when the stage's input schemas move under it.
+    plans: Option<PlanSet>,
+    meta: FragmentMeta,
 }
 
-/// The per-handle incremental execution state, owned by the runtime's
+/// The per-handle execution state, owned by the runtime's
 /// `QueryHandle` slot and dropped whenever the handle's rewrite plan is
 /// rebuilt (policy swap, source schema change).
 #[derive(Debug, Default)]
@@ -78,28 +85,6 @@ impl HandleDeltaState {
     /// Drop all per-stage state: the next tick rebuilds everything.
     pub(crate) fn reset(&mut self) {
         self.slots.clear();
-    }
-
-    /// (Re)align the slots with the current stage list; any mismatch in
-    /// length, node assignment or fragment identity rebuilds all state.
-    fn align(&mut self, stages: &[Stage]) {
-        let matches = self.slots.len() == stages.len()
-            && self
-                .slots
-                .iter()
-                .zip(stages)
-                .all(|(slot, stage)| slot.node == stage.node && slot.key == ast_key(&stage.fragment));
-        if !matches {
-            self.slots = stages
-                .iter()
-                .map(|s| StageSlot {
-                    node: s.node.clone(),
-                    key: ast_key(&s.fragment),
-                    mode: StageMode::Probe,
-                    state: IncrementalState::new(),
-                })
-                .collect();
-        }
     }
 }
 
@@ -114,28 +99,35 @@ enum Carry {
     Full(Frame),
 }
 
+/// One successful pipeline run: the chain run plus the input rows each
+/// stage consumed, for the nodes' statistics.
+pub(crate) struct DeltaRun {
+    pub(crate) run: ChainRun,
+    pub(crate) rows_in: Vec<usize>,
+}
+
 /// Run the stage pipeline delta-aware (see the module docs). The
 /// internal consistency signal [`EngineError::StalePlan`] — a stage's
 /// state fell out of sync with a mid-stream plan recompilation — resets
 /// the whole pipeline state and retries once from a clean rebuild; it
 /// can never mask a genuine query error, which propagates as-is.
 pub(crate) fn run_stages_delta(
-    chain: &mut ProcessingChain,
+    chain: &ProcessingChain,
     stages: &[Stage],
     hs: &mut HandleDeltaState,
-    shared: &SharedPlans,
+    cache: &Mutex<PlanCache>,
     shard: Option<&ShardSpec>,
     dp: Option<(&DpPlan, u64)>,
     draws: &mut u64,
-) -> CoreResult<ChainRun> {
+) -> CoreResult<DeltaRun> {
     // count draws per attempt so a StalePlan retry doesn't double-count
     let mut attempt_draws = 0u64;
-    let result = match try_run_stages_delta(chain, stages, hs, shared, shard, dp, &mut attempt_draws)
+    let result = match try_run_stages_delta(chain, stages, hs, cache, shard, dp, &mut attempt_draws)
     {
         Err(CoreError::Node(NodeError::Engine(EngineError::StalePlan))) => {
             hs.reset();
             attempt_draws = 0;
-            try_run_stages_delta(chain, stages, hs, shared, shard, dp, &mut attempt_draws)
+            try_run_stages_delta(chain, stages, hs, cache, shard, dp, &mut attempt_draws)
         }
         other => other,
     };
@@ -154,148 +146,66 @@ pub(crate) fn run_stages_delta(
 }
 
 fn try_run_stages_delta(
-    chain: &mut ProcessingChain,
+    chain: &ProcessingChain,
     stages: &[Stage],
     hs: &mut HandleDeltaState,
-    shared: &SharedPlans,
+    cache: &Mutex<PlanCache>,
     shard: Option<&ShardSpec>,
     dp: Option<(&DpPlan, u64)>,
     draws: &mut u64,
-) -> CoreResult<ChainRun> {
+) -> CoreResult<DeltaRun> {
     if stages.is_empty() {
         return Err(CoreError::Node(NodeError::BadChain("no stages to run".into())));
     }
-    hs.align(stages);
+    if hs.slots.len() != stages.len() {
+        hs.slots = stages
+            .iter()
+            .map(|s| StageSlot {
+                mode: StageMode::Probe,
+                state: IncrementalState::new(),
+                plans: None,
+                meta: FragmentMeta::of(&s.fragment),
+            })
+            .collect();
+    }
 
     let mut traffic = TrafficLog::default();
     let mut reports: Vec<StageReport> = Vec::with_capacity(stages.len());
+    let mut rows_in: Vec<usize> = Vec::with_capacity(stages.len());
     let mut carry = Carry::Start;
 
     for (i, stage) in stages.iter().enumerate() {
         let slot = &mut hs.slots[i];
-        let was_probe = slot.mode == StageMode::Probe;
-        // deliver the previous stage's output to this node and decide
-        // how this stage consumes it; `(delta, reset, logical input
-        // bytes)` — the size feeds the §3.1 capacity check, since an
-        // incremental consumer's catalog holds only a schema husk
-        let input: Option<(Frame, bool, usize)> = match &carry {
-            Carry::Start => None,
+        // hand the previous stage's output on by value: its full output
+        // is bound under its `publish_as` name for this stage's
+        // executor, and an incremental consumer also gets the delta
+        let (input, pushed) = match &carry {
+            Carry::Start => (None, None),
             Carry::Delta { delta, full, reset } => {
-                let prev = &stages[i - 1];
                 // steady incremental ticks ship only the output delta;
                 // an upstream rebuild (and every tick of a full-mode
                 // consumer) ships the full output
                 let full_needed = *reset || slot.mode != StageMode::Incremental;
-                let shipped = if full_needed { full } else { delta };
-                traffic.hops.push(Hop {
-                    from: prev.node.clone(),
-                    to: stage.node.clone(),
-                    table: prev.publish_as.clone(),
-                    rows: shipped.len(),
-                    bytes: shipped.size_bytes(),
-                });
-                match slot.mode {
-                    // full consumers (and the probe, whose fallback may
-                    // execute over the catalog) need the real input
-                    StageMode::Probe | StageMode::Full => {
-                        chain.node_mut(&stage.node)?.install_table(&prev.publish_as, full.clone());
-                    }
-                    // incremental consumers fold the pushed delta; the
-                    // catalog entry only carries the input *schema* for
-                    // plan (re)compilation. Installing a schema-only
-                    // frame instead of the data keeps the upstream
-                    // stage's cached output exclusively owned — a
-                    // pinned Arc would turn its per-tick append into a
-                    // copy-on-write rescan of the whole window.
-                    StageMode::Incremental => {
-                        if *reset {
-                            chain
-                                .node_mut(&stage.node)?
-                                .install_table(&prev.publish_as, Frame::empty(full.schema.clone()));
-                        }
-                    }
-                }
-                Some((delta.clone(), *reset, full.size_bytes()))
+                traffic.hops.push(hop(&stages[i - 1], stage, if full_needed { full } else { delta }));
+                (Some(full), Some(DeltaInput::Pushed { delta, reset: *reset }))
             }
             Carry::Full(frame) => {
-                let prev = &stages[i - 1];
-                traffic.hops.push(Hop {
-                    from: prev.node.clone(),
-                    to: stage.node.clone(),
-                    table: prev.publish_as.clone(),
-                    rows: frame.len(),
-                    bytes: frame.size_bytes(),
-                });
-                chain.node_mut(&stage.node)?.install_table(&prev.publish_as, frame.clone());
+                traffic.hops.push(hop(&stages[i - 1], stage, frame));
                 // a wholesale-replaced input cannot be folded as a
                 // delta: this stage re-executes fully
                 slot.mode = StageMode::Full;
-                None
+                (Some(frame), None)
             }
         };
-
-        let node = chain.node_mut(&stage.node)?;
-        if was_probe {
-            // just-in-time cross-handle sharing: another handle may have
-            // compiled this exact fragment already — seed it (the input
-            // table exists in the catalog by now, so the seed's schema
-            // fingerprint can be verified) and skip the compile
-            if let Some(entries) = shared.get(&(stage.node.clone(), slot.key)) {
-                for (query, plan) in entries {
-                    node.seed_plan(query, Arc::clone(plan));
-                }
-            }
-        }
-        let next_carry = match slot.mode {
-            StageMode::Full => Carry::Full(node.execute(&stage.fragment)?),
-            StageMode::Probe | StageMode::Incremental => {
-                let (delta_input, bytes_hint) = match &input {
-                    None => (DeltaInput::Source, None),
-                    Some((delta, reset, bytes)) => {
-                        (DeltaInput::Pushed { delta, reset: *reset }, Some(*bytes))
-                    }
-                };
-                match node.try_execute_delta(
-                    &stage.fragment,
-                    delta_input,
-                    &mut slot.state,
-                    bytes_hint,
-                    shard,
-                )? {
-                    Some(outcome) => {
-                        slot.mode = StageMode::Incremental;
-                        if was_probe && i > 0 {
-                            // the probe installed the real input as a
-                            // fallback; shrink it to a schema carrier so
-                            // the upstream cache stays exclusively owned
-                            let prev = &stages[i - 1];
-                            let schema = node
-                                .catalog
-                                .get(&prev.publish_as)
-                                .map(|f| f.schema.clone());
-                            if let Ok(schema) = schema {
-                                node.install_table(&prev.publish_as, Frame::empty(schema));
-                            }
-                        }
-                        match outcome {
-                            DeltaOutcome::Append { full, delta, reset } => {
-                                Carry::Delta { delta, full, reset }
-                            }
-                            // downstream consumes the recomputed
-                            // snapshot wholesale (it is O(groups)-sized)
-                            DeltaOutcome::Snapshot { full, reset: _ } => Carry::Full(full),
-                        }
-                    }
-                    None => {
-                        // not incrementally maintainable: the full input
-                        // is in the catalog (stage 0 always; later
-                        // stages were installed above on probe)
-                        slot.mode = StageMode::Full;
-                        Carry::Full(node.execute(&stage.fragment)?)
-                    }
-                }
-            }
+        let node = chain.node(&stage.node)?;
+        let exec = match input {
+            Some(frame) => Executor::with_input(&node.catalog, &stages[i - 1].publish_as, frame),
+            None => Executor::new(&node.catalog),
         };
+        let admitted_rows = node.admit(&slot.meta, &exec)?;
+        let (produced, consumed) =
+            run_stage(admitted_rows, slot, &exec, &stage.fragment, pushed, cache, shard)?;
+        rows_in.push(consumed);
 
         // the differential-privacy noise boundary: noise the aggregation
         // stage's *finalized* output before it is reported or shipped
@@ -304,12 +214,10 @@ fn try_run_stages_delta(
         // everything from here up consumes only the noised frame. A
         // noised carry is necessarily `Full` — the noise changes every
         // tick, so downstream stages cannot fold it as a delta.
-        let next_carry = match (dp, next_carry) {
-            (Some((plan, seed)), produced) if plan.stage == i && plan.is_noisy() => {
-                let full = match produced {
-                    Carry::Delta { full, .. } | Carry::Full(full) => full,
-                    Carry::Start => unreachable!("every stage produces output"),
-                };
+        let produced = match (dp, produced) {
+            (Some((plan, seed)), Carry::Delta { full, .. } | Carry::Full(full))
+                if plan.stage == i && plan.is_noisy() =>
+            {
                 let (noised, n) = paradise_engine::apply_laplace(&full, &plan.specs, seed);
                 *draws += n;
                 Carry::Full(noised)
@@ -317,28 +225,13 @@ fn try_run_stages_delta(
             (_, produced) => produced,
         };
 
-        if i > 0 && input.is_some() && slot.mode == StageMode::Full {
-            // a full-mode stage fed by an upstream *append* cache must
-            // not keep its installed input between ticks: the shared
-            // column Arcs would turn the upstream's next O(batch) fold
-            // into a copy-on-write rescan of its whole cached output.
-            // The input is re-installed fresh at the next delivery.
-            let prev = &stages[i - 1];
-            let node = chain.node_mut(&stage.node)?;
-            if let Ok(schema) = node.catalog.get(&prev.publish_as).map(|f| f.schema.clone()) {
-                node.install_table(&prev.publish_as, Frame::empty(schema));
-            }
-        }
-
-        let (full, level) = match &next_carry {
-            Carry::Delta { full, .. } | Carry::Full(full) => {
-                (full, chain.node(&stage.node)?.level)
-            }
+        let full = match &produced {
+            Carry::Delta { full, .. } | Carry::Full(full) => full,
             Carry::Start => unreachable!("every stage produces output"),
         };
         reports.push(StageReport {
             node: stage.node.clone(),
-            level,
+            level: node.level,
             sql: if stage.sql.is_empty() {
                 stage.fragment.to_string()
             } else {
@@ -347,12 +240,83 @@ fn try_run_stages_delta(
             rows_out: full.len(),
             bytes_out: full.size_bytes(),
         });
-        carry = next_carry;
+        carry = produced;
     }
 
     let result = match carry {
         Carry::Delta { full, .. } | Carry::Full(full) => full,
         Carry::Start => unreachable!("stages is non-empty"),
     };
-    Ok(ChainRun { result, traffic, stages: reports })
+    Ok(DeltaRun { run: ChainRun { result, traffic, stages: reports }, rows_in })
+}
+
+/// One admitted stage: take the slot's plans (from the runtime cache
+/// when it has none or the input schemas moved), then run it in the
+/// slot's mode. `admitted_rows` are the input rows a full re-execution
+/// scans; returns the stage's output and the rows it consumed.
+fn run_stage(
+    admitted_rows: usize,
+    slot: &mut StageSlot,
+    exec: &Executor<'_>,
+    fragment: &Query,
+    pushed: Option<DeltaInput<'_>>,
+    cache: &Mutex<PlanCache>,
+    shard: Option<&ShardSpec>,
+) -> NodeResult<(Carry, usize)> {
+    if slot.plans.as_ref().is_some_and(|p| !p.is_current(exec)) {
+        slot.plans = None;
+    }
+    let plans = match &mut slot.plans {
+        Some(plans) => plans,
+        empty => empty.insert(cached_plans(cache, exec, fragment)?),
+    };
+    let inc = match (slot.mode, &plans.incremental) {
+        (StageMode::Probe | StageMode::Incremental, Some(inc)) => inc,
+        _ => {
+            slot.mode = StageMode::Full;
+            return Ok((Carry::Full(exec.run_plan(&plans.plan)?), admitted_rows));
+        }
+    };
+    let input = pushed.unwrap_or(DeltaInput::Source);
+    let run = match shard {
+        Some(spec) => exec.run_incremental_sharded(inc, &mut slot.state, input, spec)?,
+        None => exec.run_incremental(inc, &mut slot.state, input)?,
+    };
+    slot.mode = StageMode::Incremental;
+    let carry = match run.delta {
+        Some(delta) => Carry::Delta { delta, full: run.result, reset: run.reset },
+        // downstream consumes the recomputed snapshot wholesale (it is
+        // O(groups)-sized)
+        None => Carry::Full(run.result),
+    };
+    Ok((carry, run.input_rows))
+}
+
+/// The plans of `fragment` over the schemas `exec` resolves, from the
+/// runtime's cache or freshly compiled — never under the lock.
+fn cached_plans(
+    cache: &Mutex<PlanCache>,
+    exec: &Executor<'_>,
+    fragment: &Query,
+) -> NodeResult<PlanSet> {
+    // a panic elsewhere cannot leave the cache half-updated: lookup and
+    // insert hold the lock only for panic-free map updates, so a
+    // poisoned guard still guards a valid cache
+    let lock = || cache.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(plans) = lock().lookup(exec, fragment) {
+        return Ok(plans);
+    }
+    let plans = exec.compile_set(fragment)?;
+    lock().insert(fragment, plans.clone());
+    Ok(plans)
+}
+
+fn hop(from: &Stage, to: &Stage, shipped: &Frame) -> Hop {
+    Hop {
+        from: from.node.clone(),
+        to: to.node.clone(),
+        table: from.publish_as.clone(),
+        rows: shipped.len(),
+        bytes: shipped.size_bytes(),
+    }
 }

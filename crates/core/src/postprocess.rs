@@ -228,6 +228,19 @@ mod tests {
     }
 
     #[test]
+    fn a_nan_quasi_identifier_is_a_typed_error() {
+        // x is a direct identifier (unique), y the quasi-identifier
+        let mut rows = position_frame(20).to_rows();
+        rows[5][1] = Value::Float(f64::NAN);
+        let frame = Frame::new(position_frame(0).schema, rows).unwrap();
+        let err = postprocess(frame, &AnonStrategy::KAnonymity { k: 3 }).unwrap_err();
+        assert_eq!(
+            err,
+            crate::error::CoreError::Anon(paradise_anon::AnonError::NotANumber { column: 1 })
+        );
+    }
+
+    #[test]
     fn strategy_none_passes_through() {
         let f = position_frame(10);
         let out = postprocess(f.clone(), &AnonStrategy::None).unwrap();

@@ -15,12 +15,12 @@
 //!   (`PARADISE_THREADS`; serial at 1), results in registration order;
 //! * [`Runtime::run_once`] — the one-shot session: register, tick,
 //!   remove — the same path, once;
-//! * [`Runtime::set_policy`] — swap a module's policy live. Policy
-//!   versions extend every cache key, so the swap invalidates exactly
-//!   the affected handles' rewrite plans and compiled node plans —
-//!   other handles keep a 100% cache-hit rate;
+//! * [`Runtime::set_policy`] — swap a module's policy live. The swap
+//!   rebuilds exactly the affected handles' rewrite plans — other
+//!   handles keep a 100% cache-hit rate;
 //! * [`Runtime::stats`] / [`Runtime::handle_stats`] — hit/miss/
-//!   invalidation counters of both cache layers.
+//!   invalidation counters of the rewrite plans and the compiled-plan
+//!   cache.
 //!
 //! There is one tick plan: every stage runs delta-aware
 //! (`incremental.rs`). A handle's first tick — and the tick after a
@@ -31,23 +31,26 @@
 //!
 //! Steady-state ticks perform **zero** preprocess/fragment/compile
 //! work: the rewrite+fragment plan is cached per handle (keyed by
-//! policy version and source-schema fingerprint) and every chain node
-//! reuses its compiled physical plans (`Arc<CompiledPlan>`, keyed by
-//! fragment AST, schema fingerprint and policy version).
+//! policy version and source-schema fingerprint) and every stage keeps
+//! its compiled physical plans (`Arc<CompiledPlan>`) with its state.
+//! A stage without plans takes them from the runtime's one plan cache,
+//! keyed by (fragment AST, input schemas), so identical fragments of
+//! different handles — or modules — compile once.
 //!
-//! Each handle executes on its own chain clone whose sources are
-//! refreshed from the runtime's ingest state before every tick
-//! (`Frame` clones are per-column `Arc` bumps, so a refresh copies no
-//! data). That is what makes the multi-query fan-out safe: ticks of
-//! different handles share nothing mutable.
+//! There is one chain. A handle owns only its rewrite, its DP plan,
+//! its counters and its per-stage state; during a tick every handle
+//! reads the chain, and each stage's output reaches the next stage as
+//! a bound executor input, never through a catalog. That is what makes
+//! the multi-query fan-out safe: ticks of different handles share
+//! nothing mutable but the plan cache behind its lock.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use minipool::ThreadPool;
-use paradise_engine::{plan as engine_plan, Catalog, Frame, PlanCacheStats, ShardSpec};
+use paradise_engine::{Catalog, Frame, PlanCache, PlanCacheStats, ShardSpec};
 use paradise_nodes::ProcessingChain;
 use paradise_policy::{
     parse_policy, policy_to_xml, DpConfig, EpsilonLedger, ModulePolicy, Policy, PolicyVersion,
@@ -58,7 +61,7 @@ use crate::checks::information_gain_check;
 use crate::dp::{self, DpPlan};
 use crate::error::{CoreError, CoreResult};
 use crate::fragment::{assign_to_chain, fragment_query, FragmentPlan};
-use crate::incremental::{run_stages_delta, HandleDeltaState, SharedPlans};
+use crate::incremental::{run_stages_delta, DeltaRun, HandleDeltaState};
 use crate::pipeline::{assemble_outcome, source_fingerprint, Outcome, RuntimeOptions};
 use crate::preprocess::{preprocess, PreprocessOutcome};
 use crate::remainder::Remainder;
@@ -66,9 +69,6 @@ use crate::storage::{
     Durability, DurabilityStats, LedgerState, PolicyState, RegistrationState, SessionMark,
     SnapshotData, TableState, Vfs, WalRecord, DEFAULT_SNAPSHOT_EVERY,
 };
-
-/// Upper bound on pooled shared plans before an epoch-style reset.
-const MAX_SHARED_PLANS: usize = 1024;
 
 /// Opaque handle of one registered continuous query.
 ///
@@ -96,7 +96,7 @@ impl std::fmt::Display for QueryHandle {
 }
 
 /// One registered query: the compile-once artifacts plus the handle's
-/// private execution chain.
+/// per-stage execution state.
 struct Registered {
     generation: u32,
     module: String,
@@ -113,10 +113,6 @@ struct Registered {
     /// fingerprint captured at build time (schema changes invalidate).
     tables: Vec<String>,
     fingerprint: u64,
-    /// The handle's private execution chain: sources are refreshed from
-    /// the runtime chain before every tick; node-level compiled-plan
-    /// caches stay warm across ticks.
-    chain: ProcessingChain,
     /// Per-handle rewrite/fragment-plan cache counters.
     stats: PlanCacheStats,
     /// Differential-privacy noise plan (which stage's output to noise,
@@ -125,13 +121,10 @@ struct Registered {
     /// when the module has no DP config or the query has no noisable
     /// aggregate.
     dp: Option<DpPlan>,
-    /// Per-stage incremental execution state (delta watermarks, cached
-    /// append outputs, per-group accumulators), dropped whenever the
-    /// rewrite plan is rebuilt.
+    /// Per-stage execution state (compiled plans, delta watermarks,
+    /// cached append outputs, per-group accumulators), dropped whenever
+    /// the rewrite plan is rebuilt.
     delta: HandleDeltaState,
-    /// Engine-cache miss count at the last shared-plan harvest: steady
-    /// ticks (no new compilations) skip the harvest entirely.
-    harvested_misses: u64,
     /// Idempotency origin `(session, seq)` of the registration request,
     /// `(0, 0)` for direct API registrations. A retried registration
     /// with the same origin resolves to the slot its first delivery
@@ -151,10 +144,11 @@ pub struct RuntimeStats {
     /// (registration = miss; steady tick = hit; policy swap or source
     /// schema change = invalidation + miss).
     pub plan: PlanCacheStats,
-    /// Compiled-plan counters summed over every node of every live
-    /// handle's chain.
+    /// Counters of the runtime's compiled-plan cache, consulted only
+    /// when a stage has no plans yet: steady-state ticks leave them
+    /// unchanged.
     pub engine: PlanCacheStats,
-    /// Fragment plans in the cross-handle sharing pool: identical
+    /// Fragment plans in the runtime's compiled-plan cache: identical
     /// fragments registered by different handles (or modules) compile
     /// once and share one `Arc<CompiledPlan>` from here.
     pub shared_plans: usize,
@@ -178,14 +172,13 @@ pub struct HandleStats {
     pub policy_version: PolicyVersion,
     /// This handle's rewrite/fragment-plan counters.
     pub plan: PlanCacheStats,
-    /// Compiled-plan counters summed over the handle's chain nodes.
-    pub engine: PlanCacheStats,
 }
 
 /// The long-lived continuous-query runtime (see the module docs).
 pub struct Runtime {
-    /// Source-of-record chain: holds the ingested streams, never
-    /// executes fragments itself.
+    /// The chain: holds the ingested streams, executes every handle's
+    /// stages (read-only during a tick) and accumulates the nodes'
+    /// execution statistics.
     chain: ProcessingChain,
     policies: HashMap<String, (PolicyVersion, ModulePolicy)>,
     options: RuntimeOptions,
@@ -196,11 +189,10 @@ pub struct Runtime {
     /// delta partition-parallel over this many shards of the declared
     /// key (see [`Runtime::with_partitioning`]); `None` = serial.
     partitioning: Option<ShardSpec>,
-    /// Cross-handle plan pool keyed by (node name, fragment AST hash):
-    /// plans compiled on one handle's chain are harvested here and
-    /// seeded into every handle's node caches, so identical fragments
-    /// compile once runtime-wide.
-    shared: SharedPlans,
+    /// Compiled fragment plans keyed by (fragment AST, input schemas),
+    /// consulted when a stage has no plans; never locked across a
+    /// compile.
+    plans: Mutex<PlanCache>,
     slots: Vec<Option<Registered>>,
     next_generation: u32,
     /// Global monotonic policy-version counter: every install gets a
@@ -246,7 +238,7 @@ impl Runtime {
             remainder: None,
             retention: None,
             partitioning: None,
-            shared: HashMap::new(),
+            plans: Mutex::new(PlanCache::new()),
             slots: Vec::new(),
             next_generation: 0,
             version_counter: 0,
@@ -758,8 +750,7 @@ impl Runtime {
 
     /// The one way a [`Registered`] comes to be — at registration and
     /// at recovery alike: rewrite, fragment and noise-plan `query` under
-    /// the module's current policy, and clone the handle's private
-    /// execution chain off the source of record.
+    /// the module's current policy.
     fn build_registration(
         &self,
         generation: u32,
@@ -774,8 +765,6 @@ impl Runtime {
         let (pre, plan, dp) = build_plans(&query, policy, &self.options)?;
         let tables = paradise_sql::analysis::base_relations(&query);
         let fingerprint = source_fingerprint(&self.chain, &tables);
-        let mut chain = self.chain.clone();
-        chain.set_plan_salt(version.as_u64());
         Ok(Registered {
             generation,
             module: module.to_string(),
@@ -785,11 +774,9 @@ impl Runtime {
             version: *version,
             tables,
             fingerprint,
-            chain,
             stats: PlanCacheStats { hits: 0, misses: 1, invalidations: 0 },
             dp,
             delta: HandleDeltaState::default(),
-            harvested_misses: 0,
             origin,
         })
     }
@@ -823,10 +810,9 @@ impl Runtime {
 
     /// Install or swap a module's policy **live** and return the new
     /// policy version. Registered queries of the module are rewritten
-    /// and recompiled on their next tick under the new version; every
-    /// cache key carries the version, so plans built under the previous
-    /// policy can never be served again (their eviction is counted in
-    /// the invalidation stats). Handles of *other* modules are
+    /// on their next tick under the new version (counted in their
+    /// invalidation stats) and take the compiled plans of the new
+    /// fragments from the plan cache. Handles of *other* modules are
     /// untouched and keep their 100% cache-hit rate.
     pub fn set_policy(&mut self, module_id: impl Into<String>, policy: ModulePolicy) -> PolicyVersion {
         self.version_counter += 1;
@@ -905,9 +891,9 @@ impl Runtime {
     }
 
     /// Register a continuous query for a module: preprocess (policy
-    /// rewrite) and fragment **once**, set up the handle's execution
-    /// chain, and return the handle. Ticks re-execute the cached plan
-    /// until the module's policy or a source schema changes.
+    /// rewrite) and fragment **once**, and return the handle. Ticks
+    /// re-execute the cached plan until the module's policy or a source
+    /// schema changes.
     pub fn register(&mut self, module_id: &str, query: &Query) -> CoreResult<QueryHandle> {
         self.register_with_origin(module_id, query, 0, 0).map(|(handle, _)| handle)
     }
@@ -1084,19 +1070,19 @@ impl Runtime {
     ///
     /// Per handle: revalidate the cached rewrite+fragment plan (policy
     /// version + source-schema fingerprint; a hit costs two comparisons),
-    /// refresh the handle chain's sources (`Arc` bumps), then run the
-    /// Figure 2 pipeline delta-aware — over the rows ingested since the
-    /// handle's last tick, or the whole window when it has no state to
-    /// fold them into. Independent handles execute in parallel on
-    /// the scoped thread pool (`PARADISE_THREADS`; serial at 1; a lone
-    /// handle stays on the calling thread) — the
-    /// result order is the registration order at any thread count, and
+    /// then run the Figure 2 pipeline on the chain delta-aware — over
+    /// the rows ingested since the handle's last tick, or the whole
+    /// window when it has no state to fold them into. Independent
+    /// handles execute in parallel on the scoped thread pool
+    /// (`PARADISE_THREADS`; serial at 1; a lone handle stays on the
+    /// calling thread) — the result order is the registration order at
+    /// any thread count, and
     /// the first failing handle's error (in that order) is returned.
     ///
     /// A failing tick is **atomic**: if any handle's plan rebuild fails
     /// — typically a [`Runtime::set_policy`] swap that now denies a
     /// registered query — the tick returns that error *before* touching
-    /// any counter, cache or source. The runtime stays consistent and
+    /// any counter, cache or state. The runtime stays consistent and
     /// retries are idempotent; recover by installing a compatible
     /// policy or [`Runtime::remove_query`]-ing the rejected handle.
     pub fn tick(&mut self) -> CoreResult<Vec<(QueryHandle, Outcome)>> {
@@ -1264,21 +1250,14 @@ impl Runtime {
             }
         }
 
-        // phase 1b (serial): apply the rebuilds, bump counters, refresh
-        // every handle chain's sources and plan-cache salts (the
-        // cross-handle plan pool is consulted just-in-time inside the
-        // delta driver, where each stage's input table is guaranteed
-        // to exist for fingerprint verification). Quarantined handles
-        // are skipped wholesale: no counters, no refresh — a failing
-        // handle's retries stay idempotent.
+        // phase 1b (serial): apply the rebuilds and bump counters.
+        // Quarantined handles are skipped wholesale: no counters, no
+        // state change — a failing handle's retries stay idempotent.
         let mut failed: Vec<Option<CoreError>> = self.slots.iter().map(|_| None).collect();
         for (index, (slot, rebuild)) in self.slots.iter_mut().zip(rebuilds).enumerate() {
             let Some(slot) = slot else { continue };
             match rebuild.expect("live slot has a rebuild decision") {
-                Rebuild::Failed(e) => {
-                    failed[index] = Some(e);
-                    continue;
-                }
+                Rebuild::Failed(e) => failed[index] = Some(e),
                 Rebuild::Fresh(pre, plan, dp_plan, version, fingerprint) => {
                     slot.stats.misses += 1;
                     slot.stats.invalidations += 1;
@@ -1287,23 +1266,11 @@ impl Runtime {
                     slot.dp = dp_plan;
                     slot.version = version;
                     slot.fingerprint = fingerprint;
-                    // the rewrite changed: every per-stage incremental
-                    // state belongs to the old fragments
+                    // the rewrite changed: every per-stage state
+                    // belongs to the old fragments
                     slot.delta.reset();
                 }
                 Rebuild::Keep => slot.stats.hits += 1,
-            }
-            for node in self.chain.nodes() {
-                let target = slot.chain.node_mut(&node.name).map_err(|_| {
-                    CoreError::Internal(format!("handle chain lost node {:?}", node.name))
-                })?;
-                // bump the plan-cache salt to the handle's policy
-                // version (purges stale generations; no-op when stable)
-                target.set_plan_salt(slot.version.as_u64());
-                // mirror the ingested sources *including* their stream
-                // watermarks (Arc bumps, no cell copies), so the
-                // handle's delta consumers track the source-of-record
-                target.catalog.mirror_from(&node.catalog);
             }
         }
 
@@ -1311,7 +1278,7 @@ impl Runtime {
         // once per module, however many of its handles will tick — and
         // derive every noisy handle's noise seed from (handle id,
         // ledger sequence). The spend is buffered as a log record here
-        // and reaches the OS in phase 6's group commit, i.e. *before*
+        // and reaches the OS in phase 4's group commit, i.e. *before*
         // this tick's results are returned to any caller — so recovery
         // can never observe released noisy results whose spend (and
         // seed) it lost. Spends are not refunded if execution later
@@ -1357,15 +1324,16 @@ impl Runtime {
         // information-gain check is on (it reads the raw sources)
         let info_catalog = self.options.info_gain_threshold.map(|_| self.integrated_catalog());
 
-        // phase 2 (parallel): execute the handles' pipelines —
-        // quarantined handles (rebuild failures) are skipped
-        let mut results: Vec<Option<CoreResult<Outcome>>> =
-            self.slots.iter().map(|_| None).collect();
+        // phase 2 (parallel): execute the handles' pipelines on the
+        // chain, borrowed read-only — quarantined handles (rebuild
+        // failures) are skipped
+        let mut results: Vec<Option<HandleRun>> = self.slots.iter().map(|_| None).collect();
         {
+            let chain = &self.chain;
+            let plans = &self.plans;
             let options = &self.options;
             let remainder = self.remainder.as_ref();
             let info_catalog = info_catalog.as_ref();
-            let shared = &self.shared;
             let shard = self.partitioning.as_ref();
             let failed = &failed;
             let noise_draws = &noise_draws;
@@ -1386,10 +1354,11 @@ impl Runtime {
                     let mut job = move || {
                         *result = Some(run_handle(
                             reg,
+                            chain,
+                            plans,
                             options,
                             remainder,
                             info_catalog,
-                            shared,
                             shard,
                             dp_seed,
                             noise_draws,
@@ -1406,102 +1375,42 @@ impl Runtime {
         self.ticks += 1;
         self.dp_noise_draws += noise_draws.load(Ordering::Relaxed);
 
-        // phase 3: collect in registration (slot) order. Errors are
-        // noted but not returned yet — phases 4/5 must run even on a
-        // failing tick (a persistently failing handle must not leave
-        // source mirrors pinned, which would degrade every subsequent
-        // ingest append into a copy-on-write rescan of the window).
+        // phase 3 (serial): collect in registration (slot) order, and
+        // account every successful stage run on the chain's nodes
         let mut out: Vec<(QueryHandle, CoreResult<Outcome>)> = Vec::with_capacity(results.len());
-        let mut reset_delta: Vec<usize> = Vec::new();
-        let mut global_error: Option<CoreError> = None;
-        for (index, (slot, result)) in self.slots.iter().zip(results).enumerate() {
+        for (index, (slot, result)) in self.slots.iter_mut().zip(results).enumerate() {
             let Some(reg) = slot else { continue };
             let handle = QueryHandle { index: index as u32, generation: reg.generation };
             if let Some(e) = failed[index].take() {
                 out.push((handle, Err(e)));
                 continue;
             }
-            let Some(result) = result else {
+            let result = match result {
+                Some(Ok((outcome, rows_in))) => {
+                    for (report, rows_in) in outcome.stage_reports.iter().zip(rows_in) {
+                        if let Ok(node) = self.chain.node_mut(&report.node) {
+                            node.account(rows_in, report.rows_out, report.bytes_out);
+                        }
+                    }
+                    Ok(outcome)
+                }
+                Some(Err(e)) => {
+                    // a failed execution may have consumed part of its
+                    // delta: drop the handle's incremental state so the
+                    // next tick rebuilds from clean sources
+                    if isolate {
+                        reg.delta.reset();
+                    }
+                    Err(e)
+                }
                 // a live slot the pool never executed is an invariant
                 // violation; report it typed and keep collecting
-                out.push((
-                    handle,
-                    Err(CoreError::Internal(format!("slot {index} was not executed this tick"))),
-                ));
-                continue;
+                None => Err(CoreError::Internal(format!("slot {index} was not executed this tick"))),
             };
-            if result.is_err() {
-                // a failed execution may have consumed part of its
-                // delta: drop the handle's incremental state so the
-                // next tick rebuilds from clean sources
-                reset_delta.push(index);
-            }
             out.push((handle, result));
         }
-        if isolate {
-            for index in reset_delta {
-                if let Some(reg) = self.slots[index].as_mut() {
-                    reg.delta.reset();
-                }
-            }
-        }
 
-        // phase 4 (serial): harvest freshly compiled plans into the
-        // cross-handle pool, consulted by the delta driver's
-        // just-in-time seeding. Gated on the miss counter, so
-        // steady-state ticks (zero compilations) skip it entirely.
-        for slot in self.slots.iter_mut().flatten() {
-            let misses = chain_plan_stats(&slot.chain).misses;
-            if misses == slot.harvested_misses {
-                continue;
-            }
-            slot.harvested_misses = misses;
-            for node in slot.chain.nodes() {
-                for (query, plan) in node.shareable_plans() {
-                    let key = (node.name.clone(), engine_plan::ast_key(&query));
-                    let list = self.shared.entry(key).or_default();
-                    match list.iter_mut().find(|(q, _)| *q == query) {
-                        Some(entry) => {
-                            if entry.1.fingerprint() != plan.fingerprint() {
-                                entry.1 = plan;
-                            }
-                        }
-                        None => list.push((query, plan)),
-                    }
-                }
-            }
-        }
-        if self.shared.values().map(Vec::len).sum::<usize>() > MAX_SHARED_PLANS {
-            self.shared.clear();
-        }
-
-        // phase 5 (serial): release the handle chains' source mirrors.
-        // They are re-mirrored from the source of record at the next
-        // tick anyway; holding the column Arcs in between would force
-        // the next ingest's append into a copy-on-write rescan of the
-        // whole retained window instead of an O(batch) extension.
-        for slot in self.slots.iter_mut().flatten() {
-            for node in self.chain.nodes() {
-                match slot.chain.node_mut(&node.name) {
-                    Ok(target) => target.catalog.release_mirrors(&node.catalog),
-                    // a handle chain missing a runtime node is an
-                    // invariant violation (chains are clones): surface
-                    // it as a typed error but keep releasing the other
-                    // mirrors, so the runtime degrades one tick
-                    // instead of pinning the window
-                    Err(_) => {
-                        global_error.get_or_insert_with(|| {
-                            CoreError::Internal(format!(
-                                "handle chain lost node {:?}",
-                                node.name
-                            ))
-                        });
-                    }
-                }
-            }
-        }
-
-        // phase 6: the durability group commit — every record buffered
+        // phase 4: the durability group commit — every record buffered
         // since the last commit point (ingest batches, evictions,
         // policy swaps) reaches the OS in one write. It runs on failing
         // ticks too (the buffered records describe state that *was*
@@ -1519,14 +1428,13 @@ impl Runtime {
                     // — a noisy result must never be released before
                     // its spend reaches the log
                     let e = self.enter_degraded(e);
-                    if global_error.is_none() && (isolate || !any_handle_error) {
+                    if isolate || !any_handle_error {
                         return Err(e);
                     }
                 }
             }
         }
-        let auto_snapshot = global_error.is_none()
-            && self.degraded.is_none()
+        let auto_snapshot = self.degraded.is_none()
             && (isolate || !any_handle_error)
             && self.durability.as_mut().is_some_and(|d| {
                 d.ticks_since_snapshot += 1;
@@ -1535,22 +1443,20 @@ impl Runtime {
         if auto_snapshot {
             self.snapshot()?;
         }
-
-        match global_error {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        Ok(out)
     }
 
     /// Aggregate cache/tick counters (see [`RuntimeStats`]). After the
     /// first tick of a steady-state deployment, `plan.hits` grows by
-    /// `registered` per tick and `engine.misses` stays flat — the
+    /// `registered` per tick and `engine` stays unchanged — the
     /// compile-once contract, asserted by the runtime tests.
     pub fn stats(&self) -> RuntimeStats {
+        let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         let mut stats = RuntimeStats {
             registered: self.slots.iter().flatten().count(),
             ticks: self.ticks,
-            shared_plans: self.shared.values().map(Vec::len).sum(),
+            engine: plans.stats(),
+            shared_plans: plans.len(),
             // saturating as-cast: an infinite or absurd spend pins to
             // u64::MAX instead of poisoning the stats struct's Eq
             dp_epsilon_spent_micro: self
@@ -1566,23 +1472,14 @@ impl Runtime {
             stats.plan.hits += reg.stats.hits;
             stats.plan.misses += reg.stats.misses;
             stats.plan.invalidations += reg.stats.invalidations;
-            let engine = chain_plan_stats(&reg.chain);
-            stats.engine.hits += engine.hits;
-            stats.engine.misses += engine.misses;
-            stats.engine.invalidations += engine.invalidations;
         }
         stats
     }
 
-    /// Cache counters and policy version of one handle.
+    /// Rewrite-plan counters and policy version of one handle.
     pub fn handle_stats(&self, handle: QueryHandle) -> CoreResult<HandleStats> {
         let reg = self.resolve(handle)?;
-        Ok(HandleStats {
-            module: reg.module.clone(),
-            policy_version: reg.version,
-            plan: reg.stats,
-            engine: chain_plan_stats(&reg.chain),
-        })
+        Ok(HandleStats { module: reg.module.clone(), policy_version: reg.version, plan: reg.stats })
     }
 
     /// Number of live registered queries.
@@ -1590,9 +1487,9 @@ impl Runtime {
         self.slots.iter().flatten().count()
     }
 
-    /// Borrow the source-of-record chain (to inspect ingested streams;
-    /// execution statistics accumulate on the per-handle chains, see
-    /// [`Runtime::handle_stats`]).
+    /// Borrow the chain: the ingested streams in its nodes' catalogs,
+    /// and every tick's execution statistics in their
+    /// [`NodeStats`](paradise_nodes::NodeStats).
     pub fn chain(&self) -> &ProcessingChain {
         &self.chain
     }
@@ -1671,20 +1568,25 @@ fn build_plans(
     Ok((pre, plan, dp_plan))
 }
 
+/// A handle's tick: its outcome and the input rows each stage consumed.
+type HandleRun = CoreResult<(Outcome, Vec<usize>)>;
+
 /// One handle's tick: optional information-gain check, then the
-/// Figure 2 execution path over the handle's private chain, delta-aware
-/// (a first tick's delta is the whole window).
+/// Figure 2 execution path over the chain, delta-aware (a first tick's
+/// delta is the whole window). Returns the outcome and the input rows
+/// each stage consumed.
 #[allow(clippy::too_many_arguments)]
 fn run_handle(
     reg: &mut Registered,
+    chain: &ProcessingChain,
+    plans: &Mutex<PlanCache>,
     options: &RuntimeOptions,
     remainder: Option<&Remainder>,
     info_catalog: Option<&Catalog>,
-    shared: &SharedPlans,
     shard: Option<&ShardSpec>,
     dp_seed: u64,
     noise_draws: &AtomicU64,
-) -> CoreResult<Outcome> {
+) -> HandleRun {
     let information_gain = match (info_catalog, options.info_gain_threshold) {
         (Some(catalog), Some(threshold)) => {
             Some(information_gain_check(catalog, &reg.query, &reg.pre.query, threshold)?)
@@ -1692,20 +1594,20 @@ fn run_handle(
         _ => None,
     };
     let dp = reg.dp.as_ref().filter(|p| p.is_noisy());
-    let stages = assign_to_chain(&reg.plan, &reg.chain, options.assignment)?;
+    let stages = assign_to_chain(&reg.plan, chain, options.assignment)?;
     let mut draws = 0u64;
-    let run = run_stages_delta(
-        &mut reg.chain,
+    let DeltaRun { run, rows_in } = run_stages_delta(
+        chain,
         &stages,
         &mut reg.delta,
-        shared,
+        plans,
         shard,
         dp.map(|p| (p, dp_seed)),
         &mut draws,
     )?;
     noise_draws.fetch_add(draws, Ordering::Relaxed);
-    assemble_outcome(
-        &reg.chain,
+    let outcome = assemble_outcome(
+        chain,
         reg.pre.clone(),
         reg.plan.clone(),
         stages,
@@ -1713,19 +1615,8 @@ fn run_handle(
         information_gain,
         options,
         remainder,
-    )
-}
-
-/// Sum the compiled-plan cache counters over a chain's nodes.
-fn chain_plan_stats(chain: &ProcessingChain) -> PlanCacheStats {
-    let mut total = PlanCacheStats::default();
-    for node in chain.nodes() {
-        let s = node.plan_cache_stats();
-        total.hits += s.hits;
-        total.misses += s.misses;
-        total.invalidations += s.invalidations;
-    }
-    total
+    )?;
+    Ok((outcome, rows_in))
 }
 
 #[cfg(test)]
@@ -1779,9 +1670,8 @@ mod tests {
         }
         let warm = rt.stats();
         assert_eq!(warm.plan.misses, cold.plan.misses, "no re-preprocessing after tick 1");
-        assert_eq!(warm.engine.misses, cold.engine.misses, "no recompilation after tick 1");
+        assert_eq!(warm.engine, cold.engine, "stages keep their plans: no cache traffic");
         assert_eq!(warm.plan.hits, 4);
-        assert_eq!(warm.engine.hits, cold.engine.hits + 3 * cold.engine.misses);
         assert_eq!(warm.ticks, 4);
     }
 
@@ -1813,17 +1703,21 @@ mod tests {
         rt.tick().unwrap();
         rt.tick().unwrap();
 
+        let before = rt.stats().engine;
         let v2 = rt.set_policy("ActionFilter", figure4_policy().modules.remove(0));
         rt.tick().unwrap();
 
         let hit = rt.handle_stats(affected).unwrap();
         assert_eq!(hit.policy_version, v2);
         assert_eq!(hit.plan.invalidations, 1, "policy swap rebuilt the rewrite");
-        assert!(hit.engine.invalidations > 0, "stale node plans were purged");
+        // the same policy rewrites to the same fragments over the same
+        // schemas: the rebuilt stages find every plan in the cache
+        let after = rt.stats().engine;
+        assert_eq!(after.misses, before.misses, "an unchanged rewrite compiles nothing");
+        assert!(after.hits > before.hits);
 
         let clean = rt.handle_stats(bystander).unwrap();
         assert_eq!(clean.plan.invalidations, 0);
-        assert_eq!(clean.engine.invalidations, 0);
         assert_eq!(clean.plan.hits, 3, "bystander kept its 100% hit rate");
     }
 

@@ -24,7 +24,7 @@ use crate::frame::Frame;
 
 /// Process-global epoch allocator: every table (re)registration gets a
 /// fresh epoch, so watermarks stay unambiguous even across catalog
-/// clones (handle chains mirror the runtime chain's entries wholesale).
+/// clones.
 static EPOCH: AtomicU64 = AtomicU64::new(1);
 
 fn next_epoch() -> u64 {
@@ -96,9 +96,9 @@ impl TableEntry {
 /// A named collection of frames. Table names are case-insensitive.
 ///
 /// In PArADISE terms, every node of the vertical hierarchy holds its own
-/// catalog: the sensor's catalog has the raw `stream`, intermediate nodes
-/// register the shipped results of lower fragments (`d1`, `d2`, …) before
-/// running their own fragment.
+/// catalog: the sensor's catalog has the raw `stream`. The shipped
+/// results of lower fragments (`d1`, `d2`, …) reach a node's executor
+/// as a bound input ([`crate::Executor::with_input`]) alongside it.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: HashMap<String, TableEntry>,
@@ -265,38 +265,6 @@ impl Catalog {
             }
         }
         Ok(Some(entry.frame.slice_tail((since.rows - entry.evicted) as usize)))
-    }
-
-    /// Copy every table of `other` into `self` **including** its stream
-    /// position (epoch, eviction count, last appended batch). The
-    /// per-handle execution chains of the continuous-query runtime are
-    /// refreshed with this before every tick, so delta consumers on a
-    /// handle chain see exactly the source-of-record's watermarks.
-    /// Frames are shared by `Arc` bumps — no cell is copied. Tables of
-    /// `self` that `other` does not know (e.g. installed intermediate
-    /// fragment results) are left untouched.
-    pub fn mirror_from(&mut self, other: &Catalog) {
-        for (name, entry) in &other.tables {
-            self.tables.insert(name.clone(), entry.clone());
-        }
-    }
-
-    /// Replace every table that `other` also holds with an empty,
-    /// schema-only husk, releasing the shared data buffers — the
-    /// counterpart of [`Catalog::mirror_from`]. A mirror that held on
-    /// to the source's column `Arc`s between ticks would force the
-    /// source's next append into a copy-on-write rescan of the whole
-    /// retained window; releasing after use keeps appends O(batch).
-    /// Watermark bookkeeping is left as-is (the next mirror overwrites
-    /// it wholesale).
-    pub fn release_mirrors(&mut self, other: &Catalog) {
-        for name in other.tables.keys() {
-            if let Some(entry) = self.tables.get_mut(name) {
-                entry.frame = Frame::empty(entry.frame.schema.clone());
-                entry.last_batch = None;
-                entry.last_split = None;
-            }
-        }
     }
 
     /// Remove a table, returning it if present.
@@ -474,25 +442,6 @@ mod tests {
         let mark = c.watermark("s").unwrap();
         c.get_mut("s").unwrap().skip_rows(1);
         assert!(c.delta_since("s", mark).unwrap().is_none(), "get_mut bumps the epoch");
-    }
-
-    #[test]
-    fn mirror_from_preserves_watermarks() {
-        let mut src = Catalog::new();
-        src.register("s", batch(&[1, 2])).unwrap();
-        let mut dst = Catalog::new();
-        dst.register("local", tiny()).unwrap();
-        dst.mirror_from(&src);
-
-        // a consumer anchored on the mirror …
-        let mark = dst.watermark("s").unwrap();
-        // … follows appends made at the source after the next mirror
-        src.append("s", batch(&[3])).unwrap();
-        dst.mirror_from(&src);
-        let delta = dst.delta_since("s", mark).unwrap().unwrap();
-        assert_eq!(col(&delta), vec![Value::Int(3)]);
-        // mirroring leaves unrelated local tables alone
-        assert!(dst.contains("local"));
     }
 
     #[test]

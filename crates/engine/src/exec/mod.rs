@@ -55,15 +55,41 @@ use crate::value::{GroupKey, Value};
 /// Safety valve for joins: maximum produced rows before aborting.
 const MAX_JOIN_ROWS: usize = 10_000_000;
 
-/// Query executor bound to a catalog.
+/// Query executor bound to a catalog, plus optionally one input frame
+/// bound by name for the executor's lifetime.
 pub struct Executor<'a> {
     pub(crate) catalog: &'a Catalog,
+    input: Option<(&'a str, &'a Frame)>,
 }
 
 impl<'a> Executor<'a> {
     /// Executor over `catalog`.
     pub fn new(catalog: &'a Catalog) -> Self {
-        Executor { catalog }
+        Executor { catalog, input: None }
+    }
+
+    /// Executor over `catalog` plus `frame` bound as table `name` — a
+    /// `Scan` of `name` reads `frame` (shadowing a catalog table of the
+    /// same name). This is how a fragment pipeline hands one stage's
+    /// output to the next by value: nothing is installed anywhere, and
+    /// the binding ends with the executor.
+    pub fn with_input(catalog: &'a Catalog, name: &'a str, frame: &'a Frame) -> Self {
+        Executor { catalog, input: Some((name, frame)) }
+    }
+
+    /// Resolve a table as this executor sees it: the bound input
+    /// first, then the catalog.
+    pub fn table(&self, name: &str) -> EngineResult<&'a Frame> {
+        match self.input {
+            Some((bound, frame)) if bound.eq_ignore_ascii_case(name) => Ok(frame),
+            _ => self.catalog.get(name),
+        }
+    }
+
+    /// Fingerprint of the schemas of `tables` as this executor resolves
+    /// them (see [`crate::plan::schema_fingerprint`]).
+    pub(crate) fn fingerprint(&self, tables: &[String]) -> u64 {
+        crate::plan::fingerprint_with(tables, |t| self.table(t).ok())
     }
 
     /// Execute a query to a materialised [`Frame`]: compile it to a

@@ -38,7 +38,7 @@ use minipool::ThreadPool;
 
 use super::sharded::{refresh_having_mask, ShardedGroupedState};
 use super::{
-    agg_finalize_masked, compile_query, filter_rows_parallel, schema_fingerprint, AggBody,
+    agg_finalize_masked, compile_query, filter_rows_parallel, AggBody,
     ArgFold, ArgStep, Body, ExprProgram, Executor, FxHashMap, PNode, ProjStep,
 };
 use crate::catalog::Watermark;
@@ -336,7 +336,7 @@ impl<'a> Executor<'a> {
         if filter.as_ref().is_some_and(ExprProgram::has_subquery) {
             return Ok(None);
         }
-        let in_schema = self.catalog.get(&table)?.schema.with_source(&source);
+        let in_schema = self.table(&table)?.schema.with_source(&source);
         let kind = match body {
             Body::Plain(p) => {
                 let p = *p;
@@ -380,7 +380,7 @@ impl<'a> Executor<'a> {
             }
         };
         let tables = paradise_sql::analysis::base_relations(query);
-        let fingerprint = schema_fingerprint(self.catalog, &tables);
+        let fingerprint = self.fingerprint(&tables);
         Ok(Some(IncrementalPlan { table, in_schema, filter, kind, tables, fingerprint }))
     }
 
@@ -396,7 +396,7 @@ impl<'a> Executor<'a> {
     ) -> EngineResult<(Frame, bool, Option<Watermark>)> {
         Ok(match input {
             DeltaInput::Source => {
-                if schema_fingerprint(self.catalog, &plan.tables) != plan.fingerprint {
+                if self.fingerprint(&plan.tables) != plan.fingerprint {
                     return Err(EngineError::StalePlan);
                 }
                 let mark = self.catalog.watermark(&plan.table)?;
@@ -406,7 +406,7 @@ impl<'a> Executor<'a> {
                 };
                 match delta {
                     Some(d) => (d, false, Some(mark)),
-                    None => (self.catalog.get(&plan.table)?.clone(), true, Some(mark)),
+                    None => (self.table(&plan.table)?.clone(), true, Some(mark)),
                 }
             }
             DeltaInput::Pushed { delta, reset } => {
@@ -455,7 +455,7 @@ impl<'a> Executor<'a> {
                 if mark.is_none() {
                     return Err(EngineError::StalePlan);
                 }
-                delta = self.catalog.get(&plan.table)?.clone();
+                delta = self.table(&plan.table)?.clone();
             }
             reset = true;
         }

@@ -21,9 +21,8 @@
 //! corpus (the oracle lives in `crates/engine/tests/oracle/`).
 //!
 //! A [`PlanCache`] maps `(query AST, schema fingerprint)` to compiled
-//! plans with hit/miss/invalidation counters; `paradise-nodes` keeps
-//! one per chain node so steady-state continuous-query ticks reuse
-//! plans, and schema changes at the source invalidate them.
+//! plans with hit/miss/invalidation counters; the continuous-query
+//! runtime keeps one, consulted when a stage has no plan yet.
 
 mod incremental;
 mod program;
@@ -154,12 +153,19 @@ pub fn schema_hash(schema: &Schema) -> u64 {
 /// tables hash as absent). A compiled plan is valid for execution as
 /// long as this fingerprint matches the one captured at compile time.
 pub fn schema_fingerprint(catalog: &Catalog, tables: &[String]) -> u64 {
+    fingerprint_with(tables, |t| catalog.get(t).ok())
+}
+
+pub(crate) fn fingerprint_with<'f>(
+    tables: &[String],
+    lookup: impl Fn(&str) -> Option<&'f Frame>,
+) -> u64 {
     let mut h = FnvWriter::new();
     for t in tables {
         h.write_bytes(t.as_bytes());
-        match catalog.get(t) {
-            Ok(frame) => h.write_u64_mix(schema_hash(&frame.schema)),
-            Err(_) => h.write_bytes(b"<absent>"),
+        match lookup(t) {
+            Some(frame) => h.write_u64_mix(schema_hash(&frame.schema)),
+            None => h.write_bytes(b"<absent>"),
         }
     }
     h.0
@@ -399,7 +405,7 @@ impl<'a> Executor<'a> {
     pub fn compile(&self, query: &Query) -> EngineResult<CompiledPlan> {
         let (root, _schema) = compile_query(self, query)?;
         let tables = paradise_sql::analysis::base_relations(query);
-        let fingerprint = schema_fingerprint(self.catalog, &tables);
+        let fingerprint = self.fingerprint(&tables);
         Ok(CompiledPlan { root, tables, fingerprint })
     }
 
@@ -408,7 +414,7 @@ impl<'a> Executor<'a> {
     /// match the plan's fingerprint (a [`PlanCache`] recompiles instead
     /// of ever hitting this).
     pub fn run_plan(&self, plan: &CompiledPlan) -> EngineResult<Frame> {
-        if schema_fingerprint(self.catalog, &plan.tables) != plan.fingerprint {
+        if self.fingerprint(&plan.tables) != plan.fingerprint {
             return Err(EngineError::StalePlan);
         }
         exec_node(self, &plan.root)
@@ -469,7 +475,7 @@ fn item_name(expr: &Expr, alias: &Option<String>) -> String {
 fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled> {
     match table {
         TableRef::Table { name, alias } => {
-            let frame = exec.catalog.get(name)?;
+            let frame = exec.table(name)?;
             let source = alias.as_deref().unwrap_or(name).to_string();
             let schema = frame.schema.with_source(&source);
             Ok((PNode::Scan { table: name.clone(), source }, schema))
@@ -840,7 +846,7 @@ fn exec_node(exec: &Executor<'_>, node: &PNode) -> EngineResult<Frame> {
     match node {
         PNode::Unit => Frame::new(Schema::default(), vec![vec![]]),
         PNode::Scan { table, source } => {
-            let frame = exec.catalog.get(table)?;
+            let frame = exec.table(table)?;
             let columns = (0..frame.schema.len()).map(|c| frame.column_arc(c)).collect();
             Frame::from_arc_columns(frame.schema.with_source(source), columns)
         }
@@ -1760,40 +1766,49 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
 }
 
+/// Both plan flavours of one query, compiled against one set of input
+/// schemas: the full-rescan plan and, when the shape is incrementally
+/// maintainable, its delta-aware twin.
 #[derive(Debug, Clone)]
-struct CacheEntry {
-    query: Query,
-    tables: Vec<String>,
-    fingerprint: u64,
-    /// Caller-chosen key extension (e.g. a privacy-policy version); an
-    /// entry only hits for the salt it was compiled under.
-    salt: u64,
-    plan: Arc<CompiledPlan>,
-    /// The incremental (delta-aware) plan, compiled lazily on the first
-    /// request: outer `None` = not attempted yet, `Some(None)` = shape
-    /// is not incrementally maintainable (don't retry until the schema
-    /// fingerprint changes).
-    inc: Option<Option<Arc<IncrementalPlan>>>,
+pub struct PlanSet {
+    /// The compiled full-rescan plan.
+    pub plan: Arc<CompiledPlan>,
+    /// The delta-aware plan, `None` when the shape is not incrementally
+    /// maintainable.
+    pub incremental: Option<Arc<IncrementalPlan>>,
 }
 
-/// Cache of compiled plans keyed by `(query AST, schema fingerprint,
-/// salt)`.
+impl PlanSet {
+    /// Are the schemas `exec` resolves still the ones the plans were
+    /// compiled against?
+    pub fn is_current(&self, exec: &Executor<'_>) -> bool {
+        exec.fingerprint(self.plan.tables()) == self.plan.fingerprint()
+    }
+}
+
+impl<'a> Executor<'a> {
+    /// Compile both plan flavours of `query` (see [`PlanSet`]).
+    pub fn compile_set(&self, query: &Query) -> EngineResult<PlanSet> {
+        let plan = Arc::new(self.compile(query)?);
+        let incremental = self.compile_incremental(query).ok().flatten().map(Arc::new);
+        Ok(PlanSet { plan, incremental })
+    }
+}
+
+/// Cache of compiled plans keyed by `(query AST, input schemas)`.
 ///
 /// Keys hash via [`ast_key`] (no allocation); a hit verifies the stored
 /// AST by structural equality, so hash collisions can never serve a
-/// wrong plan. A fingerprint mismatch counts as an invalidation and
-/// recompiles in place. Only plans are cached: a query that fails to
-/// compile returns its typed error on every lookup (counted as a miss)
-/// and leaves no entry behind.
+/// wrong plan, and the schema fingerprint, so a plan is only served for
+/// the schemas it was compiled against. A fingerprint mismatch counts
+/// as an invalidation and evicts the entry. Only plans are cached: a
+/// query that fails to compile leaves no entry behind.
 ///
-/// The `salt` is an opaque caller-supplied key extension. The runtime
-/// layer passes the module's privacy-policy *version* here, so a policy
-/// swap (which may rewrite fragments) can never serve a plan compiled
-/// under a previous policy; [`PlanCache::purge_salt`] evicts the stale
-/// generation eagerly.
+/// [`PlanCache::lookup`] and [`PlanCache::insert`] are separate so a
+/// cache shared behind a lock need not hold it across a compile.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    entries: HashMap<u64, Vec<CacheEntry>>,
+    entries: HashMap<u64, Vec<(Query, PlanSet)>>,
     len: usize,
     stats: PlanCacheStats,
 }
@@ -1819,176 +1834,59 @@ impl PlanCache {
         self.len == 0
     }
 
-    /// Look up (or compile) the plan for `query` against `exec`'s
-    /// catalog; a query that does not compile is the compile error.
+    /// The cached plans of `query` for the schemas `exec` resolves,
+    /// counted as a hit; `None` is a miss, and the caller compiles and
+    /// [`PlanCache::insert`]s.
+    pub fn lookup(&mut self, exec: &Executor<'_>, query: &Query) -> Option<PlanSet> {
+        let list = self.entries.get_mut(&ast_key(query));
+        if let Some(list) = list {
+            if let Some(at) = list.iter().position(|(q, _)| q == query) {
+                if list[at].1.is_current(exec) {
+                    self.stats.hits += 1;
+                    return Some(list[at].1.clone());
+                }
+                // schemas changed under the plan: evict it
+                list.swap_remove(at);
+                self.len -= 1;
+                self.stats.invalidations += 1;
+            }
+        }
+        self.stats.misses += 1;
+        None
+    }
+
+    /// Cache `plans` for `query`, replacing an entry for the same query.
+    pub fn insert(&mut self, query: &Query, plans: PlanSet) {
+        let key = ast_key(query);
+        if let Some((_, slot)) =
+            self.entries.get_mut(&key).and_then(|l| l.iter_mut().find(|(q, _)| q == query))
+        {
+            *slot = plans;
+            return;
+        }
+        if self.len >= PLAN_CACHE_CAPACITY {
+            self.entries.clear();
+            self.len = 0;
+        }
+        self.entries.entry(key).or_default().push((query.clone(), plans));
+        self.len += 1;
+    }
+
+    /// Look up (or compile and cache) the plan for `query` against
+    /// `exec`'s schemas; a query that does not compile is the compile
+    /// error.
     pub fn get_or_compile(
         &mut self,
         exec: &Executor<'_>,
         query: &Query,
     ) -> EngineResult<Arc<CompiledPlan>> {
-        self.get_or_compile_salted(exec, query, 0)
-    }
-
-    /// [`PlanCache::get_or_compile`] with an explicit key extension:
-    /// entries only hit for the `salt` they were compiled under (the
-    /// continuous-query runtime passes the module's policy version).
-    pub fn get_or_compile_salted(
-        &mut self,
-        exec: &Executor<'_>,
-        query: &Query,
-        salt: u64,
-    ) -> EngineResult<Arc<CompiledPlan>> {
-        Ok(self.lookup(exec, query, salt, false)?.0)
-    }
-
-    /// One cache operation that returns **both** plan flavours of a
-    /// query: the compiled full-rescan plan and — when the shape is
-    /// incrementally maintainable — the delta-aware
-    /// [`IncrementalPlan`]. The incremental plan is compiled lazily on
-    /// the first request and memoized in the same entry, so a steady
-    /// tick costs exactly one lookup regardless of which flavour runs
-    /// (the hit/miss counters move once per call, like
-    /// [`PlanCache::get_or_compile_salted`]).
-    pub fn get_or_compile_with_incremental(
-        &mut self,
-        exec: &Executor<'_>,
-        query: &Query,
-        salt: u64,
-    ) -> EngineResult<(Arc<CompiledPlan>, Option<Arc<IncrementalPlan>>)> {
-        self.lookup(exec, query, salt, true)
-    }
-
-    fn lookup(
-        &mut self,
-        exec: &Executor<'_>,
-        query: &Query,
-        salt: u64,
-        want_inc: bool,
-    ) -> EngineResult<(Arc<CompiledPlan>, Option<Arc<IncrementalPlan>>)> {
-        let with_inc = |entry: &mut CacheEntry| {
-            let inc = want_inc.then(|| {
-                entry
-                    .inc
-                    .get_or_insert_with(|| {
-                        exec.compile_incremental(&entry.query).ok().flatten().map(Arc::new)
-                    })
-                    .clone()
-            });
-            (Arc::clone(&entry.plan), inc.flatten())
-        };
-        let key = ast_key(query);
-        let found = self.entries.get_mut(&key).and_then(|list| {
-            let at = list.iter().position(|e| e.query == *query && e.salt == salt)?;
-            Some((list, at))
-        });
-        if let Some((list, at)) = found {
-            let entry = &mut list[at];
-            if schema_fingerprint(exec.catalog, &entry.tables) == entry.fingerprint {
-                self.stats.hits += 1;
-                return Ok(with_inc(entry));
-            }
-            // schemas changed under the plan: recompile in place, or
-            // drop the entry when the query no longer compiles
-            self.stats.misses += 1;
-            self.stats.invalidations += 1;
-            return match exec.compile(query) {
-                Ok(plan) => {
-                    entry.fingerprint = plan.fingerprint();
-                    entry.plan = Arc::new(plan);
-                    entry.inc = None;
-                    Ok(with_inc(entry))
-                }
-                Err(e) => {
-                    list.swap_remove(at);
-                    self.len -= 1;
-                    Err(e)
-                }
-            };
+        if let Some(plans) = self.lookup(exec, query) {
+            return Ok(plans.plan);
         }
-        self.stats.misses += 1;
-        let plan = exec.compile(query)?;
-        if self.len >= PLAN_CACHE_CAPACITY {
-            self.entries.clear();
-            self.len = 0;
-        }
-        let mut entry = CacheEntry {
-            query: query.clone(),
-            tables: plan.tables().to_vec(),
-            fingerprint: plan.fingerprint(),
-            salt,
-            plan: Arc::new(plan),
-            inc: None,
-        };
-        let out = with_inc(&mut entry);
-        self.entries.entry(key).or_default().push(entry);
-        self.len += 1;
-        Ok(out)
-    }
-
-    /// Insert a plan compiled elsewhere (cross-handle plan sharing in
-    /// the continuous-query runtime: two handles registering the same
-    /// rewritten fragment compile once and share the `Arc`). No
-    /// hit/miss accounting; returns `false` when an entry for this
-    /// (query, salt) already exists or the plan's schema fingerprint
-    /// does not match the catalog it was compiled against.
-    pub fn seed(
-        &mut self,
-        exec: &Executor<'_>,
-        query: &Query,
-        salt: u64,
-        plan: Arc<CompiledPlan>,
-    ) -> bool {
-        if schema_fingerprint(exec.catalog, plan.tables()) != plan.fingerprint() {
-            return false;
-        }
-        let key = ast_key(query);
-        if let Some(list) = self.entries.get(&key) {
-            if list.iter().any(|e| e.query == *query && e.salt == salt) {
-                return false;
-            }
-        }
-        if self.len >= PLAN_CACHE_CAPACITY {
-            self.entries.clear();
-            self.len = 0;
-        }
-        self.entries.entry(key).or_default().push(CacheEntry {
-            query: query.clone(),
-            tables: plan.tables().to_vec(),
-            fingerprint: plan.fingerprint(),
-            salt,
-            plan,
-            inc: None,
-        });
-        self.len += 1;
-        true
-    }
-
-    /// Iterate the cached plans — the harvest side of cross-handle plan
-    /// sharing.
-    pub fn compiled_entries(&self) -> impl Iterator<Item = (&Query, &Arc<CompiledPlan>)> {
-        self.entries.values().flatten().map(|e| (&e.query, &e.plan))
-    }
-
-    /// Evict every entry whose salt differs from `current`, counting
-    /// each eviction as an invalidation. The per-node hook behind live
-    /// policy updates: when a module's policy version is bumped, the
-    /// plans compiled under older versions are dead weight and must
-    /// never be served again. Returns the number of evicted entries.
-    pub fn purge_salt(&mut self, current: u64) -> usize {
-        let mut evicted = 0usize;
-        self.entries.retain(|_, list| {
-            list.retain(|e| {
-                let keep = e.salt == current;
-                if !keep {
-                    evicted += 1;
-                }
-                keep
-            });
-            !list.is_empty()
-        });
-        self.len -= evicted;
-        self.stats.invalidations += evicted as u64;
-        evicted
+        let plans = exec.compile_set(query)?;
+        let plan = Arc::clone(&plans.plan);
+        self.insert(query, plans);
+        Ok(plan)
     }
 }
 
@@ -2060,29 +1958,48 @@ mod tests {
     }
 
     #[test]
-    fn salted_entries_are_disjoint_and_purgeable() {
+    fn a_bound_input_is_seen_by_one_executor_only() {
         let c = catalog();
-        let q = parse_query("SELECT x FROM stream WHERE z < 2").unwrap();
-        let mut cache = PlanCache::new();
-        let exec = Executor::new(&c);
-        // the same query under two salts compiles twice, hits per salt
-        assert!(cache.get_or_compile_salted(&exec, &q, 1).is_ok());
-        assert!(cache.get_or_compile_salted(&exec, &q, 2).is_ok());
-        assert!(cache.get_or_compile_salted(&exec, &q, 1).is_ok());
-        assert!(cache.get_or_compile_salted(&exec, &q, 2).is_ok());
-        assert_eq!(cache.stats().misses, 2);
-        assert_eq!(cache.stats().hits, 2);
-        assert_eq!(cache.len(), 2);
+        let d1 = Frame::new(
+            Schema::from_pairs(&[("x", DataType::Integer)]),
+            vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+        )
+        .unwrap();
+        let q = parse_query("SELECT x FROM d1 WHERE x > 1").unwrap();
+        let bound = Executor::with_input(&c, "D1", &d1);
+        assert_eq!(bound.execute(&q).unwrap().to_rows(), vec![vec![Value::Int(2)]]);
+        // the binding shadows a catalog table of the same name …
+        let shadow = Executor::with_input(&c, "stream", &d1);
+        let all = parse_query("SELECT x FROM stream").unwrap();
+        assert_eq!(shadow.execute(&all).unwrap().len(), 2);
+        // … and never reaches the catalog
+        assert!(!c.contains("d1"));
+        let err = Executor::new(&c).compile(&q).unwrap_err();
+        assert_eq!(err, EngineError::UnknownTable("d1".into()));
+    }
 
-        // bumping to salt 3 purges both stale generations
-        assert_eq!(cache.purge_salt(3), 2);
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stats().invalidations, 2);
-        assert!(cache.get_or_compile_salted(&exec, &q, 3).is_ok());
-        assert_eq!(cache.stats().misses, 3);
-        // purging with the live salt evicts nothing
-        assert_eq!(cache.purge_salt(3), 0);
-        assert_eq!(cache.len(), 1);
+    #[test]
+    fn lookup_and_insert_key_plans_by_input_schemas() {
+        let c = catalog();
+        let q = parse_query("SELECT x FROM d1 WHERE x > 1").unwrap();
+        let ints = Frame::new(Schema::from_pairs(&[("x", DataType::Integer)]), vec![]).unwrap();
+        let floats = Frame::new(Schema::from_pairs(&[("x", DataType::Float)]), vec![]).unwrap();
+        let mut cache = PlanCache::new();
+
+        let exec = Executor::with_input(&c, "d1", &ints);
+        assert!(cache.lookup(&exec, &q).is_none());
+        cache.insert(&q, exec.compile_set(&q).unwrap());
+        let hit = cache.lookup(&exec, &q).expect("cached");
+        assert!(hit.incremental.is_some(), "a filter keeps its delta-aware twin");
+        assert!(hit.is_current(&exec));
+
+        // the same query over an input of another schema is a different
+        // plan: the stale entry is evicted, not served
+        let other = Executor::with_input(&c, "d1", &floats);
+        assert!(!hit.is_current(&other));
+        assert!(cache.lookup(&other, &q).is_none());
+        assert_eq!(cache.stats(), PlanCacheStats { hits: 1, misses: 2, invalidations: 1 });
+        assert!(cache.is_empty());
     }
 
     #[test]

@@ -236,7 +236,7 @@ impl<'a> Executor<'a> {
                 if mark.is_none() {
                     return Err(EngineError::StalePlan);
                 }
-                delta = self.catalog.get(&plan.table)?.clone();
+                delta = self.table(&plan.table)?.clone();
             }
             reset = true;
         }

@@ -179,13 +179,6 @@ impl ProcessingChain {
         self.node_mut(node)?.append_table(table, batch)
     }
 
-    /// Set every node's plan-cache key extension (see
-    /// [`Node::set_plan_salt`]): the chain-level invalidation hook a
-    /// policy swap triggers. Returns the total number of evicted plans.
-    pub fn set_plan_salt(&mut self, salt: u64) -> usize {
-        self.nodes.iter_mut().map(|n| n.set_plan_salt(salt)).sum()
-    }
-
     /// Mutable node lookup by name.
     pub fn node_mut(&mut self, name: &str) -> NodeResult<&mut Node> {
         self.nodes

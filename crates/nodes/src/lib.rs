@@ -29,5 +29,5 @@ pub mod sensors;
 pub use capability::{Capability, Level};
 pub use chain::{ChainRun, Hop, ProcessingChain, Stage, StageReport, TrafficLog};
 pub use error::{NodeError, NodeResult};
-pub use node::{DeltaOutcome, Node, NodeStats};
+pub use node::{FragmentMeta, Node, NodeStats};
 pub use sensors::{PersonState, SmartRoomConfig, SmartRoomSim};

@@ -48,7 +48,7 @@ fn main() {
     }
     let stats = runtime.stats();
     println!(
-        "after 3 ticks: rewrite-plan cache {}/{} hits/misses, node plans {}/{} — \
+        "after 3 ticks: rewrite-plan cache {}/{} hits/misses, compiled-plan cache {}/{} — \
          steady-state ticks recompile nothing",
         stats.plan.hits, stats.plan.misses, stats.engine.hits, stats.engine.misses,
     );
@@ -60,8 +60,9 @@ fn main() {
     let swapped = runtime.handle_stats(action).unwrap();
     println!(
         "policy swapped to {version}: handle {action} rebuilt its rewrite \
-         ({} invalidation(s), {} stale node plans purged)",
-        swapped.plan.invalidations, swapped.engine.invalidations,
+         ({} invalidation(s), {} fragment plan(s) compiled)",
+        swapped.plan.invalidations,
+        runtime.stats().engine.misses - stats.engine.misses,
     );
 
     // --- the §3.3 stream extension: query admission -----------------

@@ -14,7 +14,7 @@
 //! | [`sql`] | lexer, parser, AST, SQL renderer, feature analyses |
 //! | [`engine`] | in-memory relational executor (joins, aggregates, windows, streams) |
 //! | [`policy`] | PP4SE policy model, XML format, validation, generation |
-//! | [`anon`] | k-anonymity, slicing, QID detection, DD/KL metrics, DP |
+//! | [`anon`] | k-anonymity, slicing, QID detection, DD/KL metrics |
 //! | [`nodes`] | capability levels E1–E4, processing chain, sensor simulators |
 //! | [`core`] | preprocessor, vertical fragmenter, postprocessor, containment, the continuous-query [`Runtime`](crate::core::Runtime) — the one entry point; [`run_once`](crate::core::Runtime::run_once) is its one-shot session |
 //! | [`server`] | multi-tenant TCP serving layer: admission control, bounded ingest queues, quarantine, [`Server`](crate::server::Server)/[`Client`](crate::server::Client) |
@@ -125,7 +125,7 @@ pub use paradise_sql as sql;
 pub mod prelude {
     pub use paradise_anon::{
         achieved_k, direct_distance, direct_distance_ratio, generalize_to_k, kl_divergence,
-        mondrian, slice, GeneralizeConfig, Hierarchy, LaplaceMechanism, SlicingConfig,
+        mondrian, slice, GeneralizeConfig, Hierarchy, SlicingConfig,
     };
     pub use paradise_core::{
         attack_answerable, fragment_query, postprocess, preprocess, AnonStrategy,

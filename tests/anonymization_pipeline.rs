@@ -96,15 +96,3 @@ fn containment_attack_suite() {
     assert!(!attack_answerable(&narrow, &broad));
     assert!(attack_answerable(&broad, &narrow));
 }
-
-#[test]
-fn dp_extension_integrates_with_frames() {
-    let frame = tagged_positions(7, 200);
-    let mut mech = LaplaceMechanism::new(1.0, 99).unwrap();
-    let true_count = frame.len() as f64;
-    let noisy = mech.dp_count(&frame).unwrap();
-    assert!((noisy - true_count).abs() < 50.0, "noise unexpectedly large: {noisy}");
-    // z column (index 3) clamped to [0, 3]
-    let noisy_avg = mech.dp_avg(&frame, 3, 0.0, 3.0).unwrap();
-    assert!(noisy_avg.is_finite());
-}

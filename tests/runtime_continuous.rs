@@ -123,12 +123,11 @@ fn steady_state_ticks_never_recompile() {
     }
     let warm = runtime.stats();
     // the compile-once contract: zero preprocess/fragment/compile work
-    // on steady-state ticks — a 100% hit rate on both cache layers
+    // on steady-state ticks — a 100% hit rate on the rewrite plans, and
+    // stages that keep their compiled plans never touch the plan cache
     assert_eq!(warm.plan.misses, cold.plan.misses);
-    assert_eq!(warm.engine.misses, cold.engine.misses);
-    assert_eq!(warm.engine.invalidations, 0);
+    assert_eq!(warm.engine, cold.engine);
     assert_eq!(warm.plan.hits, (ticks + 1) * QUERIES.len() as u64);
-    assert_eq!(warm.engine.hits, cold.engine.hits + ticks * cold.engine.misses);
 }
 
 #[test]
@@ -145,11 +144,11 @@ fn identical_registrations_share_compiled_plans() {
     runtime.tick().unwrap();
     let first = runtime.stats();
     assert!(first.engine.misses > 0, "first handle compiles its stage plans");
-    assert!(first.shared_plans > 0, "compiled plans are harvested into the pool");
+    assert!(first.shared_plans > 0, "compiled plans are kept in the runtime's cache");
 
     // a second handle — same rewritten fragments, and even a *different*
     // module rewriting to the same fragments — compiles nothing: every
-    // stage plan is seeded from the pool before its first execution
+    // stage takes its plans from the cache before its first execution
     runtime.register("ActionFilter", &q).unwrap();
     runtime.register("Other", &q).unwrap();
     runtime.tick().unwrap();
@@ -307,7 +306,7 @@ fn statically_invalid_fragment_is_a_typed_error_on_the_first_tick() {
         // a failed compile is never cached as a plan (or as a verdict):
         // the failing fragment is a fresh miss on every tick, while the
         // upstream fragments that do compile turn into hits
-        let engine = runtime.handle_stats(victim).unwrap().engine;
+        let engine = runtime.stats().engine;
         assert!(engine.misses > misses_before, "round {round}: {engine:?}");
         misses_before = engine.misses;
         let batch = stream(900 + round, 10);
@@ -413,8 +412,16 @@ proptest! {
         // live swap of one module's policy
         let new_policy = policy_variant(modules[swapped], z_after, sum_after);
         runtime.set_policy(modules[swapped], new_policy.clone());
+        let lookups = |rt: &Runtime| rt.stats().engine.hits + rt.stats().engine.misses;
+        let lookups_before = lookups(&runtime);
         let ticked = runtime.tick().unwrap();
         prop_assert_eq!(ticked.len(), modules.len());
+        // bystanders keep their stage plans: the swap tick's plan-cache
+        // lookups are the swapped handle's rebuilt stages alone
+        prop_assert_eq!(
+            lookups(&runtime) - lookups_before,
+            ticked[swapped].1.stages.len() as u64
+        );
 
         for (i, handle) in handles.iter().enumerate() {
             let stats = runtime.handle_stats(*handle).unwrap();
@@ -424,7 +431,6 @@ proptest! {
             } else {
                 // bystanders: zero invalidations, a hit on every tick
                 prop_assert_eq!(stats.plan.invalidations, 0, "bystander {} invalidated", i);
-                prop_assert_eq!(stats.engine.invalidations, 0);
                 prop_assert_eq!(stats.plan.misses, 1);
                 prop_assert_eq!(stats.plan.hits, warm_ticks + 1);
             }
