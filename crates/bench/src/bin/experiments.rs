@@ -109,12 +109,12 @@ fn figure2() {
     let outcome = runtime
         .run_once("ActionFilter", &paper_original())
         .expect("pipeline runs");
-    println!("[preprocessor]   rewrote the query with {} action(s):", outcome.preprocess.actions.len());
-    for a in &outcome.preprocess.actions {
+    println!("[preprocessor]   rewrote the query with {} action(s):", outcome.planned.preprocess.actions.len());
+    for a in &outcome.planned.preprocess.actions {
         println!("                 - {a:?}");
     }
-    println!("[fragmentation]  {} fragment(s):", outcome.plan.fragments.len());
-    print!("{}", outcome.plan.describe());
+    println!("[fragmentation]  {} fragment(s):", outcome.planned.plan.fragments.len());
+    print!("{}", outcome.planned.plan.describe());
     println!("[execution]      per node:");
     for r in &outcome.stage_reports {
         println!(
@@ -127,7 +127,7 @@ fn figure2() {
     }
     println!(
         "[postprocessor]  anonymization at {:?}: {:?}",
-        outcome.anonymized_at, outcome.post.decision
+        outcome.planned.anonymized_at, outcome.post.decision
     );
     println!(
         "                 DD ratio {:.4}, KL {:.4}",
@@ -440,6 +440,7 @@ fn ablation() {
             .unwrap();
         let outcome = runtime.run_once("ActionFilter", &paper_original()).unwrap();
         let to_cloud = outcome
+            .planned
             .stages
             .last()
             .map(|s| {
@@ -453,7 +454,7 @@ fn ablation() {
             .unwrap_or(0);
         println!(
             "  {label:<14} last fragment on {:<14} → {to_cloud} bytes cross the apartment boundary",
-            outcome.stages.last().map(|s| s.node.as_str()).unwrap_or("-")
+            outcome.planned.stages.last().map(|s| s.node.as_str()).unwrap_or("-")
         );
     }
 

@@ -232,11 +232,7 @@ fn try_run_stages_delta(
         reports.push(StageReport {
             node: stage.node.clone(),
             level: node.level,
-            sql: if stage.sql.is_empty() {
-                stage.fragment.to_string()
-            } else {
-                stage.sql.clone()
-            },
+            sql: stage.sql.clone(),
             rows_out: full.len(),
             bytes_out: full.size_bytes(),
         });

@@ -17,8 +17,8 @@
 //!   poses as its open problem (§4.1/§5);
 //! * [`Runtime`] — the one entry point, a continuous-query runtime:
 //!   register a query once, ingest stream batches, tick all registered
-//!   queries (in parallel), swap policies live with exact cache
-//!   invalidation; [`Runtime::run_once`] is the one-shot Figure 2
+//!   queries (in parallel), swap policies live, re-planning exactly the
+//!   affected handles at the swap; [`Runtime::run_once`] is the one-shot Figure 2
 //!   session (register, tick, remove) over the same path.
 //!
 //! ```
@@ -39,7 +39,7 @@
 //! runtime.ingest("motion-sensor", "stream", sim.ubisense_positions(10)).unwrap();
 //! let outcomes = runtime.tick().unwrap();
 //! assert_eq!(outcomes[0].0, handle);
-//! assert_eq!(outcomes[0].1.stages.len(), 4); // sensor, appliance, media center, server
+//! assert_eq!(outcomes[0].1.planned.stages.len(), 4); // sensor, appliance, media center, server
 //! ```
 
 #![forbid(unsafe_code)]
@@ -74,7 +74,7 @@ pub use fragment::{
 pub use postprocess::{postprocess, AnonDecision, AnonStrategy, PostprocessOutcome};
 pub use preprocess::{preprocess, PreprocessOptions, PreprocessOutcome, RewriteAction};
 pub use paradise_engine::PlanCacheStats;
-pub use pipeline::{Outcome, RuntimeOptions};
+pub use pipeline::{Outcome, Planned, RuntimeOptions};
 pub use remainder::{filter_by_class, identity, ActionClass, Remainder};
 pub use runtime::{HandleStats, QueryHandle, Runtime, RuntimeStats};
 pub use storage::DurabilityStats;

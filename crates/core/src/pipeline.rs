@@ -1,12 +1,15 @@
 //! The shared tail of the Figure 2 pipeline: the options that steer a
-//! run, the [`Outcome`] a tick hands back per query, and its assembly
-//! from a chain run — anonymization step `A`, then the optional cloud
+//! run, a handle's [`Planned`] pipeline, the [`Outcome`] a tick hands
+//! back per query, and its assembly from a chain run — anonymization step `A`, then the optional cloud
 //! remainder.
+
+use std::sync::Arc;
 
 use paradise_engine::Frame;
 use paradise_nodes::{ChainRun, ProcessingChain, Stage, StageReport, TrafficLog};
 
 use crate::checks::InformationGainReport;
+use crate::dp::DpPlan;
 use crate::error::CoreResult;
 use crate::fragment::{AssignmentPolicy, FragmentPlan};
 use crate::postprocess::{postprocess, AnonStrategy, PostprocessOutcome};
@@ -28,25 +31,41 @@ pub struct RuntimeOptions {
     pub info_gain_threshold: Option<f64>,
 }
 
-/// Everything one query's tick produces, for inspection and experiments.
+/// A handle's plan: everything its ticks read that is a function of
+/// (query, policy version, source schemas, chain) alone. It is built
+/// at the events that change one of those — registration, a policy
+/// swap, a source-schema change, recovery — and every tick shares it
+/// by `Arc` instead of recomputing or copying it.
 #[derive(Debug)]
-pub struct Outcome {
+pub struct Planned {
     /// Preprocessing (rewriting) report.
     pub preprocess: PreprocessOutcome,
-    /// Information-gain report, when the check was enabled.
-    pub information_gain: Option<InformationGainReport>,
     /// The fragmentation plan.
     pub plan: FragmentPlan,
     /// The stages as assigned to chain nodes.
     pub stages: Vec<Stage>,
+    /// Node at which the anonymization step `A` runs.
+    pub anonymized_at: String,
+    /// Differential-privacy noise plan (which stage's output to noise,
+    /// per-column Laplace scales); `None` when the module has no DP
+    /// config or the query has no noisable aggregate.
+    pub dp: Option<DpPlan>,
+}
+
+/// Everything one query's tick produces, for inspection and experiments.
+#[derive(Debug)]
+pub struct Outcome {
+    /// The plan the tick ran: the rewrite, the fragments, the stages
+    /// and the anonymization site, shared with the handle.
+    pub planned: Arc<Planned>,
+    /// Information-gain report, when the check was enabled.
+    pub information_gain: Option<InformationGainReport>,
     /// Per-stage execution reports.
     pub stage_reports: Vec<StageReport>,
     /// Traffic between nodes.
     pub traffic: TrafficLog,
     /// The raw shipped result `d'` before anonymization.
     pub shipped: Frame,
-    /// Node at which the anonymization step `A` ran.
-    pub anonymized_at: String,
     /// Postprocessing (anonymization) outcome; `frame` is what leaves
     /// the apartment.
     pub post: PostprocessOutcome,
@@ -58,8 +77,8 @@ pub struct Outcome {
 
 /// Fingerprint the schemas of `tables` as installed anywhere in
 /// `chain` (first node owning each table wins; absent tables hash as
-/// absent). Drives the per-handle fragment-plan invalidation on schema
-/// change.
+/// absent). A handle is re-planned when an installed source moves its
+/// fingerprint.
 pub(crate) fn source_fingerprint(chain: &ProcessingChain, tables: &[String]) -> u64 {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -99,18 +118,13 @@ pub(crate) fn anonymization_site(chain: &ProcessingChain, stages: &[Stage]) -> S
 /// `Outcome.result` no row or cell is copied — `shipped`, the
 /// postprocessor input, `post.frame` and `result` all reference the
 /// same buffers unless a stage actually rewrites data.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble_outcome(
-    chain: &ProcessingChain,
-    pre: PreprocessOutcome,
-    plan: FragmentPlan,
-    stages: Vec<Stage>,
+    planned: Arc<Planned>,
     run: ChainRun,
     information_gain: Option<InformationGainReport>,
     options: &RuntimeOptions,
     remainder: Option<&Remainder>,
 ) -> CoreResult<Outcome> {
-    let anonymized_at = anonymization_site(chain, &stages);
     let shipped = run.result;
     let post = postprocess(shipped.clone(), &options.anon)?;
 
@@ -120,14 +134,11 @@ pub(crate) fn assemble_outcome(
     };
 
     Ok(Outcome {
-        preprocess: pre,
+        planned,
         information_gain,
-        plan,
-        stages,
         stage_reports: run.stages,
         traffic: run.traffic,
         shipped,
-        anonymized_at,
         post,
         remainder_applied,
         result,
@@ -174,7 +185,7 @@ mod tests {
         let outcome = rt.run_once("ActionFilter", &q).unwrap();
 
         // four fragments on the paper's nodes
-        let nodes: Vec<&str> = outcome.stages.iter().map(|s| s.node.as_str()).collect();
+        let nodes: Vec<&str> = outcome.planned.stages.iter().map(|s| s.node.as_str()).collect();
         assert_eq!(
             nodes,
             vec!["motion-sensor", "appliance", "media-center", "local-server"]
@@ -183,7 +194,7 @@ mod tests {
         assert!(outcome.traffic.hops.len() >= 2);
         // anonymization at the local server (first node from the top
         // stage that supports it)
-        assert_eq!(outcome.anonymized_at, "local-server");
+        assert_eq!(outcome.planned.anonymized_at, "local-server");
         assert_eq!(outcome.result.schema.len(), outcome.post.frame.schema.len());
     }
 
@@ -194,8 +205,8 @@ mod tests {
         let mut rt = runtime();
         let q = parse_query("SELECT x, y FROM stream").unwrap();
         let outcome = rt.run_once("ActionFilter", &q).unwrap();
-        assert_eq!(outcome.stages.last().unwrap().node, "appliance");
-        assert_eq!(outcome.anonymized_at, "local-server");
+        assert_eq!(outcome.planned.stages.last().unwrap().node, "appliance");
+        assert_eq!(outcome.planned.anonymized_at, "local-server");
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! under the current privacy policies. [`Runtime`] models exactly that
 //! lifecycle:
 //!
-//! * [`Runtime::register`] — preprocess (policy rewrite) + fragment the
-//!   query **once**, cached per handle;
+//! * [`Runtime::register`] — plan the query **once**: preprocess (policy
+//!   rewrite), fragment, assign to the chain; the handle keeps the
+//!   [`Planned`] behind one `Arc`;
 //! * [`Runtime::ingest`] — append a stream batch at a chain node;
 //! * [`Runtime::tick`] — drain every registered query against the fresh
 //!   data, fanning independent queries out over the scoped thread pool
@@ -16,10 +17,12 @@
 //! * [`Runtime::run_once`] — the one-shot session: register, tick,
 //!   remove — the same path, once;
 //! * [`Runtime::set_policy`] — swap a module's policy live. The swap
-//!   rebuilds exactly the affected handles' rewrite plans — other
-//!   handles keep a 100% cache-hit rate;
+//!   re-plans exactly that module's handles, there and then; a handle
+//!   the new policy denies stores the error and reports it on every
+//!   tick until a compatible policy re-plans it. Other handles are
+//!   untouched;
 //! * [`Runtime::stats`] / [`Runtime::handle_stats`] — hit/miss/
-//!   invalidation counters of the rewrite plans and the compiled-plan
+//!   invalidation counters of the handles' plans and the compiled-plan
 //!   cache.
 //!
 //! There is one tick plan: every stage runs delta-aware
@@ -29,16 +32,17 @@
 //! shapes the engine cannot maintain re-execute over their full input
 //! inside the same driver.
 //!
-//! Steady-state ticks perform **zero** preprocess/fragment/compile
-//! work: the rewrite+fragment plan is cached per handle (keyed by
-//! policy version and source-schema fingerprint) and every stage keeps
-//! its compiled physical plans (`Arc<CompiledPlan>`) with its state.
+//! A tick plans nothing: a handle's plan is built at the events that
+//! change its inputs — registration, a policy swap, a source-schema
+//! change, recovery — and every tick only reads it, sharing it with its
+//! [`Outcome`] by `Arc`. Every stage keeps its compiled physical plans
+//! (`Arc<CompiledPlan>`) with its state.
 //! A stage without plans takes them from the runtime's one plan cache,
 //! keyed by (fragment AST, input schemas), so identical fragments of
 //! different handles — or modules — compile once.
 //!
-//! There is one chain. A handle owns only its rewrite, its DP plan,
-//! its counters and its per-stage state; during a tick every handle
+//! There is one chain. A handle owns only its plan, its counters and
+//! its per-stage state; during a tick every handle
 //! reads the chain, and each stage's output reaches the next stage as
 //! a bound executor input, never through a catalog. That is what makes
 //! the multi-query fan-out safe: ticks of different handles share
@@ -60,10 +64,12 @@ use paradise_sql::ast::Query;
 use crate::checks::information_gain_check;
 use crate::dp::{self, DpPlan};
 use crate::error::{CoreError, CoreResult};
-use crate::fragment::{assign_to_chain, fragment_query, FragmentPlan};
+use crate::fragment::{assign_to_chain, fragment_query};
 use crate::incremental::{run_stages_delta, DeltaRun, HandleDeltaState};
-use crate::pipeline::{assemble_outcome, source_fingerprint, Outcome, RuntimeOptions};
-use crate::preprocess::{preprocess, PreprocessOutcome};
+use crate::pipeline::{
+    anonymization_site, assemble_outcome, source_fingerprint, Outcome, Planned, RuntimeOptions,
+};
+use crate::preprocess::preprocess;
 use crate::remainder::Remainder;
 use crate::storage::{
     Durability, DurabilityStats, LedgerState, PolicyState, RegistrationState, SessionMark,
@@ -95,35 +101,27 @@ impl std::fmt::Display for QueryHandle {
     }
 }
 
-/// One registered query: the compile-once artifacts plus the handle's
-/// per-stage execution state.
+/// One registered query: its plan plus the handle's per-stage
+/// execution state.
 struct Registered {
     generation: u32,
     module: String,
     query: Query,
-    /// Rewrite outcome, built at registration (or at the last
-    /// invalidation) under `version`.
-    pre: PreprocessOutcome,
-    /// Fragmentation of the rewritten query, cached alongside.
-    plan: FragmentPlan,
-    /// Policy version the cached plan was rewritten under — the cache
-    /// key extension that makes live policy updates sound.
+    /// The plan under `version` and the sources as of `fingerprint`, or
+    /// the error planning failed with — a *denied* handle, which every
+    /// tick reports until an event re-plans it.
+    plan: CoreResult<Arc<Planned>>,
+    /// Policy version the plan was built under.
     version: PolicyVersion,
     /// Base tables of the original query and the source-schema
-    /// fingerprint captured at build time (schema changes invalidate).
+    /// fingerprint captured at planning time (a change re-plans).
     tables: Vec<String>,
     fingerprint: u64,
-    /// Per-handle rewrite/fragment-plan cache counters.
+    /// Per-handle plan counters (see [`RuntimeStats::plan`]).
     stats: PlanCacheStats,
-    /// Differential-privacy noise plan (which stage's output to noise,
-    /// per-column Laplace scales), derived from the module's
-    /// [`DpConfig`] at registration and at every plan rebuild; `None`
-    /// when the module has no DP config or the query has no noisable
-    /// aggregate.
-    dp: Option<DpPlan>,
     /// Per-stage execution state (compiled plans, delta watermarks,
     /// cached append outputs, per-group accumulators), dropped whenever
-    /// the rewrite plan is rebuilt.
+    /// the handle is re-planned.
     delta: HandleDeltaState,
     /// Idempotency origin `(session, seq)` of the registration request,
     /// `(0, 0)` for direct API registrations. A retried registration
@@ -140,9 +138,11 @@ pub struct RuntimeStats {
     pub registered: usize,
     /// Completed [`Runtime::tick`] calls.
     pub ticks: u64,
-    /// Rewrite/fragment-plan counters summed over all live handles
-    /// (registration = miss; steady tick = hit; policy swap or source
-    /// schema change = invalidation + miss).
+    /// Plan counters summed over all live handles: a miss is a plan
+    /// built (at registration, recovery or an event re-plan, denied or
+    /// not); an invalidation is a re-plan by a policy swap or a source
+    /// schema change, counted at that event; a hit is a tick that ran
+    /// the handle on its stored plan.
     pub plan: PlanCacheStats,
     /// Counters of the runtime's compiled-plan cache, consulted only
     /// when a stage has no plans yet: steady-state ticks leave them
@@ -170,7 +170,7 @@ pub struct HandleStats {
     pub module: String,
     /// Policy version the handle's plans are currently built against.
     pub policy_version: PolicyVersion,
-    /// This handle's rewrite/fragment-plan counters.
+    /// This handle's plan counters (see [`RuntimeStats::plan`]).
     pub plan: PlanCacheStats,
 }
 
@@ -338,8 +338,10 @@ impl Runtime {
     ///   skipped, torn log tails are truncated, and the rebuilt state
     ///   (tables, watermarks, policies, registrations — including
     ///   still-valid caller-held [`QueryHandle`]s) equals an
-    ///   uninterrupted run's. Incremental per-handle state is rebuilt
-    ///   on the first tick.
+    ///   uninterrupted run's. Every registration is planned under the
+    ///   recovered policies; one they deny is restored denied, as the
+    ///   live swap left it. Incremental per-handle state is rebuilt on
+    ///   the first tick.
     ///
     /// Call this **last** in the builder chain, on a runtime
     /// constructed with the *same configuration* (chain topology,
@@ -604,8 +606,8 @@ impl Runtime {
         }
     }
 
-    /// Rebuild state from a recovered snapshot (policies first, so the
-    /// re-registrations preprocess under the right versions).
+    /// Rebuild state from a recovered snapshot (tables and policies
+    /// first, so each registration plans once, under them).
     fn apply_snapshot(&mut self, snap: SnapshotData) -> CoreResult<()> {
         for p in snap.policies {
             let policy = parse_policy(&p.xml)?;
@@ -649,7 +651,7 @@ impl Runtime {
     fn apply_record(&mut self, record: WalRecord, skipped: &mut u64) -> CoreResult<()> {
         match record {
             WalRecord::InstallSource { node, table, frame } => {
-                self.chain.node_mut(&node)?.install_table(&table, frame);
+                self.install_table(&node, &table, frame)?;
             }
             WalRecord::Ingest { node, table, start, session, seq, frame } => {
                 let wm = self.chain.node(&node)?.catalog.watermark(&table)?;
@@ -722,8 +724,8 @@ impl Runtime {
                     let module_policy = policy.modules.into_iter().next().ok_or_else(|| {
                         CoreError::Corrupt(format!("policy record for {module:?} has no module"))
                     })?;
-                    self.policies.insert(module, (PolicyVersion(version), module_policy));
                     self.version_counter = version;
+                    self.install_policy(module, PolicyVersion(version), module_policy);
                 } else {
                     return Err(CoreError::Corrupt(format!(
                         "log gap: policy version {version} but the runtime is at {}",
@@ -749,42 +751,79 @@ impl Runtime {
     }
 
     /// The one way a [`Registered`] comes to be — at registration and
-    /// at recovery alike: rewrite, fragment and noise-plan `query` under
-    /// the module's current policy.
+    /// at recovery alike: `query`, planned under the module's current
+    /// policy. A planning failure is stored in the registration; the
+    /// caller decides whether it refuses the registration.
     fn build_registration(
         &self,
         generation: u32,
         module: &str,
         query: Query,
         origin: (u64, u64),
-    ) -> CoreResult<Registered> {
-        let (version, policy) = self
-            .policies
-            .get(module)
-            .ok_or_else(|| CoreError::NoPolicy(module.to_string()))?;
-        let (pre, plan, dp) = build_plans(&query, policy, &self.options)?;
-        let tables = paradise_sql::analysis::base_relations(&query);
-        let fingerprint = source_fingerprint(&self.chain, &tables);
-        Ok(Registered {
+    ) -> Registered {
+        let mut reg = Registered {
             generation,
             module: module.to_string(),
+            tables: paradise_sql::analysis::base_relations(&query),
             query,
-            pre,
-            plan,
-            version: *version,
-            tables,
-            fingerprint,
-            stats: PlanCacheStats { hits: 0, misses: 1, invalidations: 0 },
-            dp,
+            plan: Err(CoreError::NoPolicy(module.to_string())),
+            version: PolicyVersion::default(),
+            fingerprint: 0,
+            stats: PlanCacheStats::default(),
             delta: HandleDeltaState::default(),
             origin,
-        })
+        };
+        self.plan_into(&mut reg);
+        reg
+    }
+
+    /// Plan `reg` under its module's current policy and the current
+    /// source schemas, replacing its plan (or storing the failure) and
+    /// dropping its per-stage state. Counted as a miss.
+    fn plan_into(&self, reg: &mut Registered) {
+        reg.fingerprint = source_fingerprint(&self.chain, &reg.tables);
+        // a module's policy is never removed: only a registration can
+        // lack one, and keeps its `NoPolicy` error
+        if let Some((version, policy)) = self.policies.get(&reg.module) {
+            reg.version = *version;
+            reg.plan = plan(&reg.query, policy, &self.chain, &self.options).map(Arc::new);
+        }
+        reg.stats.misses += 1;
+        reg.delta.reset();
+    }
+
+    /// Re-plan, at the event that changed their inputs, every live
+    /// handle `affected` selects (given the chain as the event left it).
+    /// Counted as an invalidation.
+    fn replan(&mut self, affected: impl Fn(&Registered, &ProcessingChain) -> bool) {
+        let mut slots = std::mem::take(&mut self.slots);
+        for reg in slots.iter_mut().flatten().filter(|reg| affected(reg, &self.chain)) {
+            self.plan_into(reg);
+            reg.stats.invalidations += 1;
+        }
+        self.slots = slots;
+    }
+
+    /// Install `policy` as `module`'s policy at `version` and re-plan
+    /// the module's handles.
+    fn install_policy(&mut self, module: String, version: PolicyVersion, policy: ModulePolicy) {
+        self.policies.insert(module.clone(), (version, policy));
+        self.replan(|reg, _| reg.module == module);
+    }
+
+    /// Install (or replace) a source table and re-plan the handles whose
+    /// source schemas it changed.
+    fn install_table(&mut self, node: &str, table: &str, frame: Frame) -> CoreResult<()> {
+        self.chain.node_mut(node)?.install_table(table, frame);
+        self.replan(|reg, chain| source_fingerprint(chain, &reg.tables) != reg.fingerprint);
+        Ok(())
     }
 
     /// Re-register a recovered query at its recorded slot and
     /// generation, so caller-held handles stay valid across the
-    /// restart. Preprocess and fragmentation re-run under the
-    /// recovered policies, exactly as at original registration.
+    /// restart. It is planned under the recovered policies and sources;
+    /// a plan they deny is stored, as a live policy swap would have
+    /// stored it, and does not fail the recovery.
     fn recover_register(
         &mut self,
         slot: u32,
@@ -794,7 +833,7 @@ impl Runtime {
         origin: (u64, u64),
     ) -> CoreResult<()> {
         let query = paradise_sql::parse_query(sql)?;
-        let registered = self.build_registration(generation, module, query, origin)?;
+        let registered = self.build_registration(generation, module, query, origin);
         let index = slot as usize;
         if self.slots.len() <= index {
             self.slots.resize_with(index + 1, || None);
@@ -809,11 +848,13 @@ impl Runtime {
     }
 
     /// Install or swap a module's policy **live** and return the new
-    /// policy version. Registered queries of the module are rewritten
-    /// on their next tick under the new version (counted in their
-    /// invalidation stats) and take the compiled plans of the new
-    /// fragments from the plan cache. Handles of *other* modules are
-    /// untouched and keep their 100% cache-hit rate.
+    /// policy version. The module's registered queries are re-planned
+    /// here, under the new version (counted in their invalidation
+    /// stats), and take the compiled plans of their new fragments from
+    /// the plan cache at their next tick. A query the new policy denies
+    /// keeps its handle and reports the stored error on every tick
+    /// until a compatible policy re-plans it. Handles of *other* modules
+    /// are untouched.
     pub fn set_policy(&mut self, module_id: impl Into<String>, policy: ModulePolicy) -> PolicyVersion {
         self.version_counter += 1;
         let version = PolicyVersion(self.version_counter);
@@ -830,7 +871,7 @@ impl Runtime {
             // this signature predates durability and cannot surface an
             // I/O error
         }
-        self.policies.insert(module_id, (version, policy));
+        self.install_policy(module_id, version, policy);
         version
     }
 
@@ -870,7 +911,7 @@ impl Runtime {
                 seq,
             });
         }
-        self.policies.insert(module_id, (version, policy));
+        self.install_policy(module_id, version, policy);
         self.advance_mark(session, seq);
         self.commit_durability()?;
         Ok((version, true))
@@ -890,10 +931,11 @@ impl Runtime {
         self.ledgers.get(module_id).copied()
     }
 
-    /// Register a continuous query for a module: preprocess (policy
-    /// rewrite) and fragment **once**, and return the handle. Ticks
-    /// re-execute the cached plan until the module's policy or a source
-    /// schema changes.
+    /// Register a continuous query for a module: plan it **once** —
+    /// preprocess (policy rewrite), fragment, assign to the chain — and
+    /// return the handle. A query the policy denies is refused here.
+    /// Ticks run the stored plan until the module's policy or a source
+    /// schema changes and re-plans it.
     pub fn register(&mut self, module_id: &str, query: &Query) -> CoreResult<QueryHandle> {
         self.register_with_origin(module_id, query, 0, 0).map(|(handle, _)| handle)
     }
@@ -926,7 +968,10 @@ impl Runtime {
         }
         let generation = self.next_generation;
         let registered =
-            self.build_registration(generation, module_id, query.clone(), (session, seq))?;
+            self.build_registration(generation, module_id, query.clone(), (session, seq));
+        if let Err(e) = &registered.plan {
+            return Err(e.clone());
+        }
         self.next_generation += 1;
         let index = match self.slots.iter().position(Option::is_none) {
             Some(free) => {
@@ -969,13 +1014,13 @@ impl Runtime {
     }
 
     /// Install (or replace) source data at a chain node. Replacing a
-    /// table under a *different* schema invalidates the affected
-    /// handles' plans on their next tick.
+    /// table under a *different* schema re-plans the handles reading
+    /// it, here; a same-schema replacement keeps every plan.
     pub fn install_source(&mut self, node: &str, table: &str, frame: Frame) -> CoreResult<()> {
         self.check_not_degraded()?;
         // the clone is per-column Arc bumps, no cell copies
         let logged = self.durability.is_some().then(|| frame.clone());
-        self.chain.node_mut(node)?.install_table(table, frame);
+        self.install_table(node, table, frame)?;
         if let (Some(d), Some(frame)) = (self.durability.as_mut(), logged) {
             d.record(&WalRecord::InstallSource {
                 node: node.to_string(),
@@ -1068,39 +1113,35 @@ impl Runtime {
     /// Evaluate every registered query against the current stream state:
     /// one tick of the continuous-query loop.
     ///
-    /// Per handle: revalidate the cached rewrite+fragment plan (policy
-    /// version + source-schema fingerprint; a hit costs two comparisons),
-    /// then run the Figure 2 pipeline on the chain delta-aware — over
-    /// the rows ingested since the handle's last tick, or the whole
-    /// window when it has no state to fold them into. Independent
-    /// handles execute in parallel on the scoped thread pool
+    /// Per handle: run its stored plan — built at the last event that
+    /// changed its inputs; a tick plans nothing — on the chain
+    /// delta-aware, over the rows ingested since the handle's last tick,
+    /// or the whole window when it has no state to fold them into.
+    /// Independent handles execute in parallel on the scoped thread pool
     /// (`PARADISE_THREADS`; serial at 1; a lone handle stays on the
     /// calling thread) — the result order is the registration order at
-    /// any thread count, and
-    /// the first failing handle's error (in that order) is returned.
+    /// any thread count, and the first failing handle's error (in that
+    /// order) is returned.
     ///
-    /// A failing tick is **atomic**: if any handle's plan rebuild fails
-    /// — typically a [`Runtime::set_policy`] swap that now denies a
-    /// registered query — the tick returns that error *before* touching
-    /// any counter, cache or state. The runtime stays consistent and
-    /// retries are idempotent; recover by installing a compatible
-    /// policy or [`Runtime::remove_query`]-ing the rejected handle.
+    /// A tick some handle refuses is **atomic**: if a handle is denied
+    /// (typically by a [`Runtime::set_policy`] swap its query no longer
+    /// passes), its module's epsilon budget is exhausted, or it is noisy
+    /// while the runtime is degraded, the tick returns that error
+    /// *before* touching any counter, cache or state. The runtime stays
+    /// consistent and retries are idempotent; recover by installing a
+    /// compatible policy or [`Runtime::remove_query`]-ing the rejected
+    /// handle. An execution error is returned once the tick has run —
+    /// and committed — every other handle, as [`Runtime::tick_each`]
+    /// runs them; a failed commit takes precedence over it.
     pub fn tick(&mut self) -> CoreResult<Vec<(QueryHandle, Outcome)>> {
-        let per_handle = self.tick_inner(false)?;
-        let mut out = Vec::with_capacity(per_handle.len());
-        let mut first_error: Option<CoreError> = None;
-        for (handle, result) in per_handle {
-            match result {
-                Ok(outcome) => out.push((handle, outcome)),
-                Err(e) => {
-                    first_error.get_or_insert(e);
-                }
+        let refused = self.slots.iter().flatten().find_map(|reg| self.admit(reg).err());
+        if let Some(e) = refused {
+            if matches!(e, CoreError::BudgetExhausted { .. }) {
+                self.dp_budget_exhausted += 1;
             }
+            return Err(e);
         }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(out),
-        }
+        self.tick_each()?.into_iter().map(|(handle, outcome)| Ok((handle, outcome?))).collect()
     }
 
     /// The one-shot session (paper Figure 2, once): [`Runtime::register`]
@@ -1121,202 +1162,71 @@ impl Runtime {
     /// handle gets its own `Result`, in registration (slot) order, and
     /// one failing handle cannot poison the tick for the others.
     ///
-    /// * A handle whose plan rebuild fails (typically a
-    ///   [`Runtime::set_policy`] swap that now denies its query) is
-    ///   **quarantined for this tick**: its entry carries the typed
-    ///   error, its counters and cached state are untouched (retries
-    ///   stay idempotent), and every other handle executes normally.
+    /// * A handle that may not run — denied by the policy swap or source
+    ///   change that last re-planned it, over its module's epsilon
+    ///   budget, or noisy while degraded — is **quarantined for this
+    ///   tick**: its entry carries the typed error (a denial the same
+    ///   one on every tick, until an event re-plans the handle), its
+    ///   counters and cached state are untouched (retries stay
+    ///   idempotent), and every other handle executes normally.
     /// * A handle whose *execution* fails likewise reports its error in
     ///   place; its incremental state is reset so the next tick rebuilds
     ///   from a clean slate.
-    /// * The outer `Err` is reserved for runtime-global failures —
-    ///   internal invariant violations and durability commit errors —
-    ///   after which no per-handle result is meaningful.
+    /// * The outer `Err` is reserved for runtime-global failures — a
+    ///   failed durability commit or automatic snapshot — after which no
+    ///   per-handle result is meaningful.
     ///
     /// This is the primitive a multi-tenant serving layer builds handle
     /// quarantine on: one tenant's rejected query yields a typed error
     /// to that tenant alone, while every other tenant's results are
     /// computed and returned as usual.
     pub fn tick_each(&mut self) -> CoreResult<Vec<(QueryHandle, CoreResult<Outcome>)>> {
-        self.tick_inner(true)
-    }
-
-    /// Shared tick body. `isolate` selects the error discipline:
-    /// `false` aborts on the first rebuild failure before any mutation
-    /// (the atomic [`Runtime::tick`] contract), `true` quarantines
-    /// failing handles per slot ([`Runtime::tick_each`]).
-    fn tick_inner(
-        &mut self,
-        isolate: bool,
-    ) -> CoreResult<Vec<(QueryHandle, CoreResult<Outcome>)>> {
-        enum Rebuild {
-            Keep,
-            Fresh(Box<PreprocessOutcome>, FragmentPlan, Option<DpPlan>, PolicyVersion, u64),
-            Failed(CoreError),
-        }
-
-        /// Would executing a handle with this noise plan overdraw the
-        /// module's epsilon budget? (Non-noisy plans — DP off, ε = ∞,
-        /// or no noisable aggregate — spend nothing and always pass.)
-        fn budget_check(
-            module: &str,
-            dp_plan: Option<&DpPlan>,
-            config: Option<&DpConfig>,
-            ledgers: &HashMap<String, EpsilonLedger>,
-        ) -> CoreResult<()> {
-            let (Some(plan), Some(cfg)) = (dp_plan, config) else { return Ok(()) };
-            if !plan.is_noisy() {
-                return Ok(());
-            }
-            let ledger = ledgers.get(module).copied().unwrap_or_default();
-            if ledger.can_spend(cfg) {
-                return Ok(());
-            }
-            Err(CoreError::BudgetExhausted {
-                module: module.to_string(),
-                spent: ledger.spent(),
-                budget: cfg.budget,
-            })
-        }
-
-        /// In degraded mode a noisy handle cannot tick: its ε-spend
-        /// record could not be made durable, and releasing noisy
-        /// results whose spend a crash could lose breaks the privacy
-        /// accounting. Non-noisy handles keep serving from memory.
-        fn degraded_check(degraded: Option<&str>, dp_plan: Option<&DpPlan>) -> CoreResult<()> {
-            match degraded {
-                Some(msg) if dp_plan.is_some_and(DpPlan::is_noisy) => {
-                    Err(CoreError::Degraded(format!(
-                        "cannot persist this tick's epsilon spend: {msg}"
-                    )))
+        // phase 1 (serial): admit every handle, then spend each DP
+        // module's per-tick epsilon — once per module, however many of
+        // its handles will tick — and derive every noisy handle's noise
+        // seed from (handle id, ledger sequence). The spend is buffered
+        // as a log record here and reaches the OS in phase 4's group
+        // commit, i.e. *before* this tick's results are returned to any
+        // caller — so recovery can never observe released noisy results
+        // whose spend (and seed) it lost. Spends are not refunded if
+        // execution later fails: over-counting spend is privacy-safe,
+        // refunding is not.
+        let mut admitted: Vec<Option<CoreResult<u64>>> = Vec::with_capacity(self.slots.len());
+        let mut spent: HashMap<&str, u64> = HashMap::new();
+        for (index, slot) in self.slots.iter().enumerate() {
+            let Some(reg) = slot else {
+                admitted.push(None);
+                continue;
+            };
+            if let Err(e) = self.admit(reg) {
+                if matches!(e, CoreError::BudgetExhausted { .. }) {
+                    self.dp_budget_exhausted += 1;
                 }
-                _ => Ok(()),
+                admitted.push(Some(Err(e)));
+                continue;
             }
-        }
-
-        // phase 1a (serial, read-only): probe every handle's cached
-        // rewrite+fragment plan and precompute the rebuilds. Nothing is
-        // mutated until all rebuilds have succeeded (or, isolating,
-        // been marked failed), so a policy that rejects one registered
-        // query cannot corrupt counters or partially refresh state on
-        // repeated failing ticks.
-        let mut rebuilds: Vec<Option<Rebuild>> = Vec::with_capacity(self.slots.len());
-        {
-            let policies = &self.policies;
-            let chain = &self.chain;
-            let options = &self.options;
-            let ledgers = &self.ledgers;
-            let degraded = self.degraded.as_deref();
-            for slot in &self.slots {
-                let Some(slot) = slot else {
-                    rebuilds.push(None);
-                    continue;
-                };
-                let probed = (|| -> CoreResult<Rebuild> {
-                    let (version, policy) = policies.get(&slot.module).ok_or_else(|| {
-                        // policies are never removed, so a registered
-                        // module without one is an invariant violation,
-                        // not user error
-                        CoreError::Internal(format!("module {:?} lost its policy", slot.module))
-                    })?;
-                    let fingerprint = source_fingerprint(chain, &slot.tables);
-                    if *version != slot.version || fingerprint != slot.fingerprint {
-                        // policy swap or source schema change: rebuild
-                        // this handle's rewrite under the current
-                        // policy version
-                        let (pre, plan, dp_plan) = build_plans(&slot.query, policy, options)?;
-                        budget_check(&slot.module, dp_plan.as_ref(), policy.dp.as_ref(), ledgers)?;
-                        degraded_check(degraded, dp_plan.as_ref())?;
-                        Ok(Rebuild::Fresh(Box::new(pre), plan, dp_plan, *version, fingerprint))
-                    } else {
-                        budget_check(&slot.module, slot.dp.as_ref(), policy.dp.as_ref(), ledgers)?;
-                        degraded_check(degraded, slot.dp.as_ref())?;
-                        Ok(Rebuild::Keep)
+            let Some(cfg) = self.noisy_config(reg) else {
+                admitted.push(Some(Ok(0)));
+                continue;
+            };
+            let seq = match spent.get(reg.module.as_str()) {
+                Some(seq) => *seq,
+                None => {
+                    let ledger = self.ledgers.entry(reg.module.clone()).or_default();
+                    let seq = ledger.spend(cfg.epsilon_per_tick);
+                    if let Some(d) = self.durability.as_mut() {
+                        d.record(&WalRecord::SpendEpsilon {
+                            module: reg.module.clone(),
+                            seq,
+                            spent: ledger.spent(),
+                        });
                     }
-                })();
-                match probed {
-                    Ok(rebuild) => rebuilds.push(Some(rebuild)),
-                    Err(e) => {
-                        if matches!(e, CoreError::BudgetExhausted { .. }) {
-                            self.dp_budget_exhausted += 1;
-                        }
-                        if isolate {
-                            rebuilds.push(Some(Rebuild::Failed(e)));
-                        } else {
-                            return Err(e);
-                        }
-                    }
+                    spent.insert(reg.module.as_str(), seq);
+                    seq
                 }
-            }
-        }
-
-        // phase 1b (serial): apply the rebuilds and bump counters.
-        // Quarantined handles are skipped wholesale: no counters, no
-        // state change — a failing handle's retries stay idempotent.
-        let mut failed: Vec<Option<CoreError>> = self.slots.iter().map(|_| None).collect();
-        for (index, (slot, rebuild)) in self.slots.iter_mut().zip(rebuilds).enumerate() {
-            let Some(slot) = slot else { continue };
-            match rebuild.expect("live slot has a rebuild decision") {
-                Rebuild::Failed(e) => failed[index] = Some(e),
-                Rebuild::Fresh(pre, plan, dp_plan, version, fingerprint) => {
-                    slot.stats.misses += 1;
-                    slot.stats.invalidations += 1;
-                    slot.pre = *pre;
-                    slot.plan = plan;
-                    slot.dp = dp_plan;
-                    slot.version = version;
-                    slot.fingerprint = fingerprint;
-                    // the rewrite changed: every per-stage state
-                    // belongs to the old fragments
-                    slot.delta.reset();
-                }
-                Rebuild::Keep => slot.stats.hits += 1,
-            }
-        }
-
-        // phase 1c (serial): spend each DP module's per-tick epsilon —
-        // once per module, however many of its handles will tick — and
-        // derive every noisy handle's noise seed from (handle id,
-        // ledger sequence). The spend is buffered as a log record here
-        // and reaches the OS in phase 4's group commit, i.e. *before*
-        // this tick's results are returned to any caller — so recovery
-        // can never observe released noisy results whose spend (and
-        // seed) it lost. Spends are not refunded if execution later
-        // fails: over-counting spend is privacy-safe, refunding is not.
-        let mut seeds: Vec<u64> = vec![0; self.slots.len()];
-        {
-            let mut spent: HashMap<&str, u64> = HashMap::new();
-            for (index, slot) in self.slots.iter().enumerate() {
-                let Some(reg) = slot else { continue };
-                if failed[index].is_some() {
-                    continue;
-                }
-                if !reg.dp.as_ref().is_some_and(DpPlan::is_noisy) {
-                    continue;
-                }
-                let Some(cfg) = self.policies.get(&reg.module).and_then(|(_, p)| p.dp.as_ref())
-                else {
-                    continue;
-                };
-                let seq = match spent.get(reg.module.as_str()) {
-                    Some(seq) => *seq,
-                    None => {
-                        let ledger = self.ledgers.entry(reg.module.clone()).or_default();
-                        let seq = ledger.spend(cfg.epsilon_per_tick);
-                        if let Some(d) = self.durability.as_mut() {
-                            d.record(&WalRecord::SpendEpsilon {
-                                module: reg.module.clone(),
-                                seq,
-                                spent: ledger.spent(),
-                            });
-                        }
-                        spent.insert(reg.module.as_str(), seq);
-                        seq
-                    }
-                };
-                let handle = QueryHandle { index: index as u32, generation: reg.generation };
-                seeds[index] = dp::derive_seed(handle.id(), seq);
-            }
+            };
+            let handle = QueryHandle { index: index as u32, generation: reg.generation };
+            admitted.push(Some(Ok(dp::derive_seed(handle.id(), seq))));
         }
         let noise_draws = AtomicU64::new(0);
 
@@ -1324,9 +1234,8 @@ impl Runtime {
         // information-gain check is on (it reads the raw sources)
         let info_catalog = self.options.info_gain_threshold.map(|_| self.integrated_catalog());
 
-        // phase 2 (parallel): execute the handles' pipelines on the
-        // chain, borrowed read-only — quarantined handles (rebuild
-        // failures) are skipped
+        // phase 2 (parallel): execute the admitted handles' pipelines on
+        // the chain, borrowed read-only
         let mut results: Vec<Option<HandleRun>> = self.slots.iter().map(|_| None).collect();
         {
             let chain = &self.chain;
@@ -1335,22 +1244,17 @@ impl Runtime {
             let remainder = self.remainder.as_ref();
             let info_catalog = info_catalog.as_ref();
             let shard = self.partitioning.as_ref();
-            let failed = &failed;
             let noise_draws = &noise_draws;
             // a lone resident query ticks on the calling thread: queued,
             // its tick would cost whatever the race between this thread
             // and a woken worker for the one job happens to cost
-            let lone = self.slots.iter().zip(failed).filter(|(s, f)| s.is_some() && f.is_none()).count()
-                == 1;
+            let lone = admitted.iter().filter(|a| matches!(a, Some(Ok(_)))).count() == 1;
             ThreadPool::global().scope(|scope| {
-                for (index, (slot, result)) in
-                    self.slots.iter_mut().zip(results.iter_mut()).enumerate()
+                for ((slot, result), verdict) in
+                    self.slots.iter_mut().zip(results.iter_mut()).zip(&admitted)
                 {
-                    let Some(reg) = slot.as_mut() else { continue };
-                    if failed[index].is_some() {
-                        continue;
-                    }
-                    let dp_seed = seeds[index];
+                    let (Some(reg), Some(Ok(dp_seed))) = (slot.as_mut(), verdict) else { continue };
+                    let dp_seed = *dp_seed;
                     let mut job = move || {
                         *result = Some(run_handle(
                             reg,
@@ -1378,15 +1282,14 @@ impl Runtime {
         // phase 3 (serial): collect in registration (slot) order, and
         // account every successful stage run on the chain's nodes
         let mut out: Vec<(QueryHandle, CoreResult<Outcome>)> = Vec::with_capacity(results.len());
-        for (index, (slot, result)) in self.slots.iter_mut().zip(results).enumerate() {
+        for (index, ((slot, result), verdict)) in
+            self.slots.iter_mut().zip(results).zip(admitted).enumerate()
+        {
             let Some(reg) = slot else { continue };
             let handle = QueryHandle { index: index as u32, generation: reg.generation };
-            if let Some(e) = failed[index].take() {
-                out.push((handle, Err(e)));
-                continue;
-            }
-            let result = match result {
-                Some(Ok((outcome, rows_in))) => {
+            let result = match (verdict, result) {
+                (Some(Err(e)), _) => Err(e),
+                (_, Some(Ok((outcome, rows_in)))) => {
                     for (report, rows_in) in outcome.stage_reports.iter().zip(rows_in) {
                         if let Ok(node) = self.chain.node_mut(&report.node) {
                             node.account(rows_in, report.rows_out, report.bytes_out);
@@ -1394,48 +1297,32 @@ impl Runtime {
                     }
                     Ok(outcome)
                 }
-                Some(Err(e)) => {
+                (_, Some(Err(e))) => {
                     // a failed execution may have consumed part of its
                     // delta: drop the handle's incremental state so the
                     // next tick rebuilds from clean sources
-                    if isolate {
-                        reg.delta.reset();
-                    }
+                    reg.delta.reset();
                     Err(e)
                 }
-                // a live slot the pool never executed is an invariant
-                // violation; report it typed and keep collecting
-                None => Err(CoreError::Internal(format!("slot {index} was not executed this tick"))),
+                // an admitted slot the pool never executed is an
+                // invariant violation; report it typed and keep collecting
+                (_, None) => Err(CoreError::Internal(format!("slot {index} was not executed this tick"))),
             };
             out.push((handle, result));
         }
 
         // phase 4: the durability group commit — every record buffered
         // since the last commit point (ingest batches, evictions,
-        // policy swaps) reaches the OS in one write. It runs on failing
-        // ticks too (the buffered records describe state that *was*
-        // applied); a failed write keeps the buffer for the next
-        // commit point. In isolating mode a commit failure surfaces
-        // even when some handle was quarantined — a durability fault is
-        // global, a tenant fault is not.
-        let any_handle_error = out.iter().any(|(_, r)| r.is_err());
+        // policy swaps, this tick's ε-spends) reaches the OS in one
+        // write, whether or not some handle failed: a durability fault
+        // is global, a tenant fault is not. A failed write enters
+        // degraded mode with the records preserved for the resume retry,
+        // and the tick's results are withheld — a noisy result must
+        // never be released before its spend reaches the log.
         if self.degraded.is_none() {
-            if let Some(d) = self.durability.as_mut() {
-                if let Err(e) = d.commit() {
-                    // enter degraded mode: pending records (including
-                    // any buffered ε-spend) are preserved for the
-                    // resume retry, and the tick's results are withheld
-                    // — a noisy result must never be released before
-                    // its spend reaches the log
-                    let e = self.enter_degraded(e);
-                    if isolate || !any_handle_error {
-                        return Err(e);
-                    }
-                }
-            }
+            self.commit_durability()?;
         }
         let auto_snapshot = self.degraded.is_none()
-            && (isolate || !any_handle_error)
             && self.durability.as_mut().is_some_and(|d| {
                 d.ticks_since_snapshot += 1;
                 d.snapshot_every > 0 && d.ticks_since_snapshot >= d.snapshot_every
@@ -1444,6 +1331,45 @@ impl Runtime {
             self.snapshot()?;
         }
         Ok(out)
+    }
+
+    /// May `reg` run this tick? Its stored plan (a denial is reported
+    /// as stored), its module's epsilon budget and — for a noisy plan —
+    /// degraded mode decide. Nothing is mutated.
+    fn admit(&self, reg: &Registered) -> CoreResult<()> {
+        if let Err(e) = &reg.plan {
+            return Err(e.clone());
+        }
+        // non-noisy plans (DP off, ε = ∞, or no noisable aggregate)
+        // spend nothing and always pass
+        let Some(cfg) = self.noisy_config(reg) else { return Ok(()) };
+        let ledger = self.ledgers.get(&reg.module).copied().unwrap_or_default();
+        if !ledger.can_spend(&cfg) {
+            return Err(CoreError::BudgetExhausted {
+                module: reg.module.clone(),
+                spent: ledger.spent(),
+                budget: cfg.budget,
+            });
+        }
+        // in degraded mode a noisy handle cannot tick: its ε-spend
+        // record could not be made durable, and releasing noisy results
+        // whose spend a crash could lose breaks the privacy accounting.
+        // Non-noisy handles keep serving from memory.
+        match &self.degraded {
+            Some(msg) => Err(CoreError::Degraded(format!(
+                "cannot persist this tick's epsilon spend: {msg}"
+            ))),
+            None => Ok(()),
+        }
+    }
+
+    /// The module's [`DpConfig`] when `reg`'s plan adds noise.
+    fn noisy_config(&self, reg: &Registered) -> Option<DpConfig> {
+        let planned = reg.plan.as_ref().ok()?;
+        if !planned.dp.as_ref().is_some_and(DpPlan::is_noisy) {
+            return None;
+        }
+        self.policies.get(&reg.module).and_then(|(_, policy)| policy.dp)
     }
 
     /// Aggregate cache/tick counters (see [`RuntimeStats`]). After the
@@ -1547,34 +1473,39 @@ impl Drop for Runtime {
     }
 }
 
-/// Rewrite-and-plan one query under a module policy: preprocess (the
+/// Plan one query under a module policy on `chain`: preprocess (the
 /// policy rewrite), clamp-lower `SUM`/`AVG` arguments under the
 /// module's DP config (so the clamp compiles into the normal
-/// aggregation path), fragment, and derive the noise plan. The clamped
-/// AST flows into every fragment — and therefore into every derived
+/// aggregation path), fragment, derive the noise plan, assign the
+/// fragments to nodes and fix the anonymization site. The clamped AST
+/// flows into every fragment — and therefore into every derived
 /// plan-cache key — so toggling DP on a module can never serve a plan
-/// built for the other mode.
-fn build_plans(
+/// built for the other mode. Called only at the events that change its
+/// inputs, never by a tick.
+fn plan(
     query: &Query,
     policy: &ModulePolicy,
+    chain: &ProcessingChain,
     options: &RuntimeOptions,
-) -> CoreResult<(PreprocessOutcome, FragmentPlan, Option<DpPlan>)> {
+) -> CoreResult<Planned> {
     let mut pre = preprocess(query, policy, &options.preprocess)?;
     if let Some(cfg) = &policy.dp {
         dp::lower_clamps(&mut pre.query, cfg);
     }
     let plan = fragment_query(&pre.query)?;
-    let dp_plan = policy.dp.as_ref().and_then(|cfg| dp::derive_plan(&plan, cfg));
-    Ok((pre, plan, dp_plan))
+    let dp = policy.dp.as_ref().and_then(|cfg| dp::derive_plan(&plan, cfg));
+    let stages = assign_to_chain(&plan, chain, options.assignment)?;
+    let anonymized_at = anonymization_site(chain, &stages);
+    Ok(Planned { preprocess: pre, plan, stages, anonymized_at, dp })
 }
 
 /// A handle's tick: its outcome and the input rows each stage consumed.
 type HandleRun = CoreResult<(Outcome, Vec<usize>)>;
 
-/// One handle's tick: optional information-gain check, then the
-/// Figure 2 execution path over the chain, delta-aware (a first tick's
-/// delta is the whole window). Returns the outcome and the input rows
-/// each stage consumed.
+/// One handle's tick on its stored plan: optional information-gain
+/// check, then the Figure 2 execution path over the chain, delta-aware
+/// (a first tick's delta is the whole window). Returns the outcome and
+/// the input rows each stage consumed.
 #[allow(clippy::too_many_arguments)]
 fn run_handle(
     reg: &mut Registered,
@@ -1587,18 +1518,22 @@ fn run_handle(
     dp_seed: u64,
     noise_draws: &AtomicU64,
 ) -> HandleRun {
+    let planned = reg.plan.clone()?;
+    reg.stats.hits += 1;
     let information_gain = match (info_catalog, options.info_gain_threshold) {
-        (Some(catalog), Some(threshold)) => {
-            Some(information_gain_check(catalog, &reg.query, &reg.pre.query, threshold)?)
-        }
+        (Some(catalog), Some(threshold)) => Some(information_gain_check(
+            catalog,
+            &reg.query,
+            &planned.preprocess.query,
+            threshold,
+        )?),
         _ => None,
     };
-    let dp = reg.dp.as_ref().filter(|p| p.is_noisy());
-    let stages = assign_to_chain(&reg.plan, chain, options.assignment)?;
+    let dp = planned.dp.as_ref().filter(|p| p.is_noisy());
     let mut draws = 0u64;
     let DeltaRun { run, rows_in } = run_stages_delta(
         chain,
-        &stages,
+        &planned.stages,
         &mut reg.delta,
         plans,
         shard,
@@ -1606,16 +1541,7 @@ fn run_handle(
         &mut draws,
     )?;
     noise_draws.fetch_add(draws, Ordering::Relaxed);
-    let outcome = assemble_outcome(
-        chain,
-        reg.pre.clone(),
-        reg.plan.clone(),
-        stages,
-        run,
-        information_gain,
-        options,
-        remainder,
-    )?;
+    let outcome = assemble_outcome(planned, run, information_gain, options, remainder)?;
     Ok((outcome, rows_in))
 }
 
@@ -1755,15 +1681,15 @@ mod tests {
         rt.set_policy("Other", other);
         let bystander = rt.register("Other", &parse_query("SELECT x, y, z, t FROM stream").unwrap()).unwrap();
         rt.tick().unwrap();
-        let before = rt.stats();
 
         // swap in a policy that denies every attribute of the
-        // registered query: the rewrite must fail…
+        // registered query: the re-plan at the swap fails…
         let mut deny_all = paradise_policy::ModulePolicy::new("ActionFilter");
         for attr in ["x", "y", "z", "t"] {
             deny_all.attributes.push(paradise_policy::AttributeRule::denied(attr));
         }
         rt.set_policy("ActionFilter", deny_all);
+        let before = rt.stats();
         assert!(matches!(rt.tick(), Err(CoreError::QueryDenied(_))));
         // …atomically: repeated failing ticks move no counters, for the
         // rejected handle or the bystander

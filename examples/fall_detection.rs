@@ -49,8 +49,8 @@ fn main() {
         .unwrap();
     let outcome = runtime.run_once("FallDetect", &query).expect("fall query runs");
 
-    println!("rewritten: {}", outcome.preprocess.query);
-    println!("fragments:\n{}", outcome.plan.describe());
+    println!("rewritten: {}", outcome.planned.preprocess.query);
+    println!("fragments:\n{}", outcome.planned.plan.describe());
     println!(
         "fall events shipped to Poodle: {} rows ({} bytes, vs {} raw stream bytes)",
         outcome.result.len(),
@@ -68,7 +68,7 @@ fn main() {
     let profile_outcome = runtime.run_once("FallDetect", &profiling).expect("runs, aggregated");
     println!(
         "\nprofiling query was rewritten to:\n  {}",
-        profile_outcome.preprocess.query
+        profile_outcome.planned.preprocess.query
     );
     println!(
         "positions leave the apartment only as per-tick averages: {} rows",

@@ -52,14 +52,14 @@ fn main() {
     // --- 4. run the full PArADISE pipeline, once
     let outcome = runtime.run_once("ActionFilter", &query).expect("pipeline runs");
 
-    println!("\nrewritten query:\n  {}", outcome.preprocess.query);
+    println!("\nrewritten query:\n  {}", outcome.planned.preprocess.query);
     println!("\nrewrite actions:");
-    for action in &outcome.preprocess.actions {
+    for action in &outcome.planned.preprocess.actions {
         println!("  {action:?}");
     }
 
     println!("\nvertical fragmentation (bottom-up):");
-    print!("{}", outcome.plan.describe());
+    print!("{}", outcome.planned.plan.describe());
 
     println!("\nexecution across the chain:");
     for report in &outcome.stage_reports {
@@ -81,7 +81,7 @@ fn main() {
         );
     }
 
-    println!("\nanonymization at {:?}: {:?}", outcome.anonymized_at, outcome.post.decision);
+    println!("\nanonymization at {:?}: {:?}", outcome.planned.anonymized_at, outcome.post.decision);
     println!(
         "information loss: DD ratio = {:.3}, KL = {:.4}",
         outcome.post.dd_ratio, outcome.post.kl

@@ -60,8 +60,8 @@ fn main() {
     .unwrap();
     match runtime.run_once("MeetingAssist", &query) {
         Ok(outcome) => {
-            println!("rewritten: {}", outcome.preprocess.query);
-            println!("fragments:\n{}", outcome.plan.describe());
+            println!("rewritten: {}", outcome.planned.preprocess.query);
+            println!("fragments:\n{}", outcome.planned.plan.describe());
             println!(
                 "result: {} rows, {} bytes left the apartment (raw stream: {} bytes)",
                 outcome.result.len(),

@@ -69,18 +69,18 @@
 //! runtime.ingest("motion-sensor", "stream", sim.ubisense_positions(10)).unwrap();
 //! let outcomes = runtime.tick().unwrap();
 //! assert_eq!(outcomes[0].0, handle);
-//! assert_eq!(outcomes[0].1.stages.len(), 4);
+//! assert_eq!(outcomes[0].1.planned.stages.len(), 4);
 //!
 //! // 5. steady state: ticks reuse every cached plan (100% hits) …
 //! runtime.tick().unwrap();
 //! assert_eq!(runtime.stats().engine.invalidations, 0);
 //!
-//! // … until a policy is swapped live, which invalidates exactly the
-//! // affected module's plans before the next tick
+//! // … until a policy is swapped live, which re-plans exactly the
+//! // affected module's handles, at the swap
 //! let policy2 = parse_policy(FIG4_POLICY_XML).unwrap();
 //! runtime.set_policy("ActionFilter", policy2.modules[0].clone());
 //! let outcomes = runtime.tick().unwrap();
-//! assert_eq!(outcomes[0].1.stages.len(), 4);
+//! assert_eq!(outcomes[0].1.planned.stages.len(), 4);
 //! assert!(runtime.stats().plan.invalidations > 0);
 //! ```
 //!
@@ -130,8 +130,8 @@ pub mod prelude {
     pub use paradise_core::{
         attack_answerable, fragment_query, postprocess, preprocess, AnonStrategy,
         AssignmentPolicy, ConjunctiveQuery, CoreError, DurabilityStats, FragmentPlan,
-        HandleStats, Outcome, PreprocessOptions, ProcessingChain, QueryHandle, RewriteAction,
-        Runtime, RuntimeOptions, RuntimeStats,
+        HandleStats, Outcome, Planned, PreprocessOptions, ProcessingChain, QueryHandle,
+        RewriteAction, Runtime, RuntimeOptions, RuntimeStats,
     };
     pub use paradise_core::remainder::{filter_by_class, ActionClass};
     pub use paradise_engine::{

@@ -176,7 +176,7 @@ fn assert_same_outcomes(
         assert_eq!(hg, he, "{context}: handle order");
         assert_eq!(og.result.to_rows(), oe.result.to_rows(), "{context}: final rows");
         assert_eq!(og.shipped, oe.shipped, "{context}: shipped frame");
-        assert_eq!(og.anonymized_at, oe.anonymized_at, "{context}: anonymization node");
+        assert_eq!(og.planned.anonymized_at, oe.planned.anonymized_at, "{context}: anonymization node");
     }
 }
 
@@ -316,6 +316,80 @@ fn explicit_snapshot_then_recover() {
     let after = rt.tick().unwrap();
     assert_same_outcomes(&after, &before, "explicit snapshot");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A module policy that allows (or denies) every stream attribute.
+fn every_attribute(module: &str, allowed: bool) -> ModulePolicy {
+    let mut m = ModulePolicy::new(module);
+    for attr in ["x", "y", "z", "t"] {
+        let rule = if allowed { AttributeRule::allowed(attr) } else { AttributeRule::denied(attr) };
+        m.attributes.push(rule);
+    }
+    m
+}
+
+/// A durable runtime that holds a handle its policy now denies must
+/// still reopen — from a snapshot taken in that state, and from the log
+/// alone. The recovered handle keeps reporting the same typed denial, a
+/// bystander's results equal the uninterrupted run's, and a compatible
+/// swap after the reopen un-denies the handle.
+#[test]
+fn a_denied_handle_survives_recovery() {
+    let configure = || {
+        Runtime::new(ProcessingChain::apartment())
+            .with_snapshot_every(0)
+            .with_policy("Victim", every_attribute("Victim", true))
+            .with_policy("Mod0", policy_variant("Mod0", 6, 0))
+    };
+    let before_crash = |rt: &mut Runtime| -> (QueryHandle, QueryHandle) {
+        rt.install_source("motion-sensor", "stream", users(42, 300)).unwrap();
+        let flat = parse_query("SELECT x, y, z, t FROM stream").unwrap();
+        let victim = rt.register("Victim", &flat).unwrap();
+        let bystander = rt.register("Mod0", &parse_query(QUERIES[0]).unwrap()).unwrap();
+        rt.tick().unwrap();
+        rt.set_policy("Victim", every_attribute("Victim", false));
+        (victim, bystander)
+    };
+    type Released = Vec<(QueryHandle, Result<Vec<Row>, CoreError>)>;
+    let after_crash = |rt: &mut Runtime| -> Vec<Released> {
+        let mut ticks = Vec::new();
+        for round in 0..2u64 {
+            rt.ingest("motion-sensor", "stream", users(700 + round, 90)).unwrap();
+            ticks.push(rt.tick_each().unwrap());
+        }
+        rt.set_policy("Victim", every_attribute("Victim", true));
+        ticks.push(rt.tick_each().unwrap());
+        ticks
+            .into_iter()
+            .map(|tick| tick.into_iter().map(|(h, r)| (h, r.map(|o| o.result.to_rows()))).collect())
+            .collect()
+    };
+
+    let mut reference = configure();
+    let (victim, bystander) = before_crash(&mut reference);
+    let expect = after_crash(&mut reference);
+    assert!(matches!(expect[0][0], (h, Err(CoreError::QueryDenied(_))) if h == victim));
+    assert!(matches!(expect[0][1], (h, Ok(_)) if h == bystander));
+    assert!(expect[2][0].1.is_ok(), "a compatible swap un-denies the handle");
+
+    for snapshot in [true, false] {
+        let dir = scratch(if snapshot { "denied-snapshot" } else { "denied-wal" });
+        let mut rt = configure().durable(&dir).unwrap();
+        before_crash(&mut rt);
+        if snapshot {
+            rt.snapshot().unwrap();
+        }
+        drop(rt);
+
+        let mut rt = configure()
+            .durable(&dir)
+            .unwrap_or_else(|e| panic!("snapshot={snapshot}: reopen failed: {e}"));
+        assert_eq!(rt.registered(), 2, "snapshot={snapshot}: both handles survive");
+        assert_eq!(rt.handle_stats(victim).unwrap().module, "Victim");
+        assert_eq!(after_crash(&mut rt), expect, "snapshot={snapshot}");
+        drop(rt);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// `snapshot()` without an attached durability layer is a typed error,

@@ -171,7 +171,7 @@ fn spread_assignment_escalates_past_undersized_node() {
     runtime.install_source("sensor", "stream", stream(5000)).unwrap();
     let q = parse_query("SELECT x, AVG(z) AS za FROM stream GROUP BY x").unwrap();
     let outcome = runtime.run_once("M", &q).unwrap();
-    assert_eq!(outcome.stages.last().unwrap().node, "cloud");
+    assert_eq!(outcome.planned.stages.last().unwrap().node, "cloud");
     assert!(!outcome.result.is_empty());
 }
 

@@ -103,11 +103,11 @@ fn stages_run_on_the_paper_nodes() {
         .with_policy("ActionFilter", policy.modules[0].clone());
     runtime.install_source("motion-sensor", "stream", meeting_stream(7)).unwrap();
     let outcome = runtime.run_once("ActionFilter", &parse_query(ORIGINAL).unwrap()).unwrap();
-    let nodes: Vec<&str> = outcome.stages.iter().map(|s| s.node.as_str()).collect();
+    let nodes: Vec<&str> = outcome.planned.stages.iter().map(|s| s.node.as_str()).collect();
     assert_eq!(nodes, vec!["motion-sensor", "appliance", "media-center", "local-server"]);
     // every fragment respects its node's capability (would have errored
     // otherwise), and the sensor fragment is the paper's SELECT *
-    assert_eq!(outcome.stages[0].fragment.to_string(), "SELECT * FROM stream WHERE z < 2");
+    assert_eq!(outcome.planned.stages[0].fragment.to_string(), "SELECT * FROM stream WHERE z < 2");
 }
 
 #[test]

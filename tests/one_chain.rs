@@ -1,8 +1,10 @@
 //! The runtime keeps one chain: every handle's stages execute on it,
 //! stage outputs reach the next stage by value and never enter a
 //! catalog, a tick leaves the sources' buffers unshared, the nodes'
-//! statistics account exactly what the stage reports say, and a
-//! handle's anonymisation failure stays that handle's error.
+//! statistics account exactly what the stage reports say, a
+//! handle's anonymisation failure stays that handle's error, and a
+//! handle's plan is built at the events that change it and shared by
+//! every tick in between.
 
 use std::sync::Arc;
 
@@ -177,4 +179,53 @@ fn the_plan_cache_is_keyed_by_fragment_not_by_policy_version() {
     rt.set_policy("ActionFilter", figure4_policy().modules.remove(0));
     rt.tick().unwrap();
     assert_eq!(compiled(&rt), swapped);
+}
+
+#[test]
+fn steady_ticks_share_the_plan_and_only_events_replace_it() {
+    let mut other = figure4_policy().modules.remove(0);
+    other.module_id = "Other".into();
+    let mut rt = Runtime::new(ProcessingChain::apartment())
+        .with_policy("ActionFilter", figure4_policy().modules.remove(0))
+        .with_policy("Other", other);
+    rt.install_source("motion-sensor", "stream", stream(42, 40)).unwrap();
+    rt.register("ActionFilter", &parse_query(PAPER_ORIGINAL).unwrap()).unwrap();
+    rt.register("Other", &parse_query(QUERIES[1]).unwrap()).unwrap();
+    let planned = |rt: &mut Runtime| -> Vec<Arc<Planned>> {
+        rt.tick().unwrap().into_iter().map(|(_, outcome)| outcome.planned).collect()
+    };
+    let same = |a: &[Arc<Planned>], b: &[Arc<Planned>]| -> Vec<bool> {
+        a.iter().zip(b).map(|(a, b)| Arc::ptr_eq(a, b)).collect()
+    };
+
+    // consecutive ticks run on the one stored plan
+    let first = planned(&mut rt);
+    rt.ingest("motion-sensor", "stream", stream(500, 5)).unwrap();
+    let steady = planned(&mut rt);
+    assert_eq!(same(&first, &steady), [true, true], "steady ticks rebuild no plan");
+
+    // a policy swap re-plans only its module's handle
+    rt.set_policy("ActionFilter", figure4_policy().modules.remove(0));
+    let swapped = planned(&mut rt);
+    assert_eq!(same(&steady, &swapped), [false, true], "the swap replaces ActionFilter's plan only");
+
+    // a same-schema source replacement keeps every plan …
+    rt.install_source("motion-sensor", "stream", stream(43, 40)).unwrap();
+    let replaced = planned(&mut rt);
+    assert_eq!(same(&swapped, &replaced), [true, true], "same schema, same plans");
+
+    // … a new column re-plans every handle reading the table
+    let old = stream(44, 40);
+    let mut schema = old.schema.clone();
+    schema.push(paradise::engine::Column::new("w", DataType::Float));
+    let rows: Vec<Row> = old
+        .iter_rows()
+        .map(|mut row| {
+            row.push(Value::Float(0.0));
+            row
+        })
+        .collect();
+    rt.install_source("motion-sensor", "stream", Frame::new(schema, rows).unwrap()).unwrap();
+    let widened = planned(&mut rt);
+    assert_eq!(same(&replaced, &widened), [false, false], "a schema change re-plans");
 }

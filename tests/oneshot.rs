@@ -42,12 +42,12 @@ fn runtime() -> Runtime {
 /// Every field the paper's Figure 3 numbers come from, not only the
 /// result frame.
 fn assert_same_outcome(got: &Outcome, expect: &Outcome, what: &str) {
-    assert_eq!(got.stages, expect.stages, "{what}: stages");
+    assert_eq!(got.planned.stages, expect.planned.stages, "{what}: stages");
     assert_eq!(got.stage_reports, expect.stage_reports, "{what}: stage reports");
     assert_eq!(got.traffic, expect.traffic, "{what}: traffic");
     assert_eq!(got.shipped, expect.shipped, "{what}: shipped");
     assert_eq!(got.post.decision, expect.post.decision, "{what}: anonymization decision");
-    assert_eq!(got.anonymized_at, expect.anonymized_at, "{what}: anonymization site");
+    assert_eq!(got.planned.anonymized_at, expect.planned.anonymized_at, "{what}: anonymization site");
     assert_eq!(got.remainder_applied, expect.remainder_applied, "{what}: remainder");
     assert_eq!(got.result, expect.result, "{what}: result");
 }

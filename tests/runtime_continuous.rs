@@ -65,7 +65,7 @@ fn first_tick_matches_the_reference() {
 
     let expect = reference(&runtime, &policy, &q, None, None).unwrap();
     assert_eq!(ticked[0].1.result, expect.result);
-    assert_eq!(ticked[0].1.anonymized_at, expect.anonymized_at);
+    assert_eq!(ticked[0].1.planned.anonymized_at, expect.planned.anonymized_at);
 }
 
 #[test]
@@ -95,7 +95,7 @@ fn ticks_over_ingest_match_the_reference() {
                 reference(&runtime, &policy, &parse_query(query).unwrap(), None, None).unwrap();
             assert_eq!(outcome.result, expect.result, "query {query:?} round {round}");
             assert_eq!(outcome.shipped, expect.shipped);
-            assert_eq!(outcome.anonymized_at, expect.anonymized_at);
+            assert_eq!(outcome.planned.anonymized_at, expect.planned.anonymized_at);
         }
     }
 }
@@ -375,7 +375,7 @@ proptest! {
                 let expect = reference(&rt, policy, q, None, None).unwrap();
                 prop_assert_eq!(&got.result, &expect.result, "result diverges at step {}", step);
                 prop_assert_eq!(&got.shipped, &expect.shipped, "shipped diverges at step {}", step);
-                prop_assert_eq!(&got.anonymized_at, &expect.anonymized_at);
+                prop_assert_eq!(&got.planned.anonymized_at, &expect.planned.anonymized_at);
             }
         }
     }
@@ -420,14 +420,14 @@ proptest! {
         // lookups are the swapped handle's rebuilt stages alone
         prop_assert_eq!(
             lookups(&runtime) - lookups_before,
-            ticked[swapped].1.stages.len() as u64
+            ticked[swapped].1.planned.stages.len() as u64
         );
 
         for (i, handle) in handles.iter().enumerate() {
             let stats = runtime.handle_stats(*handle).unwrap();
             if i == swapped {
                 prop_assert_eq!(stats.plan.invalidations, 1, "swapped module rebuilds once");
-                prop_assert_eq!(stats.plan.hits, warm_ticks);
+                prop_assert_eq!(stats.plan.hits, warm_ticks + 1);
             } else {
                 // bystanders: zero invalidations, a hit on every tick
                 prop_assert_eq!(stats.plan.invalidations, 0, "bystander {} invalidated", i);
@@ -449,7 +449,7 @@ proptest! {
         let swapped_outcome = &ticked[swapped].1;
         let fresh_outcome = &fresh_ticked[0].1;
         prop_assert_eq!(&swapped_outcome.result, &fresh_outcome.result);
-        prop_assert_eq!(&swapped_outcome.preprocess.query, &fresh_outcome.preprocess.query);
-        prop_assert_eq!(&swapped_outcome.plan, &fresh_outcome.plan);
+        prop_assert_eq!(&swapped_outcome.planned.preprocess.query, &fresh_outcome.planned.preprocess.query);
+        prop_assert_eq!(&swapped_outcome.planned.plan, &fresh_outcome.planned.plan);
     }
 }

@@ -156,7 +156,7 @@ fn shard_count_never_changes_results() {
                     "shards={n} step={step}: result diverges from the reference"
                 );
                 assert_eq!(og.shipped, oe.shipped, "shards={n} step={step}: shipped rows");
-                assert_eq!(og.anonymized_at, oe.anonymized_at);
+                assert_eq!(og.planned.anonymized_at, oe.planned.anonymized_at);
             }
         }
     }
@@ -295,7 +295,7 @@ proptest! {
                         "shards={:?} != reference at step {}", n, step
                     );
                     prop_assert_eq!(&og.shipped, &oe.shipped);
-                    prop_assert_eq!(&og.anonymized_at, &oe.anonymized_at);
+                    prop_assert_eq!(&og.planned.anonymized_at, &oe.planned.anonymized_at);
                 }
             }
         }

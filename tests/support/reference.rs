@@ -4,9 +4,12 @@
 //! It never touches the runtime's delta driver, so it stays independent
 //! of the path it checks. Shared via `#[path] mod reference;`.
 
+use std::sync::Arc;
+
 use paradise::core::{
     assign_to_chain, derive_dp_plan, derive_dp_seed, fragment_query, lower_clamps, postprocess,
-    preprocess, CoreResult, DpPlan, Outcome, QueryHandle, Remainder, Runtime, RuntimeOptions,
+    preprocess, CoreResult, DpPlan, Outcome, Planned, QueryHandle, Remainder, Runtime,
+    RuntimeOptions,
 };
 use paradise::engine::apply_laplace;
 use paradise::policy::ModulePolicy;
@@ -33,11 +36,10 @@ pub fn reference(
     let mut chain = rt.chain().clone();
     let stages = assign_to_chain(&plan, &chain, options.assignment)?;
 
-    let noise: Option<(DpPlan, u64)> = policy
-        .dp
+    let dp = policy.dp.as_ref().and_then(|cfg| derive_dp_plan(&plan, cfg));
+    let noise: Option<(&DpPlan, u64)> = dp
         .as_ref()
-        .and_then(|cfg| derive_dp_plan(&plan, cfg))
-        .filter(DpPlan::is_noisy)
+        .filter(|dp| dp.is_noisy())
         .map(|dp| {
             let handle = noisy.expect("a noisy module's reference needs the ticked handle");
             let module = rt.handle_stats(handle).expect("live handle").module;
@@ -63,14 +65,11 @@ pub fn reference(
         None => post.frame.clone(),
     };
     Ok(Outcome {
-        preprocess: pre,
+        planned: Arc::new(Planned { preprocess: pre, plan, stages, anonymized_at, dp }),
         information_gain: None,
-        plan,
-        stages,
         stage_reports: run.stages,
         traffic: run.traffic,
         shipped: run.result,
-        anonymized_at,
         post,
         remainder_applied: remainder.map(|r| r.name.clone()),
         result,
