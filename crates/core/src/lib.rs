@@ -19,7 +19,8 @@
 //!   register a query once, ingest stream batches, tick all registered
 //!   queries (in parallel), swap policies live, re-planning exactly the
 //!   affected handles at the swap; [`Runtime::run_once`] is the one-shot Figure 2
-//!   session (register, tick, remove) over the same path.
+//!   session (register, tick, remove) over the same path. Every mutation
+//!   is one [`Command`] through [`Runtime::apply`].
 //!
 //! ```
 //! use paradise_core::{Runtime, ProcessingChain};
@@ -76,7 +77,7 @@ pub use preprocess::{preprocess, PreprocessOptions, PreprocessOutcome, RewriteAc
 pub use paradise_engine::PlanCacheStats;
 pub use pipeline::{Outcome, Planned, RuntimeOptions};
 pub use remainder::{filter_by_class, identity, ActionClass, Remainder};
-pub use runtime::{HandleStats, QueryHandle, Runtime, RuntimeStats};
+pub use runtime::{Applied, Command, HandleStats, QueryHandle, Runtime, RuntimeStats};
 pub use storage::DurabilityStats;
 pub use stream_gate::{GateDecision, IncrementalSensor, StreamGate};
 

@@ -5,7 +5,14 @@
 //! over sensor streams — a module registers its query once, sensor data
 //! keeps arriving, and every tick re-evaluates all registered queries
 //! under the current privacy policies. [`Runtime`] models exactly that
-//! lifecycle:
+//! lifecycle.
+//!
+//! Every mutation is one [`Command`] — install a source, ingest a
+//! batch, register or remove a query, set a policy — and
+//! [`Runtime::apply`] is the only path that changes state, whether the
+//! command is live, replayed from the write-ahead log or forwarded by
+//! the serving layer. The mutating methods below are one-line wrappers
+//! over it:
 //!
 //! * [`Runtime::register`] — plan the query **once**: preprocess (policy
 //!   rewrite), fragment, assign to the chain; the handle keeps the
@@ -17,10 +24,10 @@
 //! * [`Runtime::run_once`] — the one-shot session: register, tick,
 //!   remove — the same path, once;
 //! * [`Runtime::set_policy`] — swap a module's policy live. The swap
-//!   re-plans exactly that module's handles, there and then; a handle
-//!   the new policy denies stores the error and reports it on every
-//!   tick until a compatible policy re-plans it. Other handles are
-//!   untouched;
+//!   re-plans exactly that module's handles, there and then, and
+//!   [`Applied::denied`] names those the new policy denies; each stores
+//!   the error and reports it on every tick until a compatible policy
+//!   re-plans it. Other handles are untouched;
 //! * [`Runtime::stats`] / [`Runtime::handle_stats`] — hit/miss/
 //!   invalidation counters of the handles' plans and the compiled-plan
 //!   cache.
@@ -93,12 +100,104 @@ impl QueryHandle {
     pub fn id(self) -> u64 {
         (u64::from(self.generation) << 32) | u64::from(self.index)
     }
+
+    /// The handle [`QueryHandle::id`] was taken from. An id that names
+    /// no live registration resolves to [`CoreError::UnknownHandle`].
+    pub fn from_id(id: u64) -> Self {
+        QueryHandle { index: id as u32, generation: (id >> 32) as u32 }
+    }
 }
 
 impl std::fmt::Display for QueryHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "q{}.{}", self.index, self.generation)
     }
+}
+
+/// One mutation of a [`Runtime`], the input of [`Runtime::apply`]. The
+/// paper's processor reacts to three events — a module registers a
+/// query, a policy changes, sensor data arrives — and a deployment adds
+/// installing a source and withdrawing a query.
+///
+/// `origin` is the client idempotency origin `(session, seq)`; `(0, 0)`
+/// means none. A command whose origin is at or below its session's
+/// applied high-water mark is a duplicate delivery: it changes nothing,
+/// and [`Runtime::apply`] answers what the first delivery answered.
+#[derive(Debug, Clone)]
+pub enum Command {
+    /// Install (or replace) a source table at a chain node. Replacing a
+    /// table under a different schema re-plans the handles reading it.
+    InstallSource {
+        /// Chain node name.
+        node: String,
+        /// Table name.
+        table: String,
+        /// The table's contents.
+        frame: Frame,
+    },
+    /// Append a stream batch to an installed source table.
+    Ingest {
+        /// Chain node name.
+        node: String,
+        /// Table name.
+        table: String,
+        /// The batch; its schema must equal the table's.
+        frame: Frame,
+        /// Idempotency origin `(session, seq)`.
+        origin: (u64, u64),
+    },
+    /// Register a continuous query for a module.
+    Register {
+        /// Module id.
+        module: String,
+        /// The query (boxed: it is most of the enum's size).
+        query: Box<Query>,
+        /// Idempotency origin `(session, seq)`.
+        origin: (u64, u64),
+    },
+    /// Deregister a query.
+    RemoveQuery {
+        /// The handle to retire.
+        handle: QueryHandle,
+    },
+    /// Install or swap a module's policy.
+    SetPolicy {
+        /// Module id.
+        module: String,
+        /// The new policy.
+        policy: ModulePolicy,
+        /// Idempotency origin `(session, seq)`.
+        origin: (u64, u64),
+    },
+}
+
+impl Command {
+    /// The command's idempotency origin, `(0, 0)` for a variant that
+    /// carries none.
+    pub fn origin(&self) -> (u64, u64) {
+        match self {
+            Command::Ingest { origin, .. }
+            | Command::Register { origin, .. }
+            | Command::SetPolicy { origin, .. } => *origin,
+            Command::InstallSource { .. } | Command::RemoveQuery { .. } => (0, 0),
+        }
+    }
+}
+
+/// What [`Runtime::apply`] answered.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Applied {
+    /// The command was a duplicate delivery: nothing changed, and the
+    /// other fields repeat the first delivery's answer (its handle, the
+    /// module's current version).
+    pub duplicate: bool,
+    /// `Register`: the query's handle.
+    pub handle: Option<QueryHandle>,
+    /// `SetPolicy`: the module's policy version.
+    pub version: Option<PolicyVersion>,
+    /// `SetPolicy`: the module's handles the new policy denies, in slot
+    /// order; empty for a duplicate.
+    pub denied: Vec<QueryHandle>,
 }
 
 /// One registered query: its plan plus the handle's per-stage
@@ -324,12 +423,13 @@ impl Runtime {
     ///
     /// * **Fresh directory** — the runtime's current state is
     ///   checkpointed as the first snapshot, and from then on every
-    ///   state-changing call (`install_source`, `ingest`, `register`,
-    ///   `remove_query`, `set_policy`, retention eviction) is recorded
-    ///   in a CRC-framed write-ahead log. Ingest records are
+    ///   [`Command`] [`Runtime::apply`] accepts (`InstallSource`,
+    ///   `Ingest`, `Register`, `RemoveQuery`, `SetPolicy`), every
+    ///   retention eviction and every ε spend is recorded in a
+    ///   CRC-framed write-ahead log. Ingest records are
     ///   **group-committed** at the next [`Runtime::tick`] (one write
-    ///   syscall per tick); control records commit immediately; bytes
-    ///   are forced to stable media at snapshot barriers.
+    ///   syscall per tick); every other command commits before `apply`
+    ///   returns; bytes are forced to stable media at snapshot barriers.
     /// * **Directory with prior state** — the runtime is *rebuilt*:
     ///   latest valid snapshot (falling back one generation past a
     ///   partially-written one), then ordered log replay. Replay is
@@ -338,10 +438,11 @@ impl Runtime {
     ///   skipped, torn log tails are truncated, and the rebuilt state
     ///   (tables, watermarks, policies, registrations — including
     ///   still-valid caller-held [`QueryHandle`]s) equals an
-    ///   uninterrupted run's. Every registration is planned under the
-    ///   recovered policies; one they deny is restored denied, as the
-    ///   live swap left it. Incremental per-handle state is rebuilt on
-    ///   the first tick.
+    ///   uninterrupted run's. A record the position check applies runs
+    ///   the same per-command step as the live `apply`. Every
+    ///   registration is planned under the recovered policies; one they
+    ///   deny is restored denied, as the live swap left it. Incremental
+    ///   per-handle state is rebuilt on the first tick.
     ///
     /// Call this **last** in the builder chain, on a runtime
     /// constructed with the *same configuration* (chain topology,
@@ -486,19 +587,20 @@ impl Runtime {
     /// produced, across reconnects and server restarts.
     pub fn session_registrations(&self, session: u64) -> Vec<(u64, QueryHandle, String)> {
         let mut regs: Vec<(u64, QueryHandle, String)> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(index, slot)| {
-                slot.as_ref().filter(|reg| session != 0 && reg.origin.0 == session).map(|reg| {
-                    let handle =
-                        QueryHandle { index: index as u32, generation: reg.generation };
-                    (reg.origin.1, handle, reg.module.clone())
-                })
-            })
+            .live()
+            .filter(|(_, reg)| session != 0 && reg.origin.0 == session)
+            .map(|(handle, reg)| (reg.origin.1, handle, reg.module.clone()))
             .collect();
         regs.sort_by_key(|&(seq, _, _)| seq);
         regs
+    }
+
+    /// Every live registration with its handle, in slot order.
+    fn live(&self) -> impl Iterator<Item = (QueryHandle, &Registered)> {
+        self.slots.iter().enumerate().filter_map(|(index, slot)| {
+            let reg = slot.as_ref()?;
+            Some((QueryHandle { index: index as u32, generation: reg.generation }, reg))
+        })
     }
 
     /// Was `(session, seq)` already applied? Direct API calls carry the
@@ -509,7 +611,7 @@ impl Runtime {
 
     /// Advance a session's applied high-water mark (no-op for the null
     /// origin).
-    fn advance_mark(&mut self, session: u64, seq: u64) {
+    fn advance_mark(&mut self, (session, seq): (u64, u64)) {
         if session != 0 {
             let mark = self.marks.entry(session).or_insert(0);
             *mark = (*mark).max(seq);
@@ -610,11 +712,8 @@ impl Runtime {
     /// first, so each registration plans once, under them).
     fn apply_snapshot(&mut self, snap: SnapshotData) -> CoreResult<()> {
         for p in snap.policies {
-            let policy = parse_policy(&p.xml)?;
-            let module = policy.modules.into_iter().next().ok_or_else(|| {
-                CoreError::Corrupt(format!("snapshot policy for {:?} has no module", p.module))
-            })?;
-            self.policies.insert(p.module, (PolicyVersion(p.version), module));
+            let policy = module_policy(&p.xml, &p.module)?;
+            self.policies.insert(p.module, (PolicyVersion(p.version), policy));
         }
         self.version_counter = snap.version_counter;
         for l in snap.ledgers {
@@ -638,7 +737,9 @@ impl Runtime {
         }
         self.slots = (0..snap.slots).map(|_| None).collect();
         for r in snap.registrations {
-            self.recover_register(r.slot, r.generation, &r.module, &r.sql, (r.session, r.seq))?;
+            let query = paradise_sql::parse_query(&r.sql)?;
+            let reg = self.build_registration(r.generation, r.module, query, (r.session, r.seq));
+            self.place(r.slot as usize, reg)?;
         }
         self.next_generation = snap.next_generation;
         Ok(())
@@ -647,7 +748,10 @@ impl Runtime {
     /// Replay one log record. Each record carries the absolute
     /// position it applies at, so replay over recovered state is
     /// idempotent: at-or-below → skip (counted), exactly-at → apply,
-    /// beyond → a gap, which is real corruption.
+    /// beyond → a gap, which is real corruption. A command record that
+    /// applies runs the same step as the live [`Runtime::apply`];
+    /// `Evict` and `SpendEpsilon` are effects, not commands, and apply
+    /// here.
     fn apply_record(&mut self, record: WalRecord, skipped: &mut u64) -> CoreResult<()> {
         match record {
             WalRecord::InstallSource { node, table, frame } => {
@@ -658,20 +762,13 @@ impl Runtime {
                 if wm.rows() > start {
                     *skipped += 1;
                 } else if wm.rows() == start {
-                    // raw append, no retention trim: evictions replay
-                    // from their own records, pinning the recovered
-                    // window to the original run's eviction decisions
-                    self.chain.node_mut(&node)?.catalog.append(&table, frame)?;
+                    self.append(&node, &table, frame, (session, seq))?;
                 } else {
                     return Err(CoreError::Corrupt(format!(
                         "log gap: table {table:?} at row {}, ingest record starts at {start}",
                         wm.rows()
                     )));
                 }
-                // the origin rides in the same record as the batch, so
-                // a torn tail can never separate the append from its
-                // dedup mark
-                self.advance_mark(session, seq);
             }
             WalRecord::Evict { node, table, evicted_to } => {
                 let wm = self.chain.node(&node)?.catalog.watermark(&table)?;
@@ -689,12 +786,12 @@ impl Runtime {
                 }
             }
             WalRecord::Register { slot, generation, module, sql, session, seq } => {
-                self.advance_mark(session, seq);
                 if self.next_generation > generation {
                     *skipped += 1;
                 } else if self.next_generation == generation {
-                    self.recover_register(slot, generation, &module, &sql, (session, seq))?;
-                    self.next_generation = generation + 1;
+                    let query = paradise_sql::parse_query(&sql)?;
+                    let reg = self.build_registration(generation, module, query, (session, seq));
+                    self.place(slot as usize, reg)?;
                 } else {
                     return Err(CoreError::Corrupt(format!(
                         "log gap: registration generation {generation} but the \
@@ -710,22 +807,17 @@ impl Runtime {
                     .and_then(Option::as_ref)
                     .is_some_and(|reg| reg.generation == generation);
                 if live {
-                    self.slots[slot as usize] = None;
+                    self.vacate(slot as usize);
                 } else {
                     *skipped += 1;
                 }
             }
             WalRecord::SetPolicy { version, module, xml, session, seq } => {
-                self.advance_mark(session, seq);
                 if version <= self.version_counter {
                     *skipped += 1;
                 } else if version == self.version_counter + 1 {
-                    let policy = parse_policy(&xml)?;
-                    let module_policy = policy.modules.into_iter().next().ok_or_else(|| {
-                        CoreError::Corrupt(format!("policy record for {module:?} has no module"))
-                    })?;
-                    self.version_counter = version;
-                    self.install_policy(module, PolicyVersion(version), module_policy);
+                    let policy = module_policy(&xml, &module)?;
+                    self.install_policy(module, version, policy, (session, seq));
                 } else {
                     return Err(CoreError::Corrupt(format!(
                         "log gap: policy version {version} but the runtime is at {}",
@@ -757,16 +849,16 @@ impl Runtime {
     fn build_registration(
         &self,
         generation: u32,
-        module: &str,
+        module: String,
         query: Query,
         origin: (u64, u64),
     ) -> Registered {
         let mut reg = Registered {
             generation,
-            module: module.to_string(),
+            plan: Err(CoreError::NoPolicy(module.clone())),
+            module,
             tables: paradise_sql::analysis::base_relations(&query),
             query,
-            plan: Err(CoreError::NoPolicy(module.to_string())),
             version: PolicyVersion::default(),
             fingerprint: 0,
             stats: PlanCacheStats::default(),
@@ -793,128 +885,234 @@ impl Runtime {
     }
 
     /// Re-plan, at the event that changed their inputs, every live
-    /// handle `affected` selects (given the chain as the event left it).
-    /// Counted as an invalidation.
-    fn replan(&mut self, affected: impl Fn(&Registered, &ProcessingChain) -> bool) {
+    /// handle `affected` selects (given the chain as the event left it),
+    /// and return those the new plan denies. Counted as an invalidation.
+    fn replan(
+        &mut self,
+        affected: impl Fn(&Registered, &ProcessingChain) -> bool,
+    ) -> Vec<QueryHandle> {
         let mut slots = std::mem::take(&mut self.slots);
-        for reg in slots.iter_mut().flatten().filter(|reg| affected(reg, &self.chain)) {
+        let mut denied = Vec::new();
+        for (index, slot) in slots.iter_mut().enumerate() {
+            let Some(reg) = slot.as_mut().filter(|reg| affected(reg, &self.chain)) else { continue };
             self.plan_into(reg);
             reg.stats.invalidations += 1;
+            if reg.plan.is_err() {
+                denied.push(QueryHandle { index: index as u32, generation: reg.generation });
+            }
         }
         self.slots = slots;
+        denied
     }
 
-    /// Install `policy` as `module`'s policy at `version` and re-plan
-    /// the module's handles.
-    fn install_policy(&mut self, module: String, version: PolicyVersion, policy: ModulePolicy) {
-        self.policies.insert(module.clone(), (version, policy));
-        self.replan(|reg, _| reg.module == module);
-    }
-
-    /// Install (or replace) a source table and re-plan the handles whose
-    /// source schemas it changed.
+    /// Step of `InstallSource`, live and replayed: install (or replace)
+    /// a source table and re-plan the handles whose source schemas it
+    /// changed.
     fn install_table(&mut self, node: &str, table: &str, frame: Frame) -> CoreResult<()> {
         self.chain.node_mut(node)?.install_table(table, frame);
         self.replan(|reg, chain| source_fingerprint(chain, &reg.tables) != reg.fingerprint);
         Ok(())
     }
 
-    /// Re-register a recovered query at its recorded slot and
-    /// generation, so caller-held handles stay valid across the
-    /// restart. It is planned under the recovered policies and sources;
-    /// a plan they deny is stored, as a live policy swap would have
-    /// stored it, and does not fail the recovery.
-    fn recover_register(
-        &mut self,
-        slot: u32,
-        generation: u32,
-        module: &str,
-        sql: &str,
-        origin: (u64, u64),
-    ) -> CoreResult<()> {
-        let query = paradise_sql::parse_query(sql)?;
-        let registered = self.build_registration(generation, module, query, origin);
-        let index = slot as usize;
+    /// Step of `Ingest`, live and replayed: a raw append that advances
+    /// the origin's mark. The origin rides in the batch's own log
+    /// record, so a torn tail never separates the two; retention trims
+    /// are logged as their own records, which pins a recovered window
+    /// to the original run's eviction decisions.
+    fn append(&mut self, node: &str, table: &str, frame: Frame, origin: (u64, u64)) -> CoreResult<()> {
+        self.chain.ingest(node, table, frame)?;
+        self.advance_mark(origin);
+        Ok(())
+    }
+
+    /// Step of `Register`, live and replayed: occupy slot `index` with
+    /// `reg` — a recorded slot and generation keep caller-held handles
+    /// valid across a restart — and advance the generation counter and
+    /// the origin's mark past it.
+    fn place(&mut self, index: usize, reg: Registered) -> CoreResult<()> {
         if self.slots.len() <= index {
             self.slots.resize_with(index + 1, || None);
         }
         if self.slots[index].is_some() {
-            return Err(CoreError::Corrupt(format!(
-                "slot {slot} registered twice during recovery"
-            )));
+            return Err(CoreError::Corrupt(format!("slot {index} registered twice")));
         }
-        self.slots[index] = Some(registered);
+        self.next_generation = reg.generation + 1;
+        self.advance_mark(reg.origin);
+        self.slots[index] = Some(reg);
         Ok(())
     }
 
-    /// Install or swap a module's policy **live** and return the new
-    /// policy version. The module's registered queries are re-planned
-    /// here, under the new version (counted in their invalidation
-    /// stats), and take the compiled plans of their new fragments from
-    /// the plan cache at their next tick. A query the new policy denies
-    /// keeps its handle and reports the stored error on every tick
-    /// until a compatible policy re-plans it. Handles of *other* modules
-    /// are untouched.
-    pub fn set_policy(&mut self, module_id: impl Into<String>, policy: ModulePolicy) -> PolicyVersion {
-        self.version_counter += 1;
-        let version = PolicyVersion(self.version_counter);
-        let module_id = module_id.into();
-        if let Some(d) = self.durability.as_mut() {
-            d.record(&WalRecord::SetPolicy {
-                version: version.as_u64(),
-                module: module_id.clone(),
-                xml: policy_to_xml(&Policy::single(policy.clone())),
-                session: 0,
-                seq: 0,
-            });
-            // committed at the next commit point (tick or control op):
-            // this signature predates durability and cannot surface an
-            // I/O error
-        }
-        self.install_policy(module_id, version, policy);
-        version
+    /// Step of `RemoveQuery`, live and replayed: drop the slot's
+    /// registration with its execution state.
+    fn vacate(&mut self, index: usize) {
+        self.slots[index] = None;
     }
 
-    /// [`Runtime::set_policy`] with a client idempotency origin, for
-    /// the serving layer's retry-safe policy installs. A `(session,
-    /// seq)` at or below the session's applied high-water mark is a
-    /// duplicate delivery: nothing is bumped and the module's *current*
-    /// version is returned with `applied = false`. Unlike the plain
-    /// signature this variant commits the record before returning —
-    /// the acknowledgment implies durability — and is refused in
-    /// degraded mode ([`CoreError::Degraded`]).
-    pub fn set_policy_with_origin(
+    /// Step of `SetPolicy`, live and replayed: install `policy` as
+    /// `module`'s policy at `version`, advance the origin's mark,
+    /// re-plan the module's handles and return those the policy denies.
+    fn install_policy(
         &mut self,
-        module_id: impl Into<String>,
+        module: String,
+        version: u64,
         policy: ModulePolicy,
-        session: u64,
-        seq: u64,
-    ) -> CoreResult<(PolicyVersion, bool)> {
+        origin: (u64, u64),
+    ) -> Vec<QueryHandle> {
+        self.version_counter = version;
+        self.advance_mark(origin);
+        self.policies.insert(module.clone(), (PolicyVersion(version), policy));
+        self.replan(|reg, _| reg.module == module)
+    }
+
+    /// Apply one mutation: the only path that changes a runtime's state.
+    /// In order:
+    ///
+    /// 1. a degraded runtime refuses ([`CoreError::Degraded`]);
+    /// 2. a duplicate delivery (see [`Command`]) changes nothing and
+    ///    answers what the first delivery answered, with
+    ///    [`Applied::duplicate`] set — or [`CoreError::UnknownHandle`]
+    ///    for a `Register` whose handle was since removed;
+    /// 3. the command is validated: a query its module's policy denies
+    ///    is refused here, before any state or log changes;
+    /// 4. it is applied in memory, by the same step log replay runs;
+    /// 5. its record is logged, when the runtime is durable;
+    /// 6. the log is committed. An `Ingest` record is group-committed at
+    ///    the next tick instead, and a retention trim it causes logs its
+    ///    own `Evict` record. A failed commit enters degraded mode and
+    ///    returns [`CoreError::Degraded`]; the change stays applied and
+    ///    its record pending for [`Runtime::resume_durability`].
+    pub fn apply(&mut self, cmd: Command) -> CoreResult<Applied> {
         self.check_not_degraded()?;
-        let module_id = module_id.into();
+        let (session, seq) = cmd.origin();
         if self.is_duplicate(session, seq) {
-            let version = self
-                .policies
-                .get(&module_id)
-                .map(|(v, _)| *v)
-                .unwrap_or(PolicyVersion(self.version_counter));
-            return Ok((version, false));
+            return self.duplicate(&cmd);
         }
-        self.version_counter += 1;
-        let version = PolicyVersion(self.version_counter);
-        if let Some(d) = self.durability.as_mut() {
-            d.record(&WalRecord::SetPolicy {
-                version: version.as_u64(),
-                module: module_id.clone(),
-                xml: policy_to_xml(&Policy::single(policy.clone())),
-                session,
-                seq,
-            });
+        let durable = self.durability.is_some();
+        let mut applied = Applied::default();
+        match cmd {
+            Command::InstallSource { node, table, frame } => {
+                // the clone is per-column Arc bumps, no cell copies
+                let logged = durable.then(|| frame.clone());
+                self.install_table(&node, &table, frame)?;
+                self.log(logged.map(|frame| WalRecord::InstallSource { node, table, frame }));
+            }
+            Command::Ingest { node, table, frame, .. } => {
+                // the record carries the absolute start row (replay's
+                // idempotency anchor), taken before the batch moves
+                let logged = match durable {
+                    true => {
+                        let start = self.chain.node(&node)?.catalog.watermark(&table)?.rows();
+                        Some((start, frame.clone()))
+                    }
+                    false => None,
+                };
+                self.append(&node, &table, frame, (session, seq))?;
+                let mut evicted_to = None;
+                if let Some(max) = self.retention {
+                    let catalog = &mut self.chain.node_mut(&node)?.catalog;
+                    let len = catalog.get(&table)?.len();
+                    if len > max.saturating_add(max / 4) {
+                        catalog.evict_front(&table, len - max)?;
+                        evicted_to = Some(catalog.watermark(&table)?.evicted());
+                    }
+                }
+                if let Some((start, frame)) = logged {
+                    let evict = evicted_to.map(|evicted_to| WalRecord::Evict {
+                        node: node.clone(),
+                        table: table.clone(),
+                        evicted_to,
+                    });
+                    self.log(Some(WalRecord::Ingest { node, table, start, session, seq, frame }));
+                    self.log(evict);
+                }
+                // buffered only: group-committed at the next tick
+                return Ok(applied);
+            }
+            Command::Register { module, query, .. } => {
+                let generation = self.next_generation;
+                let reg = self.build_registration(generation, module, *query, (session, seq));
+                if let Err(e) = &reg.plan {
+                    return Err(e.clone());
+                }
+                let index = self.slots.iter().position(Option::is_none).unwrap_or(self.slots.len());
+                let logged = durable.then(|| WalRecord::Register {
+                    slot: index as u32,
+                    generation,
+                    module: reg.module.clone(),
+                    sql: reg.query.to_string(),
+                    session,
+                    seq,
+                });
+                self.place(index, reg)?;
+                self.log(logged);
+                applied.handle = Some(QueryHandle { index: index as u32, generation });
+            }
+            Command::RemoveQuery { handle } => {
+                self.resolve(handle)?;
+                self.vacate(handle.index as usize);
+                self.log(durable.then_some(WalRecord::RemoveQuery {
+                    slot: handle.index,
+                    generation: handle.generation,
+                }));
+            }
+            Command::SetPolicy { module, policy, .. } => {
+                let version = self.version_counter + 1;
+                let logged = durable.then(|| WalRecord::SetPolicy {
+                    version,
+                    module: module.clone(),
+                    xml: policy_to_xml(&Policy::single(policy.clone())),
+                    session,
+                    seq,
+                });
+                applied.denied = self.install_policy(module, version, policy, (session, seq));
+                applied.version = Some(PolicyVersion(version));
+                self.log(logged);
+            }
         }
-        self.install_policy(module_id, version, policy);
-        self.advance_mark(session, seq);
         self.commit_durability()?;
-        Ok((version, true))
+        Ok(applied)
+    }
+
+    /// The answer to a duplicate delivery: the handle the first
+    /// delivery registered, the module's current version, or a no-op.
+    fn duplicate(&self, cmd: &Command) -> CoreResult<Applied> {
+        let mut applied = Applied { duplicate: true, ..Applied::default() };
+        match cmd {
+            Command::Register { origin, .. } => {
+                let first = self.live().find(|(_, reg)| reg.origin == *origin);
+                applied.handle = Some(first.ok_or(CoreError::UnknownHandle(0))?.0);
+            }
+            Command::SetPolicy { module, .. } => applied.version = self.policy_version(module),
+            _ => {}
+        }
+        Ok(applied)
+    }
+
+    /// Buffer `record` for the next commit (`None`: nothing to log).
+    fn log(&mut self, record: Option<WalRecord>) {
+        if let (Some(d), Some(record)) = (self.durability.as_mut(), record) {
+            d.record(&record);
+        }
+    }
+
+    /// Install or swap a module's policy **live** — [`Command::SetPolicy`]
+    /// without an origin — and return the module's policy version after
+    /// the call. The module's registered queries are re-planned here,
+    /// under the new version (counted in their invalidation stats), and
+    /// take the compiled plans of their new fragments from the plan
+    /// cache at their next tick. A query the new policy denies keeps its
+    /// handle and reports the stored error on every tick until a
+    /// compatible policy re-plans it. Handles of *other* modules are
+    /// untouched.
+    ///
+    /// Like every command but `Ingest`, the swap commits before it
+    /// returns, and a degraded runtime refuses it, leaving the version
+    /// unchanged. [`Runtime::apply`] returns the typed error, and the
+    /// handles the swap denied.
+    pub fn set_policy(&mut self, module_id: impl Into<String>, policy: ModulePolicy) -> PolicyVersion {
+        let module = module_id.into();
+        let _ = self.apply(Command::SetPolicy { module: module.clone(), policy, origin: (0, 0) });
+        self.policy_version(&module).unwrap_or_default()
     }
 
     /// The installed policy version of a module, if any.
@@ -931,111 +1129,38 @@ impl Runtime {
         self.ledgers.get(module_id).copied()
     }
 
-    /// Register a continuous query for a module: plan it **once** —
-    /// preprocess (policy rewrite), fragment, assign to the chain — and
-    /// return the handle. A query the policy denies is refused here.
-    /// Ticks run the stored plan until the module's policy or a source
-    /// schema changes and re-plans it.
+    /// Register a continuous query for a module ([`Command::Register`]
+    /// without an origin): plan it **once** — preprocess (policy
+    /// rewrite), fragment, assign to the chain — and return the handle.
+    /// A query the policy denies is refused here. Ticks run the stored
+    /// plan until the module's policy or a source schema changes and
+    /// re-plans it.
     pub fn register(&mut self, module_id: &str, query: &Query) -> CoreResult<QueryHandle> {
-        self.register_with_origin(module_id, query, 0, 0).map(|(handle, _)| handle)
+        let query = Box::new(query.clone());
+        let cmd = Command::Register { module: module_id.into(), query, origin: (0, 0) };
+        self.apply(cmd)?.handle.ok_or_else(|| CoreError::Internal("register answered no handle".into()))
     }
 
-    /// [`Runtime::register`] with a client idempotency origin. A
-    /// `(session, seq)` at or below the session's applied high-water
-    /// mark is a duplicate delivery: the handle the first delivery
-    /// created is returned with `applied = false` (or
-    /// [`CoreError::UnknownHandle`] if that registration was since
-    /// removed) — a wire-level retry can never register the same query
-    /// twice. Refused in degraded mode ([`CoreError::Degraded`]): the
-    /// acknowledgment implies the registration is durable.
-    pub fn register_with_origin(
-        &mut self,
-        module_id: &str,
-        query: &Query,
-        session: u64,
-        seq: u64,
-    ) -> CoreResult<(QueryHandle, bool)> {
-        self.check_not_degraded()?;
-        if self.is_duplicate(session, seq) {
-            for (index, slot) in self.slots.iter().enumerate() {
-                if let Some(reg) = slot.as_ref().filter(|r| r.origin == (session, seq)) {
-                    let handle =
-                        QueryHandle { index: index as u32, generation: reg.generation };
-                    return Ok((handle, false));
-                }
-            }
-            return Err(CoreError::UnknownHandle(0));
-        }
-        let generation = self.next_generation;
-        let registered =
-            self.build_registration(generation, module_id, query.clone(), (session, seq));
-        if let Err(e) = &registered.plan {
-            return Err(e.clone());
-        }
-        self.next_generation += 1;
-        let index = match self.slots.iter().position(Option::is_none) {
-            Some(free) => {
-                self.slots[free] = Some(registered);
-                free
-            }
-            None => {
-                self.slots.push(Some(registered));
-                self.slots.len() - 1
-            }
-        };
-        if let Some(d) = self.durability.as_mut() {
-            d.record(&WalRecord::Register {
-                slot: index as u32,
-                generation,
-                module: module_id.to_string(),
-                sql: query.to_string(),
-                session,
-                seq,
-            });
-        }
-        self.advance_mark(session, seq);
-        self.commit_durability()?;
-        Ok((QueryHandle { index: index as u32, generation }, true))
-    }
-
-    /// Deregister a query; its handle becomes invalid and its execution
-    /// state is dropped.
+    /// Deregister a query ([`Command::RemoveQuery`]); its handle becomes
+    /// invalid and its execution state is dropped.
     pub fn remove_query(&mut self, handle: QueryHandle) -> CoreResult<()> {
-        self.check_not_degraded()?;
-        self.resolve(handle)?;
-        self.slots[handle.index as usize] = None;
-        if let Some(d) = self.durability.as_mut() {
-            d.record(&WalRecord::RemoveQuery {
-                slot: handle.index,
-                generation: handle.generation,
-            });
-        }
-        self.commit_durability()
+        self.apply(Command::RemoveQuery { handle }).map(drop)
     }
 
-    /// Install (or replace) source data at a chain node. Replacing a
-    /// table under a *different* schema re-plans the handles reading
-    /// it, here; a same-schema replacement keeps every plan.
+    /// Install (or replace) source data at a chain node
+    /// ([`Command::InstallSource`]). Replacing a table under a
+    /// *different* schema re-plans the handles reading it, here; a
+    /// same-schema replacement keeps every plan.
     pub fn install_source(&mut self, node: &str, table: &str, frame: Frame) -> CoreResult<()> {
-        self.check_not_degraded()?;
-        // the clone is per-column Arc bumps, no cell copies
-        let logged = self.durability.is_some().then(|| frame.clone());
-        self.install_table(node, table, frame)?;
-        if let (Some(d), Some(frame)) = (self.durability.as_mut(), logged) {
-            d.record(&WalRecord::InstallSource {
-                node: node.to_string(),
-                table: table.to_string(),
-                frame,
-            });
-        }
-        self.commit_durability()
+        self.apply(Command::InstallSource { node: node.into(), table: table.into(), frame }).map(drop)
     }
 
-    /// Append a stream batch to a source table — the per-tick data path
-    /// of a deployment. The table must already exist (via
-    /// [`Runtime::install_source`]; an unknown name errors rather than
-    /// silently misrouting data) and the batch schema must match the
-    /// installed table's exactly (so every cached plan stays valid).
+    /// Append a stream batch to a source table ([`Command::Ingest`]
+    /// without an origin) — the per-tick data path of a deployment. The
+    /// table must already exist (via [`Runtime::install_source`]; an
+    /// unknown name errors rather than silently misrouting data) and the
+    /// batch schema must match the installed table's exactly (so every
+    /// cached plan stays valid).
     ///
     /// When a retention cap is set, eviction is amortized: the oldest
     /// rows are trimmed (down to the cap) only once the table exceeds
@@ -1044,70 +1169,8 @@ impl Runtime {
     /// their watermarks at each trim and stay purely incremental
     /// in between.
     pub fn ingest(&mut self, node: &str, table: &str, batch: Frame) -> CoreResult<()> {
-        self.ingest_with_origin(node, table, batch, 0, 0).map(|_| ())
-    }
-
-    /// [`Runtime::ingest`] with a client idempotency origin. A
-    /// `(session, seq)` at or below the session's applied high-water
-    /// mark means an earlier delivery of the same request already
-    /// appended this batch: it is skipped and `Ok(false)` returned, so
-    /// a wire-level retry can never double-append. The origin rides
-    /// inside the same WAL record as the batch (single-record
-    /// atomicity: a torn log tail can never separate an append from
-    /// its dedup mark). Refused in degraded mode
-    /// ([`CoreError::Degraded`]): an accepted batch must be backed by
-    /// an appendable log.
-    pub fn ingest_with_origin(
-        &mut self,
-        node: &str,
-        table: &str,
-        batch: Frame,
-        session: u64,
-        seq: u64,
-    ) -> CoreResult<bool> {
-        self.check_not_degraded()?;
-        if self.is_duplicate(session, seq) {
-            return Ok(false);
-        }
-        // capture the append position and batch before they move: the
-        // log record carries the absolute start row (replay's
-        // idempotency anchor), and the clone is per-column Arc bumps
-        let logged = match self.durability.is_some() {
-            true => {
-                let start = self.chain.node(node)?.catalog.watermark(table)?.rows();
-                Some((start, batch.clone()))
-            }
-            false => None,
-        };
-        self.chain.ingest(node, table, batch)?;
-        if let (Some(d), Some((start, frame))) = (self.durability.as_mut(), logged) {
-            // buffered only — group-committed at the next tick
-            d.record(&WalRecord::Ingest {
-                node: node.to_string(),
-                table: table.to_string(),
-                start,
-                session,
-                seq,
-                frame,
-            });
-        }
-        self.advance_mark(session, seq);
-        if let Some(max) = self.retention {
-            let catalog = &mut self.chain.node_mut(node)?.catalog;
-            let len = catalog.get(table)?.len();
-            if len > max.saturating_add(max / 4) {
-                catalog.evict_front(table, len - max)?;
-                let evicted_to = catalog.watermark(table)?.evicted();
-                if let Some(d) = self.durability.as_mut() {
-                    d.record(&WalRecord::Evict {
-                        node: node.to_string(),
-                        table: table.to_string(),
-                        evicted_to,
-                    });
-                }
-            }
-        }
-        Ok(true)
+        let cmd = Command::Ingest { node: node.into(), table: table.into(), frame: batch, origin: (0, 0) };
+        self.apply(cmd).map(drop)
     }
 
     /// Evaluate every registered query against the current stream state:
@@ -1499,6 +1562,14 @@ fn plan(
     Ok(Planned { preprocess: pre, plan, stages, anonymized_at, dp })
 }
 
+/// The module policy a snapshot or a log record holds as XML.
+fn module_policy(xml: &str, module: &str) -> CoreResult<ModulePolicy> {
+    let policy = parse_policy(xml)?;
+    policy.modules.into_iter().next().ok_or_else(|| {
+        CoreError::Corrupt(format!("recorded policy for {module:?} has no module"))
+    })
+}
+
 /// A handle's tick: its outcome and the input rows each stage consumed.
 type HandleRun = CoreResult<(Outcome, Vec<usize>)>;
 
@@ -1706,6 +1777,43 @@ mod tests {
         let h2 = rt.register("Other", &q).unwrap();
         assert!(rt.tick().is_ok());
         assert!(rt.handle_stats(h2).is_ok());
+    }
+
+    #[test]
+    fn a_policy_swap_answers_the_handles_it_denies() {
+        use paradise_policy::AttributeRule;
+        let policy = |deny_y: bool| {
+            let mut m = ModulePolicy::new("M");
+            for attr in ["x", "y", "z", "t"] {
+                m.attributes.push(match deny_y && attr == "y" {
+                    true => AttributeRule::denied(attr),
+                    false => AttributeRule::allowed(attr),
+                });
+            }
+            m
+        };
+        let swap = |deny_y, seq| Command::SetPolicy {
+            module: "M".into(),
+            policy: policy(deny_y),
+            origin: (9, seq),
+        };
+        let mut rt = Runtime::new(ProcessingChain::apartment()).with_policy("M", policy(false));
+        rt.install_source("motion-sensor", "stream", stream(42, 50)).unwrap();
+        let reads_y = rt.register("M", &parse_query("SELECT y FROM stream").unwrap()).unwrap();
+        rt.register("M", &parse_query("SELECT x FROM stream").unwrap()).unwrap();
+
+        let denying = rt.apply(swap(true, 1)).unwrap();
+        assert!(!denying.duplicate);
+        assert_eq!(denying.denied, vec![reads_y]);
+        let back = rt.apply(swap(false, 2)).unwrap();
+        assert_eq!(back.denied, vec![]);
+        // a second delivery of the denying swap changes nothing and
+        // names no one
+        let again = rt.apply(swap(true, 1)).unwrap();
+        assert!(again.duplicate);
+        assert_eq!(again.denied, vec![]);
+        assert_eq!(again.version, back.version);
+        assert!(rt.tick().is_ok(), "the duplicate did not re-deny");
     }
 
     #[test]

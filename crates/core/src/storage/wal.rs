@@ -503,7 +503,32 @@ mod tests {
             },
             WalRecord::Evict { node: "motion-sensor".into(), table: "stream".into(), evicted_to: 1 },
             WalRecord::RemoveQuery { slot: 0, generation: 0 },
+            WalRecord::SpendEpsilon { module: "M".into(), seq: 4, spent: 0.5 },
         ]
+    }
+
+    #[test]
+    fn record_bodies_are_pinned_byte_for_byte() {
+        // (tag, body length, CRC-32 of the body) of every sample record:
+        // a change here is a WAL format change, which needs a version
+        // bump and a reader for the old format
+        const PINNED: [(u8, usize, u32); 7] = [
+            (TAG_INSTALL, 62, 0xD163_9428),
+            (TAG_SET_POLICY, 43, 0xE067_2DC3),
+            (TAG_REGISTER, 54, 0x70BB_8350),
+            (TAG_INGEST, 86, 0x8D42_9706),
+            (TAG_EVICT, 36, 0xC412_C336),
+            (TAG_REMOVE, 9, 0xAC9E_51E1),
+            (TAG_SPEND_EPSILON, 22, 0x21FB_588E),
+        ];
+        let got: Vec<(u8, usize, u32)> = sample_records()
+            .iter()
+            .map(|r| {
+                let body = r.encode_body();
+                (body[0], body.len(), crc32(&body))
+            })
+            .collect();
+        assert_eq!(got, PINNED);
     }
 
     #[test]

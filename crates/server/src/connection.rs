@@ -1,6 +1,7 @@
 //! One thread per client connection: read frames, enforce the edge
-//! caps (batch size, rate, bounded queue), translate to engine
-//! commands, write replies.
+//! caps (batch size, rate, bounded queue), parse each mutation — SQL
+//! and policy XML included — into a runtime [`Command`] for the engine
+//! thread, write replies.
 //!
 //! Graceful degradation is local: a malformed frame, oversized
 //! payload, or mid-frame disconnect closes *this* connection with a
@@ -14,12 +15,16 @@ use std::sync::mpsc::Sender;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
+use paradise_core::{Command, QueryHandle};
+use paradise_policy::parse_policy;
+use paradise_sql::parse_query;
+
 use crate::admission::TokenBucket;
 use crate::protocol::{
     self, ErrorCode, Request, Response, WireError, QUEUE_CAPACITY_DEFAULT,
 };
 use crate::queue::{Admit, IngestGate, OverloadPolicy};
-use crate::server::{EngineCommand, Logger, ServerConfig, SessKey};
+use crate::server::{EngineCommand, Logger, Reply, ServerConfig, SessKey};
 use crate::stats::StatsCell;
 
 /// Everything a connection thread needs from the server.
@@ -162,26 +167,37 @@ fn connection_loop(stream: &mut TcpStream, ctx: &ConnCtx, sess: &mut SessKey) ->
                 }
             }
             Request::Ingest { node, table, frame, seq } => {
-                handle_ingest(ctx, *sess, &gate, policy, &mut bucket, node, table, frame, seq)
+                let origin = (sess.session_id(), seq);
+                let cmd = Command::Ingest { node, table, frame, origin };
+                handle_ingest(ctx, *sess, &gate, policy, &mut bucket, cmd)
             }
             Request::InstallSource { node, table, frame } => {
-                roundtrip(ctx, |reply| EngineCommand::InstallSource { node, table, frame, reply })
+                apply(ctx, *sess, Command::InstallSource { node, table, frame })
             }
-            Request::Register { module, sql, seq } => {
-                let sess = *sess;
-                roundtrip(ctx, |reply| EngineCommand::Register { sess, module, sql, seq, reply })
-            }
+            Request::Register { module, sql, seq } => match parse_query(&sql) {
+                Err(e) => bad_request(format!("parse error: {e}")),
+                Ok(query) => {
+                    let origin = (sess.session_id(), seq);
+                    let query = Box::new(query);
+                    apply(ctx, *sess, Command::Register { module, query, origin })
+                }
+            },
             Request::Tick { seq } => {
                 let sess = *sess;
                 roundtrip(ctx, |reply| EngineCommand::Tick { sess, seq, reply })
             }
-            Request::SetPolicy { module, xml, seq } => {
-                let sess = *sess;
-                roundtrip(ctx, |reply| EngineCommand::SetPolicy { sess, module, xml, seq, reply })
-            }
+            Request::SetPolicy { module, xml, seq } => match parse_policy(&xml) {
+                Err(e) => bad_request(format!("policy parse error: {e}")),
+                Ok(parsed) => match parsed.modules.into_iter().find(|m| m.module_id == module) {
+                    None => bad_request(format!("policy XML has no module {module}")),
+                    Some(policy) => {
+                        let origin = (sess.session_id(), seq);
+                        apply(ctx, *sess, Command::SetPolicy { module, policy, origin })
+                    }
+                },
+            },
             Request::RemoveQuery { handle } => {
-                let sess = *sess;
-                roundtrip(ctx, |reply| EngineCommand::RemoveQuery { sess, handle, reply })
+                apply(ctx, *sess, Command::RemoveQuery { handle: QueryHandle::from_id(handle) })
             }
             Request::Stats => roundtrip(ctx, |reply| EngineCommand::Stats { reply }),
         };
@@ -192,20 +208,19 @@ fn connection_loop(stream: &mut TcpStream, ctx: &ConnCtx, sess: &mut SessKey) ->
     }
 }
 
-/// Edge checks + bounded enqueue for one ingest batch.
-#[allow(clippy::too_many_arguments)]
+/// Edge checks + bounded enqueue for one `Command::Ingest`.
 fn handle_ingest(
     ctx: &ConnCtx,
     sess: SessKey,
     gate: &Arc<IngestGate>,
     policy: OverloadPolicy,
     bucket: &mut TokenBucket,
-    node: String,
-    table: String,
-    frame: paradise_engine::Frame,
-    seq: u64,
+    cmd: Command,
 ) -> Response {
-    let rows = frame.len();
+    let rows = match &cmd {
+        Command::Ingest { frame, .. } => frame.len(),
+        _ => 0,
+    };
     if rows > ctx.config.admission.max_batch_rows {
         StatsCell::bump(&ctx.stats.admission_rejected);
         return Response::Error {
@@ -235,15 +250,8 @@ fn handle_ingest(
             Response::Overloaded { reason: "ingest queue full (block deadline expired)".into() }
         }
         Admit::Enter { depth } => {
-            let cmd = EngineCommand::Ingest {
-                sess,
-                node,
-                table,
-                frame,
-                seq,
-                gate: Arc::clone(gate),
-            };
-            match ctx.tx.send(cmd) {
+            let reply = Reply::Deferred(Arc::clone(gate));
+            match ctx.tx.send(EngineCommand::Apply { sess, cmd, reply }) {
                 Ok(()) => {
                     StatsCell::bump(&ctx.stats.ingest_accepted);
                     Response::Accepted { depth }
@@ -255,6 +263,15 @@ fn handle_ingest(
             }
         }
     }
+}
+
+/// Have the engine apply `cmd` for `sess` and wait for its reply.
+fn apply(ctx: &ConnCtx, sess: SessKey, cmd: Command) -> Response {
+    roundtrip(ctx, |reply| EngineCommand::Apply { sess, cmd, reply: Reply::Now(reply) })
+}
+
+fn bad_request(message: String) -> Response {
+    Response::Error { code: ErrorCode::BadRequest, message }
 }
 
 /// Send a command to the engine and wait for its reply.

@@ -4,9 +4,11 @@
 //!
 //! The engine thread is the robustness anchor: the runtime is never
 //! shared or locked, so no wire fault, slow client, or panicking
-//! connection can leave it half-mutated. Connections translate frames
-//! into [`EngineCommand`]s over an unbounded channel (control traffic
-//! must never deadlock); the *data* path is bounded per connection by
+//! connection can leave it half-mutated. Connections parse frames —
+//! SQL and policy XML included — into runtime [`Command`]s and forward
+//! them as [`EngineCommand`]s over an unbounded channel (control
+//! traffic must never deadlock); the engine thread applies each with
+//! one [`Runtime::apply`]. The *data* path is bounded per connection by
 //! the [`IngestGate`](crate::queue::IngestGate) instead. Shutdown
 //! drops every sender, lets the engine drain the channel — counting
 //! drained batches — and, when the runtime is durable, commits the
@@ -23,10 +25,8 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use paradise_core::{CoreError, Runtime};
+use paradise_core::{Command, CoreError, Runtime};
 use paradise_engine::Frame;
-use paradise_policy::parse_policy;
-use paradise_sql::parse_query;
 
 use crate::admission::AdmissionConfig;
 use crate::connection::{serve_connection, ConnCtx};
@@ -117,7 +117,7 @@ pub(crate) enum SessKey {
 impl SessKey {
     /// The session id used for WAL-durable `(session, seq)` dedup —
     /// `0` (no dedup) for anonymous connections.
-    fn session_id(self) -> u64 {
+    pub(crate) fn session_id(self) -> u64 {
         match self {
             SessKey::Named(s) => s,
             SessKey::Conn(_) => 0,
@@ -125,21 +125,19 @@ impl SessKey {
     }
 }
 
-/// A command from a connection thread to the engine thread. Replies
-/// travel over a per-request channel; `Ingest` replies `Accepted`
-/// from the connection immediately (apply is asynchronous, failures
-/// are deferred to the next tick reply).
+/// A command from a connection thread to the engine thread: one runtime
+/// [`Command`], or a server-local request. Replies travel over a
+/// per-request channel, except an ingest's (see [`Reply::Deferred`]).
 pub(crate) enum EngineCommand {
-    /// Install (or replace) a source table.
-    InstallSource {
-        /// Chain node name.
-        node: String,
-        /// Table name.
-        table: String,
-        /// Initial contents.
-        frame: Frame,
-        /// Reply channel.
-        reply: Sender<Response>,
+    /// Apply one runtime mutation for a session.
+    Apply {
+        /// Calling session (owns registered handles and deferred
+        /// ingest errors).
+        sess: SessKey,
+        /// The mutation, its origin already set from the session.
+        cmd: Command,
+        /// Where the answer goes.
+        reply: Reply,
     },
     /// Resume (or create) a named session at `Hello` and report its
     /// dedup high-water mark back to the client.
@@ -149,34 +147,6 @@ pub(crate) enum EngineCommand {
         /// Reply channel (a `Welcome`).
         reply: Sender<Response>,
     },
-    /// Register a query for a session.
-    Register {
-        /// Owning session.
-        sess: SessKey,
-        /// Module id.
-        module: String,
-        /// Query SQL.
-        sql: String,
-        /// Client-assigned dedup sequence (`0` = none).
-        seq: u64,
-        /// Reply channel.
-        reply: Sender<Response>,
-    },
-    /// Apply one accepted ingest batch.
-    Ingest {
-        /// Owning session (deferred errors land in its state).
-        sess: SessKey,
-        /// Chain node name.
-        node: String,
-        /// Table name.
-        table: String,
-        /// The batch.
-        frame: Frame,
-        /// Client-assigned dedup sequence (`0` = none).
-        seq: u64,
-        /// The connection's gate; one slot is released after apply.
-        gate: Arc<IngestGate>,
-    },
     /// Run one tick and reply with the caller's per-handle results.
     Tick {
         /// Calling session.
@@ -184,28 +154,6 @@ pub(crate) enum EngineCommand {
         /// Client-assigned dedup sequence (`0` = none); a repeat
         /// returns the cached reply instead of re-ticking.
         seq: u64,
-        /// Reply channel.
-        reply: Sender<Response>,
-    },
-    /// Install or swap a module policy.
-    SetPolicy {
-        /// Calling session.
-        sess: SessKey,
-        /// Module id (must match a module in the XML).
-        module: String,
-        /// PP4SE policy XML.
-        xml: String,
-        /// Client-assigned dedup sequence (`0` = none).
-        seq: u64,
-        /// Reply channel.
-        reply: Sender<Response>,
-    },
-    /// Deregister one of the caller's handles.
-    RemoveQuery {
-        /// Calling session.
-        sess: SessKey,
-        /// Handle id from `Registered`.
-        handle: u64,
         /// Reply channel.
         reply: Sender<Response>,
     },
@@ -220,6 +168,17 @@ pub(crate) enum EngineCommand {
         /// The session.
         sess: SessKey,
     },
+}
+
+/// Where the engine thread answers an [`EngineCommand::Apply`].
+pub(crate) enum Reply {
+    /// Send the response on this channel.
+    Now(Sender<Response>),
+    /// An ingest, answered `Accepted` by its connection at enqueue:
+    /// apply is asynchronous, a failure is deferred to the session's
+    /// next tick reply, and one slot of the connection's gate is
+    /// released after apply.
+    Deferred(Arc<IngestGate>),
 }
 
 /// Engine-side per-session state.
@@ -491,13 +450,6 @@ fn engine_loop(
             break;
         }
         match cmd {
-            EngineCommand::InstallSource { node, table, frame, reply } => {
-                let rsp = match runtime.install_source(&node, &table, frame) {
-                    Ok(()) => Response::Ok,
-                    Err(e) => error_response(&e),
-                };
-                let _ = reply.send(rsp);
-            }
             EngineCommand::Resume { sess, reply } => {
                 let session = sess.session_id();
                 let state = conns.entry(sess).or_default();
@@ -520,65 +472,17 @@ fn engine_loop(
                 }
                 let _ = reply.send(Response::Welcome { session_id: session, last_seq });
             }
-            EngineCommand::Register { sess, module, sql, seq, reply } => {
-                // A retried Register that already applied must return
-                // its handle even if the module has since reached its
-                // cap — dedup takes precedence over admission.
-                let dup = runtime.is_duplicate(sess.session_id(), seq);
-                let live = conns
-                    .values()
-                    .flat_map(|c| c.handles.iter())
-                    .filter(|(_, _, m)| *m == module)
-                    .count();
-                let rsp = if !dup && live >= admission.max_handles_per_module {
-                    StatsCell::bump(&stats.admission_rejected);
-                    logger.log(format!(
-                        "session {sess:?}: register rejected (module {module} handle cap)"
-                    ));
-                    Response::Error {
-                        code: ErrorCode::Admission,
-                        message: format!(
-                            "module {module} is at its handle limit ({})",
-                            admission.max_handles_per_module
-                        ),
+            EngineCommand::Apply { sess, cmd, reply: Reply::Deferred(gate) } => {
+                let (session, seq) = cmd.origin();
+                let (target, rows) = match &cmd {
+                    Command::Ingest { node, table, frame, .. } => {
+                        (format!("{node}.{table}"), frame.len() as u64)
                     }
-                } else {
-                    match parse_query(&sql) {
-                        Err(e) => Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: format!("parse error: {e}"),
-                        },
-                        Ok(query) => {
-                            match runtime.register_with_origin(
-                                &module,
-                                &query,
-                                sess.session_id(),
-                                seq,
-                            ) {
-                                Ok((handle, applied)) => {
-                                    if !applied {
-                                        StatsCell::bump(&stats.dedup_hits);
-                                    }
-                                    let state = conns.entry(sess).or_default();
-                                    if !state.handles.iter().any(|(id, _, _)| *id == handle.id())
-                                    {
-                                        state.handles.push((handle.id(), handle, module));
-                                    }
-                                    Response::Registered { handle: handle.id() }
-                                }
-                                Err(e) => error_response(&e),
-                            }
-                        }
-                    }
+                    _ => (String::new(), 0),
                 };
-                let _ = reply.send(rsp);
-            }
-            EngineCommand::Ingest { sess, node, table, frame, seq, gate } => {
-                let rows = frame.len() as u64;
                 // A duplicate re-send holds no new rows, so it must
                 // not be refused by the retention cap.
-                let dup = runtime.is_duplicate(sess.session_id(), seq);
-                let over_retention = !dup
+                let over_retention = !runtime.is_duplicate(session, seq)
                     && admission.max_retained_rows != 0
                     && retained_rows + rows > admission.max_retained_rows as u64;
                 if over_retention {
@@ -588,35 +492,107 @@ fn engine_loop(
                         &stats,
                         sess,
                         format!(
-                            "ingest into {node}.{table} rejected: retained-row cap \
-                             ({}) exceeded",
+                            "ingest into {target} rejected: retained-row cap ({}) exceeded",
                             admission.max_retained_rows
                         ),
                     );
                 } else {
-                    match runtime.ingest_with_origin(&node, &table, frame, sess.session_id(), seq)
-                    {
-                        Ok(true) => {
+                    match runtime.apply(cmd) {
+                        Ok(applied) if applied.duplicate => StatsCell::bump(&stats.dedup_hits),
+                        Ok(_) => {
                             retained_rows += rows;
                             StatsCell::bump(&stats.ingest_applied);
                             if shutdown.load(Ordering::SeqCst) {
                                 StatsCell::bump(&stats.drained_at_shutdown);
                             }
                         }
-                        Ok(false) => {
-                            StatsCell::bump(&stats.dedup_hits);
-                        }
-                        Err(e) => {
-                            defer_error(
-                                &mut conns,
-                                &stats,
-                                sess,
-                                format!("ingest into {node}.{table} failed: {e}"),
-                            );
-                        }
+                        Err(e) => defer_error(
+                            &mut conns,
+                            &stats,
+                            sess,
+                            format!("ingest into {target} failed: {e}"),
+                        ),
                     }
                 }
                 gate.leave();
+            }
+            EngineCommand::Apply { sess, cmd, reply: Reply::Now(reply) } => {
+                let (session, seq) = cmd.origin();
+                let refused = match &cmd {
+                    // A retried Register that already applied must
+                    // return its handle even if the module has since
+                    // reached its cap — dedup takes precedence over
+                    // admission.
+                    Command::Register { module, .. } if !runtime.is_duplicate(session, seq) => {
+                        let live = conns
+                            .values()
+                            .flat_map(|c| c.handles.iter())
+                            .filter(|(_, _, m)| m == module)
+                            .count();
+                        (live >= admission.max_handles_per_module).then(|| {
+                            StatsCell::bump(&stats.admission_rejected);
+                            logger.log(format!(
+                                "session {sess:?}: register rejected (module {module} handle cap)"
+                            ));
+                            Response::Error {
+                                code: ErrorCode::Admission,
+                                message: format!(
+                                    "module {module} is at its handle limit ({})",
+                                    admission.max_handles_per_module
+                                ),
+                            }
+                        })
+                    }
+                    Command::RemoveQuery { handle } => {
+                        let handles = &mut conns.entry(sess).or_default().handles;
+                        match handles.iter().position(|(id, _, _)| *id == handle.id()) {
+                            Some(at) => {
+                                handles.remove(at);
+                                None
+                            }
+                            None => Some(Response::Error {
+                                code: ErrorCode::UnknownHandle,
+                                message: format!(
+                                    "handle {} is not owned by this session",
+                                    handle.id()
+                                ),
+                            }),
+                        }
+                    }
+                    _ => None,
+                };
+                let module = match &cmd {
+                    Command::Register { module, .. } => module.clone(),
+                    _ => String::new(),
+                };
+                let rsp = match refused {
+                    Some(rsp) => rsp,
+                    None => match runtime.apply(cmd) {
+                        Err(e) => error_response(&e),
+                        Ok(applied) => {
+                            if applied.duplicate {
+                                StatsCell::bump(&stats.dedup_hits);
+                            }
+                            for handle in &applied.denied {
+                                logger.log(format!(
+                                    "session {sess:?}: policy swap denied handle {handle}"
+                                ));
+                            }
+                            match applied.handle {
+                                Some(handle) => {
+                                    let state = conns.entry(sess).or_default();
+                                    if !state.handles.iter().any(|(id, _, _)| *id == handle.id())
+                                    {
+                                        state.handles.push((handle.id(), handle, module));
+                                    }
+                                    Response::Registered { handle: handle.id() }
+                                }
+                                None => Response::Ok,
+                            }
+                        }
+                    },
+                };
+                let _ = reply.send(rsp);
             }
             EngineCommand::Tick { sess, seq, reply } => {
                 let cached = if seq != 0 && sess.session_id() != 0 {
@@ -680,56 +656,6 @@ fn engine_loop(
                         }
                     }
                     rsp
-                };
-                let _ = reply.send(rsp);
-            }
-            EngineCommand::SetPolicy { sess, module, xml, seq, reply } => {
-                let rsp = match parse_policy(&xml) {
-                    Err(e) => Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: format!("policy parse error: {e}"),
-                    },
-                    Ok(policy) => {
-                        match policy.modules.into_iter().find(|m| m.module_id == module) {
-                            None => Response::Error {
-                                code: ErrorCode::BadRequest,
-                                message: format!("policy XML has no module {module}"),
-                            },
-                            Some(mp) => {
-                                match runtime.set_policy_with_origin(
-                                    &module,
-                                    mp,
-                                    sess.session_id(),
-                                    seq,
-                                ) {
-                                    Ok((_, applied)) => {
-                                        if !applied {
-                                            StatsCell::bump(&stats.dedup_hits);
-                                        }
-                                        Response::Ok
-                                    }
-                                    Err(e) => error_response(&e),
-                                }
-                            }
-                        }
-                    }
-                };
-                let _ = reply.send(rsp);
-            }
-            EngineCommand::RemoveQuery { sess, handle, reply } => {
-                let state = conns.entry(sess).or_default();
-                let rsp = match state.handles.iter().position(|(id, _, _)| *id == handle) {
-                    None => Response::Error {
-                        code: ErrorCode::UnknownHandle,
-                        message: format!("handle {handle} is not owned by this session"),
-                    },
-                    Some(at) => {
-                        let (_, qh, _) = state.handles.remove(at);
-                        match runtime.remove_query(qh) {
-                            Ok(()) => Response::Ok,
-                            Err(e) => error_response(&e),
-                        }
-                    }
                 };
                 let _ = reply.send(rsp);
             }

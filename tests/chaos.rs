@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use paradise::core::storage::{FaultKind, FaultOp, FaultVfs};
+use paradise::core::Command;
 use paradise::prelude::*;
 
 /// Grouped aggregate over the partition key: small, order-pinned
@@ -178,9 +179,14 @@ mod disk {
         let mut seq = 0u64;
         for module in ["Exact", "Dp"] {
             seq += 1;
-            let (_, applied) = r
-                .register_with_origin(module, &parse_query(QUERY).unwrap(), SESSION, seq)
-                .unwrap();
+            let applied = !r
+                .apply(Command::Register {
+                    module: module.into(),
+                    query: Box::new(parse_query(QUERY).unwrap()),
+                    origin: (SESSION, seq),
+                })
+                .unwrap()
+                .duplicate;
             assert!(applied, "seed {seed:#x}: initial register deduped unexpectedly");
         }
 
@@ -197,17 +203,33 @@ mod disk {
                 if let Some(vfs) = faults {
                     vfs.schedule(FaultOp::Write, 0, FaultKind::Eio);
                     expect_degraded(
-                        r.register_with_origin("Exact", &query, SESSION, seq),
+                        r.apply(Command::Register {
+                            module: "Exact".into(),
+                            query: Box::new(query.clone()),
+                            origin: (SESSION, seq),
+                        }),
                         "register under WAL fault",
                         seed,
                     );
                     resume(r, seed);
-                    let (_, applied) =
-                        r.register_with_origin("Exact", &query, SESSION, seq).unwrap();
+                    let applied = !r
+                        .apply(Command::Register {
+                            module: "Exact".into(),
+                            query: Box::new(query.clone()),
+                            origin: (SESSION, seq),
+                        })
+                        .unwrap()
+                        .duplicate;
                     assert!(!applied, "seed {seed:#x}: retried register applied twice");
                 } else {
-                    let (_, applied) =
-                        r.register_with_origin("Exact", &query, SESSION, seq).unwrap();
+                    let applied = !r
+                        .apply(Command::Register {
+                            module: "Exact".into(),
+                            query: Box::new(query.clone()),
+                            origin: (SESSION, seq),
+                        })
+                        .unwrap()
+                        .duplicate;
                     assert!(applied);
                 }
             }
@@ -221,33 +243,61 @@ mod disk {
                 if let Some(vfs) = faults {
                     vfs.schedule(FaultOp::Write, 0, FaultKind::Eio);
                     expect_degraded(
-                        r.set_policy_with_origin("Exact", swap.clone(), SESSION, seq),
+                        r.apply(Command::SetPolicy {
+                            module: "Exact".into(),
+                            policy: swap.clone(),
+                            origin: (SESSION, seq),
+                        }),
                         "set_policy under WAL fault",
                         seed,
                     );
                     resume(r, seed);
-                    let (_, applied) =
-                        r.set_policy_with_origin("Exact", swap, SESSION, seq).unwrap();
+                    let applied = !r
+                        .apply(Command::SetPolicy {
+                            module: "Exact".into(),
+                            policy: swap,
+                            origin: (SESSION, seq),
+                        })
+                        .unwrap()
+                        .duplicate;
                     assert!(!applied, "seed {seed:#x}: retried policy swap applied twice");
                 } else {
-                    let (_, applied) =
-                        r.set_policy_with_origin("Exact", swap, SESSION, seq).unwrap();
+                    let applied = !r
+                        .apply(Command::SetPolicy {
+                            module: "Exact".into(),
+                            policy: swap,
+                            origin: (SESSION, seq),
+                        })
+                        .unwrap()
+                        .duplicate;
                     assert!(applied);
                 }
             }
 
             seq += 1;
             let batch = users(seed.wrapping_mul(31).wrapping_add(round), 40);
-            let applied =
-                r.ingest_with_origin("motion-sensor", "stream", batch.clone(), SESSION, seq)
-                    .unwrap();
+            let applied = !r
+                .apply(Command::Ingest {
+                    node: "motion-sensor".into(),
+                    table: "stream".into(),
+                    frame: batch.clone(),
+                    origin: (SESSION, seq),
+                })
+                .unwrap()
+                .duplicate;
             assert!(applied, "seed {seed:#x}: round {round}: fresh ingest deduped");
             if round == 5 && faults.is_some() {
                 // A spurious duplicate delivery of the same batch must
                 // be suppressed without error.
-                let again = r
-                    .ingest_with_origin("motion-sensor", "stream", batch, SESSION, seq)
-                    .unwrap();
+                let again = !r
+                    .apply(Command::Ingest {
+                        node: "motion-sensor".into(),
+                        table: "stream".into(),
+                        frame: batch,
+                        origin: (SESSION, seq),
+                    })
+                    .unwrap()
+                    .duplicate;
                 assert!(!again, "seed {seed:#x}: duplicate ingest applied twice");
             }
 

@@ -602,6 +602,42 @@ mod durability {
     }
 
     #[test]
+    fn a_degraded_runtime_refuses_every_policy_swap() {
+        use paradise::core::storage::{FaultKind, FaultOp, FaultVfs, Vfs};
+        use paradise::core::Command;
+        use std::sync::Arc;
+        let dir = scratch("degraded-swap");
+        let faults = FaultVfs::new();
+        let vfs: Arc<dyn Vfs> = faults.clone();
+        let mut rt = Runtime::new(ProcessingChain::apartment())
+            .with_policy("M", allow_all("M"))
+            .with_snapshot_every(0)
+            .durable_with(&dir, vfs)
+            .unwrap();
+        rt.install_source("motion-sensor", "stream", stream(50)).unwrap();
+        let query = parse_query("SELECT x, y, z, t FROM stream").unwrap();
+        let handles = [rt.register("M", &query).unwrap(), rt.register("M", &query).unwrap()];
+        faults.schedule(FaultOp::Write, 0, FaultKind::Eio);
+        assert!(matches!(rt.register("M", &query), Err(CoreError::Degraded(_))));
+
+        let mut deny_all = ModulePolicy::new("M");
+        for attr in ["x", "y", "z", "t"] {
+            deny_all.attributes.push(AttributeRule::denied(attr));
+        }
+        let version = rt.policy_version("M").unwrap();
+        assert_eq!(rt.set_policy("M", deny_all.clone()), version, "a refused swap moves nothing");
+        assert_eq!(rt.policy_version("M"), Some(version));
+        let ticked = rt.tick_each().unwrap();
+        for handle in handles {
+            let (_, result) = ticked.iter().find(|(h, _)| *h == handle).unwrap();
+            assert!(result.is_ok(), "{handle} lost its plan: {:?}", result.as_ref().err());
+        }
+        let swap = Command::SetPolicy { module: "M".into(), policy: deny_all, origin: (0, 0) };
+        assert!(matches!(rt.apply(swap), Err(CoreError::Degraded(_))));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn unknown_record_type_with_valid_crc_is_corrupt() {
         let dir = scratch("unknown");
         drop(populated(&dir));

@@ -1,15 +1,18 @@
 //! Work budgets that do not drift: the allocation count of a steady
-//! resident tick, pinned as a ceiling per query shape. A counting
-//! global allocator — in this test binary only — counts `alloc` and
-//! `realloc` calls. The count depends on the code and the seeded input,
-//! not on the machine, so it catches per-tick work that timing on a
-//! noisy box cannot resolve. A lone handle ticks on the calling thread,
-//! so the count is the same at every `PARADISE_THREADS`.
+//! resident tick, pinned as a ceiling per query shape, and of the
+//! mutations around it (ingest, in memory and durable; register; a
+//! policy swap). A counting global allocator — in this test binary
+//! only — counts `alloc` and `realloc` calls. The count depends on the
+//! code and the seeded input, not on the machine, so it catches
+//! per-call work that timing on a noisy box cannot resolve. A lone
+//! handle ticks on the calling thread, so the count is the same at
+//! every `PARADISE_THREADS`.
 //!
 //! `PARADISE_THREADS=1 cargo test --test work_budget -- --nocapture`
 //! prints the counts. A change that lowers one lowers its ceiling too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use paradise::prelude::*;
@@ -59,42 +62,134 @@ fn stream(seed: u64, steps: usize) -> Frame {
     SmartRoomSim::with_config(seed, config).ubisense_positions(steps)
 }
 
-/// Allocations inside each of 30 steady ticks of `sql` under the
-/// Figure 4 policy: a 100k-row window that is never trimmed, then
-/// 500-row batches.
-fn allocations_per_tick(sql: &str) -> Vec<u64> {
-    let mut rt = Runtime::new(ProcessingChain::apartment())
+/// Ceilings on the median allocations inside one mutation call:
+/// `ingest` of a 500-row batch in memory (the two owned names a command
+/// may carry, nothing more) and durable (the log record owns the
+/// names); `register` of the paper query; `set_policy` over three
+/// resident flat projections.
+const INGEST: u64 = 4;
+const DURABLE_INGEST: u64 = 23;
+const REGISTER: u64 = 307;
+const SET_POLICY: u64 = 575;
+
+/// `f`'s result and the allocations made inside it.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = f();
+    (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// The Figure 4 policy over a 100k-row window that is never trimmed,
+/// with `sql` registered and ticked once; durable in `dir` when given.
+fn resident(sql: &str, dir: Option<&Path>) -> Runtime {
+    let rt = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", figure4_policy().modules.remove(0))
         .with_retention(10_000_000);
+    let mut rt = match dir {
+        Some(dir) => rt.with_snapshot_every(0).durable(dir).unwrap(),
+        None => rt,
+    };
     rt.install_source("motion-sensor", "stream", stream(1, 10_000)).unwrap();
     rt.register("ActionFilter", &parse_query(sql).unwrap()).unwrap();
     rt.tick().unwrap();
+    rt
+}
+
+/// Allocations inside each of 30 steady ticks of `sql`, each after a
+/// 500-row batch.
+fn allocations_per_tick(sql: &str) -> Vec<u64> {
+    let mut rt = resident(sql, None);
     (0..30)
         .map(|i| {
             rt.ingest("motion-sensor", "stream", stream(100 + i, 50)).unwrap();
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let ticked = rt.tick();
-            let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+            let (ticked, n) = allocations(|| rt.tick());
             ticked.unwrap();
-            allocations
+            n
         })
         .collect()
 }
 
-/// One test, so no other test of this binary allocates while a tick is
+/// Allocations inside each of 30 ingests of a 500-row batch, each
+/// followed by a tick.
+fn allocations_per_ingest(dir: Option<&Path>) -> Vec<u64> {
+    let mut rt = resident(PAPER_ORIGINAL, dir);
+    (0..30)
+        .map(|i| {
+            let batch = stream(100 + i, 50);
+            let (ingested, n) = allocations(|| rt.ingest("motion-sensor", "stream", batch));
+            ingested.unwrap();
+            rt.tick().unwrap();
+            n
+        })
+        .collect()
+}
+
+/// Allocations inside each of 30 registrations of the paper query, each
+/// removed again.
+fn allocations_per_register() -> Vec<u64> {
+    let mut rt = resident(PAPER_ORIGINAL, None);
+    let query = parse_query(PAPER_ORIGINAL).unwrap();
+    (0..30)
+        .map(|_| {
+            let (handle, n) = allocations(|| rt.register("ActionFilter", &query));
+            rt.remove_query(handle.unwrap()).unwrap();
+            n
+        })
+        .collect()
+}
+
+/// Allocations inside each of 30 swaps of the Figure 4 policy, each
+/// re-planning three resident flat projections.
+fn allocations_per_policy_swap() -> Vec<u64> {
+    let (flat, _) = SHAPES[0];
+    let mut rt = resident(flat, None);
+    let query = parse_query(flat).unwrap();
+    for _ in 0..2 {
+        rt.register("ActionFilter", &query).unwrap();
+    }
+    rt.tick().unwrap();
+    (0..30)
+        .map(|_| {
+            let policy = figure4_policy().modules.remove(0);
+            allocations(|| rt.set_policy("ActionFilter", policy)).1
+        })
+        .collect()
+}
+
+/// A fresh directory for the durable shape.
+fn scratch_dir() -> PathBuf {
+    let base =
+        option_env!("CARGO_TARGET_TMPDIR").map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
+    let dir = base.join(format!("work-budget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Print a shape's counts and check its median against its ceiling.
+fn check(shape: &str, unit: &str, mut counts: Vec<u64>, ceiling: u64) {
+    counts.sort_unstable();
+    let median = counts[counts.len() / 2];
+    println!(
+        "work budget: {shape}: median {median} allocations per {unit} \
+         (min {}, max {}, ceiling {ceiling})",
+        counts[0],
+        counts[counts.len() - 1],
+    );
+    assert!(median <= ceiling, "{shape}: {median} allocations per {unit}, ceiling {ceiling}");
+}
+
+/// One test, so no other test of this binary allocates while a call is
 /// counted.
 #[test]
 fn steady_ticks_stay_within_their_allocation_ceilings() {
     for &(sql, ceiling) in SHAPES {
-        let mut counts = allocations_per_tick(sql);
-        counts.sort_unstable();
-        let median = counts[counts.len() / 2];
-        println!(
-            "work budget: {sql:?}: median {median} allocations per steady tick \
-             (min {}, max {}, ceiling {ceiling})",
-            counts[0],
-            counts[counts.len() - 1],
-        );
-        assert!(median <= ceiling, "{sql:?}: {median} allocations per tick, ceiling {ceiling}");
+        check(&format!("{sql:?}"), "steady tick", allocations_per_tick(sql), ceiling);
     }
+    check("ingest, in memory", "500-row batch", allocations_per_ingest(None), INGEST);
+    let dir = scratch_dir();
+    let durable = allocations_per_ingest(Some(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+    check("ingest, durable", "500-row batch", durable, DURABLE_INGEST);
+    check("register, paper query", "call", allocations_per_register(), REGISTER);
+    check("set_policy, 3 residents", "call", allocations_per_policy_swap(), SET_POLICY);
 }
