@@ -38,7 +38,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use paradise_engine::{
-    DeltaInput, EngineError, Executor, Frame, IncrementalState, PlanCache, PlanSet, ShardSpec,
+    DeltaInput, EngineError, Executor, Frame, IncrementalState, PlanCache, PlanSet,
 };
 use paradise_nodes::{
     ChainRun, FragmentMeta, Hop, NodeError, NodeResult, ProcessingChain, Stage, StageReport,
@@ -116,18 +116,16 @@ pub(crate) fn run_stages_delta(
     stages: &[Stage],
     hs: &mut HandleDeltaState,
     cache: &Mutex<PlanCache>,
-    shard: Option<&ShardSpec>,
     dp: Option<(&DpPlan, u64)>,
     draws: &mut u64,
 ) -> CoreResult<DeltaRun> {
     // count draws per attempt so a StalePlan retry doesn't double-count
     let mut attempt_draws = 0u64;
-    let result = match try_run_stages_delta(chain, stages, hs, cache, shard, dp, &mut attempt_draws)
-    {
+    let result = match try_run_stages_delta(chain, stages, hs, cache, dp, &mut attempt_draws) {
         Err(CoreError::Node(NodeError::Engine(EngineError::StalePlan))) => {
             hs.reset();
             attempt_draws = 0;
-            try_run_stages_delta(chain, stages, hs, cache, shard, dp, &mut attempt_draws)
+            try_run_stages_delta(chain, stages, hs, cache, dp, &mut attempt_draws)
         }
         other => other,
     };
@@ -150,7 +148,6 @@ fn try_run_stages_delta(
     stages: &[Stage],
     hs: &mut HandleDeltaState,
     cache: &Mutex<PlanCache>,
-    shard: Option<&ShardSpec>,
     dp: Option<(&DpPlan, u64)>,
     draws: &mut u64,
 ) -> CoreResult<DeltaRun> {
@@ -204,7 +201,7 @@ fn try_run_stages_delta(
         };
         let admitted_rows = node.admit(&slot.meta, &exec)?;
         let (produced, consumed) =
-            run_stage(admitted_rows, slot, &exec, &stage.fragment, pushed, cache, shard)?;
+            run_stage(admitted_rows, slot, &exec, &stage.fragment, pushed, cache)?;
         rows_in.push(consumed);
 
         // the differential-privacy noise boundary: noise the aggregation
@@ -257,7 +254,6 @@ fn run_stage(
     fragment: &Query,
     pushed: Option<DeltaInput<'_>>,
     cache: &Mutex<PlanCache>,
-    shard: Option<&ShardSpec>,
 ) -> NodeResult<(Carry, usize)> {
     if slot.plans.as_ref().is_some_and(|p| !p.is_current(exec)) {
         slot.plans = None;
@@ -273,11 +269,7 @@ fn run_stage(
             return Ok((Carry::Full(exec.run_plan(&plans.plan)?), admitted_rows));
         }
     };
-    let input = pushed.unwrap_or(DeltaInput::Source);
-    let run = match shard {
-        Some(spec) => exec.run_incremental_sharded(inc, &mut slot.state, input, spec)?,
-        None => exec.run_incremental(inc, &mut slot.state, input)?,
-    };
+    let run = exec.run_incremental(inc, &mut slot.state, pushed.unwrap_or(DeltaInput::Source))?;
     slot.mode = StageMode::Incremental;
     let carry = match run.delta {
         Some(delta) => Carry::Delta { delta, full: run.result, reset: run.reset },

@@ -61,7 +61,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use minipool::ThreadPool;
-use paradise_engine::{Catalog, Frame, PlanCache, PlanCacheStats, ShardSpec};
+use paradise_engine::{Catalog, Frame, PlanCache, PlanCacheStats};
 use paradise_nodes::ProcessingChain;
 use paradise_policy::{
     parse_policy, policy_to_xml, DpConfig, EpsilonLedger, ModulePolicy, Policy, PolicyVersion,
@@ -284,10 +284,6 @@ pub struct Runtime {
     remainder: Option<Remainder>,
     /// Per-(node, table) cap on retained stream rows (oldest evicted).
     retention: Option<usize>,
-    /// Stream partitioning: grouped-aggregation stages fold each tick's
-    /// delta partition-parallel over this many shards of the declared
-    /// key (see [`Runtime::with_partitioning`]); `None` = serial.
-    partitioning: Option<ShardSpec>,
     /// Compiled fragment plans keyed by (fragment AST, input schemas),
     /// consulted when a stage has no plans; never locked across a
     /// compile.
@@ -336,7 +332,6 @@ impl Runtime {
             options: RuntimeOptions::default(),
             remainder: None,
             retention: None,
-            partitioning: None,
             plans: Mutex::new(PlanCache::new()),
             slots: Vec::new(),
             next_generation: 0,
@@ -390,31 +385,25 @@ impl Runtime {
         self
     }
 
-    /// Builder: shard every registered stream by a hash of the `key`
-    /// column into `shards` sub-streams and fold grouped-aggregation
-    /// ticks partition-parallel over them, merging per-group
-    /// accumulators only at the aggregation boundary. Results are
-    /// identical to serial execution — sharding is purely an execution
-    /// strategy. Stages that cannot shard — stateless filters, global
-    /// aggregation, `DISTINCT` aggregates, or fragments without the
-    /// key column — transparently keep the serial path.
+    /// Builder: partition every node's streams `shards` ways by a hash
+    /// of the `key` column ([`Catalog::set_partitioning`]). A grouped
+    /// aggregation stage over a partitioned stream folds each tick's
+    /// delta per shard in parallel and merges per-group accumulators
+    /// only at the aggregation boundary. Results are identical to one
+    /// shard — sharding is purely an execution strategy. Stages that
+    /// cannot shard — stateless filters, global aggregation, `DISTINCT`
+    /// aggregates, or fragments without the key column — fold as one
+    /// shard, and so does every stage when `shards` is `0` or `1`; the
+    /// count is clamped to `65535`.
     ///
     /// Ingested batches are split per shard eagerly at the source, so
-    /// steady-state ticks route each delta without re-hashing. The
-    /// `PARADISE_SHARDS` environment variable, when set, overrides
-    /// `shards` (the CI serial-reference leg runs `PARADISE_SHARDS=1`);
-    /// the effective count is clamped to `1..=65535`.
+    /// steady-state ticks route each delta without re-hashing.
     #[must_use]
     pub fn with_partitioning(mut self, key: impl Into<String>, shards: usize) -> Self {
-        let shards = std::env::var("PARADISE_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(shards);
-        let spec = ShardSpec::new(key, shards);
+        let key = key.into();
         for node in self.chain.nodes_mut() {
-            node.catalog.set_partitioning(&spec.key, spec.shards);
+            node.catalog.set_partitioning(&key, shards);
         }
-        self.partitioning = (spec.shards > 1).then_some(spec);
         self
     }
 
@@ -1306,7 +1295,6 @@ impl Runtime {
             let options = &self.options;
             let remainder = self.remainder.as_ref();
             let info_catalog = info_catalog.as_ref();
-            let shard = self.partitioning.as_ref();
             let noise_draws = &noise_draws;
             // a lone resident query ticks on the calling thread: queued,
             // its tick would cost whatever the race between this thread
@@ -1326,7 +1314,6 @@ impl Runtime {
                             options,
                             remainder,
                             info_catalog,
-                            shard,
                             dp_seed,
                             noise_draws,
                         ));
@@ -1585,7 +1572,6 @@ fn run_handle(
     options: &RuntimeOptions,
     remainder: Option<&Remainder>,
     info_catalog: Option<&Catalog>,
-    shard: Option<&ShardSpec>,
     dp_seed: u64,
     noise_draws: &AtomicU64,
 ) -> HandleRun {
@@ -1607,7 +1593,6 @@ fn run_handle(
         &planned.stages,
         &mut reg.delta,
         plans,
-        shard,
         dp.map(|p| (p, dp_seed)),
         &mut draws,
     )?;

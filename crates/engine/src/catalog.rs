@@ -71,11 +71,11 @@ struct TableEntry {
     /// The most recent appended batch and its absolute start row —
     /// the zero-copy fast path of [`Catalog::delta_since`].
     last_batch: Option<(u64, Frame)>,
-    /// Per-shard row buckets of `last_batch`, computed eagerly at
-    /// append time when the catalog has a partitioning policy — the
-    /// sharded incremental path then routes the delta without
-    /// re-hashing the key column. Lives and dies with `last_batch`.
-    last_split: Option<(u64, Arc<Vec<Vec<u32>>>)>,
+    /// Per-shard row buckets of `last_batch` under the catalog's
+    /// partitioning, computed eagerly at append time — a partitioned
+    /// incremental stage then routes the delta without re-hashing the
+    /// key column. Lives and dies with `last_batch`.
+    last_split: Option<Arc<Vec<Vec<u32>>>>,
 }
 
 impl TableEntry {
@@ -102,10 +102,10 @@ impl TableEntry {
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: HashMap<String, TableEntry>,
-    /// Stream partitioning policy: `(key column, shard count)`. When
-    /// set (and the shard count is > 1), every appended batch is
-    /// eagerly split into per-shard row buckets by a hash of the key,
-    /// cached alongside the batch for the sharded incremental path.
+    /// Stream partitioning: `(key column, shard count)`, the count in
+    /// `2..=65535`. When set, every appended batch is eagerly split
+    /// into per-shard row buckets by a hash of the key, and grouped
+    /// incremental stages over this catalog fold per shard.
     partitioning: Option<(String, usize)>,
 }
 
@@ -115,11 +115,24 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Declare the stream partitioning policy (see [`Catalog`] docs).
-    /// Applies to batches appended from now on; tables whose schema
-    /// lacks the key column are simply never split.
+    /// Partition the catalog's streams `shards` ways by a hash of the
+    /// `key` column (see [`Catalog`] docs). `0` and `1` mean
+    /// unpartitioned; the count is clamped to `65535`, because merged
+    /// groups name their shard in 16 bits. Applies to batches appended
+    /// from now on; tables whose schema lacks the key column are simply
+    /// never split.
     pub fn set_partitioning(&mut self, key: &str, shards: usize) {
-        self.partitioning = if shards > 1 { Some((key.to_string(), shards)) } else { None };
+        let shards = shards.min(u16::MAX as usize);
+        self.partitioning = (shards > 1).then(|| (key.to_string(), shards));
+        // a split cached under the previous policy routes nothing now
+        for entry in self.tables.values_mut() {
+            entry.last_split = None;
+        }
+    }
+
+    /// The partitioning `(key column, shard count)`, if any.
+    pub(crate) fn partitioning(&self) -> Option<(&str, usize)> {
+        self.partitioning.as_ref().map(|(key, shards)| (key.as_str(), *shards))
     }
 
     /// Register a table. Fails if the name is taken.
@@ -170,46 +183,31 @@ impl Catalog {
         }
         let start = entry.high();
         entry.frame.append_copy(&batch)?;
-        entry.last_split = match &self.partitioning {
-            Some((key, shards)) if *shards > 1 => {
-                batch.schema.try_resolve(None, key).map(|ci| {
-                    let split = crate::plan::sharded::split_indices(
-                        batch.column(ci),
-                        *shards,
-                        ThreadPool::global(),
-                    );
-                    (start, Arc::new(split))
-                })
-            }
-            _ => None,
-        };
+        entry.last_split = self.partitioning.as_ref().and_then(|(key, shards)| {
+            let ci = batch.schema.try_resolve(None, key)?;
+            let pool = ThreadPool::global();
+            Some(Arc::new(crate::plan::sharded::split_indices(batch.column(ci), *shards, pool)))
+        });
         entry.last_batch = Some((start, batch));
         Ok(())
     }
 
-    /// The cached per-shard split of a table's most recent batch, when
-    /// one was computed under a matching partitioning policy: the
-    /// batch's absolute start row plus one row-index bucket per shard.
-    /// `None` whenever the policy differs or no split is cached — the
-    /// caller then hashes the delta itself.
+    /// The per-shard split (one row-index bucket per shard, under the
+    /// current partitioning) of a table's most recent batch, when that
+    /// batch is exactly the `rows` rows from absolute row `from` on.
+    /// `None` otherwise — the caller then hashes the delta itself.
     pub(crate) fn last_batch_split(
         &self,
         name: &str,
-        key: &str,
-        shards: usize,
-    ) -> Option<(u64, Arc<Vec<Vec<u32>>>)> {
-        let (pkey, pshards) = self.partitioning.as_ref()?;
-        if !pkey.eq_ignore_ascii_case(key) || *pshards != shards {
-            return None;
-        }
+        from: u64,
+        rows: usize,
+    ) -> Option<Arc<Vec<Vec<u32>>>> {
         let entry = self.tables.get(&name.to_ascii_lowercase())?;
-        let (start, split) = entry.last_split.as_ref()?;
-        let (bstart, batch) = entry.last_batch.as_ref()?;
-        // the split must describe exactly the cached last batch
-        if bstart != start || split.iter().map(Vec::len).sum::<usize>() != batch.len() {
+        let (start, batch) = entry.last_batch.as_ref()?;
+        if *start != from || batch.len() != rows {
             return None;
         }
-        Some((*start, Arc::clone(split)))
+        entry.last_split.clone()
     }
 
     /// Evict the oldest `rows` rows of a table (stream retention). The
@@ -442,6 +440,26 @@ mod tests {
         let mark = c.watermark("s").unwrap();
         c.get_mut("s").unwrap().skip_rows(1);
         assert!(c.delta_since("s", mark).unwrap().is_none(), "get_mut bumps the epoch");
+    }
+
+    #[test]
+    fn partitioning_is_off_below_two_shards_and_clamped_to_16_bit_ids() {
+        let mut c = Catalog::new();
+        c.set_partitioning("x", 0);
+        assert_eq!(c.partitioning(), None, "0 shards means unpartitioned");
+        c.set_partitioning("x", 1);
+        assert_eq!(c.partitioning(), None, "1 shard means unpartitioned");
+        c.set_partitioning("x", 100_000);
+        assert_eq!(c.partitioning(), Some(("x", 65_535)));
+
+        // a split cached under one policy is dropped with it
+        c.set_partitioning("x", 4);
+        c.register("s", batch(&[1])).unwrap();
+        c.append("s", batch(&[2, 3, 4])).unwrap();
+        assert_eq!(c.last_batch_split("s", 1, 3).unwrap().len(), 4);
+        assert!(c.last_batch_split("s", 0, 3).is_none(), "another batch");
+        c.set_partitioning("x", 8);
+        assert!(c.last_batch_split("s", 1, 3).is_none());
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use frame::{Frame, Row};
 pub use noise::{apply_laplace, NoiseKind, NoiseSpec};
 pub use plan::{
     CompiledPlan, DeltaInput, ExprProgram, IncrementalPlan, IncrementalRun, IncrementalState,
-    PlanCache, PlanCacheStats, PlanSet, ShardSpec,
+    PlanCache, PlanCacheStats, PlanSet,
 };
 pub use schema::{Column, Schema};
 pub use stream::{SensorFilter, SlidingWindow, WindowSpec};

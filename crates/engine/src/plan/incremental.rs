@@ -17,6 +17,13 @@
 //!   (one row per group) is rebuilt and post-processed per tick,
 //!   `O(groups)`.
 //!
+//! A grouped stage's state holds N ≥ 1 shard states, and
+//! [`Executor::run_incremental`] is the one entry point for every N: N
+//! follows the executor's catalog partitioning
+//! ([`Catalog::set_partitioning`]) and is 1 when the catalog is
+//! unpartitioned or the plan cannot be partitioned (see the `sharded`
+//! module). One shard folds on the calling thread with no merged view.
+//!
 //! Anything else — joins, window functions, `ORDER BY` over full
 //! history, subqueries — is **not** incrementally maintainable and
 //! [`Executor::compile_incremental`] returns `None`; callers fall back
@@ -36,12 +43,12 @@ use std::sync::Arc;
 
 use minipool::ThreadPool;
 
-use super::sharded::{refresh_having_mask, ShardedGroupedState};
+use super::sharded::GroupedState;
 use super::{
-    agg_finalize_masked, compile_query, filter_rows_parallel, AggBody,
+    agg_finalize_masked, compile_query, filter_rows_parallel, select_rows_parallel, AggBody,
     ArgFold, ArgStep, Body, ExprProgram, Executor, FxHashMap, PNode, ProjStep,
 };
-use crate::catalog::Watermark;
+use crate::catalog::{Catalog, Watermark};
 use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{Batch, EvalContext};
@@ -95,17 +102,20 @@ impl IncrementalPlan {
         matches!(self.kind, IncKind::Grouped(_))
     }
 
-    /// Ordinal of the partition-key column `key` in the plan's input
-    /// schema, when this plan qualifies for partition-parallel (sharded)
-    /// execution: grouped aggregation with a non-empty `GROUP BY` and no
-    /// DISTINCT aggregate call (DISTINCT de-duplication is not mergeable
-    /// across shards; global aggregation has nothing to partition).
-    pub(crate) fn shard_key_col(&self, key: &str) -> Option<usize> {
+    /// How this plan folds over `catalog`'s partitioning: the key
+    /// column's ordinal in the plan's input schema and the shard count.
+    /// `None` — one shard — when the catalog is unpartitioned or the
+    /// plan cannot be partitioned: anything but grouped aggregation with
+    /// a non-empty `GROUP BY` and no DISTINCT aggregate call (DISTINCT
+    /// de-duplication is not mergeable across shards; global aggregation
+    /// has nothing to partition), or an input without the key column.
+    pub(super) fn partition(&self, catalog: &Catalog) -> Option<(usize, usize)> {
+        let (key, shards) = catalog.partitioning()?;
         let IncKind::Grouped(body) = &self.kind else { return None };
         if body.group.is_empty() || body.calls.iter().any(|c| c.distinct) {
             return None;
         }
-        self.in_schema.try_resolve(None, key)
+        Some((self.in_schema.try_resolve(None, key)?, shards))
     }
 }
 
@@ -176,8 +186,7 @@ impl IncrementalState {
         match &self.data {
             StateData::Empty => 0,
             StateData::Append { rows_in, .. } => *rows_in,
-            StateData::Grouped(g) => g.rows,
-            StateData::Sharded(s) => s.rows_seen(),
+            StateData::Grouped(g) => g.rows_seen(),
         }
     }
 
@@ -201,10 +210,7 @@ pub(super) enum StateData {
         /// Input rows consumed (diagnostic).
         rows_in: u64,
     },
-    Grouped(GroupState),
-    /// Partition-parallel grouped aggregation: per-shard fold states
-    /// plus the merged (cross-shard) group view.
-    Sharded(ShardedGroupedState),
+    Grouped(GroupedState),
 }
 
 /// Per-group accumulator state of a grouped-aggregation stage.
@@ -240,12 +246,12 @@ pub(super) struct GroupState {
     /// touched groups per tick. `None` when the plan has no HAVING or
     /// aggregates globally (one group — nothing to save).
     pub(super) having: Option<Vec<bool>>,
-    /// Sharded mode only: stream position of each group's first row
-    /// (assigned pre-filter, since the last rebuild) — orders merged
-    /// group ids identically to an unsharded fold.
+    /// Partitioned states only: stream position of each group's first
+    /// row (assigned pre-filter, since the last rebuild) — orders merged
+    /// group ids identically to a one-shard fold.
     pub(super) first_rows: Vec<u64>,
-    /// Sharded mode only (scratch, one entry per group created by the
-    /// current fold): the new groups' keys, for insertion into the
+    /// Partitioned states only (scratch, one entry per group created by
+    /// the current fold): the new groups' keys, for insertion into the
     /// cross-shard merged map.
     pub(super) new_keys: Vec<SlotKey>,
 }
@@ -273,26 +279,14 @@ impl GroupState {
             first_rows: Vec::new(),
             new_keys: Vec::new(),
         };
-        if body.group.is_empty() {
-            // the global group always exists; zero folded rows must
-            // still yield the empty-input aggregate values (COUNT = 0,
-            // SUM = NULL, …), exactly like the rescan path
-            state.n_groups = 1;
-            for ((accs, vals), call) in
-                state.accs.iter_mut().zip(state.vals.iter_mut()).zip(&body.calls)
-            {
-                let acc = Accumulator::new(call.kind, call.distinct);
-                Arc::make_mut(vals).push(acc.finish());
-                accs.push(acc);
-            }
-        }
+        state.seed_global(body);
         state
     }
 
     /// Forget every group and keep the buffers: a rebuild over a
     /// stationary window then re-grows neither the key map nor the
     /// per-group columns (one rehash-and-copy per rebuild otherwise).
-    fn clear(&mut self) {
+    pub(super) fn clear(&mut self, body: &AggBody) {
         self.slots.clear();
         self.n_groups = 0;
         for col in self.reps.iter_mut().chain(self.vals.iter_mut()) {
@@ -301,11 +295,29 @@ impl GroupState {
         self.accs.iter_mut().for_each(Vec::clear);
         self.touched.clear();
         self.rows = 0;
+        self.have_global_rep = false;
         if let Some(mask) = self.having.as_mut() {
             mask.clear();
         }
         self.first_rows.clear();
         self.new_keys.clear();
+        self.seed_global(body);
+    }
+
+    /// The global group always exists: zero folded rows must still
+    /// yield the empty-input aggregate values (COUNT = 0, SUM = NULL,
+    /// …), exactly like the rescan path.
+    fn seed_global(&mut self, body: &AggBody) {
+        if !body.group.is_empty() {
+            return;
+        }
+        self.n_groups = 1;
+        for ((accs, vals), call) in self.accs.iter_mut().zip(self.vals.iter_mut()).zip(&body.calls)
+        {
+            let acc = Accumulator::new(call.kind, call.distinct);
+            Arc::make_mut(vals).push(acc.finish());
+            accs.push(acc);
+        }
     }
 }
 
@@ -387,8 +399,8 @@ impl<'a> Executor<'a> {
     /// Resolve one tick's delta for `plan`: the appended suffix since
     /// `state`'s watermark (from the catalog, or pushed by an upstream
     /// stage), or the full input with `reset` when no delta is
-    /// derivable. Shared by the serial and sharded incremental paths.
-    pub(super) fn resolve_delta(
+    /// derivable.
+    fn resolve_delta(
         &self,
         plan: &IncrementalPlan,
         state: &IncrementalState,
@@ -427,6 +439,10 @@ impl<'a> Executor<'a> {
     /// table replacement, upstream reset), the state is rebuilt from
     /// the full input transparently and `reset` is flagged so
     /// downstream consumers rebuild too.
+    ///
+    /// A grouped stage folds per shard when the executor's catalog is
+    /// partitioned ([`Catalog::set_partitioning`]) and the plan can be
+    /// (see the `sharded` module); otherwise it is one shard.
     pub fn run_incremental(
         &self,
         plan: &IncrementalPlan,
@@ -435,15 +451,17 @@ impl<'a> Executor<'a> {
     ) -> EngineResult<IncrementalRun> {
         // 1. resolve the delta and whether the state survives
         let (mut delta, mut reset, mark) = self.resolve_delta(plan, state, input)?;
+        let partition = plan.partition(self.catalog);
         // a state of the wrong shape — fresh, folded under a different
-        // plan (recompilation after a schema change), or of the other
-        // kind — always rebuilds
+        // plan (recompilation after a schema change), of the other
+        // kind, or routed by another key or shard count — always
+        // rebuilds
         let compatible = state.plan_fp == Some(plan.fingerprint)
-            && matches!(
-                (&plan.kind, &state.data),
-                (IncKind::Append { .. }, StateData::Append { .. })
-                    | (IncKind::Grouped(_), StateData::Grouped(_))
-            );
+            && match (&plan.kind, &state.data) {
+                (IncKind::Append { .. }, StateData::Append { .. }) => true,
+                (IncKind::Grouped(_), StateData::Grouped(g)) => g.partition() == partition,
+                _ => false,
+            };
         if !compatible {
             if !reset {
                 // a pushed partial delta cannot rebuild state from
@@ -461,21 +479,14 @@ impl<'a> Executor<'a> {
         }
         let input_rows = delta.len();
         state.plan_fp = Some(plan.fingerprint);
-
-        // 2. filter the delta (programs are subquery-free by
-        // construction, so no subquery executor is needed)
+        // programs are subquery-free by construction, so no subquery
+        // executor is needed
         let ctx = EvalContext { schema: &plan.in_schema, subquery: None };
-        let fd = match &plan.filter {
-            Some(p) => {
-                let mask = p.eval_mask(&delta, &ctx)?;
-                filter_rows_parallel(&delta, &mask, ThreadPool::global())
-            }
-            None => delta,
-        };
 
-        // 3. fold into the state and produce the full result
+        // 2. reset, fold into the state and produce the full result
         match &plan.kind {
             IncKind::Append { items, out_schema } => {
+                let fd = filter_delta(plan, delta, &ctx)?;
                 if reset {
                     match &mut state.data {
                         // a rebuild under the same plan refills the
@@ -528,20 +539,29 @@ impl<'a> Executor<'a> {
                 if reset {
                     match &mut state.data {
                         // as for the append state: keep the buffers
-                        // (the global group is seeded by `new` alone)
-                        StateData::Grouped(gs) if compatible && !body.group.is_empty() => {
-                            gs.clear();
-                        }
+                        StateData::Grouped(g) if compatible => g.clear(body),
                         data => {
-                            *data = StateData::Grouped(GroupState::new(body, &plan.in_schema));
+                            let g = GroupedState::new(body, &plan.in_schema, partition);
+                            *data = StateData::Grouped(g);
                         }
                     }
                 }
+                // a partitioned fold reuses the catalog's split of the
+                // last appended batch when this source delta is exactly it
+                let split = match (partition, state.mark, &mark) {
+                    (Some(_), Some(prev), Some(_)) if !reset => {
+                        self.catalog.last_batch_split(&plan.table, prev.rows(), delta.len())
+                    }
+                    _ => None,
+                };
                 let having_evals = &mut state.having_evals;
-                let StateData::Grouped(gs) = &mut state.data else {
+                let StateData::Grouped(g) = &mut state.data else {
                     unreachable!("reset guarantees matching state")
                 };
-                let run = fold_grouped(body, gs, &fd, &ctx, None).and_then(|()| {
+                // 3. fold, then the extended frame, the HAVING mask and
+                // the shared finalize over the groups the fold reports:
+                // the one shard's, or the merged view over all shards
+                let run = g.fold(body, plan, delta, &ctx, split).and_then(|gs| {
                     let ext = build_state_ext(body, gs, &plan.in_schema)?;
                     if let (Some(h), Some(mask)) = (&body.having, gs.having.as_mut()) {
                         *having_evals += refresh_having_mask(h, &ext, &gs.touched, mask)?;
@@ -558,10 +578,11 @@ impl<'a> Executor<'a> {
                     }
                     Err(e) => {
                         // the fold may have partially mutated the
-                        // accumulators but the watermark did not
-                        // advance: poison the state so the next call
-                        // rebuilds from the full input instead of
-                        // double-folding re-delivered rows
+                        // accumulators (on any number of shards) but the
+                        // watermark did not advance: poison the whole
+                        // state so the next call rebuilds from the full
+                        // input instead of double-folding re-delivered
+                        // rows — no partial merge is ever observable
                         *state = IncrementalState::default();
                         Err(e)
                     }
@@ -571,16 +592,31 @@ impl<'a> Executor<'a> {
     }
 }
 
+/// `delta` with `plan`'s `WHERE` program applied.
+pub(super) fn filter_delta(
+    plan: &IncrementalPlan,
+    delta: Frame,
+    ctx: &EvalContext<'_>,
+) -> EngineResult<Frame> {
+    Ok(match &plan.filter {
+        Some(p) => {
+            let mask = p.eval_mask(&delta, ctx)?;
+            filter_rows_parallel(&delta, &mask, ThreadPool::global())
+        }
+        None => delta,
+    })
+}
+
 /// Fold one (filtered) delta batch into the group state. Rows are
 /// processed in ascending order, so each group's accumulator sees its
 /// rows in exactly the order the rescan kernels would — results,
 /// including floating-point sums, are identical.
 ///
-/// `positions` (sharded mode) carries one global stream position per
-/// row of `fd`; each newly-created group records its first position in
-/// [`GroupState::first_rows`] and its key in [`GroupState::new_keys`]
+/// `positions` (partitioned states) carries one global stream position
+/// per row of `fd`; each newly-created group records its first position
+/// in [`GroupState::first_rows`] and its key in [`GroupState::new_keys`]
 /// so the cross-shard merge can re-establish global first-appearance
-/// order. Pass `None` on the serial path — zero overhead.
+/// order. Pass `None` for one shard — zero overhead.
 pub(super) fn fold_grouped(
     body: &AggBody,
     gs: &mut GroupState,
@@ -672,10 +708,11 @@ pub(super) fn fold_grouped(
 }
 
 /// Build the extended frame (representative values ++ aggregate
-/// columns, one row per group) from the live state — the incremental
-/// counterpart of the rescan path's `build_ext_frame`. The maintained
-/// columns are shared by `Arc` bump, so this is O(columns) on top of
-/// the per-fold O(touched-groups) maintenance.
+/// columns, one row per group) from the live state or the merged view
+/// over the shards — the incremental counterpart of the rescan path's
+/// `build_ext_frame`. The maintained columns are shared by `Arc` bump,
+/// so this is O(columns) on top of the per-fold O(touched-groups)
+/// maintenance.
 fn build_state_ext(body: &AggBody, gs: &GroupState, in_schema: &Schema) -> EngineResult<Frame> {
     let global_empty = body.group.is_empty() && gs.rows == 0;
     let n_groups = gs.n_groups as usize;
@@ -701,4 +738,33 @@ fn build_state_ext(body: &AggBody, gs: &GroupState, in_schema: &Schema) -> Engin
         return Ok(Frame::from_rows(schema, vec![Vec::new(); n_groups]));
     }
     Frame::from_arc_columns(schema, cols)
+}
+
+/// Re-evaluate the cached HAVING mask for exactly the `touched` groups
+/// of `ext` (one row per group) and return how many groups were
+/// evaluated — the dirty-set maintenance that keeps HAVING
+/// `O(touched groups)` per tick. The mask only ever grows: groups are
+/// never removed from a live state.
+fn refresh_having_mask(
+    having: &ExprProgram,
+    ext: &Frame,
+    touched: &[u32],
+    mask: &mut Vec<bool>,
+) -> EngineResult<u64> {
+    if mask.len() < ext.len() {
+        mask.resize(ext.len(), false);
+    }
+    if touched.is_empty() {
+        return Ok(0);
+    }
+    let indices: Vec<usize> = touched.iter().map(|&g| g as usize).collect();
+    let sub = select_rows_parallel(ext, &indices, ThreadPool::global());
+    // incremental HAVING programs are subquery-free by construction
+    // (`compile_incremental` rejects them), so no subquery executor
+    let ctx = EvalContext { schema: &ext.schema, subquery: None };
+    let bits = having.eval_mask(&sub, &ctx)?;
+    for (&g, b) in indices.iter().zip(bits) {
+        mask[g] = b;
+    }
+    Ok(indices.len() as u64)
 }

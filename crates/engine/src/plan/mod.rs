@@ -30,7 +30,6 @@ pub(crate) mod sharded;
 
 pub use incremental::{DeltaInput, IncrementalPlan, IncrementalRun, IncrementalState};
 pub use program::ExprProgram;
-pub use sharded::ShardSpec;
 
 use std::collections::HashMap;
 use std::fmt::Write as _;

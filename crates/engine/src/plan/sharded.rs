@@ -1,66 +1,43 @@
-//! Partition-parallel incremental aggregation: shard the stream by a
-//! hash of a declared partition key into N sub-streams, fold each
-//! shard's delta on the scoped thread pool, and merge per-group
-//! accumulators only at the aggregation boundary.
+//! The grouped state of an incremental aggregation: one fold state per
+//! shard of the stream, merged at the aggregation boundary.
 //!
-//! Each shard owns a plain [`GroupState`] and folds exactly like the
-//! serial path; a cross-shard [`MergedGroups`] view re-establishes the
+//! A catalog partitioned N ways by a key ([`Catalog::set_partitioning`])
+//! routes every row to a shard by a hash of the key. A grouped stage
+//! over it keeps N plain [`GroupState`]s, folds each shard's delta on
+//! the scoped thread pool, and merges per-group accumulators only at
+//! the aggregation boundary. Serial execution is the N = 1 case: one
+//! shard, folded on the calling thread with no merged view and no
+//! positions. N is 1 when the catalog is unpartitioned or the plan
+//! cannot be partitioned — global aggregation, `DISTINCT` aggregate
+//! calls (not mergeable) or an input without the key column.
+//!
+//! For N > 1 a cross-shard [`MergedGroups`] view re-establishes the
 //! *global* first-appearance group order (via per-group first stream
 //! positions assigned pre-filter) and merges accumulators for groups
 //! that span shards. Rows of one group land on one shard whenever the
 //! partition key functionally determines the `GROUP BY` key — the
 //! intended deployment (partition by user id, group by user id) — in
 //! which case no accumulator is ever merged and results are bit-exact
-//! against serial incremental execution. When a group *does* span
-//! shards, moment-based accumulators ([`Accumulator::merge`]) keep
-//! results exact for integer inputs and equal up to floating-point
-//! re-association otherwise.
+//! against one shard. When a group *does* span shards, moment-based
+//! accumulators ([`Accumulator::merge`]) keep results exact for integer
+//! inputs and equal up to floating-point re-association otherwise.
 //!
-//! Shapes that cannot shard — stateless append stages, global
-//! aggregation, `DISTINCT` aggregate calls (not mergeable), a missing
-//! key column, or `shards <= 1` — fall back to
-//! [`Executor::run_incremental`] transparently, so shard count 1 stays
-//! an executable serial reference path.
+//! [`Catalog::set_partitioning`]: crate::Catalog::set_partitioning
+//! [`Accumulator::merge`]: crate::exec::aggregate::Accumulator::merge
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use minipool::ThreadPool;
 
-use super::incremental::{
-    fold_grouped, DeltaInput, GroupState, IncKind, IncrementalPlan, IncrementalRun,
-    IncrementalState, SlotKey, StateData,
-};
-use super::{
-    agg_finalize_masked, select_rows_parallel, AggBody, Executor, ExprProgram, FxHashMap,
-    FxHasher, PARALLEL_MIN_ROWS,
-};
+use super::incremental::{filter_delta, fold_grouped, GroupState, IncrementalPlan};
+use super::{AggBody, FxHasher, PARALLEL_MIN_ROWS};
 use crate::column::ColumnData;
-use crate::error::{EngineError, EngineResult};
+use crate::error::EngineResult;
 use crate::eval::EvalContext;
 use crate::frame::Frame;
-use crate::schema::{Column, Schema};
-use crate::value::{DataType, GroupKey};
-
-/// Partition-parallel execution policy for a registered stream: route
-/// rows to `shards` sub-streams by a hash of the `key` column and fold
-/// each shard's delta in parallel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// Partition-key column name (resolved case-insensitively against
-    /// the stream schema).
-    pub key: String,
-    /// Number of shards; `1` keeps the serial reference path.
-    pub shards: usize,
-}
-
-impl ShardSpec {
-    /// A spec for `shards`-way partitioning by `key`. The shard count
-    /// is clamped to `1..=u16::MAX`.
-    pub fn new(key: impl Into<String>, shards: usize) -> ShardSpec {
-        ShardSpec { key: key.into(), shards: shards.clamp(1, u16::MAX as usize) }
-    }
-}
+use crate::schema::Schema;
+use crate::value::GroupKey;
 
 /// Shard ordinal of one group key: FxHash reduced modulo the shard
 /// count. Uses [`GroupKey`] (not the raw value) so numerically equal
@@ -106,15 +83,14 @@ pub(crate) fn split_indices(col: &ColumnData, shards: usize, pool: &ThreadPool) 
     buckets
 }
 
-/// One shard's slice of a sharded grouped state: a plain serial
-/// [`GroupState`] plus the map from shard-local group ids to merged
-/// (global) group ids.
+/// The state of a grouped incremental stage: one [`GroupState`] per
+/// shard, and the merged view over them when there is more than one.
 #[derive(Debug)]
-struct ShardSlot {
-    gs: GroupState,
-    /// `to_merged[local gid] = merged gid`; grows in lockstep with
-    /// `gs.n_groups`.
-    to_merged: Vec<u32>,
+pub(super) struct GroupedState {
+    shards: Vec<GroupState>,
+    /// `Some` exactly when there is more than one shard (boxed: one
+    /// shard carries no merged view, and its state stays small).
+    merged: Option<Box<MergedGroups>>,
 }
 
 /// Which shard-local accumulators feed one merged group.
@@ -129,30 +105,19 @@ enum Owners {
     Many(Vec<(u16, u32)>),
 }
 
-/// The cross-shard view: merged group ids in *global* first-appearance
-/// order plus the maintained extended-frame columns, mirroring what a
-/// serial [`GroupState`] would hold.
+/// The cross-shard view of a partitioned grouped state.
 #[derive(Debug)]
 struct MergedGroups {
-    slots: FxHashMap<SlotKey, u32>,
-    n_groups: u32,
+    /// The merged groups in *global* first-appearance order, held the
+    /// way one shard would hold them — key map, representatives, cached
+    /// finish values, HAVING mask, touched set — except that the
+    /// accumulators stay with the shards, so its own stay empty.
+    groups: GroupState,
+    /// Per merged group, the shard-local groups that feed it.
     owners: Vec<Owners>,
-    /// Representative (globally first-row) values per merged group.
-    reps: Vec<Arc<ColumnData>>,
-    /// Cached finish values per call, refreshed for touched groups.
-    vals: Vec<Arc<ColumnData>>,
-    /// Cached HAVING mask over merged groups (`None` without HAVING).
-    having: Option<Vec<bool>>,
-    /// Merged group ids touched by the current tick (sorted, deduped).
-    touched: Vec<u32>,
-}
-
-/// Partition-parallel grouped state: per-shard fold states plus the
-/// merged cross-shard group view.
-#[derive(Debug)]
-pub(super) struct ShardedGroupedState {
-    shards: Vec<ShardSlot>,
-    merged: MergedGroups,
+    /// `to_merged[shard][local gid] = merged gid`; grows in lockstep
+    /// with each shard's `n_groups`.
+    to_merged: Vec<Vec<u32>>,
     /// Stream position (rows since the last rebuild) assigned to the
     /// next delta's first row; positions order merged group creation.
     next_pos: u64,
@@ -160,197 +125,118 @@ pub(super) struct ShardedGroupedState {
     key_col: usize,
 }
 
-impl ShardedGroupedState {
-    fn new(body: &AggBody, in_schema: &Schema, shards: usize, key_col: usize) -> Self {
-        ShardedGroupedState {
-            shards: (0..shards)
-                .map(|_| ShardSlot { gs: GroupState::new(body, in_schema), to_merged: Vec::new() })
-                .collect(),
-            merged: MergedGroups {
-                slots: FxHashMap::default(),
-                n_groups: 0,
-                owners: Vec::new(),
-                reps: body
-                    .rep_cols
-                    .iter()
-                    .map(|&i| Arc::new(ColumnData::empty(in_schema.columns()[i].data_type)))
-                    .collect(),
-                vals: body
-                    .calls
-                    .iter()
-                    .map(|_| Arc::new(ColumnData::empty(DataType::Float)))
-                    .collect(),
-                having: body.having.as_ref().map(|_| Vec::new()),
-                touched: Vec::new(),
-            },
-            next_pos: 0,
-            key_col,
+impl GroupedState {
+    /// An empty state: `partition` is `(key column, shards)` as
+    /// [`IncrementalPlan::partition`] resolves it, `None` for one shard.
+    pub(super) fn new(
+        body: &AggBody,
+        in_schema: &Schema,
+        partition: Option<(usize, usize)>,
+    ) -> Self {
+        let shards = partition.map_or(1, |(_, shards)| shards);
+        GroupedState {
+            shards: (0..shards).map(|_| GroupState::new(body, in_schema)).collect(),
+            merged: partition.map(|(key_col, shards)| {
+                Box::new(MergedGroups {
+                    groups: GroupState::new(body, in_schema),
+                    owners: Vec::new(),
+                    to_merged: vec![Vec::new(); shards],
+                    next_pos: 0,
+                    key_col,
+                })
+            }),
+        }
+    }
+
+    /// The `(key column, shards)` the state routes by, `None` for one
+    /// shard.
+    pub(super) fn partition(&self) -> Option<(usize, usize)> {
+        self.merged.as_ref().map(|m| (m.key_col, self.shards.len()))
+    }
+
+    /// Forget every group on every shard and in the merged view, and
+    /// keep all their buffers (see [`GroupState::clear`]).
+    pub(super) fn clear(&mut self, body: &AggBody) {
+        for gs in &mut self.shards {
+            gs.clear(body);
+        }
+        if let Some(m) = &mut self.merged {
+            m.groups.clear(body);
+            m.owners.clear();
+            m.to_merged.iter_mut().for_each(Vec::clear);
+            m.next_pos = 0;
         }
     }
 
     /// Rows folded so far across all shards (diagnostic).
     pub(super) fn rows_seen(&self) -> u64 {
-        self.shards.iter().map(|s| s.gs.rows).sum()
+        self.shards.iter().map(|gs| gs.rows).sum()
     }
-}
 
-impl<'a> Executor<'a> {
-    /// One tick of an incremental plan with partition-parallel
-    /// execution per `spec`: semantics identical to
-    /// [`Executor::run_incremental`] (same results, same `StalePlan` /
-    /// poison-on-error contract), with the grouped fold fanned out over
-    /// the shards of the partition key. Non-shardable shapes fall back
-    /// to the serial path transparently.
-    pub fn run_incremental_sharded(
-        &self,
+    /// Fold one tick's unfiltered `delta` and return the groups the
+    /// stage's result is built from: the one shard's, or the merged
+    /// view refreshed for the groups this tick touched. `split` is the
+    /// catalog's per-shard split of `delta`, when it has one. Error
+    /// reporting is deterministic: the lowest-numbered failing shard
+    /// wins regardless of completion order.
+    pub(super) fn fold(
+        &mut self,
+        body: &AggBody,
         plan: &IncrementalPlan,
-        state: &mut IncrementalState,
-        input: DeltaInput<'_>,
-        spec: &ShardSpec,
-    ) -> EngineResult<IncrementalRun> {
-        let key_col = match plan.shard_key_col(&spec.key) {
-            Some(c) if spec.shards > 1 => c,
-            _ => return self.run_incremental(plan, state, input),
+        delta: Frame,
+        ctx: &EvalContext<'_>,
+        split: Option<Arc<Vec<Vec<u32>>>>,
+    ) -> EngineResult<&mut GroupState> {
+        let Some(m) = &mut self.merged else {
+            let gs = &mut self.shards[0];
+            fold_grouped(body, gs, &filter_delta(plan, delta, ctx)?, ctx, None)?;
+            return Ok(gs);
         };
-        let IncKind::Grouped(body) = &plan.kind else {
-            unreachable!("shard_key_col only resolves for grouped plans")
-        };
-
-        // 1. resolve the delta and whether the state survives (same
-        // contract as the serial path; a sharded state is additionally
-        // incompatible when the shard count or key column changed)
-        let prev_rows = state.mark.map(|m| m.rows());
-        let (mut delta, mut reset, mark) = self.resolve_delta(plan, state, input)?;
-        let compatible = state.plan_fp == Some(plan.fingerprint)
-            && matches!(
-                &state.data,
-                StateData::Sharded(ss) if ss.shards.len() == spec.shards && ss.key_col == key_col
-            );
-        if !compatible {
-            if !reset {
-                // an incompatible state (fresh, other plan, changed
-                // shard routing) cannot fold a partial delta. Pushed
-                // input has no full window to fall back to — signal the
-                // driver to retry from a clean rebuild; source-backed
-                // input rescans the full window right here.
-                if mark.is_none() {
-                    return Err(EngineError::StalePlan);
-                }
-                delta = self.table(&plan.table)?.clone();
+        let pool = ThreadPool::global();
+        let base = m.next_pos;
+        let computed;
+        let buckets: &[Vec<u32>] = match &split {
+            Some(s) => s.as_slice(),
+            None => {
+                computed = split_indices(delta.column(m.key_col), self.shards.len(), pool);
+                &computed
             }
-            reset = true;
-        }
-        let input_rows = delta.len();
-        state.plan_fp = Some(plan.fingerprint);
-        if reset {
-            state.data = StateData::Sharded(ShardedGroupedState::new(
-                body,
-                &plan.in_schema,
-                spec.shards,
-                key_col,
-            ));
-        }
-        let having_evals = &mut state.having_evals;
-        let StateData::Sharded(ss) = &mut state.data else {
-            unreachable!("reset guarantees matching state")
         };
-
-        // 2. reuse the catalog's cached per-shard split when this
-        // tick's delta is exactly the last appended batch
-        let cached_split = match (&mark, reset) {
-            (Some(_), false) => self
-                .catalog
-                .last_batch_split(&plan.table, &spec.key, spec.shards)
-                .and_then(|(start, split)| {
-                    let aligned = prev_rows == Some(start)
-                        && split.iter().map(Vec::len).sum::<usize>() == delta.len();
-                    aligned.then_some(split)
-                }),
-            _ => None,
-        };
-
-        // 3. parallel per-shard fold, serial merge, shared finalize
-        let run = shard_fold(body, plan, ss, &delta, cached_split).and_then(|()| {
-            let ext = build_merged_ext(body, &ss.merged, &plan.in_schema)?;
-            if let Some(h) = &body.having {
-                let mask = ss.merged.having.as_mut().expect("sharded HAVING mask allocated");
-                *having_evals += refresh_having_mask(h, &ext, &ss.merged.touched, mask)?;
+        let mut results: Vec<EngineResult<()>> = Vec::with_capacity(self.shards.len());
+        results.resize_with(self.shards.len(), || Ok(()));
+        let delta = &delta;
+        pool.scope(|scope| {
+            for ((gs, bucket), out) in self.shards.iter_mut().zip(buckets).zip(results.iter_mut()) {
+                scope.spawn(move || {
+                    *out = fold_shard(body, plan, gs, delta, bucket, base);
+                });
             }
-            agg_finalize_masked(self, body, ext, ss.merged.having.as_deref())
         });
-        match run {
-            Ok(result) => {
-                ss.next_pos += input_rows as u64;
-                state.mark = mark;
-                Ok(IncrementalRun { result, delta: None, reset, input_rows })
-            }
-            Err(e) => {
-                // some shards may have folded before another erred and
-                // the watermark did not advance: poison the whole state
-                // (all shards at once) so the next call rebuilds
-                // coherently — no partial merge is ever observable
-                *state = IncrementalState::default();
-                Err(e)
-            }
+        for r in results {
+            r?;
         }
+        m.merge_new_groups(&self.shards);
+        m.refresh(&self.shards)?;
+        m.next_pos += delta.len() as u64;
+        Ok(&mut m.groups)
     }
-}
-
-/// Split `delta` by shard and fold every shard's rows in parallel, then
-/// merge newly created groups and refresh the merged view. Error
-/// reporting is deterministic: the lowest-numbered failing shard wins
-/// regardless of completion order.
-fn shard_fold(
-    body: &AggBody,
-    plan: &IncrementalPlan,
-    ss: &mut ShardedGroupedState,
-    delta: &Frame,
-    cached_split: Option<Arc<Vec<Vec<u32>>>>,
-) -> EngineResult<()> {
-    let pool = ThreadPool::global();
-    let n_shards = ss.shards.len();
-    let base = ss.next_pos;
-    let computed;
-    let buckets: &[Vec<u32>] = match &cached_split {
-        Some(s) => s.as_slice(),
-        None => {
-            computed = split_indices(delta.column(ss.key_col), n_shards, pool);
-            &computed
-        }
-    };
-    let mut results: Vec<EngineResult<()>> = Vec::with_capacity(n_shards);
-    results.resize_with(n_shards, || Ok(()));
-    pool.scope(|scope| {
-        for ((slot, bucket), out) in
-            ss.shards.iter_mut().zip(buckets).zip(results.iter_mut())
-        {
-            scope.spawn(move || {
-                *out = fold_shard(body, plan, slot, delta, bucket, base);
-            });
-        }
-    });
-    for r in results {
-        r?;
-    }
-    merge_new_groups(ss);
-    refresh_merged(ss)
 }
 
 /// Fold one shard's delta rows: gather the bucket, assign pre-filter
 /// stream positions, apply the `WHERE` program, and run the plain
-/// serial fold with position tracking.
+/// fold with position tracking.
 fn fold_shard(
     body: &AggBody,
     plan: &IncrementalPlan,
-    slot: &mut ShardSlot,
+    gs: &mut GroupState,
     delta: &Frame,
     bucket: &[u32],
     base: u64,
 ) -> EngineResult<()> {
     if bucket.is_empty() {
         // keep per-tick scratch coherent for the merge step
-        slot.gs.touched.clear();
-        slot.gs.new_keys.clear();
+        gs.touched.clear();
+        gs.new_keys.clear();
         return Ok(());
     }
     let indices: Vec<usize> = bucket.iter().map(|&i| i as usize).collect();
@@ -371,150 +257,96 @@ fn fold_shard(
         }
         None => sub,
     };
-    fold_grouped(body, &mut slot.gs, &fd, &ctx, Some(&positions))
+    fold_grouped(body, gs, &fd, &ctx, Some(&positions))
 }
 
-/// Insert the groups created by this tick's folds into the merged map,
-/// in ascending order of their first (pre-filter) stream position — the
-/// exact order a serial fold over the un-split delta would have created
-/// them in, so merged group ids match the serial path's.
-fn merge_new_groups(ss: &mut ShardedGroupedState) {
-    let bases: Vec<usize> = ss.shards.iter().map(|s| s.to_merged.len()).collect();
-    let mut created: Vec<(u64, u16, u32)> = Vec::new();
-    for (si, slot) in ss.shards.iter().enumerate() {
-        for lg in bases[si]..slot.gs.n_groups as usize {
-            created.push((slot.gs.first_rows[lg], si as u16, lg as u32));
+impl MergedGroups {
+    /// Insert the groups created by this tick's folds into the merged
+    /// map, in ascending order of their first (pre-filter) stream
+    /// position — the exact order one fold over the un-split delta
+    /// would have created them in, so merged group ids match one
+    /// shard's.
+    fn merge_new_groups(&mut self, shards: &[GroupState]) {
+        let bases: Vec<usize> = self.to_merged.iter().map(Vec::len).collect();
+        let mut created: Vec<(u64, u16, u32)> = Vec::new();
+        for (si, gs) in shards.iter().enumerate() {
+            for lg in bases[si]..gs.n_groups as usize {
+                created.push((gs.first_rows[lg], si as u16, lg as u32));
+            }
         }
-    }
-    created.sort_unstable();
-    let merged = &mut ss.merged;
-    for (_, si, lg) in created {
-        let (si_us, lg_us) = (si as usize, lg as usize);
-        let key = ss.shards[si_us].gs.new_keys[lg_us - bases[si_us]].clone();
-        use std::collections::hash_map::Entry;
-        match merged.slots.entry(key) {
-            Entry::Occupied(e) => {
-                // the key hashes to one shard, so a second owner can
-                // only appear after a shard-count change rebuilt the
-                // routing — still handled exactly
-                let mg = *e.get();
-                match &mut merged.owners[mg as usize] {
-                    Owners::Many(list) => list.push((si, lg)),
-                    one => {
-                        let Owners::One(s0, g0) = *one else { unreachable!() };
-                        *one = Owners::Many(vec![(s0, g0), (si, lg)]);
+        created.sort_unstable();
+        let groups = &mut self.groups;
+        for (_, si, lg) in created {
+            let (si_us, lg_us) = (si as usize, lg as usize);
+            let shard = &shards[si_us];
+            let key = shard.new_keys[lg_us - bases[si_us]].clone();
+            use std::collections::hash_map::Entry;
+            match groups.slots.entry(key) {
+                Entry::Occupied(e) => {
+                    // the key hashes to one shard, so a second owner can
+                    // only appear after a shard-count change rebuilt the
+                    // routing — still handled exactly
+                    let mg = *e.get();
+                    match &mut self.owners[mg as usize] {
+                        Owners::Many(list) => list.push((si, lg)),
+                        one => {
+                            let Owners::One(s0, g0) = *one else { unreachable!() };
+                            *one = Owners::Many(vec![(s0, g0), (si, lg)]);
+                        }
                     }
+                    self.to_merged[si_us].push(mg);
                 }
-                ss.shards[si_us].to_merged.push(mg);
-            }
-            Entry::Vacant(e) => {
-                let mg = merged.n_groups;
-                merged.n_groups += 1;
-                e.insert(mg);
-                merged.owners.push(Owners::One(si, lg));
-                for (buf, shard_rep) in merged.reps.iter_mut().zip(&ss.shards[si_us].gs.reps) {
-                    Arc::make_mut(buf).push(shard_rep.value(lg_us));
-                }
-                ss.shards[si_us].to_merged.push(mg);
-            }
-        }
-    }
-}
-
-/// Refresh the merged touched set and the cached finish values of
-/// exactly the merged groups touched by this tick's folds.
-fn refresh_merged(ss: &mut ShardedGroupedState) -> EngineResult<()> {
-    let merged = &mut ss.merged;
-    merged.touched.clear();
-    for slot in &ss.shards {
-        for &lg in &slot.gs.touched {
-            merged.touched.push(slot.to_merged[lg as usize]);
-        }
-    }
-    merged.touched.sort_unstable();
-    merged.touched.dedup();
-    let shards = &ss.shards;
-    for (ci, vals) in merged.vals.iter_mut().enumerate() {
-        let col = Arc::make_mut(vals);
-        for &mg in &merged.touched {
-            let v = match &merged.owners[mg as usize] {
-                Owners::One(s, g) => shards[*s as usize].gs.vals[ci].value(*g as usize),
-                Owners::Many(list) => {
-                    let (s0, g0) = list[0];
-                    let mut acc = shards[s0 as usize].gs.accs[ci][g0 as usize].clone();
-                    for &(s, g) in &list[1..] {
-                        acc.merge(&shards[s as usize].gs.accs[ci][g as usize])?;
+                Entry::Vacant(e) => {
+                    let mg = groups.n_groups;
+                    groups.n_groups += 1;
+                    e.insert(mg);
+                    self.owners.push(Owners::One(si, lg));
+                    for (buf, shard_rep) in groups.reps.iter_mut().zip(&shard.reps) {
+                        Arc::make_mut(buf).push(shard_rep.value(lg_us));
                     }
-                    acc.finish()
+                    self.to_merged[si_us].push(mg);
                 }
-            };
-            // touched is ascending and new merged gids are contiguous
-            // at the tail, so pushes land in group order
-            if (mg as usize) < col.len() {
-                col.set(mg as usize, v);
-            } else {
-                col.push(v);
             }
         }
     }
-    Ok(())
-}
 
-/// Build the extended frame (representatives ++ aggregate columns, one
-/// row per merged group) from the maintained merged columns — the
-/// sharded counterpart of the serial path's `build_state_ext`.
-/// O(columns): the column buffers are shared by `Arc` bump.
-fn build_merged_ext(
-    body: &AggBody,
-    merged: &MergedGroups,
-    in_schema: &Schema,
-) -> EngineResult<Frame> {
-    let n_groups = merged.n_groups as usize;
-    let mut schema = Schema::default();
-    let mut cols: Vec<Arc<ColumnData>> =
-        Vec::with_capacity(body.rep_cols.len() + body.agg_names.len());
-    for (k, &ci) in body.rep_cols.iter().enumerate() {
-        schema.push(in_schema.columns()[ci].clone());
-        cols.push(Arc::clone(&merged.reps[k]));
+    /// Refresh the merged touched set and the cached finish values of
+    /// exactly the merged groups touched by this tick's folds.
+    fn refresh(&mut self, shards: &[GroupState]) -> EngineResult<()> {
+        let groups = &mut self.groups;
+        groups.touched.clear();
+        for (gs, to_merged) in shards.iter().zip(&self.to_merged) {
+            for &lg in &gs.touched {
+                groups.touched.push(to_merged[lg as usize]);
+            }
+        }
+        groups.touched.sort_unstable();
+        groups.touched.dedup();
+        for (ci, vals) in groups.vals.iter_mut().enumerate() {
+            let col = Arc::make_mut(vals);
+            for &mg in &groups.touched {
+                let v = match &self.owners[mg as usize] {
+                    Owners::One(s, g) => shards[*s as usize].vals[ci].value(*g as usize),
+                    Owners::Many(list) => {
+                        let (s0, g0) = list[0];
+                        let mut acc = shards[s0 as usize].accs[ci][g0 as usize].clone();
+                        for &(s, g) in &list[1..] {
+                            acc.merge(&shards[s as usize].accs[ci][g as usize])?;
+                        }
+                        acc.finish()
+                    }
+                };
+                // touched is ascending and new merged gids are contiguous
+                // at the tail, so pushes land in group order
+                if (mg as usize) < col.len() {
+                    col.set(mg as usize, v);
+                } else {
+                    col.push(v);
+                }
+            }
+        }
+        Ok(())
     }
-    for (vals, name) in merged.vals.iter().zip(&body.agg_names) {
-        schema.push(Column::new(name.clone(), DataType::Float));
-        cols.push(Arc::clone(vals));
-    }
-    if body.rep_cols.is_empty() && body.agg_names.is_empty() {
-        return Ok(Frame::from_rows(schema, vec![Vec::new(); n_groups]));
-    }
-    Frame::from_arc_columns(schema, cols)
-}
-
-/// Re-evaluate the cached HAVING mask for exactly the `touched` groups
-/// of `ext` (one row per group) and return how many groups were
-/// evaluated — the dirty-set maintenance shared by the serial and
-/// sharded incremental paths that keeps HAVING `O(touched groups)` per
-/// tick. The mask only ever grows: groups are never removed from a
-/// live state.
-pub(super) fn refresh_having_mask(
-    having: &ExprProgram,
-    ext: &Frame,
-    touched: &[u32],
-    mask: &mut Vec<bool>,
-) -> EngineResult<u64> {
-    if mask.len() < ext.len() {
-        mask.resize(ext.len(), false);
-    }
-    if touched.is_empty() {
-        return Ok(0);
-    }
-    let indices: Vec<usize> = touched.iter().map(|&g| g as usize).collect();
-    let sub = select_rows_parallel(ext, &indices, ThreadPool::global());
-    // incremental HAVING programs are subquery-free by construction
-    // (`compile_incremental` rejects them), so no subquery executor
-    let ctx = EvalContext { schema: &ext.schema, subquery: None };
-    let bits = having.eval_mask(&sub, &ctx)?;
-    for (&g, b) in indices.iter().zip(bits) {
-        mask[g] = b;
-    }
-    Ok(indices.len() as u64)
 }
 
 #[cfg(test)]
@@ -578,7 +410,6 @@ mod tests {
                    ORDER BY uid";
         let batches: Vec<Frame> = (0..5).map(|i| batch(&gen_rows(i, 200, 23))).collect();
         for shards in [1usize, 2, 4, 64] {
-            let spec = ShardSpec::new("uid", shards);
             let mut cat_a = Catalog::new();
             cat_a.set_partitioning("uid", shards);
             cat_a.register("s", batch(&[])).unwrap();
@@ -592,9 +423,8 @@ mod tests {
                 let q = parse_query(sql).unwrap();
                 let ex_a = Executor::new(&cat_a);
                 let plan_a = ex_a.compile_incremental(&q).unwrap().unwrap();
-                let sharded = ex_a
-                    .run_incremental_sharded(&plan_a, &mut st_sharded, DeltaInput::Source, &spec)
-                    .unwrap();
+                let sharded =
+                    ex_a.run_incremental(&plan_a, &mut st_sharded, DeltaInput::Source).unwrap();
                 let ex_b = Executor::new(&cat_b);
                 let plan_b = ex_b.compile_incremental(&q).unwrap().unwrap();
                 let serial = ex_b
@@ -626,12 +456,11 @@ mod tests {
         cat.register("s", batch(&seed)).unwrap();
         let q = parse_query("SELECT uid, SUM(v) AS sv FROM s GROUP BY uid HAVING SUM(v) > 1")
             .unwrap();
-        let spec = ShardSpec::new("uid", 8);
         let mut st = IncrementalState::new();
         {
             let ex = Executor::new(&cat);
             let plan = ex.compile_incremental(&q).unwrap().unwrap();
-            ex.run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec).unwrap();
+            ex.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
         }
         let after_seed = st.having_groups_evaluated();
         assert_eq!(after_seed, 1000, "rebuild evaluates every group once");
@@ -639,7 +468,7 @@ mod tests {
             cat.append("s", batch(&[(i % 7, 5)])).unwrap();
             let ex = Executor::new(&cat);
             let plan = ex.compile_incremental(&q).unwrap().unwrap();
-            ex.run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec).unwrap();
+            ex.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
         }
         assert_eq!(
             st.having_groups_evaluated(),
@@ -669,21 +498,18 @@ mod tests {
         cat.set_partitioning("uid", 4);
         cat.register("s", ok).unwrap();
         let q = parse_query("SELECT uid, SUM(w) AS sw FROM s GROUP BY uid ORDER BY uid").unwrap();
-        let spec = ShardSpec::new("uid", 4);
         let mut st = IncrementalState::new();
         {
             let ex = Executor::new(&cat);
             let plan = ex.compile_incremental(&q).unwrap().unwrap();
-            ex.run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec).unwrap();
+            ex.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
         }
         assert_eq!(st.rows_seen(), 50);
         cat.append("s", bad).unwrap();
         {
             let ex = Executor::new(&cat);
             let plan = ex.compile_incremental(&q).unwrap().unwrap();
-            assert!(ex
-                .run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec)
-                .is_err());
+            assert!(ex.run_incremental(&plan, &mut st, DeltaInput::Source).is_err());
         }
         // poisoned: no partial fold survives
         assert_eq!(st.rows_seen(), 0);
@@ -700,9 +526,7 @@ mod tests {
         ).unwrap())
         .unwrap()
         .unwrap();
-        let run = ex
-            .run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec)
-            .unwrap();
+        let run = ex.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
         assert!(run.reset);
         assert_eq!(run.result.len(), 3);
     }

@@ -170,36 +170,42 @@ fn steady_appends_never_reset_after_the_first_tick() {
 #[test]
 fn a_rebuild_refills_its_buffers_and_leaves_handed_out_results_alone() {
     // a rebuild under the same plan clears and refills the state's
-    // buffers instead of allocating fresh ones; results of earlier
-    // ticks may still share those buffers and must not change
-    for sql in [
-        "SELECT * FROM stream WHERE z < 2",
-        "SELECT x, AVG(z) AS za FROM stream GROUP BY x",
-        "SELECT x, y, AVG(z) AS za, t FROM stream WHERE x > y GROUP BY x, y HAVING SUM(z) > 3",
-    ] {
-        let mut catalog = Catalog::new();
-        catalog.register("stream", batch(0, 60)).unwrap();
-        let query = parse_query(sql).unwrap();
-        let plan = Executor::new(&catalog).compile_incremental(&query).unwrap().unwrap();
-        let mut state = IncrementalState::new();
-        let mut held: Vec<(Frame, Vec<Vec<Value>>)> = Vec::new();
-        // first tick, eviction and replacement rebuild; the last append folds
-        let steps = [Step::Append(1, 10), Step::Evict(55), Step::Replace(2, 5), Step::Append(3, 30)];
-        for (i, step) in steps.into_iter().enumerate() {
-            match step {
-                Step::Append(s, rows) => catalog.append("stream", batch(s, rows)).unwrap(),
-                Step::Evict(rows) => catalog.evict_front("stream", rows).unwrap(),
-                Step::Replace(s, rows) => catalog.register_or_replace("stream", batch(s, rows)),
+    // buffers instead of allocating fresh ones — on one shard and on
+    // every shard of a partitioned stream; results of earlier ticks may
+    // still share those buffers and must not change
+    for shards in [1, 4] {
+        for sql in [
+            "SELECT * FROM stream WHERE z < 2",
+            "SELECT x, AVG(z) AS za FROM stream GROUP BY x",
+            "SELECT x, y, AVG(z) AS za, t FROM stream WHERE x > y GROUP BY x, y HAVING SUM(z) > 3",
+        ] {
+            let mut catalog = Catalog::new();
+            catalog.set_partitioning("x", shards);
+            catalog.register("stream", batch(0, 60)).unwrap();
+            let query = parse_query(sql).unwrap();
+            let plan = Executor::new(&catalog).compile_incremental(&query).unwrap().unwrap();
+            let mut state = IncrementalState::new();
+            let mut held: Vec<(Frame, Vec<Vec<Value>>)> = Vec::new();
+            // first tick, eviction and replacement rebuild; the last append folds
+            let steps =
+                [Step::Append(1, 10), Step::Evict(55), Step::Replace(2, 5), Step::Append(3, 30)];
+            for (i, step) in steps.into_iter().enumerate() {
+                match step {
+                    Step::Append(s, rows) => catalog.append("stream", batch(s, rows)).unwrap(),
+                    Step::Evict(rows) => catalog.evict_front("stream", rows).unwrap(),
+                    Step::Replace(s, rows) => catalog.register_or_replace("stream", batch(s, rows)),
+                }
+                let exec = Executor::new(&catalog);
+                let run = exec.run_incremental(&plan, &mut state, DeltaInput::Source).unwrap();
+                let at = format!("{sql}, {shards} shard(s): step {i}");
+                assert_eq!(run.reset, i < 3, "{at}");
+                assert_eq!(run.result.to_rows(), exec.execute(&query).unwrap().to_rows(), "{at}");
+                for (frame, rows) in &held {
+                    assert_eq!(&frame.to_rows(), rows, "{at}: an earlier result changed");
+                }
+                let rows = run.result.to_rows();
+                held.push((run.result, rows));
             }
-            let exec = Executor::new(&catalog);
-            let run = exec.run_incremental(&plan, &mut state, DeltaInput::Source).unwrap();
-            assert_eq!(run.reset, i < 3, "{sql}: step {i}");
-            assert_eq!(run.result.to_rows(), exec.execute(&query).unwrap().to_rows(), "{sql}: step {i}");
-            for (frame, rows) in &held {
-                assert_eq!(&frame.to_rows(), rows, "{sql}: an earlier result changed at step {i}");
-            }
-            let rows = run.result.to_rows();
-            held.push((run.result, rows));
         }
     }
 }

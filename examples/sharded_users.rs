@@ -3,11 +3,10 @@
 //! shards each registered stream by a hash of that key, folds every
 //! tick's batch shard-parallel over the thread pool, and merges
 //! per-group accumulators only at the aggregation boundary — with
-//! results identical to the serial incremental path.
+//! results identical to one shard.
 //!
 //! Run with `cargo run --example sharded_users`; set `PARADISE_THREADS`
-//! to size the pool and `PARADISE_SHARDS` to override the shard count
-//! (`PARADISE_SHARDS=1` forces the serial reference path).
+//! to size the pool.
 
 use std::time::Instant;
 

@@ -251,14 +251,14 @@ fn users_frame(rows: usize) -> Frame {
 
 #[test]
 fn sharded_partial_delta_without_matching_state_signals_stale_plan() {
-    use paradise::engine::{DeltaInput, EngineError, IncrementalState, ShardSpec};
+    use paradise::engine::{DeltaInput, EngineError, IncrementalState};
 
     let mut catalog = Catalog::new();
+    catalog.set_partitioning("uid", 4);
     catalog.register("s", users_frame(100)).unwrap();
     let q = parse_query("SELECT uid, SUM(v) AS sv FROM s GROUP BY uid").unwrap();
     let executor = Executor::new(&catalog);
     let plan = executor.compile_incremental(&q).unwrap().unwrap();
-    let spec = ShardSpec::new("uid", 4);
 
     // a pushed partial delta into a *fresh* state cannot be folded —
     // the engine must refuse with the retryable StalePlan signal, never
@@ -266,59 +266,50 @@ fn sharded_partial_delta_without_matching_state_signals_stale_plan() {
     let delta = users_frame(10);
     let mut fresh = IncrementalState::new();
     let err = executor
-        .run_incremental_sharded(
-            &plan,
-            &mut fresh,
-            DeltaInput::Pushed { delta: &delta, reset: false },
-            &spec,
-        )
+        .run_incremental(&plan, &mut fresh, DeltaInput::Pushed { delta: &delta, reset: false })
         .unwrap_err();
     assert!(matches!(err, EngineError::StalePlan), "got {err}");
 
     // same signal when the shard count changed under a live state: the
     // old routing is unusable for a partial delta
     let mut st = IncrementalState::new();
-    executor.run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec).unwrap();
+    executor.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
+    catalog.set_partitioning("uid", 8);
+    let executor = Executor::new(&catalog);
     let err = executor
-        .run_incremental_sharded(
-            &plan,
-            &mut st,
-            DeltaInput::Pushed { delta: &delta, reset: false },
-            &ShardSpec::new("uid", 8),
-        )
+        .run_incremental(&plan, &mut st, DeltaInput::Pushed { delta: &delta, reset: false })
         .unwrap_err();
     assert!(matches!(err, EngineError::StalePlan), "got {err}");
 }
 
 #[test]
 fn shard_count_change_over_source_input_rebuilds_all_shards() {
-    use paradise::engine::{DeltaInput, IncrementalState, ShardSpec};
+    use paradise::engine::{DeltaInput, IncrementalState};
 
     let mut catalog = Catalog::new();
+    catalog.set_partitioning("uid", 4);
     catalog.register("s", users_frame(200)).unwrap();
     let q = parse_query("SELECT uid, SUM(v) AS sv FROM s GROUP BY uid ORDER BY uid").unwrap();
     let executor = Executor::new(&catalog);
     let plan = executor.compile_incremental(&q).unwrap().unwrap();
 
     let mut st = IncrementalState::new();
-    executor
-        .run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &ShardSpec::new("uid", 4))
-        .unwrap();
+    executor.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
     assert_eq!(st.rows_seen(), 200);
 
     // source-backed input carries the full window, so a shard-count
     // change rebuilds coherently instead of failing — and the rebuilt
     // result is exact against the one-shot executor
-    let run = executor
-        .run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &ShardSpec::new("uid", 8))
-        .unwrap();
+    catalog.set_partitioning("uid", 8);
+    let executor = Executor::new(&catalog);
+    let run = executor.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
     assert!(run.reset, "routing change must rebuild, not fold");
     assert_eq!(run.result.to_rows(), executor.execute(&q).unwrap().to_rows());
 }
 
 #[test]
 fn sharded_fold_failure_is_all_or_nothing() {
-    use paradise::engine::{DeltaInput, IncrementalState, ShardSpec};
+    use paradise::engine::{DeltaInput, IncrementalState};
 
     // SUM over a Text column: NULLs fold fine, a non-numeric string
     // errors mid-fold on exactly one shard while others succeed
@@ -335,12 +326,11 @@ fn sharded_fold_failure_is_all_or_nothing() {
     catalog.set_partitioning("uid", 4);
     catalog.register("s", ok).unwrap();
     let q = parse_query("SELECT uid, SUM(w) AS sw FROM s GROUP BY uid ORDER BY uid").unwrap();
-    let spec = ShardSpec::new("uid", 4);
     let mut st = IncrementalState::new();
     {
         let executor = Executor::new(&catalog);
         let plan = executor.compile_incremental(&q).unwrap().unwrap();
-        executor.run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec).unwrap();
+        executor.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
     }
     assert_eq!(st.rows_seen(), 60);
 
@@ -348,9 +338,7 @@ fn sharded_fold_failure_is_all_or_nothing() {
     {
         let executor = Executor::new(&catalog);
         let plan = executor.compile_incremental(&q).unwrap().unwrap();
-        assert!(executor
-            .run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec)
-            .is_err());
+        assert!(executor.run_incremental(&plan, &mut st, DeltaInput::Source).is_err());
     }
     // the failing tick must not leave the folds of the *other* shards
     // observable: the whole state poisons at once
@@ -367,9 +355,7 @@ fn sharded_fold_failure_is_all_or_nothing() {
     catalog.append("s", clean).unwrap();
     let executor = Executor::new(&catalog);
     let plan = executor.compile_incremental(&q).unwrap().unwrap();
-    let run = executor
-        .run_incremental_sharded(&plan, &mut st, DeltaInput::Source, &spec)
-        .unwrap();
+    let run = executor.run_incremental(&plan, &mut st, DeltaInput::Source).unwrap();
     assert!(run.reset, "recovery rebuilds from scratch");
     assert_eq!(run.result.to_rows(), executor.execute(&q).unwrap().to_rows());
 }

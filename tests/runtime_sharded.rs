@@ -186,7 +186,7 @@ fn source_replacement_rebuilds_all_shards_coherently() {
 /// rebuild this replaced cannot regress silently.
 #[test]
 fn having_mask_touches_one_group_per_tick_at_100k_groups() {
-    use paradise::engine::{DeltaInput, Executor, IncrementalState, ShardSpec};
+    use paradise::engine::{DeltaInput, Executor, IncrementalState};
 
     let schema = Schema::from_pairs(&[("uid", DataType::Integer), ("v", DataType::Integer)]);
     let seed_frame = Frame::new(
@@ -203,12 +203,11 @@ fn having_mask_touches_one_group_per_tick_at_100k_groups() {
         let mut cat = Catalog::new();
         cat.set_partitioning("uid", shards);
         cat.register("s", seed_frame.clone()).unwrap();
-        let spec = ShardSpec::new("uid", shards);
         let mut st = IncrementalState::new();
         let run = |cat: &Catalog, st: &mut IncrementalState| {
             let ex = Executor::new(cat);
             let plan = ex.compile_incremental(&parse_query(sql).unwrap()).unwrap().unwrap();
-            ex.run_incremental_sharded(&plan, st, DeltaInput::Source, &spec).unwrap()
+            ex.run_incremental(&plan, st, DeltaInput::Source).unwrap()
         };
         run(&cat, &mut st);
         assert_eq!(

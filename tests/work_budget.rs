@@ -51,11 +51,14 @@ static COUNTING: Counting = Counting;
 const PAPER_ORIGINAL: &str = "SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) \
                               FROM (SELECT x, y, z, t FROM stream)";
 
-/// (query, ceiling on the median allocations per steady tick): the
-/// flat projection (rewritten to the grouped aggregation, 3 stages) and
-/// the paper query (4 stages). Each ceiling is the measured median plus
-/// 5 %.
-const SHAPES: &[(&str, u64)] = &[("SELECT x, y, z, t FROM stream", 826), (PAPER_ORIGINAL, 929)];
+const FLAT: &str = "SELECT x, y, z, t FROM stream";
+
+/// (query, stream shards, ceiling on the median allocations per steady
+/// tick): the flat projection (rewritten to the grouped aggregation, 3
+/// stages), the paper query (4 stages), and the flat projection over a
+/// stream partitioned 4 ways by `x`, which folds through the cross-shard
+/// merge. Each ceiling is the measured median plus 5 %.
+const SHAPES: &[(&str, usize, u64)] = &[(FLAT, 1, 826), (PAPER_ORIGINAL, 1, 929), (FLAT, 4, 1370)];
 
 fn stream(seed: u64, steps: usize) -> Frame {
     let config = SmartRoomConfig { persons: 10, switch_probability: 0.003, ..Default::default() };
@@ -79,12 +82,14 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     (result, ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
-/// The Figure 4 policy over a 100k-row window that is never trimmed,
-/// with `sql` registered and ticked once; durable in `dir` when given.
-fn resident(sql: &str, dir: Option<&Path>) -> Runtime {
+/// The Figure 4 policy over a 100k-row window that is never trimmed and
+/// partitioned `shards` ways by `x`, with `sql` registered and ticked
+/// once; durable in `dir` when given.
+fn resident(sql: &str, shards: usize, dir: Option<&Path>) -> Runtime {
     let rt = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", figure4_policy().modules.remove(0))
-        .with_retention(10_000_000);
+        .with_retention(10_000_000)
+        .with_partitioning("x", shards);
     let mut rt = match dir {
         Some(dir) => rt.with_snapshot_every(0).durable(dir).unwrap(),
         None => rt,
@@ -95,10 +100,10 @@ fn resident(sql: &str, dir: Option<&Path>) -> Runtime {
     rt
 }
 
-/// Allocations inside each of 30 steady ticks of `sql`, each after a
-/// 500-row batch.
-fn allocations_per_tick(sql: &str) -> Vec<u64> {
-    let mut rt = resident(sql, None);
+/// Allocations inside each of 30 steady ticks of `sql` over `shards`
+/// shards, each after a 500-row batch.
+fn allocations_per_tick(sql: &str, shards: usize) -> Vec<u64> {
+    let mut rt = resident(sql, shards, None);
     (0..30)
         .map(|i| {
             rt.ingest("motion-sensor", "stream", stream(100 + i, 50)).unwrap();
@@ -112,7 +117,7 @@ fn allocations_per_tick(sql: &str) -> Vec<u64> {
 /// Allocations inside each of 30 ingests of a 500-row batch, each
 /// followed by a tick.
 fn allocations_per_ingest(dir: Option<&Path>) -> Vec<u64> {
-    let mut rt = resident(PAPER_ORIGINAL, dir);
+    let mut rt = resident(PAPER_ORIGINAL, 1, dir);
     (0..30)
         .map(|i| {
             let batch = stream(100 + i, 50);
@@ -127,7 +132,7 @@ fn allocations_per_ingest(dir: Option<&Path>) -> Vec<u64> {
 /// Allocations inside each of 30 registrations of the paper query, each
 /// removed again.
 fn allocations_per_register() -> Vec<u64> {
-    let mut rt = resident(PAPER_ORIGINAL, None);
+    let mut rt = resident(PAPER_ORIGINAL, 1, None);
     let query = parse_query(PAPER_ORIGINAL).unwrap();
     (0..30)
         .map(|_| {
@@ -141,9 +146,8 @@ fn allocations_per_register() -> Vec<u64> {
 /// Allocations inside each of 30 swaps of the Figure 4 policy, each
 /// re-planning three resident flat projections.
 fn allocations_per_policy_swap() -> Vec<u64> {
-    let (flat, _) = SHAPES[0];
-    let mut rt = resident(flat, None);
-    let query = parse_query(flat).unwrap();
+    let mut rt = resident(FLAT, 1, None);
+    let query = parse_query(FLAT).unwrap();
     for _ in 0..2 {
         rt.register("ActionFilter", &query).unwrap();
     }
@@ -182,8 +186,9 @@ fn check(shape: &str, unit: &str, mut counts: Vec<u64>, ceiling: u64) {
 /// counted.
 #[test]
 fn steady_ticks_stay_within_their_allocation_ceilings() {
-    for &(sql, ceiling) in SHAPES {
-        check(&format!("{sql:?}"), "steady tick", allocations_per_tick(sql), ceiling);
+    for &(sql, shards, ceiling) in SHAPES {
+        let shape = format!("{sql:?}, {shards} shard(s)");
+        check(&shape, "steady tick", allocations_per_tick(sql, shards), ceiling);
     }
     check("ingest, in memory", "500-row batch", allocations_per_ingest(None), INGEST);
     let dir = scratch_dir();
