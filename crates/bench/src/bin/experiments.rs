@@ -1,63 +1,133 @@
 //! The experiment harness: regenerates every table and figure of the
-//! paper (see DESIGN.md §4 for the experiment index).
+//! paper. The README's "Experiments" section is the experiment index,
+//! and its "Deviations from the paper" says where this reproduction
+//! departs from the paper.
 //!
 //! ```text
-//! cargo run -p paradise-bench --bin experiments -- all
-//! cargo run -p paradise-bench --bin experiments -- table1 | figure2 |
+//! cargo run --release --bin experiments -- all
+//! cargo run --release --bin experiments -- table1 | figure2 |
 //!     figure3 | figure4 | usecase | goldenpath | containment |
 //!     preprocess | ablation
 //! ```
 
 use std::collections::HashMap;
+use std::hint::black_box;
+use std::time::Instant;
 
 use paradise_anon::{
     direct_distance_ratio, kl_divergence, mondrian, slice, SlicingConfig,
 };
-use paradise_bench::{
-    meeting_stream, paper_original, paper_rewritten, paper_runtime, query_corpus,
-};
 use paradise_core::{
     attack_answerable, fragment_query, preprocess, ConjunctiveQuery, PreprocessOptions,
+    ProcessingChain, Runtime,
 };
 use paradise_core::remainder::{filter_by_class, ActionClass};
-use paradise_engine::{Catalog, Executor};
-use paradise_nodes::{Capability, Level};
+use paradise_engine::{Catalog, Executor, Frame};
+use paradise_nodes::{Capability, Level, SmartRoomConfig, SmartRoomSim};
 use paradise_policy::{figure4_policy, parse_policy, policy_to_xml, FIG4_POLICY_XML};
 use paradise_sql::analysis::block_features;
+use paradise_sql::ast::Query;
 use paradise_sql::parse_query;
+
+/// The experiment index, in the order `all` runs it.
+const EXPERIMENTS: [(&str, fn()); 9] = [
+    ("table1", table1),
+    ("figure2", figure2),
+    ("figure3", figure3),
+    ("figure4", figure4),
+    ("usecase", usecase),
+    ("goldenpath", goldenpath),
+    ("containment", containment),
+    ("preprocess", preprocess_exp),
+    ("ablation", ablation),
+];
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    match arg.as_str() {
-        "table1" => table1(),
-        "figure2" => figure2(),
-        "figure3" => figure3(),
-        "figure4" => figure4(),
-        "usecase" => usecase(),
-        "goldenpath" => goldenpath(),
-        "containment" => containment(),
-        "preprocess" => preprocess_exp(),
-        "ablation" => ablation(),
-        "all" => {
-            table1();
-            figure2();
-            figure3();
-            figure4();
-            usecase();
-            goldenpath();
-            containment();
-            preprocess_exp();
-            ablation();
-        }
-        other => {
-            eprintln!("unknown experiment {other:?}");
-            eprintln!(
-                "known: table1 figure2 figure3 figure4 usecase goldenpath containment \
-                 preprocess ablation all"
-            );
+    if arg == "all" {
+        EXPERIMENTS.iter().for_each(|(_, run)| run());
+        return;
+    }
+    match EXPERIMENTS.iter().find(|(name, _)| *name == arg) {
+        Some((_, run)) => run(),
+        None => {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+            eprintln!("unknown experiment {arg:?}");
+            eprintln!("known: {} all", names.join(" "));
             std::process::exit(2);
         }
     }
+}
+
+/// The paper's original query (§4.2, the SQL inside the R call).
+const PAPER_ORIGINAL: &str =
+    "SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) \
+     FROM (SELECT x, y, z, t FROM stream)";
+
+/// The paper's rewritten query (§4.2).
+const PAPER_REWRITTEN: &str =
+    "SELECT regr_intercept(y, x) OVER (PARTITION BY zAVG ORDER BY t) \
+     FROM (SELECT x, y, AVG(z) AS zAVG, t FROM stream \
+     WHERE x > y AND z < 2 GROUP BY x, y HAVING SUM(z) > 100)";
+
+fn paper_original() -> Query {
+    parse_query(PAPER_ORIGINAL).expect("static query parses")
+}
+
+fn paper_rewritten() -> Query {
+    parse_query(PAPER_REWRITTEN).expect("static query parses")
+}
+
+/// Meeting-room position data at a given scale (rows ≈ persons × steps).
+fn meeting_stream(seed: u64, persons: usize, steps: usize) -> Frame {
+    let config = SmartRoomConfig { persons, switch_probability: 0.003, ..Default::default() };
+    SmartRoomSim::with_config(seed, config).ubisense_positions(steps)
+}
+
+/// A runtime for the §4.2 scenario with `rows ≈ persons × steps` of
+/// simulated data at the sensor.
+fn paper_runtime(seed: u64, persons: usize, steps: usize) -> Runtime {
+    let mut runtime = Runtime::new(ProcessingChain::apartment())
+        .with_policy("ActionFilter", figure4_policy().modules.remove(0));
+    runtime
+        .install_source("motion-sensor", "stream", meeting_stream(seed, persons, steps))
+        .expect("sensor node exists");
+    runtime
+}
+
+/// A corpus of queries spanning every capability level (Table 1).
+fn query_corpus() -> Vec<(&'static str, &'static str)> {
+    vec![
+        ("const filter scan", "SELECT * FROM stream WHERE z < 2"),
+        ("plain scan", "SELECT * FROM stream"),
+        ("projection", "SELECT x, y FROM stream"),
+        ("attr comparison", "SELECT x, y FROM stream WHERE x > y"),
+        ("arithmetic filter", "SELECT x FROM stream WHERE x + 1 > 2"),
+        ("aggregation", "SELECT AVG(z) FROM stream"),
+        (
+            "group by + having",
+            "SELECT x, AVG(z) AS za FROM stream GROUP BY x HAVING SUM(z) > 10",
+        ),
+        ("join", "SELECT a.x FROM stream a JOIN stream b ON a.t = b.t"),
+        ("order + limit", "SELECT x FROM stream ORDER BY x LIMIT 5"),
+        ("subquery", "SELECT x FROM (SELECT x FROM stream)"),
+        ("set operation", "SELECT x FROM stream UNION SELECT y FROM stream"),
+        (
+            "window regression",
+            "SELECT regr_intercept(y, x) OVER (PARTITION BY z ORDER BY t) FROM stream",
+        ),
+        ("udf / ML", "SELECT filterByClass(z) FROM stream"),
+    ]
+}
+
+/// Mean wall-clock µs per call of `f` over `calls` calls: an ungated
+/// figure to cite, not a gate.
+fn mean_us<T>(calls: u32, mut f: impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    for _ in 0..calls {
+        black_box(f());
+    }
+    start.elapsed().as_secs_f64() * 1e6 / f64::from(calls)
 }
 
 fn banner(title: &str) {
@@ -227,12 +297,9 @@ fn usecase() {
 fn goldenpath() {
     banner("EXP-GP (paper §3.2): the Golden Path — k vs. information loss");
     let table = {
-        let config = paradise_nodes::SmartRoomConfig {
-            persons: 6,
-            switch_probability: 0.01,
-            ..Default::default()
-        };
-        paradise_nodes::SmartRoomSim::with_config(5, config).ubisense_tagged(400)
+        let config =
+            SmartRoomConfig { persons: 6, switch_probability: 0.01, ..Default::default() };
+        SmartRoomSim::with_config(5, config).ubisense_tagged(400)
     };
     // columns: tag(0) x(1) y(2) z(3) t(4) valid(5)
     println!("k-anonymity (Mondrian on x, y, t):");
@@ -313,6 +380,32 @@ fn containment() {
          answerable ones require extending the anonymization step A (paper §5).",
         attacks.len()
     );
+
+    // per-call cost of the check, on a simple attack and on a 4-way
+    // self-join whose homomorphism search is non-trivial
+    const CALLS: u32 = 20_000;
+    let simple_sql = "SELECT x, y, t FROM stream WHERE z = 1";
+    let simple_ast = parse_query(simple_sql).expect("parses");
+    let simple = cq(simple_sql);
+    let join = cq("SELECT a.x, a.y, a.t FROM stream a \
+         JOIN stream b ON a.t = b.t \
+         JOIN stream c ON b.x = c.x \
+         JOIN stream d ON c.y = d.y");
+    println!("\nper-call cost (mean over {CALLS} calls, ungated):");
+    let timings = [
+        ("convert SPJ query to CQ", mean_us(CALLS, || {
+            ConjunctiveQuery::from_query(black_box(&simple_ast), &schemas)
+        })),
+        ("simple containment", mean_us(CALLS, || {
+            black_box(&simple).is_contained_in(black_box(&revealed))
+        })),
+        ("4-way self-join containment", mean_us(CALLS, || {
+            black_box(&join).is_contained_in(black_box(&revealed))
+        })),
+    ];
+    for (name, us) in timings {
+        println!("  {name:<28} {us:>8.3} µs");
+    }
 
     // extension: interval predicates (the paper's actual z<2 filter)
     use paradise_core::{range_attack_answerable, RangeQuery};
@@ -400,14 +493,14 @@ fn preprocess_exp() {
     );
 }
 
-/// EXP-AB — ablation of the design choices DESIGN.md calls out:
-/// (a) E2 capability profile (paper-compatible vs. strict SQL-92),
+/// EXP-AB — ablation of two design choices:
+/// (a) E2 capability profile (paper-compatible vs. strict SQL-92; the
+/// README's "Deviations from the paper"),
 /// (b) fragment-to-node assignment policy (Spread vs. Stack).
 fn ablation() {
     banner("EXP-AB: ablations — E2 profile and assignment policy");
 
-    use paradise_core::{assign_to_chain, AssignmentPolicy, Runtime};
-    use paradise_nodes::ProcessingChain;
+    use paradise_core::{assign_to_chain, AssignmentPolicy};
 
     let rewritten = paper_rewritten();
     let plan = fragment_query(&rewritten).expect("plan");
@@ -464,5 +557,25 @@ fn ablation() {
         let nodes: Vec<&str> = stages.iter().map(|s| s.node.as_str()).collect();
         let distinct: std::collections::HashSet<&&str> = nodes.iter().collect();
         println!("  {policy:?}: {} node(s) used — {}", distinct.len(), nodes.join(" → "));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scenario_builders_work() {
+        let frame = meeting_stream(1, 2, 10);
+        assert_eq!(frame.len(), 20);
+        let mut rt = paper_runtime(1, 2, 10);
+        assert!(rt.run_once("ActionFilter", &paper_original()).is_ok());
+    }
+
+    #[test]
+    fn corpus_parses() {
+        for (name, sql) in query_corpus() {
+            assert!(parse_query(sql).is_ok(), "{name}: {sql}");
+        }
     }
 }

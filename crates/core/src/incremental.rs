@@ -295,8 +295,9 @@ fn cached_plans(
         return Ok(plans);
     }
     let plans = exec.compile_set(fragment)?;
-    lock().insert(fragment, plans.clone());
-    Ok(plans)
+    // a handle that compiled the same fragment meanwhile wins: adopt its
+    // set so every stage shares one `Arc`
+    Ok(lock().insert(exec, fragment, plans))
 }
 
 fn hop(from: &Stage, to: &Stage, shipped: &Frame) -> Hop {

@@ -1854,21 +1854,32 @@ impl PlanCache {
         None
     }
 
-    /// Cache `plans` for `query`, replacing an entry for the same query.
-    pub fn insert(&mut self, query: &Query, plans: PlanSet) {
+    /// Cache `plans` for `query` (compiled against `exec`'s schemas) and
+    /// return the set every caller shares from now on. When another
+    /// caller inserted a still-current set for the same query between
+    /// this caller's [`PlanCache::lookup`] miss and now, that set stays
+    /// and is returned, and the lost race counts as a hit, not a miss;
+    /// a stale entry is replaced.
+    pub fn insert(&mut self, exec: &Executor<'_>, query: &Query, plans: PlanSet) -> PlanSet {
         let key = ast_key(query);
         if let Some((_, slot)) =
             self.entries.get_mut(&key).and_then(|l| l.iter_mut().find(|(q, _)| q == query))
         {
-            *slot = plans;
-            return;
+            if slot.is_current(exec) {
+                self.stats.misses = self.stats.misses.saturating_sub(1);
+                self.stats.hits += 1;
+                return slot.clone();
+            }
+            *slot = plans.clone();
+            return plans;
         }
         if self.len >= PLAN_CACHE_CAPACITY {
             self.entries.clear();
             self.len = 0;
         }
-        self.entries.entry(key).or_default().push((query.clone(), plans));
+        self.entries.entry(key).or_default().push((query.clone(), plans.clone()));
         self.len += 1;
+        plans
     }
 
     /// Look up (or compile and cache) the plan for `query` against
@@ -1883,9 +1894,7 @@ impl PlanCache {
             return Ok(plans.plan);
         }
         let plans = exec.compile_set(query)?;
-        let plan = Arc::clone(&plans.plan);
-        self.insert(query, plans);
-        Ok(plan)
+        Ok(self.insert(exec, query, plans).plan)
     }
 }
 
@@ -1987,7 +1996,7 @@ mod tests {
 
         let exec = Executor::with_input(&c, "d1", &ints);
         assert!(cache.lookup(&exec, &q).is_none());
-        cache.insert(&q, exec.compile_set(&q).unwrap());
+        cache.insert(&exec, &q, exec.compile_set(&q).unwrap());
         let hit = cache.lookup(&exec, &q).expect("cached");
         assert!(hit.incremental.is_some(), "a filter keeps its delta-aware twin");
         assert!(hit.is_current(&exec));
@@ -1999,6 +2008,26 @@ mod tests {
         assert!(cache.lookup(&other, &q).is_none());
         assert_eq!(cache.stats(), PlanCacheStats { hits: 1, misses: 2, invalidations: 1 });
         assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn a_lost_insert_race_keeps_the_first_plans() {
+        let c = catalog();
+        let exec = Executor::new(&c);
+        let q = parse_query("SELECT x FROM stream WHERE x > 1").unwrap();
+        let mut cache = PlanCache::new();
+        // two callers miss before either inserts, then both compile
+        assert!(cache.lookup(&exec, &q).is_none());
+        assert!(cache.lookup(&exec, &q).is_none());
+        let a = exec.compile_set(&q).unwrap();
+        let b = exec.compile_set(&q).unwrap();
+        assert!(Arc::ptr_eq(&cache.insert(&exec, &q, a.clone()).plan, &a.plan));
+        // the second insert adopts the first set instead of replacing it
+        assert!(Arc::ptr_eq(&cache.insert(&exec, &q, b).plan, &a.plan));
+        let kept = cache.lookup(&exec, &q).expect("cached");
+        assert!(Arc::ptr_eq(&kept.plan, &a.plan));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.stats(), PlanCacheStats { hits: 2, misses: 1, invalidations: 0 });
     }
 
     #[test]

@@ -122,7 +122,8 @@ impl Capability {
 
     /// E2 PC, **paper-compatible** profile: SQL-92 plus the window/
     /// regression aggregates the §4.2 example runs on the local server
-    /// (see DESIGN.md "Deviations" on the Table-1/§4.2 discrepancy).
+    /// (see the README's "Deviations from the paper" on the Table-1/§4.2
+    /// discrepancy).
     pub fn pc_default() -> Capability {
         Capability {
             features: Capability::pc_strict_sql92().features.union(&FeatureSet::from_slice(&[

@@ -1,6 +1,6 @@
 //! A minimal blocking client for the wire protocol — used by the
-//! tests, benches, and examples, and small enough to crib for real
-//! integrations.
+//! tests, the benchmark and the examples, and small enough to crib
+//! for real integrations.
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
