@@ -460,6 +460,20 @@ proptest! {
     }
 
     #[test]
+    fn l_diverse_mondrian_at_l1_is_plain_mondrian(frame in arb_frame(), k in 1usize..=4) {
+        use paradise::anon::mondrian_l_diverse;
+        // every non-empty partition holds ≥ 1 distinct sensitive value,
+        // so l = 1 adds no condition to k-anonymity's split
+        let diverse = mondrian_l_diverse(&frame, &[0], 3, k, 1).map(|r| r.frame);
+        let plain = mondrian(&frame, &[0], k).map(|r| r.frame);
+        match (diverse, plain) {
+            (Ok(d), Ok(p)) => prop_assert_eq!(d.to_rows(), p.to_rows()),
+            (Err(_), Err(_)) => {}
+            other => prop_assert!(false, "only one side failed: {other:?}"),
+        }
+    }
+
+    #[test]
     fn dd_is_a_metric_like_distance(frame in arb_frame()) {
         // identity
         prop_assert_eq!(direct_distance(&frame, &frame).unwrap(), 0);
