@@ -18,8 +18,8 @@ pub enum AnonError {
     BadParameter(String),
     /// The requested guarantee cannot be met (e.g. fewer than k rows).
     Infeasible(String),
-    /// A column that must be ordered (a Mondrian split column, an
-    /// ordered sensitive domain) holds NaN, which has no order.
+    /// A column that must be ordered (a Mondrian quasi-identifier)
+    /// holds NaN, which has no order.
     NotANumber {
         /// The column's index.
         column: usize,

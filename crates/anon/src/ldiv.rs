@@ -4,15 +4,15 @@
 //! additionally requires every equivalence class to contain at least `l`
 //! "well-represented" sensitive values.
 //!
-//! Provided here: the distinct-l and entropy-l checks, plus an enforcing
-//! anonymizer that extends Mondrian partitioning with an l-diversity
-//! split condition.
+//! Provided here: the distinct-l check, plus an enforcing anonymizer
+//! that runs Mondrian's split with an l-diversity acceptance condition.
 
 use std::collections::HashMap;
 
 use paradise_engine::{Frame, GroupKey};
 
 use crate::error::{AnonError, AnonResult};
+use crate::kanon::partition_and_recode;
 
 /// Distinct l-diversity of an anonymized table: the minimum, over all
 /// equivalence classes (by QID columns), of the number of distinct
@@ -35,38 +35,6 @@ pub fn distinct_l(
             distinct.len()
         })
         .min())
-}
-
-/// Entropy l-diversity: `min over classes of exp(H(class))` where `H` is
-/// the Shannon entropy (nats) of the sensitive-value distribution.
-/// A table satisfies entropy ℓ-diversity when the returned value ≥ ℓ.
-pub fn entropy_l(
-    frame: &Frame,
-    qid_columns: &[usize],
-    sensitive: usize,
-) -> AnonResult<Option<f64>> {
-    let classes = classes_of(frame, qid_columns, sensitive)?;
-    let mut min_exp_h: Option<f64> = None;
-    for sens in classes.values() {
-        let mut hist: HashMap<&GroupKey, usize> = HashMap::new();
-        for s in sens {
-            *hist.entry(s).or_insert(0) += 1;
-        }
-        let n = sens.len() as f64;
-        let h: f64 = hist
-            .values()
-            .map(|&c| {
-                let p = c as f64 / n;
-                -p * p.ln()
-            })
-            .sum();
-        let exp_h = h.exp();
-        min_exp_h = Some(match min_exp_h {
-            Some(cur) => cur.min(exp_h),
-            None => exp_h,
-        });
-    }
-    Ok(min_exp_h)
 }
 
 fn classes_of(
@@ -98,7 +66,7 @@ pub fn mondrian_l_diverse(
     sensitive: usize,
     k: usize,
     l: usize,
-) -> AnonResult<crate::kanon::KAnonResult> {
+) -> AnonResult<Frame> {
     if k == 0 || l == 0 {
         return Err(AnonError::BadParameter("k and l must be ≥ 1".into()));
     }
@@ -115,13 +83,9 @@ pub fn mondrian_l_diverse(
             distinct_count(frame, &whole, sensitive)
         )));
     }
-    let mut anonymized = frame.clone();
-    let mut partitions: Vec<Vec<usize>> = Vec::new();
-    split(frame, qid_columns, sensitive, k, l, whole, &mut partitions)?;
-    for part in &partitions {
-        crate::kanon::recode_partition_public(&mut anonymized, qid_columns, part);
-    }
-    Ok(crate::kanon::KAnonResult { frame: anonymized, levels: Vec::new(), suppressed: 0 })
+    partition_and_recode(frame, qid_columns, k, &|half| {
+        distinct_count(frame, half, sensitive) >= l
+    })
 }
 
 fn distinct_count(frame: &Frame, indices: &[usize], sensitive: usize) -> usize {
@@ -134,67 +98,6 @@ fn distinct_count(frame: &Frame, indices: &[usize], sensitive: usize) -> usize {
         }
     }
     seen.len()
-}
-
-fn split(
-    frame: &Frame,
-    qids: &[usize],
-    sensitive: usize,
-    k: usize,
-    l: usize,
-    indices: Vec<usize>,
-    out: &mut Vec<Vec<usize>>,
-) -> AnonResult<()> {
-    if indices.len() < 2 * k {
-        out.push(indices);
-        return Ok(());
-    }
-    // widest numeric QID
-    let mut best: Option<(usize, f64)> = None;
-    for &c in qids {
-        let col = frame.column(c);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut numeric = true;
-        for &ri in &indices {
-            match col.as_f64(ri) {
-                Some(x) => {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
-                }
-                None => {
-                    numeric = false;
-                    break;
-                }
-            }
-        }
-        if numeric && hi > lo {
-            let range = hi - lo;
-            if best.map(|(_, r)| range > r).unwrap_or(true) {
-                best = Some((c, range));
-            }
-        }
-    }
-    let Some((split_col, _)) = best else {
-        out.push(indices);
-        return Ok(());
-    };
-    let col = frame.column(split_col);
-    let values = crate::kanon::sorted_values(col, &indices, split_col)?;
-    let median = values[values.len() / 2];
-    let (left, right): (Vec<usize>, Vec<usize>) = indices
-        .iter()
-        .partition(|&&ri| col.as_f64(ri).expect("numeric") < median);
-    let feasible = left.len() >= k
-        && right.len() >= k
-        && distinct_count(frame, &left, sensitive) >= l
-        && distinct_count(frame, &right, sensitive) >= l;
-    if !feasible {
-        out.push(indices);
-        return Ok(());
-    }
-    split(frame, qids, sensitive, k, l, left, out)?;
-    split(frame, qids, sensitive, k, l, right, out)
 }
 
 #[cfg(test)]
@@ -239,31 +142,15 @@ mod tests {
     }
 
     #[test]
-    fn entropy_l_bounds_distinct_l() {
-        let uniform = {
-            let mut f = medical();
-            for i in 0..f.len() {
-                f.set_value(i, 0, Value::Int(30));
-            }
-            f
-        };
-        let e = entropy_l(&uniform, &[0], 2).unwrap().unwrap();
-        let d = distinct_l(&uniform, &[0], 2).unwrap().unwrap();
-        // exp(H) ≤ number of distinct values
-        assert!(e <= d as f64 + 1e-9, "exp(H)={e} > distinct={d}");
-        assert!(e > 1.0);
-    }
-
-    #[test]
     fn mondrian_l_diverse_guarantees_both() {
         let f = medical();
         let result = mondrian_l_diverse(&f, &[0, 1], 2, 2, 2).unwrap();
-        let k = achieved_k(&result.frame, &[0, 1]).unwrap().unwrap();
-        let l = distinct_l(&result.frame, &[0, 1], 2).unwrap().unwrap();
+        let k = achieved_k(&result, &[0, 1]).unwrap().unwrap();
+        let l = distinct_l(&result, &[0, 1], 2).unwrap().unwrap();
         assert!(k >= 2, "k = {k}");
         assert!(l >= 2, "l = {l}");
         // sensitive column untouched
-        for (a, b) in f.column_values(2).zip(result.frame.column_values(2)) {
+        for (a, b) in f.column_values(2).zip(result.column_values(2)) {
             assert_eq!(a, b);
         }
     }
@@ -299,7 +186,6 @@ mod tests {
             Err(AnonError::BadParameter(_))
         ));
         assert!(matches!(distinct_l(&f, &[9], 2), Err(AnonError::BadColumn(9))));
-        assert!(matches!(entropy_l(&f, &[0], 9), Err(AnonError::BadColumn(9))));
     }
 
     #[test]
@@ -308,7 +194,6 @@ mod tests {
             Schema::from_pairs(&[("a", DataType::Integer), ("s", DataType::Text)]),
         );
         assert_eq!(distinct_l(&f, &[0], 1).unwrap(), None);
-        assert_eq!(entropy_l(&f, &[0], 1).unwrap(), None);
     }
 
     #[test]
@@ -332,8 +217,8 @@ mod tests {
         let diverse = mondrian_l_diverse(&f, &[0], 1, 2, 2).unwrap();
         // plain mondrian may create classes where s is constant;
         // the diverse variant must not
-        let l_plain = distinct_l(&plain.frame, &[0], 1).unwrap().unwrap();
-        let l_diverse = distinct_l(&diverse.frame, &[0], 1).unwrap().unwrap();
+        let l_plain = distinct_l(&plain, &[0], 1).unwrap().unwrap();
+        let l_diverse = distinct_l(&diverse, &[0], 1).unwrap().unwrap();
         assert_eq!(l_plain, 1);
         assert!(l_diverse >= 2);
     }

@@ -6,12 +6,12 @@
 //! * **Kullback–Leibler divergence** — the paper's information-loss
 //!   estimate \[KL51\], computed between the value distributions of a
 //!   column (or column combination) before and after anonymization.
-//! * **Discernibility metric** — the classic k-anonymity cost measure,
-//!   used by the "Golden Path" trade-off experiments.
+//! * **Achieved k** — the smallest equivalence class of an anonymized
+//!   table.
 
 use std::collections::HashMap;
 
-use paradise_engine::{Frame, GroupKey, Value};
+use paradise_engine::{Frame, GroupKey};
 
 use crate::error::{AnonError, AnonResult};
 
@@ -111,41 +111,6 @@ pub fn kl_divergence(
     Ok(kl.max(0.0))
 }
 
-/// Discernibility metric over an anonymized table: rows are grouped into
-/// equivalence classes by the quasi-identifier columns; each class of
-/// size `|E|` costs `|E|²`; fully suppressed rows (every QID cell equals
-/// the suppression marker) cost `n` each.
-pub fn discernibility(frame: &Frame, qid_columns: &[usize]) -> AnonResult<u64> {
-    let hist = histogram(frame, qid_columns)?;
-    let n = frame.len() as u64;
-    let suppressed_key: Vec<GroupKey> =
-        qid_columns.iter().map(|_| Value::Str("*".into()).group_key()).collect();
-    let mut cost = 0u64;
-    for (key, count) in &hist {
-        let count = *count as u64;
-        if *key == suppressed_key {
-            cost += count * n;
-        } else {
-            cost += count * count;
-        }
-    }
-    Ok(cost)
-}
-
-/// Average equivalence-class size (`C_avg`) normalised by k: values near
-/// 1 mean the anonymization forms classes close to the minimum size k.
-pub fn avg_class_size(frame: &Frame, qid_columns: &[usize], k: usize) -> AnonResult<f64> {
-    if k == 0 {
-        return Err(AnonError::BadParameter("k must be ≥ 1".into()));
-    }
-    let hist = histogram(frame, qid_columns)?;
-    if hist.is_empty() {
-        return Ok(0.0);
-    }
-    let n = frame.len() as f64;
-    Ok(n / (hist.len() as f64 * k as f64))
-}
-
 /// Smallest equivalence-class size — the *achieved* k of an anonymized
 /// table (`None` for an empty table).
 pub fn achieved_k(frame: &Frame, qid_columns: &[usize]) -> AnonResult<Option<usize>> {
@@ -156,7 +121,7 @@ pub fn achieved_k(frame: &Frame, qid_columns: &[usize]) -> AnonResult<Option<usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradise_engine::{DataType, Schema};
+    use paradise_engine::{DataType, Schema, Value};
 
     fn frame(rows: Vec<Vec<Value>>) -> Frame {
         let width = rows.first().map(Vec::len).unwrap_or(0);
@@ -263,37 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn discernibility_prefers_small_classes() {
-        // 4 rows in classes of 2+2 → 4+4 = 8; one class of 4 → 16
-        let two_classes = frame(vec![
-            vec![Value::Int(1), Value::Int(0)],
-            vec![Value::Int(1), Value::Int(0)],
-            vec![Value::Int(2), Value::Int(0)],
-            vec![Value::Int(2), Value::Int(0)],
-        ]);
-        let one_class = frame(vec![
-            vec![Value::Int(1), Value::Int(0)],
-            vec![Value::Int(1), Value::Int(0)],
-            vec![Value::Int(1), Value::Int(0)],
-            vec![Value::Int(1), Value::Int(0)],
-        ]);
-        assert_eq!(discernibility(&two_classes, &[0]).unwrap(), 8);
-        assert_eq!(discernibility(&one_class, &[0]).unwrap(), 16);
-    }
-
-    #[test]
-    fn discernibility_charges_suppressed_rows() {
-        let with_suppressed = frame(vec![
-            vec![Value::Str("*".into()), Value::Int(0)],
-            vec![Value::Int(1), Value::Int(0)],
-            vec![Value::Int(1), Value::Int(0)],
-        ]);
-        // suppressed row costs n=3, class of 2 costs 4
-        assert_eq!(discernibility(&with_suppressed, &[0]).unwrap(), 7);
-    }
-
-    #[test]
-    fn achieved_k_and_avg_class_size() {
+    fn achieved_k_is_the_smallest_class() {
         let t = frame(vec![
             vec![Value::Int(1), Value::Int(0)],
             vec![Value::Int(1), Value::Int(0)],
@@ -301,8 +236,6 @@ mod tests {
             vec![Value::Int(2), Value::Int(0)],
         ]);
         assert_eq!(achieved_k(&t, &[0]).unwrap(), Some(2));
-        assert_eq!(avg_class_size(&t, &[0], 2).unwrap(), 1.0);
-        assert!(avg_class_size(&t, &[0], 0).is_err());
         let empty = Frame::empty(Schema::from_pairs(&[("c0", DataType::Float)]));
         assert_eq!(achieved_k(&empty, &[0]).unwrap(), None);
     }

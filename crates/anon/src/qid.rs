@@ -13,20 +13,15 @@ use paradise_engine::{Frame, GroupKey};
 use crate::error::{AnonError, AnonResult};
 
 /// Per-column identifying power.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnScore {
+struct ColumnScore {
     /// Column index.
-    pub column: usize,
-    /// Column name.
-    pub name: String,
+    column: usize,
     /// distinct values / rows ∈ [0, 1]; 1 = key-like.
-    pub distinct_ratio: f64,
-    /// fraction of rows whose value appears exactly once.
-    pub uniqueness_ratio: f64,
+    distinct_ratio: f64,
 }
 
 /// Score every column of the frame.
-pub fn score_columns(frame: &Frame) -> Vec<ColumnScore> {
+fn score_columns(frame: &Frame) -> Vec<ColumnScore> {
     let n = frame.len();
     (0..frame.schema.len())
         .map(|c| {
@@ -35,12 +30,9 @@ pub fn score_columns(frame: &Frame) -> Vec<ColumnScore> {
             for i in 0..n {
                 *hist.entry(col.group_key_at(i)).or_insert(0) += 1;
             }
-            let unique_rows = hist.values().filter(|&&cnt| cnt == 1).count();
             ColumnScore {
                 column: c,
-                name: frame.schema.columns()[c].name.clone(),
                 distinct_ratio: if n == 0 { 0.0 } else { hist.len() as f64 / n as f64 },
-                uniqueness_ratio: if n == 0 { 0.0 } else { unique_rows as f64 / n as f64 },
             }
         })
         .collect()
@@ -48,7 +40,7 @@ pub fn score_columns(frame: &Frame) -> Vec<ColumnScore> {
 
 /// Uniqueness of a column *combination*: fraction of rows whose combined
 /// key appears exactly once.
-pub fn combination_uniqueness(frame: &Frame, columns: &[usize]) -> AnonResult<f64> {
+fn combination_uniqueness(frame: &Frame, columns: &[usize]) -> AnonResult<f64> {
     for &c in columns {
         if c >= frame.schema.len() {
             return Err(AnonError::BadColumn(c));
@@ -177,7 +169,6 @@ mod tests {
         let scores = score_columns(&tagged_people());
         assert_eq!(scores[0].distinct_ratio, 1.0); // tag unique
         assert!(scores[1].distinct_ratio < 1.0); // age repeats
-        assert_eq!(scores[0].uniqueness_ratio, 1.0);
     }
 
     #[test]

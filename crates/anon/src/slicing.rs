@@ -137,7 +137,7 @@ pub fn correlation_groups(frame: &Frame, threshold: f64) -> Vec<Vec<usize>> {
 }
 
 /// Pearson correlation of two numeric columns, `None` when undefined.
-pub fn pearson(frame: &Frame, a: usize, b: usize) -> Option<f64> {
+fn pearson(frame: &Frame, a: usize, b: usize) -> Option<f64> {
     let ca = frame.column(a);
     let cb = frame.column(b);
     let pairs: Vec<(f64, f64)> = (0..frame.len())

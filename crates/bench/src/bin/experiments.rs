@@ -309,12 +309,12 @@ fn goldenpath() {
     );
     println!("{}", "-".repeat(52));
     for k in [2usize, 5, 10, 25, 50, 100] {
-        let result = mondrian(&table, &[1, 2, 4], k).expect("mondrian");
-        let dd = direct_distance_ratio(&table, &result.frame).unwrap();
+        let anonymized = mondrian(&table, &[1, 2, 4], k).expect("mondrian");
+        let dd = direct_distance_ratio(&table, &anonymized).unwrap();
         // intended: activity recognition needs the z distribution
-        let kl_intended = kl_divergence(&table, &result.frame, &[3]).unwrap();
+        let kl_intended = kl_divergence(&table, &anonymized, &[3]).unwrap();
         // unintended: per-person location profile (tag, x, y)
-        let kl_unintended = kl_divergence(&table, &result.frame, &[0, 1, 2]).unwrap();
+        let kl_unintended = kl_divergence(&table, &anonymized, &[0, 1, 2]).unwrap();
         println!("{k:>5} | {dd:>9.4} | {kl_intended:>13.4} | {kl_unintended:>14.4}");
     }
     println!("\nslicing (groups {{tag}} / {{x,y,z}} / {{t,valid}}):");

@@ -1,34 +1,13 @@
-//! The preprocessor's feasibility checks (paper §3.1): node capacity and
-//! the Kullback–Leibler-based information-gain estimate ("it is tested if
-//! the information system could gain enough information to produce
-//! satisfactory results").
+//! The preprocessor's information-gain check (paper §3.1): a
+//! Kullback–Leibler-based estimate ("it is tested if the information
+//! system could gain enough information to produce satisfactory
+//! results"). The §3.1 node-capacity check is `Node::admit`.
 
 use paradise_anon::kl_divergence;
 use paradise_engine::{Catalog, Executor, Frame};
-use paradise_nodes::Node;
 use paradise_sql::ast::Query;
 
 use crate::error::{CoreError, CoreResult};
-
-/// Outcome of the capacity check: where should the fragment run?
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CapacityDecision {
-    /// The node can process locally.
-    ProcessLocally,
-    /// §3.2: "In case that a unit does not have enough power, the raw
-    /// data will be sent to a more powerful node and anonymized later."
-    EscalateRaw,
-}
-
-/// Check whether `node` has the capacity (memory) to process
-/// `input_bytes` of data; CPU power gates the anonymization step.
-pub fn capacity_check(node: &Node, input_bytes: usize) -> CapacityDecision {
-    if node.has_capacity_for(input_bytes) {
-        CapacityDecision::ProcessLocally
-    } else {
-        CapacityDecision::EscalateRaw
-    }
-}
 
 /// Result of the information-gain check.
 #[derive(Debug, Clone, PartialEq)]
@@ -110,7 +89,6 @@ fn project(frame: &Frame, column: usize) -> Frame {
 mod tests {
     use super::*;
     use paradise_engine::{DataType, Schema, Value};
-    use paradise_nodes::Level;
     use paradise_sql::parse_query;
 
     fn catalog() -> Catalog {
@@ -169,12 +147,5 @@ mod tests {
         let report = compare_frames(&base, &reduced).unwrap();
         assert_eq!(report.divergence, 0.0);
         assert!(report.compared_columns.is_empty());
-    }
-
-    #[test]
-    fn capacity_decisions() {
-        let node = Node::new("sensor", Level::Sensor); // 64 KiB
-        assert_eq!(capacity_check(&node, 1024), CapacityDecision::ProcessLocally);
-        assert_eq!(capacity_check(&node, 10 * 1024 * 1024), CapacityDecision::EscalateRaw);
     }
 }

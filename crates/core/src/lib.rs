@@ -61,10 +61,7 @@ pub mod runtime;
 pub mod storage;
 pub mod stream_gate;
 
-pub use checks::{
-    capacity_check, compare_frames, information_gain_check, CapacityDecision,
-    InformationGainReport,
-};
+pub use checks::{compare_frames, information_gain_check, InformationGainReport};
 pub use containment::{attack_answerable, Atom, ConjunctiveQuery, Term};
 pub use containment_ext::{range_attack_answerable, Interval, RangeQuery};
 pub use dp::{derive_plan as derive_dp_plan, derive_seed as derive_dp_seed, lower_clamps, DpPlan};
@@ -79,7 +76,7 @@ pub use pipeline::{Outcome, Planned, RuntimeOptions};
 pub use remainder::{filter_by_class, identity, ActionClass, Remainder};
 pub use runtime::{Applied, Command, HandleStats, QueryHandle, Runtime, RuntimeStats};
 pub use storage::DurabilityStats;
-pub use stream_gate::{GateDecision, IncrementalSensor, StreamGate};
+pub use stream_gate::{GateDecision, StreamGate};
 
 // Re-export the chain type users need to construct a runtime.
 pub use paradise_nodes::ProcessingChain;

@@ -122,8 +122,8 @@ fn apply(frame: Frame, strategy: &AnonStrategy) -> CoreResult<(Frame, AnonDecisi
                     },
                 ));
             }
-            let result = paradise_anon::mondrian_l_diverse(&frame, &qids, *sensitive, *k, *l)?;
-            Ok((result.frame, AnonDecision::TupleWise { qid_columns: qids, k: *k }))
+            let anonymized = paradise_anon::mondrian_l_diverse(&frame, &qids, *sensitive, *k, *l)?;
+            Ok((anonymized, AnonDecision::TupleWise { qid_columns: qids, k: *k }))
         }
         AnonStrategy::Slicing { bucket_size } => column_wise(frame, *bucket_size),
         AnonStrategy::Auto { k, bucket_size } => {
@@ -184,8 +184,8 @@ fn tuple_wise(frame: Frame, k: usize) -> CoreResult<(Frame, AnonDecision)> {
 }
 
 fn tuple_wise_on(frame: Frame, qids: Vec<usize>, k: usize) -> CoreResult<(Frame, AnonDecision)> {
-    let result = mondrian(&frame, &qids, k)?;
-    Ok((result.frame, AnonDecision::TupleWise { qid_columns: qids, k }))
+    let anonymized = mondrian(&frame, &qids, k)?;
+    Ok((anonymized, AnonDecision::TupleWise { qid_columns: qids, k }))
 }
 
 fn column_wise(frame: Frame, bucket_size: usize) -> CoreResult<(Frame, AnonDecision)> {
@@ -232,6 +232,19 @@ mod tests {
         // x is a direct identifier (unique), y the quasi-identifier
         let mut rows = position_frame(20).to_rows();
         rows[5][1] = Value::Float(f64::NAN);
+        let frame = Frame::new(position_frame(0).schema, rows).unwrap();
+        let err = postprocess(frame, &AnonStrategy::KAnonymity { k: 3 }).unwrap_err();
+        assert_eq!(
+            err,
+            crate::error::CoreError::Anon(paradise_anon::AnonError::NotANumber { column: 1 })
+        );
+    }
+
+    #[test]
+    fn a_nan_quasi_identifier_is_a_typed_error_without_a_split() {
+        // 5 rows < 2k: Mondrian never splits, so no split sorts column 1
+        let mut rows = position_frame(5).to_rows();
+        rows[2][1] = Value::Float(f64::NAN);
         let frame = Frame::new(position_frame(0).schema, rows).unwrap();
         let err = postprocess(frame, &AnonStrategy::KAnonymity { k: 3 }).unwrap_err();
         assert_eq!(

@@ -1,21 +1,14 @@
-//! Continuous-query support: the paper's policy extension "provides
+//! The paper's policy extension for data streams: it "provides
 //! additional information for configuring data streams, such as the
 //! allowed query interval and possible aggregation levels" (§3.3).
 //!
 //! [`StreamGate`] enforces those settings per module: queries arriving
 //! faster than the allowed interval are rejected, and requested
-//! aggregation levels are checked. [`IncrementalSensor`] runs a sensor
-//! fragment tuple-at-a-time over a sliding window — the "aggregates on
-//! streams (over the last seconds)" capability of Table 1.
+//! aggregation levels are checked.
 
 use std::collections::HashMap;
 
-use paradise_engine::exec::aggregate::AggKind;
-use paradise_engine::{Frame, Row, Schema, SensorFilter, SlidingWindow, Value, WindowSpec};
 use paradise_policy::StreamSettings;
-use paradise_sql::ast::Query;
-
-use crate::error::{CoreError, CoreResult};
 
 /// Decision of the gate for one query arrival.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,86 +77,9 @@ impl StreamGate {
     }
 }
 
-/// Incremental execution of a sensor fragment over a live stream: a
-/// constant-memory filter plus an optional sliding-window aggregate.
-pub struct IncrementalSensor {
-    schema: Schema,
-    filter: Option<SensorFilter>,
-    window: Option<(SlidingWindow, AggKind, usize)>,
-}
-
-impl IncrementalSensor {
-    /// Build from a sensor fragment (`SELECT * FROM stream [WHERE …]`).
-    /// Rejects fragments a sensor cannot stream.
-    pub fn from_fragment(fragment: &Query, schema: Schema) -> CoreResult<Self> {
-        if !fragment.has_wildcard() {
-            return Err(CoreError::UnsupportedQuery(
-                "a sensor cannot project; fragment must be SELECT *".into(),
-            ));
-        }
-        if !fragment.group_by.is_empty()
-            || fragment.having.is_some()
-            || !fragment.order_by.is_empty()
-            || !fragment.unions.is_empty()
-        {
-            return Err(CoreError::UnsupportedQuery(
-                "sensor fragments stream: no grouping/ordering".into(),
-            ));
-        }
-        let filter = match &fragment.where_clause {
-            Some(pred) => Some(
-                SensorFilter::new(pred.clone())
-                    .map_err(|e| CoreError::UnsupportedQuery(e.to_string()))?,
-            ),
-            None => None,
-        };
-        Ok(IncrementalSensor { schema, filter, window: None })
-    }
-
-    /// Attach a sliding-window aggregate over `column` (Table 1's
-    /// "average of last minute" style capability).
-    #[must_use]
-    pub fn with_window(mut self, spec: WindowSpec, kind: AggKind, column: usize) -> Self {
-        self.window = Some((SlidingWindow::new(spec), kind, column));
-        self
-    }
-
-    /// Feed one reading; returns the passed-through row (post-filter)
-    /// and, when a window is attached, the current window aggregate.
-    pub fn push(&mut self, row: Row) -> CoreResult<Option<(Row, Option<Value>)>> {
-        if let Some(filter) = &self.filter {
-            if !filter.accepts(&self.schema, &row).map_err(CoreError::Engine)? {
-                return Ok(None);
-            }
-        }
-        let aggregate = match &mut self.window {
-            Some((window, kind, column)) => {
-                window.push(row.clone());
-                Some(window.aggregate(*kind, *column).map_err(CoreError::Engine)?)
-            }
-            None => None,
-        };
-        Ok(Some((row, aggregate)))
-    }
-
-    /// Feed a whole frame, returning the filtered frame (convenience for
-    /// batch replays of recorded data).
-    pub fn push_frame(&mut self, frame: Frame) -> CoreResult<Frame> {
-        let mut out = Frame::empty(self.schema.clone());
-        for row in frame.into_rows() {
-            if let Some((row, _)) = self.push(row)? {
-                out.push_row(row).map_err(CoreError::Engine)?;
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradise_engine::DataType;
-    use paradise_sql::parse_query;
 
     fn settings(interval: f64, levels: &[&str]) -> StreamSettings {
         StreamSettings {
@@ -201,82 +117,5 @@ mod tests {
     fn unknown_modules_are_admitted() {
         let mut gate = StreamGate::new();
         assert_eq!(gate.admit("anyone", 0.0, Some("raw")), GateDecision::Admitted);
-    }
-
-    fn ubi_schema() -> Schema {
-        Schema::from_pairs(&[
-            ("x", DataType::Float),
-            ("y", DataType::Float),
-            ("z", DataType::Float),
-            ("t", DataType::Integer),
-        ])
-    }
-
-    fn reading(x: f64, z: f64, t: i64) -> Row {
-        vec![Value::Float(x), Value::Float(0.0), Value::Float(z), Value::Int(t)]
-    }
-
-    #[test]
-    fn incremental_sensor_filters() {
-        let fragment = parse_query("SELECT * FROM stream WHERE z < 2").unwrap();
-        let mut sensor = IncrementalSensor::from_fragment(&fragment, ubi_schema()).unwrap();
-        assert!(sensor.push(reading(1.0, 1.5, 1)).unwrap().is_some());
-        assert!(sensor.push(reading(1.0, 2.5, 2)).unwrap().is_none());
-    }
-
-    #[test]
-    fn incremental_sensor_windows() {
-        let fragment = parse_query("SELECT * FROM stream").unwrap();
-        let mut sensor = IncrementalSensor::from_fragment(&fragment, ubi_schema())
-            .unwrap()
-            .with_window(WindowSpec::Count(2), AggKind::Avg, 2);
-        let (_, agg) = sensor.push(reading(0.0, 1.0, 1)).unwrap().unwrap();
-        assert_eq!(agg, Some(Value::Float(1.0)));
-        let (_, agg) = sensor.push(reading(0.0, 3.0, 2)).unwrap().unwrap();
-        assert_eq!(agg, Some(Value::Float(2.0)));
-        let (_, agg) = sensor.push(reading(0.0, 5.0, 3)).unwrap().unwrap();
-        assert_eq!(agg, Some(Value::Float(4.0))); // window of last 2: (3+5)/2
-    }
-
-    #[test]
-    fn incremental_sensor_time_window() {
-        let fragment = parse_query("SELECT * FROM stream WHERE z < 10").unwrap();
-        let mut sensor = IncrementalSensor::from_fragment(&fragment, ubi_schema())
-            .unwrap()
-            .with_window(WindowSpec::Time { time_column: 3, width: 60.0 }, AggKind::Avg, 2);
-        sensor.push(reading(0.0, 2.0, 0)).unwrap();
-        sensor.push(reading(0.0, 4.0, 30)).unwrap();
-        let (_, agg) = sensor.push(reading(0.0, 6.0, 90)).unwrap().unwrap();
-        // t=0 evicted (90 - 0 > 60): avg of {4, 6}
-        assert_eq!(agg, Some(Value::Float(5.0)));
-    }
-
-    #[test]
-    fn sensor_fragment_validation() {
-        let projecting = parse_query("SELECT x FROM stream").unwrap();
-        assert!(IncrementalSensor::from_fragment(&projecting, ubi_schema()).is_err());
-        let attr_attr = parse_query("SELECT * FROM stream WHERE x > y").unwrap();
-        assert!(IncrementalSensor::from_fragment(&attr_attr, ubi_schema()).is_err());
-        let grouped = parse_query("SELECT * FROM stream GROUP BY x").unwrap();
-        assert!(IncrementalSensor::from_fragment(&grouped, ubi_schema()).is_err());
-    }
-
-    #[test]
-    fn batch_replay_matches_engine_filter() {
-        use paradise_engine::{Catalog, Executor};
-        let fragment = parse_query("SELECT * FROM stream WHERE z < 2").unwrap();
-        let frame = {
-            let rows = (0..50)
-                .map(|i| reading(i as f64, (i % 4) as f64, i as i64))
-                .collect();
-            Frame::new(ubi_schema(), rows).unwrap()
-        };
-        let mut sensor = IncrementalSensor::from_fragment(&fragment, ubi_schema()).unwrap();
-        let incremental = sensor.push_frame(frame.clone()).unwrap();
-
-        let mut catalog = Catalog::new();
-        catalog.register("stream", frame).unwrap();
-        let batch = Executor::new(&catalog).execute(&fragment).unwrap();
-        assert_eq!(incremental.to_rows(), batch.to_rows());
     }
 }

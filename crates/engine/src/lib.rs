@@ -42,7 +42,6 @@ pub mod frame;
 pub mod noise;
 pub mod plan;
 pub mod schema;
-pub mod stream;
 pub mod value;
 
 pub use catalog::{Catalog, Watermark};
@@ -57,5 +56,4 @@ pub use plan::{
     PlanCache, PlanCacheStats, PlanSet,
 };
 pub use schema::{Column, Schema};
-pub use stream::{SensorFilter, SlidingWindow, WindowSpec};
 pub use value::{DataType, GroupKey, Value};

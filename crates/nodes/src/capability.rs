@@ -85,8 +85,8 @@ pub struct Capability {
 }
 
 impl Capability {
-    /// E4 sensor: `SELECT *` over its stream, attribute↔constant
-    /// filters, stream window aggregates. *No projection.*
+    /// E4 sensor: `SELECT *` over its stream with attribute↔constant
+    /// filters. *No projection.*
     pub fn sensor_default() -> Capability {
         Capability {
             features: FeatureSet::from_slice(&[SqlFeature::ConstComparison]),

@@ -93,11 +93,6 @@ impl Node {
         self.capability.supports(&block_features(fragment))
     }
 
-    /// Capability check for a whole (unfragmented) query.
-    pub fn can_execute_deep(&self, query: &Query) -> bool {
-        self.capability.supports(&deep_features(query))
-    }
-
     /// §3.1 capacity check: does the estimated working set fit?
     pub fn has_capacity_for(&self, input_bytes: usize) -> bool {
         // rule of thumb: engine working set ≈ 3× input
@@ -231,7 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn capacity_check_blocks_oversized_materialising_fragment() {
+    fn admit_blocks_oversized_materialising_fragment() {
         // an appliance-capable node with sensor-sized memory cannot run a
         // GROUP BY over a large input — the data must escalate (§3.2)
         let mut capability = crate::capability::Capability::appliance_default();
@@ -260,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn streamable_filters_bypass_the_capacity_check() {
+    fn streamable_filters_bypass_the_capacity_bound() {
         let mut sensor = Node::new("tiny", Level::Sensor);
         // 30k rows vastly exceed 64 KiB, but a pure filter streams
         sensor.install_table("stream", stream_frame(30_000));
@@ -292,10 +287,11 @@ mod tests {
              FROM (SELECT x, y, AVG(z) AS zAVG, t FROM d GROUP BY x, y)",
         )
         .unwrap();
-        assert!(pc.can_execute_deep(&q));
+        // the window function runs on the PC, not the appliance…
+        assert!(pc.can_execute(&q));
         let appliance = Node::new("tv", Level::Appliance);
-        assert!(!appliance.can_execute_deep(&q));
-        // but the appliance can run the inner block alone
+        assert!(!appliance.can_execute(&q));
+        // …but the appliance can run the inner block alone
         let inner = parse_query("SELECT x, y, AVG(z) AS zAVG, t FROM d GROUP BY x, y").unwrap();
         assert!(appliance.can_execute(&inner));
     }

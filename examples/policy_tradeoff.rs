@@ -22,13 +22,13 @@ fn main() {
     println!("\nk-anonymity sweep (Mondrian on x, y, t):");
     println!("{:>4} {:>10} {:>10} {:>12} {:>12}", "k", "DD-ratio", "KL(all)", "KL(intended)", "KL(profiling)");
     for k in [2usize, 5, 10, 25, 50, 100] {
-        let result = mondrian(&table, &qids, k).expect("mondrian");
-        let dd = direct_distance_ratio(&table, &result.frame).unwrap();
-        let kl_all = kl_divergence(&table, &result.frame, &[1, 2, 4]).unwrap();
+        let anonymized = mondrian(&table, &qids, k).expect("mondrian");
+        let dd = direct_distance_ratio(&table, &anonymized).unwrap();
+        let kl_all = kl_divergence(&table, &anonymized, &[1, 2, 4]).unwrap();
         // intended analysis: movement height profile → z histogram
-        let kl_intended = kl_divergence(&table, &result.frame, &[3]).unwrap();
+        let kl_intended = kl_divergence(&table, &anonymized, &[3]).unwrap();
         // unintended profiling: who was where → (tag, x, y)
-        let kl_profiling = kl_divergence(&table, &result.frame, &[0, 1, 2]).unwrap();
+        let kl_profiling = kl_divergence(&table, &anonymized, &[0, 1, 2]).unwrap();
         println!(
             "{k:>4} {dd:>10.4} {kl_all:>10.4} {kl_intended:>12.4} {kl_profiling:>12.4}"
         );

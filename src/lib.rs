@@ -12,7 +12,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`sql`] | lexer, parser, AST, SQL renderer, feature analyses |
-//! | [`engine`] | in-memory relational executor (joins, aggregates, windows, streams) |
+//! | [`engine`] | in-memory relational executor (joins, aggregates, windows) |
 //! | [`policy`] | PP4SE policy model, XML format, validation, generation |
 //! | [`anon`] | k-anonymity, slicing, QID detection, DD/KL metrics |
 //! | [`nodes`] | capability levels E1–E4, processing chain, sensor simulators |
@@ -124,8 +124,8 @@ pub use paradise_sql as sql;
 /// The most commonly used items, importable with one `use`.
 pub mod prelude {
     pub use paradise_anon::{
-        achieved_k, direct_distance, direct_distance_ratio, generalize_to_k, kl_divergence,
-        mondrian, slice, GeneralizeConfig, Hierarchy, SlicingConfig,
+        achieved_k, direct_distance, direct_distance_ratio, kl_divergence, mondrian, slice,
+        SlicingConfig,
     };
     pub use paradise_core::{
         attack_answerable, fragment_query, postprocess, preprocess, AnonStrategy,

@@ -448,12 +448,12 @@ proptest! {
     fn mondrian_always_reaches_k(frame in arb_frame(), k in 1usize..6) {
         prop_assume!(frame.len() >= k);
         let result = mondrian(&frame, &[0, 1], k).unwrap();
-        let achieved = achieved_k(&result.frame, &[0, 1]).unwrap().unwrap();
+        let achieved = achieved_k(&result, &[0, 1]).unwrap().unwrap();
         prop_assert!(achieved >= k, "achieved {achieved} < k {k}");
         // shape preserved
-        prop_assert_eq!(result.frame.len(), frame.len());
+        prop_assert_eq!(result.len(), frame.len());
         // non-QID columns untouched
-        for (orig, anon) in frame.iter_rows().zip(result.frame.iter_rows()) {
+        for (orig, anon) in frame.iter_rows().zip(result.iter_rows()) {
             prop_assert_eq!(&orig[2], &anon[2]);
             prop_assert_eq!(&orig[3], &anon[3]);
         }
@@ -464,8 +464,8 @@ proptest! {
         use paradise::anon::mondrian_l_diverse;
         // every non-empty partition holds ≥ 1 distinct sensitive value,
         // so l = 1 adds no condition to k-anonymity's split
-        let diverse = mondrian_l_diverse(&frame, &[0], 3, k, 1).map(|r| r.frame);
-        let plain = mondrian(&frame, &[0], k).map(|r| r.frame);
+        let diverse = mondrian_l_diverse(&frame, &[0], 3, k, 1);
+        let plain = mondrian(&frame, &[0], k);
         match (diverse, plain) {
             (Ok(d), Ok(p)) => prop_assert_eq!(d.to_rows(), p.to_rows()),
             (Err(_), Err(_)) => {}
@@ -602,27 +602,6 @@ proptest! {
         prop_assert!(d.done(), "decoder must consume the whole encoding");
         prop_assert_eq!(&decoded.schema, &frame.schema);
         prop_assert_eq!(decoded.to_rows(), frame.to_rows());
-    }
-
-    #[test]
-    fn entropy_l_never_exceeds_distinct_l(frame in arb_frame()) {
-        use paradise::anon::{distinct_l, entropy_l};
-        // sensitive column: t (index 3); QID: x (index 0)
-        let d = distinct_l(&frame, &[0], 3).unwrap();
-        let e = entropy_l(&frame, &[0], 3).unwrap();
-        match (d, e) {
-            (Some(d), Some(e)) => prop_assert!(e <= d as f64 + 1e-9, "exp(H)={e} > {d}"),
-            (None, None) => {}
-            other => prop_assert!(false, "inconsistent emptiness: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn t_closeness_is_bounded(frame in arb_frame()) {
-        use paradise::anon::t_closeness;
-        if let Some(t) = t_closeness(&frame, &[0], 2).unwrap() {
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&t), "t = {t}");
-        }
     }
 
     #[test]
