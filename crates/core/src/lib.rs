@@ -12,7 +12,8 @@
 //!   hierarchy (§4);
 //! * [`postprocess`](crate::postprocess::postprocess()) — result
 //!   anonymization with automatic column-wise vs. tuple-wise selection
-//!   and the paper's information-loss metrics (§3.2);
+//!   (§3.2); the paper's information-loss metrics grade it on request
+//!   (`paradise_anon::{direct_distance_ratio, kl_divergence}`);
 //! * [`containment`] — the conjunctive-query containment check the paper
 //!   poses as its open problem (§4.1/§5);
 //! * [`Runtime`] — the one entry point, a continuous-query runtime:
@@ -73,7 +74,7 @@ pub use postprocess::{postprocess, AnonDecision, AnonStrategy, PostprocessOutcom
 pub use preprocess::{preprocess, PreprocessOptions, PreprocessOutcome, RewriteAction};
 pub use paradise_engine::PlanCacheStats;
 pub use pipeline::{Outcome, Planned, RuntimeOptions};
-pub use remainder::{filter_by_class, identity, ActionClass, Remainder};
+pub use remainder::{filter_by_class, ActionClass, Remainder};
 pub use runtime::{Applied, Command, HandleStats, QueryHandle, Runtime, RuntimeStats};
 pub use storage::DurabilityStats;
 pub use stream_gate::{GateDecision, StreamGate};

@@ -26,8 +26,11 @@ pub struct RuntimeOptions {
     pub assignment: AssignmentPolicy,
     /// Anonymization strategy for the postprocessor.
     pub anon: AnonStrategy,
-    /// If set, run the §3.1 information-gain check against the raw data
-    /// and refuse rewritings that lose more than this KL threshold.
+    /// If set, run the §3.1 information-gain check when a handle is
+    /// planned — at registration, a policy swap, a source-schema change
+    /// or recovery — over the raw window as it stands then, and refuse
+    /// rewritings that lose more than this KL threshold: the failure is
+    /// a planning error, like a denial. Ticks do not re-run it.
     pub info_gain_threshold: Option<f64>,
 }
 
@@ -50,6 +53,9 @@ pub struct Planned {
     /// per-column Laplace scales); `None` when the module has no DP
     /// config or the query has no noisable aggregate.
     pub dp: Option<DpPlan>,
+    /// The §3.1 information-gain report of the rewrite, taken when the
+    /// plan was built; `None` when the check is off.
+    pub information_gain: Option<InformationGainReport>,
 }
 
 /// Everything one query's tick produces, for inspection and experiments.
@@ -58,13 +64,12 @@ pub struct Outcome {
     /// The plan the tick ran: the rewrite, the fragments, the stages
     /// and the anonymization site, shared with the handle.
     pub planned: Arc<Planned>,
-    /// Information-gain report, when the check was enabled.
-    pub information_gain: Option<InformationGainReport>,
     /// Per-stage execution reports.
     pub stage_reports: Vec<StageReport>,
     /// Traffic between nodes.
     pub traffic: TrafficLog,
-    /// The raw shipped result `d'` before anonymization.
+    /// The raw shipped result `d'` before anonymization; a caller grades
+    /// `post.frame` against it with the §3.2 DD/KL metrics on request.
     pub shipped: Frame,
     /// Postprocessing (anonymization) outcome; `frame` is what leaves
     /// the apartment.
@@ -121,7 +126,6 @@ pub(crate) fn anonymization_site(chain: &ProcessingChain, stages: &[Stage]) -> S
 pub(crate) fn assemble_outcome(
     planned: Arc<Planned>,
     run: ChainRun,
-    information_gain: Option<InformationGainReport>,
     options: &RuntimeOptions,
     remainder: Option<&Remainder>,
 ) -> CoreResult<Outcome> {
@@ -135,7 +139,6 @@ pub(crate) fn assemble_outcome(
 
     Ok(Outcome {
         planned,
-        information_gain,
         stage_reports: run.stages,
         traffic: run.traffic,
         shipped,
@@ -262,7 +265,7 @@ mod tests {
         });
         let q = parse_query("SELECT x, y, z, t FROM stream").unwrap();
         let outcome = rt.run_once("ActionFilter", &q).unwrap();
-        let report = outcome.information_gain.unwrap();
+        let report = outcome.planned.information_gain.as_ref().unwrap();
         assert!(report.divergence > 0.0);
         assert!(!report.compared_columns.is_empty());
     }

@@ -1,11 +1,15 @@
 //! The postprocessor (paper §3.2): anonymize the preliminary result,
 //! choosing column-wise (slicing) or tuple-wise (k-anonymity)
-//! anonymization based on quasi-identifier analysis, and measuring the
-//! quality difference with the paper's information-loss metrics.
+//! anonymization based on quasi-identifier analysis.
+//!
+//! It releases and does not grade: the paper's information-loss
+//! metrics evaluate an anonymization, they are not part of what leaves
+//! the apartment. A caller that wants them computes
+//! [`direct_distance_ratio`](paradise_anon::direct_distance_ratio) and
+//! [`kl_divergence`](paradise_anon::kl_divergence) on the input frame
+//! and [`PostprocessOutcome::frame`].
 
-use paradise_anon::{
-    detect_qids, direct_distance_ratio, kl_divergence, mondrian, slice, QidConfig, SlicingConfig,
-};
+use paradise_anon::{detect_qids, mondrian, slice, QidConfig, SlicingConfig};
 use paradise_engine::Frame;
 
 use crate::error::CoreResult;
@@ -73,39 +77,19 @@ pub enum AnonDecision {
     },
 }
 
-/// Postprocessing result: the anonymized frame plus quality metrics.
+/// Postprocessing result: the anonymized frame and what was done.
 #[derive(Debug, Clone)]
 pub struct PostprocessOutcome {
     /// The anonymized result `d'` sent to the requester.
     pub frame: Frame,
     /// What was done.
     pub decision: AnonDecision,
-    /// Paper §3.2 Direct-Distance ratio vs. the pre-anonymization frame.
-    pub dd_ratio: f64,
-    /// KL divergence of the value distribution over all columns.
-    pub kl: f64,
 }
 
 /// Run the postprocessor.
 pub fn postprocess(frame: Frame, strategy: &AnonStrategy) -> CoreResult<PostprocessOutcome> {
-    let original = frame.clone();
-    let (anonymized, decision) = apply(frame, strategy)?;
-    let dd_ratio = direct_distance_ratio(&original, &anonymized)?;
-    let all_columns: Vec<usize> = (0..original.schema.len()).collect();
-    let kl = if original.is_empty() || all_columns.is_empty() {
-        0.0
-    } else {
-        kl_divergence(&original, &anonymized, &all_columns)?
-    };
-    Ok(PostprocessOutcome { frame: anonymized, decision, dd_ratio, kl })
-}
-
-fn apply(frame: Frame, strategy: &AnonStrategy) -> CoreResult<(Frame, AnonDecision)> {
     match strategy {
-        AnonStrategy::None => Ok((
-            frame,
-            AnonDecision::Passthrough { reason: "anonymization disabled".into() },
-        )),
+        AnonStrategy::None => Ok(passthrough(frame, "anonymization disabled")),
         AnonStrategy::KAnonymity { k } => tuple_wise(frame, *k),
         AnonStrategy::LDiversity { k, l, sensitive } => {
             let qids: Vec<usize> = (0..frame.schema.len())
@@ -115,25 +99,18 @@ fn apply(frame: Frame, strategy: &AnonStrategy) -> CoreResult<(Frame, AnonDecisi
                 })
                 .collect();
             if qids.is_empty() {
-                return Ok((
-                    frame,
-                    AnonDecision::Passthrough {
-                        reason: "no numeric QID columns for l-diversity".into(),
-                    },
-                ));
+                return Ok(passthrough(frame, "no numeric QID columns for l-diversity"));
             }
             let anonymized = paradise_anon::mondrian_l_diverse(&frame, &qids, *sensitive, *k, *l)?;
-            Ok((anonymized, AnonDecision::TupleWise { qid_columns: qids, k: *k }))
+            Ok(PostprocessOutcome {
+                frame: anonymized,
+                decision: AnonDecision::TupleWise { qid_columns: qids, k: *k },
+            })
         }
         AnonStrategy::Slicing { bucket_size } => column_wise(frame, *bucket_size),
         AnonStrategy::Auto { k, bucket_size } => {
             if frame.len() < *k {
-                return Ok((
-                    frame,
-                    AnonDecision::Passthrough {
-                        reason: format!("result smaller than k = {k}"),
-                    },
-                ));
+                return Ok(passthrough(frame, format!("result smaller than k = {k}")));
             }
             // paper §3.2: detect quasi-identifiers, then decide column-
             // vs. tuple-wise. Tuple-wise when a compact numeric QID set
@@ -152,18 +129,17 @@ fn apply(frame: Frame, strategy: &AnonStrategy) -> CoreResult<(Frame, AnonDecisi
                     }
                 }
                 Some(_) => column_wise(frame, *bucket_size),
-                None => Ok((
-                    frame,
-                    AnonDecision::Passthrough {
-                        reason: "no quasi-identifier detected".into(),
-                    },
-                )),
+                None => Ok(passthrough(frame, "no quasi-identifier detected")),
             }
         }
     }
 }
 
-fn tuple_wise(frame: Frame, k: usize) -> CoreResult<(Frame, AnonDecision)> {
+fn passthrough(frame: Frame, reason: impl Into<String>) -> PostprocessOutcome {
+    PostprocessOutcome { frame, decision: AnonDecision::Passthrough { reason: reason.into() } }
+}
+
+fn tuple_wise(frame: Frame, k: usize) -> CoreResult<PostprocessOutcome> {
     let report = detect_qids(&frame, &QidConfig::default())?;
     let qids = match report.quasi_identifier {
         Some(q) => q,
@@ -175,39 +151,47 @@ fn tuple_wise(frame: Frame, k: usize) -> CoreResult<(Frame, AnonDecision)> {
         }
     };
     if qids.is_empty() {
-        return Ok((
-            frame,
-            AnonDecision::Passthrough { reason: "no columns suitable for k-anonymity".into() },
-        ));
+        return Ok(passthrough(frame, "no columns suitable for k-anonymity"));
     }
     tuple_wise_on(frame, qids, k)
 }
 
-fn tuple_wise_on(frame: Frame, qids: Vec<usize>, k: usize) -> CoreResult<(Frame, AnonDecision)> {
+fn tuple_wise_on(frame: Frame, qids: Vec<usize>, k: usize) -> CoreResult<PostprocessOutcome> {
     let anonymized = mondrian(&frame, &qids, k)?;
-    Ok((anonymized, AnonDecision::TupleWise { qid_columns: qids, k }))
+    Ok(PostprocessOutcome {
+        frame: anonymized,
+        decision: AnonDecision::TupleWise { qid_columns: qids, k },
+    })
 }
 
-fn column_wise(frame: Frame, bucket_size: usize) -> CoreResult<(Frame, AnonDecision)> {
+fn column_wise(frame: Frame, bucket_size: usize) -> CoreResult<PostprocessOutcome> {
     if frame.schema.len() < 2 || frame.len() < 2 {
-        return Ok((
-            frame,
-            AnonDecision::Passthrough { reason: "too small for slicing".into() },
-        ));
+        return Ok(passthrough(frame, "too small for slicing"));
     }
     let groups = paradise_anon::correlation_groups(&frame, 0.8);
     let config = SlicingConfig { column_groups: groups.clone(), bucket_size, seed: 0xC0FFEE };
     let result = slice(&frame, &config)?;
-    Ok((
-        result.frame,
-        AnonDecision::ColumnWise { groups, buckets: result.buckets },
-    ))
+    Ok(PostprocessOutcome {
+        frame: result.frame,
+        decision: AnonDecision::ColumnWise { groups, buckets: result.buckets },
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paradise_anon::{direct_distance_ratio, kl_divergence};
     use paradise_engine::{DataType, Schema, Value};
+
+    /// The paper's §3.2 metrics of `out` against its input `original`:
+    /// the Direct-Distance ratio and the KL divergence over all columns.
+    fn quality(original: &Frame, out: &PostprocessOutcome) -> (f64, f64) {
+        let all: Vec<usize> = (0..original.schema.len()).collect();
+        (
+            direct_distance_ratio(original, &out.frame).unwrap(),
+            kl_divergence(original, &out.frame, &all).unwrap(),
+        )
+    }
 
     fn position_frame(n: usize) -> Frame {
         let schema = Schema::from_pairs(&[
@@ -258,8 +242,9 @@ mod tests {
         let f = position_frame(10);
         let out = postprocess(f.clone(), &AnonStrategy::None).unwrap();
         assert_eq!(out.frame, f);
-        assert_eq!(out.dd_ratio, 0.0);
-        assert!(out.kl.abs() < 1e-9);
+        let (dd_ratio, kl) = quality(&f, &out);
+        assert_eq!(dd_ratio, 0.0);
+        assert!(kl.abs() < 1e-9);
         assert!(matches!(out.decision, AnonDecision::Passthrough { .. }));
     }
 
@@ -284,10 +269,11 @@ mod tests {
     #[test]
     fn kanonymity_generalizes_and_costs_information() {
         let f = position_frame(12);
-        let out = postprocess(f, &AnonStrategy::KAnonymity { k: 3 }).unwrap();
+        let out = postprocess(f.clone(), &AnonStrategy::KAnonymity { k: 3 }).unwrap();
         assert!(matches!(out.decision, AnonDecision::TupleWise { k: 3, .. }));
-        assert!(out.dd_ratio > 0.0, "generalization must change cells");
-        assert!(out.kl > 0.0);
+        let (dd_ratio, kl) = quality(&f, &out);
+        assert!(dd_ratio > 0.0, "generalization must change cells");
+        assert!(kl > 0.0);
     }
 
     #[test]
@@ -332,8 +318,8 @@ mod tests {
         let schema = Schema::from_pairs(&[("v", DataType::Integer)]);
         let rows = vec![vec![Value::Int(1)]; 10];
         let f = Frame::new(schema, rows).unwrap();
-        let out = postprocess(f, &AnonStrategy::default()).unwrap();
+        let out = postprocess(f.clone(), &AnonStrategy::default()).unwrap();
         assert!(matches!(out.decision, AnonDecision::Passthrough { .. }));
-        assert_eq!(out.dd_ratio, 0.0);
+        assert_eq!(quality(&f, &out).0, 0.0);
     }
 }

@@ -8,7 +8,7 @@
 //! row's movement from the regression output and keep those matching the
 //! requested action class.
 
-use paradise_engine::{DataType, Frame, Schema, Value};
+use paradise_engine::{DataType, Frame, Value};
 
 /// An opaque cloud-side stage applied to the shipped result `d'`.
 pub struct Remainder {
@@ -110,20 +110,16 @@ pub fn filter_by_class(action: ActionClass) -> Remainder {
     )
 }
 
-/// An identity remainder (no cloud-side post-stage).
-pub fn identity() -> Remainder {
-    Remainder::new("identity", |frame| frame)
-}
-
-/// Helper to build a frame schema-compatible with the regression output
-/// of the paper's window query (single intercept column).
-pub fn regression_output_schema() -> Schema {
-    Schema::from_pairs(&[("regr_intercept", DataType::Float)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paradise_engine::Schema;
+
+    /// The schema of the regression output of the paper's window query
+    /// (single intercept column).
+    fn regression_output_schema() -> Schema {
+        Schema::from_pairs(&[("regr_intercept", DataType::Float)])
+    }
 
     fn regression_frame(values: &[f64]) -> Frame {
         Frame::new(
@@ -131,13 +127,6 @@ mod tests {
             values.iter().map(|v| vec![Value::Float(*v)]).collect(),
         )
         .unwrap()
-    }
-
-    #[test]
-    fn identity_passes_through() {
-        let f = regression_frame(&[1.0, 2.0]);
-        let out = identity().apply(f.clone());
-        assert_eq!(out, f);
     }
 
     #[test]

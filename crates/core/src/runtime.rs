@@ -15,8 +15,9 @@
 //! over it:
 //!
 //! * [`Runtime::register`] — plan the query **once**: preprocess (policy
-//!   rewrite), fragment, assign to the chain; the handle keeps the
-//!   [`Planned`] behind one `Arc`;
+//!   rewrite), fragment, assign to the chain and, when the options set
+//!   a threshold, run the §3.1 information-gain check; the handle keeps
+//!   the [`Planned`] behind one `Arc`;
 //! * [`Runtime::ingest`] — append a stream batch at a chain node;
 //! * [`Runtime::tick`] — drain every registered query against the fresh
 //!   data, fanning independent queries out over the scoped thread pool
@@ -357,10 +358,13 @@ impl Runtime {
 
     /// Builder: set the runtime options (preprocess substitutions,
     /// assignment policy, anonymization strategy, information-gain
-    /// threshold).
+    /// threshold). Every live handle — registered earlier, or recovered
+    /// by [`Runtime::durable`] — is re-planned under them, counted as an
+    /// invalidation; one the new options refuse is stored denied.
     #[must_use]
     pub fn with_options(mut self, options: RuntimeOptions) -> Self {
         self.options = options;
+        self.replan(|_, _| true);
         self
     }
 
@@ -1120,10 +1124,11 @@ impl Runtime {
 
     /// Register a continuous query for a module ([`Command::Register`]
     /// without an origin): plan it **once** — preprocess (policy
-    /// rewrite), fragment, assign to the chain — and return the handle.
-    /// A query the policy denies is refused here. Ticks run the stored
-    /// plan until the module's policy or a source schema changes and
-    /// re-plans it.
+    /// rewrite), fragment, assign to the chain, check the information
+    /// gain when the options ask — and return the handle. A query the
+    /// policy denies, or whose rewrite fails the check, is refused here.
+    /// Ticks run the stored plan until the module's policy or a source
+    /// schema changes and re-plans it.
     pub fn register(&mut self, module_id: &str, query: &Query) -> CoreResult<QueryHandle> {
         let query = Box::new(query.clone());
         let cmd = Command::Register { module: module_id.into(), query, origin: (0, 0) };
@@ -1282,10 +1287,6 @@ impl Runtime {
         }
         let noise_draws = AtomicU64::new(0);
 
-        // the integrated catalog is only materialised when the
-        // information-gain check is on (it reads the raw sources)
-        let info_catalog = self.options.info_gain_threshold.map(|_| self.integrated_catalog());
-
         // phase 2 (parallel): execute the admitted handles' pipelines on
         // the chain, borrowed read-only
         let mut results: Vec<Option<HandleRun>> = self.slots.iter().map(|_| None).collect();
@@ -1294,7 +1295,6 @@ impl Runtime {
             let plans = &self.plans;
             let options = &self.options;
             let remainder = self.remainder.as_ref();
-            let info_catalog = info_catalog.as_ref();
             let noise_draws = &noise_draws;
             // a lone resident query ticks on the calling thread: queued,
             // its tick would cost whatever the race between this thread
@@ -1313,7 +1313,6 @@ impl Runtime {
                             plans,
                             options,
                             remainder,
-                            info_catalog,
                             dp_seed,
                             noise_draws,
                         ));
@@ -1471,18 +1470,10 @@ impl Runtime {
     }
 
     /// A merged catalog of every source table — the hypothetical
-    /// integrated database `d` of the paper, used for baselines and the
-    /// information-gain check.
+    /// integrated database `d` of the paper, which baselines and the
+    /// plan-time information-gain check read.
     pub fn integrated_catalog(&self) -> Catalog {
-        let mut merged = Catalog::new();
-        for node in self.chain.nodes() {
-            for table in node.catalog.table_names() {
-                if let Ok(frame) = node.catalog.get(table) {
-                    merged.register_or_replace(table, frame.clone());
-                }
-            }
-        }
-        merged
+        integrated_catalog(&self.chain)
     }
 
     /// Baseline for the Figure 3 experiment: ship the raw integrated
@@ -1523,11 +1514,27 @@ impl Drop for Runtime {
     }
 }
 
+/// The source tables of every node of `chain`, merged into one catalog
+/// whose frames share their buffers with the nodes'.
+fn integrated_catalog(chain: &ProcessingChain) -> Catalog {
+    let mut merged = Catalog::new();
+    for node in chain.nodes() {
+        for table in node.catalog.table_names() {
+            if let Ok(frame) = node.catalog.get(table) {
+                merged.register_or_replace(table, frame.clone());
+            }
+        }
+    }
+    merged
+}
+
 /// Plan one query under a module policy on `chain`: preprocess (the
 /// policy rewrite), clamp-lower `SUM`/`AVG` arguments under the
 /// module's DP config (so the clamp compiles into the normal
 /// aggregation path), fragment, derive the noise plan, assign the
-/// fragments to nodes and fix the anonymization site. The clamped AST
+/// fragments to nodes, fix the anonymization site and — when the
+/// options set a threshold — run the §3.1 information-gain check of
+/// the rewrite over the chain's current sources. The clamped AST
 /// flows into every fragment — and therefore into every derived
 /// plan-cache key — so toggling DP on a module can never serve a plan
 /// built for the other mode. Called only at the events that change its
@@ -1546,7 +1553,13 @@ fn plan(
     let dp = policy.dp.as_ref().and_then(|cfg| dp::derive_plan(&plan, cfg));
     let stages = assign_to_chain(&plan, chain, options.assignment)?;
     let anonymized_at = anonymization_site(chain, &stages);
-    Ok(Planned { preprocess: pre, plan, stages, anonymized_at, dp })
+    let information_gain = options
+        .info_gain_threshold
+        .map(|threshold| {
+            information_gain_check(&integrated_catalog(chain), query, &pre.query, threshold)
+        })
+        .transpose()?;
+    Ok(Planned { preprocess: pre, plan, stages, anonymized_at, dp, information_gain })
 }
 
 /// The module policy a snapshot or a log record holds as XML.
@@ -1560,32 +1573,23 @@ fn module_policy(xml: &str, module: &str) -> CoreResult<ModulePolicy> {
 /// A handle's tick: its outcome and the input rows each stage consumed.
 type HandleRun = CoreResult<(Outcome, Vec<usize>)>;
 
-/// One handle's tick on its stored plan: optional information-gain
-/// check, then the Figure 2 execution path over the chain, delta-aware
-/// (a first tick's delta is the whole window). Returns the outcome and
-/// the input rows each stage consumed.
-#[allow(clippy::too_many_arguments)]
+/// One handle's tick on its stored plan: the Figure 2 execution path
+/// over the chain, delta-aware (a first tick's delta is the whole
+/// window), then the release — anonymization and the optional
+/// remainder. It grades nothing: the information-gain check ran when
+/// the plan was built. Returns the outcome and the input rows each
+/// stage consumed.
 fn run_handle(
     reg: &mut Registered,
     chain: &ProcessingChain,
     plans: &Mutex<PlanCache>,
     options: &RuntimeOptions,
     remainder: Option<&Remainder>,
-    info_catalog: Option<&Catalog>,
     dp_seed: u64,
     noise_draws: &AtomicU64,
 ) -> HandleRun {
     let planned = reg.plan.clone()?;
     reg.stats.hits += 1;
-    let information_gain = match (info_catalog, options.info_gain_threshold) {
-        (Some(catalog), Some(threshold)) => Some(information_gain_check(
-            catalog,
-            &reg.query,
-            &planned.preprocess.query,
-            threshold,
-        )?),
-        _ => None,
-    };
     let dp = planned.dp.as_ref().filter(|p| p.is_noisy());
     let mut draws = 0u64;
     let DeltaRun { run, rows_in } = run_stages_delta(
@@ -1597,7 +1601,7 @@ fn run_handle(
         &mut draws,
     )?;
     noise_draws.fetch_add(draws, Ordering::Relaxed);
-    let outcome = assemble_outcome(planned, run, information_gain, options, remainder)?;
+    let outcome = assemble_outcome(planned, run, options, remainder)?;
     Ok((outcome, rows_in))
 }
 
@@ -1823,6 +1827,90 @@ mod tests {
         let ticked = rt.tick().unwrap();
         let handles: Vec<QueryHandle> = ticked.iter().map(|(h, _)| *h).collect();
         assert_eq!(handles, vec![c, b], "slot order is registration order");
+    }
+
+    /// `runtime()` with the §3.1 check on at `threshold`.
+    fn checked_runtime(threshold: f64) -> Runtime {
+        runtime().with_options(RuntimeOptions {
+            info_gain_threshold: Some(threshold),
+            ..RuntimeOptions::default()
+        })
+    }
+
+    const FLAT: &str = "SELECT x, y, z, t FROM stream";
+
+    #[test]
+    fn info_gain_check_refuses_register_at_plan_time() {
+        let mut rt = checked_runtime(1e-12);
+        let q = parse_query(FLAT).unwrap();
+        assert!(matches!(
+            rt.register("ActionFilter", &q),
+            Err(CoreError::InsufficientInformation { .. })
+        ));
+        assert!(rt.slots.is_empty(), "a refused registration takes no slot");
+        assert_eq!(rt.stats().registered, 0);
+    }
+
+    #[test]
+    fn info_gain_check_runs_once_per_plan_not_per_tick() {
+        let mut rt = checked_runtime(1e6);
+        let h = rt.register("ActionFilter", &parse_query(FLAT).unwrap()).unwrap();
+        let first = rt.tick().unwrap().remove(0).1.planned;
+        let report = first.information_gain.clone().expect("the check ran at registration");
+        assert!(!report.compared_columns.is_empty());
+        for seed in 0..3 {
+            rt.ingest("motion-sensor", "stream", stream(seed, 10)).unwrap();
+            let (handle, outcome) = rt.tick().unwrap().remove(0);
+            assert_eq!(handle, h);
+            assert!(Arc::ptr_eq(&outcome.planned, &first), "a tick re-plans nothing");
+        }
+        assert_eq!(rt.handle_stats(h).unwrap().plan.misses, 1);
+    }
+
+    #[test]
+    fn info_gain_check_reruns_at_a_policy_swap() {
+        let mut rt = checked_runtime(1e6);
+        let h = rt.register("ActionFilter", &parse_query(FLAT).unwrap()).unwrap();
+        let rows_at = |rt: &Runtime| {
+            let planned = rt.resolve(h).unwrap().plan.as_ref().unwrap();
+            planned.information_gain.as_ref().expect("the check is on").rows
+        };
+        let before = rows_at(&rt);
+        rt.ingest("motion-sensor", "stream", stream(7, 10)).unwrap();
+        assert_eq!(rows_at(&rt), before, "an ingest re-runs nothing");
+        rt.set_policy("ActionFilter", figure4_policy().modules.remove(0));
+        // the swap re-planned over the window as it stands now: the
+        // original query reads the 100 ingested rows too
+        assert_eq!(rows_at(&rt).0, before.0 + 100);
+    }
+
+    #[test]
+    fn with_options_replans_recovered_handles() {
+        let dir = std::env::temp_dir()
+            .join(format!("paradise-rt-{}-with-options", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stack = || RuntimeOptions {
+            assignment: crate::fragment::AssignmentPolicy::Stack,
+            ..RuntimeOptions::default()
+        };
+        let q = parse_query(PAPER_ORIGINAL).unwrap();
+        let mut written = runtime().with_options(stack()).durable(&dir).unwrap();
+        let h = written.register("ActionFilter", &q).unwrap();
+        drop(written);
+        let nodes = |rt: Runtime| -> Vec<String> {
+            let planned = rt.resolve(h).unwrap().plan.clone().unwrap();
+            planned.stages.iter().map(|s| s.node.clone()).collect()
+        };
+        let fresh = || Runtime::new(ProcessingChain::apartment());
+        let options_then_reopen = nodes(fresh().with_options(stack()).durable(&dir).unwrap());
+        let reopen_then_options = nodes(fresh().durable(&dir).unwrap().with_options(stack()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(reopen_then_options, options_then_reopen);
+        assert_ne!(
+            options_then_reopen,
+            ["motion-sensor", "appliance", "media-center", "local-server"],
+            "Stack keeps consecutive fragments on one node"
+        );
     }
 
     #[test]

@@ -82,9 +82,13 @@ fn main() {
     }
 
     println!("\nanonymization at {:?}: {:?}", outcome.planned.anonymized_at, outcome.post.decision);
+    // the paper's §3.2 information-loss metrics, computed on request
+    // from the shipped result d' and what left the anonymizer
+    let all: Vec<usize> = (0..outcome.shipped.schema.len()).collect();
     println!(
         "information loss: DD ratio = {:.3}, KL = {:.4}",
-        outcome.post.dd_ratio, outcome.post.kl
+        direct_distance_ratio(&outcome.shipped, &outcome.post.frame).expect("same shape"),
+        kl_divergence(&outcome.shipped, &outcome.post.frame, &all).expect("same shape"),
     );
     if let Some(r) = &outcome.remainder_applied {
         println!("cloud remainder applied: {r}");

@@ -65,8 +65,14 @@ pub fn reference(
         None => post.frame.clone(),
     };
     Ok(Outcome {
-        planned: Arc::new(Planned { preprocess: pre, plan, stages, anonymized_at, dp }),
-        information_gain: None,
+        planned: Arc::new(Planned {
+            preprocess: pre,
+            plan,
+            stages,
+            anonymized_at,
+            dp,
+            information_gain: None,
+        }),
         stage_reports: run.stages,
         traffic: run.traffic,
         shipped: run.result,

@@ -58,7 +58,7 @@ const FLAT: &str = "SELECT x, y, z, t FROM stream";
 /// stages), the paper query (4 stages), and the flat projection over a
 /// stream partitioned 4 ways by `x`, which folds through the cross-shard
 /// merge. Each ceiling is the measured median plus 5 %.
-const SHAPES: &[(&str, usize, u64)] = &[(FLAT, 1, 826), (PAPER_ORIGINAL, 1, 929), (FLAT, 4, 1370)];
+const SHAPES: &[(&str, usize, u64)] = &[(FLAT, 1, 623), (PAPER_ORIGINAL, 1, 743), (FLAT, 4, 1167)];
 
 fn stream(seed: u64, steps: usize) -> Frame {
     let config = SmartRoomConfig { persons: 10, switch_probability: 0.003, ..Default::default() };
