@@ -19,11 +19,16 @@
 //!   a threshold, run the §3.1 information-gain check; the handle keeps
 //!   the [`Planned`] behind one `Arc`;
 //! * [`Runtime::ingest`] — append a stream batch at a chain node;
-//! * [`Runtime::tick`] — drain every registered query against the fresh
-//!   data, fanning independent queries out over the scoped thread pool
-//!   (`PARADISE_THREADS`; serial at 1), results in registration order;
-//! * [`Runtime::run_once`] — the one-shot session: register, tick,
-//!   remove — the same path, once;
+//! * [`Runtime::tick_each`] — the one tick primitive: run the named
+//!   handles, and only those, against the fresh data, fanning
+//!   independent queries out over the scoped thread pool
+//!   (`PARADISE_THREADS`; serial at 1), one fault-isolated result per
+//!   handle in the order named; ε is spent only for the named handles'
+//!   modules;
+//! * [`Runtime::tick`] — `tick_each` over every live handle, in
+//!   registration order, atomic when some handle may not run;
+//! * [`Runtime::run_once`] — the one-shot session: register, tick that
+//!   handle alone, remove — the same path, once;
 //! * [`Runtime::set_policy`] — swap a module's policy live. The swap
 //!   re-plans exactly that module's handles, there and then, and
 //!   [`Applied::denied`] names those the new policy denies; each stores
@@ -236,7 +241,8 @@ struct Registered {
 pub struct RuntimeStats {
     /// Live registered queries.
     pub registered: usize,
-    /// Completed [`Runtime::tick`] calls.
+    /// Completed tick calls — every [`Runtime::tick`],
+    /// [`Runtime::tick_each`] and [`Runtime::run_once`], scoped or not.
     pub ticks: u64,
     /// Plan counters summed over all live handles: a miss is a plan
     /// built (at registration, recovery or an event re-plan, denied or
@@ -1168,7 +1174,8 @@ impl Runtime {
     }
 
     /// Evaluate every registered query against the current stream state:
-    /// one tick of the continuous-query loop.
+    /// one tick of the continuous-query loop, [`Runtime::tick_each`]
+    /// over every live handle.
     ///
     /// Per handle: run its stored plan — built at the last event that
     /// changed its inputs; a tick plans nothing — on the chain
@@ -1191,34 +1198,41 @@ impl Runtime {
     /// and committed — every other handle, as [`Runtime::tick_each`]
     /// runs them; a failed commit takes precedence over it.
     pub fn tick(&mut self) -> CoreResult<Vec<(QueryHandle, Outcome)>> {
-        let refused = self.slots.iter().flatten().find_map(|reg| self.admit(reg).err());
+        let refused = self.live().find_map(|(_, reg)| self.admit(reg).err());
         if let Some(e) = refused {
             if matches!(e, CoreError::BudgetExhausted { .. }) {
                 self.dp_budget_exhausted += 1;
             }
             return Err(e);
         }
-        self.tick_each()?.into_iter().map(|(handle, outcome)| Ok((handle, outcome?))).collect()
+        let live: Vec<QueryHandle> = self.live().map(|(handle, _)| handle).collect();
+        self.tick_each(&live)?.into_iter().map(|(handle, outcome)| Ok((handle, outcome?))).collect()
     }
 
     /// The one-shot session (paper Figure 2, once): [`Runtime::register`]
-    /// → [`Runtime::tick_each`] → this handle's outcome →
-    /// [`Runtime::remove_query`]. The handle is removed on the error
-    /// path too, so nothing stays registered. Until ticks can be scoped
-    /// to handles the tick also evaluates every resident query.
+    /// → [`Runtime::tick_each`] of this handle alone → its outcome →
+    /// [`Runtime::remove_query`]. No resident query runs or spends ε.
+    /// The handle is removed on the error path too, so nothing stays
+    /// registered.
     pub fn run_once(&mut self, module_id: &str, query: &Query) -> CoreResult<Outcome> {
         let handle = self.register(module_id, query)?;
-        let ticked = self.tick_each();
+        let ticked = self.tick_each(&[handle]);
         let removed = self.remove_query(handle);
-        let mine = ticked?.into_iter().find(|(h, _)| *h == handle).map(|(_, outcome)| outcome);
+        let mine = ticked?.pop().map(|(_, outcome)| outcome);
         removed?;
         mine.unwrap_or(Err(CoreError::UnknownHandle(handle.id())))
     }
 
-    /// Like [`Runtime::tick`], but **fault-isolating**: every live
-    /// handle gets its own `Result`, in registration (slot) order, and
-    /// one failing handle cannot poison the tick for the others.
+    /// One **fault-isolating** tick of the named handles, and of no
+    /// other: only they are admitted, run and accounted on the nodes,
+    /// and epsilon is spent only for the modules of the named noisy
+    /// handles. Every named handle gets its own `Result`, in the order
+    /// the handles were named, and one failing handle cannot poison
+    /// the tick for the others.
     ///
+    /// * A stale handle (removed, or never issued) and a repeat of a
+    ///   handle named earlier in the list get a
+    ///   [`CoreError::UnknownHandle`] entry: neither is run or billed.
     /// * A handle that may not run — denied by the policy swap or source
     ///   change that last re-planned it, over its module's epsilon
     ///   budget, or noisy while degraded — is **quarantined for this
@@ -1231,59 +1245,57 @@ impl Runtime {
     ///   from a clean slate.
     /// * The outer `Err` is reserved for runtime-global failures — a
     ///   failed durability commit or automatic snapshot — after which no
-    ///   per-handle result is meaningful.
+    ///   per-handle result is meaningful. The group commit and the
+    ///   snapshot cadence run on every call, an empty list included.
     ///
     /// This is the primitive a multi-tenant serving layer builds handle
-    /// quarantine on: one tenant's rejected query yields a typed error
-    /// to that tenant alone, while every other tenant's results are
-    /// computed and returned as usual.
-    pub fn tick_each(&mut self) -> CoreResult<Vec<(QueryHandle, CoreResult<Outcome>)>> {
-        // phase 1 (serial): admit every handle, then spend each DP
-        // module's per-tick epsilon — once per module, however many of
-        // its handles will tick — and derive every noisy handle's noise
-        // seed from (handle id, ledger sequence). The spend is buffered
-        // as a log record here and reaches the OS in phase 4's group
-        // commit, i.e. *before* this tick's results are returned to any
-        // caller — so recovery can never observe released noisy results
-        // whose spend (and seed) it lost. Spends are not refunded if
-        // execution later fails: over-counting spend is privacy-safe,
-        // refunding is not.
-        let mut admitted: Vec<Option<CoreResult<u64>>> = Vec::with_capacity(self.slots.len());
+    /// quarantine on: one tenant ticks, and is billed for, its own
+    /// handles alone, and its rejected query yields a typed error to
+    /// that tenant alone.
+    pub fn tick_each(&mut self, handles: &[QueryHandle]) -> CoreResult<Vec<(QueryHandle, CoreResult<Outcome>)>> {
+        // phase 1 (serial): admit each named live handle once, then
+        // spend each DP module's per-tick epsilon — once per module,
+        // however many of its named handles will tick — and derive
+        // every noisy handle's noise seed from (handle id, ledger
+        // sequence). The spend is buffered as a log record here and
+        // reaches the OS in phase 4's group commit, i.e. *before* this
+        // tick's results are returned to any caller — so recovery can
+        // never observe released noisy results whose spend (and seed)
+        // it lost. Spends are not refunded if execution later fails:
+        // over-counting spend is privacy-safe, refunding is not.
+        let mut admitted: Vec<Option<CoreResult<u64>>> = self.slots.iter().map(|_| None).collect();
+        let mut named: Vec<Option<usize>> = Vec::with_capacity(handles.len());
         let mut spent: HashMap<&str, u64> = HashMap::new();
-        for (index, slot) in self.slots.iter().enumerate() {
-            let Some(reg) = slot else {
-                admitted.push(None);
-                continue;
-            };
+        for handle in handles {
+            let index = handle.index as usize;
+            let reg = self.slots.get(index).and_then(Option::as_ref);
+            let reg = reg.filter(|reg| reg.generation == handle.generation && admitted[index].is_none());
+            named.push(reg.map(|_| index));
+            let Some(reg) = reg else { continue };
             if let Err(e) = self.admit(reg) {
                 if matches!(e, CoreError::BudgetExhausted { .. }) {
                     self.dp_budget_exhausted += 1;
                 }
-                admitted.push(Some(Err(e)));
+                admitted[index] = Some(Err(e));
                 continue;
             }
             let Some(cfg) = self.noisy_config(reg) else {
-                admitted.push(Some(Ok(0)));
+                admitted[index] = Some(Ok(0));
                 continue;
             };
-            let seq = match spent.get(reg.module.as_str()) {
-                Some(seq) => *seq,
-                None => {
-                    let ledger = self.ledgers.entry(reg.module.clone()).or_default();
-                    let seq = ledger.spend(cfg.epsilon_per_tick);
-                    if let Some(d) = self.durability.as_mut() {
-                        d.record(&WalRecord::SpendEpsilon {
-                            module: reg.module.clone(),
-                            seq,
-                            spent: ledger.spent(),
-                        });
-                    }
-                    spent.insert(reg.module.as_str(), seq);
-                    seq
+            let seq = *spent.entry(reg.module.as_str()).or_insert_with(|| {
+                let ledger = self.ledgers.entry(reg.module.clone()).or_default();
+                let seq = ledger.spend(cfg.epsilon_per_tick);
+                if let Some(d) = self.durability.as_mut() {
+                    d.record(&WalRecord::SpendEpsilon {
+                        module: reg.module.clone(),
+                        seq,
+                        spent: ledger.spent(),
+                    });
                 }
-            };
-            let handle = QueryHandle { index: index as u32, generation: reg.generation };
-            admitted.push(Some(Ok(dp::derive_seed(handle.id(), seq))));
+                seq
+            });
+            admitted[index] = Some(Ok(dp::derive_seed(handle.id(), seq)));
         }
         let noise_draws = AtomicU64::new(0);
 
@@ -1328,15 +1340,15 @@ impl Runtime {
         self.ticks += 1;
         self.dp_noise_draws += noise_draws.load(Ordering::Relaxed);
 
-        // phase 3 (serial): collect in registration (slot) order, and
-        // account every successful stage run on the chain's nodes
-        let mut out: Vec<(QueryHandle, CoreResult<Outcome>)> = Vec::with_capacity(results.len());
-        for (index, ((slot, result), verdict)) in
-            self.slots.iter_mut().zip(results).zip(admitted).enumerate()
-        {
-            let Some(reg) = slot else { continue };
-            let handle = QueryHandle { index: index as u32, generation: reg.generation };
-            let result = match (verdict, result) {
+        // phase 3 (serial): collect in the order the handles were named,
+        // and account every successful stage run on the chain's nodes
+        let mut out: Vec<(QueryHandle, CoreResult<Outcome>)> = Vec::with_capacity(handles.len());
+        for (&handle, index) in handles.iter().zip(named) {
+            let Some(index) = index else {
+                out.push((handle, Err(CoreError::UnknownHandle(handle.id()))));
+                continue;
+            };
+            let result = match (admitted[index].take(), results[index].take()) {
                 (Some(Err(e)), _) => Err(e),
                 (_, Some(Ok((outcome, rows_in)))) => {
                     for (report, rows_in) in outcome.stage_reports.iter().zip(rows_in) {
@@ -1350,7 +1362,9 @@ impl Runtime {
                     // a failed execution may have consumed part of its
                     // delta: drop the handle's incremental state so the
                     // next tick rebuilds from clean sources
-                    reg.delta.reset();
+                    if let Some(Some(reg)) = self.slots.get_mut(index) {
+                        reg.delta.reset();
+                    }
                     Err(e)
                 }
                 // an admitted slot the pool never executed is an
@@ -1827,6 +1841,59 @@ mod tests {
         let ticked = rt.tick().unwrap();
         let handles: Vec<QueryHandle> = ticked.iter().map(|(h, _)| *h).collect();
         assert_eq!(handles, vec![c, b], "slot order is registration order");
+    }
+
+    /// `runtime()` with a DP module `Dp` whose grouped count is noisy.
+    fn dp_runtime() -> (Runtime, Query) {
+        let mut dp = ModulePolicy::new("Dp");
+        dp.attributes.push(paradise_policy::AttributeRule::allowed("x"));
+        dp.dp = Some(DpConfig::new(0.5, 100.0));
+        let q = parse_query("SELECT x, COUNT(*) AS n FROM stream GROUP BY x").unwrap();
+        (runtime().with_policy("Dp", dp), q)
+    }
+
+    #[test]
+    fn tick_each_runs_and_bills_each_named_live_handle_once() {
+        let (mut rt, q) = dp_runtime();
+        let stale = rt.register("Dp", &q).unwrap();
+        rt.remove_query(stale).unwrap();
+        let ticked = rt.tick_each(&[stale]).unwrap();
+        assert_eq!(ticked.len(), 1, "one entry per named handle");
+        assert!(matches!(ticked[0], (h, Err(CoreError::UnknownHandle(id))) if h == stale && id == stale.id()));
+        assert_eq!(rt.epsilon_ledger("Dp"), None, "a stale handle is not billed");
+
+        // the slot is reused under a new generation: the stale handle
+        // still names nothing, and a repeat of the live one is not
+        // run or billed a second time
+        let live = rt.register("Dp", &q).unwrap();
+        assert_eq!(live.index, stale.index);
+        let ticked = rt.tick_each(&[stale, live, live]).unwrap();
+        let named: Vec<QueryHandle> = ticked.iter().map(|(h, _)| *h).collect();
+        assert_eq!(named, [stale, live, live], "entries come back in the order named");
+        assert!(matches!(ticked[0].1, Err(CoreError::UnknownHandle(_))));
+        assert!(ticked[1].1.is_ok());
+        assert!(matches!(ticked[2].1, Err(CoreError::UnknownHandle(_))));
+        assert_eq!(rt.epsilon_ledger("Dp").map(|l| l.seq()), Some(1), "billed once");
+        assert_eq!(rt.handle_stats(live).unwrap().plan.hits, 1, "run once");
+    }
+
+    #[test]
+    fn an_empty_tick_runs_nothing_but_commits_buffered_ingests() {
+        let dir = std::env::temp_dir().join(format!("paradise-rt-{}-empty-tick", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (rt, q) = dp_runtime();
+        let mut rt = rt.with_snapshot_every(0).durable(&dir).unwrap();
+        let h = rt.register("Dp", &q).unwrap();
+        rt.ingest("motion-sensor", "stream", stream(3, 10)).unwrap();
+        let commits = |rt: &Runtime| rt.durability_stats().unwrap().wal_commits;
+        let before = commits(&rt);
+        assert!(rt.tick_each(&[]).unwrap().is_empty());
+        assert_eq!(commits(&rt), before + 1, "the buffered ingest reached the log");
+        assert_eq!(rt.handle_stats(h).unwrap().plan.hits, 0, "no handle ran");
+        assert_eq!(rt.epsilon_ledger("Dp"), None, "no module was billed");
+        assert_eq!(rt.stats().ticks, 1, "an empty tick is still a tick");
+        drop(rt);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `runtime()` with the §3.1 check on at `threshold`.

@@ -226,8 +226,9 @@ pub enum Request {
         /// (`0` = no dedup; only meaningful on a named session).
         seq: u64,
     },
-    /// Evaluate all registered queries; the reply carries this
-    /// session's per-handle results.
+    /// Evaluate this session's registered queries, and no other
+    /// tenant's: only they run and spend ε. The reply carries their
+    /// per-handle results.
     Tick {
         /// Client-assigned sequence number. On a named session a
         /// retried `Tick` with an already-served `seq` returns the

@@ -25,8 +25,7 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use paradise_core::{Command, CoreError, Runtime};
-use paradise_engine::Frame;
+use paradise_core::{Command, CoreError, QueryHandle, Runtime};
 
 use crate::admission::AdmissionConfig;
 use crate::connection::{serve_connection, ConnCtx};
@@ -147,7 +146,8 @@ pub(crate) enum EngineCommand {
         /// Reply channel (a `Welcome`).
         reply: Sender<Response>,
     },
-    /// Run one tick and reply with the caller's per-handle results.
+    /// Tick the calling session's handles alone and reply with their
+    /// per-handle results.
     Tick {
         /// Calling session.
         sess: SessKey,
@@ -184,8 +184,9 @@ pub(crate) enum Reply {
 /// Engine-side per-session state.
 #[derive(Default)]
 struct ConnState {
-    /// `(wire id, runtime handle, module)` in registration order.
-    handles: Vec<(u64, paradise_core::QueryHandle, String)>,
+    /// `(runtime handle, module)` in registration order; the wire id
+    /// is the handle's [`id`](QueryHandle::id).
+    handles: Vec<(QueryHandle, String)>,
     /// Ingest-apply errors awaiting the next tick reply (bounded).
     deferred: Vec<String>,
     /// Recent `(seq, reply)` pairs for ticks served to a named
@@ -459,7 +460,7 @@ fn engine_loop(
                     state.handles = runtime
                         .session_registrations(session)
                         .into_iter()
-                        .map(|(_, qh, module)| (qh.id(), qh, module))
+                        .map(|(_, qh, module)| (qh, module))
                         .collect();
                 }
                 let last_seq = runtime.session_mark(session);
@@ -527,7 +528,7 @@ fn engine_loop(
                         let live = conns
                             .values()
                             .flat_map(|c| c.handles.iter())
-                            .filter(|(_, _, m)| m == module)
+                            .filter(|(_, m)| m == module)
                             .count();
                         (live >= admission.max_handles_per_module).then(|| {
                             StatsCell::bump(&stats.admission_rejected);
@@ -545,7 +546,7 @@ fn engine_loop(
                     }
                     Command::RemoveQuery { handle } => {
                         let handles = &mut conns.entry(sess).or_default().handles;
-                        match handles.iter().position(|(id, _, _)| *id == handle.id()) {
+                        match handles.iter().position(|(h, _)| h == handle) {
                             Some(at) => {
                                 handles.remove(at);
                                 None
@@ -581,9 +582,8 @@ fn engine_loop(
                             match applied.handle {
                                 Some(handle) => {
                                     let state = conns.entry(sess).or_default();
-                                    if !state.handles.iter().any(|(id, _, _)| *id == handle.id())
-                                    {
-                                        state.handles.push((handle.id(), handle, module));
+                                    if !state.handles.iter().any(|(h, _)| *h == handle) {
+                                        state.handles.push((handle, module));
                                     }
                                     Response::Registered { handle: handle.id() }
                                 }
@@ -610,38 +610,24 @@ fn engine_loop(
                     logger.log(format!("session {sess:?}: tick seq {seq} served from cache"));
                     rsp
                 } else {
-                    let rsp = match runtime.tick_each() {
+                    let state = conns.entry(sess).or_default();
+                    let mine: Vec<_> = state.handles.iter().map(|(h, _)| *h).collect();
+                    let rsp = match runtime.tick_each(&mine) {
                         Err(e) => {
                             logger.log(format!("tick failed globally: {e}"));
                             error_response(&e)
                         }
                         Ok(results) => {
                             StatsCell::bump(&stats.ticks_served);
-                            let mut by_id: HashMap<u64, Result<Frame, (ErrorCode, String)>> =
-                                HashMap::new();
-                            for (handle, result) in results {
-                                match result {
-                                    Ok(outcome) => {
-                                        by_id.insert(handle.id(), Ok(outcome.result));
-                                    }
-                                    Err(e) => {
+                            let results = results
+                                .into_iter()
+                                .map(|(handle, result)| TickEntry {
+                                    handle: handle.id(),
+                                    result: result.map(|outcome| outcome.result).map_err(|e| {
                                         StatsCell::bump(&stats.handles_quarantined);
                                         logger.log(format!("handle {handle} quarantined: {e}"));
-                                        by_id.insert(
-                                            handle.id(),
-                                            Err((ErrorCode::Quarantined, e.to_string())),
-                                        );
-                                    }
-                                }
-                            }
-                            let state = conns.entry(sess).or_default();
-                            let results = state
-                                .handles
-                                .iter()
-                                .filter_map(|(id, _, _)| {
-                                    by_id
-                                        .remove(id)
-                                        .map(|result| TickEntry { handle: *id, result })
+                                        (ErrorCode::Quarantined, e.to_string())
+                                    }),
                                 })
                                 .collect();
                             let deferred = std::mem::take(&mut state.deferred);
@@ -687,7 +673,7 @@ fn engine_loop(
                     SessKey::Conn(_) => {
                         // Anonymous: the socket was the session.
                         if let Some(state) = conns.remove(&sess) {
-                            for (_, qh, _) in state.handles {
+                            for (qh, _) in state.handles {
                                 let _ = runtime.remove_query(qh);
                             }
                         }

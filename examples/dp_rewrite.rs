@@ -3,7 +3,9 @@
 //! small epsilon budget. The DP module's COUNT/SUM/AVG come back
 //! noise-calibrated, its per-module budget decays tick by tick, and
 //! the tick that would overdraw fails with the typed
-//! `BudgetExhausted` error while the exact module keeps running.
+//! `BudgetExhausted` error while the exact module keeps running. A
+//! tick bills only the handles it names: ticking the exact module
+//! alone leaves the DP module's ledger where it was.
 //!
 //! Run with `cargo run --example dp_rewrite`.
 
@@ -69,13 +71,12 @@ fn main() {
         println!("tick {}:", round + 1);
         // tick_each = per-handle isolation, like the TCP server uses:
         // an exhausted module quarantines alone.
-        for (handle, result) in runtime.tick_each().unwrap() {
+        for (handle, result) in runtime.tick_each(&[exact, noisy]).unwrap() {
             let who = if handle == exact { "exact" } else { "noisy" };
             match result {
                 Ok(outcome) => println!("  {who:>5}: {}", render(&outcome.result)),
                 Err(e) => println!("  {who:>5}: {e}"),
             }
-            let _ = noisy; // both handles resolve through the loop
         }
         match runtime.epsilon_ledger("Noisy") {
             Some(ledger) => println!(
@@ -87,12 +88,21 @@ fn main() {
         }
     }
 
+    // A tick runs and bills only the handles it names: ticking `Exact`
+    // alone leaves `Noisy`'s ledger (sequence and spend) unchanged.
+    let before = runtime.epsilon_ledger("Noisy").unwrap();
+    runtime.ingest("motion-sensor", "stream", batch(20, 30)).unwrap();
+    let (_, result) = runtime.tick_each(&[exact]).unwrap().remove(0);
+    println!("exact alone: {}", render(&result.unwrap().result));
+    let after = runtime.epsilon_ledger("Noisy").unwrap();
+    assert_eq!(after, before, "ticking Exact must not bill Noisy");
+    println!("  noisy ledger unchanged: seq {}, spent ε={:.1}", after.seq(), after.spent());
+
     // Swapping in a larger budget un-quarantines the module — without
     // refunding a single spent epsilon.
     let bigger = DpConfig::new(1.0, 5.0).with_clamp(-4.0, 8.0);
     runtime.set_policy("Noisy", policy("Noisy", Some(bigger)));
-    let results = runtime.tick_each().unwrap();
-    let (_, result) = results.into_iter().find(|(h, _)| *h == noisy).unwrap();
+    let (_, result) = runtime.tick_each(&[noisy]).unwrap().remove(0);
     println!("after raising the budget to ε=5.0:");
     println!("  noisy: {}", render(&result.unwrap().result));
     let ledger = runtime.epsilon_ledger("Noisy").unwrap();

@@ -269,11 +269,11 @@ fn exhaustion_quarantines_only_the_dp_module() {
     let exact_handle = rt.register("ExactMod", &parse_query(DP_QUERY).unwrap()).unwrap();
 
     // tick 1: both fine (budget covers exactly one spend)
-    for (_, result) in rt.tick_each().unwrap() {
+    for (_, result) in rt.tick_each(&[dp_handle, exact_handle]).unwrap() {
         result.expect("first tick is within budget");
     }
     // tick 2: the DP handle carries the typed error, the exact one works
-    let results = rt.tick_each().unwrap();
+    let results = rt.tick_each(&[dp_handle, exact_handle]).unwrap();
     for (handle, result) in results {
         if handle == dp_handle {
             assert!(
@@ -285,6 +285,55 @@ fn exhaustion_quarantines_only_the_dp_module() {
             assert!(!result.unwrap().result.to_rows().is_empty(), "the exact tenant is unaffected");
         }
     }
+}
+
+/// A scoped tick runs and bills only the handles it names. Module A's
+/// handle ticks 100× beside module B's; B's ledger `(seq, spent)` does
+/// not move, and B's later noisy results are bitwise those of a runtime
+/// that never ticks A.
+#[test]
+fn a_scoped_tick_never_bills_an_unnamed_module() {
+    let setup = || {
+        let dp = DpConfig::new(0.5, 100.0).with_clamp(CLAMP.0, CLAMP.1);
+        let mut rt = Runtime::new(ProcessingChain::apartment())
+            .with_policy("A", policy("A", Some(dp)))
+            .with_policy("B", policy("B", Some(dp)));
+        rt.install_source("motion-sensor", "stream", users(5, 120)).unwrap();
+        let query = parse_query(DP_QUERY).unwrap();
+        let a = rt.register("A", &query).unwrap();
+        let b = rt.register("B", &query).unwrap();
+        (rt, a, b)
+    };
+    let tick_b = |rt: &mut Runtime, b: QueryHandle, round: u64| -> Vec<Row> {
+        rt.ingest("motion-sensor", "stream", users(900 + round, 30)).unwrap();
+        let (handle, result) = rt.tick_each(&[b]).unwrap().remove(0);
+        assert_eq!(handle, b);
+        result.expect("B is within budget").result.to_rows()
+    };
+    let (mut rt, a, b) = setup();
+    let (mut alone, _, b_alone) = setup();
+    assert_eq!(b, b_alone, "both runtimes seed B's noise from the same handle id");
+
+    let (mut got, mut expect) = (vec![tick_b(&mut rt, b, 0)], vec![tick_b(&mut alone, b, 0)]);
+    let before = rt.epsilon_ledger("B").expect("B ticked once");
+    for _ in 0..100 {
+        let ticked = rt.tick_each(&[a]).unwrap();
+        assert_eq!(ticked.len(), 1, "a scoped tick answers only the named handle");
+        assert!(ticked[0].0 == a && ticked[0].1.is_ok());
+    }
+    let a_ledger = rt.epsilon_ledger("A").unwrap();
+    assert_eq!((a_ledger.seq(), a_ledger.spent()), (100, 50.0));
+    let after = rt.epsilon_ledger("B").unwrap();
+    assert_eq!((after.seq(), after.spent()), (before.seq(), before.spent()), "B was not billed");
+    assert_eq!((before.seq(), before.spent()), (1, 0.5));
+
+    for round in 1..4 {
+        got.push(tick_b(&mut rt, b, round));
+        expect.push(tick_b(&mut alone, b, round));
+    }
+    assert_eq!(got, expect, "B's noisy results do not depend on A's ticks");
+    assert_eq!(rt.epsilon_ledger("B"), alone.epsilon_ledger("B"));
+    assert_eq!(alone.epsilon_ledger("A"), None, "the B-only runtime never ticked A");
 }
 
 // --------------------------------------------------------------------

@@ -351,14 +351,14 @@ fn a_denied_handle_survives_recovery() {
         (victim, bystander)
     };
     type Released = Vec<(QueryHandle, Result<Vec<Row>, CoreError>)>;
-    let after_crash = |rt: &mut Runtime| -> Vec<Released> {
+    let after_crash = |rt: &mut Runtime, handles: [QueryHandle; 2]| -> Vec<Released> {
         let mut ticks = Vec::new();
         for round in 0..2u64 {
             rt.ingest("motion-sensor", "stream", users(700 + round, 90)).unwrap();
-            ticks.push(rt.tick_each().unwrap());
+            ticks.push(rt.tick_each(&handles).unwrap());
         }
         rt.set_policy("Victim", every_attribute("Victim", true));
-        ticks.push(rt.tick_each().unwrap());
+        ticks.push(rt.tick_each(&handles).unwrap());
         ticks
             .into_iter()
             .map(|tick| tick.into_iter().map(|(h, r)| (h, r.map(|o| o.result.to_rows()))).collect())
@@ -367,7 +367,7 @@ fn a_denied_handle_survives_recovery() {
 
     let mut reference = configure();
     let (victim, bystander) = before_crash(&mut reference);
-    let expect = after_crash(&mut reference);
+    let expect = after_crash(&mut reference, [victim, bystander]);
     assert!(matches!(expect[0][0], (h, Err(CoreError::QueryDenied(_))) if h == victim));
     assert!(matches!(expect[0][1], (h, Ok(_)) if h == bystander));
     assert!(expect[2][0].1.is_ok(), "a compatible swap un-denies the handle");
@@ -386,7 +386,7 @@ fn a_denied_handle_survives_recovery() {
             .unwrap_or_else(|e| panic!("snapshot={snapshot}: reopen failed: {e}"));
         assert_eq!(rt.registered(), 2, "snapshot={snapshot}: both handles survive");
         assert_eq!(rt.handle_stats(victim).unwrap().module, "Victim");
-        assert_eq!(after_crash(&mut rt), expect, "snapshot={snapshot}");
+        assert_eq!(after_crash(&mut rt, [victim, bystander]), expect, "snapshot={snapshot}");
         drop(rt);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -613,7 +613,7 @@ mod durability {
         let version = rt.policy_version("M").unwrap();
         assert_eq!(rt.set_policy("M", deny_all.clone()), version, "a refused swap moves nothing");
         assert_eq!(rt.policy_version("M"), Some(version));
-        let ticked = rt.tick_each().unwrap();
+        let ticked = rt.tick_each(&handles).unwrap();
         for handle in handles {
             let (_, result) = ticked.iter().find(|(h, _)| *h == handle).unwrap();
             assert!(result.is_ok(), "{handle} lost its plan: {:?}", result.as_ref().err());

@@ -37,7 +37,7 @@ fn lenient() -> ModulePolicy {
     policy
 }
 
-fn runtime(assignment: AssignmentPolicy) -> Runtime {
+fn runtime(assignment: AssignmentPolicy) -> (Runtime, Vec<QueryHandle>) {
     let options = RuntimeOptions { assignment, ..Default::default() };
     let mut rt = Runtime::new(ProcessingChain::apartment())
         .with_options(options)
@@ -45,10 +45,9 @@ fn runtime(assignment: AssignmentPolicy) -> Runtime {
         .with_policy("Lenient", lenient())
         .with_retention(600);
     rt.install_source("motion-sensor", "stream", stream(42, 40)).unwrap();
-    for q in QUERIES {
-        rt.register("ActionFilter", &parse_query(q).unwrap()).unwrap();
-    }
-    rt
+    let handles =
+        QUERIES.iter().map(|q| rt.register("ActionFilter", &parse_query(q).unwrap()).unwrap()).collect();
+    (rt, handles)
 }
 
 fn sorted_tables(catalog: &Catalog) -> Vec<String> {
@@ -60,11 +59,12 @@ fn sorted_tables(catalog: &Catalog) -> Vec<String> {
 #[test]
 fn stage_outputs_never_enter_a_catalog() {
     for assignment in [AssignmentPolicy::Spread, AssignmentPolicy::Stack] {
-        let mut rt = runtime(assignment);
+        let (mut rt, mut handles) = runtime(assignment);
         let failing = rt.register("Lenient", &parse_query("SELECT w, t FROM stream").unwrap()).unwrap();
+        handles.push(failing);
         for round in 0..4u64 {
             rt.ingest("motion-sensor", "stream", stream(100 + round, 5)).unwrap();
-            let ticked = rt.tick_each().unwrap();
+            let ticked = rt.tick_each(&handles).unwrap();
             assert_eq!(ticked.len(), QUERIES.len() + 1);
             for (handle, result) in &ticked {
                 assert_eq!(result.is_err(), *handle == failing, "{assignment:?} round {round}");
@@ -80,7 +80,7 @@ fn stage_outputs_never_enter_a_catalog() {
 
 #[test]
 fn a_tick_leaves_the_source_buffers_unshared() {
-    let mut rt = runtime(AssignmentPolicy::Spread);
+    let (mut rt, _) = runtime(AssignmentPolicy::Spread);
     let shares = |rt: &Runtime| -> Vec<usize> {
         let frame = rt.chain().node("motion-sensor").unwrap().catalog.get("stream").unwrap();
         // minus the probe's own reference
@@ -97,7 +97,7 @@ fn a_tick_leaves_the_source_buffers_unshared() {
 
 #[test]
 fn node_stats_sum_the_stage_reports() {
-    let mut rt = runtime(AssignmentPolicy::Spread);
+    let (mut rt, _) = runtime(AssignmentPolicy::Spread);
     let mut other = figure4_policy().modules.remove(0);
     other.module_id = "Other".into();
     rt.set_policy("Other", other);
@@ -144,7 +144,7 @@ fn a_nan_quasi_identifier_fails_only_its_own_handle() {
     let clean =
         rt.register("M", &parse_query("SELECT x, y, t FROM stream WHERE t < 12").unwrap()).unwrap();
 
-    let ticked = rt.tick_each().unwrap();
+    let ticked = rt.tick_each(&[nan, clean]).unwrap();
     assert_eq!(ticked[0].0, nan);
     let err = ticked[0].1.as_ref().expect_err("the NaN result cannot be split");
     assert!(

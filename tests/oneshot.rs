@@ -129,6 +129,43 @@ fn run_once_returns_its_own_outcome_beside_resident_handles() {
     assert_eq!(ticked[0].1.shipped, expect.shipped, "resident: shipped");
 }
 
+/// `run_once` ticks its own handle alone: a resident DP handle beside
+/// it is neither run nor billed. Its epsilon ledger stays put, and the
+/// nodes' statistics move by exactly what the same session moves them
+/// by on a runtime without the resident.
+#[test]
+fn run_once_leaves_a_resident_dp_handle_untouched() {
+    let mut dp = ModulePolicy::new("Dp");
+    for attr in ["x", "z"] {
+        dp.attributes.push(AttributeRule::allowed(attr));
+    }
+    dp.dp = Some(DpConfig::new(0.5, 100.0).with_clamp(0.0, 10.0));
+    let mut rt = runtime().with_policy("Dp", dp);
+    let grouped = parse_query("SELECT x, COUNT(*) AS n, SUM(z) AS sz FROM stream GROUP BY x").unwrap();
+    rt.register("Dp", &grouped).unwrap();
+    rt.tick().unwrap();
+    let mut bare = runtime();
+
+    let counters = |rt: &Runtime| -> Vec<[usize; 4]> {
+        let stats = rt.chain().nodes().iter().map(|node| &node.stats);
+        stats.map(|s| [s.fragments_executed, s.rows_in, s.rows_out, s.bytes_out]).collect()
+    };
+    let moved = |before: Vec<[usize; 4]>, after: Vec<[usize; 4]>| -> Vec<[usize; 4]> {
+        let diff = |(b, a): ([usize; 4], [usize; 4])| std::array::from_fn(|i| a[i] - b[i]);
+        before.into_iter().zip(after).map(diff).collect()
+    };
+    let ledger = rt.epsilon_ledger("Dp").expect("the resident ticked once");
+    let (before, bare_before) = (counters(&rt), counters(&bare));
+    let q = parse_query(PAPER_ORIGINAL).unwrap();
+    let got = rt.run_once("ActionFilter", &q).unwrap();
+    let expect = bare.run_once("ActionFilter", &q).unwrap();
+
+    assert_same_outcome(&got, &expect, "beside a resident DP handle");
+    assert_eq!(rt.epsilon_ledger("Dp"), Some(ledger), "the resident was not billed");
+    let (mine, bare_mine) = (moved(before, counters(&rt)), moved(bare_before, counters(&bare)));
+    assert_eq!(mine, bare_mine, "the nodes account the session's stages alone");
+}
+
 #[test]
 fn run_once_leaves_no_registration_behind() {
     let q = parse_query(PAPER_ORIGINAL).unwrap();

@@ -223,7 +223,7 @@ fn tick_each_quarantines_failing_handles_without_poisoning_the_tick() {
 
     for round in 0..3u64 {
         runtime.ingest("motion-sensor", "stream", stream(500 + round, 10)).unwrap();
-        let per_handle = runtime.tick_each().unwrap();
+        let per_handle = runtime.tick_each(&[victim, bystander]).unwrap();
         assert_eq!(per_handle.len(), 2, "every live handle reports, round {round}");
         assert_eq!(per_handle[0].0, victim);
         assert!(
@@ -245,21 +245,21 @@ fn tick_each_quarantines_failing_handles_without_poisoning_the_tick() {
     reference.install_source("motion-sensor", "stream", retained).unwrap();
     reference.register("Other", &parse_query("SELECT x, y, z, t FROM stream").unwrap()).unwrap();
     let expect = reference.tick().unwrap();
-    let per_handle = runtime.tick_each().unwrap();
+    let per_handle = runtime.tick_each(&[victim, bystander]).unwrap();
     let ok = per_handle[1].1.as_ref().expect("bystander result");
     assert_eq!(ok.result, expect[0].1.result, "bystander unaffected by the quarantine");
 
     // quarantine is idempotent: repeated failing ticks move no counters
     // for the victim (each retry probes the cache, nothing more)
     let before = runtime.handle_stats(victim).unwrap();
-    runtime.tick_each().unwrap();
-    runtime.tick_each().unwrap();
+    runtime.tick_each(&[victim, bystander]).unwrap();
+    runtime.tick_each(&[victim, bystander]).unwrap();
     let after = runtime.handle_stats(victim).unwrap();
     assert_eq!(after.plan, before.plan, "quarantined handle's counters stay put");
 
     // recovery: a compatible policy swap un-quarantines the victim
     runtime.set_policy("ActionFilter", figure4_policy().modules.remove(0));
-    let per_handle = runtime.tick_each().unwrap();
+    let per_handle = runtime.tick_each(&[victim, bystander]).unwrap();
     assert!(per_handle[0].1.is_ok(), "victim recovers after a compatible swap");
     assert!(per_handle[1].1.is_ok());
 }
@@ -291,7 +291,7 @@ fn statically_invalid_fragment_is_a_typed_error_on_the_first_tick() {
 
     let mut misses_before = 0;
     for round in 0..3u64 {
-        let per_handle = runtime.tick_each().unwrap();
+        let per_handle = runtime.tick_each(&[bystander, victim]).unwrap();
         let expect = reference.tick().unwrap();
         assert_eq!(per_handle.len(), 2);
         assert_eq!(per_handle[0].0, bystander);

@@ -289,3 +289,40 @@ fn quarantined_tenant_cannot_poison_its_neighbours() {
     assert!(reply.results[0].1.is_ok(), "restored policy un-quarantines the handle");
     server.shutdown();
 }
+
+/// A tenant's tick runs and bills its own handles only. Tenants A and B
+/// each register a DP query over their own table under their own
+/// module; A ticks ten times at ε = 0.5, B never ticks, and B's
+/// epsilon ledger is untouched when the server hands the runtime back.
+#[test]
+fn a_tenants_tick_never_bills_another_tenant() {
+    let dp = |module: &str| {
+        let mut m = allow_all(module);
+        m.dp = Some(DpConfig::new(0.5, 100.0).with_clamp(0.0, 1000.0));
+        m
+    };
+    let runtime =
+        Runtime::new(ProcessingChain::apartment()).with_policy("A", dp("A")).with_policy("B", dp("B"));
+    let config = ServerConfig { log_path: Some(server_log("scoped")), ..ServerConfig::default() };
+    let server = Server::start(runtime, config).unwrap();
+    let tenant = |module: &str, table: usize| {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+        client.install_source("motion-sensor", &tenant_table(table), initial(table)).unwrap();
+        let handle = client.register(module, &tenant_query(table)).unwrap();
+        (client, handle)
+    };
+    let (mut a, a_handle) = tenant("A", 0);
+    let (_b, _) = tenant("B", 1);
+
+    for _ in 0..10 {
+        let reply = a.tick().unwrap();
+        assert_eq!(reply.results.len(), 1, "a tick answers the caller's handles only");
+        assert_eq!(reply.results[0].0, a_handle);
+        assert!(reply.results[0].1.is_ok(), "A is within budget");
+    }
+    let runtime = server.shutdown().expect("graceful shutdown returns the runtime");
+    let spend = |module: &str| runtime.epsilon_ledger(module).map(|l| (l.seq(), l.spent()));
+    assert_eq!(spend("A"), Some((10, 5.0)));
+    assert_eq!(spend("B"), None, "B never ticked, so nothing is billed to it");
+}

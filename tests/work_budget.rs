@@ -60,6 +60,10 @@ const FLAT: &str = "SELECT x, y, z, t FROM stream";
 /// merge. Each ceiling is the measured median plus 5 %.
 const SHAPES: &[(&str, usize, u64)] = &[(FLAT, 1, 623), (PAPER_ORIGINAL, 1, 743), (FLAT, 4, 1167)];
 
+/// Ceiling on the median allocations per steady scoped tick of one of
+/// two resident flat projections (the measured median plus 5 %).
+const SCOPED_TICK: u64 = 624;
+
 fn stream(seed: u64, steps: usize) -> Frame {
     let config = SmartRoomConfig { persons: 10, switch_probability: 0.003, ..Default::default() };
     SmartRoomSim::with_config(seed, config).ubisense_positions(steps)
@@ -109,6 +113,22 @@ fn allocations_per_tick(sql: &str, shards: usize) -> Vec<u64> {
             rt.ingest("motion-sensor", "stream", stream(100 + i, 50)).unwrap();
             let (ticked, n) = allocations(|| rt.tick());
             ticked.unwrap();
+            n
+        })
+        .collect()
+}
+
+/// Allocations inside each of 30 steady ticks that name one of two
+/// resident flat projections, each after a 500-row batch.
+fn allocations_per_scoped_tick() -> Vec<u64> {
+    let mut rt = resident(FLAT, 1, None);
+    let named = rt.register("ActionFilter", &parse_query(FLAT).unwrap()).unwrap();
+    rt.tick_each(&[named]).unwrap();
+    (0..30)
+        .map(|i| {
+            rt.ingest("motion-sensor", "stream", stream(100 + i, 50)).unwrap();
+            let (ticked, n) = allocations(|| rt.tick_each(&[named]));
+            assert!(ticked.unwrap()[0].1.is_ok());
             n
         })
         .collect()
@@ -190,6 +210,8 @@ fn steady_ticks_stay_within_their_allocation_ceilings() {
         let shape = format!("{sql:?}, {shards} shard(s)");
         check(&shape, "steady tick", allocations_per_tick(sql, shards), ceiling);
     }
+    let scoped = allocations_per_scoped_tick();
+    check("FLAT, 1 of 2 residents named", "scoped tick", scoped, SCOPED_TICK);
     check("ingest, in memory", "500-row batch", allocations_per_ingest(None), INGEST);
     let dir = scratch_dir();
     let durable = allocations_per_ingest(Some(&dir));
