@@ -36,10 +36,6 @@ pub struct Fragment {
     pub input_table: String,
     /// Name under which its result is published for the next fragment.
     pub publish_as: String,
-    /// Canonical SQL of `query`, rendered once at fragmentation time
-    /// (and therefore cached with the plan): per-tick stage execution
-    /// reports it without re-rendering the AST.
-    pub sql: String,
 }
 
 /// The full fragmentation plan `Q → Q1 … Qj, Qδ`.
@@ -296,8 +292,7 @@ fn needed_attributes(block: &Query) -> Vec<String> {
 
 fn make_fragment(query: Query, input_table: String, publish_as: String) -> Fragment {
     let min_level = minimal_level(&query);
-    let sql = query.to_string();
-    Fragment { query, min_level, input_table, publish_as, sql }
+    Fragment { query, min_level, input_table, publish_as }
 }
 
 /// The lowest level whose default capability can run this fragment.
@@ -340,7 +335,6 @@ pub fn assign_to_chain(
             node: nodes[index].name.clone(),
             fragment: fragment.query.clone(),
             publish_as: fragment.publish_as.clone(),
-            sql: fragment.sql.clone(),
         });
         cursor = match policy {
             AssignmentPolicy::Spread => {

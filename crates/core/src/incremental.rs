@@ -229,7 +229,6 @@ fn try_run_stages_delta(
         reports.push(StageReport {
             node: stage.node.clone(),
             level: node.level,
-            sql: stage.sql.clone(),
             rows_out: full.len(),
             bytes_out: full.size_bytes(),
         });

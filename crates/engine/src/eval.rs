@@ -1,8 +1,8 @@
 //! Expression evaluation with SQL three-valued logic: the row-level
-//! interpreter [`eval_expr`] (the reference semantics — also the
-//! short-circuit/error fallback of compiled programs, the subquery
-//! evaluator and the sensor filter's predicate) plus the [`Batch`]
-//! values and dense binary kernels that
+//! interpreter [`eval_expr`] — the reference semantics of the test
+//! oracle, and the short-circuit/error fallback of compiled programs
+//! (whose [`EvalContext::subquery`] replays their sub-plans' results)
+//! — plus the [`Batch`] values and dense binary kernels that
 //! [`ExprProgram`](crate::plan::ExprProgram), the one column-at-a-time
 //! evaluator, runs on.
 
@@ -16,15 +16,16 @@ use crate::frame::{Frame, Row};
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 
-/// Callback used to run scalar subqueries / `EXISTS` probes. The executor
-/// passes itself in; standalone evaluation (policy conditions) passes none.
+/// Callback that yields the result of a scalar subquery / `EXISTS` probe.
+/// A compiled program's error fallback replays its bound sub-plans'
+/// results; standalone evaluation (policy conditions) passes none.
 pub type SubqueryFn<'a> = &'a dyn Fn(&paradise_sql::ast::Query) -> EngineResult<Frame>;
 
 /// Everything an expression needs to evaluate against one row.
 pub struct EvalContext<'a> {
     /// Input schema for column resolution.
     pub schema: &'a Schema,
-    /// Optional subquery executor.
+    /// Optional subquery results.
     pub subquery: Option<SubqueryFn<'a>>,
 }
 
@@ -136,19 +137,7 @@ pub fn eval_expr(expr: &Expr, row: &Row, ctx: &EvalContext<'_>) -> EngineResult<
             let exec = ctx.subquery.ok_or_else(|| {
                 EngineError::Unsupported("scalar subquery in this context".into())
             })?;
-            let frame = exec(q)?;
-            if frame.schema.len() != 1 {
-                return Err(EngineError::Unsupported(
-                    "scalar subquery must return exactly one column".into(),
-                ));
-            }
-            match frame.len() {
-                0 => Ok(Value::Null),
-                1 => Ok(frame.value(0, 0)),
-                _ => Err(EngineError::Unsupported(
-                    "scalar subquery returned more than one row".into(),
-                )),
-            }
+            scalar_subquery_value(&exec(q)?)
         }
         Expr::Exists(q) => {
             let exec = ctx.subquery.ok_or_else(|| {
@@ -157,6 +146,21 @@ pub fn eval_expr(expr: &Expr, row: &Row, ctx: &EvalContext<'_>) -> EngineResult<
             let frame = exec(q)?;
             Ok(Value::Bool(!frame.is_empty()))
         }
+    }
+}
+
+/// The value of a scalar subquery that returned `frame`: NULL when it
+/// has no row, an error when it has more than one row or column.
+pub(crate) fn scalar_subquery_value(frame: &Frame) -> EngineResult<Value> {
+    if frame.schema.len() != 1 {
+        return Err(EngineError::Unsupported(
+            "scalar subquery must return exactly one column".into(),
+        ));
+    }
+    match frame.len() {
+        0 => Ok(Value::Null),
+        1 => Ok(frame.value(0, 0)),
+        _ => Err(EngineError::Unsupported("scalar subquery returned more than one row".into())),
     }
 }
 

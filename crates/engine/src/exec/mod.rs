@@ -22,11 +22,11 @@
 //!
 //! An error that is a property of (query, schema) — unknown table,
 //! column or window function, wrong aggregate arity, `UNION` branches
-//! of different widths, `SELECT *` with aggregation — surfaces from
-//! `compile`, whatever the data. An error that depends on the values
-//! (`WHERE 'abc'`, `ABS('nope')`, an unknown scalar function) surfaces
-//! when a row is actually evaluated, so it never fires over an empty
-//! input.
+//! of different widths, `SELECT *` with aggregation, in a subquery or
+//! a join's `ON` too — surfaces from `compile`, whatever the data. An
+//! error that depends on the values (`WHERE 'abc'`, `ABS('nope')`, an
+//! unknown scalar function) surfaces when a row is actually evaluated,
+//! so it never fires over an empty input.
 //!
 //! ## Lenient GROUP BY
 //!
@@ -41,19 +41,22 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use paradise_sql::analysis::is_aggregate_function;
-use paradise_sql::ast::{Expr, FunctionCall, Query, SortOrder};
+use paradise_sql::ast::{Expr, FunctionCall, JoinKind, Query, SortOrder};
 use paradise_sql::visit::transform_expr;
 
 use crate::catalog::Catalog;
 use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{eval_predicate, EvalContext};
-use crate::frame::{Frame, Row};
+use crate::frame::Frame;
+use crate::plan::ExprProgram;
 use crate::schema::{Column, Schema};
 use crate::value::{GroupKey, Value};
 
 /// Safety valve for joins: maximum produced rows before aborting.
 const MAX_JOIN_ROWS: usize = 10_000_000;
+
+/// Row pairs a nested-loop join evaluates its `ON` program over at once.
+const JOIN_BLOCK_PAIRS: usize = 4096;
 
 /// Query executor bound to a catalog, plus optionally one input frame
 /// bound by name for the executor's lifetime.
@@ -99,144 +102,127 @@ impl<'a> Executor<'a> {
         self.run_plan(&self.compile(query)?)
     }
 
-    /// Join two materialised frames. `equi` carries the pre-selected
-    /// hash-join candidate (left, right) key columns; the hash path is
-    /// taken only when the actual buffers are [`hash_joinable`],
-    /// otherwise the nested loop runs.
+    /// Join two materialised frames. `on` is the compiled `ON` program
+    /// over the joined schema (`None` pairs every row); `equi` carries
+    /// the pre-selected hash-join candidate (left, right) key columns.
+    /// The hash path is taken only when the actual buffers are
+    /// [`hash_joinable`]; otherwise a nested loop evaluates `on` a block
+    /// of row pairs at a time. Both emit rows in the same order: left
+    /// order, then right order per left row.
     pub(crate) fn join_frames(
         &self,
         left: Frame,
         right: Frame,
-        kind: paradise_sql::ast::JoinKind,
-        on: Option<&Expr>,
+        kind: JoinKind,
+        on: Option<&ExprProgram>,
         equi: Option<(usize, usize)>,
     ) -> EngineResult<Frame> {
-        use paradise_sql::ast::JoinKind;
-        if let Some((li, ri)) = equi {
-            if hash_joinable(left.column(li), right.column(ri)) {
-                return self.hash_equi_join(left, right, kind, li, ri);
-            }
-        }
         let schema = left.schema.join(&right.schema);
-        let subquery_fn = |q: &Query| self.execute(q);
-        let ctx = EvalContext { schema: &schema, subquery: Some(&subquery_fn) };
-                let left_rows = left.to_rows();
-        let right_rows = right.to_rows();
-        let mut out: Vec<Row> = Vec::new();
-        let null_right: Row = vec![Value::Null; right.schema.len()];
-        let null_left: Row = vec![Value::Null; left.schema.len()];
-        let mut right_matched = vec![false; right_rows.len()];
-
-        for lrow in &left_rows {
-            let mut matched = false;
-            for (ri, rrow) in right_rows.iter().enumerate() {
-                let mut combined = Vec::with_capacity(schema.len());
-                combined.extend(lrow.iter().cloned());
-                combined.extend(rrow.iter().cloned());
-                let keep = match (kind, on) {
-                    (JoinKind::Cross, _) => true,
-                    (_, Some(pred)) => eval_predicate(pred, &combined, &ctx)?,
-                    (_, None) => true,
-                };
-                if keep {
-                    matched = true;
-                    right_matched[ri] = true;
-                    out.push(combined);
-                    if out.len() > MAX_JOIN_ROWS {
-                        return Err(EngineError::Unsupported(format!(
-                            "join exceeded {MAX_JOIN_ROWS} rows"
-                        )));
+        let pad_left = matches!(kind, JoinKind::Left | JoinKind::Full);
+        let mut out = JoinRows::new(right.len());
+        match equi.filter(|&(li, ri)| hash_joinable(left.column(li), right.column(ri))) {
+            Some((li, ri)) => {
+                let rk = right.column(ri);
+                let mut index: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+                for j in 0..right.len() {
+                    // SQL equality: NULL keys never match
+                    if !rk.is_null(j) {
+                        index.entry(rk.group_key_at(j)).or_default().push(j);
+                    }
+                }
+                let lk = left.column(li);
+                for i in 0..left.len() {
+                    let hits = index.get(&lk.group_key_at(i)).into_iter().flatten();
+                    out.left_row(i, hits.copied(), pad_left)?;
+                }
+            }
+            None => {
+                let n_right = right.len();
+                let step = (JOIN_BLOCK_PAIRS / n_right.max(1)).max(1);
+                for start in (0..left.len()).step_by(step) {
+                    let rows = start..(start + step).min(left.len());
+                    let mask = match on {
+                        Some(p) if n_right > 0 => {
+                            let mut block = JoinRows::new(0);
+                            for i in rows.clone() {
+                                block.pairs.extend((0..n_right).map(|j| (Some(i), Some(j))));
+                            }
+                            let pairs = block.frame(schema.clone(), &left, &right)?;
+                            Some(p.eval_mask(&pairs, &schema, self)?)
+                        }
+                        _ => None,
+                    };
+                    for (k, i) in rows.enumerate() {
+                        let hit = |j: &usize| mask.as_ref().is_none_or(|m| m[k * n_right + j]);
+                        out.left_row(i, (0..n_right).filter(hit), pad_left)?;
                     }
                 }
             }
-            if !matched && matches!(kind, JoinKind::Left | JoinKind::Full) {
-                let mut combined = Vec::with_capacity(schema.len());
-                combined.extend(lrow.iter().cloned());
-                combined.extend(null_right.iter().cloned());
-                out.push(combined);
-            }
         }
         if matches!(kind, JoinKind::Right | JoinKind::Full) {
-            for (ri, rrow) in right_rows.iter().enumerate() {
-                if !right_matched[ri] {
-                    let mut combined = Vec::with_capacity(schema.len());
-                    combined.extend(null_left.iter().cloned());
-                    combined.extend(rrow.iter().cloned());
-                    out.push(combined);
+            for j in 0..right.len() {
+                if !out.right_matched[j] {
+                    out.pairs.push((None, Some(j)));
                 }
             }
         }
-        Ok(Frame::from_rows(schema, out))
+        out.frame(schema, &left, &right)
+    }
+}
+
+/// A join's output rows as (left, right) row index pairs; `None` is
+/// the NULL-padded side of an outer row.
+struct JoinRows {
+    pairs: Vec<(Option<usize>, Option<usize>)>,
+    right_matched: Vec<bool>,
+}
+
+impl JoinRows {
+    fn new(right_rows: usize) -> JoinRows {
+        JoinRows { pairs: Vec::new(), right_matched: vec![false; right_rows] }
     }
 
-    /// Hash join on one equality: build an index over the right key
-    /// column, probe with the left one. Emits rows in the same order as
-    /// the nested loop (left order, then right order per left row).
-    fn hash_equi_join(
-        &self,
-        left: Frame,
-        right: Frame,
-        kind: paradise_sql::ast::JoinKind,
-        left_key: usize,
-        right_key: usize,
-    ) -> EngineResult<Frame> {
-        use paradise_sql::ast::JoinKind;
-        let schema = left.schema.join(&right.schema);
-                let rk = right.column(right_key);
-        let mut index: HashMap<GroupKey, Vec<usize>> = HashMap::new();
-        for j in 0..right.len() {
-            // SQL equality: NULL keys never match
-            if !rk.is_null(j) {
-                index.entry(rk.group_key_at(j)).or_default().push(j);
+    /// Left row `i` joined with each right row of `hits`, or NULL-padded
+    /// when none matched and `pad` (`LEFT`/`FULL`).
+    fn left_row(
+        &mut self,
+        i: usize,
+        hits: impl Iterator<Item = usize>,
+        pad: bool,
+    ) -> EngineResult<()> {
+        let before = self.pairs.len();
+        for j in hits {
+            self.right_matched[j] = true;
+            self.pairs.push((Some(i), Some(j)));
+            if self.pairs.len() > MAX_JOIN_ROWS {
+                let message = format!("join exceeded {MAX_JOIN_ROWS} rows");
+                return Err(EngineError::Unsupported(message));
             }
         }
+        if pad && self.pairs.len() == before {
+            self.pairs.push((Some(i), None));
+        }
+        Ok(())
+    }
 
-        let lk = left.column(left_key);
-        let mut out: Vec<Row> = Vec::new();
-        let null_right: Row = vec![Value::Null; right.schema.len()];
-        let null_left: Row = vec![Value::Null; left.schema.len()];
-        let mut right_matched = vec![false; right.len()];
-
-        for i in 0..left.len() {
-            let matches = if lk.is_null(i) {
-                None
-            } else {
-                index.get(&lk.group_key_at(i))
-            };
-            match matches {
-                Some(js) => {
-                    let lrow = left.row(i);
-                    for &j in js {
-                        right_matched[j] = true;
-                        let mut combined = Vec::with_capacity(schema.len());
-                        combined.extend(lrow.iter().cloned());
-                        combined.extend(right.row(j));
-                        out.push(combined);
-                        if out.len() > MAX_JOIN_ROWS {
-                            return Err(EngineError::Unsupported(format!(
-                                "join exceeded {MAX_JOIN_ROWS} rows"
-                            )));
-                        }
-                    }
+    /// The rows as a frame of `schema` (left columns ++ right columns),
+    /// each buffer typed after its schema column.
+    fn frame(&self, schema: Schema, left: &Frame, right: &Frame) -> EngineResult<Frame> {
+        if schema.is_empty() {
+            return Ok(Frame::from_rows(schema, vec![Vec::new(); self.pairs.len()]));
+        }
+        let mut columns = Vec::with_capacity(schema.len());
+        for (side, frame) in [left, right].into_iter().enumerate() {
+            for (c, column) in frame.schema.columns().iter().enumerate() {
+                let col = frame.column(c);
+                let mut out = ColumnData::with_capacity(column.data_type, self.pairs.len());
+                for &(l, r) in &self.pairs {
+                    out.push([l, r][side].map_or(Value::Null, |i| col.value(i)));
                 }
-                None if matches!(kind, JoinKind::Left | JoinKind::Full) => {
-                    let mut combined = left.row(i);
-                    combined.extend(null_right.iter().cloned());
-                    out.push(combined);
-                }
-                None => {}
+                columns.push(out);
             }
         }
-        if matches!(kind, JoinKind::Right | JoinKind::Full) {
-            for (j, matched) in right_matched.iter().enumerate() {
-                if !matched {
-                    let mut combined = null_left.clone();
-                    combined.extend(right.row(j));
-                    out.push(combined);
-                }
-            }
-        }
-        Ok(Frame::from_rows(schema, out))
+        Frame::from_columns(schema, columns)
     }
 }
 

@@ -45,13 +45,13 @@ use minipool::ThreadPool;
 
 use super::sharded::GroupedState;
 use super::{
-    agg_finalize_masked, compile_query, filter_rows_parallel, select_rows_parallel, AggBody,
-    ArgFold, ArgStep, Body, ExprProgram, Executor, FxHashMap, PNode, ProjStep,
+    agg_finalize, compile_query, expr_subqueries, filter_rows_parallel, select_rows_parallel,
+    AggBody, ArgFold, Body, ExprProgram, Executor, FxHashMap, PNode, ProjStep,
 };
 use crate::catalog::{Catalog, Watermark};
 use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{Batch, EvalContext};
+use crate::eval::Batch;
 use crate::exec::aggregate::Accumulator;
 use crate::exec::finalise_types;
 use crate::frame::Frame;
@@ -340,14 +340,14 @@ impl<'a> Executor<'a> {
     /// callers then use the compiled full-rescan plan.
     pub fn compile_incremental(&self, query: &paradise_sql::ast::Query) -> EngineResult<Option<IncrementalPlan>> {
         let (node, _) = compile_query(self, query)?;
+        // subquery results may change between ticks without the base
+        // table moving: never fold them incrementally
+        if !expr_subqueries(query).is_empty() {
+            return Ok(None);
+        }
         let PNode::Block(block) = node else { return Ok(None) };
         let super::BlockPlan { input, filter, body } = *block;
         let PNode::Scan { table, source } = input else { return Ok(None) };
-        // subquery results may change between ticks without the base
-        // table moving: never fold them incrementally
-        if filter.as_ref().is_some_and(ExprProgram::has_subquery) {
-            return Ok(None);
-        }
         let in_schema = self.table(&table)?.schema.with_source(&source);
         let kind = match body {
             Body::Plain(p) => {
@@ -360,36 +360,10 @@ impl<'a> Executor<'a> {
                 {
                     return Ok(None);
                 }
-                let progs_pure = p.items.iter().all(|s| match s {
-                    ProjStep::Splice(_) => true,
-                    ProjStep::Prog(prog) => !prog.has_subquery(),
-                });
-                if !progs_pure {
-                    return Ok(None);
-                }
                 let out_schema = p.declared_schema(&in_schema);
                 IncKind::Append { items: p.items, out_schema }
             }
-            Body::Agg(a) => {
-                let group_pure = a.group.iter().all(|p| !p.has_subquery());
-                let args_pure = a.calls.iter().flat_map(|c| &c.args).all(|s| match s {
-                    ArgStep::Star => true,
-                    ArgStep::Prog(p) => !p.has_subquery(),
-                });
-                let post_pure = !a.having.as_ref().is_some_and(ExprProgram::has_subquery)
-                    && a.items.iter().all(|s| match s {
-                        super::AggItemStep::Col(_) => true,
-                        super::AggItemStep::Prog(p) => !p.has_subquery(),
-                    })
-                    && a.order.iter().all(|(src, _)| match src {
-                        super::OrderKeySrc::OutCol(_) => true,
-                        super::OrderKeySrc::Prog(p) => !p.has_subquery(),
-                    });
-                if !(group_pure && args_pure && post_pure) {
-                    return Ok(None);
-                }
-                IncKind::Grouped(a)
-            }
+            Body::Agg(a) => IncKind::Grouped(a),
         };
         let tables = paradise_sql::analysis::base_relations(query);
         let fingerprint = self.fingerprint(&tables);
@@ -479,14 +453,11 @@ impl<'a> Executor<'a> {
         }
         let input_rows = delta.len();
         state.plan_fp = Some(plan.fingerprint);
-        // programs are subquery-free by construction, so no subquery
-        // executor is needed
-        let ctx = EvalContext { schema: &plan.in_schema, subquery: None };
 
         // 2. reset, fold into the state and produce the full result
         match &plan.kind {
             IncKind::Append { items, out_schema } => {
-                let fd = filter_delta(plan, delta, &ctx)?;
+                let fd = filter_delta(plan, delta, self)?;
                 if reset {
                     match &mut state.data {
                         // a rebuild under the same plan refills the
@@ -520,7 +491,7 @@ impl<'a> Executor<'a> {
                             }
                         }
                         ProjStep::Prog(p) => {
-                            cols.push(p.eval(&fd, &ctx)?.into_column_arc(n))
+                            cols.push(p.eval(&fd, &plan.in_schema, self)?.into_column_arc(n))
                         }
                     }
                 }
@@ -561,15 +532,15 @@ impl<'a> Executor<'a> {
                 // 3. fold, then the extended frame, the HAVING mask and
                 // the shared finalize over the groups the fold reports:
                 // the one shard's, or the merged view over all shards
-                let run = g.fold(body, plan, delta, &ctx, split).and_then(|gs| {
+                let run = g.fold(body, plan, delta, self, split).and_then(|gs| {
                     let ext = build_state_ext(body, gs, &plan.in_schema)?;
                     if let (Some(h), Some(mask)) = (&body.having, gs.having.as_mut()) {
-                        *having_evals += refresh_having_mask(h, &ext, &gs.touched, mask)?;
+                        *having_evals += refresh_having_mask(self, h, &ext, &gs.touched, mask)?;
                     } else if body.having.is_some() {
                         // uncached (global aggregation): full evaluation
                         *having_evals += ext.len() as u64;
                     }
-                    agg_finalize_masked(self, body, ext, gs.having.as_deref())
+                    agg_finalize(self, body, ext, gs.having.as_deref())
                 });
                 match run {
                     Ok(result) => {
@@ -596,11 +567,11 @@ impl<'a> Executor<'a> {
 pub(super) fn filter_delta(
     plan: &IncrementalPlan,
     delta: Frame,
-    ctx: &EvalContext<'_>,
+    exec: &Executor<'_>,
 ) -> EngineResult<Frame> {
     Ok(match &plan.filter {
         Some(p) => {
-            let mask = p.eval_mask(&delta, ctx)?;
+            let mask = p.eval_mask(&delta, &plan.in_schema, exec)?;
             filter_rows_parallel(&delta, &mask, ThreadPool::global())
         }
         None => delta,
@@ -621,7 +592,8 @@ pub(super) fn fold_grouped(
     body: &AggBody,
     gs: &mut GroupState,
     fd: &Frame,
-    ctx: &EvalContext<'_>,
+    schema: &Schema,
+    exec: &Executor<'_>,
     positions: Option<&[u64]>,
 ) -> EngineResult<()> {
     gs.touched.clear();
@@ -634,9 +606,9 @@ pub(super) fn fold_grouped(
     let key_cols: Vec<Arc<ColumnData>> = body
         .group
         .iter()
-        .map(|p| Ok(p.eval(fd, ctx)?.into_column_arc(n)))
+        .map(|p| Ok(p.eval(fd, schema, exec)?.into_column_arc(n)))
         .collect::<EngineResult<_>>()?;
-    let arg_batches: Vec<Vec<Batch>> = super::eval_call_args(&body.calls, fd, ctx)?;
+    let arg_batches: Vec<Vec<Batch>> = super::eval_call_args(&body.calls, fd, schema, exec)?;
     let mut folds: Vec<ArgFold<'_>> = body
         .calls
         .iter()
@@ -746,6 +718,7 @@ fn build_state_ext(body: &AggBody, gs: &GroupState, in_schema: &Schema) -> Engin
 /// `O(touched groups)` per tick. The mask only ever grows: groups are
 /// never removed from a live state.
 fn refresh_having_mask(
+    exec: &Executor<'_>,
     having: &ExprProgram,
     ext: &Frame,
     touched: &[u32],
@@ -759,10 +732,7 @@ fn refresh_having_mask(
     }
     let indices: Vec<usize> = touched.iter().map(|&g| g as usize).collect();
     let sub = select_rows_parallel(ext, &indices, ThreadPool::global());
-    // incremental HAVING programs are subquery-free by construction
-    // (`compile_incremental` rejects them), so no subquery executor
-    let ctx = EvalContext { schema: &ext.schema, subquery: None };
-    let bits = having.eval_mask(&sub, &ctx)?;
+    let bits = having.eval_mask(&sub, &ext.schema, exec)?;
     for (&g, b) in indices.iter().zip(bits) {
         mask[g] = b;
     }

@@ -2,21 +2,24 @@
 //! a reusable operator DAG, then execute it on every stream tick
 //! without touching the AST again.
 //!
-//! Compilation pre-resolves every name to a column ordinal, lowers
-//! expressions to flat postorder instruction buffers
-//! ([`program::ExprProgram`]), and pre-selects strategies (hash vs.
-//! nested-loop join candidates, projected-vs-input `ORDER BY` key
-//! sources, the window/aggregate kinds). Execution runs columnar
-//! kernels over the typed buffers — plus partition-parallel grouped
-//! aggregation, window computation and filter/select gathers over the
-//! vendored [`minipool`] scoped thread pool (sized by the
-//! `PARADISE_THREADS` knob; serial when 1).
+//! Compilation binds every expression a plan runs: each name becomes a
+//! column ordinal, each expression — filters, projections, aggregate
+//! arguments, window keys, join predicates — a flat postorder
+//! instruction buffer ([`program::ExprProgram`]), and each scalar or
+//! `EXISTS` subquery a sub-plan inside the program that uses it. It
+//! also pre-selects strategies (hash vs. nested-loop join candidates,
+//! projected-vs-input `ORDER BY` key sources, the window/aggregate
+//! kinds). Execution runs columnar kernels over the typed buffers —
+//! plus partition-parallel grouped aggregation, window computation and
+//! filter/select gathers over the vendored [`minipool`] scoped thread
+//! pool (sized by the `PARADISE_THREADS` knob; serial when 1) — and
+//! never resolves a name or re-enters `compile`.
 //!
 //! Compilation is **total** over the supported SQL subset: every query
 //! either yields a plan or a typed [`EngineError`] — there is no
 //! interpreter behind the planner. Whatever is wrong with a query as a
 //! property of (query, schema) is reported here, before execution and
-//! whatever the data; execution never sees an unbound shape. The
+//! whatever the data, subqueries and join predicates included. The
 //! equivalence suites pin `compiled == naive row oracle` over the whole
 //! corpus (the oracle lives in `crates/engine/tests/oracle/`).
 //!
@@ -37,15 +40,16 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use minipool::ThreadPool;
-use paradise_sql::analysis::is_aggregate_function;
+use paradise_sql::analysis::{base_relations, is_aggregate_function};
 use paradise_sql::ast::{
     Expr, FunctionCall, JoinKind, Literal, Query, SelectItem, SortOrder, TableRef,
 };
+use paradise_sql::visit::walk_exprs;
 
 use crate::catalog::Catalog;
 use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
-use crate::eval::{Batch, EvalContext};
+use crate::eval::Batch;
 use crate::exec::aggregate::{Accumulator, AggKind};
 use crate::exec::{
     self, collect_aggregate_calls, dedupe_frame, distinct_indices, equi_join_columns,
@@ -216,12 +220,13 @@ enum PNode {
         input: Box<PNode>,
         alias: Option<String>,
     },
-    /// Two-sided join with the pre-selected equi-key candidate.
+    /// Two-sided join: the `ON` program over the joined schema (`None`
+    /// for `CROSS`) and the pre-selected equi-key candidate.
     Join {
         left: Box<PNode>,
         right: Box<PNode>,
         kind: JoinKind,
-        on: Option<Expr>,
+        on: Option<ExprProgram>,
         equi: Option<(usize, usize)>,
     },
     /// One `SELECT` block: filter + (plain | aggregation) body.
@@ -349,7 +354,8 @@ enum ArgStep {
 fn eval_call_args(
     calls: &[AggCallPlan],
     frame: &Frame,
-    ctx: &EvalContext<'_>,
+    schema: &Schema,
+    exec: &Executor<'_>,
 ) -> EngineResult<Vec<Vec<Batch>>> {
     let mut shared: Vec<(&ExprProgram, Batch)> = Vec::new();
     calls
@@ -365,7 +371,7 @@ fn eval_call_args(
                     if let Some((_, b)) = shared.iter().find(|(q, _)| q.source() == p.source()) {
                         return Ok(b.clone());
                     }
-                    let b = p.eval(frame, ctx)?;
+                    let b = p.eval(frame, schema, exec)?;
                     shared.push((p, b.clone()));
                     Ok(b)
                 })
@@ -403,7 +409,7 @@ impl<'a> Executor<'a> {
     /// a typed error here, whatever the data.
     pub fn compile(&self, query: &Query) -> EngineResult<CompiledPlan> {
         let (root, _schema) = compile_query(self, query)?;
-        let tables = paradise_sql::analysis::base_relations(query);
+        let tables = plan_tables(query);
         let fingerprint = self.fingerprint(&tables);
         Ok(CompiledPlan { root, tables, fingerprint })
     }
@@ -418,6 +424,30 @@ impl<'a> Executor<'a> {
         }
         exec_node(self, &plan.root)
     }
+}
+
+/// The scalar and `EXISTS` subqueries in `query`'s expressions, at any
+/// depth.
+fn expr_subqueries(query: &Query) -> Vec<&Query> {
+    let mut out = Vec::new();
+    walk_exprs(query, &mut |e| {
+        if let Expr::Subquery(q) | Expr::Exists(q) = e {
+            out.push(&**q);
+        }
+    });
+    out
+}
+
+/// The tables a plan of `query` reads (the inputs of its fingerprint):
+/// its base relations and those of the subqueries bound into it.
+fn plan_tables(query: &Query) -> Vec<String> {
+    let mut tables = base_relations(query);
+    for t in expr_subqueries(query).into_iter().flat_map(base_relations) {
+        if !tables.contains(&t) {
+            tables.push(t);
+        }
+    }
+    tables
 }
 
 /// A compiled (sub)plan with its statically derived output schema
@@ -450,13 +480,13 @@ fn compile_block(exec: &Executor<'_>, query: &Query) -> EngineResult<Compiled> {
         None => (PNode::Unit, Schema::default()),
     };
     let filter = match &query.where_clause {
-        Some(p) => Some(ExprProgram::compile(p, &input_schema)?),
+        Some(p) => Some(ExprProgram::compile(p, &input_schema, exec)?),
         None => None,
     };
     if query.is_aggregating(&is_aggregate_function) {
-        compile_agg(query, input, &input_schema, filter)
+        compile_agg(exec, query, input, &input_schema, filter)
     } else {
-        compile_plain(query, input, &input_schema, filter)
+        compile_plain(exec, query, input, &input_schema, filter)
     }
 }
 
@@ -490,25 +520,15 @@ fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled
         TableRef::Join { left, right, kind, on } => {
             let (l, ls) = compile_table(exec, left)?;
             let (r, rs) = compile_table(exec, right)?;
+            let schema = ls.join(&rs);
+            // `CROSS` pairs every row: its (parser-impossible) ON is moot
+            let on = on.as_ref().filter(|_| !matches!(kind, JoinKind::Cross));
             // pre-select the join strategy: recognise the single-equality
             // ON shape once; the typed-buffer check still runs at
             // execution time (buffers are dynamically typed)
-            let equi = if matches!(kind, JoinKind::Cross) {
-                None
-            } else {
-                on.as_ref().and_then(|p| equi_join_columns(p, &ls, &rs))
-            };
-            let schema = ls.join(&rs);
-            Ok((
-                PNode::Join {
-                    left: Box::new(l),
-                    right: Box::new(r),
-                    kind: *kind,
-                    on: on.clone(),
-                    equi,
-                },
-                schema,
-            ))
+            let equi = on.and_then(|p| equi_join_columns(p, &ls, &rs));
+            let on = on.map(|p| ExprProgram::compile(p, &schema, exec)).transpose()?;
+            Ok((PNode::Join { left: Box::new(l), right: Box::new(r), kind: *kind, on, equi }, schema))
         }
     }
 }
@@ -518,6 +538,7 @@ fn compile_table(exec: &Executor<'_>, table: &TableRef) -> EngineResult<Compiled
 /// a positional `ORDER BY 1` read the output column; everything else is
 /// a program over `in_schema` (the window- or aggregate-extended input).
 fn compile_order(
+    exec: &Executor<'_>,
     query: &Query,
     rewrite: &dyn Fn(&Expr) -> Expr,
     out_schema: &Schema,
@@ -538,7 +559,7 @@ fn compile_order(
         };
         let src = match out_col {
             Some(i) => OrderKeySrc::OutCol(i),
-            None => OrderKeySrc::Prog(ExprProgram::compile(&e, in_schema)?),
+            None => OrderKeySrc::Prog(ExprProgram::compile(&e, in_schema, exec)?),
         };
         order.push((src, o.order));
     }
@@ -546,6 +567,7 @@ fn compile_order(
 }
 
 fn compile_plain(
+    exec: &Executor<'_>,
     query: &Query,
     input: PNode,
     input_schema: &Schema,
@@ -565,7 +587,7 @@ fn compile_plain(
     let mut windows = Vec::with_capacity(calls.len());
     let mut rewrite_map: Vec<(FunctionCall, String)> = Vec::with_capacity(calls.len());
     for (i, call) in calls.iter().enumerate() {
-        windows.push(compile_window(call, input_schema)?);
+        windows.push(compile_window(exec, call, input_schema)?);
         let name = format!("__win{i}");
         work_schema.push(Column::new(name.clone(), DataType::Float));
         rewrite_map.push((call.clone(), name));
@@ -606,7 +628,7 @@ fn compile_plain(
                     _ => DTypeSrc::Fixed(DataType::Float),
                 };
                 out_cols.push((item_name(expr, alias), dsrc));
-                items.push(ProjStep::Prog(ExprProgram::compile(&e, &work_schema)?));
+                items.push(ProjStep::Prog(ExprProgram::compile(&e, &work_schema, exec)?));
                 continue;
             }
         };
@@ -626,12 +648,16 @@ fn compile_plain(
         offset: query.offset,
     };
     let out_schema = body.declared_schema(&work_schema);
-    body.order = compile_order(query, &rewrite, &out_schema, &work_schema)?;
+    body.order = compile_order(exec, query, &rewrite, &out_schema, &work_schema)?;
     let node = PNode::Block(Box::new(BlockPlan { input, filter, body: Body::Plain(Box::new(body)) }));
     Ok((node, out_schema))
 }
 
-fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<WindowPlan> {
+fn compile_window(
+    exec: &Executor<'_>,
+    call: &FunctionCall,
+    input_schema: &Schema,
+) -> EngineResult<WindowPlan> {
     let upper = call.name.to_ascii_uppercase();
     let func = match upper.as_str() {
         "ROW_NUMBER" => WinFunc::RowNumber,
@@ -645,12 +671,12 @@ fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<Wi
     let partition = over
         .partition_by
         .iter()
-        .map(|p| ExprProgram::compile(p, input_schema))
+        .map(|p| ExprProgram::compile(p, input_schema, exec))
         .collect::<EngineResult<_>>()?;
     let order = over
         .order_by
         .iter()
-        .map(|o| Ok((ExprProgram::compile(&o.expr, input_schema)?, o.order)))
+        .map(|o| Ok((ExprProgram::compile(&o.expr, input_schema, exec)?, o.order)))
         .collect::<EngineResult<_>>()?;
     let ranking = matches!(func, WinFunc::RowNumber | WinFunc::Rank | WinFunc::DenseRank);
     let args = if ranking {
@@ -660,7 +686,7 @@ fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<Wi
             .iter()
             .map(|a| match a {
                 Expr::Wildcard => Ok(ArgStep::Star),
-                other => Ok(ArgStep::Prog(ExprProgram::compile(other, input_schema)?)),
+                other => Ok(ArgStep::Prog(ExprProgram::compile(other, input_schema, exec)?)),
             })
             .collect::<EngineResult<_>>()?
     };
@@ -668,6 +694,7 @@ fn compile_window(call: &FunctionCall, input_schema: &Schema) -> EngineResult<Wi
 }
 
 fn compile_agg(
+    exec: &Executor<'_>,
     query: &Query,
     input: PNode,
     input_schema: &Schema,
@@ -679,7 +706,7 @@ fn compile_agg(
     let group: Vec<ExprProgram> = query
         .group_by
         .iter()
-        .map(|g| ExprProgram::compile(g, input_schema))
+        .map(|g| ExprProgram::compile(g, input_schema, exec))
         .collect::<EngineResult<_>>()?;
 
     let mut agg_calls: Vec<FunctionCall> = Vec::new();
@@ -711,7 +738,7 @@ fn compile_agg(
             .iter()
             .map(|a| match a {
                 Expr::Wildcard => Ok(ArgStep::Star),
-                other => Ok(ArgStep::Prog(ExprProgram::compile(other, input_schema)?)),
+                other => Ok(ArgStep::Prog(ExprProgram::compile(other, input_schema, exec)?)),
             })
             .collect::<EngineResult<_>>()?;
         calls.push(AggCallPlan { kind, distinct: call.distinct, args });
@@ -725,8 +752,11 @@ fn compile_agg(
     let rewrite =
         |expr: &Expr| -> Expr { replace_aggregate_calls(expr.clone(), &agg_calls, &agg_names) };
 
-    let mut having =
-        query.having.as_ref().map(|h| ExprProgram::compile(&rewrite(h), &ext_schema)).transpose()?;
+    let mut having = query
+        .having
+        .as_ref()
+        .map(|h| ExprProgram::compile(&rewrite(h), &ext_schema, exec))
+        .transpose()?;
 
     let mut out_names = Vec::with_capacity(query.items.len());
     let mut items = Vec::with_capacity(query.items.len());
@@ -737,9 +767,9 @@ fn compile_agg(
         let step = match &e {
             Expr::Column(c) => match ext_schema.try_resolve(c.qualifier.as_deref(), &c.name) {
                 Some(idx) => AggItemStep::Col(idx),
-                None => AggItemStep::Prog(ExprProgram::compile(&e, &ext_schema)?),
+                None => AggItemStep::Prog(ExprProgram::compile(&e, &ext_schema, exec)?),
             },
-            _ => AggItemStep::Prog(ExprProgram::compile(&e, &ext_schema)?),
+            _ => AggItemStep::Prog(ExprProgram::compile(&e, &ext_schema, exec)?),
         };
         items.push(step);
     }
@@ -749,7 +779,7 @@ fn compile_agg(
         out_schema.push(Column::new(name.clone(), DataType::Float));
     }
 
-    let mut order = compile_order(query, &rewrite, &out_schema, &ext_schema)?;
+    let mut order = compile_order(exec, query, &rewrite, &out_schema, &ext_schema)?;
 
     // Representative-column pruning: the post-grouping stages only need
     // the input columns that items/HAVING/ORDER actually read, so the
@@ -884,13 +914,7 @@ fn exec_block(exec: &Executor<'_>, block: &BlockPlan) -> EngineResult<Frame> {
     let input = exec_node(exec, &block.input)?;
     let filtered = match &block.filter {
         Some(p) => {
-            // a subquery body is bound when it is evaluated (its static
-            // errors are as lazy as the expression around it)
-            let subquery_fn = |q: &Query| exec.execute(q);
-            let mask = {
-                let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
-                p.eval_mask(&input, &ctx)?
-            };
+            let mask = p.eval_mask(&input, &input.schema, exec)?;
             filter_rows_parallel(&input, &mask, ThreadPool::global())
         }
         None => input,
@@ -902,20 +926,14 @@ fn exec_block(exec: &Executor<'_>, block: &BlockPlan) -> EngineResult<Frame> {
 }
 
 fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResult<Frame> {
-    let subquery_fn = |q: &Query| exec.execute(q);
-
     // window columns, attached in plan order
     let mut work = input;
     for (i, w) in body.windows.iter().enumerate() {
-        let col = {
-            let ctx = EvalContext { schema: &work.schema, subquery: Some(&subquery_fn) };
-            compute_window_plan(w, &work, &ctx)?
-        };
+        let col = compute_window_plan(w, &work, exec)?;
         work.push_column(Column::new(format!("__win{i}"), DataType::Float), col)?;
     }
 
     let n = work.len();
-    let ctx = EvalContext { schema: &work.schema, subquery: Some(&subquery_fn) };
 
     let mut out_arcs: Vec<Arc<ColumnData>> = Vec::with_capacity(body.out_cols.len());
     for step in &body.items {
@@ -925,7 +943,7 @@ fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResu
                     out_arcs.push(work.column_arc(i));
                 }
             }
-            ProjStep::Prog(p) => out_arcs.push(p.eval(&work, &ctx)?.into_column_arc(n)),
+            ProjStep::Prog(p) => out_arcs.push(p.eval(&work, &work.schema, exec)?.into_column_arc(n)),
         }
     }
     let mut frame = Frame::from_arc_columns(body.declared_schema(&work.schema), out_arcs)?;
@@ -935,7 +953,7 @@ fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResu
     for (src, _) in &body.order {
         key_cols.push(match src {
             OrderKeySrc::OutCol(i) => frame.column_arc(*i),
-            OrderKeySrc::Prog(p) => p.eval(&work, &ctx)?.into_column_arc(n),
+            OrderKeySrc::Prog(p) => p.eval(&work, &work.schema, exec)?.into_column_arc(n),
         });
     }
     sort_distinct_tail(frame, key_cols, &body.order, body.distinct, body.limit, body.offset)
@@ -983,17 +1001,15 @@ fn sort_distinct_tail(
 
 fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<Frame> {
     let n = input.len();
-    let subquery_fn = |q: &Query| exec.execute(q);
 
     // 1. group rows (first-appearance order, CSR layout)
     let grouping = if body.group.is_empty() {
         Grouping::single(n)
     } else {
-        let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
         let key_cols: Vec<Arc<ColumnData>> = body
             .group
             .iter()
-            .map(|p| Ok(p.eval(&input, &ctx)?.into_column_arc(n)))
+            .map(|p| Ok(p.eval(&input, &input.schema, exec)?.into_column_arc(n)))
             .collect::<EngineResult<_>>()?;
         group_rows(&key_cols, n)
     };
@@ -1001,10 +1017,7 @@ fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<F
     // 2. batch-evaluate the aggregate arguments once over the input
     // (with zero groups nothing consumes them; programs never evaluate
     // over empty frames, so data-dependent errors stay silent there)
-    let arg_batches: Vec<Vec<Batch>> = {
-        let ctx = EvalContext { schema: &input.schema, subquery: Some(&subquery_fn) };
-        eval_call_args(&body.calls, &input, &ctx)?
-    };
+    let arg_batches = eval_call_args(&body.calls, &input, &input.schema, exec)?;
 
     // 3. accumulate per group (group-parallel over the pool); one value
     // column per aggregate call
@@ -1015,31 +1028,22 @@ fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<F
     let ext_all = build_ext_frame(&input, &grouping, body, agg_cols)?;
 
     // 5.–7. HAVING, projection, ORDER BY/DISTINCT/LIMIT tail
-    agg_finalize(exec, body, ext_all)
+    agg_finalize(exec, body, ext_all, None)
 }
 
 /// Steps 5–7 of grouped aggregation — HAVING over the extended frame,
 /// projection, then the shared sort/distinct/limit tail. Shared by the
-/// full-rescan path ([`exec_agg`]) and the incremental path (which
+/// full-rescan path ([`exec_agg`]) and the incremental path, which
 /// rebuilds only the extended frame from its accumulator state and
-/// re-runs this tail, `O(groups)` per tick).
-fn agg_finalize(exec: &Executor<'_>, body: &AggBody, ext_all: Frame) -> EngineResult<Frame> {
-    agg_finalize_masked(exec, body, ext_all, None)
-}
-
-/// [`agg_finalize`] with an optional pre-computed HAVING mask (one bool
-/// per extended-frame row). The incremental paths maintain the mask
-/// between ticks and re-evaluate only the groups touched by a fold, so
-/// passing it here makes HAVING `O(touched groups)` per tick instead of
-/// `O(all groups)`.
-fn agg_finalize_masked(
+/// passes the HAVING `mask` (one bool per extended-frame row) it
+/// maintains between ticks, re-evaluated only for the groups a fold
+/// touched: `O(touched groups)` per tick instead of `O(all groups)`.
+fn agg_finalize(
     exec: &Executor<'_>,
     body: &AggBody,
     ext_all: Frame,
     mask: Option<&[bool]>,
 ) -> EngineResult<Frame> {
-    let subquery_fn = |q: &Query| exec.execute(q);
-
     // 5. HAVING over the extended frame
     let ext = match (&body.having, mask) {
         // a maintained mask is the steady tick: all groups scanned,
@@ -1054,10 +1058,7 @@ fn agg_finalize_masked(
             ext_all.select_rows(&kept)
         }
         (Some(h), None) => {
-            let mask = {
-                let ctx = EvalContext { schema: &ext_all.schema, subquery: Some(&subquery_fn) };
-                h.eval_mask(&ext_all, &ctx)?
-            };
+            let mask = h.eval_mask(&ext_all, &ext_all.schema, exec)?;
             filter_rows_parallel(&ext_all, &mask, ThreadPool::global())
         }
         (None, _) => ext_all,
@@ -1065,12 +1066,11 @@ fn agg_finalize_masked(
 
     // 6. projection over the extended frame
     let g = ext.len();
-    let ctx = EvalContext { schema: &ext.schema, subquery: Some(&subquery_fn) };
     let mut out_arcs: Vec<Arc<ColumnData>> = Vec::with_capacity(body.items.len());
     for step in &body.items {
         match step {
             AggItemStep::Col(i) => out_arcs.push(ext.column_arc(*i)),
-            AggItemStep::Prog(p) => out_arcs.push(p.eval(&ext, &ctx)?.into_column_arc(g)),
+            AggItemStep::Prog(p) => out_arcs.push(p.eval(&ext, &ext.schema, exec)?.into_column_arc(g)),
         }
     }
     let mut out_schema = Schema::default();
@@ -1085,7 +1085,7 @@ fn agg_finalize_masked(
     for (src, _) in &body.order {
         key_cols.push(match src {
             OrderKeySrc::OutCol(i) => frame.column_arc(*i),
-            OrderKeySrc::Prog(p) => p.eval(&ext, &ctx)?.into_column_arc(g),
+            OrderKeySrc::Prog(p) => p.eval(&ext, &ext.schema, exec)?.into_column_arc(g),
         });
     }
     sort_distinct_tail(frame, key_cols, &body.order, body.distinct, body.limit, body.offset)
@@ -1521,13 +1521,13 @@ fn peers_eq(views: &[KeyView<'_>], a: usize, b: usize) -> bool {
 fn compute_window_plan(
     plan: &WindowPlan,
     frame: &Frame,
-    ctx: &EvalContext<'_>,
+    exec: &Executor<'_>,
 ) -> EngineResult<ColumnData> {
     let n = frame.len();
     let part_cols: Vec<Arc<ColumnData>> = plan
         .partition
         .iter()
-        .map(|p| Ok(p.eval(frame, ctx)?.into_column_arc(n)))
+        .map(|p| Ok(p.eval(frame, &frame.schema, exec)?.into_column_arc(n)))
         .collect::<EngineResult<_>>()?;
     let grouping = if plan.partition.is_empty() {
         Grouping::single(n)
@@ -1538,7 +1538,7 @@ fn compute_window_plan(
     let key_cols: Vec<Arc<ColumnData>> = plan
         .order
         .iter()
-        .map(|(p, _)| Ok(p.eval(frame, ctx)?.into_column_arc(n)))
+        .map(|(p, _)| Ok(p.eval(frame, &frame.schema, exec)?.into_column_arc(n)))
         .collect::<EngineResult<_>>()?;
     let orders: Vec<SortOrder> = plan.order.iter().map(|(_, o)| *o).collect();
     let args: Vec<Batch> = plan
@@ -1546,7 +1546,7 @@ fn compute_window_plan(
         .iter()
         .map(|a| match a {
             ArgStep::Star => Ok(Batch::Const(Value::Int(1))),
-            ArgStep::Prog(p) => p.eval(frame, ctx),
+            ArgStep::Prog(p) => p.eval(frame, &frame.schema, exec),
         })
         .collect::<EngineResult<_>>()?;
     let views = key_views(&key_cols);

@@ -1,31 +1,37 @@
 //! Compiled expression programs: flat postorder instruction buffers
 //! that replace per-tick AST walks.
 //!
-//! [`ExprProgram::compile`] resolves every column reference to an
-//! ordinal against the input schema **once**; [`ExprProgram::eval`]
-//! then runs a small stack machine over [`Batch`] values on the dense
-//! kernels of [`crate::eval`] (numeric comparison / arithmetic,
-//! three-valued logic). It is the engine's only column-at-a-time
-//! expression evaluator. Two rules tie it to the row-level reference
-//! [`eval_expr`], which the proptest suite pins down: the machine
-//! evaluates sub-expressions eagerly, so where the row interpreter
-//! would have short-circuited past an erroring sub-expression
-//! (`AND`/`OR`, `CASE` branches, `IN` list tails) any error makes it
-//! re-run row by row, reproducing the reference result (or *which*
-//! error); and nothing is evaluated over an empty frame, so a
-//! data-dependent error never surfaces over zero rows.
+//! [`ExprProgram::compile`] binds an expression **once**: column
+//! references to ordinals of the input schema, (uncorrelated) scalar
+//! and `EXISTS` subqueries to sub-plans over the executor's catalog.
+//! [`ExprProgram::eval`] runs each sub-plan once, then a small stack
+//! machine over [`Batch`] values on the dense kernels of
+//! [`crate::eval`] (numeric comparison / arithmetic, three-valued
+//! logic). It is the engine's only column-at-a-time expression
+//! evaluator, join predicates included. Two rules tie it to the
+//! row-level reference [`eval_expr`], which the proptest suite pins
+//! down: the machine evaluates sub-expressions eagerly, so where the
+//! row interpreter would have short-circuited past an erroring
+//! sub-expression (`AND`/`OR`, `CASE` branches, `IN` list tails, a
+//! failing subquery) any error makes it re-run row by row — the only
+//! run-time AST walk, which replays the sub-plan results — reproducing
+//! the reference result (or *which* error); and nothing is evaluated
+//! over an empty frame, so a data-dependent error never surfaces over
+//! zero rows.
 
 use std::sync::Arc;
 
-use paradise_sql::ast::{BinaryOp, Expr, UnaryOp};
+use paradise_sql::ast::{BinaryOp, Expr, Query, UnaryOp};
 
+use super::{compile_query, exec_node, PNode};
 use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
     and3, eval_binary_batch, eval_expr, eval_scalar_function_upper, eval_unary, ge3, le3,
-    literal_value, or3, to_bool3, Batch, EvalContext,
+    literal_value, or3, scalar_subquery_value, to_bool3, Batch, EvalContext,
 };
-use crate::frame::{Frame, Row};
+use crate::exec::Executor;
+use crate::frame::Frame;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 
@@ -59,35 +65,41 @@ enum Instr {
     /// Pop else (if any), then `branches` (when, then) pairs, then the
     /// operand (if any) — CASE, evaluated eagerly per row.
     Case { operand: bool, branches: usize, has_else: bool },
-    /// Row-invariant subquery / EXISTS: delegated to the row
-    /// interpreter once per program run.
-    SubqueryConst(Expr),
+    /// Push the row-invariant value of bound subquery `index`: its
+    /// scalar result, or whether `EXISTS` found a row.
+    SubqueryConst(usize),
 }
 
-/// A compiled expression: pre-resolved ordinals + instruction buffer,
-/// with the original AST retained only for the error fall-back path.
+/// A bound `(SELECT …)` or `EXISTS (SELECT …)`: its sub-plan, and the
+/// AST the error fallback meets again.
+#[derive(Debug, Clone)]
+struct Subquery {
+    plan: PNode,
+    exists: bool,
+    query: Query,
+}
+
+/// A compiled expression: pre-resolved ordinals, bound subqueries and
+/// an instruction buffer, with the original AST retained only for the
+/// error fall-back path.
 #[derive(Debug, Clone)]
 pub struct ExprProgram {
     instrs: Vec<Instr>,
+    subqueries: Vec<Subquery>,
     fallback: Expr,
-    has_subquery: bool,
 }
 
 impl ExprProgram {
-    /// Compile `expr` against `schema`. Fails on unresolvable columns
-    /// and on constructs no scalar position accepts (bare `*`, window
-    /// calls, unknown cast targets) — static errors of the query.
-    pub fn compile(expr: &Expr, schema: &Schema) -> EngineResult<ExprProgram> {
+    /// Compile `expr` against `schema`, binding its subqueries against
+    /// `exec`'s catalog. Fails on unresolvable columns or tables (in
+    /// subqueries too), a scalar subquery of more than one column, and
+    /// constructs no scalar position accepts (bare `*`, window calls,
+    /// unknown cast targets) — static errors of the query.
+    pub fn compile(expr: &Expr, schema: &Schema, exec: &Executor<'_>) -> EngineResult<ExprProgram> {
         let mut program =
-            ExprProgram { instrs: Vec::new(), fallback: expr.clone(), has_subquery: false };
-        program.push_expr(expr, schema)?;
+            ExprProgram { instrs: Vec::new(), subqueries: Vec::new(), fallback: expr.clone() };
+        program.push_expr(expr, schema, exec)?;
         Ok(program)
-    }
-
-    /// Does the program run subqueries (and therefore need an executor
-    /// in its [`EvalContext`])?
-    pub fn has_subquery(&self) -> bool {
-        self.has_subquery
     }
 
     /// The AST the program was compiled from. Aggregation uses it to
@@ -117,7 +129,7 @@ impl ExprProgram {
         }
     }
 
-    fn push_expr(&mut self, expr: &Expr, schema: &Schema) -> EngineResult<()> {
+    fn push_expr(&mut self, expr: &Expr, schema: &Schema, exec: &Executor<'_>) -> EngineResult<()> {
         match expr {
             Expr::Literal(lit) => self.instrs.push(Instr::Const(literal_value(lit))),
             Expr::Column(c) => {
@@ -128,12 +140,12 @@ impl ExprProgram {
                 return Err(EngineError::Unsupported("'*' is only valid inside COUNT(*)".into()))
             }
             Expr::Unary { op, expr } => {
-                self.push_expr(expr, schema)?;
+                self.push_expr(expr, schema, exec)?;
                 self.instrs.push(Instr::Unary(*op));
             }
             Expr::Binary { left, op, right } => {
-                self.push_expr(left, schema)?;
-                self.push_expr(right, schema)?;
+                self.push_expr(left, schema, exec)?;
+                self.push_expr(right, schema, exec)?;
                 match op {
                     BinaryOp::And => self.instrs.push(Instr::Logic { and: true }),
                     BinaryOp::Or => self.instrs.push(Instr::Logic { and: false }),
@@ -147,7 +159,7 @@ impl ExprProgram {
                     ));
                 }
                 for a in &call.args {
-                    self.push_expr(a, schema)?;
+                    self.push_expr(a, schema, exec)?;
                 }
                 self.instrs.push(Instr::Call {
                     name: call.name.to_ascii_uppercase(),
@@ -156,14 +168,14 @@ impl ExprProgram {
             }
             Expr::Case { operand, branches, else_result } => {
                 if let Some(op) = operand {
-                    self.push_expr(op, schema)?;
+                    self.push_expr(op, schema, exec)?;
                 }
                 for b in branches {
-                    self.push_expr(&b.when, schema)?;
-                    self.push_expr(&b.then, schema)?;
+                    self.push_expr(&b.when, schema, exec)?;
+                    self.push_expr(&b.then, schema, exec)?;
                 }
                 if let Some(e) = else_result {
-                    self.push_expr(e, schema)?;
+                    self.push_expr(e, schema, exec)?;
                 }
                 self.instrs.push(Instr::Case {
                     operand: operand.is_some(),
@@ -172,52 +184,70 @@ impl ExprProgram {
                 });
             }
             Expr::Between { expr, low, high, negated } => {
-                self.push_expr(expr, schema)?;
-                self.push_expr(low, schema)?;
-                self.push_expr(high, schema)?;
+                self.push_expr(expr, schema, exec)?;
+                self.push_expr(low, schema, exec)?;
+                self.push_expr(high, schema, exec)?;
                 self.instrs.push(Instr::Between { negated: *negated });
             }
             Expr::InList { expr, list, negated } => {
-                self.push_expr(expr, schema)?;
+                self.push_expr(expr, schema, exec)?;
                 for item in list {
-                    self.push_expr(item, schema)?;
+                    self.push_expr(item, schema, exec)?;
                 }
                 self.instrs.push(Instr::InList { negated: *negated, len: list.len() });
             }
             Expr::IsNull { expr, negated } => {
-                self.push_expr(expr, schema)?;
+                self.push_expr(expr, schema, exec)?;
                 self.instrs.push(Instr::IsNull { negated: *negated });
             }
             Expr::Cast { expr, type_name } => {
                 let target = DataType::parse(type_name).ok_or_else(|| {
                     EngineError::Unsupported(format!("unknown cast target {type_name:?}"))
                 })?;
-                self.push_expr(expr, schema)?;
+                self.push_expr(expr, schema, exec)?;
                 self.instrs.push(Instr::Cast { target });
             }
-            Expr::Subquery(_) | Expr::Exists(_) => {
-                self.has_subquery = true;
-                self.instrs.push(Instr::SubqueryConst(expr.clone()));
+            Expr::Subquery(query) | Expr::Exists(query) => {
+                let exists = matches!(expr, Expr::Exists(_));
+                let (plan, out) = compile_query(exec, query)?;
+                if !exists && out.len() != 1 {
+                    return Err(EngineError::Unsupported(
+                        "scalar subquery must return exactly one column".into(),
+                    ));
+                }
+                self.instrs.push(Instr::SubqueryConst(self.subqueries.len()));
+                self.subqueries.push(Subquery { plan, exists, query: (**query).clone() });
             }
         }
         Ok(())
     }
 
-    /// Evaluate over every row of `frame`, column-at-a-time. Nothing
-    /// is evaluated over an empty frame, and any stack-machine error
-    /// falls back to the row interpreter so the reference error (or
-    /// result) surfaces.
-    pub fn eval(&self, frame: &Frame, ctx: &EvalContext<'_>) -> EngineResult<Batch> {
+    /// Evaluate over every row of `frame`, column-at-a-time, running
+    /// the bound subqueries on `exec` once. Nothing is evaluated over an
+    /// empty frame, and any stack-machine error falls back to the row
+    /// interpreter so the reference error (or result) surfaces; the
+    /// fallback resolves names against `schema` (the frame's own, or
+    /// the plan's qualified view of it).
+    pub fn eval(&self, frame: &Frame, schema: &Schema, exec: &Executor<'_>) -> EngineResult<Batch> {
         if frame.is_empty() {
             return Ok(Batch::Col(Arc::new(ColumnData::empty(DataType::Float))));
         }
-        match self.run(frame, ctx) {
+        let results: Vec<EngineResult<Frame>> =
+            self.subqueries.iter().map(|s| exec_node(exec, &s.plan)).collect();
+        match self.run(frame, &results) {
             Ok(batch) => Ok(batch),
             Err(_) => {
+                // the row interpreter evaluates a subquery where the
+                // reference would: it replays this evaluation's result
+                let replay = |query: &Query| {
+                    let at = self.subqueries.iter().position(|s| s.query == *query);
+                    results[at.expect("the fallback's subqueries are the program's")].clone()
+                };
+                let ctx = EvalContext { schema, subquery: Some(&replay) };
                 let mut out = ColumnData::with_capacity(DataType::Float, frame.len());
                 for i in 0..frame.len() {
                     let row = frame.row(i);
-                    out.push(eval_expr(&self.fallback, &row, ctx)?);
+                    out.push(eval_expr(&self.fallback, &row, &ctx)?);
                 }
                 Ok(Batch::Col(Arc::new(out)))
             }
@@ -225,10 +255,15 @@ impl ExprProgram {
     }
 
     /// Evaluate as a filter predicate: one `bool` per row, NULL counts
-    /// as false (the `WHERE`/`HAVING` semantics).
-    pub fn eval_mask(&self, frame: &Frame, ctx: &EvalContext<'_>) -> EngineResult<Vec<bool>> {
+    /// as false (the `WHERE`/`HAVING`/`ON` semantics).
+    pub fn eval_mask(
+        &self,
+        frame: &Frame,
+        schema: &Schema,
+        exec: &Executor<'_>,
+    ) -> EngineResult<Vec<bool>> {
         let n = frame.len();
-        match self.eval(frame, ctx)? {
+        match self.eval(frame, schema, exec)? {
             Batch::Const(v) => {
                 let keep = to_bool3(&v)?.unwrap_or(false);
                 Ok(vec![keep; n])
@@ -246,7 +281,7 @@ impl ExprProgram {
         }
     }
 
-    fn run(&self, frame: &Frame, ctx: &EvalContext<'_>) -> EngineResult<Batch> {
+    fn run(&self, frame: &Frame, subqueries: &[EngineResult<Frame>]) -> EngineResult<Batch> {
         let n = frame.len();
         let mut stack: Vec<Batch> = Vec::with_capacity(8);
         for instr in &self.instrs {
@@ -429,9 +464,13 @@ impl ExprProgram {
                     }
                     stack.push(Batch::Col(Arc::new(out)));
                 }
-                Instr::SubqueryConst(e) => {
-                    let row = Row::new();
-                    stack.push(Batch::Const(eval_expr(e, &row, ctx)?));
+                Instr::SubqueryConst(at) => {
+                    let result = subqueries[*at].as_ref().map_err(Clone::clone)?;
+                    stack.push(Batch::Const(if self.subqueries[*at].exists {
+                        Value::Bool(!result.is_empty())
+                    } else {
+                        scalar_subquery_value(result)?
+                    }));
                 }
             }
         }
@@ -484,6 +523,7 @@ fn clamp_dense(args: &[Batch], n: usize) -> Option<ColumnData> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::Catalog;
     use paradise_sql::parse_expr;
 
     fn frame() -> Frame {
@@ -510,8 +550,10 @@ mod tests {
         let e = parse_expr(src).unwrap();
         let f = frame();
         let ctx = EvalContext::new(&f.schema);
-        let program = ExprProgram::compile(&e, &f.schema).unwrap();
-        let compiled = program.eval(&f, &ctx).unwrap();
+        let catalog = Catalog::new();
+        let exec = Executor::new(&catalog);
+        let program = ExprProgram::compile(&e, &f.schema, &exec).unwrap();
+        let compiled = program.eval(&f, &f.schema, &exec).unwrap();
         for i in 0..f.len() {
             let reference = eval_expr(&e, &f.row(i), &ctx).unwrap();
             assert_eq!(compiled.value(i), reference, "row {i} of {src}");
@@ -546,8 +588,9 @@ mod tests {
     fn unknown_column_fails_at_compile_time() {
         let e = parse_expr("missing > 1").unwrap();
         let f = frame();
+        let catalog = Catalog::new();
         assert!(matches!(
-            ExprProgram::compile(&e, &f.schema),
+            ExprProgram::compile(&e, &f.schema, &Executor::new(&catalog)),
             Err(EngineError::UnknownColumn(_))
         ));
     }
@@ -559,8 +602,10 @@ mod tests {
         // row), the eager stack machine does not
         let src = "t < 0 AND name > 5";
         let f = frame();
-        let program = ExprProgram::compile(&parse_expr(src).unwrap(), &f.schema).unwrap();
-        assert!(program.run(&f, &EvalContext::new(&f.schema)).is_err());
+        let catalog = Catalog::new();
+        let exec = Executor::new(&catalog);
+        let program = ExprProgram::compile(&parse_expr(src).unwrap(), &f.schema, &exec).unwrap();
+        assert!(program.run(&f, &[]).is_err());
         check(src);
     }
 
@@ -568,9 +613,10 @@ mod tests {
     fn mask_counts_null_as_false() {
         let e = parse_expr("x > 1.6").unwrap();
         let f = frame();
-        let ctx = EvalContext::new(&f.schema);
-        let program = ExprProgram::compile(&e, &f.schema).unwrap();
-        assert_eq!(program.eval_mask(&f, &ctx).unwrap(), vec![false, true, false]);
+        let catalog = Catalog::new();
+        let exec = Executor::new(&catalog);
+        let program = ExprProgram::compile(&e, &f.schema, &exec).unwrap();
+        assert_eq!(program.eval_mask(&f, &f.schema, &exec).unwrap(), vec![false, true, false]);
     }
 
     #[test]
@@ -578,8 +624,9 @@ mod tests {
         // a type error must not surface over zero rows
         let e = parse_expr("name + 1").unwrap();
         let f = Frame::empty(frame().schema.clone());
-        let ctx = EvalContext::new(&f.schema);
-        let program = ExprProgram::compile(&e, &f.schema).unwrap();
-        assert!(program.eval(&f, &ctx).is_ok());
+        let catalog = Catalog::new();
+        let exec = Executor::new(&catalog);
+        let program = ExprProgram::compile(&e, &f.schema, &exec).unwrap();
+        assert!(program.eval(&f, &f.schema, &exec).is_ok());
     }
 }

@@ -34,7 +34,7 @@ use super::incremental::{filter_delta, fold_grouped, GroupState, IncrementalPlan
 use super::{AggBody, FxHasher, PARALLEL_MIN_ROWS};
 use crate::column::ColumnData;
 use crate::error::EngineResult;
-use crate::eval::EvalContext;
+use crate::exec::Executor;
 use crate::frame::Frame;
 use crate::schema::Schema;
 use crate::value::GroupKey;
@@ -184,12 +184,13 @@ impl GroupedState {
         body: &AggBody,
         plan: &IncrementalPlan,
         delta: Frame,
-        ctx: &EvalContext<'_>,
+        exec: &Executor<'_>,
         split: Option<Arc<Vec<Vec<u32>>>>,
     ) -> EngineResult<&mut GroupState> {
         let Some(m) = &mut self.merged else {
             let gs = &mut self.shards[0];
-            fold_grouped(body, gs, &filter_delta(plan, delta, ctx)?, ctx, None)?;
+            let fd = filter_delta(plan, delta, exec)?;
+            fold_grouped(body, gs, &fd, &plan.in_schema, exec, None)?;
             return Ok(gs);
         };
         let pool = ThreadPool::global();
@@ -208,7 +209,7 @@ impl GroupedState {
         pool.scope(|scope| {
             for ((gs, bucket), out) in self.shards.iter_mut().zip(buckets).zip(results.iter_mut()) {
                 scope.spawn(move || {
-                    *out = fold_shard(body, plan, gs, delta, bucket, base);
+                    *out = fold_shard(body, plan, exec, gs, delta, bucket, base);
                 });
             }
         });
@@ -228,6 +229,7 @@ impl GroupedState {
 fn fold_shard(
     body: &AggBody,
     plan: &IncrementalPlan,
+    exec: &Executor<'_>,
     gs: &mut GroupState,
     delta: &Frame,
     bucket: &[u32],
@@ -242,10 +244,9 @@ fn fold_shard(
     let indices: Vec<usize> = bucket.iter().map(|&i| i as usize).collect();
     let sub = delta.select_rows(&indices);
     let mut positions: Vec<u64> = bucket.iter().map(|&i| base + i as u64).collect();
-    let ctx = EvalContext { schema: &plan.in_schema, subquery: None };
     let fd = match &plan.filter {
         Some(p) => {
-            let mask = p.eval_mask(&sub, &ctx)?;
+            let mask = p.eval_mask(&sub, &plan.in_schema, exec)?;
             let mut kept = Vec::with_capacity(positions.len());
             for (&pos, &keep) in positions.iter().zip(&mask) {
                 if keep {
@@ -257,7 +258,7 @@ fn fold_shard(
         }
         None => sub,
     };
-    fold_grouped(body, gs, &fd, &ctx, Some(&positions))
+    fold_grouped(body, gs, &fd, &plan.in_schema, exec, Some(&positions))
 }
 
 impl MergedGroups {

@@ -573,6 +573,102 @@ fn static_errors_surface_at_compile() {
     }
 }
 
+#[test]
+fn subqueries_and_join_predicates_bind_at_compile() {
+    // a subquery or an ON predicate is bound with the query: its static
+    // error is the compile error over an empty stream as over a
+    // populated one, not a run-time error once there are rows
+    let unknown_column = |c: &str| EngineError::UnknownColumn(c.into());
+    let cases = [
+        ("SELECT t FROM stream WHERE z > (SELECT nope FROM stream)", unknown_column("nope")),
+        (
+            "SELECT t FROM stream WHERE EXISTS (SELECT 1 FROM missing)",
+            EngineError::UnknownTable("missing".into()),
+        ),
+        ("SELECT a.t FROM stream a JOIN stream b ON a.nope = b.t", unknown_column("a.nope")),
+        (
+            "SELECT a.t FROM stream a JOIN stream b ON a.t < b.t AND b.nope > 1",
+            unknown_column("b.nope"),
+        ),
+        (
+            "SELECT t FROM stream WHERE z > (SELECT x, y FROM stream)",
+            EngineError::Unsupported("scalar subquery must return exactly one column".into()),
+        ),
+    ];
+    let populated = sensor_catalog();
+    let mut empty = Catalog::new();
+    let schema = populated.get("stream").unwrap().schema.clone();
+    empty.register("stream", Frame::empty(schema)).unwrap();
+    for (sql, expected) in cases {
+        let query = parse_query(sql).unwrap();
+        for c in [&empty, &populated] {
+            assert_eq!(Executor::new(c).compile(&query).unwrap_err(), expected, "{sql}");
+        }
+        // with rows to trip over, the lazy oracle finds the same error
+        assert_eq!(oracle::run(&populated, &query).unwrap_err(), expected, "{sql}");
+    }
+}
+
+#[test]
+fn correlated_subquery_is_a_compile_error() {
+    // subqueries bind against the catalog alone: an outer column is
+    // unknown inside them, over an empty stream as over a populated one
+    let sql = "SELECT t FROM stream a WHERE z > (SELECT MIN(z) FROM stream b WHERE b.t < a.t)";
+    let query = parse_query(sql).unwrap();
+    let populated = sensor_catalog();
+    let mut empty = Catalog::new();
+    empty.register("stream", Frame::empty(populated.get("stream").unwrap().schema.clone())).unwrap();
+    for c in [&empty, &populated] {
+        let err = Executor::new(c).compile(&query).unwrap_err();
+        assert_eq!(err, EngineError::UnknownColumn("a.t".into()));
+    }
+}
+
+#[test]
+fn scalar_subquery_cardinality_is_a_run_time_error() {
+    // how many rows a scalar subquery returns depends on the data: the
+    // plan compiles either way, runs to 0 rows over an empty stream and
+    // fails like the oracle once the subquery yields several rows
+    let sql = "SELECT t FROM stream WHERE z > (SELECT z FROM stream)";
+    let query = parse_query(sql).unwrap();
+    let populated = sensor_catalog();
+    let mut empty = Catalog::new();
+    empty.register("stream", Frame::empty(populated.get("stream").unwrap().schema.clone())).unwrap();
+    let exec = Executor::new(&empty);
+    assert_eq!(exec.run_plan(&exec.compile(&query).unwrap()).unwrap().len(), 0);
+    let exec = Executor::new(&populated);
+    let err = exec.run_plan(&exec.compile(&query).unwrap()).unwrap_err();
+    assert_eq!(err, EngineError::Unsupported("scalar subquery returned more than one row".into()));
+    assert_eq!(oracle::run(&populated, &query).unwrap_err(), err);
+}
+
+#[test]
+fn nested_loop_join_spans_blocks() {
+    // the nested loop evaluates `ON` over a block of row pairs at a
+    // time: left rows spread over several blocks (70 × 100) and a right
+    // side longer than one block (3 × 4100) must still give the hash
+    // join's rows in its order, NULL left keys included
+    let keys = |n: i64, m: i64| -> Frame {
+        let rows = (0..n)
+            .map(|i| vec![if i % 11 == 10 { Value::Null } else { Value::Int(i % m) }, Value::Int(i)])
+            .collect();
+        Frame::new(Schema::from_pairs(&[("k", DataType::Integer), ("i", DataType::Integer)]), rows)
+            .unwrap()
+    };
+    for (left, right) in [(70, 100), (3, 4100)] {
+        let mut c = Catalog::new();
+        c.register("l", keys(left, 9)).unwrap();
+        c.register("r", keys(right, 13)).unwrap();
+        for kind in ["JOIN", "LEFT JOIN", "RIGHT JOIN", "FULL JOIN"] {
+            let select = format!("SELECT l.i, r.i FROM l {kind} r ON");
+            let hash = run(&c, &format!("{select} l.k = r.k"));
+            let nested = run(&c, &format!("{select} l.k <= r.k AND l.k >= r.k"));
+            assert!(!hash.is_empty(), "{kind} over {left}×{right}");
+            assert_eq!(nested.to_rows(), hash.to_rows(), "{kind} over {left}×{right}");
+        }
+    }
+}
+
 /// Shapes the deleted in-library reference comparisons covered: every
 /// operator of the planner, compiled once, run twice, against the oracle.
 #[test]

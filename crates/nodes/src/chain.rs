@@ -60,10 +60,6 @@ pub struct Stage {
     /// Name under which the result is installed at the *next* stage's
     /// node (or returned, for the last stage).
     pub publish_as: String,
-    /// Pre-rendered SQL of `fragment` for reporting. Rendered once at
-    /// fragmentation time so per-tick execution does not re-render;
-    /// leave empty to have [`ProcessingChain::run_stages`] render it.
-    pub sql: String,
 }
 
 /// Report for one executed stage.
@@ -73,8 +69,6 @@ pub struct StageReport {
     pub node: String,
     /// Level of the node.
     pub level: Level,
-    /// The fragment as SQL text.
-    pub sql: String,
     /// Rows produced.
     pub rows_out: usize,
     /// Bytes produced.
@@ -255,11 +249,6 @@ impl ProcessingChain {
             reports.push(StageReport {
                 node: node.name.clone(),
                 level: node.level,
-                sql: if stage.sql.is_empty() {
-                    stage.fragment.to_string()
-                } else {
-                    stage.sql.clone()
-                },
                 rows_out: result.len(),
                 bytes_out: result.size_bytes(),
             });
@@ -331,13 +320,11 @@ mod tests {
                 node: "motion-sensor".into(),
                 fragment: parse_query("SELECT * FROM stream WHERE z < 2").unwrap(),
                 publish_as: "d1".into(),
-                sql: String::new(),
             },
             Stage {
                 node: "appliance".into(),
                 fragment: parse_query("SELECT x, y, z, t FROM d1 WHERE x > y").unwrap(),
                 publish_as: "d2".into(),
-                sql: String::new(),
             },
             Stage {
                 node: "media-center".into(),
@@ -346,7 +333,6 @@ mod tests {
                 )
                 .unwrap(),
                 publish_as: "d3".into(),
-                sql: String::new(),
             },
             Stage {
                 node: "local-server".into(),
@@ -355,7 +341,6 @@ mod tests {
                 )
                 .unwrap(),
                 publish_as: "dprime".into(),
-                sql: String::new(),
             },
         ];
         let run = chain.run_stages(&stages).unwrap();
@@ -376,7 +361,6 @@ mod tests {
             node: "motion-sensor".into(),
             fragment: parse_query("SELECT x FROM stream").unwrap(), // projection!
             publish_as: "d1".into(),
-            sql: String::new(),
         }];
         assert!(matches!(
             chain.run_stages(&stages),

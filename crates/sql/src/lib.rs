@@ -27,7 +27,6 @@
 
 pub mod analysis;
 pub mod ast;
-pub mod builder;
 pub mod display;
 pub mod error;
 pub mod lexer;

@@ -62,14 +62,14 @@ fn main() {
     print!("{}", outcome.planned.plan.describe());
 
     println!("\nexecution across the chain:");
-    for report in &outcome.stage_reports {
+    for (report, stage) in outcome.stage_reports.iter().zip(&outcome.planned.stages) {
         println!(
             "  {:<14} [{}] rows_out={:<5} bytes_out={:<7} {}",
             report.node,
             report.level.paper_name(),
             report.rows_out,
             report.bytes_out,
-            report.sql
+            stage.fragment
         );
     }
 

@@ -26,6 +26,16 @@ const TAGGED_EXTRAS: &[&str] = &[
     "SELECT who || '!' AS shout FROM tagged WHERE z > 1.2",
     "SELECT DISTINCT who FROM tagged ORDER BY who",
     "SELECT tag, SUM(z) OVER (PARTITION BY who ORDER BY t) AS rz FROM tagged",
+    // subqueries and join predicates, bound into the plan at compile time
+    "SELECT tag, z FROM tagged WHERE z > (SELECT AVG(z) FROM stream)",
+    "SELECT t, z - (SELECT MIN(z) FROM tagged WHERE valid) AS dz FROM stream",
+    "SELECT who, COUNT(*) AS n FROM tagged GROUP BY who \
+     HAVING COUNT(*) > (SELECT COUNT(*) / 8 FROM tagged) ORDER BY who",
+    "SELECT COUNT(*) AS n FROM tagged WHERE EXISTS (SELECT 1 FROM stream WHERE z > 1)",
+    "SELECT tag, t FROM tagged WHERE NOT EXISTS (SELECT 1 FROM stream WHERE z > 100)",
+    "SELECT a.t, b.who FROM stream a JOIN tagged b ON a.t < b.t WHERE a.z < 1",
+    "SELECT a.t, b.who FROM stream a JOIN tagged b ON a.t = b.t AND a.z > b.z - 0.25",
+    "SELECT a.t, b.who FROM stream a LEFT JOIN tagged b ON a.t = b.t AND a.z > b.z - 0.25",
 ];
 
 fn catalog() -> Catalog {
@@ -126,6 +136,23 @@ fn compile_is_total() {
     }
     // every file but forbidden.sql compiles against the stream it is for
     assert_eq!(compiled, 16, "benchmark queries that compile");
+}
+
+/// Compilation reads schemas, never rows: over the room catalog and
+/// over the same tables emptied, every corpus query compiles on both or
+/// fails with the same error on both.
+#[test]
+fn compile_is_data_independent() {
+    let room = catalog();
+    let mut empty = Catalog::new();
+    for table in ["stream", "tagged"] {
+        empty.register(table, Frame::empty(room.get(table).unwrap().schema.clone())).unwrap();
+    }
+    for sql in CORPUS.iter().chain(TAGGED_EXTRAS) {
+        let query = parse_query(sql).unwrap();
+        let compile = |c: &Catalog| Executor::new(c).compile(&query).map(|_| ());
+        assert_eq!(compile(&room), compile(&empty), "compile depends on the data for: {sql}");
+    }
 }
 
 #[test]

@@ -386,12 +386,14 @@ proptest! {
         use paradise::engine::eval::{eval_expr, EvalContext};
         use paradise::engine::plan::ExprProgram;
         let ctx = EvalContext::new(&frame.schema);
-        let program = ExprProgram::compile(&e, &frame.schema).expect("columns resolve");
+        let catalog = Catalog::new();
+        let exec = Executor::new(&catalog);
+        let program = ExprProgram::compile(&e, &frame.schema, &exec).expect("columns resolve");
         // the reference: the row interpreter over every row in order,
         // failing with the first row's error
         let reference: Result<Vec<Value>, _> =
             frame.iter_rows().map(|row| eval_expr(&e, &row, &ctx)).collect();
-        match (program.eval(&frame, &ctx), reference) {
+        match (program.eval(&frame, &frame.schema, &exec), reference) {
             (Ok(a), Ok(b)) => {
                 for (i, expected) in b.into_iter().enumerate() {
                     prop_assert_eq!(a.value(i), expected, "row {} of {}", i, e);
