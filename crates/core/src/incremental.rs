@@ -26,10 +26,17 @@
 //! `StageSlot`s, so a steady tick does no AST hashing and no cache
 //! lookup.
 //!
-//! Invalidation is cascade-shaped: a retention eviction or source
-//! replacement makes stage 0 rebuild from the full window; its rebuild
-//! flag travels down the pipeline so every downstream state rebuilds in
-//! the same tick. Results are **identical** to re-executing every
+//! A retention trim travels down the pipeline as a retraction: stage 0
+//! learns from its watermark how many of its input rows were evicted,
+//! drops their outputs (an append stage) or deletes and refolds the
+//! groups they fed (a grouped stage), and an append stage hands the
+//! number of output rows it dropped on beside its delta, so the next
+//! stage retracts those in the same tick. Invalidation is
+//! cascade-shaped: a source replacement, an eviction past a stage's
+//! mark or one a stage cannot retract makes that stage rebuild from its
+//! full input; its rebuild flag travels down the pipeline so every
+//! downstream state rebuilds in the same tick. Results are
+//! **identical** to re-executing every
 //! fragment over its full input — pinned by the engine's incremental
 //! equivalence suite and, against the test-side reference
 //! (`tests/support/reference.rs`), by the runtime's
@@ -86,15 +93,23 @@ impl HandleDeltaState {
     pub(crate) fn reset(&mut self) {
         self.slots.clear();
     }
+
+    /// Rebuilds and retracted groups, summed over the stages.
+    pub(crate) fn counters(&self) -> (u64, u64) {
+        self.slots.iter().fold((0, 0), |(rebuilds, groups), slot| {
+            (rebuilds + slot.state.rebuilds(), groups + slot.state.retracted_groups())
+        })
+    }
 }
 
 /// What flows from one stage to the next.
 enum Carry {
     /// First stage: reads its source table (watermarked) directly.
     Start,
-    /// Upstream ran incrementally append-style: its output delta plus
-    /// its cached full output (shared buffers, no copies).
-    Delta { delta: Frame, full: Frame, reset: bool },
+    /// Upstream ran incrementally append-style: its output delta, the
+    /// rows it retracted from the front of its output, and its cached
+    /// full output (shared buffers, no copies).
+    Delta { delta: Frame, evicted: usize, full: Frame, reset: bool },
     /// Upstream produced a complete output (snapshot or full mode).
     Full(Frame),
 }
@@ -178,13 +193,14 @@ fn try_run_stages_delta(
         // executor, and an incremental consumer also gets the delta
         let (input, pushed) = match &carry {
             Carry::Start => (None, None),
-            Carry::Delta { delta, full, reset } => {
+            Carry::Delta { delta, evicted, full, reset } => {
                 // steady incremental ticks ship only the output delta;
                 // an upstream rebuild (and every tick of a full-mode
                 // consumer) ships the full output
                 let full_needed = *reset || slot.mode != StageMode::Incremental;
                 traffic.hops.push(hop(&stages[i - 1], stage, if full_needed { full } else { delta }));
-                (Some(full), Some(DeltaInput::Pushed { delta, reset: *reset }))
+                let pushed = DeltaInput::Pushed { delta, reset: *reset, evicted: *evicted };
+                (Some(full), Some(pushed))
             }
             Carry::Full(frame) => {
                 traffic.hops.push(hop(&stages[i - 1], stage, frame));
@@ -271,7 +287,9 @@ fn run_stage(
     let run = exec.run_incremental(inc, &mut slot.state, pushed.unwrap_or(DeltaInput::Source))?;
     slot.mode = StageMode::Incremental;
     let carry = match run.delta {
-        Some(delta) => Carry::Delta { delta, full: run.result, reset: run.reset },
+        Some(delta) => {
+            Carry::Delta { delta, evicted: run.evicted, full: run.result, reset: run.reset }
+        }
         // downstream consumes the recomputed snapshot wholesale (it is
         // O(groups)-sized)
         None => Carry::Full(run.result),

@@ -40,10 +40,11 @@
 //!
 //! There is one tick plan: every stage runs delta-aware
 //! (`incremental.rs`). A handle's first tick — and the tick after a
-//! retention trim, a policy swap or a source replacement — sees the
-//! whole retained window as its delta, so it *is* the full computation;
-//! shapes the engine cannot maintain re-execute over their full input
-//! inside the same driver.
+//! policy swap or a source replacement — sees the whole retained window
+//! as its delta, so it *is* the full computation; the tick after a
+//! retention trim retracts the evicted rows instead. Shapes the engine
+//! cannot maintain re-execute over their full input inside the same
+//! driver.
 //!
 //! A tick plans nothing: a handle's plan is built at the events that
 //! change its inputs — registration, a policy swap, a source-schema
@@ -278,6 +279,16 @@ pub struct HandleStats {
     pub policy_version: PolicyVersion,
     /// This handle's plan counters (see [`RuntimeStats::plan`]).
     pub plan: PlanCacheStats,
+    /// Stage rebuilds from the full input since the handle's stage
+    /// state was last dropped (a re-plan drops it): summed
+    /// [`IncrementalState::rebuilds`](paradise_engine::IncrementalState::rebuilds)
+    /// over its delta-aware stages. A retention trim the stages retract
+    /// leaves it unchanged.
+    pub rebuilds: u64,
+    /// Groups that front evictions reached in the handle's stages,
+    /// over the same span (summed
+    /// [`IncrementalState::retracted_groups`](paradise_engine::IncrementalState::retracted_groups)).
+    pub retracted_groups: u64,
 }
 
 /// The long-lived continuous-query runtime (see the module docs).
@@ -386,9 +397,8 @@ impl Runtime {
     /// Eviction is **batched** for amortized O(1) appends: a table is
     /// only trimmed (back down to `rows`) once it exceeds the cap by
     /// ≥25%, so the retained window breathes between `rows` and
-    /// `1.25 × rows`. Each trim also re-anchors the delta watermarks,
-    /// so incremental ticks rebuild at most once per trim instead of
-    /// once per append.
+    /// `1.25 × rows`. The tick after a trim retracts the evicted rows
+    /// from the handles' incremental state (see [`Runtime::ingest`]).
     #[must_use]
     pub fn with_retention(mut self, rows: usize) -> Self {
         self.retention = Some(rows);
@@ -1162,12 +1172,14 @@ impl Runtime {
     /// batch schema must match the installed table's exactly (so every
     /// cached plan stays valid).
     ///
-    /// When a retention cap is set, eviction is amortized: the oldest
+    /// When a retention cap is set, eviction is batched: the oldest
     /// rows are trimmed (down to the cap) only once the table exceeds
-    /// the cap by ≥25% — O(1) bookkeeping per append, one O(window)
-    /// trim per quarter-window of arrivals. Delta consumers re-anchor
-    /// their watermarks at each trim and stay purely incremental
-    /// in between.
+    /// the cap by ≥25%, one trim per quarter-window of arrivals. The
+    /// trim frees the evicted rows at once; delta consumers stay purely
+    /// incremental across it: the next tick's stages retract the
+    /// evicted rows from their state (the stage output a trim drops,
+    /// the groups it deletes or refolds) instead of rebuilding from the
+    /// window.
     pub fn ingest(&mut self, node: &str, table: &str, batch: Frame) -> CoreResult<()> {
         let cmd = Command::Ingest { node: node.into(), table: table.into(), frame: batch, origin: (0, 0) };
         self.apply(cmd).map(drop)
@@ -1468,7 +1480,14 @@ impl Runtime {
     /// Rewrite-plan counters and policy version of one handle.
     pub fn handle_stats(&self, handle: QueryHandle) -> CoreResult<HandleStats> {
         let reg = self.resolve(handle)?;
-        Ok(HandleStats { module: reg.module.clone(), policy_version: reg.version, plan: reg.stats })
+        let (rebuilds, retracted_groups) = reg.delta.counters();
+        Ok(HandleStats {
+            module: reg.module.clone(),
+            policy_version: reg.version,
+            plan: reg.stats,
+            rebuilds,
+            retracted_groups,
+        })
     }
 
     /// Number of live registered queries.

@@ -5,13 +5,16 @@
 //! many were evicted from the front (stream retention). A consumer that
 //! remembers the [`Watermark`] of its last read can ask for
 //! [`Catalog::delta_since`] — the appended suffix — instead of
-//! rescanning the whole retained window. Appends keep a handle on the
-//! most recent batch, so the common one-ingest-per-tick case hands the
-//! delta back as zero-copy column shares; anything else falls back to
-//! an `O(delta)` suffix slice. Replacing a table (or mutating it
-//! through [`Catalog::get_mut`]) bumps the table's *epoch*, which
-//! invalidates every outstanding watermark — delta consumers then
-//! rescan once and re-anchor.
+//! rescanning the whole retained window, together with how many of the
+//! rows it saw have been evicted since — rows it can retract from its
+//! state instead of rebuilding. Appends keep a handle on the most
+//! recent batch, so the common one-ingest-per-tick case hands the delta
+//! back as zero-copy column shares; anything else falls back to an
+//! `O(delta)` suffix slice. Replacing a table (or mutating it through
+//! [`Catalog::get_mut`]) bumps the table's *epoch*, which invalidates
+//! every outstanding watermark — delta consumers then rescan once and
+//! re-anchor; so does an eviction past a consumer's position (rows it
+//! never saw).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,15 +215,19 @@ impl Catalog {
 
     /// Evict the oldest `rows` rows of a table (stream retention). The
     /// epoch is kept — only the *evicted* count moves, so watermark
-    /// arithmetic stays O(1) — but any delta consumer whose state was
-    /// built over the evicted rows will observe the move and rescan.
+    /// arithmetic stays O(1). A delta consumer whose state covers the
+    /// evicted rows learns their number from [`Catalog::delta_since`]
+    /// and retracts them; one whose mark the eviction passed rescans.
     pub fn evict_front(&mut self, name: &str, rows: usize) -> EngineResult<()> {
         let entry = self
             .tables
             .get_mut(&name.to_ascii_lowercase())
             .ok_or_else(|| EngineError::UnknownTable(name.to_string()))?;
         let rows = rows.min(entry.frame.len());
+        // the retention cap bounds what a stream holds: free the
+        // evicted rows now, not when the table next grows
         entry.frame.skip_rows(rows);
+        entry.frame.reclaim();
         entry.evicted += rows as u64;
         if let Some((start, _)) = entry.last_batch {
             if start < entry.evicted {
@@ -236,33 +243,36 @@ impl Catalog {
         self.entry(name).map(TableEntry::watermark)
     }
 
-    /// The rows appended since `since`, oldest first — or `None` when
-    /// the delta is not derivable (the table was replaced or mutably
-    /// borrowed since, or rows were evicted past the consumer's
-    /// position) and the consumer must rescan the full table.
+    /// The rows appended since `since`, oldest first, and how many rows
+    /// were evicted from the front since — the consumer's first rows,
+    /// which it retracts from its state. `None` when the delta is not
+    /// derivable (the table was replaced or mutably borrowed since, or
+    /// rows were evicted past the consumer's position, i.e. rows it
+    /// never saw) and the consumer must rescan the full table.
     ///
     /// When the delta is exactly the most recently appended batch, the
     /// batch frame is returned as-is (zero-copy column shares);
     /// otherwise the suffix is sliced out, `O(delta)`.
-    pub fn delta_since(&self, name: &str, since: Watermark) -> EngineResult<Option<Frame>> {
+    pub fn delta_since(&self, name: &str, since: Watermark) -> EngineResult<Option<(Frame, u64)>> {
         let entry = self.entry(name)?;
         let high = entry.high();
         if since.epoch != entry.epoch
-            || since.evicted != entry.evicted
+            || since.evicted > entry.evicted
             || since.rows < entry.evicted
             || since.rows > high
         {
             return Ok(None);
         }
+        let evicted = entry.evicted - since.evicted;
         if since.rows == high {
-            return Ok(Some(Frame::empty(entry.frame.schema.clone())));
+            return Ok(Some((Frame::empty(entry.frame.schema.clone()), evicted)));
         }
         if let Some((start, batch)) = &entry.last_batch {
             if *start == since.rows && start + batch.len() as u64 == high {
-                return Ok(Some(batch.clone()));
+                return Ok(Some((batch.clone(), evicted)));
             }
         }
-        Ok(Some(entry.frame.slice_tail((since.rows - entry.evicted) as usize)))
+        Ok(Some((entry.frame.slice_tail((since.rows - entry.evicted) as usize), evicted)))
     }
 
     /// Remove a table, returning it if present.
@@ -386,26 +396,27 @@ mod tests {
         assert_eq!(mark.rows(), 2);
 
         // nothing appended yet: an empty delta, not a rescan
-        let empty = c.delta_since("s", mark).unwrap().unwrap();
+        let (empty, evicted) = c.delta_since("s", mark).unwrap().unwrap();
         assert!(empty.is_empty());
+        assert_eq!(evicted, 0);
         assert_eq!(empty.schema, c.get("s").unwrap().schema);
 
         // the single-batch fast path shares the batch's buffers
         let b = batch(&[3, 4]);
         c.append("s", b.clone()).unwrap();
-        let delta = c.delta_since("s", mark).unwrap().unwrap();
+        let (delta, _) = c.delta_since("s", mark).unwrap().unwrap();
         assert_eq!(col(&delta), vec![Value::Int(3), Value::Int(4)]);
         assert!(delta.shares_columns(&b), "one-batch delta must be zero-copy");
 
         // two appends since the mark: the suffix is sliced instead
         c.append("s", batch(&[5])).unwrap();
-        let delta = c.delta_since("s", mark).unwrap().unwrap();
+        let (delta, _) = c.delta_since("s", mark).unwrap().unwrap();
         assert_eq!(col(&delta), vec![Value::Int(3), Value::Int(4), Value::Int(5)]);
 
         // a newer mark narrows the delta to the last batch again
         let mid = c.watermark("s").unwrap();
         c.append("s", batch(&[6])).unwrap();
-        assert_eq!(col(&c.delta_since("s", mid).unwrap().unwrap()), vec![Value::Int(6)]);
+        assert_eq!(col(&c.delta_since("s", mid).unwrap().unwrap().0), vec![Value::Int(6)]);
     }
 
     #[test]
@@ -415,18 +426,27 @@ mod tests {
         let mark = c.watermark("s").unwrap();
         c.append("s", batch(&[5, 6])).unwrap();
 
-        // evicting rows the consumer has seen still invalidates: the
-        // consumer's *state* covers them, so it must rescan once …
+        // evicting rows the consumer has seen keeps the delta and
+        // reports how many of its rows are gone, to retract …
         c.evict_front("s", 2).unwrap();
         assert_eq!(c.get("s").unwrap().len(), 4);
-        assert!(c.delta_since("s", mark).unwrap().is_none(), "eviction forces a rescan");
+        let (delta, evicted) = c.delta_since("s", mark).unwrap().unwrap();
+        assert_eq!(col(&delta), vec![Value::Int(5), Value::Int(6)]);
+        assert_eq!(evicted, 2, "the consumer's first two rows are gone");
 
-        // … and after re-anchoring, deltas work again with adjusted
-        // offsets (evicted=2 now)
+        // … and after re-anchoring, deltas continue with adjusted
+        // offsets (evicted=2 now) and nothing more to retract
         let mark = c.watermark("s").unwrap();
         assert_eq!(mark.rows(), 6);
         c.append("s", batch(&[7])).unwrap();
-        assert_eq!(col(&c.delta_since("s", mark).unwrap().unwrap()), vec![Value::Int(7)]);
+        assert_eq!(c.delta_since("s", mark).unwrap().unwrap(), (batch(&[7]), 0));
+
+        // an eviction past the mark takes rows the consumer never saw:
+        // no delta, it must rescan
+        c.append("s", batch(&[8, 9])).unwrap();
+        c.evict_front("s", 6).unwrap();
+        assert_eq!(col(c.get("s").unwrap()), vec![Value::Int(9)]);
+        assert!(c.delta_since("s", mark).unwrap().is_none(), "eviction past the mark rescans");
     }
 
     #[test]

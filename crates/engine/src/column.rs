@@ -10,24 +10,161 @@
 //! Every column caches its wire size, which makes
 //! [`crate::frame::Frame::size_bytes`] O(columns) instead of a rescan of
 //! every cell per traffic hop.
+//!
+//! Dropping a column's front ([`ColumnData::skip_front`], the stream
+//! retention trim) copies nothing: the dropped cells stay dead at the
+//! front of the buffer until it would otherwise grow, so a sliding
+//! window neither moves its live cells on every trim nor holds more
+//! memory than a plain `Vec`.
 
 use std::cmp::Ordering;
+use std::ops::{Deref, DerefMut};
 
 use crate::value::{DataType, GroupKey, Value};
+
+/// Merge the run `extra` into the live run `v[start..]`, in place,
+/// through the dead entries ahead of it: afterwards entry `k` of
+/// `v[start - extra.len()..]` is the next entry of `extra` where
+/// `from_extra[k]`, else the next live one; both runs keep their
+/// order, and the entries before are dead. Only the live entries ahead
+/// of the last one from `extra` move.
+pub(crate) fn merge_front<T: Clone>(v: &mut [T], start: usize, extra: &[T], from_extra: &[bool]) {
+    debug_assert!(start >= extra.len());
+    debug_assert_eq!(v.len() - start + extra.len(), from_extra.len());
+    let (mut write, mut read, mut merged) = (start - extra.len(), start, 0);
+    for &from_extra in from_extra {
+        if merged == extra.len() {
+            break; // the rest is in place
+        }
+        if from_extra {
+            v[write] = extra[merged].clone();
+            merged += 1;
+        } else {
+            v.swap(write, read);
+            read += 1;
+        }
+        write += 1;
+    }
+}
+
+/// A cell buffer whose front drops in O(1): the first `start` entries
+/// of `vec` are dead, and are reclaimed (by one move of the live ones)
+/// only when the buffer would otherwise have to grow. Derefs to the
+/// live cells.
+#[derive(Debug)]
+struct Cells<T> {
+    vec: Vec<T>,
+    start: usize,
+}
+
+impl<T> From<Vec<T>> for Cells<T> {
+    fn from(vec: Vec<T>) -> Self {
+        Cells { vec, start: 0 }
+    }
+}
+
+impl<T> Deref for Cells<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.vec[self.start..]
+    }
+}
+
+impl<T> DerefMut for Cells<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.vec[self.start..]
+    }
+}
+
+impl<T: Clone> Clone for Cells<T> {
+    /// Clones the live cells only.
+    fn clone(&self) -> Self {
+        Cells::from(self.to_vec())
+    }
+}
+
+impl<T> Cells<T> {
+    /// See [`merge_front`]; the dead front this merges through is the
+    /// one [`Cells::skip_front`] left.
+    fn merge_front(&mut self, extra: &[T], from_extra: &[bool])
+    where
+        T: Clone,
+    {
+        if self.start < extra.len() {
+            // the skip emptied the buffer: the merge is `extra` alone
+            self.vec.clear();
+            self.start = 0;
+            self.vec.extend_from_slice(extra);
+            return;
+        }
+        merge_front(&mut self.vec, self.start, extra, from_extra);
+        self.start -= extra.len();
+    }
+
+    /// The live cells as a `Vec`, reclaiming the dead front first.
+    fn vec_mut(&mut self) -> &mut Vec<T> {
+        self.vec.drain(..self.start);
+        self.start = 0;
+        &mut self.vec
+    }
+
+    /// Make room for `extra` more cells: reclaim the dead front rather
+    /// than grow the buffer.
+    fn reserve(&mut self, extra: usize) -> &mut Vec<T> {
+        if self.start > 0 && self.vec.len() + extra > self.vec.capacity() {
+            return self.vec_mut();
+        }
+        &mut self.vec
+    }
+
+    fn push(&mut self, x: T) {
+        self.reserve(1).push(x);
+    }
+
+    fn extend_from_slice(&mut self, xs: &[T])
+    where
+        T: Clone,
+    {
+        self.reserve(xs.len()).extend_from_slice(xs);
+    }
+
+    fn append(&mut self, other: Cells<T>) {
+        let mut other = other.into_vec();
+        self.reserve(other.len()).append(&mut other);
+    }
+
+    fn truncate(&mut self, n: usize) {
+        self.vec.truncate(self.start + n);
+    }
+
+    fn skip_front(&mut self, n: usize) {
+        self.start += n.min(self.len());
+        if self.start == self.vec.len() {
+            self.vec.clear();
+            self.start = 0;
+        }
+    }
+
+    fn into_vec(mut self) -> Vec<T> {
+        self.vec_mut();
+        self.vec
+    }
+}
 
 /// The typed buffer behind one column.
 #[derive(Debug, Clone)]
 enum ColumnBuf {
     /// 64-bit integers, `None` = NULL.
-    Int(Vec<Option<i64>>),
+    Int(Cells<Option<i64>>),
     /// 64-bit floats, `None` = NULL.
-    Float(Vec<Option<f64>>),
+    Float(Cells<Option<f64>>),
     /// Booleans, `None` = NULL.
-    Bool(Vec<Option<bool>>),
+    Bool(Cells<Option<bool>>),
     /// Text, `None` = NULL.
-    Str(Vec<Option<String>>),
+    Str(Cells<Option<String>>),
     /// Exact fallback for columns mixing runtime types.
-    Mixed(Vec<Value>),
+    Mixed(Cells<Value>),
 }
 
 /// One column of a [`crate::frame::Frame`]: a typed value buffer plus
@@ -50,10 +187,10 @@ impl ColumnData {
     /// An empty column with reserved capacity.
     pub fn with_capacity(data_type: DataType, capacity: usize) -> Self {
         let buf = match data_type {
-            DataType::Integer => ColumnBuf::Int(Vec::with_capacity(capacity)),
-            DataType::Float => ColumnBuf::Float(Vec::with_capacity(capacity)),
-            DataType::Boolean => ColumnBuf::Bool(Vec::with_capacity(capacity)),
-            DataType::Text => ColumnBuf::Str(Vec::with_capacity(capacity)),
+            DataType::Integer => ColumnBuf::Int(Vec::with_capacity(capacity).into()),
+            DataType::Float => ColumnBuf::Float(Vec::with_capacity(capacity).into()),
+            DataType::Boolean => ColumnBuf::Bool(Vec::with_capacity(capacity).into()),
+            DataType::Text => ColumnBuf::Str(Vec::with_capacity(capacity).into()),
         };
         ColumnData { buf, bytes: 0 }
     }
@@ -237,7 +374,7 @@ impl ColumnData {
             (Str(a), Str(b)) => diff(a, b),
             (Float(a), Float(b)) => a
                 .iter()
-                .zip(b)
+                .zip(b.iter())
                 .filter(|(x, y)| match (x, y) {
                     (None, None) => false,
                     // NaN-tolerant equality, as in Value::total_cmp
@@ -258,6 +395,26 @@ impl ColumnData {
             ColumnBuf::Bool(v) => v.iter().all(Option::is_none),
             ColumnBuf::Str(v) => v.iter().all(Option::is_none),
             ColumnBuf::Mixed(v) => v.iter().all(|x| x.as_f64().is_some() || x.is_null()),
+        }
+    }
+
+    /// Wire size of the cells in `range`: a typed pass per buffer, or
+    /// none where every cell has one size (a numeric column without
+    /// NULLs, or only NULLs; any boolean column).
+    fn range_bytes(&self, range: std::ops::Range<usize>) -> usize {
+        fn sized<T>(v: &[Option<T>], size: impl Fn(&T) -> usize) -> usize {
+            v.iter().map(|x| x.as_ref().map_or(1, &size)).sum()
+        }
+        // a number takes 8 bytes and a NULL 1: a numeric column's total
+        // of 8 or 1 per cell leaves no doubt about any cell
+        let uniform = [8, 1].into_iter().find(|&cell| self.bytes == cell * self.len());
+        let uniform = uniform.map(|cell| cell * range.len());
+        match &self.buf {
+            ColumnBuf::Int(v) => uniform.unwrap_or_else(|| sized(&v[range], |_| 8)),
+            ColumnBuf::Float(v) => uniform.unwrap_or_else(|| sized(&v[range], |_| 8)),
+            ColumnBuf::Bool(_) => range.len(),
+            ColumnBuf::Str(v) => sized(&v[range], |s| s.len() + 4),
+            ColumnBuf::Mixed(v) => v[range].iter().map(Value::size_bytes).sum(),
         }
     }
 
@@ -302,14 +459,14 @@ impl ColumnData {
         if all_null {
             let dt = v.data_type().expect("adapt_for is never called with NULL");
             self.buf = match dt {
-                DataType::Integer => ColumnBuf::Int(vec![None; len]),
-                DataType::Float => ColumnBuf::Float(vec![None; len]),
-                DataType::Boolean => ColumnBuf::Bool(vec![None; len]),
-                DataType::Text => ColumnBuf::Str(vec![None; len]),
+                DataType::Integer => ColumnBuf::Int(vec![None; len].into()),
+                DataType::Float => ColumnBuf::Float(vec![None; len].into()),
+                DataType::Boolean => ColumnBuf::Bool(vec![None; len].into()),
+                DataType::Text => ColumnBuf::Str(vec![None; len].into()),
             };
         } else {
             let values: Vec<Value> = (0..len).map(|i| self.value(i)).collect();
-            self.buf = ColumnBuf::Mixed(values);
+            self.buf = ColumnBuf::Mixed(values.into());
         }
     }
 
@@ -329,7 +486,7 @@ impl ColumnData {
             (ColumnBuf::Str(b), Value::Null) => b[i] = None,
             (_, v) => {
                 let values: Vec<Value> = (0..self.len()).map(|k| self.value(k)).collect();
-                self.buf = ColumnBuf::Mixed(values);
+                self.buf = ColumnBuf::Mixed(values.into());
                 let ColumnBuf::Mixed(b) = &mut self.buf else { unreachable!() };
                 b[i] = v;
             }
@@ -342,14 +499,16 @@ impl ColumnData {
             indices.iter().map(|&i| v[i].clone()).collect()
         }
         let buf = match &self.buf {
-            ColumnBuf::Int(v) => ColumnBuf::Int(pick(v, indices)),
-            ColumnBuf::Float(v) => ColumnBuf::Float(pick(v, indices)),
-            ColumnBuf::Bool(v) => ColumnBuf::Bool(pick(v, indices)),
-            ColumnBuf::Str(v) => ColumnBuf::Str(pick(v, indices)),
-            ColumnBuf::Mixed(v) => ColumnBuf::Mixed(indices.iter().map(|&i| v[i].clone()).collect()),
+            ColumnBuf::Int(v) => ColumnBuf::Int(pick(v, indices).into()),
+            ColumnBuf::Float(v) => ColumnBuf::Float(pick(v, indices).into()),
+            ColumnBuf::Bool(v) => ColumnBuf::Bool(pick(v, indices).into()),
+            ColumnBuf::Str(v) => ColumnBuf::Str(pick(v, indices).into()),
+            ColumnBuf::Mixed(v) => {
+                ColumnBuf::Mixed(indices.iter().map(|&i| v[i].clone()).collect::<Vec<_>>().into())
+            }
         };
         let mut out = ColumnData { buf, bytes: 0 };
-        out.bytes = (0..out.len()).map(|i| out.size_at(i)).sum();
+        out.bytes = out.range_bytes(0..out.len());
         out
     }
 
@@ -363,16 +522,16 @@ impl ColumnData {
                 .collect()
         }
         let buf = match &self.buf {
-            ColumnBuf::Int(v) => ColumnBuf::Int(keep(v, mask)),
-            ColumnBuf::Float(v) => ColumnBuf::Float(keep(v, mask)),
-            ColumnBuf::Bool(v) => ColumnBuf::Bool(keep(v, mask)),
-            ColumnBuf::Str(v) => ColumnBuf::Str(keep(v, mask)),
+            ColumnBuf::Int(v) => ColumnBuf::Int(keep(v, mask).into()),
+            ColumnBuf::Float(v) => ColumnBuf::Float(keep(v, mask).into()),
+            ColumnBuf::Bool(v) => ColumnBuf::Bool(keep(v, mask).into()),
+            ColumnBuf::Str(v) => ColumnBuf::Str(keep(v, mask).into()),
             ColumnBuf::Mixed(v) => ColumnBuf::Mixed(
-                v.iter().zip(mask).filter(|(_, &m)| m).map(|(x, _)| x.clone()).collect(),
+                v.iter().zip(mask).filter(|(_, &m)| m).map(|(x, _)| x.clone()).collect::<Vec<_>>().into(),
             ),
         };
         let mut out = ColumnData { buf, bytes: 0 };
-        out.bytes = (0..out.len()).map(|i| out.size_at(i)).sum();
+        out.bytes = out.range_bytes(0..out.len());
         out
     }
 
@@ -381,22 +540,23 @@ impl ColumnData {
     pub fn slice_tail(&self, start: usize) -> ColumnData {
         let start = start.min(self.len());
         let buf = match &self.buf {
-            ColumnBuf::Int(v) => ColumnBuf::Int(v[start..].to_vec()),
-            ColumnBuf::Float(v) => ColumnBuf::Float(v[start..].to_vec()),
-            ColumnBuf::Bool(v) => ColumnBuf::Bool(v[start..].to_vec()),
-            ColumnBuf::Str(v) => ColumnBuf::Str(v[start..].to_vec()),
-            ColumnBuf::Mixed(v) => ColumnBuf::Mixed(v[start..].to_vec()),
+            ColumnBuf::Int(v) => ColumnBuf::Int(v[start..].to_vec().into()),
+            ColumnBuf::Float(v) => ColumnBuf::Float(v[start..].to_vec().into()),
+            ColumnBuf::Bool(v) => ColumnBuf::Bool(v[start..].to_vec().into()),
+            ColumnBuf::Str(v) => ColumnBuf::Str(v[start..].to_vec().into()),
+            ColumnBuf::Mixed(v) => ColumnBuf::Mixed(v[start..].to_vec().into()),
         };
         let mut out = ColumnData { buf, bytes: 0 };
-        out.bytes = (0..out.len()).map(|i| out.size_at(i)).sum();
+        out.bytes = out.range_bytes(0..out.len());
         out
     }
 
     /// Keep the first `n` cells.
     pub fn truncate(&mut self, n: usize) {
-        for i in n..self.len() {
-            self.bytes -= self.size_at(i);
+        if n >= self.len() {
+            return;
         }
+        self.bytes -= self.range_bytes(n..self.len());
         match &mut self.buf {
             ColumnBuf::Int(v) => v.truncate(n),
             ColumnBuf::Float(v) => v.truncate(n),
@@ -406,19 +566,66 @@ impl ColumnData {
         }
     }
 
-    /// Drop the first `n` cells.
+    /// Drop the first `n` cells: no cell moves (see the module docs),
+    /// and O(n) size accounting only for text and NULL-mixed columns.
     pub fn skip_front(&mut self, n: usize) {
         let n = n.min(self.len());
-        for i in 0..n {
-            self.bytes -= self.size_at(i);
-        }
+        self.bytes -= self.range_bytes(0..n);
         match &mut self.buf {
-            ColumnBuf::Int(v) => drop(v.drain(..n)),
-            ColumnBuf::Float(v) => drop(v.drain(..n)),
-            ColumnBuf::Bool(v) => drop(v.drain(..n)),
-            ColumnBuf::Str(v) => drop(v.drain(..n)),
-            ColumnBuf::Mixed(v) => drop(v.drain(..n)),
+            ColumnBuf::Int(v) => v.skip_front(n),
+            ColumnBuf::Float(v) => v.skip_front(n),
+            ColumnBuf::Bool(v) => v.skip_front(n),
+            ColumnBuf::Str(v) => v.skip_front(n),
+            ColumnBuf::Mixed(v) => v.skip_front(n),
         }
+    }
+
+    /// Free the cells [`ColumnData::skip_front`] dropped now, by one
+    /// move of the live ones.
+    pub(crate) fn reclaim(&mut self) {
+        match &mut self.buf {
+            ColumnBuf::Int(v) => {
+                v.vec_mut();
+            }
+            ColumnBuf::Float(v) => {
+                v.vec_mut();
+            }
+            ColumnBuf::Bool(v) => {
+                v.vec_mut();
+            }
+            ColumnBuf::Str(v) => {
+                v.vec_mut();
+            }
+            ColumnBuf::Mixed(v) => {
+                v.vec_mut();
+            }
+        }
+    }
+
+    /// Drop the first `n` (≥ `extra.len()`) cells, then merge
+    /// `extra`'s cells in: result cell `k` is the next cell of `extra`
+    /// where `from_extra[k]`, else the next remaining one of `self`
+    /// (see [`merge_front`]). In place, through the dropped cells.
+    pub(crate) fn merge_in(&mut self, n: usize, extra: &ColumnData, from_extra: &[bool]) {
+        use ColumnBuf::*;
+        debug_assert!(n >= extra.len());
+        self.skip_front(n);
+        match (&mut self.buf, &extra.buf) {
+            (Int(a), Int(b)) => a.merge_front(b, from_extra),
+            (Float(a), Float(b)) => a.merge_front(b, from_extra),
+            (Bool(a), Bool(b)) => a.merge_front(b, from_extra),
+            (Str(a), Str(b)) => a.merge_front(b, from_extra),
+            (Mixed(a), Mixed(b)) => a.merge_front(b, from_extra),
+            _ => {
+                // representation mismatch: merge the values and re-type
+                let extra: Vec<Value> = extra.iter_values().collect();
+                let mut values: Vec<Value> = extra.iter().cloned().chain(self.iter_values()).collect();
+                merge_front(&mut values, extra.len(), &extra, from_extra);
+                *self = ColumnData::from_values(values);
+                return;
+            }
+        }
+        self.bytes += extra.bytes;
     }
 
     /// Append all cells of `other` by reference (bulk slice extension
@@ -451,24 +658,24 @@ impl ColumnData {
         use ColumnBuf::*;
         let ColumnData { buf: obuf, bytes: obytes } = other;
         match (&mut self.buf, obuf) {
-            (Int(a), Int(mut b)) => {
-                a.append(&mut b);
+            (Int(a), Int(b)) => {
+                a.append(b);
                 self.bytes += obytes;
             }
-            (Float(a), Float(mut b)) => {
-                a.append(&mut b);
+            (Float(a), Float(b)) => {
+                a.append(b);
                 self.bytes += obytes;
             }
-            (Bool(a), Bool(mut b)) => {
-                a.append(&mut b);
+            (Bool(a), Bool(b)) => {
+                a.append(b);
                 self.bytes += obytes;
             }
-            (Str(a), Str(mut b)) => {
-                a.append(&mut b);
+            (Str(a), Str(b)) => {
+                a.append(b);
                 self.bytes += obytes;
             }
-            (Mixed(a), Mixed(mut b)) => {
-                a.append(&mut b);
+            (Mixed(a), Mixed(b)) => {
+                a.append(b);
                 self.bytes += obytes;
             }
             (_, obuf) => {
@@ -491,18 +698,18 @@ impl ColumnData {
     pub fn into_values(self) -> Vec<Value> {
         match self.buf {
             ColumnBuf::Int(v) => {
-                v.into_iter().map(|x| x.map(Value::Int).unwrap_or(Value::Null)).collect()
+                v.into_vec().into_iter().map(|x| x.map(Value::Int).unwrap_or(Value::Null)).collect()
             }
             ColumnBuf::Float(v) => {
-                v.into_iter().map(|x| x.map(Value::Float).unwrap_or(Value::Null)).collect()
+                v.into_vec().into_iter().map(|x| x.map(Value::Float).unwrap_or(Value::Null)).collect()
             }
             ColumnBuf::Bool(v) => {
-                v.into_iter().map(|x| x.map(Value::Bool).unwrap_or(Value::Null)).collect()
+                v.into_vec().into_iter().map(|x| x.map(Value::Bool).unwrap_or(Value::Null)).collect()
             }
             ColumnBuf::Str(v) => {
-                v.into_iter().map(|x| x.map(Value::Str).unwrap_or(Value::Null)).collect()
+                v.into_vec().into_iter().map(|x| x.map(Value::Str).unwrap_or(Value::Null)).collect()
             }
-            ColumnBuf::Mixed(v) => v,
+            ColumnBuf::Mixed(v) => v.into_vec(),
         }
     }
 }
@@ -675,5 +882,53 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert_eq!(c.value(0), Value::Int(3));
         assert_eq!(c.bytes(), 8);
+    }
+
+    #[test]
+    fn a_dropped_front_is_reused_before_the_buffer_grows() {
+        let ints = |xs: &[i64]| xs.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>();
+        let mut c = ColumnData::from_values(ints(&[1, 2, 3, 4]));
+        c.push(Value::Null);
+        let ColumnBuf::Int(cells) = &c.buf else { panic!("an integer column") };
+        let capacity = cells.vec.capacity();
+        c.skip_front(3);
+        assert_eq!(c.iter_values().collect::<Vec<_>>(), vec![Value::Int(4), Value::Null]);
+        assert_eq!(c.bytes(), 9, "the size accounting counts the NULL");
+        // appends fill the capacity first, then reclaim the dead front
+        for x in 5..3 + capacity as i64 {
+            c.push(Value::Int(x));
+        }
+        let ColumnBuf::Int(cells) = &c.buf else { panic!("an integer column") };
+        assert_eq!(cells.vec.capacity(), capacity, "the dead front made room");
+        assert_eq!(c.len(), capacity);
+        assert_eq!(c.value(0), Value::Int(4));
+        assert_eq!(c.bytes(), 9 + 8 * (capacity - 2));
+        c.reclaim();
+        assert_eq!(c.gather(&[0, 1, 2]).iter_values().collect::<Vec<_>>(), vec![
+            Value::Int(4),
+            Value::Null,
+            Value::Int(5)
+        ]);
+    }
+
+    #[test]
+    fn merge_in_places_extra_cells_through_the_dropped_front() {
+        let ints = |xs: &[i64]| ColumnData::from_values(xs.iter().map(|&x| Value::Int(x)).collect());
+        let flags = [true, false, false, true, false];
+        // drop 1, 2, 3; merge 10 and 20 in among 4, 5, 6
+        let mut c = ints(&[1, 2, 3, 4, 5, 6]);
+        c.merge_in(3, &ints(&[10, 20]), &flags);
+        assert_eq!(c, ints(&[10, 4, 5, 20, 6]));
+        assert_eq!(c.bytes(), 40);
+        // a float among integers re-types the merged column
+        let mut c = ints(&[1, 2, 3, 4, 5, 6]);
+        let extra = ColumnData::from_values(vec![Value::Float(0.5), Value::Int(20)]);
+        c.merge_in(3, &extra, &flags);
+        let merged = [Value::Float(0.5), Value::Int(4), Value::Int(5), Value::Int(20), Value::Int(6)];
+        assert_eq!(c.iter_values().collect::<Vec<_>>(), merged);
+        // every old cell dropped: the merge is the extra cells alone
+        let mut c = ints(&[1, 2]);
+        c.merge_in(2, &ints(&[7]), &[true]);
+        assert_eq!(c, ints(&[7]));
     }
 }

@@ -247,13 +247,23 @@ impl Frame {
         self.len = n;
     }
 
-    /// Drop the first `n` rows.
+    /// Drop the first `n` rows without moving any: the columns reclaim
+    /// the dropped cells when they would otherwise grow (see
+    /// [`ColumnData::skip_front`]).
     pub fn skip_rows(&mut self, n: usize) {
         let n = n.min(self.len);
         for col in &mut self.columns {
             Arc::make_mut(col).skip_front(n);
         }
         self.len -= n;
+    }
+
+    /// Free the cells [`Frame::skip_rows`] dropped now, by one move of
+    /// the live ones.
+    pub(crate) fn reclaim(&mut self) {
+        for col in &mut self.columns {
+            Arc::make_mut(col).reclaim();
+        }
     }
 
     /// New frame holding the rows from `start` to the end. `start == 0`

@@ -34,10 +34,23 @@
 //! assigned in first-appearance order, and the post-aggregation tail is
 //! the *same code* as the rescan path, so incremental results are
 //! identical to a full rescan — including floating-point accumulation
-//! order. Retention evictions and table replacements invalidate the
-//! source [`Watermark`]; the state then rebuilds from the full retained
-//! window once and continues incrementally (amortized O(batch) when
-//! eviction itself is batched).
+//! order.
+//!
+//! A retention eviction behind the state's [`Watermark`] arrives as
+//! "the first E input rows are gone" beside the delta, and the state
+//! retracts them: an append stage drops the matching prefix of its
+//! cached output (a [`PassBits`] record says how many of the E rows
+//! passed its `WHERE`), and a one-shard grouped stage deletes the
+//! groups whose rows were all evicted and *refolds* the few that
+//! straddle the cut from their retained rows — found through its record
+//! of each retained input row's group, and recomputed, never
+//! subtracted, so every accumulator stays bitwise-equal to a rescan.
+//! A trim then costs O(evicted rows + straddling groups' rows), plus
+//! an O(groups) renumbering. The state rebuilds from the full input
+//! only on the first run, a replaced table, an eviction past its mark
+//! (rows it never saw), and for states that cannot retract: global
+//! aggregation (its one group straddles every cut) and partitioned
+//! (N > 1) grouped states.
 
 use std::sync::Arc;
 
@@ -49,7 +62,7 @@ use super::{
     AggBody, ArgFold, Body, ExprProgram, Executor, FxHashMap, PNode, ProjStep,
 };
 use crate::catalog::{Catalog, Watermark};
-use crate::column::ColumnData;
+use crate::column::{merge_front, ColumnData};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::Batch;
 use crate::exec::aggregate::Accumulator;
@@ -129,11 +142,20 @@ pub enum DeltaInput<'a> {
     /// pushed directly; `reset` signals that the upstream stage rebuilt
     /// its state and `delta` is its **full** output, so this stage must
     /// rebuild too.
+    ///
+    /// When `evicted > 0`, a grouped stage reads its retained input —
+    /// the plan's table as the executor resolves it, i.e. the upstream
+    /// stage's full output bound with [`Executor::with_input`] — to
+    /// refold the groups that straddle the cut (or to rebuild, when it
+    /// cannot retract).
     Pushed {
         /// The new input rows (or the full input when `reset`).
         delta: &'a Frame,
         /// Upstream rebuilt: treat `delta` as the full input.
         reset: bool,
+        /// Upstream retracted this many rows from the front of this
+        /// stage's input since its last tick (ignored on a reset).
+        evicted: usize,
     },
 }
 
@@ -148,11 +170,16 @@ pub struct IncrementalRun {
     /// for grouped aggregation (downstream consumes `result`).
     pub delta: Option<Frame>,
     /// The state was rebuilt from the full input this tick (first run,
-    /// eviction, table replacement or upstream reset) — downstream
-    /// stages must rebuild too.
+    /// table replacement, eviction past the mark or one the state cannot
+    /// retract, upstream reset) — downstream stages must rebuild too.
     pub reset: bool,
-    /// Input rows consumed this tick (the pre-filter delta; the full
-    /// window on a reset) — what a node accounts as scanned.
+    /// For append stages: rows retracted from the front of the stage's
+    /// output this tick, to push into a downstream stage with `delta`.
+    /// 0 for grouped aggregation and on a reset.
+    pub evicted: usize,
+    /// Input rows consumed this tick (the pre-filter delta, plus the
+    /// retained rows a retraction refolded; the full window on a reset)
+    /// — what a node accounts as scanned.
     pub input_rows: usize,
 }
 
@@ -173,6 +200,10 @@ pub struct IncrementalState {
     /// (re-)evaluated (diagnostic): pins the dirty-mask contract that
     /// HAVING costs O(groups *touched* per tick), not O(all groups).
     pub(super) having_evals: u64,
+    /// Cumulative count of rebuilds from the full input (diagnostic).
+    pub(super) rebuilds: u64,
+    /// Cumulative count of groups a front eviction reached (diagnostic).
+    pub(super) retracted_groups: u64,
 }
 
 impl IncrementalState {
@@ -197,6 +228,21 @@ impl IncrementalState {
     pub fn having_groups_evaluated(&self) -> u64 {
         self.having_evals
     }
+
+    /// Cumulative number of ticks that rebuilt the state from the full
+    /// input (diagnostic): the first run, a replaced table, an eviction
+    /// past the mark or one the state cannot retract, an upstream reset.
+    /// A retention trim that the state retracts leaves it unchanged.
+    pub fn rebuilds(&self) -> u64 {
+        self.rebuilds
+    }
+
+    /// Cumulative number of groups that front evictions reached
+    /// (diagnostic): deleted because every row of theirs was evicted,
+    /// or refolded from their retained rows because some were.
+    pub fn retracted_groups(&self) -> u64 {
+        self.retracted_groups
+    }
 }
 
 #[derive(Debug, Default)]
@@ -209,8 +255,59 @@ pub(super) enum StateData {
         out: Frame,
         /// Input rows consumed (diagnostic).
         rows_in: u64,
+        /// Which retained input rows passed the `WHERE`; `None` without
+        /// one (every input row is an output row).
+        passed: Option<PassBits>,
     },
     Grouped(GroupedState),
+}
+
+/// One bit per retained input row of an append stage with a `WHERE`:
+/// did the row pass? Evicting the first E input rows drops as many
+/// output rows as there are set bits among the first E.
+#[derive(Debug, Default)]
+pub(super) struct PassBits {
+    words: Vec<u64>,
+    /// Bit offset of the first retained row in `words[0]` (< 64).
+    head: usize,
+    /// Retained rows.
+    len: usize,
+}
+
+impl PassBits {
+    fn push(&mut self, mask: &[bool]) {
+        for &passed in mask {
+            let at = self.head + self.len;
+            if at / 64 == self.words.len() {
+                self.words.push(0);
+            }
+            if passed {
+                self.words[at / 64] |= 1 << (at % 64);
+            }
+            self.len += 1;
+        }
+    }
+
+    /// Drop the first `rows` (≤ the retained count) and return how many
+    /// of them passed.
+    fn retract(&mut self, rows: usize) -> usize {
+        debug_assert!(rows <= self.len);
+        let end = self.head + rows;
+        let mut passed = 0;
+        let mut at = self.head;
+        while at < end {
+            let (word, lo) = (at / 64, at % 64);
+            let width = (64 - lo).min(end - at);
+            let bits = self.words[word] >> lo;
+            let bits = if width == 64 { bits } else { bits & ((1 << width) - 1) };
+            passed += bits.count_ones() as usize;
+            at += width;
+        }
+        self.words.drain(..end / 64);
+        self.head = end % 64;
+        self.len -= rows;
+        passed
+    }
 }
 
 /// Per-group accumulator state of a grouped-aggregation stage.
@@ -224,17 +321,31 @@ pub(super) enum StateData {
 /// recompute.
 #[derive(Debug)]
 pub(super) struct GroupState {
-    /// Group key → dense group id, in first-appearance order.
+    /// Group key → slot: the index of the group's accumulators, stable
+    /// while the group lives (a front eviction renumbers the dense group
+    /// ids, not the slots). The merged view of a partitioned state maps
+    /// keys to merged group ids instead.
     pub(super) slots: FxHashMap<SlotKey, u32>,
     /// Number of groups (tracked explicitly: `calls` may be empty).
     pub(super) n_groups: u32,
     /// Representative (first-row) values per group, one buffer per
     /// `rep_cols` entry; appended at group creation.
     pub(super) reps: Vec<Arc<ColumnData>>,
-    /// `accs[call][group]`.
+    /// `accs[call][slot]`.
     pub(super) accs: Vec<Vec<Accumulator>>,
-    /// Cached `accs[call][group].finish()` per call, updated for the
-    /// groups touched by each fold.
+    /// The slot of each group.
+    pub(super) slot_of: Vec<u32>,
+    /// The group of each slot; `u32::MAX` for a free slot.
+    group_of: Vec<u32>,
+    /// Free slots, reused by new groups.
+    free: Vec<u32>,
+    /// Slots of groups a front eviction deleted, whose keys may still
+    /// be in `slots` (a stale entry reads as absent): the next tick's
+    /// fold drops those keys and frees the slots, which keeps the
+    /// O(all keys) sweep out of the eviction's tick.
+    dead: Vec<u32>,
+    /// Cached `finish()` of each group's accumulators per call, updated
+    /// for the groups touched by each fold.
     pub(super) vals: Vec<Arc<ColumnData>>,
     /// Scratch: group ids touched by the current fold.
     pub(super) touched: Vec<u32>,
@@ -246,9 +357,10 @@ pub(super) struct GroupState {
     /// touched groups per tick. `None` when the plan has no HAVING or
     /// aggregates globally (one group — nothing to save).
     pub(super) having: Option<Vec<bool>>,
-    /// Partitioned states only: stream position of each group's first
-    /// row (assigned pre-filter, since the last rebuild) — orders merged
-    /// group ids identically to a one-shard fold.
+    /// Stream position of each group's first row (assigned pre-filter,
+    /// since the last rebuild), ascending in group id — orders merged
+    /// and refolded group ids identically to a rescan. Empty for global
+    /// aggregation.
     pub(super) first_rows: Vec<u64>,
     /// Partitioned states only (scratch, one entry per group created by
     /// the current fold): the new groups' keys, for insertion into the
@@ -267,6 +379,10 @@ impl GroupState {
                 .map(|&i| Arc::new(ColumnData::empty(in_schema.columns()[i].data_type)))
                 .collect(),
             accs: body.calls.iter().map(|_| Vec::new()).collect(),
+            slot_of: Vec::new(),
+            group_of: Vec::new(),
+            free: Vec::new(),
+            dead: Vec::new(),
             vals: body.calls.iter().map(|_| Arc::new(ColumnData::empty(DataType::Float))).collect(),
             touched: Vec::new(),
             rows: 0,
@@ -293,6 +409,10 @@ impl GroupState {
             Arc::make_mut(col).truncate(0);
         }
         self.accs.iter_mut().for_each(Vec::clear);
+        self.slot_of.clear();
+        self.group_of.clear();
+        self.free.clear();
+        self.dead.clear();
         self.touched.clear();
         self.rows = 0;
         self.have_global_rep = false;
@@ -311,14 +431,153 @@ impl GroupState {
         if !body.group.is_empty() {
             return;
         }
-        self.n_groups = 1;
-        for ((accs, vals), call) in self.accs.iter_mut().zip(self.vals.iter_mut()).zip(&body.calls)
-        {
-            let acc = Accumulator::new(call.kind, call.distinct);
-            Arc::make_mut(vals).push(acc.finish());
-            accs.push(acc);
+        self.new_group(body);
+        for (vals, accs) in self.vals.iter_mut().zip(&self.accs) {
+            Arc::make_mut(vals).push(accs[0].finish());
         }
     }
+
+    /// Append a group with fresh accumulators in a free slot (or a new
+    /// one) and return its slot.
+    fn new_group(&mut self, body: &AggBody) -> u32 {
+        let gid = self.n_groups;
+        self.n_groups += 1;
+        let fresh = body.calls.iter().map(|c| Accumulator::new(c.kind, c.distinct));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                for (accs, acc) in self.accs.iter_mut().zip(fresh) {
+                    accs[slot as usize] = acc;
+                }
+                self.group_of[slot as usize] = gid;
+                slot
+            }
+            None => {
+                for (accs, acc) in self.accs.iter_mut().zip(fresh) {
+                    accs.push(acc);
+                }
+                self.group_of.push(gid);
+                self.group_of.len() as u32 - 1
+            }
+        };
+        self.slot_of.push(slot);
+        slot
+    }
+
+    /// Drop the keys of the groups earlier front evictions deleted, and
+    /// free their slots.
+    pub(super) fn drop_dead_keys(&mut self) {
+        if self.dead.is_empty() {
+            return;
+        }
+        let group_of = &self.group_of;
+        self.slots.retain(|_, slot| group_of[*slot as usize] != u32::MAX);
+        self.free.append(&mut self.dead);
+    }
+
+    /// The accumulator of `call` for group `gid`.
+    pub(super) fn acc(&self, call: usize, gid: u32) -> &Accumulator {
+        &self.accs[call][self.slot_of[gid as usize] as usize]
+    }
+
+    /// Retract every input row before stream position `cut` from a
+    /// grouped (non-global) state. The groups that start before the cut
+    /// are a prefix of the group ids. Those with no retained row are
+    /// deleted and free their slots. Those that straddle the cut —
+    /// found through `rows`, the slot of each retained input row of
+    /// `input` (whose row 0 is at position `cut`) — move to their first
+    /// retained row's place in first-appearance order, take it as their
+    /// representative, and are refolded from fresh accumulators over
+    /// their retained rows. Leaves the refolded groups in `touched`;
+    /// returns how many groups the cut reached and how many rows were
+    /// refolded.
+    pub(super) fn retract(
+        &mut self,
+        body: &AggBody,
+        plan: &IncrementalPlan,
+        exec: &Executor<'_>,
+        input: &Frame,
+        cut: u64,
+        rows: &[u32],
+    ) -> EngineResult<(u64, usize)> {
+        let reached = self.first_rows.partition_point(|&first| first < cut);
+        if reached == 0 {
+            return Ok((0, 0));
+        }
+        // the straddlers, in the order of their first retained row, and
+        // all their retained rows
+        let mut straddles = vec![false; reached];
+        let (mut straddlers, mut firsts) = (Vec::new(), Vec::new());
+        let (mut picked, mut positions) = (Vec::new(), Vec::new());
+        for (ri, &slot) in rows.iter().enumerate() {
+            let Some(&g) = self.group_of.get(slot as usize) else { continue };
+            if (g as usize) < reached {
+                if !std::mem::replace(&mut straddles[g as usize], true) {
+                    straddlers.push(g);
+                    firsts.push(ri);
+                }
+                picked.push(ri);
+                positions.push(cut + ri as u64);
+            }
+        }
+        for (g, _) in straddles.iter().enumerate().filter(|(_, s)| !**s) {
+            let slot = self.slot_of[g];
+            self.group_of[slot as usize] = u32::MAX;
+            self.dead.push(slot);
+        }
+
+        // the new group order: the untouched groups and the straddlers,
+        // merged by first row (both runs ascend)
+        let (n, s) = (self.n_groups as usize, straddlers.len());
+        let new_firsts: Vec<u64> = firsts.iter().map(|&ri| cut + ri as u64).collect();
+        let mut from_straddlers = Vec::with_capacity(n - reached + s);
+        let (mut i, mut j) = (reached, 0);
+        while i < n || j < s {
+            let straddler = j < s && (i == n || new_firsts[j] < self.first_rows[i]);
+            from_straddlers.push(straddler);
+            if straddler {
+                j += 1;
+            } else {
+                i += 1;
+            }
+        }
+        let old: Vec<usize> = straddlers.iter().map(|&g| g as usize).collect();
+        let straddler_slots: Vec<u32> = old.iter().map(|&g| self.slot_of[g]).collect();
+        merge_groups(&mut self.slot_of, reached, &straddler_slots, &from_straddlers);
+        merge_groups(&mut self.first_rows, reached, &new_firsts, &from_straddlers);
+        for (rep, &ci) in self.reps.iter_mut().zip(&body.rep_cols) {
+            let extra = input.column(ci).gather(&firsts);
+            Arc::make_mut(rep).merge_in(reached, &extra, &from_straddlers);
+        }
+        for vals in &mut self.vals {
+            // placeholders: the refold below refreshes them
+            let extra = vals.gather(&old);
+            Arc::make_mut(vals).merge_in(reached, &extra, &from_straddlers);
+        }
+        if let Some(mask) = self.having.as_mut() {
+            merge_groups(mask, reached, &vec![false; s], &from_straddlers);
+        }
+        self.n_groups = from_straddlers.len() as u32;
+        for (g, &slot) in self.slot_of.iter().enumerate() {
+            self.group_of[slot as usize] = g as u32;
+        }
+
+        // refold the straddlers from fresh accumulators
+        for &slot in &straddler_slots {
+            for (accs, call) in self.accs.iter_mut().zip(&body.calls) {
+                accs[slot as usize] = Accumulator::new(call.kind, call.distinct);
+            }
+        }
+        let retained = input.select_rows(&picked);
+        fold_grouped(body, self, &retained, &plan.in_schema, exec, &positions, Track::Nothing)?;
+        Ok((reached as u64, picked.len()))
+    }
+}
+
+/// Drop the first `reached` groups' entries of `v` and merge in the
+/// straddlers' (see [`merge_front`]).
+fn merge_groups<T: Clone>(v: &mut Vec<T>, reached: usize, extra: &[T], from_extra: &[bool]) {
+    merge_front(v, reached, extra, from_extra);
+    v.drain(..reached - extra.len());
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -371,15 +630,15 @@ impl<'a> Executor<'a> {
     }
 
     /// Resolve one tick's delta for `plan`: the appended suffix since
-    /// `state`'s watermark (from the catalog, or pushed by an upstream
-    /// stage), or the full input with `reset` when no delta is
-    /// derivable.
+    /// `state`'s watermark and how many input rows were evicted from the
+    /// front since (from the catalog, or pushed by an upstream stage),
+    /// or the full input with `reset` when no delta is derivable.
     fn resolve_delta(
         &self,
         plan: &IncrementalPlan,
         state: &IncrementalState,
         input: DeltaInput<'_>,
-    ) -> EngineResult<(Frame, bool, Option<Watermark>)> {
+    ) -> EngineResult<(Frame, bool, usize, Option<Watermark>)> {
         Ok(match input {
             DeltaInput::Source => {
                 if self.fingerprint(&plan.tables) != plan.fingerprint {
@@ -391,28 +650,30 @@ impl<'a> Executor<'a> {
                     None => None,
                 };
                 match delta {
-                    Some(d) => (d, false, Some(mark)),
-                    None => (self.table(&plan.table)?.clone(), true, Some(mark)),
+                    Some((d, evicted)) => (d, false, evicted as usize, Some(mark)),
+                    None => (self.table(&plan.table)?.clone(), true, 0, Some(mark)),
                 }
             }
-            DeltaInput::Pushed { delta, reset } => {
+            DeltaInput::Pushed { delta, reset, evicted } => {
                 if delta.schema.len() != plan.in_schema.len() {
                     return Err(EngineError::StalePlan);
                 }
-                (delta.clone(), reset, None)
+                (delta.clone(), reset, if reset { 0 } else { evicted }, None)
             }
         })
     }
 
     /// One tick of an incremental plan: resolve the delta (from the
-    /// catalog watermark or pushed by an upstream stage), fold it into
-    /// `state`, and return the stage's **full** result — identical to
-    /// running the compiled full-rescan plan over the full input.
+    /// catalog watermark or pushed by an upstream stage), retract the
+    /// evicted input rows from `state` and fold the delta into it, and
+    /// return the stage's **full** result — identical to running the
+    /// compiled full-rescan plan over the full input.
     ///
-    /// When the delta is not derivable (first run, retention eviction,
-    /// table replacement, upstream reset), the state is rebuilt from
-    /// the full input transparently and `reset` is flagged so
-    /// downstream consumers rebuild too.
+    /// When the delta is not derivable (first run, table replacement,
+    /// eviction past the mark, upstream reset), or the state cannot
+    /// retract an eviction (global aggregation, a partitioned grouped
+    /// state), the state is rebuilt from the full input transparently
+    /// and `reset` is flagged so downstream consumers rebuild too.
     ///
     /// A grouped stage folds per shard when the executor's catalog is
     /// partitioned ([`Catalog::set_partitioning`]) and the plan can be
@@ -424,7 +685,7 @@ impl<'a> Executor<'a> {
         input: DeltaInput<'_>,
     ) -> EngineResult<IncrementalRun> {
         // 1. resolve the delta and whether the state survives
-        let (mut delta, mut reset, mark) = self.resolve_delta(plan, state, input)?;
+        let (mut delta, mut reset, mut evicted, mark) = self.resolve_delta(plan, state, input)?;
         let partition = plan.partition(self.catalog);
         // a state of the wrong shape — fresh, folded under a different
         // plan (recompilation after a schema change), of the other
@@ -436,51 +697,53 @@ impl<'a> Executor<'a> {
                 (IncKind::Grouped(_), StateData::Grouped(g)) => g.partition() == partition,
                 _ => false,
             };
-        if !compatible {
+        // a grouped state reads its retained input on an eviction: to
+        // refold the groups that straddle the cut, or to rebuild from it
+        // when it cannot retract — global aggregation (its one group
+        // straddles every cut) and partitioned states
+        let mut retained = None;
+        if let (true, false, StateData::Grouped(g)) = (compatible, reset, &state.data) {
+            if evicted > 0 {
+                let input = self.table(&plan.table)?;
+                if g.retained() + delta.len() as u64 != (evicted + input.len()) as u64 {
+                    return Err(EngineError::StalePlan);
+                }
+                retained = Some(input);
+            }
+        }
+        let retracts = match &plan.kind {
+            IncKind::Append { .. } => true,
+            IncKind::Grouped(body) => !body.group.is_empty() && partition.is_none(),
+        };
+        if !compatible || (retained.is_some() && !retracts) {
             if !reset {
                 // a pushed partial delta cannot rebuild state from
                 // scratch: the caller must re-run with the full input
                 // (the driver resets the whole pipeline state and
                 // retries once). `mark` is `Some` exactly for `Source`
                 // input, where the full table is available — the
-                // rebuild rescans it right here.
-                if mark.is_none() {
-                    return Err(EngineError::StalePlan);
-                }
-                delta = self.table(&plan.table)?.clone();
+                // rebuild rescans it right here — and an eviction read
+                // the retained input above.
+                delta = match retained.take() {
+                    Some(input) => input.clone(),
+                    None if mark.is_none() => return Err(EngineError::StalePlan),
+                    None => self.table(&plan.table)?.clone(),
+                };
             }
             reset = true;
         }
-        let input_rows = delta.len();
+        if reset {
+            evicted = 0;
+            state.rebuilds += 1;
+        }
+        let mut input_rows = delta.len();
         state.plan_fp = Some(plan.fingerprint);
 
-        // 2. reset, fold into the state and produce the full result
+        // 2. reset, retract, fold into the state and produce the full
+        // result
         match &plan.kind {
             IncKind::Append { items, out_schema } => {
-                let fd = filter_delta(plan, delta, self)?;
-                if reset {
-                    match &mut state.data {
-                        // a rebuild under the same plan refills the
-                        // buffers it owns: over a stationary window the
-                        // output never outgrows them, where fresh
-                        // exact-size ones are re-grown — a copy of the
-                        // whole output — by the first append after
-                        // every rebuild
-                        StateData::Append { out, rows_in } if compatible => {
-                            out.truncate(0);
-                            *rows_in = 0;
-                        }
-                        data => {
-                            *data = StateData::Append {
-                                out: Frame::empty(out_schema.clone()),
-                                rows_in: 0,
-                            };
-                        }
-                    }
-                }
-                let StateData::Append { out, rows_in } = &mut state.data else {
-                    unreachable!("reset guarantees matching state")
-                };
+                let (fd, mask) = filter_delta(plan, delta, self)?;
                 let n = fd.len();
                 let mut cols: Vec<Arc<ColumnData>> = Vec::with_capacity(out_schema.len());
                 for step in items {
@@ -496,6 +759,42 @@ impl<'a> Executor<'a> {
                     }
                 }
                 let delta_out = Frame::from_arc_columns(out_schema.clone(), cols)?;
+                if reset {
+                    match &mut state.data {
+                        // a rebuild under the same plan refills the
+                        // buffers it owns: over a stationary window the
+                        // output never outgrows them, where fresh
+                        // exact-size ones are re-grown — a copy of the
+                        // whole output — by the first append after
+                        // every rebuild
+                        StateData::Append { out, rows_in, passed } if compatible => {
+                            out.truncate(0);
+                            *rows_in = 0;
+                            if let Some(bits) = passed {
+                                bits.retract(bits.len);
+                            }
+                        }
+                        data => {
+                            *data = StateData::Append {
+                                out: Frame::empty(out_schema.clone()),
+                                rows_in: 0,
+                                passed: plan.filter.as_ref().map(|_| PassBits::default()),
+                            };
+                        }
+                    }
+                }
+                let StateData::Append { out, rows_in, passed } = &mut state.data else {
+                    unreachable!("reset guarantees matching state")
+                };
+                // retract the evicted input rows' output rows, a prefix
+                if evicted > passed.as_ref().map_or(out.len(), |bits| bits.len) {
+                    return Err(EngineError::StalePlan);
+                }
+                let dropped = passed.as_mut().map_or(evicted, |bits| bits.retract(evicted));
+                out.skip_rows(dropped);
+                if let (Some(bits), Some(mask)) = (passed, &mask) {
+                    bits.push(mask);
+                }
                 // by-reference append: `delta_out` stays alive (it is
                 // returned for downstream stages), so an owned append
                 // would pay a second copy
@@ -504,7 +803,13 @@ impl<'a> Executor<'a> {
                 let mut result = out.clone();
                 finalise_types(&mut result);
                 state.mark = mark;
-                Ok(IncrementalRun { result, delta: Some(delta_out), reset, input_rows })
+                Ok(IncrementalRun {
+                    result,
+                    delta: Some(delta_out),
+                    reset,
+                    evicted: dropped,
+                    input_rows,
+                })
             }
             IncKind::Grouped(body) => {
                 if reset {
@@ -525,14 +830,20 @@ impl<'a> Executor<'a> {
                     }
                     _ => None,
                 };
-                let having_evals = &mut state.having_evals;
+                let (having_evals, retracted_groups) =
+                    (&mut state.having_evals, &mut state.retracted_groups);
                 let StateData::Grouped(g) = &mut state.data else {
                     unreachable!("reset guarantees matching state")
                 };
-                // 3. fold, then the extended frame, the HAVING mask and
-                // the shared finalize over the groups the fold reports:
-                // the one shard's, or the merged view over all shards
-                let run = g.fold(body, plan, delta, self, split).and_then(|gs| {
+                // 3. retract and fold, then the extended frame, the
+                // HAVING mask and the shared finalize over the groups
+                // the fold reports: the one shard's, or the merged view
+                // over all shards
+                let retract = retained.map(|input| (evicted as u64, input));
+                let folded = g.fold(body, plan, delta, self, split, retract);
+                let run = folded.and_then(|(gs, reached, refolded)| {
+                    *retracted_groups += reached;
+                    input_rows += refolded;
                     let ext = build_state_ext(body, gs, &plan.in_schema)?;
                     if let (Some(h), Some(mask)) = (&body.having, gs.having.as_mut()) {
                         *having_evals += refresh_having_mask(self, h, &ext, &gs.touched, mask)?;
@@ -545,7 +856,7 @@ impl<'a> Executor<'a> {
                 match run {
                     Ok(result) => {
                         state.mark = mark;
-                        Ok(IncrementalRun { result, delta: None, reset, input_rows })
+                        Ok(IncrementalRun { result, delta: None, reset, evicted: 0, input_rows })
                     }
                     Err(e) => {
                         // the fold may have partially mutated the
@@ -563,19 +874,50 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// `delta` with `plan`'s `WHERE` program applied.
+/// `delta` with `plan`'s `WHERE` program applied, and the mask it
+/// applied (`None` without a `WHERE`).
 pub(super) fn filter_delta(
     plan: &IncrementalPlan,
     delta: Frame,
     exec: &Executor<'_>,
-) -> EngineResult<Frame> {
+) -> EngineResult<(Frame, Option<Vec<bool>>)> {
     Ok(match &plan.filter {
         Some(p) => {
             let mask = p.eval_mask(&delta, &plan.in_schema, exec)?;
-            filter_rows_parallel(&delta, &mask, ThreadPool::global())
+            (filter_rows_parallel(&delta, &mask, ThreadPool::global()), Some(mask))
         }
-        None => delta,
+        None => (delta, None),
     })
+}
+
+/// `rows` with `plan`'s `WHERE` program applied, and the stream
+/// position of each kept row, the first of `rows` being at `base`.
+pub(super) fn filter_positions(
+    plan: &IncrementalPlan,
+    rows: Frame,
+    exec: &Executor<'_>,
+    base: u64,
+) -> EngineResult<(Frame, Vec<u64>)> {
+    let n = rows.len() as u64;
+    let (fd, mask) = filter_delta(plan, rows, exec)?;
+    let positions = match mask {
+        Some(mask) => (base..).zip(mask).filter_map(|(pos, keep)| keep.then_some(pos)).collect(),
+        None => (base..base + n).collect(),
+    };
+    Ok((fd, positions))
+}
+
+/// What [`fold_grouped`] records beyond the groups themselves.
+pub(super) enum Track<'a> {
+    /// Nothing more (a refold, global aggregation).
+    Nothing,
+    /// Each new group's key, in [`GroupState::new_keys`]: the shards of
+    /// a partitioned state, so the cross-shard merge can re-establish
+    /// global first-appearance order.
+    NewKeys,
+    /// Each row's slot, into the one shard's record of its retained
+    /// input rows, given with the position of its first entry.
+    Rows(&'a mut [u32], u64),
 }
 
 /// Fold one (filtered) delta batch into the group state. Rows are
@@ -583,26 +925,24 @@ pub(super) fn filter_delta(
 /// rows in exactly the order the rescan kernels would — results,
 /// including floating-point sums, are identical.
 ///
-/// `positions` (partitioned states) carries one global stream position
-/// per row of `fd`; each newly-created group records its first position
-/// in [`GroupState::first_rows`] and its key in [`GroupState::new_keys`]
-/// so the cross-shard merge can re-establish global first-appearance
-/// order. Pass `None` for one shard — zero overhead.
+/// `positions` carries one stream position per row of `fd`: each new
+/// group records its first in [`GroupState::first_rows`]. `track` says
+/// what else the fold records. The groups the fold touches join
+/// [`GroupState::touched`], which the caller clears.
 pub(super) fn fold_grouped(
     body: &AggBody,
     gs: &mut GroupState,
     fd: &Frame,
     schema: &Schema,
     exec: &Executor<'_>,
-    positions: Option<&[u64]>,
+    positions: &[u64],
+    mut track: Track<'_>,
 ) -> EngineResult<()> {
-    gs.touched.clear();
-    gs.new_keys.clear();
     let n = fd.len();
     if n == 0 {
         return Ok(());
     }
-    debug_assert!(positions.is_none_or(|p| p.len() == n));
+    debug_assert_eq!(positions.len(), n);
     let key_cols: Vec<Arc<ColumnData>> = body
         .group
         .iter()
@@ -618,42 +958,43 @@ pub(super) fn fold_grouped(
 
     let global = body.group.is_empty();
     for ri in 0..n {
-        let gid = if global {
+        let (gid, slot) = if global {
             if !gs.have_global_rep {
                 gs.have_global_rep = true;
                 for (buf, &ci) in gs.reps.iter_mut().zip(&body.rep_cols) {
                     Arc::make_mut(buf).push(fd.column(ci).value(ri));
                 }
             }
-            0usize
+            (0, gs.slot_of[0])
         } else {
-            use std::collections::hash_map::Entry;
-            match gs.slots.entry(slot_key(&key_cols, ri)) {
-                Entry::Occupied(e) => *e.get() as usize,
-                Entry::Vacant(e) => {
+            let key = slot_key(&key_cols, ri);
+            let slot = match gs.slots.get(&key) {
+                Some(&slot) if gs.group_of[slot as usize] != u32::MAX => slot,
+                // absent, or the stale key of a deleted group
+                _ => {
                     // first appearance: capture the representative row
-                    let gid = gs.n_groups;
-                    gs.n_groups += 1;
-                    for (accs, call) in gs.accs.iter_mut().zip(&body.calls) {
-                        accs.push(Accumulator::new(call.kind, call.distinct));
-                    }
+                    let slot = gs.new_group(body);
                     for (buf, &ci) in gs.reps.iter_mut().zip(&body.rep_cols) {
                         Arc::make_mut(buf).push(fd.column(ci).value(ri));
                     }
-                    if let Some(pos) = positions {
-                        gs.first_rows.push(pos[ri]);
-                        gs.new_keys.push(e.key().clone());
+                    gs.first_rows.push(positions[ri]);
+                    if let Track::NewKeys = track {
+                        gs.new_keys.push(key.clone());
                     }
-                    e.insert(gid);
-                    gid as usize
+                    gs.slots.insert(key, slot);
+                    slot
                 }
+            };
+            if let Track::Rows(rows, first) = &mut track {
+                rows[(positions[ri] - *first) as usize] = slot;
             }
+            (gs.group_of[slot as usize], slot)
         };
-        if gs.touched.last() != Some(&(gid as u32)) {
-            gs.touched.push(gid as u32);
+        if gs.touched.last() != Some(&gid) {
+            gs.touched.push(gid);
         }
         for (fold, accs) in folds.iter_mut().zip(gs.accs.iter_mut()) {
-            fold.update(&mut accs[gid], ri)?;
+            fold.update(&mut accs[slot as usize], ri)?;
         }
     }
     gs.rows += n as u64;
@@ -667,7 +1008,7 @@ pub(super) fn fold_grouped(
     for (accs, vals) in gs.accs.iter().zip(gs.vals.iter_mut()) {
         let col = Arc::make_mut(vals);
         for &gid in &touched {
-            let v = accs[gid as usize].finish();
+            let v = accs[gs.slot_of[gid as usize] as usize].finish();
             if (gid as usize) < col.len() {
                 col.set(gid as usize, v);
             } else {
@@ -715,8 +1056,9 @@ fn build_state_ext(body: &AggBody, gs: &GroupState, in_schema: &Schema) -> Engin
 /// Re-evaluate the cached HAVING mask for exactly the `touched` groups
 /// of `ext` (one row per group) and return how many groups were
 /// evaluated — the dirty-set maintenance that keeps HAVING
-/// `O(touched groups)` per tick. The mask only ever grows: groups are
-/// never removed from a live state.
+/// `O(touched groups)` per tick. New groups extend the mask; a front
+/// eviction renumbers it with the groups (see [`GroupState::retract`]),
+/// leaving the refolded groups touched.
 fn refresh_having_mask(
     exec: &Executor<'_>,
     having: &ExprProgram,

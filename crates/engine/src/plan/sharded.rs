@@ -6,10 +6,12 @@
 //! over it keeps N plain [`GroupState`]s, folds each shard's delta on
 //! the scoped thread pool, and merges per-group accumulators only at
 //! the aggregation boundary. Serial execution is the N = 1 case: one
-//! shard, folded on the calling thread with no merged view and no
-//! positions. N is 1 when the catalog is unpartitioned or the plan
-//! cannot be partitioned — global aggregation, `DISTINCT` aggregate
-//! calls (not mergeable) or an input without the key column.
+//! shard, folded on the calling thread with no merged view. N is 1 when
+//! the catalog is unpartitioned or the plan cannot be partitioned —
+//! global aggregation, `DISTINCT` aggregate calls (not mergeable) or an
+//! input without the key column. Only the one-shard state retracts a
+//! front eviction; a partitioned state rebuilds from the retained
+//! window instead.
 //!
 //! For N > 1 a cross-shard [`MergedGroups`] view re-establishes the
 //! *global* first-appearance group order (via per-group first stream
@@ -30,7 +32,7 @@ use std::sync::Arc;
 
 use minipool::ThreadPool;
 
-use super::incremental::{filter_delta, fold_grouped, GroupState, IncrementalPlan};
+use super::incremental::{filter_positions, fold_grouped, GroupState, IncrementalPlan, Track};
 use super::{AggBody, FxHasher, PARALLEL_MIN_ROWS};
 use crate::column::ColumnData;
 use crate::error::EngineResult;
@@ -91,6 +93,16 @@ pub(super) struct GroupedState {
     /// `Some` exactly when there is more than one shard (boxed: one
     /// shard carries no merged view, and its state stays small).
     merged: Option<Box<MergedGroups>>,
+    /// Stream position (input rows since the last rebuild, pre-filter)
+    /// of the next delta's first row; positions order group creation.
+    next_pos: u64,
+    /// Input rows evicted from the front since the last rebuild: the
+    /// position of the first retained row.
+    evicted: u64,
+    /// One shard, grouped: the slot of each retained input row's group
+    /// (`u32::MAX` where the `WHERE` dropped it), from position
+    /// `evicted` on — what a front eviction refolds from.
+    row_groups: Vec<u32>,
 }
 
 /// Which shard-local accumulators feed one merged group.
@@ -118,9 +130,6 @@ struct MergedGroups {
     /// `to_merged[shard][local gid] = merged gid`; grows in lockstep
     /// with each shard's `n_groups`.
     to_merged: Vec<Vec<u32>>,
-    /// Stream position (rows since the last rebuild) assigned to the
-    /// next delta's first row; positions order merged group creation.
-    next_pos: u64,
     /// Partition-key ordinal in the plan's input schema.
     key_col: usize,
 }
@@ -141,10 +150,12 @@ impl GroupedState {
                     groups: GroupState::new(body, in_schema),
                     owners: Vec::new(),
                     to_merged: vec![Vec::new(); shards],
-                    next_pos: 0,
                     key_col,
                 })
             }),
+            next_pos: 0,
+            evicted: 0,
+            row_groups: Vec::new(),
         }
     }
 
@@ -164,8 +175,16 @@ impl GroupedState {
             m.groups.clear(body);
             m.owners.clear();
             m.to_merged.iter_mut().for_each(Vec::clear);
-            m.next_pos = 0;
         }
+        self.next_pos = 0;
+        self.evicted = 0;
+        self.row_groups.clear();
+    }
+
+    /// Input rows the state covers: appended since the last rebuild,
+    /// less those evicted.
+    pub(super) fn retained(&self) -> u64 {
+        self.next_pos - self.evicted
     }
 
     /// Rows folded so far across all shards (diagnostic).
@@ -173,12 +192,19 @@ impl GroupedState {
         self.shards.iter().map(|gs| gs.rows).sum()
     }
 
-    /// Fold one tick's unfiltered `delta` and return the groups the
-    /// stage's result is built from: the one shard's, or the merged
-    /// view refreshed for the groups this tick touched. `split` is the
-    /// catalog's per-shard split of `delta`, when it has one. Error
-    /// reporting is deterministic: the lowest-numbered failing shard
-    /// wins regardless of completion order.
+    /// Fold one tick and return the groups the stage's result is built
+    /// from — the one shard's, or the merged view refreshed for the
+    /// groups this tick touched — with how many groups the retraction
+    /// reached and how many retained rows it refolded.
+    ///
+    /// `retract` (one shard only: partitioned states rebuild instead)
+    /// is `(evicted, input)`: first retract the `evicted` input rows at
+    /// the front, refolding straddling groups from `input`, the
+    /// retained input (see [`GroupState::retract`]). Then fold the
+    /// unfiltered `delta`; `split` is the catalog's per-shard split of
+    /// it, when it has one. Error reporting is deterministic: the
+    /// lowest-numbered failing shard wins regardless of completion
+    /// order.
     pub(super) fn fold(
         &mut self,
         body: &AggBody,
@@ -186,15 +212,34 @@ impl GroupedState {
         delta: Frame,
         exec: &Executor<'_>,
         split: Option<Arc<Vec<Vec<u32>>>>,
-    ) -> EngineResult<&mut GroupState> {
+        retract: Option<(u64, &Frame)>,
+    ) -> EngineResult<(&mut GroupState, u64, usize)> {
+        let base = self.next_pos;
+        self.next_pos += delta.len() as u64;
         let Some(m) = &mut self.merged else {
             let gs = &mut self.shards[0];
-            let fd = filter_delta(plan, delta, exec)?;
-            fold_grouped(body, gs, &fd, &plan.in_schema, exec, None)?;
-            return Ok(gs);
+            gs.touched.clear();
+            gs.drop_dead_keys();
+            let mut retracted = (0, 0);
+            if let Some((evicted, input)) = retract {
+                self.row_groups.drain(..evicted as usize);
+                self.evicted += evicted;
+                retracted = gs.retract(body, plan, exec, input, self.evicted, &self.row_groups)?;
+            }
+            let (fd, positions) = filter_positions(plan, delta, exec, base)?;
+            // global aggregation rebuilds on an eviction: no record
+            let track = match body.group.is_empty() {
+                true => Track::Nothing,
+                false => {
+                    self.row_groups.resize((self.next_pos - self.evicted) as usize, u32::MAX);
+                    Track::Rows(&mut self.row_groups, self.evicted)
+                }
+            };
+            fold_grouped(body, gs, &fd, &plan.in_schema, exec, &positions, track)?;
+            return Ok((gs, retracted.0, retracted.1));
         };
+        debug_assert!(retract.is_none(), "a partitioned state rebuilds on an eviction");
         let pool = ThreadPool::global();
-        let base = m.next_pos;
         let computed;
         let buckets: &[Vec<u32>] = match &split {
             Some(s) => s.as_slice(),
@@ -218,8 +263,7 @@ impl GroupedState {
         }
         m.merge_new_groups(&self.shards);
         m.refresh(&self.shards)?;
-        m.next_pos += delta.len() as u64;
-        Ok(&mut m.groups)
+        Ok((&mut m.groups, 0, 0))
     }
 }
 
@@ -235,10 +279,10 @@ fn fold_shard(
     bucket: &[u32],
     base: u64,
 ) -> EngineResult<()> {
+    // per-tick scratch, coherent for the merge step
+    gs.touched.clear();
+    gs.new_keys.clear();
     if bucket.is_empty() {
-        // keep per-tick scratch coherent for the merge step
-        gs.touched.clear();
-        gs.new_keys.clear();
         return Ok(());
     }
     let indices: Vec<usize> = bucket.iter().map(|&i| i as usize).collect();
@@ -258,7 +302,7 @@ fn fold_shard(
         }
         None => sub,
     };
-    fold_grouped(body, gs, &fd, &plan.in_schema, exec, Some(&positions))
+    fold_grouped(body, gs, &fd, &plan.in_schema, exec, &positions, Track::NewKeys)
 }
 
 impl MergedGroups {
@@ -330,9 +374,9 @@ impl MergedGroups {
                     Owners::One(s, g) => shards[*s as usize].vals[ci].value(*g as usize),
                     Owners::Many(list) => {
                         let (s0, g0) = list[0];
-                        let mut acc = shards[s0 as usize].accs[ci][g0 as usize].clone();
+                        let mut acc = shards[s0 as usize].acc(ci, g0).clone();
                         for &(s, g) in &list[1..] {
-                            acc.merge(&shards[s as usize].accs[ci][g as usize])?;
+                            acc.merge(shards[s as usize].acc(ci, g))?;
                         }
                         acc.finish()
                     }

@@ -266,7 +266,7 @@ fn sharded_partial_delta_without_matching_state_signals_stale_plan() {
     let delta = users_frame(10);
     let mut fresh = IncrementalState::new();
     let err = executor
-        .run_incremental(&plan, &mut fresh, DeltaInput::Pushed { delta: &delta, reset: false })
+        .run_incremental(&plan, &mut fresh, DeltaInput::Pushed { delta: &delta, reset: false, evicted: 0 })
         .unwrap_err();
     assert!(matches!(err, EngineError::StalePlan), "got {err}");
 
@@ -277,7 +277,7 @@ fn sharded_partial_delta_without_matching_state_signals_stale_plan() {
     catalog.set_partitioning("uid", 8);
     let executor = Executor::new(&catalog);
     let err = executor
-        .run_incremental(&plan, &mut st, DeltaInput::Pushed { delta: &delta, reset: false })
+        .run_incremental(&plan, &mut st, DeltaInput::Pushed { delta: &delta, reset: false, evicted: 0 })
         .unwrap_err();
     assert!(matches!(err, EngineError::StalePlan), "got {err}");
 }

@@ -199,6 +199,45 @@ fn retention_eviction_is_batched_and_deltas_survive_trims() {
 }
 
 #[test]
+fn a_retention_trim_retracts_instead_of_rebuilding() {
+    let query = parse_query("SELECT x, y, z, t FROM stream").unwrap();
+    let mut runtime = Runtime::new(ProcessingChain::apartment())
+        .with_policy("ActionFilter", figure4_policy().modules.remove(0))
+        .with_retention(1000);
+    runtime.install_source("motion-sensor", "stream", stream(42, 90)).unwrap(); // 900 rows
+    let handle = runtime.register("ActionFilter", &query).unwrap();
+    runtime.tick().unwrap();
+    let first = runtime.handle_stats(handle).unwrap();
+    assert!(first.rebuilds > 0, "the first tick builds every delta-aware stage");
+
+    let len = |rt: &Runtime| {
+        rt.chain().node("motion-sensor").unwrap().catalog.get("stream").unwrap().len()
+    };
+    // three batched trims, each ticked on its own and between appends
+    let mut trims = 0;
+    for (seed, steps) in [(1, 20), (2, 14), (3, 4), (4, 9), (5, 21), (6, 3), (7, 30)] {
+        let before = len(&runtime);
+        runtime.ingest("motion-sensor", "stream", stream(seed, steps)).unwrap();
+        trims += usize::from(len(&runtime) < before + steps * 10);
+        let ticked = runtime.tick().unwrap();
+        let expect = reference(
+            &runtime,
+            &figure4_policy().modules.remove(0),
+            &query,
+            None,
+            None,
+        )
+        .unwrap();
+        assert_eq!(ticked[0].1.result, expect.result, "tick after batch {seed} vs the reference");
+        let stats = runtime.handle_stats(handle).unwrap();
+        assert_eq!(stats.rebuilds, first.rebuilds, "batch {seed}: no stage rebuilt");
+    }
+    assert_eq!(trims, 3, "the schedule crosses the retention slack three times");
+    let stats = runtime.handle_stats(handle).unwrap();
+    assert!(stats.retracted_groups > 0, "the grouped stage retracted the evicted rows");
+}
+
+#[test]
 fn tick_each_quarantines_failing_handles_without_poisoning_the_tick() {
     let mut runtime = Runtime::new(ProcessingChain::apartment())
         .with_policy("ActionFilter", figure4_policy().modules.remove(0));

@@ -1,7 +1,7 @@
 //! Work budgets that do not drift: the allocation count of a steady
-//! resident tick, pinned as a ceiling per query shape, and of the
-//! mutations around it (ingest, in memory and durable; register; a
-//! policy swap). A counting global allocator — in this test binary
+//! resident tick, pinned as a ceiling per query shape, of the tick
+//! after a retention trim, and of the mutations around them (ingest,
+//! in memory and durable; register; a policy swap). A counting global allocator — in this test binary
 //! only — counts `alloc` and `realloc` calls. The count depends on the
 //! code and the seeded input, not on the machine, so it catches
 //! per-call work that timing on a noisy box cannot resolve. A lone
@@ -64,6 +64,11 @@ const SHAPES: &[(&str, usize, u64)] = &[(FLAT, 1, 623), (PAPER_ORIGINAL, 1, 743)
 /// two resident flat projections (the measured median plus 5 %).
 const SCOPED_TICK: u64 = 624;
 
+/// Ceiling on the median allocations per tick of the flat projection
+/// right after a batched retention trim of its 10k-row window (the
+/// measured median plus 5 %): the stages retract the evicted rows.
+const TRIM_TICK: u64 = 2621;
+
 fn stream(seed: u64, steps: usize) -> Frame {
     let config = SmartRoomConfig { persons: 10, switch_probability: 0.003, ..Default::default() };
     SmartRoomSim::with_config(seed, config).ubisense_positions(steps)
@@ -76,8 +81,8 @@ fn stream(seed: u64, steps: usize) -> Frame {
 /// resident flat projections.
 const INGEST: u64 = 4;
 const DURABLE_INGEST: u64 = 23;
-const REGISTER: u64 = 307;
-const SET_POLICY: u64 = 575;
+const REGISTER: u64 = 287;
+const SET_POLICY: u64 = 517;
 
 /// `f`'s result and the allocations made inside it.
 fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
@@ -129,6 +134,29 @@ fn allocations_per_scoped_tick() -> Vec<u64> {
             rt.ingest("motion-sensor", "stream", stream(100 + i, 50)).unwrap();
             let (ticked, n) = allocations(|| rt.tick_each(&[named]));
             assert!(ticked.unwrap()[0].1.is_ok());
+            n
+        })
+        .collect()
+}
+
+/// Allocations inside each of 30 ticks of the flat projection, each
+/// right after a 2 600-row batch took the 10k-row window past its 25 %
+/// retention slack and the runtime trimmed it back to 10k rows. No
+/// stage rebuilds.
+fn allocations_per_trim_tick() -> Vec<u64> {
+    let mut rt = Runtime::new(ProcessingChain::apartment())
+        .with_policy("ActionFilter", figure4_policy().modules.remove(0))
+        .with_retention(10_000);
+    rt.install_source("motion-sensor", "stream", stream(1, 1_000)).unwrap();
+    let handle = rt.register("ActionFilter", &parse_query(FLAT).unwrap()).unwrap();
+    rt.tick().unwrap();
+    let rebuilds = rt.handle_stats(handle).unwrap().rebuilds;
+    (0..30)
+        .map(|i| {
+            rt.ingest("motion-sensor", "stream", stream(100 + i, 260)).unwrap();
+            let (ticked, n) = allocations(|| rt.tick());
+            ticked.unwrap();
+            assert_eq!(rt.handle_stats(handle).unwrap().rebuilds, rebuilds, "a trim rebuilt");
             n
         })
         .collect()
@@ -212,6 +240,7 @@ fn steady_ticks_stay_within_their_allocation_ceilings() {
     }
     let scoped = allocations_per_scoped_tick();
     check("FLAT, 1 of 2 residents named", "scoped tick", scoped, SCOPED_TICK);
+    check("FLAT, after a retention trim", "tick", allocations_per_trim_tick(), TRIM_TICK);
     check("ingest, in memory", "500-row batch", allocations_per_ingest(None), INGEST);
     let dir = scratch_dir();
     let durable = allocations_per_ingest(Some(&dir));
