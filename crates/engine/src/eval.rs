@@ -1,10 +1,10 @@
 //! Expression evaluation with SQL three-valued logic: the row-level
-//! interpreter [`eval_expr`] — the reference semantics of the test
-//! oracle, and the short-circuit/error fallback of compiled programs
-//! (whose [`EvalContext::subquery`] replays their sub-plans' results)
-//! — plus the [`Batch`] values and dense binary kernels that
-//! [`ExprProgram`](crate::plan::ExprProgram), the one column-at-a-time
-//! evaluator, runs on.
+//! interpreter [`eval_expr`] — the reference semantics that the test
+//! oracle runs and the proptests compare compiled programs against; no
+//! library code calls it — plus the scalar function dispatch table, the
+//! [`Batch`] values and the dense binary kernels that
+//! [`ExprProgram`](crate::plan::ExprProgram), the one evaluator the
+//! engine runs, is built on.
 
 use std::sync::Arc;
 
@@ -16,9 +16,8 @@ use crate::frame::{Frame, Row};
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 
-/// Callback that yields the result of a scalar subquery / `EXISTS` probe.
-/// A compiled program's error fallback replays its bound sub-plans'
-/// results; standalone evaluation (policy conditions) passes none.
+/// Callback that yields the result of a scalar subquery / `EXISTS` probe:
+/// the test oracle runs the subquery; a context without one fails on it.
 pub type SubqueryFn<'a> = &'a dyn Fn(&paradise_sql::ast::Query) -> EngineResult<Frame>;
 
 /// Everything an expression needs to evaluate against one row.

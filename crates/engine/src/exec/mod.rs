@@ -148,7 +148,7 @@ impl<'a> Executor<'a> {
                                 block.pairs.extend((0..n_right).map(|j| (Some(i), Some(j))));
                             }
                             let pairs = block.frame(schema.clone(), &left, &right)?;
-                            Some(p.eval_mask(&pairs, &schema, self)?)
+                            Some(p.eval_mask(&pairs, self)?)
                         }
                         _ => None,
                     };

@@ -493,7 +493,6 @@ impl GroupState {
     pub(super) fn retract(
         &mut self,
         body: &AggBody,
-        plan: &IncrementalPlan,
         exec: &Executor<'_>,
         input: &Frame,
         cut: u64,
@@ -568,7 +567,7 @@ impl GroupState {
             }
         }
         let retained = input.select_rows(&picked);
-        fold_grouped(body, self, &retained, &plan.in_schema, exec, &positions, Track::Nothing)?;
+        fold_grouped(body, self, &retained, exec, &positions, Track::Nothing)?;
         Ok((reached as u64, picked.len()))
     }
 }
@@ -754,7 +753,7 @@ impl<'a> Executor<'a> {
                             }
                         }
                         ProjStep::Prog(p) => {
-                            cols.push(p.eval(&fd, &plan.in_schema, self)?.into_column_arc(n))
+                            cols.push(p.eval(&fd, self)?.into_column_arc(n))
                         }
                     }
                 }
@@ -883,7 +882,7 @@ pub(super) fn filter_delta(
 ) -> EngineResult<(Frame, Option<Vec<bool>>)> {
     Ok(match &plan.filter {
         Some(p) => {
-            let mask = p.eval_mask(&delta, &plan.in_schema, exec)?;
+            let mask = p.eval_mask(&delta, exec)?;
             (filter_rows_parallel(&delta, &mask, ThreadPool::global()), Some(mask))
         }
         None => (delta, None),
@@ -933,7 +932,6 @@ pub(super) fn fold_grouped(
     body: &AggBody,
     gs: &mut GroupState,
     fd: &Frame,
-    schema: &Schema,
     exec: &Executor<'_>,
     positions: &[u64],
     mut track: Track<'_>,
@@ -946,9 +944,9 @@ pub(super) fn fold_grouped(
     let key_cols: Vec<Arc<ColumnData>> = body
         .group
         .iter()
-        .map(|p| Ok(p.eval(fd, schema, exec)?.into_column_arc(n)))
+        .map(|p| Ok(p.eval(fd, exec)?.into_column_arc(n)))
         .collect::<EngineResult<_>>()?;
-    let arg_batches: Vec<Vec<Batch>> = super::eval_call_args(&body.calls, fd, schema, exec)?;
+    let arg_batches: Vec<Vec<Batch>> = super::eval_call_args(&body.calls, fd, exec)?;
     let mut folds: Vec<ArgFold<'_>> = body
         .calls
         .iter()
@@ -1074,7 +1072,7 @@ fn refresh_having_mask(
     }
     let indices: Vec<usize> = touched.iter().map(|&g| g as usize).collect();
     let sub = select_rows_parallel(ext, &indices, ThreadPool::global());
-    let bits = having.eval_mask(&sub, &ext.schema, exec)?;
+    let bits = having.eval_mask(&sub, exec)?;
     for (&g, b) in indices.iter().zip(bits) {
         mask[g] = b;
     }

@@ -354,7 +354,6 @@ enum ArgStep {
 fn eval_call_args(
     calls: &[AggCallPlan],
     frame: &Frame,
-    schema: &Schema,
     exec: &Executor<'_>,
 ) -> EngineResult<Vec<Vec<Batch>>> {
     let mut shared: Vec<(&ExprProgram, Batch)> = Vec::new();
@@ -368,10 +367,10 @@ fn eval_call_args(
                         ArgStep::Star => return Ok(Batch::Const(Value::Int(1))),
                         ArgStep::Prog(p) => p,
                     };
-                    if let Some((_, b)) = shared.iter().find(|(q, _)| q.source() == p.source()) {
+                    if let Some((_, b)) = shared.iter().find(|(q, _)| q.same_as(p)) {
                         return Ok(b.clone());
                     }
-                    let b = p.eval(frame, schema, exec)?;
+                    let b = p.eval(frame, exec)?;
                     shared.push((p, b.clone()));
                     Ok(b)
                 })
@@ -785,65 +784,53 @@ fn compile_agg(
     // the input columns that items/HAVING/ORDER actually read, so the
     // per-group representative rows gather just those (a big win for
     // high-cardinality GROUP BY over wide inputs). Programs are
-    // remapped to the compact layout. Skipped when the input schema has
-    // duplicate names, where narrowing could change name resolution in
-    // the (rare) row-fallback path.
-    let mut rep_cols: Vec<usize> = (0..input_schema.len()).collect();
-    let unique_names = {
-        let mut seen = std::collections::HashSet::new();
-        input_schema
-            .columns()
-            .iter()
-            .all(|c| seen.insert(c.name.to_ascii_lowercase()))
+    // remapped to the compact layout.
+    let mut used: Vec<bool> = vec![false; input_schema.len()];
+    let mut mark = |idx: usize| {
+        if idx < used.len() {
+            used[idx] = true;
+        }
     };
-    if unique_names {
-        let mut used: Vec<bool> = vec![false; input_schema.len()];
-        let mut mark = |idx: usize| {
-            if idx < used.len() {
-                used[idx] = true;
-            }
-        };
-        for step in &items {
-            match step {
-                AggItemStep::Col(i) => mark(*i),
-                AggItemStep::Prog(p) => p.column_ordinals().for_each(&mut mark),
-            }
+    for step in &items {
+        match step {
+            AggItemStep::Col(i) => mark(*i),
+            AggItemStep::Prog(p) => p.column_ordinals().for_each(&mut mark),
         }
-        if let Some(h) = &having {
-            h.column_ordinals().for_each(&mut mark);
+    }
+    if let Some(h) = &having {
+        h.column_ordinals().for_each(&mut mark);
+    }
+    for (src, _) in &order {
+        if let OrderKeySrc::Prog(p) = src {
+            p.column_ordinals().for_each(&mut mark);
         }
-        for (src, _) in &order {
-            if let OrderKeySrc::Prog(p) = src {
-                p.column_ordinals().for_each(&mut mark);
-            }
+    }
+    let rep_cols: Vec<usize> = used
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &u)| u.then_some(i))
+        .collect();
+    // full ext ordinal -> compact ext ordinal
+    let mut compact = vec![usize::MAX; input_schema.len() + agg_names.len()];
+    for (ci, &full) in rep_cols.iter().enumerate() {
+        compact[full] = ci;
+    }
+    for (ai, slot) in compact.iter_mut().skip(input_schema.len()).enumerate() {
+        *slot = rep_cols.len() + ai;
+    }
+    let remap = |idx: usize| compact[idx];
+    for step in &mut items {
+        match step {
+            AggItemStep::Col(i) => *i = remap(*i),
+            AggItemStep::Prog(p) => p.remap_columns(&remap),
         }
-        rep_cols = used
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &u)| u.then_some(i))
-            .collect();
-        // full ext ordinal -> compact ext ordinal
-        let mut compact = vec![usize::MAX; input_schema.len() + agg_names.len()];
-        for (ci, &full) in rep_cols.iter().enumerate() {
-            compact[full] = ci;
-        }
-        for (ai, slot) in compact.iter_mut().skip(input_schema.len()).enumerate() {
-            *slot = rep_cols.len() + ai;
-        }
-        let remap = |idx: usize| compact[idx];
-        for step in &mut items {
-            match step {
-                AggItemStep::Col(i) => *i = remap(*i),
-                AggItemStep::Prog(p) => p.remap_columns(&remap),
-            }
-        }
-        if let Some(h) = &mut having {
-            h.remap_columns(&remap);
-        }
-        for (src, _) in &mut order {
-            if let OrderKeySrc::Prog(p) = src {
-                p.remap_columns(&remap);
-            }
+    }
+    if let Some(h) = &mut having {
+        h.remap_columns(&remap);
+    }
+    for (src, _) in &mut order {
+        if let OrderKeySrc::Prog(p) = src {
+            p.remap_columns(&remap);
         }
     }
 
@@ -914,7 +901,7 @@ fn exec_block(exec: &Executor<'_>, block: &BlockPlan) -> EngineResult<Frame> {
     let input = exec_node(exec, &block.input)?;
     let filtered = match &block.filter {
         Some(p) => {
-            let mask = p.eval_mask(&input, &input.schema, exec)?;
+            let mask = p.eval_mask(&input, exec)?;
             filter_rows_parallel(&input, &mask, ThreadPool::global())
         }
         None => input,
@@ -943,7 +930,7 @@ fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResu
                     out_arcs.push(work.column_arc(i));
                 }
             }
-            ProjStep::Prog(p) => out_arcs.push(p.eval(&work, &work.schema, exec)?.into_column_arc(n)),
+            ProjStep::Prog(p) => out_arcs.push(p.eval(&work, exec)?.into_column_arc(n)),
         }
     }
     let mut frame = Frame::from_arc_columns(body.declared_schema(&work.schema), out_arcs)?;
@@ -953,7 +940,7 @@ fn exec_plain(exec: &Executor<'_>, body: &PlainBody, input: Frame) -> EngineResu
     for (src, _) in &body.order {
         key_cols.push(match src {
             OrderKeySrc::OutCol(i) => frame.column_arc(*i),
-            OrderKeySrc::Prog(p) => p.eval(&work, &work.schema, exec)?.into_column_arc(n),
+            OrderKeySrc::Prog(p) => p.eval(&work, exec)?.into_column_arc(n),
         });
     }
     sort_distinct_tail(frame, key_cols, &body.order, body.distinct, body.limit, body.offset)
@@ -1009,7 +996,7 @@ fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<F
         let key_cols: Vec<Arc<ColumnData>> = body
             .group
             .iter()
-            .map(|p| Ok(p.eval(&input, &input.schema, exec)?.into_column_arc(n)))
+            .map(|p| Ok(p.eval(&input, exec)?.into_column_arc(n)))
             .collect::<EngineResult<_>>()?;
         group_rows(&key_cols, n)
     };
@@ -1017,7 +1004,7 @@ fn exec_agg(exec: &Executor<'_>, body: &AggBody, input: Frame) -> EngineResult<F
     // 2. batch-evaluate the aggregate arguments once over the input
     // (with zero groups nothing consumes them; programs never evaluate
     // over empty frames, so data-dependent errors stay silent there)
-    let arg_batches = eval_call_args(&body.calls, &input, &input.schema, exec)?;
+    let arg_batches = eval_call_args(&body.calls, &input, exec)?;
 
     // 3. accumulate per group (group-parallel over the pool); one value
     // column per aggregate call
@@ -1058,7 +1045,7 @@ fn agg_finalize(
             ext_all.select_rows(&kept)
         }
         (Some(h), None) => {
-            let mask = h.eval_mask(&ext_all, &ext_all.schema, exec)?;
+            let mask = h.eval_mask(&ext_all, exec)?;
             filter_rows_parallel(&ext_all, &mask, ThreadPool::global())
         }
         (None, _) => ext_all,
@@ -1070,7 +1057,7 @@ fn agg_finalize(
     for step in &body.items {
         match step {
             AggItemStep::Col(i) => out_arcs.push(ext.column_arc(*i)),
-            AggItemStep::Prog(p) => out_arcs.push(p.eval(&ext, &ext.schema, exec)?.into_column_arc(g)),
+            AggItemStep::Prog(p) => out_arcs.push(p.eval(&ext, exec)?.into_column_arc(g)),
         }
     }
     let mut out_schema = Schema::default();
@@ -1085,7 +1072,7 @@ fn agg_finalize(
     for (src, _) in &body.order {
         key_cols.push(match src {
             OrderKeySrc::OutCol(i) => frame.column_arc(*i),
-            OrderKeySrc::Prog(p) => p.eval(&ext, &ext.schema, exec)?.into_column_arc(g),
+            OrderKeySrc::Prog(p) => p.eval(&ext, exec)?.into_column_arc(g),
         });
     }
     sort_distinct_tail(frame, key_cols, &body.order, body.distinct, body.limit, body.offset)
@@ -1527,7 +1514,7 @@ fn compute_window_plan(
     let part_cols: Vec<Arc<ColumnData>> = plan
         .partition
         .iter()
-        .map(|p| Ok(p.eval(frame, &frame.schema, exec)?.into_column_arc(n)))
+        .map(|p| Ok(p.eval(frame, exec)?.into_column_arc(n)))
         .collect::<EngineResult<_>>()?;
     let grouping = if plan.partition.is_empty() {
         Grouping::single(n)
@@ -1538,7 +1525,7 @@ fn compute_window_plan(
     let key_cols: Vec<Arc<ColumnData>> = plan
         .order
         .iter()
-        .map(|(p, _)| Ok(p.eval(frame, &frame.schema, exec)?.into_column_arc(n)))
+        .map(|(p, _)| Ok(p.eval(frame, exec)?.into_column_arc(n)))
         .collect::<EngineResult<_>>()?;
     let orders: Vec<SortOrder> = plan.order.iter().map(|(_, o)| *o).collect();
     let args: Vec<Batch> = plan
@@ -1546,7 +1533,7 @@ fn compute_window_plan(
         .iter()
         .map(|a| match a {
             ArgStep::Star => Ok(Batch::Const(Value::Int(1))),
-            ArgStep::Prog(p) => p.eval(frame, &frame.schema, exec),
+            ArgStep::Prog(p) => p.eval(frame, exec),
         })
         .collect::<EngineResult<_>>()?;
     let views = key_views(&key_cols);

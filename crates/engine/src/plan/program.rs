@@ -2,33 +2,35 @@
 //! that replace per-tick AST walks.
 //!
 //! [`ExprProgram::compile`] binds an expression **once**: column
-//! references to ordinals of the input schema, (uncorrelated) scalar
-//! and `EXISTS` subqueries to sub-plans over the executor's catalog.
+//! references to ordinals of the input schema, scalar function calls
+//! to the dispatch table of [`crate::eval`] (an unknown name or a wrong
+//! arity is a compile error), and (uncorrelated) scalar and `EXISTS`
+//! subqueries to sub-plans over the executor's catalog.
 //! [`ExprProgram::eval`] runs each sub-plan once, then a small stack
 //! machine over [`Batch`] values on the dense kernels of
-//! [`crate::eval`] (numeric comparison / arithmetic, three-valued
-//! logic). It is the engine's only column-at-a-time expression
-//! evaluator, join predicates included. Two rules tie it to the
-//! row-level reference [`eval_expr`], which the proptest suite pins
-//! down: the machine evaluates sub-expressions eagerly, so where the
-//! row interpreter would have short-circuited past an erroring
-//! sub-expression (`AND`/`OR`, `CASE` branches, `IN` list tails, a
-//! failing subquery) any error makes it re-run row by row — the only
-//! run-time AST walk, which replays the sub-plan results — reproducing
-//! the reference result (or *which* error); and nothing is evaluated
-//! over an empty frame, so a data-dependent error never surfaces over
-//! zero rows.
+//! [`crate::eval`] (numeric comparison / arithmetic, `CLAMP`). It is
+//! the engine's only expression evaluator, join predicates included,
+//! and it never walks the AST. It is exact on its own against the
+//! row-level reference interpreter of [`crate::eval`], which the
+//! proptest suite pins down: an instruction whose kernel fails, or whose
+//! operands failed on some rows, runs row by row the way the reference
+//! does — `AND`/`OR`, `CASE` and `IN` read an operand only where the
+//! reference evaluates it — and records each failing row's error in a
+//! per-row record allocated on the first one. A program fails with the
+//! error of its lowest failing row, and nothing is evaluated over an
+//! empty frame, so a data-dependent error never surfaces over zero
+//! rows.
 
 use std::sync::Arc;
 
-use paradise_sql::ast::{BinaryOp, Expr, Query, UnaryOp};
+use paradise_sql::ast::{BinaryOp, Expr, UnaryOp};
 
 use super::{compile_query, exec_node, PNode};
 use crate::column::ColumnData;
 use crate::error::{EngineError, EngineResult};
 use crate::eval::{
-    and3, eval_binary_batch, eval_expr, eval_scalar_function_upper, eval_unary, ge3, le3,
-    literal_value, or3, scalar_subquery_value, to_bool3, Batch, EvalContext,
+    and3, eval_binary, eval_binary_batch, eval_scalar_function_upper, eval_unary, ge3, le3,
+    literal_value, or3, scalar_subquery_value, to_bool3, Batch,
 };
 use crate::exec::Executor;
 use crate::frame::Frame;
@@ -37,7 +39,7 @@ use crate::value::{DataType, Value};
 
 /// One stack-machine instruction; operands are pushed left-to-right in
 /// postorder, so every instruction pops its arguments off the top.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Instr {
     /// Push a constant.
     Const(Value),
@@ -48,7 +50,7 @@ enum Instr {
     /// Pop two, apply a (non-logic) binary operator via the dense batch
     /// kernels.
     Binary(BinaryOp),
-    /// Pop two, three-valued AND/OR (eager, like the batch evaluator).
+    /// Pop two, three-valued AND/OR.
     Logic { and: bool },
     /// Pop `argc` arguments, call a scalar function. The name is
     /// ASCII-uppercased at compile time so per-row dispatch never
@@ -63,50 +65,89 @@ enum Instr {
     /// Pop `len` list items, then the probe — IN (…).
     InList { negated: bool, len: usize },
     /// Pop else (if any), then `branches` (when, then) pairs, then the
-    /// operand (if any) — CASE, evaluated eagerly per row.
+    /// operand (if any) — CASE.
     Case { operand: bool, branches: usize, has_else: bool },
     /// Push the row-invariant value of bound subquery `index`: its
     /// scalar result, or whether `EXISTS` found a row.
     SubqueryConst(usize),
 }
 
-/// A bound `(SELECT …)` or `EXISTS (SELECT …)`: its sub-plan, and the
-/// AST the error fallback meets again.
+impl Instr {
+    /// How many operands the instruction pops.
+    fn arity(&self) -> usize {
+        match self {
+            Instr::Const(_) | Instr::Col(_) | Instr::SubqueryConst(_) => 0,
+            Instr::Unary(_) | Instr::IsNull { .. } | Instr::Cast { .. } => 1,
+            Instr::Binary(_) | Instr::Logic { .. } => 2,
+            Instr::Between { .. } => 3,
+            Instr::Call { argc, .. } => *argc,
+            Instr::InList { len, .. } => len + 1,
+            Instr::Case { operand, branches, has_else } => {
+                usize::from(*operand) + 2 * branches + usize::from(*has_else)
+            }
+        }
+    }
+}
+
+/// A bound `(SELECT …)` or `EXISTS (SELECT …)`: its sub-plan.
 #[derive(Debug, Clone)]
 struct Subquery {
     plan: PNode,
     exists: bool,
-    query: Query,
 }
 
 /// A compiled expression: pre-resolved ordinals, bound subqueries and
-/// an instruction buffer, with the original AST retained only for the
-/// error fall-back path.
+/// an instruction buffer.
 #[derive(Debug, Clone)]
 pub struct ExprProgram {
     instrs: Vec<Instr>,
     subqueries: Vec<Subquery>,
-    fallback: Expr,
+}
+
+/// One stack value: the batch, and the error of every row where it
+/// failed — `None` until the first, so an error-free batch allocates
+/// nothing. A failed row's value is NULL.
+struct Slot {
+    batch: Batch,
+    errs: Option<Vec<Option<EngineError>>>,
+}
+
+impl Slot {
+    /// Row `i`: its value, or the error it failed with.
+    fn at(&self, i: usize) -> EngineResult<Value> {
+        match self.errs.as_ref().and_then(|e| e[i].clone()) {
+            Some(e) => Err(e),
+            None => Ok(self.batch.value(i)),
+        }
+    }
 }
 
 impl ExprProgram {
     /// Compile `expr` against `schema`, binding its subqueries against
     /// `exec`'s catalog. Fails on unresolvable columns or tables (in
-    /// subqueries too), a scalar subquery of more than one column, and
-    /// constructs no scalar position accepts (bare `*`, window calls,
-    /// unknown cast targets) — static errors of the query.
+    /// subqueries too), unknown scalar functions and wrong arities, a
+    /// scalar subquery of more than one column, and constructs no
+    /// scalar position accepts (bare `*`, window calls, unknown cast
+    /// targets) — static errors of the query.
     pub fn compile(expr: &Expr, schema: &Schema, exec: &Executor<'_>) -> EngineResult<ExprProgram> {
-        let mut program =
-            ExprProgram { instrs: Vec::new(), subqueries: Vec::new(), fallback: expr.clone() };
+        let mut program = ExprProgram { instrs: Vec::new(), subqueries: Vec::new() };
         program.push_expr(expr, schema, exec)?;
         Ok(program)
     }
 
-    /// The AST the program was compiled from. Aggregation uses it to
-    /// recognise calls whose argument expressions are identical and
-    /// evaluate them once per batch.
-    pub(crate) fn source(&self) -> &Expr {
-        &self.fallback
+    /// Whether `other` computes the same values: the same instructions
+    /// and no subquery. Aggregation uses it to evaluate identical
+    /// aggregate arguments once per batch.
+    pub(crate) fn same_as(&self, other: &ExprProgram) -> bool {
+        let same = |a: &Instr, b: &Instr| match (a, b) {
+            // `Value` equality is numeric (1 = 1.0); a constant's type counts too
+            (Instr::Const(x), Instr::Const(y)) => x.data_type() == y.data_type() && x == y,
+            _ => a == b,
+        };
+        self.subqueries.is_empty()
+            && other.subqueries.is_empty()
+            && self.instrs.len() == other.instrs.len()
+            && self.instrs.iter().zip(&other.instrs).all(|(a, b)| same(a, b))
     }
 
     /// Column ordinals the program reads.
@@ -118,9 +159,7 @@ impl ExprProgram {
     }
 
     /// Rewrite every column ordinal through `map` (used when the input
-    /// frame is narrowed to the referenced columns). The caller must
-    /// ensure the fallback expression still resolves by name against
-    /// the narrowed schema.
+    /// frame is narrowed to the referenced columns).
     pub(crate) fn remap_columns(&mut self, map: &dyn Fn(usize) -> usize) {
         for i in &mut self.instrs {
             if let Instr::Col(c) = i {
@@ -158,13 +197,18 @@ impl ExprProgram {
                         "window function outside the executor's window stage".into(),
                     ));
                 }
+                let (name, argc) = (call.name.to_ascii_uppercase(), call.args.len());
+                // bind name and arity against the one dispatch table:
+                // over NULL arguments every known function answers NULL
+                if let Err(e @ (EngineError::UnknownFunction(_) | EngineError::WrongArity { .. })) =
+                    eval_scalar_function_upper(&name, &vec![Value::Null; argc])
+                {
+                    return Err(e);
+                }
                 for a in &call.args {
                     self.push_expr(a, schema, exec)?;
                 }
-                self.instrs.push(Instr::Call {
-                    name: call.name.to_ascii_uppercase(),
-                    argc: call.args.len(),
-                });
+                self.instrs.push(Instr::Call { name, argc });
             }
             Expr::Case { operand, branches, else_result } => {
                 if let Some(op) = operand {
@@ -216,7 +260,7 @@ impl ExprProgram {
                     ));
                 }
                 self.instrs.push(Instr::SubqueryConst(self.subqueries.len()));
-                self.subqueries.push(Subquery { plan, exists, query: (**query).clone() });
+                self.subqueries.push(Subquery { plan, exists });
             }
         }
         Ok(())
@@ -224,263 +268,215 @@ impl ExprProgram {
 
     /// Evaluate over every row of `frame`, column-at-a-time, running
     /// the bound subqueries on `exec` once. Nothing is evaluated over an
-    /// empty frame, and any stack-machine error falls back to the row
-    /// interpreter so the reference error (or result) surfaces; the
-    /// fallback resolves names against `schema` (the frame's own, or
-    /// the plan's qualified view of it).
-    pub fn eval(&self, frame: &Frame, schema: &Schema, exec: &Executor<'_>) -> EngineResult<Batch> {
-        if frame.is_empty() {
-            return Ok(Batch::Col(Arc::new(ColumnData::empty(DataType::Float))));
-        }
-        let results: Vec<EngineResult<Frame>> =
-            self.subqueries.iter().map(|s| exec_node(exec, &s.plan)).collect();
-        match self.run(frame, &results) {
-            Ok(batch) => Ok(batch),
-            Err(_) => {
-                // the row interpreter evaluates a subquery where the
-                // reference would: it replays this evaluation's result
-                let replay = |query: &Query| {
-                    let at = self.subqueries.iter().position(|s| s.query == *query);
-                    results[at.expect("the fallback's subqueries are the program's")].clone()
-                };
-                let ctx = EvalContext { schema, subquery: Some(&replay) };
-                let mut out = ColumnData::with_capacity(DataType::Float, frame.len());
-                for i in 0..frame.len() {
-                    let row = frame.row(i);
-                    out.push(eval_expr(&self.fallback, &row, &ctx)?);
-                }
-                Ok(Batch::Col(Arc::new(out)))
-            }
+    /// empty frame; otherwise the result is the reference's, or the
+    /// error of the lowest failing row.
+    pub fn eval(&self, frame: &Frame, exec: &Executor<'_>) -> EngineResult<Batch> {
+        let Slot { batch, errs } = self.run(frame, exec);
+        match errs.into_iter().flatten().flatten().next() {
+            Some(e) => Err(e),
+            None => Ok(batch),
         }
     }
 
     /// Evaluate as a filter predicate: one `bool` per row, NULL counts
-    /// as false (the `WHERE`/`HAVING`/`ON` semantics).
-    pub fn eval_mask(
-        &self,
-        frame: &Frame,
-        schema: &Schema,
-        exec: &Executor<'_>,
-    ) -> EngineResult<Vec<bool>> {
+    /// as false (the `WHERE`/`HAVING`/`ON` semantics). A row fails with
+    /// its evaluation error or, failing that, a non-boolean value; the
+    /// lowest failing row's error is the predicate's.
+    pub fn eval_mask(&self, frame: &Frame, exec: &Executor<'_>) -> EngineResult<Vec<bool>> {
         let n = frame.len();
-        match self.eval(frame, schema, exec)? {
-            Batch::Const(v) => {
-                let keep = to_bool3(&v)?.unwrap_or(false);
-                Ok(vec![keep; n])
-            }
-            Batch::Col(c) => {
-                if let Some(bools) = c.bool_slice() {
-                    return Ok(bools.iter().map(|b| b.unwrap_or(false)).collect());
+        let slot = self.run(frame, exec);
+        if slot.errs.is_none() {
+            match &slot.batch {
+                Batch::Const(v) => return Ok(vec![to_bool3(v)?.unwrap_or(false); n]),
+                Batch::Col(c) => {
+                    if let Some(bools) = c.bool_slice() {
+                        return Ok(bools.iter().map(|b| b.unwrap_or(false)).collect());
+                    }
                 }
-                let mut mask = Vec::with_capacity(n);
-                for i in 0..n {
-                    mask.push(to_bool3(&c.value(i))?.unwrap_or(false));
-                }
-                Ok(mask)
             }
         }
+        (0..n).map(|i| Ok(to_bool3(&slot.at(i)?)?.unwrap_or(false))).collect()
     }
 
-    fn run(&self, frame: &Frame, subqueries: &[EngineResult<Frame>]) -> EngineResult<Batch> {
+    /// The stack machine, after running the bound subqueries once (over
+    /// an empty frame, nothing runs). An instruction over error-free
+    /// operands tries its batch form — a constant, a dense kernel — and
+    /// otherwise (or when that fails) runs row by row, exactly. Returns
+    /// the top of the stack with its per-row errors.
+    fn run(&self, frame: &Frame, exec: &Executor<'_>) -> Slot {
         let n = frame.len();
-        let mut stack: Vec<Batch> = Vec::with_capacity(8);
+        if n == 0 {
+            let batch = Batch::Col(Arc::new(ColumnData::empty(DataType::Float)));
+            return Slot { batch, errs: None };
+        }
+        let subqueries: Vec<EngineResult<Frame>> =
+            self.subqueries.iter().map(|s| exec_node(exec, &s.plan)).collect();
+        let mut stack: Vec<Slot> = Vec::with_capacity(8);
         for instr in &self.instrs {
-            match instr {
-                Instr::Const(v) => stack.push(Batch::Const(v.clone())),
-                Instr::Col(idx) => stack.push(Batch::Col(frame.column_arc(*idx))),
-                Instr::Unary(op) => {
-                    let v = stack.pop().expect("program stack");
-                    stack.push(match v {
-                        Batch::Const(v) => Batch::Const(eval_unary(*op, v)?),
-                        Batch::Col(c) => {
-                            let hint = c.data_type().unwrap_or(DataType::Float);
-                            let mut out = ColumnData::with_capacity(hint, n);
-                            for i in 0..n {
-                                out.push(eval_unary(*op, c.value(i))?);
-                            }
-                            Batch::Col(Arc::new(out))
-                        }
-                    });
-                }
+            let base = stack.len() - instr.arity();
+            let args = &stack[base..];
+            let clean = args.iter().all(|a| a.errs.is_none());
+            let consts = args.iter().all(|a| matches!(a.batch, Batch::Const(_)));
+            let batch = match instr {
+                Instr::Const(v) => Some(Batch::Const(v.clone())),
+                Instr::Col(idx) => Some(Batch::Col(frame.column_arc(*idx))),
+                _ if !clean => None,
                 Instr::Binary(op) => {
-                    let r = stack.pop().expect("program stack");
-                    let l = stack.pop().expect("program stack");
-                    stack.push(eval_binary_batch(l, *op, r, n)?);
+                    let (l, r) = (args[0].batch.clone(), args[1].batch.clone());
+                    eval_binary_batch(l, *op, r, n).ok()
                 }
-                Instr::Logic { and } => {
-                    let r = stack.pop().expect("program stack");
-                    let l = stack.pop().expect("program stack");
-                    if let (Batch::Const(a), Batch::Const(b)) = (&l, &r) {
-                        let out = if *and {
-                            and3(to_bool3(a)?, to_bool3(b)?)
-                        } else {
-                            or3(to_bool3(a)?, to_bool3(b)?)
-                        };
-                        stack.push(Batch::Const(out.map(Value::Bool).unwrap_or(Value::Null)));
-                        continue;
-                    }
-                    let mut out = ColumnData::with_capacity(DataType::Boolean, n);
-                    for i in 0..n {
-                        let a = to_bool3(&l.value(i))?;
-                        let b = to_bool3(&r.value(i))?;
-                        let v = if *and { and3(a, b) } else { or3(a, b) };
-                        out.push(v.map(Value::Bool).unwrap_or(Value::Null));
-                    }
-                    stack.push(Batch::Col(Arc::new(out)));
+                Instr::Between { .. } | Instr::InList { .. } | Instr::Case { .. } => None,
+                _ if consts => {
+                    let v = self.row(instr, &|k| Ok(args[k].batch.value(0)), &subqueries);
+                    v.ok().map(Batch::Const)
                 }
-                Instr::Call { name, argc } => {
-                    let args = split_off(&mut stack, *argc);
-                    if args.iter().all(|a| matches!(a, Batch::Const(_))) {
-                        let vals: Vec<Value> = args.iter().map(|a| a.value(0)).collect();
-                        stack.push(Batch::Const(eval_scalar_function_upper(name, &vals)?));
-                        continue;
-                    }
-                    // Dense path for `CLAMP(col, lo, hi)` — the shape
-                    // the DP rewrite lowers every clamped aggregate
-                    // argument to, so on noisy handles it runs once per
-                    // ingested (and retracted) row.
-                    if name == "CLAMP" && args.len() == 3 {
-                        if let Some(col) = clamp_dense(&args, n) {
-                            stack.push(Batch::Col(Arc::new(col)));
-                            continue;
-                        }
-                    }
-                    let mut out = ColumnData::with_capacity(DataType::Float, n);
-                    let mut vals: Vec<Value> = Vec::with_capacity(args.len());
-                    for i in 0..n {
-                        vals.clear();
-                        vals.extend(args.iter().map(|a| a.value(i)));
-                        out.push(eval_scalar_function_upper(name, &vals)?);
-                    }
-                    stack.push(Batch::Col(Arc::new(out)));
-                }
-                Instr::IsNull { negated } => {
-                    let v = stack.pop().expect("program stack");
-                    stack.push(match v {
-                        Batch::Const(v) => Batch::Const(Value::Bool(v.is_null() != *negated)),
-                        Batch::Col(c) => {
-                            let mut out = ColumnData::with_capacity(DataType::Boolean, n);
-                            for i in 0..n {
-                                out.push(Value::Bool(c.is_null(i) != *negated));
-                            }
-                            Batch::Col(Arc::new(out))
-                        }
-                    });
-                }
-                Instr::Cast { target } => {
-                    let v = stack.pop().expect("program stack");
-                    stack.push(match v {
-                        Batch::Const(v) => Batch::Const(v.cast(*target)?),
-                        Batch::Col(c) => {
-                            let mut out = ColumnData::with_capacity(*target, n);
-                            for i in 0..n {
-                                out.push(c.value(i).cast(*target)?);
-                            }
-                            Batch::Col(Arc::new(out))
-                        }
-                    });
-                }
-                Instr::Between { negated } => {
-                    let hi = stack.pop().expect("program stack");
-                    let lo = stack.pop().expect("program stack");
-                    let v = stack.pop().expect("program stack");
-                    let mut out = ColumnData::with_capacity(DataType::Boolean, n);
-                    for i in 0..n {
-                        let x = v.value(i);
-                        let ge = ge3(&x, &lo.value(i));
-                        let le = le3(&x, &hi.value(i));
-                        out.push(match and3(ge, le) {
-                            Some(b) => Value::Bool(b != *negated),
-                            None => Value::Null,
-                        });
-                    }
-                    stack.push(Batch::Col(Arc::new(out)));
-                }
-                Instr::InList { negated, len } => {
-                    let items = split_off(&mut stack, *len);
-                    let v = stack.pop().expect("program stack");
-                    let mut out = ColumnData::with_capacity(DataType::Boolean, n);
-                    for i in 0..n {
-                        let x = v.value(i);
-                        let mut saw_null = false;
-                        let mut hit = false;
-                        for item in &items {
-                            match x.sql_eq(&item.value(i)) {
-                                Some(true) => {
-                                    hit = true;
-                                    break;
-                                }
-                                Some(false) => {}
-                                None => saw_null = true,
-                            }
-                        }
-                        out.push(if hit {
-                            Value::Bool(!*negated)
-                        } else if saw_null {
-                            Value::Null
-                        } else {
-                            Value::Bool(*negated)
-                        });
-                    }
-                    stack.push(Batch::Col(Arc::new(out)));
-                }
-                Instr::Case { operand, branches, has_else } => {
-                    let else_b = if *has_else { stack.pop() } else { None };
-                    let pairs = split_off(&mut stack, branches * 2);
-                    let op_b = if *operand { stack.pop() } else { None };
-                    // pairs is [when0, then0, when1, then1, …]
-                    let mut whens = Vec::with_capacity(*branches);
-                    let mut thens = Vec::with_capacity(*branches);
-                    for pair in pairs.chunks(2) {
-                        whens.push(pair[0].clone());
-                        thens.push(pair[1].clone());
-                    }
-                    let mut out = ColumnData::with_capacity(DataType::Float, n);
-                    for i in 0..n {
-                        let mut chosen: Option<Value> = None;
-                        match &op_b {
-                            Some(op) => {
-                                let ov = op.value(i);
-                                for (w, t) in whens.iter().zip(&thens) {
-                                    if ov.sql_eq(&w.value(i)) == Some(true) {
-                                        chosen = Some(t.value(i));
-                                        break;
-                                    }
-                                }
-                            }
-                            None => {
-                                for (w, t) in whens.iter().zip(&thens) {
-                                    if to_bool3(&w.value(i))?.unwrap_or(false) {
-                                        chosen = Some(t.value(i));
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        let v = chosen.unwrap_or_else(|| {
-                            else_b.as_ref().map(|e| e.value(i)).unwrap_or(Value::Null)
-                        });
-                        out.push(v);
-                    }
-                    stack.push(Batch::Col(Arc::new(out)));
-                }
-                Instr::SubqueryConst(at) => {
-                    let result = subqueries[*at].as_ref().map_err(Clone::clone)?;
-                    stack.push(Batch::Const(if self.subqueries[*at].exists {
-                        Value::Bool(!result.is_empty())
-                    } else {
-                        scalar_subquery_value(result)?
-                    }));
+                Instr::Call { name, .. } => call_dense(name, args, n),
+                _ => None,
+            };
+            let slot = match batch {
+                Some(batch) => Slot { batch, errs: None },
+                None => self.per_row(instr, args, n, &subqueries),
+            };
+            stack.truncate(base);
+            stack.push(slot);
+        }
+        stack.pop().expect("program leaves one result")
+    }
+
+    /// Run `instr` row by row: a row's value, or the error it fails with.
+    fn per_row(
+        &self,
+        instr: &Instr,
+        args: &[Slot],
+        n: usize,
+        subqueries: &[EngineResult<Frame>],
+    ) -> Slot {
+        let hint = match (instr, args.first().map(|a| &a.batch)) {
+            (Instr::Unary(_), Some(Batch::Col(c))) => c.data_type().unwrap_or(DataType::Float),
+            (Instr::Cast { target }, _) => *target,
+            (Instr::Logic { .. } | Instr::IsNull { .. }, _)
+            | (Instr::Between { .. } | Instr::InList { .. }, _) => DataType::Boolean,
+            _ => DataType::Float,
+        };
+        let mut out = ColumnData::with_capacity(hint, n);
+        let mut errs: Option<Vec<Option<EngineError>>> = None;
+        for i in 0..n {
+            match self.row(instr, &|k| args[k].at(i), subqueries) {
+                Ok(v) => out.push(v),
+                Err(e) => {
+                    out.push(Value::Null);
+                    errs.get_or_insert_with(|| vec![None; n])[i] = Some(e);
                 }
             }
         }
-        Ok(stack.pop().expect("program leaves one result"))
+        Slot { batch: Batch::Col(Arc::new(out)), errs }
+    }
+
+    /// `instr` at one row, the way the reference evaluates it: `arg(k)`
+    /// is operand `k` there (its value, or the error it failed with),
+    /// asked for only where the reference evaluates that operand.
+    fn row(
+        &self,
+        instr: &Instr,
+        arg: &dyn Fn(usize) -> EngineResult<Value>,
+        subqueries: &[EngineResult<Frame>],
+    ) -> EngineResult<Value> {
+        Ok(match instr {
+            Instr::Const(_) | Instr::Col(_) => unreachable!("operands never fail"),
+            Instr::Unary(op) => eval_unary(*op, arg(0)?)?,
+            Instr::Binary(op) => eval_binary(arg(0)?, *op, arg(1)?)?,
+            Instr::Logic { and } => {
+                // a decisive left side skips the right one
+                let a = to_bool3(&arg(0)?)?;
+                if a == Some(!and) {
+                    return Ok(Value::Bool(!and));
+                }
+                let b = to_bool3(&arg(1)?)?;
+                let v = if *and { and3(a, b) } else { or3(a, b) };
+                v.map(Value::Bool).unwrap_or(Value::Null)
+            }
+            Instr::Call { name, argc } => {
+                let vals = (0..*argc).map(arg).collect::<EngineResult<Vec<_>>>()?;
+                eval_scalar_function_upper(name, &vals)?
+            }
+            Instr::IsNull { negated } => Value::Bool(arg(0)?.is_null() != *negated),
+            Instr::Cast { target } => arg(0)?.cast(*target)?,
+            Instr::Between { negated } => {
+                let (x, lo, hi) = (arg(0)?, arg(1)?, arg(2)?);
+                match and3(ge3(&x, &lo), le3(&x, &hi)) {
+                    Some(b) => Value::Bool(b != *negated),
+                    None => Value::Null,
+                }
+            }
+            Instr::InList { negated, len } => {
+                // the first hit ends the scan of the list
+                let x = arg(0)?;
+                let mut saw_null = false;
+                for k in 1..=*len {
+                    match x.sql_eq(&arg(k)?) {
+                        Some(true) => return Ok(Value::Bool(!*negated)),
+                        Some(false) => {}
+                        None => saw_null = true,
+                    }
+                }
+                if saw_null {
+                    Value::Null
+                } else {
+                    Value::Bool(*negated)
+                }
+            }
+            Instr::Case { operand, branches, has_else } => {
+                // operands: [operand], when0, then0, when1, then1, …, [else];
+                // only the taken branch's THEN is evaluated
+                let first = usize::from(*operand);
+                let probe = if *operand { Some(arg(0)?) } else { None };
+                for b in 0..*branches {
+                    let when = arg(first + 2 * b)?;
+                    let hit = match &probe {
+                        Some(p) => p.sql_eq(&when) == Some(true),
+                        None => to_bool3(&when)?.unwrap_or(false),
+                    };
+                    if hit {
+                        return arg(first + 2 * b + 1);
+                    }
+                }
+                if *has_else {
+                    arg(first + 2 * branches)?
+                } else {
+                    Value::Null
+                }
+            }
+            Instr::SubqueryConst(at) => {
+                let result = subqueries[*at].as_ref().map_err(Clone::clone)?;
+                if self.subqueries[*at].exists {
+                    Value::Bool(!result.is_empty())
+                } else {
+                    scalar_subquery_value(result)?
+                }
+            }
+        })
     }
 }
 
-/// Pop the top `count` batches, preserving their push order.
-fn split_off(stack: &mut Vec<Batch>, count: usize) -> Vec<Batch> {
-    stack.split_off(stack.len() - count)
+/// A scalar call over error-free operands, column-at-a-time: dense
+/// `CLAMP(col, lo, hi)` — the shape the DP rewrite lowers every clamped
+/// aggregate argument to, so on noisy handles it runs once per ingested
+/// (and retracted) row — else a per-row loop that reuses its argument
+/// buffer. `None` when a row fails.
+fn call_dense(name: &str, args: &[Slot], n: usize) -> Option<Batch> {
+    if name == "CLAMP" && args.len() == 3 {
+        if let Some(col) = clamp_dense(args, n) {
+            return Some(Batch::Col(Arc::new(col)));
+        }
+    }
+    let mut out = ColumnData::with_capacity(DataType::Float, n);
+    let mut vals: Vec<Value> = Vec::with_capacity(args.len());
+    for i in 0..n {
+        vals.clear();
+        vals.extend(args.iter().map(|a| a.batch.value(i)));
+        out.push(eval_scalar_function_upper(name, &vals).ok()?);
+    }
+    Some(Batch::Col(Arc::new(out)))
 }
 
 /// Column-dense `CLAMP(col, lo, hi)`. Mirrors the scalar function's
@@ -489,12 +485,12 @@ fn split_off(stack: &mut Vec<Batch>, count: usize) -> Vec<Batch> {
 /// type — without building a per-row `Value` argument vector. Returns
 /// `None` (generic per-row path) for non-numeric columns or non-const
 /// bounds.
-fn clamp_dense(args: &[Batch], n: usize) -> Option<ColumnData> {
-    let (lo, hi) = match (&args[1], &args[2]) {
+fn clamp_dense(args: &[Slot], n: usize) -> Option<ColumnData> {
+    let (lo, hi) = match (&args[1].batch, &args[2].batch) {
         (Batch::Const(lo), Batch::Const(hi)) => (lo.as_f64()?, hi.as_f64()?),
         _ => return None,
     };
-    let Batch::Col(c) = &args[0] else { return None };
+    let Batch::Col(c) = &args[0].batch else { return None };
     let mut out = ColumnData::with_capacity(DataType::Float, n);
     if let Some(xs) = c.float_slice() {
         for x in xs {
@@ -524,6 +520,7 @@ fn clamp_dense(args: &[Batch], n: usize) -> Option<ColumnData> {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
+    use crate::eval::{eval_expr, eval_predicate, EvalContext};
     use paradise_sql::parse_expr;
 
     fn frame() -> Frame {
@@ -545,7 +542,8 @@ mod tests {
     }
 
     /// The program over the whole frame equals the row interpreter
-    /// applied to every row.
+    /// applied to every row, or fails with the error of the lowest row
+    /// the interpreter fails on — as a value and as a predicate.
     fn check(src: &str) {
         let e = parse_expr(src).unwrap();
         let f = frame();
@@ -553,10 +551,23 @@ mod tests {
         let catalog = Catalog::new();
         let exec = Executor::new(&catalog);
         let program = ExprProgram::compile(&e, &f.schema, &exec).unwrap();
-        let compiled = program.eval(&f, &f.schema, &exec).unwrap();
-        for i in 0..f.len() {
-            let reference = eval_expr(&e, &f.row(i), &ctx).unwrap();
-            assert_eq!(compiled.value(i), reference, "row {i} of {src}");
+        let reference: EngineResult<Vec<Value>> =
+            (0..f.len()).map(|i| eval_expr(&e, &f.row(i), &ctx)).collect();
+        match (program.eval(&f, &exec), reference) {
+            (Ok(compiled), Ok(rows)) => {
+                for (i, expected) in rows.into_iter().enumerate() {
+                    assert_eq!(compiled.value(i), expected, "row {i} of {src}");
+                }
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{src}"),
+            other => panic!("program and interpreter disagree for {src}: {other:?}"),
+        }
+        let reference: EngineResult<Vec<bool>> =
+            (0..f.len()).map(|i| eval_predicate(&e, &f.row(i), &ctx)).collect();
+        match (program.eval_mask(&f, &exec), reference) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "mask of {src}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "mask of {src}"),
+            other => panic!("mask and interpreter disagree for {src}: {other:?}"),
         }
     }
 
@@ -579,6 +590,17 @@ mod tests {
             "-x",
             "name LIKE 'a%'",
             "1 + 2 * 3",
+            // operands the reference never evaluates must not fail a row
+            "CASE WHEN t > 5 THEN name + 1 ELSE x END",
+            "CASE t WHEN 2 THEN -name ELSE t END",
+            "t IN (1, 2, 3, name + 1)",
+            "t > 0 OR name > 5",
+            // row 2 reaches `name > 5` (x is NULL there)
+            "x > 0 OR name > 5",
+            // row 2 fails in `-name`, row 0 in the later `t + name`: row 0's error wins
+            "CASE WHEN t = 3 THEN -name WHEN t = 1 THEN t + name END",
+            // as a predicate, row 0's non-boolean 5 fails before row 2's `name + 1`
+            "CASE WHEN t = 1 THEN 5 ELSE name + 1 END",
         ] {
             check(src);
         }
@@ -599,13 +621,13 @@ mod tests {
     fn error_fallback_reproduces_row_semantics() {
         // `name > 5` is a type error wherever it is evaluated; the row
         // interpreter short-circuits past it (`t < 0` is false on every
-        // row), the eager stack machine does not
+        // row), and so does the bare stack machine
         let src = "t < 0 AND name > 5";
         let f = frame();
         let catalog = Catalog::new();
         let exec = Executor::new(&catalog);
         let program = ExprProgram::compile(&parse_expr(src).unwrap(), &f.schema, &exec).unwrap();
-        assert!(program.run(&f, &[]).is_err());
+        assert!(program.run(&f, &exec).errs.is_none());
         check(src);
     }
 
@@ -616,7 +638,7 @@ mod tests {
         let catalog = Catalog::new();
         let exec = Executor::new(&catalog);
         let program = ExprProgram::compile(&e, &f.schema, &exec).unwrap();
-        assert_eq!(program.eval_mask(&f, &f.schema, &exec).unwrap(), vec![false, true, false]);
+        assert_eq!(program.eval_mask(&f, &exec).unwrap(), vec![false, true, false]);
     }
 
     #[test]
@@ -627,6 +649,6 @@ mod tests {
         let catalog = Catalog::new();
         let exec = Executor::new(&catalog);
         let program = ExprProgram::compile(&e, &f.schema, &exec).unwrap();
-        assert!(program.eval(&f, &f.schema, &exec).is_ok());
+        assert!(program.eval(&f, &exec).is_ok());
     }
 }

@@ -224,7 +224,7 @@ impl GroupedState {
             if let Some((evicted, input)) = retract {
                 self.row_groups.drain(..evicted as usize);
                 self.evicted += evicted;
-                retracted = gs.retract(body, plan, exec, input, self.evicted, &self.row_groups)?;
+                retracted = gs.retract(body, exec, input, self.evicted, &self.row_groups)?;
             }
             let (fd, positions) = filter_positions(plan, delta, exec, base)?;
             // global aggregation rebuilds on an eviction: no record
@@ -235,7 +235,7 @@ impl GroupedState {
                     Track::Rows(&mut self.row_groups, self.evicted)
                 }
             };
-            fold_grouped(body, gs, &fd, &plan.in_schema, exec, &positions, track)?;
+            fold_grouped(body, gs, &fd, exec, &positions, track)?;
             return Ok((gs, retracted.0, retracted.1));
         };
         debug_assert!(retract.is_none(), "a partitioned state rebuilds on an eviction");
@@ -290,7 +290,7 @@ fn fold_shard(
     let mut positions: Vec<u64> = bucket.iter().map(|&i| base + i as u64).collect();
     let fd = match &plan.filter {
         Some(p) => {
-            let mask = p.eval_mask(&sub, &plan.in_schema, exec)?;
+            let mask = p.eval_mask(&sub, exec)?;
             let mut kept = Vec::with_capacity(positions.len());
             for (&pos, &keep) in positions.iter().zip(&mask) {
                 if keep {
@@ -302,7 +302,7 @@ fn fold_shard(
         }
         None => sub,
     };
-    fold_grouped(body, gs, &fd, &plan.in_schema, exec, &positions, Track::NewKeys)
+    fold_grouped(body, gs, &fd, exec, &positions, Track::NewKeys)
 }
 
 impl MergedGroups {

@@ -550,6 +550,8 @@ fn static_errors_surface_at_compile() {
         ("SELECT x FROM d WHERE y > 1", "unknown column \"y\""),
         ("SELECT nope(x) OVER () FROM d", "unknown function \"nope OVER\""),
         ("SELECT x, SUM(x, x) FROM d GROUP BY x", "SUM expects 1 argument(s), got 2"),
+        ("SELECT nope(x) FROM d", "unknown function \"NOPE\""),
+        ("SELECT ABS(x, x) FROM d", "ABS expects 1 argument(s), got 2"),
         (
             "SELECT x FROM d UNION SELECT x, x FROM d",
             "unsupported: UNION branches have different widths (1 vs 2)",
@@ -709,6 +711,9 @@ fn compiled_plans_match_the_oracle() {
         "SELECT x, t FROM stream WHERE t < 3 UNION ALL SELECT y, t FROM stream WHERE t < 2 UNION SELECT 1, 1",
         "SELECT s.* FROM (SELECT x, y FROM stream UNION SELECT y, x FROM stream) AS s ORDER BY 1, 2",
         "SELECT t FROM stream WHERE z > (SELECT AVG(z) FROM stream) AND EXISTS (SELECT 1 FROM stream)",
+        // both inputs name their columns x, y, z, t: the grouped stage
+        // still prunes its representative columns
+        "SELECT a.x, SUM(b.t) FROM stream a JOIN stream b ON a.x = b.x GROUP BY a.x",
     ] {
         let query = parse_query(sql).unwrap();
         let plan = exec.compile(&query).unwrap_or_else(|e| panic!("{sql}: {e}"));

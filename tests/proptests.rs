@@ -10,7 +10,7 @@ use paradise::anon::{achieved_k, direct_distance, mondrian, slice, SlicingConfig
 use paradise::core::fragment_query;
 use paradise::prelude::*;
 use paradise::sql::ast::{
-    BinaryOp, ColumnRef, Expr, Literal, Query, SelectItem, TableRef,
+    BinaryOp, CaseBranch, ColumnRef, Expr, Literal, Query, SelectItem, TableRef,
 };
 
 // ---------------------------------------------------------------------
@@ -335,6 +335,25 @@ fn arb_stream_expr() -> impl Strategy<Value = Expr> {
             inner
                 .clone()
                 .prop_map(|e| Expr::IsNull { expr: Box::new(e), negated: false }),
+            // the operators whose operands the row interpreter may skip
+            (inner.clone(), inner.clone()).prop_map(|(l, r)| Expr::binary(l, BinaryOp::Or, r)),
+            (proptest::collection::vec((inner.clone(), inner.clone()), 1..3), inner.clone())
+                .prop_map(|(branches, e)| Expr::Case {
+                    operand: None,
+                    branches: branches
+                        .into_iter()
+                        .map(|(when, then)| CaseBranch { when, then })
+                        .collect(),
+                    else_result: Some(Box::new(e)),
+                }),
+            (inner.clone(), proptest::collection::vec(inner.clone(), 1..4))
+                .prop_map(|(e, list)| Expr::InList { expr: Box::new(e), list, negated: false }),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(e, low, high)| Expr::Between {
+                expr: Box::new(e),
+                low: Box::new(low),
+                high: Box::new(high),
+                negated: false,
+            }),
         ]
     })
 }
@@ -393,7 +412,7 @@ proptest! {
         // failing with the first row's error
         let reference: Result<Vec<Value>, _> =
             frame.iter_rows().map(|row| eval_expr(&e, &row, &ctx)).collect();
-        match (program.eval(&frame, &frame.schema, &exec), reference) {
+        match (program.eval(&frame, &exec), reference) {
             (Ok(a), Ok(b)) => {
                 for (i, expected) in b.into_iter().enumerate() {
                     prop_assert_eq!(a.value(i), expected, "row {} of {}", i, e);
