@@ -5,8 +5,26 @@
 //! range/set. [`mondrian`] accepts a half of ≥ k rows; the l-diverse
 //! variant ([`crate::ldiv::mondrian_l_diverse`]) runs the same split
 //! and also asks for ≥ l distinct sensitive values.
+//!
+//! One release costs O(rows · QIDs) per level of the split tree and
+//! sorts nothing. Each QID column is read once into an `f64` view (NaN
+//! marks a cell that is no number; a real NaN is rejected up front).
+//! Partitions are ranges of one row-order buffer: a split finds its
+//! median by selection (`select_nth_unstable_by`), not by a sort, and
+//! partitions its range stably in place through one reused scratch
+//! buffer, left half before right. The QID ranges a split measures are
+//! kept for its leaves.
+//! Recoding formats one label per partition and QID and writes each
+//! recoded column in one pass ([`ColumnData::relabeled`]). A
+//! categorical QID is rendered once per distinct value of a partition
+//! ([`ColumnData::dense_ids`] and a stamp array), except in float and
+//! mixed columns, whose cells render once per row: there one group can
+//! hold cells that print differently (`2` and `2.0`, `-0.0` and `0.0`).
 
-use paradise_engine::{ColumnData, Frame, Value};
+use std::fmt::Write as _;
+use std::ops::Range;
+
+use paradise_engine::{ColumnData, DenseIds, Frame};
 
 use crate::error::{AnonError, AnonResult};
 
@@ -34,7 +52,7 @@ pub fn mondrian(frame: &Frame, qid_columns: &[usize], k: usize) -> AnonResult<Fr
             k
         )));
     }
-    partition_and_recode(frame, qid_columns, k, &|_| true)
+    partition_and_recode(frame, qid_columns, k, &mut |_| true)
 }
 
 /// The Mondrian run shared by k-anonymity and l-diversity: reject a
@@ -44,172 +62,235 @@ pub(crate) fn partition_and_recode(
     frame: &Frame,
     qids: &[usize],
     k: usize,
-    accept: &dyn Fn(&[usize]) -> bool,
+    accept: &mut dyn FnMut(&[u32]) -> bool,
 ) -> AnonResult<Frame> {
-    for &c in qids {
-        let col = frame.column(c);
-        if (0..col.len()).any(|ri| col.as_f64(ri).is_some_and(f64::is_nan)) {
-            return Err(AnonError::NotANumber { column: c });
-        }
-    }
-    let mut partitions: Vec<Vec<usize>> = Vec::new();
-    split(frame, qids, k, accept, (0..frame.len()).collect(), &mut partitions);
-    let mut anonymized = frame.clone();
-    for part in &partitions {
-        recode_partition(&mut anonymized, qids, part);
-    }
-    Ok(anonymized)
+    let numbers =
+        qids.iter().map(|&c| numeric_view(frame.column(c), c)).collect::<AnonResult<Vec<_>>>()?;
+    let partitions = Partitions::split(&numbers, frame.len(), k, accept);
+    Ok(partitions.recode(frame, qids))
 }
 
-fn split(
-    frame: &Frame,
-    qids: &[usize],
-    k: usize,
-    accept: &dyn Fn(&[usize]) -> bool,
-    indices: Vec<usize>,
-    out: &mut Vec<Vec<usize>>,
-) {
-    if indices.len() < 2 * k {
-        out.push(indices);
-        return;
+/// Column `c` as `f64`s, NaN where a cell is no number (NULL, text,
+/// boolean); a NaN cell is an error, since NaN has no order.
+fn numeric_view(col: &ColumnData, c: usize) -> AnonResult<Vec<f64>> {
+    (0..col.len())
+        .map(|ri| match col.as_f64(ri) {
+            Some(x) if x.is_nan() => Err(AnonError::NotANumber { column: c }),
+            x => Ok(x.unwrap_or(f64::NAN)),
+        })
+        .collect()
+}
+
+/// `(lo, hi)` of `x` over `rows` when every one of them is a number.
+fn bounds(x: &[f64], rows: &[u32]) -> Option<(f64, f64)> {
+    let mut lo = f64::INFINITY;
+    let mut hi = f64::NEG_INFINITY;
+    for &ri in rows {
+        let x = x[ri as usize];
+        if x.is_nan() {
+            return None;
+        }
+        lo = lo.min(x);
+        hi = hi.max(x);
     }
-    // choose the numeric QID with the widest range
-    let mut best: Option<(usize, f64)> = None;
-    for &c in qids {
-        let col = frame.column(c);
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut numeric = true;
-        for &ri in &indices {
-            match col.as_f64(ri) {
-                Some(x) => {
-                    lo = lo.min(x);
-                    hi = hi.max(x);
+    (!rows.is_empty()).then_some((lo, hi))
+}
+
+/// The leaves of a Mondrian split.
+struct Partitions {
+    /// Every row once; each partition is a range of it.
+    order: Vec<u32>,
+    /// The partitions, in the split's depth-first order (left first).
+    ranges: Vec<Range<usize>>,
+    /// Per partition, per QID: its `(lo, hi)` when all numbers.
+    bounds: Vec<Option<(f64, f64)>>,
+}
+
+impl Partitions {
+    /// Split `rows` rows on the `numbers` QIDs: take a median split of
+    /// the widest numeric QID while both halves hold ≥ k rows and pass
+    /// `accept`.
+    fn split(
+        numbers: &[Vec<f64>],
+        rows: usize,
+        k: usize,
+        accept: &mut dyn FnMut(&[u32]) -> bool,
+    ) -> Partitions {
+        // at most rows / k partitions; no buffer grows
+        let leaves = rows / k + 1;
+        let mut out = Partitions {
+            order: (0..rows as u32).collect(),
+            ranges: Vec::with_capacity(leaves),
+            bounds: Vec::with_capacity(leaves * numbers.len()),
+        };
+        let mut here: Vec<Option<(f64, f64)>> = Vec::with_capacity(numbers.len());
+        let mut values: Vec<f64> = Vec::with_capacity(rows);
+        let mut right: Vec<u32> = Vec::with_capacity(rows);
+        // the ranges still to split, the next (leftmost) on top
+        let mut stack: Vec<Range<usize>> = Vec::new();
+        stack.push(0..rows);
+        while let Some(range) = stack.pop() {
+            here.clear();
+            here.extend(numbers.iter().map(|x| bounds(x, &out.order[range.clone()])));
+            // the numeric QID with the widest range, the first on ties
+            let mut best: Option<(usize, f64)> = None;
+            for (qi, bounds) in here.iter().enumerate() {
+                if let Some((lo, hi)) = *bounds {
+                    if hi > lo && best.map(|(_, r)| hi - lo > r).unwrap_or(true) {
+                        best = Some((qi, hi - lo));
+                    }
+                }
+            }
+            let halves = best.filter(|_| range.len() >= 2 * k).and_then(|(qi, _)| {
+                let x = &numbers[qi];
+                let rows = &mut out.order[range.clone()];
+                // the median: the middle of the sorted values
+                values.clear();
+                values.extend(rows.iter().map(|&ri| x[ri as usize]));
+                let middle = values.len() / 2;
+                let median = *values.select_nth_unstable_by(middle, f64::total_cmp).1;
+                // stable partition: strictly less to the left
+                right.clear();
+                let mut left = 0;
+                for i in 0..rows.len() {
+                    let ri = rows[i];
+                    if x[ri as usize] < median {
+                        rows[left] = ri;
+                        left += 1;
+                    } else {
+                        right.push(ri);
+                    }
+                }
+                rows[left..].copy_from_slice(&right);
+                let (l, r) = rows.split_at(left);
+                (l.len() >= k && r.len() >= k && accept(l) && accept(r))
+                    .then(|| (range.start..range.start + left, range.start + left..range.end))
+            });
+            match halves {
+                Some((l, r)) => {
+                    stack.push(r);
+                    stack.push(l);
                 }
                 None => {
-                    numeric = false;
-                    break;
+                    out.ranges.push(range);
+                    out.bounds.extend_from_slice(&here);
                 }
             }
         }
-        if numeric && hi > lo {
-            let range = hi - lo;
-            if best.map(|(_, r)| range > r).unwrap_or(true) {
-                best = Some((c, range));
+        out
+    }
+
+    /// `frame` with each partition's QID values recoded: a numeric
+    /// range to `[lo,hi]` (kept when lo = hi), anything else to the set
+    /// of its distinct renderings.
+    fn recode(&self, frame: &Frame, qids: &[usize]) -> Frame {
+        let mut part_of = vec![0u32; frame.len()];
+        for (p, range) in self.ranges.iter().enumerate() {
+            for &ri in &self.order[range.clone()] {
+                part_of[ri as usize] = p as u32;
             }
         }
-    }
-    let Some((split_col, _)) = best else {
-        out.push(indices);
-        return;
-    };
-    // median split (strict less / greater-equal)
-    let col = frame.column(split_col);
-    let values = sorted_values(col, &indices);
-    let median = values[values.len() / 2];
-    let (left, right): (Vec<usize>, Vec<usize>) = indices
-        .iter()
-        .partition(|&&ri| col.as_f64(ri).expect("numeric") < median);
-    let acceptable = |half: &[usize]| half.len() >= k && accept(half);
-    if !acceptable(&left) || !acceptable(&right) {
-        out.push(indices);
-        return;
-    }
-    split(frame, qids, k, accept, left, out);
-    split(frame, qids, k, accept, right, out)
-}
-
-/// The numeric values of `indices` in a (checked numeric, NaN-free)
-/// column, sorted for a median split.
-fn sorted_values(col: &ColumnData, indices: &[usize]) -> Vec<f64> {
-    let mut values: Vec<f64> =
-        indices.iter().map(|&ri| col.as_f64(ri).expect("checked numeric")).collect();
-    values.sort_by(|a, b| a.partial_cmp(b).expect("NaN was rejected up front"));
-    values
-}
-
-fn recode_partition(frame: &mut Frame, qids: &[usize], indices: &[usize]) {
-    for &c in qids {
-        // numeric range recoding when all values are numeric
-        let numeric: Option<(f64, f64)> = {
+        let mut columns: Vec<_> = (0..frame.schema.len()).map(|c| frame.column_arc(c)).collect();
+        let mut recoded = false;
+        let mut labels: Vec<Option<String>> = Vec::with_capacity(self.ranges.len());
+        for (qi, &c) in qids.iter().enumerate() {
             let col = frame.column(c);
-            let mut lo = f64::INFINITY;
-            let mut hi = f64::NEG_INFINITY;
-            let mut ok = true;
-            for &ri in indices {
-                match col.as_f64(ri) {
-                    Some(x) => {
-                        lo = lo.min(x);
-                        hi = hi.max(x);
-                    }
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
+            let mut sets = SetLabels::new(col);
+            labels.clear();
+            for (p, range) in self.ranges.iter().enumerate() {
+                labels.push(match self.bounds[p * qids.len() + qi] {
+                    Some((lo, hi)) if lo == hi => None, // a singleton range keeps its value
+                    Some((lo, hi)) => Some(range_label(lo, hi)),
+                    None => sets.label(&self.order[range.clone()]),
+                });
             }
-            if ok && indices.is_empty() {
-                ok = false;
+            if labels.iter().any(Option::is_some) {
+                columns[c] = col.relabeled(|ri| labels[part_of[ri] as usize].as_deref()).into();
+                recoded = true;
             }
-            ok.then_some((lo, hi))
-        };
-        match numeric {
-            Some((lo, hi)) if lo == hi => {
-                // singleton range: keep the value as-is
-            }
-            Some((lo, hi)) => {
-                let label = Value::Str(format!(
-                    "[{},{}]",
-                    trim_float(lo),
-                    trim_float(hi)
-                ));
-                let data = frame.column_mut(c);
-                for &ri in indices {
-                    data.set(ri, label.clone());
-                }
-            }
-            None => {
-                // categorical set recoding
-                let mut distinct: Vec<String> = Vec::new();
-                {
-                    let col = frame.column(c);
-                    for &ri in indices {
-                        let s = col.value(ri).to_string();
-                        if !distinct.contains(&s) {
-                            distinct.push(s);
-                        }
-                    }
-                }
-                distinct.sort();
-                let label = if distinct.len() == 1 {
+        }
+        if !recoded {
+            return frame.clone();
+        }
+        Frame::from_arc_columns(frame.schema.clone(), columns)
+            .expect("recoding keeps every column's length")
+    }
+}
+
+/// Set recoding of one categorical QID column, partition by partition.
+struct SetLabels<'a> {
+    col: &'a ColumnData,
+    /// The column's group ids, when each group renders one way
+    /// (integer, boolean and text buffers); `None` renders every row.
+    ids: Option<DenseIds>,
+    /// `stamp[id] == epoch`: the id was rendered for this partition.
+    stamp: Vec<u32>,
+    epoch: u32,
+    names: Vec<String>,
+}
+
+impl<'a> SetLabels<'a> {
+    fn new(col: &'a ColumnData) -> Self {
+        SetLabels { col, ids: None, stamp: Vec::new(), epoch: 0, names: Vec::new() }
+    }
+
+    /// The label of the partition `rows`: the sorted set of the
+    /// distinct renderings, `*` past five, none for a single one.
+    fn label(&mut self, rows: &[u32]) -> Option<String> {
+        let col = self.col;
+        // number the column on its first categorical partition
+        if self.epoch == 0
+            && (col.int_slice().is_some() || col.bool_slice().is_some() || col.str_slice().is_some())
+        {
+            let ids = col.dense_ids();
+            self.stamp = vec![0; ids.groups()];
+            self.ids = Some(ids);
+        }
+        self.epoch += 1;
+        self.names.clear();
+        for &ri in rows {
+            if let Some(ids) = &self.ids {
+                let id = ids.ids()[ri as usize] as usize;
+                if self.stamp[id] == self.epoch {
                     continue;
-                } else if distinct.len() > 5 {
-                    Value::Str(SUPPRESSED.to_string())
-                } else {
-                    Value::Str(format!("{{{}}}", distinct.join(",")))
-                };
-                let data = frame.column_mut(c);
-                for &ri in indices {
-                    data.set(ri, label.clone());
                 }
+                self.stamp[id] = self.epoch;
             }
+            self.names.push(col.value(ri as usize).to_string());
+        }
+        self.names.sort_unstable();
+        self.names.dedup();
+        match self.names.len() {
+            1 => None,
+            n if n > 5 => Some(SUPPRESSED.to_string()),
+            _ => Some(format!("{{{}}}", self.names.join(","))),
         }
     }
 }
 
-fn trim_float(x: f64) -> String {
-    if x.fract() == 0.0 && x.abs() < 1e15 {
-        format!("{}", x as i64)
-    } else {
-        format!("{x}")
+/// `[lo,hi]`, an integral bound printed as an integer.
+fn range_label(lo: f64, hi: f64) -> String {
+    fn bound(out: &mut String, x: f64) {
+        let _ = if x.fract() == 0.0 && x.abs() < 1e15 {
+            write!(out, "{}", x as i64)
+        } else {
+            write!(out, "{x}")
+        };
     }
+    let mut label = String::with_capacity(16);
+    label.push('[');
+    bound(&mut label, lo);
+    label.push(',');
+    bound(&mut label, hi);
+    label.push(']');
+    label
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::achieved_k;
-    use paradise_engine::{DataType, Schema};
+    use paradise_engine::{DataType, Schema, Value};
 
     fn people() -> Frame {
         // age, zip, condition — the classic k-anonymity example shape

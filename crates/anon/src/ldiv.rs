@@ -6,13 +6,14 @@
 //!
 //! Provided here: the distinct-l check, plus an enforcing anonymizer
 //! that runs Mondrian's split with an l-diversity acceptance condition.
+//! Both count distinct sensitive values by the sensitive column's group
+//! ids ([`paradise_engine::ColumnData::dense_ids`]), numbered once.
 
-use std::collections::HashMap;
-
-use paradise_engine::{Frame, GroupKey};
+use paradise_engine::Frame;
 
 use crate::error::{AnonError, AnonResult};
 use crate::kanon::partition_and_recode;
+use crate::qid::classes;
 
 /// Distinct l-diversity of an anonymized table: the minimum, over all
 /// equivalence classes (by QID columns), of the number of distinct
@@ -22,39 +23,22 @@ pub fn distinct_l(
     qid_columns: &[usize],
     sensitive: usize,
 ) -> AnonResult<Option<usize>> {
-    let classes = classes_of(frame, qid_columns, sensitive)?;
-    Ok(classes
-        .values()
-        .map(|sens| {
-            let mut distinct: Vec<&GroupKey> = Vec::new();
-            for s in sens {
-                if !distinct.contains(&s) {
-                    distinct.push(s);
-                }
-            }
-            distinct.len()
-        })
-        .min())
-}
-
-fn classes_of(
-    frame: &Frame,
-    qid_columns: &[usize],
-    sensitive: usize,
-) -> AnonResult<HashMap<Vec<GroupKey>, Vec<GroupKey>>> {
-    for &c in qid_columns.iter().chain(std::iter::once(&sensitive)) {
-        if c >= frame.schema.len() {
-            return Err(AnonError::BadColumn(c));
+    let classes = classes(frame, qid_columns)?;
+    if sensitive >= frame.schema.len() {
+        return Err(AnonError::BadColumn(sensitive));
+    }
+    // a (class, sensitive value) pair's first row adds one distinct
+    // value to its class: pair ids are numbered by first appearance
+    let pairs = classes.joint(&frame.column(sensitive).dense_ids());
+    let mut distinct = vec![0; classes.groups()];
+    let mut next = 0;
+    for (&pair, &class) in pairs.ids().iter().zip(classes.ids()) {
+        if pair == next {
+            distinct[class as usize] += 1;
+            next += 1;
         }
     }
-    let cols: Vec<_> = qid_columns.iter().map(|&c| frame.column(c)).collect();
-    let sens = frame.column(sensitive);
-    let mut classes: HashMap<Vec<GroupKey>, Vec<GroupKey>> = HashMap::new();
-    for i in 0..frame.len() {
-        let key: Vec<GroupKey> = cols.iter().map(|c| c.group_key_at(i)).collect();
-        classes.entry(key).or_default().push(sens.group_key_at(i));
-    }
-    Ok(classes)
+    Ok(distinct.into_iter().min())
 }
 
 /// Mondrian-style anonymization that guarantees **both** k-anonymity and
@@ -75,29 +59,29 @@ pub fn mondrian_l_diverse(
             return Err(AnonError::BadColumn(c));
         }
     }
-    let whole: Vec<usize> = (0..frame.len()).collect();
-    if frame.len() < k || distinct_count(frame, &whole, sensitive) < l {
+    let values = frame.column(sensitive).dense_ids();
+    if frame.len() < k || values.groups() < l {
         return Err(AnonError::Infeasible(format!(
             "table cannot satisfy k={k}, l={l}: {} rows, {} distinct sensitive values",
             frame.len(),
-            distinct_count(frame, &whole, sensitive)
+            values.groups()
         )));
     }
-    partition_and_recode(frame, qid_columns, k, &|half| {
-        distinct_count(frame, half, sensitive) >= l
+    // `seen[id] == epoch`: value `id` was met in the half being counted
+    let mut seen = vec![0u32; values.groups()];
+    let mut epoch = 0;
+    partition_and_recode(frame, qid_columns, k, &mut |half| {
+        epoch += 1;
+        let mut distinct = 0;
+        half.iter().any(|&ri| {
+            let id = values.ids()[ri as usize] as usize;
+            if seen[id] != epoch {
+                seen[id] = epoch;
+                distinct += 1;
+            }
+            distinct >= l
+        })
     })
-}
-
-fn distinct_count(frame: &Frame, indices: &[usize], sensitive: usize) -> usize {
-    let col = frame.column(sensitive);
-    let mut seen: Vec<GroupKey> = Vec::new();
-    for &ri in indices {
-        let key = col.group_key_at(ri);
-        if !seen.contains(&key) {
-            seen.push(key);
-        }
-    }
-    seen.len()
 }
 
 #[cfg(test)]

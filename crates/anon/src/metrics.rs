@@ -14,6 +14,7 @@ use std::collections::HashMap;
 use paradise_engine::{Frame, GroupKey};
 
 use crate::error::{AnonError, AnonResult};
+use crate::qid::classes;
 
 /// Direct Distance between two equally-shaped relations:
 /// `DD(R,R') = Σᵢ Σⱼ distance(i,j)` with `distance = 0` iff the values
@@ -48,18 +49,17 @@ fn check_shape(a: &Frame, b: &Frame) -> AnonResult<()> {
     Ok(())
 }
 
-/// Histogram of the (combined) values of `columns` in `frame`.
+/// Histogram of the (combined) values of `columns` in `frame`: one key
+/// built per class, from the class's first row.
 fn histogram(frame: &Frame, columns: &[usize]) -> AnonResult<HashMap<Vec<GroupKey>, usize>> {
-    for &c in columns {
-        if c >= frame.schema.len() {
-            return Err(AnonError::BadColumn(c));
+    let classes = classes(frame, columns)?;
+    let mut hist = HashMap::with_capacity(classes.groups());
+    for (row, &class) in classes.ids().iter().enumerate() {
+        // classes are numbered by first appearance
+        if class as usize == hist.len() {
+            let key = columns.iter().map(|&c| frame.column(c).group_key_at(row)).collect();
+            hist.insert(key, classes.counts()[class as usize] as usize);
         }
-    }
-    let cols: Vec<_> = columns.iter().map(|&c| frame.column(c)).collect();
-    let mut hist: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-    for i in 0..frame.len() {
-        let key: Vec<GroupKey> = cols.iter().map(|c| c.group_key_at(i)).collect();
-        *hist.entry(key).or_insert(0) += 1;
     }
     Ok(hist)
 }
@@ -114,8 +114,7 @@ pub fn kl_divergence(
 /// Smallest equivalence-class size — the *achieved* k of an anonymized
 /// table (`None` for an empty table).
 pub fn achieved_k(frame: &Frame, qid_columns: &[usize]) -> AnonResult<Option<usize>> {
-    let hist = histogram(frame, qid_columns)?;
-    Ok(hist.values().copied().min())
+    Ok(classes(frame, qid_columns)?.counts().iter().min().map(|&k| k as usize))
 }
 
 #[cfg(test)]

@@ -5,65 +5,66 @@
 //! large fraction of the tuples. We score single attributes by their
 //! *distinct ratio* and combinations by their *uniqueness ratio* (fraction
 //! of tuples with a unique key under that combination).
+//!
+//! Every column is numbered once ([`ColumnData::dense_ids`]): one hash
+//! pass over its borrowed cells gives each row a dense `u32` group id and
+//! each group its size. A column's distinct ratio is its number of groups
+//! over the rows, and its uniqueness the share of groups of size one. A
+//! combination joins its columns' ids pairwise ([`DenseIds::joint`]), a
+//! pass over `u32`s per extra column, so no cell is cloned and no key is
+//! built whichever combinations are explored.
+//!
+//! [`ColumnData::dense_ids`]: paradise_engine::ColumnData::dense_ids
 
-use std::collections::HashMap;
-
-use paradise_engine::{Frame, GroupKey};
+use paradise_engine::{DenseIds, Frame};
 
 use crate::error::{AnonError, AnonResult};
 
-/// Per-column identifying power.
-struct ColumnScore {
-    /// Column index.
-    column: usize,
-    /// distinct values / rows ∈ [0, 1]; 1 = key-like.
-    distinct_ratio: f64,
+/// The equivalence classes of `frame`'s rows under `columns`: rows
+/// share a class exactly when their keys agree on every column. One
+/// class holds every row when `columns` is empty.
+pub(crate) fn classes(frame: &Frame, columns: &[usize]) -> AnonResult<DenseIds> {
+    if let Some(&c) = columns.iter().find(|&&c| c >= frame.schema.len()) {
+        return Err(AnonError::BadColumn(c));
+    }
+    let mut ids = columns.iter().map(|&c| frame.column(c).dense_ids());
+    Ok(match ids.next() {
+        Some(first) => ids.fold(first, |joint, next| joint.joint(&next)),
+        None => DenseIds::one_group(frame.len()),
+    })
 }
 
-/// Score every column of the frame.
-fn score_columns(frame: &Frame) -> Vec<ColumnScore> {
-    let n = frame.len();
-    (0..frame.schema.len())
-        .map(|c| {
-            let col = frame.column(c);
-            let mut hist: HashMap<GroupKey, usize> = HashMap::new();
-            for i in 0..n {
-                *hist.entry(col.group_key_at(i)).or_insert(0) += 1;
-            }
-            ColumnScore {
-                column: c,
-                distinct_ratio: if n == 0 { 0.0 } else { hist.len() as f64 / n as f64 },
-            }
-        })
-        .collect()
+/// distinct keys / rows ∈ [0, 1]; 1 = key-like, 0 for no rows.
+fn distinct_ratio(ids: &DenseIds) -> f64 {
+    let n = ids.ids().len();
+    if n == 0 { 0.0 } else { ids.groups() as f64 / n as f64 }
 }
 
-/// Uniqueness of a column *combination*: fraction of rows whose combined
-/// key appears exactly once.
-fn combination_uniqueness(frame: &Frame, columns: &[usize]) -> AnonResult<f64> {
-    for &c in columns {
-        if c >= frame.schema.len() {
-            return Err(AnonError::BadColumn(c));
+/// Uniqueness of a column *combination* (by index into the numbered
+/// `columns`): the fraction of rows whose combined key appears exactly
+/// once, 0 for no rows.
+fn combination_uniqueness(columns: &[DenseIds], combo: &[usize]) -> f64 {
+    let joined;
+    let classes = match combo {
+        [] => return 0.0,
+        [c] => &columns[*c],
+        [a, b, rest @ ..] => {
+            joined = rest.iter().fold(columns[*a].joint(&columns[*b]), |j, &c| j.joint(&columns[c]));
+            &joined
         }
-    }
-    if frame.is_empty() || columns.is_empty() {
-        return Ok(0.0);
-    }
-    let cols: Vec<_> = columns.iter().map(|&c| frame.column(c)).collect();
-    let mut hist: HashMap<Vec<GroupKey>, usize> = HashMap::new();
-    for i in 0..frame.len() {
-        let key: Vec<GroupKey> = cols.iter().map(|c| c.group_key_at(i)).collect();
-        *hist.entry(key).or_insert(0) += 1;
-    }
-    let unique = hist.values().filter(|&&cnt| cnt == 1).count();
-    Ok(unique as f64 / frame.len() as f64)
+    };
+    let n = classes.ids().len();
+    if n == 0 { 0.0 } else { classes.singletons() as f64 / n as f64 }
 }
 
 /// Detection configuration.
 #[derive(Debug, Clone)]
 pub struct QidConfig {
-    /// Columns at or above this distinct ratio are *direct identifiers*
-    /// (to be removed outright, not generalized).
+    /// Columns at or above this distinct ratio are *direct identifiers*:
+    /// reported, and kept out of the quasi-identifier search. Nothing in
+    /// this crate removes or generalises them; the postprocessor
+    /// releases them unchanged, so only a policy that projects them away
+    /// keeps them from the requester.
     pub identifier_threshold: f64,
     /// A candidate set is a QID when its combined uniqueness is at or
     /// above this value.
@@ -81,7 +82,9 @@ impl Default for QidConfig {
 /// Detection outcome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QidReport {
-    /// Direct identifiers (near-unique single columns).
+    /// Direct identifiers (near-unique single columns). Reported only:
+    /// they are excluded from the quasi-identifier, not removed or
+    /// generalised.
     pub identifiers: Vec<usize>,
     /// The smallest column combination exceeding the QID threshold
     /// (direct identifiers excluded), if any.
@@ -92,23 +95,19 @@ pub struct QidReport {
 
 /// Detect identifiers and the minimal quasi-identifier combination.
 pub fn detect_qids(frame: &Frame, config: &QidConfig) -> AnonResult<QidReport> {
-    let scores = score_columns(frame);
-    let identifiers: Vec<usize> = scores
-        .iter()
-        .filter(|s| s.distinct_ratio >= config.identifier_threshold)
-        .map(|s| s.column)
+    let columns: Vec<DenseIds> =
+        (0..frame.schema.len()).map(|c| frame.column(c).dense_ids()).collect();
+    let identifiers: Vec<usize> = (0..columns.len())
+        .filter(|&c| distinct_ratio(&columns[c]) >= config.identifier_threshold)
         .collect();
-    let candidates: Vec<usize> = scores
-        .iter()
-        .map(|s| s.column)
-        .filter(|c| !identifiers.contains(c))
-        .collect();
+    let candidates: Vec<usize> =
+        (0..columns.len()).filter(|c| !identifiers.contains(c)).collect();
 
     // explore combinations in order of size, then combined score
     for size in 1..=config.max_combination.min(candidates.len()) {
         let mut best: Option<(Vec<usize>, f64)> = None;
         for combo in combinations(&candidates, size) {
-            let u = combination_uniqueness(frame, &combo)?;
+            let u = combination_uniqueness(&columns, &combo);
             if u >= config.qid_threshold
                 && best.as_ref().map(|(_, bu)| u > *bu).unwrap_or(true)
             {
@@ -164,20 +163,27 @@ mod tests {
         Frame::new(schema, rows).unwrap()
     }
 
+    /// Every column of `frame`, numbered.
+    fn numbered(frame: &Frame) -> Vec<DenseIds> {
+        (0..frame.schema.len()).map(|c| frame.column(c).dense_ids()).collect()
+    }
+
     #[test]
     fn scores_identify_key_columns() {
-        let scores = score_columns(&tagged_people());
-        assert_eq!(scores[0].distinct_ratio, 1.0); // tag unique
-        assert!(scores[1].distinct_ratio < 1.0); // age repeats
+        let columns = numbered(&tagged_people());
+        assert_eq!(distinct_ratio(&columns[0]), 1.0); // tag unique
+        assert!(distinct_ratio(&columns[1]) < 1.0); // age repeats
     }
 
     #[test]
     fn combination_uniqueness_grows_with_columns() {
-        let f = tagged_people();
-        let age = combination_uniqueness(&f, &[1]).unwrap();
-        let age_zip = combination_uniqueness(&f, &[1, 2]).unwrap();
+        let columns = numbered(&tagged_people());
+        let age = combination_uniqueness(&columns, &[1]);
+        let age_zip = combination_uniqueness(&columns, &[1, 2]);
         assert!(age < age_zip);
         assert_eq!(age_zip, 1.0); // (age, zip) is unique here
+        // a third column cannot make a unique combination less unique
+        assert_eq!(combination_uniqueness(&columns, &[1, 2, 3]), 1.0);
     }
 
     #[test]
@@ -204,7 +210,8 @@ mod tests {
     #[test]
     fn empty_frame_yields_zero() {
         let f = Frame::empty(Schema::from_pairs(&[("v", DataType::Integer)]));
-        assert_eq!(combination_uniqueness(&f, &[0]).unwrap(), 0.0);
+        assert_eq!(combination_uniqueness(&numbered(&f), &[0]), 0.0);
+        assert_eq!(distinct_ratio(&numbered(&f)[0]), 0.0);
         let report = detect_qids(&f, &QidConfig::default()).unwrap();
         assert!(report.quasi_identifier.is_none());
     }
@@ -212,10 +219,9 @@ mod tests {
     #[test]
     fn bad_column_errors() {
         let f = tagged_people();
-        assert!(matches!(
-            combination_uniqueness(&f, &[99]),
-            Err(AnonError::BadColumn(99))
-        ));
+        assert!(matches!(classes(&f, &[1, 99]), Err(AnonError::BadColumn(99))));
+        // no columns: one class of every row
+        assert_eq!(classes(&f, &[]).unwrap().counts(), [6]);
     }
 
     #[test]

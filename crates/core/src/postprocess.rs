@@ -18,6 +18,10 @@ use crate::error::CoreResult;
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnonStrategy {
     /// Decide automatically from QID analysis (paper §3.2 / §5).
+    /// Direct identifiers the analysis finds (near-unique columns, such
+    /// as a per-user release's `uid`) are kept out of the QID set and
+    /// released unchanged, not removed or generalised: only a policy
+    /// that projects them away keeps them from the requester.
     Auto {
         /// k for the tuple-wise branch.
         k: usize,

@@ -18,8 +18,10 @@
 //! memory than a plain `Vec`.
 
 use std::cmp::Ordering;
+use std::hash::Hash;
 use std::ops::{Deref, DerefMut};
 
+use crate::plan::FxHashMap;
 use crate::value::{DataType, GroupKey, Value};
 
 /// Merge the run `extra` into the live run `v[start..]`, in place,
@@ -322,6 +324,52 @@ impl ColumnData {
             }
             ColumnBuf::Mixed(v) => v[i].group_key(),
         }
+    }
+
+    /// Number the cells by group: two cells share an id exactly when
+    /// their [`GroupKey`]s are equal (integral floats fold onto ints,
+    /// `-0.0` onto `0.0`, NaN compares by bits). Cells are hashed
+    /// borrowed, by their typed buffer: no key is built, no text cloned.
+    pub fn dense_ids(&self) -> DenseIds {
+        let n = self.len();
+        match &self.buf {
+            ColumnBuf::Int(v) => DenseIds::number(n, |i| v[i]),
+            // within one float buffer, equal keys are equal bits once
+            // -0.0 is folded: an integral float has one bit pattern
+            ColumnBuf::Float(v) => {
+                DenseIds::number(n, |i| v[i].map(|x| if x == 0.0 { 0 } else { x.to_bits() }))
+            }
+            ColumnBuf::Bool(v) => DenseIds::number(n, |i| v[i]),
+            ColumnBuf::Str(v) => DenseIds::number(n, |i| v[i].as_deref()),
+            ColumnBuf::Mixed(_) => DenseIds::number(n, |i| KeyRef::of(self.cell_ref(i))),
+        }
+    }
+
+    /// A copy of this column with cell `i` replaced by the text
+    /// `label(i)` wherever that is `Some`, written in one pass. Cells,
+    /// buffer and size are those a [`ColumnData::set`] per labelled cell
+    /// leaves: a text or `Mixed` buffer keeps its kind, any other moves
+    /// onto `Mixed` once a cell is labelled.
+    pub fn relabeled<'a>(&self, label: impl Fn(usize) -> Option<&'a str>) -> ColumnData {
+        let n = self.len();
+        let buf = match &self.buf {
+            ColumnBuf::Str(v) => ColumnBuf::Str(
+                (0..n)
+                    .map(|i| label(i).map(str::to_owned).or_else(|| v[i].clone()))
+                    .collect::<Vec<_>>()
+                    .into(),
+            ),
+            _ if (0..n).all(|i| label(i).is_none()) => self.buf.clone(),
+            _ => ColumnBuf::Mixed(
+                (0..n)
+                    .map(|i| label(i).map_or_else(|| self.value(i), |l| Value::Str(l.to_owned())))
+                    .collect::<Vec<_>>()
+                    .into(),
+            ),
+        };
+        let mut out = ColumnData { buf, bytes: 0 };
+        out.bytes = out.range_bytes(0..n);
+        out
     }
 
     /// A borrowed, allocation-free view of cell `i`.
@@ -765,6 +813,125 @@ fn cmp_cells(a: CellRef<'_>, b: CellRef<'_>) -> Ordering {
     }
 }
 
+/// [`GroupKey`] over a borrowed cell: equal exactly when the owned keys
+/// are.
+#[derive(PartialEq, Eq, Hash)]
+enum KeyRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(u64),
+    Str(&'a str),
+}
+
+impl<'a> KeyRef<'a> {
+    fn of(cell: CellRef<'a>) -> Self {
+        match cell {
+            CellRef::Null => KeyRef::Null,
+            CellRef::Bool(b) => KeyRef::Bool(b),
+            CellRef::Int(x) => KeyRef::Int(x),
+            CellRef::Float(x) => match float_group_key(x) {
+                GroupKey::Int(x) => KeyRef::Int(x),
+                GroupKey::Float(bits) => KeyRef::Float(bits),
+                _ => unreachable!("a float keys as Int or Float"),
+            },
+            CellRef::Str(s) => KeyRef::Str(s),
+        }
+    }
+}
+
+/// The cells (rows) of a column, or of several joined, numbered by
+/// group: see [`ColumnData::dense_ids`]. Groups are numbered in order of
+/// first appearance, so the row where `ids[row]` first reaches a new
+/// value is that group's first row.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DenseIds {
+    /// `ids[row]`: the group of row `row`.
+    ids: Vec<u32>,
+    /// `counts[group]`: how many rows the group holds.
+    counts: Vec<u32>,
+}
+
+impl DenseIds {
+    /// `n` rows in one group (none when `n` is 0).
+    pub fn one_group(n: usize) -> Self {
+        DenseIds { ids: vec![0; n], counts: if n == 0 { Vec::new() } else { vec![n as u32] } }
+    }
+
+    /// `ids()[row]`: the group of row `row`.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// `counts()[group]`: how many rows the group holds.
+    pub fn counts(&self) -> &[u32] {
+        &self.counts
+    }
+
+    /// Number `n` rows by the hashable key of each.
+    fn number<K: Hash + Eq>(n: usize, mut key: impl FnMut(usize) -> K) -> Self {
+        let mut slots: FxHashMap<K, u32> = FxHashMap::default();
+        slots.reserve(n);
+        let mut out = DenseIds::with_capacity(n);
+        for i in 0..n {
+            let next = out.counts.len() as u32;
+            let id = *slots.entry(key(i)).or_insert(next);
+            out.push(id);
+        }
+        out
+    }
+
+    /// Room for `n` rows in as many groups: no buffer grows.
+    fn with_capacity(n: usize) -> Self {
+        DenseIds { ids: Vec::with_capacity(n), counts: Vec::with_capacity(n) }
+    }
+
+    /// Append a row of group `id`, which is at most one past the last.
+    fn push(&mut self, id: u32) {
+        if id as usize == self.counts.len() {
+            self.counts.push(0);
+        }
+        self.counts[id as usize] += 1;
+        self.ids.push(id);
+    }
+
+    /// How many groups there are.
+    pub fn groups(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// How many groups hold exactly one row.
+    pub fn singletons(&self) -> usize {
+        self.counts.iter().filter(|&&c| c == 1).count()
+    }
+
+    /// The groups of the row-wise pairs `(self.ids[row],
+    /// other.ids[row])`: rows share a joint id exactly when they share
+    /// both ids. One pass over the `u32`s, into a direct table when the
+    /// pairs are few enough, else by hash.
+    pub fn joint(&self, other: &DenseIds) -> DenseIds {
+        let n = self.ids.len();
+        debug_assert_eq!(n, other.ids.len());
+        let width = other.groups();
+        let pairs = self.groups().saturating_mul(width);
+        let pair = |i: usize| self.ids[i] as usize * width + other.ids[i] as usize;
+        if pairs <= (4 * n).max(1024) {
+            let mut slots = vec![u32::MAX; pairs];
+            let mut out = DenseIds::with_capacity(n);
+            for i in 0..n {
+                let slot = &mut slots[pair(i)];
+                if *slot == u32::MAX {
+                    *slot = out.counts.len() as u32;
+                }
+                out.push(*slot);
+            }
+            out
+        } else {
+            DenseIds::number(n, pair)
+        }
+    }
+}
+
 /// Grouping key for a float, consistent with [`Value::group_key`]
 /// (integral floats fold onto integer keys; -0.0 normalised).
 fn float_group_key(v: f64) -> GroupKey {
@@ -930,5 +1097,109 @@ mod tests {
         let mut c = ints(&[1, 2]);
         c.merge_in(2, &ints(&[7]), &[true]);
         assert_eq!(c, ints(&[7]));
+    }
+
+    /// Number rows by owned `GroupKey`s: what `dense_ids` must equal.
+    fn ids_by_group_key(col: &ColumnData) -> DenseIds {
+        let mut slots = std::collections::HashMap::new();
+        let mut out = DenseIds { ids: Vec::new(), counts: Vec::new() };
+        for i in 0..col.len() {
+            let next = slots.len() as u32;
+            out.push(*slots.entry(col.group_key_at(i)).or_insert(next));
+        }
+        out
+    }
+
+    #[test]
+    fn dense_ids_share_an_id_exactly_when_group_keys_are_equal() {
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        let columns = [
+            vec![Value::Int(2), Value::Null, Value::Int(-1), Value::Int(2), Value::Null],
+            vec![
+                Value::Float(-0.0),
+                Value::Float(0.0),
+                Value::Float(2.0),
+                Value::Float(nan),
+                Value::Float(other_nan),
+                Value::Float(nan),
+                Value::Null,
+                Value::Float(2.5),
+            ],
+            vec![Value::Str("a".into()), Value::Null, Value::Str("NULL".into()), Value::Str("a".into())],
+            vec![Value::Bool(true), Value::Null, Value::Bool(false), Value::Bool(true)],
+            vec![
+                Value::Int(2),
+                Value::Float(2.0),
+                Value::Str("2".into()),
+                Value::Float(-0.0),
+                Value::Int(0),
+                Value::Bool(true),
+                Value::Null,
+                Value::Float(nan),
+                Value::Float(nan),
+                Value::Float(1e300),
+            ],
+        ];
+        for values in columns {
+            let col = ColumnData::from_values(values);
+            assert_eq!(col.dense_ids(), ids_by_group_key(&col), "{col:?}");
+        }
+        let ids = ColumnData::from_values(vec![Value::Int(2), Value::Float(2.0), Value::Float(-0.0), Value::Int(0)])
+            .dense_ids();
+        assert_eq!((ids.ids, ids.counts), (vec![0, 0, 1, 1], vec![2, 2]));
+    }
+
+    #[test]
+    fn joint_ids_number_row_pairs_by_table_and_by_hash_alike() {
+        let pairs_by_hash = |a: &DenseIds, b: &DenseIds| {
+            let mut slots = std::collections::HashMap::new();
+            let mut out = DenseIds { ids: Vec::new(), counts: Vec::new() };
+            for (&x, &y) in a.ids.iter().zip(&b.ids) {
+                let next = slots.len() as u32;
+                out.push(*slots.entry((x, y)).or_insert(next));
+            }
+            out
+        };
+        // few pairs take the direct table, many (3000 × 3000 distinct
+        // values over 3000 rows) the hash
+        for (n, modulus) in [(40, 3), (3000, 3), (3000, 3000)] {
+            let a = ColumnData::from_values((0..n).map(|i| Value::Int(i % modulus)).collect()).dense_ids();
+            let b = ColumnData::from_values((0..n).map(|i| Value::Int((i * 7 + 1) % 3001)).collect())
+                .dense_ids();
+            let joint = a.joint(&b);
+            assert_eq!(joint, pairs_by_hash(&a, &b));
+            assert_eq!(joint.counts.iter().sum::<u32>() as i64, n);
+        }
+    }
+
+    #[test]
+    fn relabeled_equals_a_set_per_labelled_cell() {
+        let columns = [
+            vec![Value::Int(1), Value::Null, Value::Int(3)],
+            vec![Value::Float(0.5), Value::Float(1.5), Value::Null],
+            vec![Value::Str("a".into()), Value::Null, Value::Str("bcd".into())],
+            vec![Value::Bool(true), Value::Int(2), Value::Null],
+        ];
+        let kind = |c: &ColumnData| match &c.buf {
+            ColumnBuf::Int(_) => "int",
+            ColumnBuf::Float(_) => "float",
+            ColumnBuf::Bool(_) => "bool",
+            ColumnBuf::Str(_) => "str",
+            ColumnBuf::Mixed(_) => "mixed",
+        };
+        for values in columns {
+            let col = ColumnData::from_values(values);
+            for labelled in [[false, false, false], [false, true, false], [true, true, true]] {
+                let label = |i: usize| labelled[i].then_some("[1,3]");
+                let mut expected = col.clone();
+                for i in (0..col.len()).filter(|&i| labelled[i]) {
+                    expected.set(i, Value::Str("[1,3]".into()));
+                }
+                let got = col.relabeled(label);
+                assert_eq!(got, expected);
+                assert_eq!((kind(&got), got.bytes()), (kind(&expected), expected.bytes()));
+            }
+        }
     }
 }

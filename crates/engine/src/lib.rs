@@ -45,7 +45,7 @@ pub mod schema;
 pub mod value;
 
 pub use catalog::{Catalog, Watermark};
-pub use column::ColumnData;
+pub use column::{ColumnData, DenseIds};
 pub use error::{EngineError, EngineResult};
 pub use exec::aggregate::AggKind;
 pub use exec::Executor;

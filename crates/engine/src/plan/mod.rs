@@ -47,7 +47,7 @@ use paradise_sql::ast::{
 use paradise_sql::visit::walk_exprs;
 
 use crate::catalog::Catalog;
-use crate::column::ColumnData;
+use crate::column::{ColumnData, DenseIds};
 use crate::error::{EngineError, EngineResult};
 use crate::eval::Batch;
 use crate::exec::aggregate::{Accumulator, AggKind};
@@ -57,7 +57,7 @@ use crate::exec::{
 };
 use crate::frame::Frame;
 use crate::schema::{Column, Schema};
-use crate::value::{DataType, GroupKey, Value};
+use crate::value::{DataType, Value};
 
 /// Minimum row count before an operator fans work out to the pool;
 /// below this the scope round-trip costs more than it saves.
@@ -74,8 +74,16 @@ const PARALLEL_MIN_ROWS: usize = 4096;
 pub(crate) struct FxHasher(u64);
 
 impl Hasher for FxHasher {
+    /// The state folded, multiplied and folded again. A multiply
+    /// carries a bit only upward, so the raw state's low bits depend on
+    /// the key's low bits alone: keys that differ only in high bits —
+    /// the float bit patterns of `2.0`, `2.5`, `3.0`, …, whose low
+    /// mantissa bits are all zero — would share one hash-map bucket (a
+    /// quadratic `GROUP BY`) and one `% shards` shard. The folds bring
+    /// every key bit down to the low bits.
     fn finish(&self) -> u64 {
-        self.0
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+        h ^ (h >> 32)
     }
 
     fn write(&mut self, bytes: &[u8]) {
@@ -1162,18 +1170,21 @@ impl Grouping {
         self.len() == 1 && self.rows.is_empty()
     }
 
-    /// Build from per-row group ids (pass 2 of grouping: counting sort).
-    fn from_gids(gids: &[u32], n_groups: usize, firsts: Vec<usize>) -> Grouping {
-        let mut offsets = vec![0usize; n_groups + 1];
-        for &g in gids {
-            offsets[g as usize + 1] += 1;
-        }
-        for g in 0..n_groups {
-            offsets[g + 1] += offsets[g];
+    /// Build from dense group ids (a counting sort): a group's first
+    /// row is where its id first appears.
+    fn from_ids(ids: &DenseIds) -> Grouping {
+        let mut offsets = Vec::with_capacity(ids.groups() + 1);
+        offsets.push(0);
+        for (g, &count) in ids.counts().iter().enumerate() {
+            offsets.push(offsets[g] + count as usize);
         }
         let mut cursor = offsets.clone();
-        let mut rows = vec![0usize; gids.len()];
-        for (ri, &g) in gids.iter().enumerate() {
+        let mut rows = vec![0usize; ids.ids().len()];
+        let mut firsts = Vec::with_capacity(ids.groups());
+        for (ri, &g) in ids.ids().iter().enumerate() {
+            if g as usize == firsts.len() {
+                firsts.push(ri);
+            }
             let c = &mut cursor[g as usize];
             rows[*c] = ri;
             *c += 1;
@@ -1183,65 +1194,15 @@ impl Grouping {
 }
 
 /// Partition `0..n` by the key columns, groups in first-appearance
-/// order, Fx-hashed with dense single-key fast paths (float-bit / integer keys skip the
-/// `GroupKey` enum entirely) — hashing dominates the per-tick cost of
-/// `GROUP BY` at scale.
+/// order: each key column's dense ids ([`ColumnData::dense_ids`], typed
+/// and Fx-hashed — hashing dominates the per-tick cost of `GROUP BY` at
+/// scale), joined row-wise when there are several.
 fn group_rows(key_cols: &[Arc<ColumnData>], n: usize) -> Grouping {
-    use std::collections::hash_map::Entry;
-    if key_cols.is_empty() {
+    let Some((first, rest)) = key_cols.split_first() else {
         return Grouping::single(n);
-    }
-    let mut gids: Vec<u32> = Vec::with_capacity(n);
-    let mut firsts: Vec<usize> = Vec::new();
-    let mut n_groups = 0u32;
-
-    macro_rules! assign {
-        ($slots:ident, $key:expr) => {
-            for ri in 0..n {
-                let gid = match $slots.entry($key(ri)) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let g = n_groups;
-                        e.insert(g);
-                        firsts.push(ri);
-                        n_groups += 1;
-                        g
-                    }
-                };
-                gids.push(gid);
-            }
-        };
-    }
-
-    if let [col] = key_cols {
-        if let Some(floats) = col.float_slice() {
-            // NULL cannot collide with a float key: use a two-level key
-            let mut slots: FxHashMap<Option<u64>, u32> = FxHashMap::default();
-            // group-key semantics: -0.0 folds onto 0.0, NaNs by bits
-            let key = |ri: usize| {
-                floats[ri].map(|x| if x == 0.0 { 0.0f64.to_bits() } else { x.to_bits() })
-            };
-            assign!(slots, key);
-            return Grouping::from_gids(&gids, n_groups as usize, firsts);
-        }
-        if let Some(ints) = col.int_slice() {
-            let mut slots: FxHashMap<Option<i64>, u32> = FxHashMap::default();
-            let key = |ri: usize| ints[ri];
-            assign!(slots, key);
-            return Grouping::from_gids(&gids, n_groups as usize, firsts);
-        }
-        let mut slots: FxHashMap<GroupKey, u32> = FxHashMap::default();
-        let key = |ri: usize| col.group_key_at(ri);
-        assign!(slots, key);
-        return Grouping::from_gids(&gids, n_groups as usize, firsts);
-    }
-
-    let mut slots: FxHashMap<Vec<GroupKey>, u32> = FxHashMap::default();
-    let key = |ri: usize| -> Vec<GroupKey> {
-        key_cols.iter().map(|c| c.group_key_at(ri)).collect()
     };
-    assign!(slots, key);
-    Grouping::from_gids(&gids, n_groups as usize, firsts)
+    let ids = rest.iter().fold(first.dense_ids(), |joint, c| joint.joint(&c.dense_ids()));
+    Grouping::from_ids(&ids)
 }
 
 /// Numeric view of one aggregate-argument batch, for the typed
@@ -1888,7 +1849,22 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::GroupKey;
     use paradise_sql::parse_query;
+
+    #[test]
+    fn fx_hashes_spread_keys_that_differ_only_in_high_bits() {
+        use std::hash::Hash;
+        // 0.5, 1.0, 1.5, …: float bit patterns equal below bit 40
+        let low_bits: std::collections::HashSet<u64> = (1..=4096)
+            .map(|i| {
+                let mut h = FxHasher::default();
+                Some((i as f64 * 0.5).to_bits()).hash(&mut h);
+                h.finish() & 0xfff
+            })
+            .collect();
+        assert!(low_bits.len() > 2048, "{} distinct low-bit patterns", low_bits.len());
+    }
 
     fn catalog() -> Catalog {
         let schema = Schema::from_pairs(&[
