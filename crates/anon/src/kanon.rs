@@ -16,15 +16,13 @@
 //! kept for its leaves.
 //! Recoding formats one label per partition and QID and writes each
 //! recoded column in one pass ([`ColumnData::relabeled`]). A
-//! categorical QID is rendered once per distinct value of a partition
-//! ([`ColumnData::dense_ids`] and a stamp array), except in float and
-//! mixed columns, whose cells render once per row: there one group can
-//! hold cells that print differently (`2` and `2.0`, `-0.0` and `0.0`).
+//! categorical QID's partition is labelled by rendering each of its
+//! cells, then sorting and deduplicating the renderings.
 
 use std::fmt::Write as _;
 use std::ops::Range;
 
-use paradise_engine::{ColumnData, DenseIds, Frame};
+use paradise_engine::{ColumnData, Frame};
 
 use crate::error::{AnonError, AnonResult};
 
@@ -193,15 +191,15 @@ impl Partitions {
         let mut columns: Vec<_> = (0..frame.schema.len()).map(|c| frame.column_arc(c)).collect();
         let mut recoded = false;
         let mut labels: Vec<Option<String>> = Vec::with_capacity(self.ranges.len());
+        let mut names: Vec<String> = Vec::new();
         for (qi, &c) in qids.iter().enumerate() {
             let col = frame.column(c);
-            let mut sets = SetLabels::new(col);
             labels.clear();
             for (p, range) in self.ranges.iter().enumerate() {
                 labels.push(match self.bounds[p * qids.len() + qi] {
                     Some((lo, hi)) if lo == hi => None, // a singleton range keeps its value
                     Some((lo, hi)) => Some(range_label(lo, hi)),
-                    None => sets.label(&self.order[range.clone()]),
+                    None => set_label(col, &self.order[range.clone()], &mut names),
                 });
             }
             if labels.iter().any(Option::is_some) {
@@ -217,54 +215,18 @@ impl Partitions {
     }
 }
 
-/// Set recoding of one categorical QID column, partition by partition.
-struct SetLabels<'a> {
-    col: &'a ColumnData,
-    /// The column's group ids, when each group renders one way
-    /// (integer, boolean and text buffers); `None` renders every row.
-    ids: Option<DenseIds>,
-    /// `stamp[id] == epoch`: the id was rendered for this partition.
-    stamp: Vec<u32>,
-    epoch: u32,
-    names: Vec<String>,
-}
-
-impl<'a> SetLabels<'a> {
-    fn new(col: &'a ColumnData) -> Self {
-        SetLabels { col, ids: None, stamp: Vec::new(), epoch: 0, names: Vec::new() }
-    }
-
-    /// The label of the partition `rows`: the sorted set of the
-    /// distinct renderings, `*` past five, none for a single one.
-    fn label(&mut self, rows: &[u32]) -> Option<String> {
-        let col = self.col;
-        // number the column on its first categorical partition
-        if self.epoch == 0
-            && (col.int_slice().is_some() || col.bool_slice().is_some() || col.str_slice().is_some())
-        {
-            let ids = col.dense_ids();
-            self.stamp = vec![0; ids.groups()];
-            self.ids = Some(ids);
-        }
-        self.epoch += 1;
-        self.names.clear();
-        for &ri in rows {
-            if let Some(ids) = &self.ids {
-                let id = ids.ids()[ri as usize] as usize;
-                if self.stamp[id] == self.epoch {
-                    continue;
-                }
-                self.stamp[id] = self.epoch;
-            }
-            self.names.push(col.value(ri as usize).to_string());
-        }
-        self.names.sort_unstable();
-        self.names.dedup();
-        match self.names.len() {
-            1 => None,
-            n if n > 5 => Some(SUPPRESSED.to_string()),
-            _ => Some(format!("{{{}}}", self.names.join(","))),
-        }
+/// The set label of the partition `rows` of a categorical QID column:
+/// the sorted set of its distinct renderings, `*` past five, none for a
+/// single one. `names` is scratch reused across partitions.
+fn set_label(col: &ColumnData, rows: &[u32], names: &mut Vec<String>) -> Option<String> {
+    names.clear();
+    names.extend(rows.iter().map(|&ri| col.value(ri as usize).to_string()));
+    names.sort_unstable();
+    names.dedup();
+    match names.len() {
+        1 => None,
+        n if n > 5 => Some(SUPPRESSED.to_string()),
+        _ => Some(format!("{{{}}}", names.join(","))),
     }
 }
 

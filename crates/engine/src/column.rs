@@ -907,28 +907,10 @@ impl DenseIds {
 
     /// The groups of the row-wise pairs `(self.ids[row],
     /// other.ids[row])`: rows share a joint id exactly when they share
-    /// both ids. One pass over the `u32`s, into a direct table when the
-    /// pairs are few enough, else by hash.
+    /// both ids.
     pub fn joint(&self, other: &DenseIds) -> DenseIds {
-        let n = self.ids.len();
-        debug_assert_eq!(n, other.ids.len());
-        let width = other.groups();
-        let pairs = self.groups().saturating_mul(width);
-        let pair = |i: usize| self.ids[i] as usize * width + other.ids[i] as usize;
-        if pairs <= (4 * n).max(1024) {
-            let mut slots = vec![u32::MAX; pairs];
-            let mut out = DenseIds::with_capacity(n);
-            for i in 0..n {
-                let slot = &mut slots[pair(i)];
-                if *slot == u32::MAX {
-                    *slot = out.counts.len() as u32;
-                }
-                out.push(*slot);
-            }
-            out
-        } else {
-            DenseIds::number(n, pair)
-        }
+        debug_assert_eq!(self.ids.len(), other.ids.len());
+        DenseIds::number(self.ids.len(), |i| (self.ids[i] as u64) << 32 | other.ids[i] as u64)
     }
 }
 
@@ -1151,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn joint_ids_number_row_pairs_by_table_and_by_hash_alike() {
+    fn joint_ids_number_row_pairs() {
         let pairs_by_hash = |a: &DenseIds, b: &DenseIds| {
             let mut slots = std::collections::HashMap::new();
             let mut out = DenseIds { ids: Vec::new(), counts: Vec::new() };
@@ -1161,9 +1143,7 @@ mod tests {
             }
             out
         };
-        // few pairs take the direct table, many (3000 × 3000 distinct
-        // values over 3000 rows) the hash
-        for (n, modulus) in [(40, 3), (3000, 3), (3000, 3000)] {
+        for (n, modulus) in [(0, 1), (40, 3), (3000, 3), (3000, 3000)] {
             let a = ColumnData::from_values((0..n).map(|i| Value::Int(i % modulus)).collect()).dense_ids();
             let b = ColumnData::from_values((0..n).map(|i| Value::Int((i * 7 + 1) % 3001)).collect())
                 .dense_ids();

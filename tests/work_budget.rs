@@ -91,8 +91,8 @@ const USERS_SUM_POLICY: &str = r#"<module module_ID="UserSums">
 const USERS: u64 = 500;
 
 /// Ceiling on the median allocations per steady tick of `SELECT uid, v
-/// FROM stream` under [`USERS_SUM_POLICY`] over 500 users (the measured
-/// median plus 5 %): a ~500-row release that the postprocessor
+/// FROM stream` under [`USERS_SUM_POLICY`] over 500 users (about 5 %
+/// over the measured median): a ~500-row release that the postprocessor
 /// anonymises (QID detection, then Mondrian on the sums).
 const USERS_SUM_TICK: u64 = 806;
 
