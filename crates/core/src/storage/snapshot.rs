@@ -373,6 +373,15 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_bytes_are_pinned() {
+        // (length, CRC-32) of the encoded sample payload: a change here
+        // is a snapshot format change, which needs a new magic and a
+        // reader for the old format
+        let payload = encode(&sample());
+        assert_eq!((payload.len(), crc32(&payload)), (272, 0x6EFE_AD02));
+    }
+
+    #[test]
     fn write_read_roundtrip_and_listing() {
         let dir = tmp("roundtrip");
         let data = sample();
