@@ -71,7 +71,7 @@ use minipool::ThreadPool;
 use paradise_engine::{Catalog, Frame, PlanCache, PlanCacheStats};
 use paradise_nodes::ProcessingChain;
 use paradise_policy::{
-    parse_policy, policy_to_xml, DpConfig, EpsilonLedger, ModulePolicy, Policy, PolicyVersion,
+    DpConfig, EpsilonLedger, ModulePolicy, PolicyVersion,
 };
 use paradise_sql::ast::Query;
 
@@ -85,9 +85,10 @@ use crate::pipeline::{
 };
 use crate::preprocess::preprocess;
 use crate::remainder::Remainder;
+use crate::storage::codec::{module_policy, policy_xml};
 use crate::storage::{
-    Durability, DurabilityStats, LedgerState, PolicyState, RegistrationState, SessionMark,
-    SnapshotData, TableState, Vfs, WalRecord, DEFAULT_SNAPSHOT_EVERY,
+    Durability, DurabilityStats, PolicyState, Registration, SessionMark, SnapshotData, Spend,
+    TableState, Vfs, WalRecord, DEFAULT_SNAPSHOT_EVERY,
 };
 
 /// Opaque handle of one registered continuous query.
@@ -130,7 +131,7 @@ impl std::fmt::Display for QueryHandle {
 /// means none. A command whose origin is at or below its session's
 /// applied high-water mark is a duplicate delivery: it changes nothing,
 /// and [`Runtime::apply`] answers what the first delivery answered.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Install (or replace) a source table at a chain node. Replacing a
     /// table under a different schema re-plans the handles reading it.
@@ -187,6 +188,18 @@ impl Command {
             | Command::Register { origin, .. }
             | Command::SetPolicy { origin, .. } => *origin,
             Command::InstallSource { .. } | Command::RemoveQuery { .. } => (0, 0),
+        }
+    }
+
+    /// Set the origin's session; a variant without an origin is
+    /// unchanged. The server applies a wire command under the
+    /// connection's own session this way.
+    pub fn set_session(&mut self, session: u64) {
+        if let Command::Ingest { origin, .. }
+        | Command::Register { origin, .. }
+        | Command::SetPolicy { origin, .. } = self
+        {
+            origin.0 = session;
         }
     }
 }
@@ -669,7 +682,7 @@ impl Runtime {
             .map(|(module, (version, policy))| PolicyState {
                 module: module.clone(),
                 version: version.as_u64(),
-                xml: policy_to_xml(&Policy::single(policy.clone())),
+                xml: policy_xml(policy),
             })
             .collect();
         policies.sort_by(|a, b| a.module.cmp(&b.module));
@@ -678,20 +691,19 @@ impl Runtime {
             .iter()
             .enumerate()
             .filter_map(|(slot, reg)| {
-                reg.as_ref().map(|reg| RegistrationState {
+                reg.as_ref().map(|reg| Registration {
                     slot: slot as u32,
                     generation: reg.generation,
                     module: reg.module.clone(),
                     sql: reg.query.to_string(),
-                    session: reg.origin.0,
-                    seq: reg.origin.1,
+                    origin: reg.origin,
                 })
             })
             .collect();
-        let mut ledgers: Vec<LedgerState> = self
+        let mut ledgers: Vec<Spend> = self
             .ledgers
             .iter()
-            .map(|(module, l)| LedgerState {
+            .map(|(module, l)| Spend {
                 module: module.clone(),
                 seq: l.seq(),
                 spent: l.spent(),
@@ -747,7 +759,7 @@ impl Runtime {
         self.slots = (0..snap.slots).map(|_| None).collect();
         for r in snap.registrations {
             let query = paradise_sql::parse_query(&r.sql)?;
-            let reg = self.build_registration(r.generation, r.module, query, (r.session, r.seq));
+            let reg = self.build_registration(r.generation, r.module, query, r.origin);
             self.place(r.slot as usize, reg)?;
         }
         self.next_generation = snap.next_generation;
@@ -763,15 +775,27 @@ impl Runtime {
     /// here.
     fn apply_record(&mut self, record: WalRecord, skipped: &mut u64) -> CoreResult<()> {
         match record {
-            WalRecord::InstallSource { node, table, frame } => {
+            WalRecord::Command(Command::InstallSource { node, table, frame }) => {
                 self.install_table(&node, &table, frame)?;
             }
-            WalRecord::Ingest { node, table, start, session, seq, frame } => {
+            WalRecord::Command(Command::RemoveQuery { handle }) => {
+                if self.resolve(handle).is_ok() {
+                    self.vacate(handle.index as usize);
+                } else {
+                    *skipped += 1;
+                }
+            }
+            WalRecord::Command(_) => {
+                return Err(CoreError::Corrupt(
+                    "a bare command log record must install a source or remove a query".into(),
+                ));
+            }
+            WalRecord::Ingest { node, table, start, origin, frame } => {
                 let wm = self.chain.node(&node)?.catalog.watermark(&table)?;
                 if wm.rows() > start {
                     *skipped += 1;
                 } else if wm.rows() == start {
-                    self.append(&node, &table, frame, (session, seq))?;
+                    self.append(&node, &table, frame, origin)?;
                 } else {
                     return Err(CoreError::Corrupt(format!(
                         "log gap: table {table:?} at row {}, ingest record starts at {start}",
@@ -794,12 +818,12 @@ impl Runtime {
                     )));
                 }
             }
-            WalRecord::Register { slot, generation, module, sql, session, seq } => {
+            WalRecord::Register(Registration { slot, generation, module, sql, origin }) => {
                 if self.next_generation > generation {
                     *skipped += 1;
                 } else if self.next_generation == generation {
                     let query = paradise_sql::parse_query(&sql)?;
-                    let reg = self.build_registration(generation, module, query, (session, seq));
+                    let reg = self.build_registration(generation, module, query, origin);
                     self.place(slot as usize, reg)?;
                 } else {
                     return Err(CoreError::Corrupt(format!(
@@ -809,24 +833,12 @@ impl Runtime {
                     )));
                 }
             }
-            WalRecord::RemoveQuery { slot, generation } => {
-                let live = self
-                    .slots
-                    .get(slot as usize)
-                    .and_then(Option::as_ref)
-                    .is_some_and(|reg| reg.generation == generation);
-                if live {
-                    self.vacate(slot as usize);
-                } else {
-                    *skipped += 1;
-                }
-            }
-            WalRecord::SetPolicy { version, module, xml, session, seq } => {
+            WalRecord::SetPolicy { version, module, xml, origin } => {
                 if version <= self.version_counter {
                     *skipped += 1;
                 } else if version == self.version_counter + 1 {
                     let policy = module_policy(&xml, &module)?;
-                    self.install_policy(module, version, policy, (session, seq));
+                    self.install_policy(module, version, policy, origin);
                 } else {
                     return Err(CoreError::Corrupt(format!(
                         "log gap: policy version {version} but the runtime is at {}",
@@ -834,7 +846,7 @@ impl Runtime {
                     )));
                 }
             }
-            WalRecord::SpendEpsilon { module, seq, spent } => {
+            WalRecord::SpendEpsilon(Spend { module, seq, spent }) => {
                 let at = self.ledgers.get(&module).map_or(0, |l| l.seq());
                 if seq <= at {
                     *skipped += 1;
@@ -1003,7 +1015,9 @@ impl Runtime {
                 // the clone is per-column Arc bumps, no cell copies
                 let logged = durable.then(|| frame.clone());
                 self.install_table(&node, &table, frame)?;
-                self.log(logged.map(|frame| WalRecord::InstallSource { node, table, frame }));
+                self.log(logged.map(|frame| {
+                    WalRecord::Command(Command::InstallSource { node, table, frame })
+                }));
             }
             Command::Ingest { node, table, frame, .. } => {
                 // the record carries the absolute start row (replay's
@@ -1031,7 +1045,8 @@ impl Runtime {
                         table: table.clone(),
                         evicted_to,
                     });
-                    self.log(Some(WalRecord::Ingest { node, table, start, session, seq, frame }));
+                    let origin = (session, seq);
+                    self.log(Some(WalRecord::Ingest { node, table, start, origin, frame }));
                     self.log(evict);
                 }
                 // buffered only: group-committed at the next tick
@@ -1044,13 +1059,14 @@ impl Runtime {
                     return Err(e.clone());
                 }
                 let index = self.slots.iter().position(Option::is_none).unwrap_or(self.slots.len());
-                let logged = durable.then(|| WalRecord::Register {
-                    slot: index as u32,
-                    generation,
-                    module: reg.module.clone(),
-                    sql: reg.query.to_string(),
-                    session,
-                    seq,
+                let logged = durable.then(|| {
+                    WalRecord::Register(Registration {
+                        slot: index as u32,
+                        generation,
+                        module: reg.module.clone(),
+                        sql: reg.query.to_string(),
+                        origin: (session, seq),
+                    })
                 });
                 self.place(index, reg)?;
                 self.log(logged);
@@ -1059,19 +1075,15 @@ impl Runtime {
             Command::RemoveQuery { handle } => {
                 self.resolve(handle)?;
                 self.vacate(handle.index as usize);
-                self.log(durable.then_some(WalRecord::RemoveQuery {
-                    slot: handle.index,
-                    generation: handle.generation,
-                }));
+                self.log(durable.then_some(WalRecord::Command(Command::RemoveQuery { handle })));
             }
             Command::SetPolicy { module, policy, .. } => {
                 let version = self.version_counter + 1;
                 let logged = durable.then(|| WalRecord::SetPolicy {
                     version,
                     module: module.clone(),
-                    xml: policy_to_xml(&Policy::single(policy.clone())),
-                    session,
-                    seq,
+                    xml: policy_xml(&policy),
+                    origin: (session, seq),
                 });
                 applied.denied = self.install_policy(module, version, policy, (session, seq));
                 applied.version = Some(PolicyVersion(version));
@@ -1299,11 +1311,11 @@ impl Runtime {
                 let ledger = self.ledgers.entry(reg.module.clone()).or_default();
                 let seq = ledger.spend(cfg.epsilon_per_tick);
                 if let Some(d) = self.durability.as_mut() {
-                    d.record(&WalRecord::SpendEpsilon {
+                    d.record(&WalRecord::SpendEpsilon(Spend {
                         module: reg.module.clone(),
                         seq,
                         spent: ledger.spent(),
-                    });
+                    }));
                 }
                 seq
             });
@@ -1593,14 +1605,6 @@ fn plan(
         })
         .transpose()?;
     Ok(Planned { preprocess: pre, plan, stages, anonymized_at, dp, information_gain })
-}
-
-/// The module policy a snapshot or a log record holds as XML.
-fn module_policy(xml: &str, module: &str) -> CoreResult<ModulePolicy> {
-    let policy = parse_policy(xml)?;
-    policy.modules.into_iter().next().ok_or_else(|| {
-        CoreError::Corrupt(format!("recorded policy for {module:?} has no module"))
-    })
 }
 
 /// A handle's tick: its outcome and the input rows each stage consumed.

@@ -12,8 +12,11 @@
 //! produce, including mixed-type columns and NULLs.
 
 use paradise_engine::{Column, ColumnData, DataType, Frame, Schema, Value};
+use paradise_policy::{parse_policy, policy_to_xml, ModulePolicy, Policy};
+use paradise_sql::parse_query;
 
 use crate::error::{CoreError, CoreResult};
+use crate::runtime::{Command, QueryHandle};
 
 // ------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected), table-driven
@@ -407,11 +410,117 @@ pub fn dec_frame(d: &mut Dec<'_>) -> CoreResult<Frame> {
         columns.push(c);
     }
     if schema.is_empty() {
-        // zero-column frames keep their cardinality through row-major
-        // construction (from_columns cannot carry a row count)
-        return Frame::new(schema, vec![vec![]; rows]).map_err(CoreError::from);
+        // from_columns cannot carry a row count
+        return Ok(Frame::without_columns(rows));
     }
     Frame::from_columns(schema, columns).map_err(CoreError::from)
+}
+
+// ------------------------------------------------------------------
+// Commands: each mutation's layout, once, for the wire, the log and the
+// snapshot. A query is its SQL and a policy its XML; `dec_command`
+// parses them, while the log and the snapshot keep the text.
+// ------------------------------------------------------------------
+
+// the log tags its records of the same mutations alike
+pub(crate) const TAG_INSTALL: u8 = 1;
+pub(crate) const TAG_INGEST: u8 = 2;
+pub(crate) const TAG_REGISTER: u8 = 4;
+pub(crate) const TAG_REMOVE: u8 = 5;
+pub(crate) const TAG_SET_POLICY: u8 = 6;
+
+/// The tag [`enc_command`]'s caller writes before `cmd`'s body.
+pub fn command_tag(cmd: &Command) -> u8 {
+    match cmd {
+        Command::InstallSource { .. } => TAG_INSTALL,
+        Command::Ingest { .. } => TAG_INGEST,
+        Command::Register { .. } => TAG_REGISTER,
+        Command::RemoveQuery { .. } => TAG_REMOVE,
+        Command::SetPolicy { .. } => TAG_SET_POLICY,
+    }
+}
+
+/// Encode `cmd`'s body (its tag is the caller's, see [`command_tag`]).
+pub fn enc_command(e: &mut Enc, cmd: &Command) {
+    match cmd {
+        Command::InstallSource { node, table, frame } => {
+            e.str(node);
+            e.str(table);
+            enc_frame(e, frame);
+        }
+        Command::Ingest { node, table, frame, origin } => {
+            e.str(node);
+            e.str(table);
+            enc_origin(e, *origin);
+            enc_frame(e, frame);
+        }
+        Command::Register { module, query, origin } => {
+            enc_text_body(e, module, &query.to_string(), *origin);
+        }
+        // a handle id is its slot then its generation, both u32 LE
+        Command::RemoveQuery { handle } => e.u64(handle.id()),
+        Command::SetPolicy { module, policy, origin } => {
+            enc_text_body(e, module, &policy_xml(policy), *origin);
+        }
+    }
+}
+
+/// Decode the body of a command tagged `tag`, parsing its query or
+/// policy. Unparseable SQL or XML is the parser's typed error.
+pub fn dec_command(d: &mut Dec<'_>, tag: u8) -> CoreResult<Command> {
+    Ok(match tag {
+        TAG_INSTALL => {
+            Command::InstallSource { node: d.str()?, table: d.str()?, frame: dec_frame(d)? }
+        }
+        TAG_INGEST => Command::Ingest {
+            node: d.str()?,
+            table: d.str()?,
+            origin: (d.u64()?, d.u64()?),
+            frame: dec_frame(d)?,
+        },
+        TAG_REGISTER => {
+            let (module, sql, origin) = dec_text_body(d)?;
+            Command::Register { query: Box::new(parse_query(&sql)?), module, origin }
+        }
+        TAG_REMOVE => Command::RemoveQuery { handle: QueryHandle::from_id(d.u64()?) },
+        TAG_SET_POLICY => {
+            let (module, xml, origin) = dec_text_body(d)?;
+            Command::SetPolicy { policy: module_policy(&xml, &module)?, module, origin }
+        }
+        tag => return Err(corrupt(&format!("unknown command tag {tag}"))),
+    })
+}
+
+/// Encode an idempotency origin `(session, seq)`.
+pub(crate) fn enc_origin(e: &mut Enc, (session, seq): (u64, u64)) {
+    e.u64(session);
+    e.u64(seq);
+}
+
+/// Encode the body of a `Register` (`text` is the SQL) or a `SetPolicy`
+/// (`text` is the XML): module, text, origin.
+pub(crate) fn enc_text_body(e: &mut Enc, module: &str, text: &str, origin: (u64, u64)) {
+    e.str(module);
+    e.str(text);
+    enc_origin(e, origin);
+}
+
+/// Decode a `Register` or `SetPolicy` body as `(module, text, origin)`.
+pub(crate) fn dec_text_body(d: &mut Dec<'_>) -> CoreResult<(String, String, (u64, u64))> {
+    Ok((d.str()?, d.str()?, (d.u64()?, d.u64()?)))
+}
+
+/// `policy` as the XML a `SetPolicy` body and a snapshot carry.
+pub(crate) fn policy_xml(policy: &ModulePolicy) -> String {
+    policy_to_xml(&Policy::single(policy.clone()))
+}
+
+/// The module policy of recorded policy XML (its first module).
+pub(crate) fn module_policy(xml: &str, module: &str) -> CoreResult<ModulePolicy> {
+    let policy = parse_policy(xml)?;
+    policy.modules.into_iter().next().ok_or_else(|| {
+        CoreError::Corrupt(format!("recorded policy for {module:?} has no module"))
+    })
 }
 
 #[cfg(test)]

@@ -46,11 +46,9 @@ use std::sync::Arc;
 
 use crate::error::{CoreError, CoreResult};
 
-pub use snapshot::{
-    LedgerState, PolicyState, RegistrationState, SessionMark, SnapshotData, TableState,
-};
+pub use snapshot::{PolicyState, SessionMark, SnapshotData, TableState};
 pub use vfs::{DirLock, FaultKind, FaultOp, FaultStats, FaultVfs, RealVfs, Vfs, VfsFile};
-pub use wal::WalRecord;
+pub use wal::{Registration, Spend, WalRecord};
 
 use snapshot::{list_generations, read_snapshot, snapshot_path, wal_path, write_snapshot};
 use wal::{io_err, read_wal, Wal};
@@ -321,6 +319,11 @@ pub const DEFAULT_SNAPSHOT_EVERY: u64 = 256;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::{Command, QueryHandle};
+
+    fn remove(id: u64) -> WalRecord {
+        WalRecord::Command(Command::RemoveQuery { handle: QueryHandle::from_id(id) })
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -340,10 +343,9 @@ mod tests {
             version: 1,
             module: "M".into(),
             xml: "<x/>".into(),
-            session: 0,
-            seq: 0,
+            origin: (0, 0),
         });
-        d.record(&WalRecord::RemoveQuery { slot: 0, generation: 0 });
+        d.record(&remove(0));
         d.commit().unwrap();
         drop(d);
 
@@ -361,9 +363,9 @@ mod tests {
         let dir = tmp("rotate");
         let mut d = Durability::open(&dir).unwrap().durability;
         d.initial_snapshot(SnapshotData::default()).unwrap();
-        d.record(&WalRecord::RemoveQuery { slot: 1, generation: 1 });
+        d.record(&remove(1));
         d.rotate_snapshot(SnapshotData::default()).unwrap(); // gen 2
-        d.record(&WalRecord::RemoveQuery { slot: 2, generation: 2 });
+        d.record(&remove(2));
         d.rotate_snapshot(SnapshotData::default()).unwrap(); // gen 3
         drop(d);
 
@@ -378,7 +380,7 @@ mod tests {
         let s = d.stats();
         assert_eq!(s.corrupt_snapshots, 1);
         assert_eq!(s.generation, 3, "appending resumes on the newest log");
-        d.record(&WalRecord::RemoveQuery { slot: 3, generation: 3 });
+        d.record(&remove(3));
         d.commit().unwrap();
         drop(d);
         let opened = Durability::open(&dir).unwrap();

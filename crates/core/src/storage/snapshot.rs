@@ -32,7 +32,7 @@ use crate::error::{CoreError, CoreResult};
 
 use super::codec::{crc32, dec_frame, enc_frame, Dec, Enc};
 use super::vfs::Vfs;
-use super::wal::io_err;
+use super::wal::{io_err, Registration, Spend};
 
 /// `b"PDS1"` little-endian: magic + format version of snapshot files.
 const MAGIC: u32 = u32::from_le_bytes(*b"PDS1");
@@ -62,25 +62,6 @@ pub struct PolicyState {
     pub xml: String,
 }
 
-/// One registered continuous query.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegistrationState {
-    /// Slot index — forced on re-registration so caller-held
-    /// `QueryHandle`s survive the restart.
-    pub slot: u32,
-    /// Handle generation.
-    pub generation: u32,
-    /// Module the query runs under.
-    pub module: String,
-    /// The query as SQL text.
-    pub sql: String,
-    /// Client session that registered it (0 = none) — a resumed
-    /// session recovers its handles from this after a restart.
-    pub session: u64,
-    /// The session request sequence that registered it (0 = none).
-    pub seq: u64,
-}
-
 /// One client session's durable idempotency mark: the highest request
 /// sequence number whose effect is part of this snapshot. A retried
 /// mutating request at-or-below the mark is a no-op after recovery.
@@ -90,21 +71,6 @@ pub struct SessionMark {
     pub session: u64,
     /// Highest applied request sequence.
     pub seq: u64,
-}
-
-/// One module's differential-privacy epsilon-ledger position. Spent
-/// budget is durable state of the strictest kind: losing it across a
-/// crash would let an adversary re-query for fresh noise draws, so the
-/// ledger is snapshotted here *and* every individual spend is logged
-/// ([`WalRecord::SpendEpsilon`](super::wal::WalRecord::SpendEpsilon)).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LedgerState {
-    /// Module id.
-    pub module: String,
-    /// Ledger spend-sequence number (number of noisy ticks so far).
-    pub seq: u64,
-    /// Cumulative epsilon spent.
-    pub spent: f64,
 }
 
 /// The complete durable state of a runtime at a snapshot barrier.
@@ -120,14 +86,16 @@ pub struct SnapshotData {
     /// The runtime's global monotonic policy-version counter.
     pub version_counter: u64,
     /// Every live registration, in slot order.
-    pub registrations: Vec<RegistrationState>,
+    pub registrations: Vec<Registration>,
     /// Total slots (occupied or free) — restored so freed low slots
     /// stay free and handle indices keep their meaning.
     pub slots: u32,
     /// The next handle generation to assign.
     pub next_generation: u32,
-    /// Every module's epsilon-ledger position, sorted by module id.
-    pub ledgers: Vec<LedgerState>,
+    /// Every module's epsilon-ledger position, sorted by module id —
+    /// a ledger is snapshotted here *and* every spend is logged
+    /// ([`WalRecord::SpendEpsilon`](super::wal::WalRecord::SpendEpsilon)).
+    pub ledgers: Vec<Spend>,
     /// Every client session's idempotency mark, sorted by session id.
     pub sessions: Vec<SessionMark>,
 }
@@ -186,20 +154,13 @@ fn encode(data: &SnapshotData) -> Vec<u8> {
     e.u64(data.version_counter);
     e.u32(data.registrations.len() as u32);
     for r in &data.registrations {
-        e.u32(r.slot);
-        e.u32(r.generation);
-        e.str(&r.module);
-        e.str(&r.sql);
-        e.u64(r.session);
-        e.u64(r.seq);
+        r.enc(&mut e);
     }
     e.u32(data.slots);
     e.u32(data.next_generation);
     e.u32(data.ledgers.len() as u32);
     for l in &data.ledgers {
-        e.str(&l.module);
-        e.u64(l.seq);
-        e.f64(l.spent);
+        l.enc(&mut e);
     }
     e.u32(data.sessions.len() as u32);
     for s in &data.sessions {
@@ -228,20 +189,13 @@ fn decode(payload: &[u8]) -> CoreResult<SnapshotData> {
     let version_counter = d.u64()?;
     let mut registrations = Vec::new();
     for _ in 0..d.u32()? {
-        registrations.push(RegistrationState {
-            slot: d.u32()?,
-            generation: d.u32()?,
-            module: d.str()?,
-            sql: d.str()?,
-            session: d.u64()?,
-            seq: d.u64()?,
-        });
+        registrations.push(Registration::dec(&mut d)?);
     }
     let slots = d.u32()?;
     let next_generation = d.u32()?;
     let mut ledgers = Vec::new();
     for _ in 0..d.u32()? {
-        ledgers.push(LedgerState { module: d.str()?, seq: d.u64()?, spent: d.f64()? });
+        ledgers.push(Spend::dec(&mut d)?);
     }
     let mut sessions = Vec::new();
     for _ in 0..d.u32()? {
@@ -357,17 +311,16 @@ mod tests {
                 xml: "<module id=\"ActionFilter\"/>".into(),
             }],
             version_counter: 2,
-            registrations: vec![RegistrationState {
+            registrations: vec![Registration {
                 slot: 1,
                 generation: 4,
                 module: "ActionFilter".into(),
                 sql: "SELECT x FROM stream".into(),
-                session: 11,
-                seq: 6,
+                origin: (11, 6),
             }],
             slots: 2,
             next_generation: 5,
-            ledgers: vec![LedgerState { module: "ActionFilter".into(), seq: 9, spent: 4.5 }],
+            ledgers: vec![Spend { module: "ActionFilter".into(), seq: 9, spent: 4.5 }],
             sessions: vec![SessionMark { session: 11, seq: 6 }],
         }
     }

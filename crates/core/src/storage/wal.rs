@@ -30,8 +30,13 @@ use std::sync::Arc;
 use paradise_engine::Frame;
 
 use crate::error::{CoreError, CoreResult};
+use crate::runtime::Command;
 
-use super::codec::{crc32, dec_frame, enc_frame, Dec, Enc};
+use super::codec::{
+    command_tag, crc32, dec_command, dec_frame, dec_text_body, enc_command,
+    enc_frame, enc_origin, enc_text_body, Dec, Enc, TAG_INGEST, TAG_INSTALL, TAG_REGISTER,
+    TAG_REMOVE, TAG_SET_POLICY,
+};
 use super::vfs::{Vfs, VfsFile};
 
 /// Format an I/O failure as the typed core error (carrying the
@@ -46,19 +51,18 @@ pub(crate) fn io_err(op: &str, path: &Path, e: &std::io::Error) -> CoreError {
 /// record at-or-below the recovered state's position is skipped, a
 /// record exactly at it applies, and a record beyond it is a gap
 /// (corruption).
+///
+/// A command's record is its tag, the record's own prefix (if any) and
+/// the command's body as [`enc_command`] lays it out; only `Ingest`
+/// writes its own arm, because its `start` sits inside the body.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
-    /// `Runtime::install_source`: (re)place a source table wholesale.
-    /// Naturally idempotent — replaying it resets the table to the
-    /// recorded contents and subsequent `Ingest` records re-apply.
-    InstallSource {
-        /// Chain node the table lives at.
-        node: String,
-        /// Table name.
-        table: String,
-        /// The installed contents.
-        frame: Frame,
-    },
+    /// A [`Command::InstallSource`] or [`Command::RemoveQuery`]: the
+    /// command is the whole record. Replaying an install resets the
+    /// table to the recorded contents (later `Ingest` records
+    /// re-apply); replaying a removal of a handle that is not live is
+    /// a no-op.
+    Command(Command),
     /// `Runtime::ingest`: one appended stream batch.
     Ingest {
         /// Chain node the table lives at.
@@ -68,15 +72,11 @@ pub enum WalRecord {
         /// Absolute stream row the batch starts at (the table's high
         /// watermark when it was appended).
         start: u64,
-        /// Client session the batch originated from (0 = none); with
-        /// `seq`, the runtime's durable dedup mark — a retried batch
-        /// whose `(session, seq)` is at-or-below the session's mark is
-        /// a no-op, even across crash recovery. Embedded in the record
-        /// itself (not a companion record) so a torn tail can never
-        /// separate a batch from its idempotency mark.
-        session: u64,
-        /// Session-monotonic request sequence number (0 = none).
-        seq: u64,
+        /// Client `(session, seq)` (`(0, 0)` = none): the durable dedup
+        /// mark, in the record itself so a torn tail can never
+        /// separate a batch from it. A retried batch at-or-below its
+        /// session's mark is a no-op, even across crash recovery.
+        origin: (u64, u64),
         /// The batch itself.
         frame: Frame,
     },
@@ -89,35 +89,10 @@ pub enum WalRecord {
         /// Absolute front-eviction count *after* the eviction.
         evicted_to: u64,
     },
-    /// `Runtime::register`: a continuous query, as its SQL text (the
-    /// parser/display roundtrip is pinned by the sql crate's tests).
-    /// Slot and generation are recorded so recovered `QueryHandle`s
-    /// held by callers stay valid across the restart.
-    Register {
-        /// Slot index the handle occupies.
-        slot: u32,
-        /// Handle generation (process-monotonic).
-        generation: u32,
-        /// Module the query was registered under.
-        module: String,
-        /// The query, rendered as SQL.
-        sql: String,
-        /// Originating client session (0 = none) — lets a resumed
-        /// session recover its handles after a server restart.
-        session: u64,
-        /// Session-monotonic request sequence number (0 = none).
-        seq: u64,
-    },
-    /// `Runtime::remove_query`.
-    RemoveQuery {
-        /// Slot index of the removed handle.
-        slot: u32,
-        /// Generation of the removed handle.
-        generation: u32,
-    },
-    /// `Runtime::set_policy`: the module policy as its XML rendering
-    /// (the parse/render roundtrip is pinned by the policy crate's
-    /// tests) plus the version it was installed as.
+    /// `Runtime::register`.
+    Register(Registration),
+    /// `Runtime::set_policy`: the version it installed, then the
+    /// `SetPolicy` body (the policy crate pins the XML roundtrip).
     SetPolicy {
         /// The policy version this install produced (global monotonic).
         version: u64,
@@ -125,36 +100,79 @@ pub enum WalRecord {
         module: String,
         /// `policy_to_xml` rendering of the module policy.
         xml: String,
-        /// Originating client session (0 = none).
-        session: u64,
-        /// Session-monotonic request sequence number (0 = none).
-        seq: u64,
+        /// Originating client `(session, seq)` (`(0, 0)` = none).
+        origin: (u64, u64),
     },
     /// One differential-privacy budget spend of a module's epsilon
-    /// ledger (one noisy tick). Carries the **absolute** cumulative
-    /// spend and the ledger sequence number it applies at, following
-    /// the same idempotent-replay discipline as stream positions:
-    /// at-or-below the recovered sequence is skipped, exactly the next
-    /// sequence applies, beyond it is a gap. Recovery therefore never
-    /// regains spent budget — and because the noise seed derives from
-    /// the ledger sequence, a recovered runtime replays bitwise-
-    /// identical noisy results.
-    SpendEpsilon {
-        /// Module whose ledger spent.
-        module: String,
-        /// Ledger sequence number *after* this spend (1-based).
-        seq: u64,
-        /// Absolute cumulative epsilon spent after this spend.
-        spent: f64,
-    },
+    /// ledger (one noisy tick). Follows the same idempotent-replay
+    /// discipline as stream positions: at-or-below the recovered
+    /// sequence is skipped, exactly the next sequence applies, beyond
+    /// it is a gap. Recovery therefore never regains spent budget —
+    /// and because the noise seed derives from the ledger sequence, a
+    /// recovered runtime replays bitwise-identical noisy results.
+    SpendEpsilon(Spend),
 }
 
-const TAG_INSTALL: u8 = 1;
-const TAG_INGEST: u8 = 2;
+/// A registered query as the log records it and the snapshot keeps it:
+/// the handle's slot and generation — so handles held by callers stay
+/// valid across a restart — then the `Register` body (the sql crate
+/// pins the SQL roundtrip).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Registration {
+    /// Slot index the handle occupies.
+    pub slot: u32,
+    /// Handle generation (process-monotonic).
+    pub generation: u32,
+    /// Module the query runs under.
+    pub module: String,
+    /// The query, rendered as SQL.
+    pub sql: String,
+    /// Originating client `(session, seq)` (`(0, 0)` = none) — lets a
+    /// resumed session recover its handles after a server restart.
+    pub origin: (u64, u64),
+}
+
+impl Registration {
+    pub(crate) fn enc(&self, e: &mut Enc) {
+        e.u32(self.slot);
+        e.u32(self.generation);
+        enc_text_body(e, &self.module, &self.sql, self.origin);
+    }
+
+    pub(crate) fn dec(d: &mut Dec<'_>) -> CoreResult<Self> {
+        let (slot, generation) = (d.u32()?, d.u32()?);
+        let (module, sql, origin) = dec_text_body(d)?;
+        Ok(Registration { slot, generation, module, sql, origin })
+    }
+}
+
+/// A module's epsilon-ledger position after a spend, as a
+/// `SpendEpsilon` record logs it and the snapshot keeps it. Losing it
+/// across a crash would let an adversary re-query for fresh noise.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Spend {
+    /// Module whose ledger spent.
+    pub module: String,
+    /// Ledger sequence number *after* the spend (1-based; the number of
+    /// noisy ticks so far).
+    pub seq: u64,
+    /// Absolute cumulative epsilon spent after the spend.
+    pub spent: f64,
+}
+
+impl Spend {
+    pub(crate) fn enc(&self, e: &mut Enc) {
+        e.str(&self.module);
+        e.u64(self.seq);
+        e.f64(self.spent);
+    }
+
+    pub(crate) fn dec(d: &mut Dec<'_>) -> CoreResult<Self> {
+        Ok(Spend { module: d.str()?, seq: d.u64()?, spent: d.f64()? })
+    }
+}
+
 const TAG_EVICT: u8 = 3;
-const TAG_REGISTER: u8 = 4;
-const TAG_REMOVE: u8 = 5;
-const TAG_SET_POLICY: u8 = 6;
 const TAG_SPEND_EPSILON: u8 = 7;
 
 impl WalRecord {
@@ -163,19 +181,16 @@ impl WalRecord {
     fn encode_body(&self) -> Vec<u8> {
         let mut e = Enc::new();
         match self {
-            WalRecord::InstallSource { node, table, frame } => {
-                e.u8(TAG_INSTALL);
-                e.str(node);
-                e.str(table);
-                enc_frame(&mut e, frame);
+            WalRecord::Command(cmd) => {
+                e.u8(command_tag(cmd));
+                enc_command(&mut e, cmd);
             }
-            WalRecord::Ingest { node, table, start, session, seq, frame } => {
+            WalRecord::Ingest { node, table, start, origin, frame } => {
                 e.u8(TAG_INGEST);
                 e.str(node);
                 e.str(table);
                 e.u64(*start);
-                e.u64(*session);
-                e.u64(*seq);
+                enc_origin(&mut e, *origin);
                 enc_frame(&mut e, frame);
             }
             WalRecord::Evict { node, table, evicted_to } => {
@@ -184,33 +199,18 @@ impl WalRecord {
                 e.str(table);
                 e.u64(*evicted_to);
             }
-            WalRecord::Register { slot, generation, module, sql, session, seq } => {
+            WalRecord::Register(registration) => {
                 e.u8(TAG_REGISTER);
-                e.u32(*slot);
-                e.u32(*generation);
-                e.str(module);
-                e.str(sql);
-                e.u64(*session);
-                e.u64(*seq);
+                registration.enc(&mut e);
             }
-            WalRecord::RemoveQuery { slot, generation } => {
-                e.u8(TAG_REMOVE);
-                e.u32(*slot);
-                e.u32(*generation);
-            }
-            WalRecord::SetPolicy { version, module, xml, session, seq } => {
+            WalRecord::SetPolicy { version, module, xml, origin } => {
                 e.u8(TAG_SET_POLICY);
                 e.u64(*version);
-                e.str(module);
-                e.str(xml);
-                e.u64(*session);
-                e.u64(*seq);
+                enc_text_body(&mut e, module, xml, *origin);
             }
-            WalRecord::SpendEpsilon { module, seq, spent } => {
+            WalRecord::SpendEpsilon(spend) => {
                 e.u8(TAG_SPEND_EPSILON);
-                e.str(module);
-                e.u64(*seq);
-                e.f64(*spent);
+                spend.enc(&mut e);
             }
         }
         e.into_bytes()
@@ -221,17 +221,12 @@ impl WalRecord {
     fn decode_body(body: &[u8]) -> CoreResult<WalRecord> {
         let mut d = Dec::new(body);
         let record = match d.u8()? {
-            TAG_INSTALL => WalRecord::InstallSource {
-                node: d.str()?,
-                table: d.str()?,
-                frame: dec_frame(&mut d)?,
-            },
+            tag @ (TAG_INSTALL | TAG_REMOVE) => WalRecord::Command(dec_command(&mut d, tag)?),
             TAG_INGEST => WalRecord::Ingest {
                 node: d.str()?,
                 table: d.str()?,
                 start: d.u64()?,
-                session: d.u64()?,
-                seq: d.u64()?,
+                origin: (d.u64()?, d.u64()?),
                 frame: dec_frame(&mut d)?,
             },
             TAG_EVICT => WalRecord::Evict {
@@ -239,27 +234,13 @@ impl WalRecord {
                 table: d.str()?,
                 evicted_to: d.u64()?,
             },
-            TAG_REGISTER => WalRecord::Register {
-                slot: d.u32()?,
-                generation: d.u32()?,
-                module: d.str()?,
-                sql: d.str()?,
-                session: d.u64()?,
-                seq: d.u64()?,
-            },
-            TAG_REMOVE => WalRecord::RemoveQuery { slot: d.u32()?, generation: d.u32()? },
-            TAG_SET_POLICY => WalRecord::SetPolicy {
-                version: d.u64()?,
-                module: d.str()?,
-                xml: d.str()?,
-                session: d.u64()?,
-                seq: d.u64()?,
-            },
-            TAG_SPEND_EPSILON => WalRecord::SpendEpsilon {
-                module: d.str()?,
-                seq: d.u64()?,
-                spent: d.f64()?,
-            },
+            TAG_REGISTER => WalRecord::Register(Registration::dec(&mut d)?),
+            TAG_SET_POLICY => {
+                let version = d.u64()?;
+                let (module, xml, origin) = dec_text_body(&mut d)?;
+                WalRecord::SetPolicy { version, module, xml, origin }
+            }
+            TAG_SPEND_EPSILON => WalRecord::SpendEpsilon(Spend::dec(&mut d)?),
             tag => {
                 return Err(CoreError::Corrupt(format!(
                     "unknown write-ahead-log record type {tag}"
@@ -452,6 +433,7 @@ pub fn read_wal(vfs: &Arc<dyn Vfs>, path: &Path) -> CoreResult<WalContents> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::QueryHandle;
     use crate::storage::vfs::RealVfs;
     use paradise_engine::{DataType, Schema, Value};
 
@@ -469,42 +451,121 @@ mod tests {
         RealVfs::shared()
     }
 
+    fn remove(id: u64) -> WalRecord {
+        WalRecord::Command(Command::RemoveQuery { handle: QueryHandle::from_id(id) })
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         let schema = Schema::from_pairs(&[("x", DataType::Integer)]);
         let frame = Frame::new(schema, vec![vec![Value::Int(1)], vec![Value::Int(2)]]).unwrap();
         vec![
-            WalRecord::InstallSource {
+            WalRecord::Command(Command::InstallSource {
                 node: "motion-sensor".into(),
                 table: "stream".into(),
                 frame: frame.clone(),
-            },
+            }),
             WalRecord::SetPolicy {
                 version: 3,
                 module: "M".into(),
                 xml: "<module/>".into(),
-                session: 0,
-                seq: 0,
+                origin: (0, 0),
             },
-            WalRecord::Register {
+            WalRecord::Register(Registration {
                 slot: 0,
                 generation: 0,
                 module: "M".into(),
                 sql: "SELECT x FROM stream".into(),
-                session: 7,
-                seq: 2,
-            },
+                origin: (7, 2),
+            }),
             WalRecord::Ingest {
                 node: "motion-sensor".into(),
                 table: "stream".into(),
                 start: 2,
-                session: 7,
-                seq: 3,
+                origin: (7, 3),
                 frame,
             },
             WalRecord::Evict { node: "motion-sensor".into(), table: "stream".into(), evicted_to: 1 },
-            WalRecord::RemoveQuery { slot: 0, generation: 0 },
-            WalRecord::SpendEpsilon { module: "M".into(), seq: 4, spent: 0.5 },
+            remove(0),
+            WalRecord::SpendEpsilon(Spend { module: "M".into(), seq: 4, spent: 0.5 }),
         ]
+    }
+
+    /// One command of each kind, with a query and a policy that give
+    /// the SQL and XML parsers something to chew on.
+    fn sample_commands() -> Vec<Command> {
+        let xml = r#"<module module_ID="M"><attributeList>
+            <attribute name="x"><allow>true</allow>
+              <condition><atomicCondition>x &gt; 2</atomicCondition></condition></attribute>
+            <attribute name="s"><allow>true</allow><aggregation>
+              <aggregationType>COUNT</aggregationType><groupBy>x</groupBy></aggregation></attribute>
+          </attributeList></module>"#;
+        let sql = "SELECT x, COUNT(s) FROM stream WHERE x > 2 GROUP BY x";
+        let frame = Frame::new(
+            Schema::from_pairs(&[("x", DataType::Integer), ("s", DataType::Text)]),
+            vec![vec![Value::Int(1), Value::Str("a".into())], vec![Value::Null, Value::Null]],
+        )
+        .unwrap();
+        vec![
+            Command::InstallSource {
+                node: "motion-sensor".into(),
+                table: "stream".into(),
+                frame: frame.clone(),
+            },
+            Command::Ingest {
+                node: "motion-sensor".into(),
+                table: "stream".into(),
+                frame,
+                origin: (7, 3),
+            },
+            Command::Register {
+                module: "M".into(),
+                query: Box::new(paradise_sql::parse_query(sql).unwrap()),
+                origin: (7, 4),
+            },
+            Command::RemoveQuery { handle: QueryHandle::from_id(0x0000_0002_0000_0001) },
+            Command::SetPolicy {
+                module: "M".into(),
+                policy: paradise_policy::parse_policy(xml).unwrap().modules.remove(0),
+                origin: (7, 5),
+            },
+        ]
+    }
+
+    /// Every proper prefix of `bytes`, then every single-bit flip of it.
+    fn truncations_and_flips(bytes: &[u8]) -> Vec<Vec<u8>> {
+        let truncations = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+        let flips = (0..bytes.len() * 8).map(|bit| {
+            let mut flipped = bytes.to_vec();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            flipped
+        });
+        truncations.chain(flips).collect()
+    }
+
+    #[test]
+    fn decoders_survive_every_truncation_and_bit_flip() {
+        // each input gives a value or a typed error, never a panic
+        for cmd in sample_commands() {
+            let mut e = Enc::new();
+            e.u8(command_tag(&cmd));
+            enc_command(&mut e, &cmd);
+            let bytes = e.into_bytes();
+            let mut d = Dec::new(&bytes);
+            let tag = d.u8().unwrap();
+            assert_eq!(dec_command(&mut d, tag).unwrap(), cmd, "intact, it round-trips");
+            assert!(d.done());
+            for input in truncations_and_flips(&bytes) {
+                let mut d = Dec::new(&input);
+                if let Ok(tag) = d.u8() {
+                    let _ = dec_command(&mut d, tag);
+                }
+            }
+        }
+        for record in sample_records() {
+            for input in truncations_and_flips(&record.encode_body()) {
+                let _ = WalRecord::decode_body(&input);
+            }
+        }
     }
 
     #[test]
@@ -569,13 +630,13 @@ mod tests {
 
         // resume truncates the tail and appending continues cleanly
         let mut wal = Wal::resume(&vfs(), &path, read.valid_bytes).unwrap();
-        wal.append(&WalRecord::RemoveQuery { slot: 9, generation: 9 });
+        wal.append(&remove(9));
         wal.commit().unwrap();
         let read = read_wal(&vfs(), &path).unwrap();
         assert_eq!(read.torn_bytes, 0);
         assert_eq!(
             read.records.last(),
-            Some(&WalRecord::RemoveQuery { slot: 9, generation: 9 })
+            Some(&remove(9))
         );
     }
 
@@ -616,13 +677,13 @@ mod tests {
         let fault = FaultVfs::new();
         let as_vfs: Arc<dyn Vfs> = Arc::clone(&fault) as Arc<dyn Vfs>;
         let mut wal = Wal::create(&as_vfs, &path).unwrap();
-        wal.append(&WalRecord::RemoveQuery { slot: 1, generation: 1 });
+        wal.append(&remove(1));
         wal.commit().unwrap();
 
         // the next commit tears mid-write; the buffer must survive
         fault.schedule(FaultOp::Write, 0, FaultKind::Torn { keep: 5 });
-        wal.append(&WalRecord::RemoveQuery { slot: 2, generation: 2 });
-        wal.append(&WalRecord::RemoveQuery { slot: 3, generation: 3 });
+        wal.append(&remove(2));
+        wal.append(&remove(3));
         assert!(matches!(wal.commit(), Err(CoreError::Io(_))));
         assert_eq!(wal.pending_records(), 2, "failed commit keeps the buffer");
 
@@ -635,9 +696,9 @@ mod tests {
         assert_eq!(
             read.records,
             vec![
-                WalRecord::RemoveQuery { slot: 1, generation: 1 },
-                WalRecord::RemoveQuery { slot: 2, generation: 2 },
-                WalRecord::RemoveQuery { slot: 3, generation: 3 },
+                remove(1),
+                remove(2),
+                remove(3),
             ]
         );
     }

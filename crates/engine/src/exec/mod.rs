@@ -209,7 +209,7 @@ impl JoinRows {
     /// each buffer typed after its schema column.
     fn frame(&self, schema: Schema, left: &Frame, right: &Frame) -> EngineResult<Frame> {
         if schema.is_empty() {
-            return Ok(Frame::from_rows(schema, vec![Vec::new(); self.pairs.len()]));
+            return Ok(Frame::without_columns(self.pairs.len()));
         }
         let mut columns = Vec::with_capacity(schema.len());
         for (side, frame) in [left, right].into_iter().enumerate() {

@@ -53,6 +53,13 @@ impl Frame {
         Frame { schema, columns, len: 0 }
     }
 
+    /// A frame of `rows` rows and no columns — `SELECT` with no `FROM`,
+    /// a grouping that keeps no column: only its cardinality, without
+    /// a buffer per row.
+    pub fn without_columns(rows: usize) -> Self {
+        Frame { schema: Schema::default(), columns: Vec::new(), len: rows }
+    }
+
     /// Build from row-major parts, validating row arity.
     pub fn new(schema: Schema, rows: Vec<Row>) -> EngineResult<Self> {
         let width = schema.len();

@@ -1046,7 +1046,7 @@ fn build_state_ext(body: &AggBody, gs: &GroupState, in_schema: &Schema) -> Engin
         cols.push(Arc::clone(vals));
     }
     if body.rep_cols.is_empty() && body.agg_names.is_empty() {
-        return Ok(Frame::from_rows(schema, vec![Vec::new(); n_groups]));
+        return Ok(Frame::without_columns(n_groups));
     }
     Frame::from_arc_columns(schema, cols)
 }

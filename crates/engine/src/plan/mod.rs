@@ -1116,7 +1116,7 @@ fn build_ext_frame(
             cols.push(Arc::new(input.column(i).gather(&grouping.firsts)));
         }
         if body.rep_cols.is_empty() {
-            Frame::from_rows(schema, vec![Vec::new(); grouping.len()])
+            Frame::without_columns(grouping.len())
         } else {
             Frame::from_arc_columns(schema, cols)?
         }

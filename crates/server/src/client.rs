@@ -1,11 +1,15 @@
 //! A minimal blocking client for the wire protocol — used by the
 //! tests, the benchmark and the examples, and small enough to crib
-//! for real integrations.
+//! for real integrations. A mutation is one [`Command`], parsed here —
+//! SQL and policy XML included — and sent by [`Client::apply`].
 
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
+use paradise_core::{Command, QueryHandle};
 use paradise_engine::Frame;
+use paradise_policy::parse_policy;
+use paradise_sql::parse_query;
 
 use crate::protocol::{
     self, ErrorCode, Request, Response, TickEntry, WireError, DEFAULT_MAX_FRAME_BYTES,
@@ -19,11 +23,13 @@ use crate::stats::ServerStats;
 pub enum ClientError {
     /// Socket-level failure (connect, read, write, timeout).
     Io(String),
-    /// The server replied with a typed error.
+    /// A typed refusal: the server's error reply, or the client's own
+    /// before sending — SQL or policy XML that does not parse is
+    /// [`ErrorCode::BadRequest`], as the server would answer it.
     Server {
         /// Failure category.
         code: ErrorCode,
-        /// Server-provided detail.
+        /// Detail, from the server or the client.
         message: String,
     },
     /// The server replied with something the request cannot mean —
@@ -161,6 +167,16 @@ impl Client {
         }
     }
 
+    /// Apply one runtime mutation: the one method that sends a
+    /// [`Command`], which the typed wrappers below and
+    /// [`RetryClient`](crate::RetryClient)'s call. The origin's `seq`
+    /// is the dedup sequence (exactly-once on a named session; `0`
+    /// disables dedup); the server replaces its session with this
+    /// connection's. Returns the server's reply.
+    pub fn apply(&mut self, cmd: Command) -> Result<Response, ClientError> {
+        self.call(&Request::Apply(cmd))
+    }
+
     /// Install (or replace) a source table at a chain node.
     pub fn install_source(
         &mut self,
@@ -168,28 +184,15 @@ impl Client {
         table: &str,
         frame: Frame,
     ) -> Result<(), ClientError> {
-        let req =
-            Request::InstallSource { node: node.into(), table: table.into(), frame };
-        match self.call(&req)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected("Ok", other)),
-        }
+        let cmd = Command::InstallSource { node: node.into(), table: table.into(), frame };
+        expect_ok(self.apply(cmd)?)
     }
 
     /// Register a continuous query; the returned id names the handle
-    /// in [`TickReply::results`] and [`Client::remove_query`].
+    /// in [`TickReply::results`] and [`Client::remove_query`]. SQL
+    /// that does not parse is refused here, before sending.
     pub fn register(&mut self, module: &str, sql: &str) -> Result<u64, ClientError> {
-        self.register_seq(module, sql, 0)
-    }
-
-    /// [`Client::register`] with a client-assigned dedup sequence
-    /// (exactly-once on a named session; `0` disables dedup).
-    pub fn register_seq(&mut self, module: &str, sql: &str, seq: u64) -> Result<u64, ClientError> {
-        let req = Request::Register { module: module.into(), sql: sql.into(), seq };
-        match self.call(&req)? {
-            Response::Registered { handle } => Ok(handle),
-            other => Err(unexpected("Registered", other)),
-        }
+        registered(self.apply(register_command(module, sql, (0, 0))?)?)
     }
 
     /// Queue one stream batch. `Overloaded` is a normal outcome under
@@ -200,24 +203,9 @@ impl Client {
         table: &str,
         frame: Frame,
     ) -> Result<IngestAck, ClientError> {
-        self.ingest_seq(node, table, frame, 0)
-    }
-
-    /// [`Client::ingest`] with a client-assigned dedup sequence
-    /// (exactly-once on a named session; `0` disables dedup).
-    pub fn ingest_seq(
-        &mut self,
-        node: &str,
-        table: &str,
-        frame: Frame,
-        seq: u64,
-    ) -> Result<IngestAck, ClientError> {
-        let req = Request::Ingest { node: node.into(), table: table.into(), frame, seq };
-        match self.call(&req)? {
-            Response::Accepted { depth } => Ok(IngestAck::Accepted { depth }),
-            Response::Overloaded { reason } => Ok(IngestAck::Overloaded { reason }),
-            other => Err(unexpected("Accepted/Overloaded", other)),
-        }
+        let cmd =
+            Command::Ingest { node: node.into(), table: table.into(), frame, origin: (0, 0) };
+        ingest_ack(self.apply(cmd)?)
     }
 
     /// Evaluate all registered queries and fetch this connection's
@@ -242,27 +230,16 @@ impl Client {
         }
     }
 
-    /// Install or swap a module policy (PP4SE XML) live.
+    /// Install or swap a module policy (PP4SE XML) live. XML that
+    /// does not parse, or holds no policy for `module`, is refused
+    /// here, before sending.
     pub fn set_policy(&mut self, module: &str, xml: &str) -> Result<(), ClientError> {
-        self.set_policy_seq(module, xml, 0)
-    }
-
-    /// [`Client::set_policy`] with a client-assigned dedup sequence
-    /// (exactly-once on a named session; `0` disables dedup).
-    pub fn set_policy_seq(&mut self, module: &str, xml: &str, seq: u64) -> Result<(), ClientError> {
-        let req = Request::SetPolicy { module: module.into(), xml: xml.into(), seq };
-        match self.call(&req)? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected("Ok", other)),
-        }
+        expect_ok(self.apply(set_policy_command(module, xml, (0, 0))?)?)
     }
 
     /// Deregister one of this connection's handles.
     pub fn remove_query(&mut self, handle: u64) -> Result<(), ClientError> {
-        match self.call(&Request::RemoveQuery { handle })? {
-            Response::Ok => Ok(()),
-            other => Err(unexpected("Ok", other)),
-        }
+        expect_ok(self.apply(Command::RemoveQuery { handle: QueryHandle::from_id(handle) })?)
     }
 
     /// Fetch server + runtime counters.
@@ -299,4 +276,58 @@ impl Client {
 
 fn unexpected(wanted: &str, got: Response) -> ClientError {
     ClientError::Protocol(format!("expected {wanted}, got {got:?}"))
+}
+
+fn bad_request(message: String) -> ClientError {
+    ClientError::Server { code: ErrorCode::BadRequest, message }
+}
+
+/// `Register` of `sql` under `module`, parsed here.
+pub(crate) fn register_command(
+    module: &str,
+    sql: &str,
+    origin: (u64, u64),
+) -> Result<Command, ClientError> {
+    let query = parse_query(sql).map_err(|e| bad_request(format!("parse error: {e}")))?;
+    Ok(Command::Register { module: module.into(), query: Box::new(query), origin })
+}
+
+/// `SetPolicy` of the policy `xml` holds for `module`, parsed here.
+pub(crate) fn set_policy_command(
+    module: &str,
+    xml: &str,
+    origin: (u64, u64),
+) -> Result<Command, ClientError> {
+    let parsed = parse_policy(xml).map_err(|e| bad_request(format!("policy parse error: {e}")))?;
+    let policy = parsed
+        .modules
+        .into_iter()
+        .find(|m| m.module_id == module)
+        .ok_or_else(|| bad_request(format!("policy XML has no module {module}")))?;
+    Ok(Command::SetPolicy { module: module.into(), policy, origin })
+}
+
+/// The reply to an install, a removal or a policy swap.
+pub(crate) fn expect_ok(rsp: Response) -> Result<(), ClientError> {
+    match rsp {
+        Response::Ok => Ok(()),
+        other => Err(unexpected("Ok", other)),
+    }
+}
+
+/// The reply to a registration: the new handle's id.
+pub(crate) fn registered(rsp: Response) -> Result<u64, ClientError> {
+    match rsp {
+        Response::Registered { handle } => Ok(handle),
+        other => Err(unexpected("Registered", other)),
+    }
+}
+
+/// The reply to an ingest.
+pub(crate) fn ingest_ack(rsp: Response) -> Result<IngestAck, ClientError> {
+    match rsp {
+        Response::Accepted { depth } => Ok(IngestAck::Accepted { depth }),
+        Response::Overloaded { reason } => Ok(IngestAck::Overloaded { reason }),
+        other => Err(unexpected("Accepted/Overloaded", other)),
+    }
 }

@@ -1,7 +1,8 @@
 //! One thread per client connection: read frames, enforce the edge
-//! caps (batch size, rate, bounded queue), parse each mutation — SQL
-//! and policy XML included — into a runtime [`Command`] for the engine
-//! thread, write replies.
+//! caps (batch size, rate, bounded queue), forward each decoded
+//! [`Command`] to the engine thread under the connection's own session,
+//! write replies. Decoding a `Request::Apply` already parsed the
+//! command's SQL and policy XML: nothing here translates or parses.
 //!
 //! Graceful degradation is local: a malformed frame, oversized
 //! payload, or mid-frame disconnect closes *this* connection with a
@@ -15,9 +16,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use paradise_core::{Command, QueryHandle};
-use paradise_policy::parse_policy;
-use paradise_sql::parse_query;
+use paradise_core::Command;
 
 use crate::admission::TokenBucket;
 use crate::protocol::{
@@ -166,38 +165,18 @@ fn connection_loop(stream: &mut TcpStream, ctx: &ConnCtx, sess: &mut SessKey) ->
                     Response::Welcome { session_id: 0, last_seq: 0 }
                 }
             }
-            Request::Ingest { node, table, frame, seq } => {
-                let origin = (sess.session_id(), seq);
-                let cmd = Command::Ingest { node, table, frame, origin };
-                handle_ingest(ctx, *sess, &gate, policy, &mut bucket, cmd)
-            }
-            Request::InstallSource { node, table, frame } => {
-                apply(ctx, *sess, Command::InstallSource { node, table, frame })
-            }
-            Request::Register { module, sql, seq } => match parse_query(&sql) {
-                Err(e) => bad_request(format!("parse error: {e}")),
-                Ok(query) => {
-                    let origin = (sess.session_id(), seq);
-                    let query = Box::new(query);
-                    apply(ctx, *sess, Command::Register { module, query, origin })
+            Request::Apply(mut cmd) => {
+                // the session is the connection's own, never the frame's
+                cmd.set_session(sess.session_id());
+                if matches!(cmd, Command::Ingest { .. }) {
+                    handle_ingest(ctx, *sess, &gate, policy, &mut bucket, cmd)
+                } else {
+                    apply(ctx, *sess, cmd)
                 }
-            },
+            }
             Request::Tick { seq } => {
                 let sess = *sess;
                 roundtrip(ctx, |reply| EngineCommand::Tick { sess, seq, reply })
-            }
-            Request::SetPolicy { module, xml, seq } => match parse_policy(&xml) {
-                Err(e) => bad_request(format!("policy parse error: {e}")),
-                Ok(parsed) => match parsed.modules.into_iter().find(|m| m.module_id == module) {
-                    None => bad_request(format!("policy XML has no module {module}")),
-                    Some(policy) => {
-                        let origin = (sess.session_id(), seq);
-                        apply(ctx, *sess, Command::SetPolicy { module, policy, origin })
-                    }
-                },
-            },
-            Request::RemoveQuery { handle } => {
-                apply(ctx, *sess, Command::RemoveQuery { handle: QueryHandle::from_id(handle) })
             }
             Request::Stats => roundtrip(ctx, |reply| EngineCommand::Stats { reply }),
         };
@@ -268,10 +247,6 @@ fn handle_ingest(
 /// Have the engine apply `cmd` for `sess` and wait for its reply.
 fn apply(ctx: &ConnCtx, sess: SessKey, cmd: Command) -> Response {
     roundtrip(ctx, |reply| EngineCommand::Apply { sess, cmd, reply: Reply::Now(reply) })
-}
-
-fn bad_request(message: String) -> Response {
-    Response::Error { code: ErrorCode::BadRequest, message }
 }
 
 /// Send a command to the engine and wait for its reply.

@@ -13,33 +13,43 @@
 //! ```
 //!
 //! Payloads reuse the bounds-checked binary codec of the durability
-//! layer ([`paradise_core::storage::codec`]) — the same bit-exact
-//! `Value`/`Schema`/`Frame` encodings that snapshots and the WAL use,
-//! so a frame ingested over the wire round-trips identically to one
-//! ingested in-process. Decoding is paranoid: every structural
+//! layer ([`paradise_core::storage::codec`]). A mutation travels as
+//! [`Request::Apply`]: one runtime [`Command`], laid out by
+//! [`enc_command`] — the body the write-ahead log records for the same
+//! command — so a frame ingested over the wire round-trips identically
+//! to one ingested in-process, and decoding a command parses its SQL
+//! and policy XML. Decoding is paranoid: every structural
 //! inconsistency is a typed [`WireError`], never a panic — the fault
 //! corpus in `tests/failure_injection.rs` pins that no byte sequence
 //! can take a connection down with anything but a clean typed close.
+//!
+//! Version history ([`PROTOCOL_VERSION`]):
+//!
+//! - v1: no client sessions.
+//! - v2: client sessions — `Hello` carries `(version, session_id)`,
+//!   mutating requests carry a client-assigned `seq`, and the server
+//!   deduplicates `(session_id, seq)` so a retried mutation is applied
+//!   at most once.
+//! - v3: the five mutation requests become one [`Request::Apply`],
+//!   whose command carries the `seq` in its origin. No v2 reader is
+//!   kept.
 
 use std::io::{self, Read, Write};
 
-use paradise_core::storage::codec::{crc32, dec_frame, enc_frame, Dec, Enc};
-use paradise_core::CoreError;
+use paradise_core::storage::codec::{
+    command_tag, crc32, dec_command, dec_frame, enc_command, enc_frame, Dec, Enc,
+};
+use paradise_core::{Command, CoreError};
 use paradise_engine::Frame;
 
 /// Frame magic: "PDS1" little-endian.
 pub const MAGIC: u32 = 0x5044_5331;
 
-/// The protocol version both sides must speak. A [`Request::Hello`]
-/// carrying any other version is answered with a typed
-/// [`ErrorCode::Version`] error and a clean close — never silent
-/// misinterpretation of newer frames.
-///
-/// v2 added client sessions: `Hello` carries `(version, session_id)`,
-/// mutating requests carry a client-assigned `seq`, and the server
-/// deduplicates `(session_id, seq)` so a retried mutation is applied
-/// at most once.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// The protocol version both sides must speak (history in the module
+/// docs). A [`Request::Hello`] carrying any other version is answered
+/// with a typed [`ErrorCode::Version`] error and a clean close — never
+/// silent misinterpretation of older or newer frames.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Default cap on one frame's payload (16 MiB) — see
 /// [`ServerConfig::max_frame_bytes`](crate::ServerConfig::max_frame_bytes).
@@ -195,37 +205,14 @@ pub enum Request {
         /// Ingest-queue capacity override.
         queue_capacity: u32,
     },
-    /// Install (or replace) a source table at a chain node.
-    InstallSource {
-        /// Chain node name.
-        node: String,
-        /// Table name.
-        table: String,
-        /// Initial table contents.
-        frame: Frame,
-    },
-    /// Register a continuous query under a module.
-    Register {
-        /// Module id the query runs under (selects the policy).
-        module: String,
-        /// The query SQL.
-        sql: String,
-        /// Client-assigned sequence number for exactly-once retry
-        /// (`0` = no dedup; only meaningful on a named session).
-        seq: u64,
-    },
-    /// Append a stream batch (queued through the bounded ingest gate).
-    Ingest {
-        /// Chain node name.
-        node: String,
-        /// Table name.
-        table: String,
-        /// The batch.
-        frame: Frame,
-        /// Client-assigned sequence number for exactly-once retry
-        /// (`0` = no dedup; only meaningful on a named session).
-        seq: u64,
-    },
+    /// One runtime mutation — install a source, ingest a batch,
+    /// register or remove a query, set a policy — as the runtime
+    /// applies it. The origin's `seq` is the client's dedup sequence
+    /// (`0` = no dedup; only meaningful on a named session). Its
+    /// session is not read: the server applies the command under the
+    /// connection's own session. An ingest is queued through the
+    /// bounded ingest gate.
+    Apply(Command),
     /// Evaluate this session's registered queries, and no other
     /// tenant's: only they run and spend ε. The reply carries their
     /// per-handle results.
@@ -237,25 +224,6 @@ pub enum Request {
         /// tick retried across a server crash re-executes (see the
         /// fault-tolerance notes in the README).
         seq: u64,
-    },
-    /// Install or swap a module policy live (PP4SE XML). The XML is
-    /// the full policy surface — including the optional `<dp>` element
-    /// carrying a differential-privacy configuration (epsilon per
-    /// tick, budget, clamp bounds) — so DP can be enabled, retuned,
-    /// or disabled over the wire without a new message type.
-    SetPolicy {
-        /// Module id.
-        module: String,
-        /// Policy XML.
-        xml: String,
-        /// Client-assigned sequence number for exactly-once retry
-        /// (`0` = no dedup; only meaningful on a named session).
-        seq: u64,
-    },
-    /// Deregister one of this connection's handles.
-    RemoveQuery {
-        /// The handle id from [`Response::Registered`].
-        handle: u64,
     },
     /// Fetch server + runtime counters.
     Stats,
@@ -287,7 +255,7 @@ pub enum Response {
         last_seq: u64,
     },
     /// A query was registered; the id names it in tick results and
-    /// [`Request::RemoveQuery`].
+    /// [`Command::RemoveQuery`].
     Registered {
         /// The new handle id.
         handle: u64,
@@ -329,14 +297,10 @@ pub enum Response {
 }
 
 const REQ_HELLO: u8 = 0;
-const REQ_INSTALL: u8 = 1;
-const REQ_REGISTER: u8 = 2;
-const REQ_INGEST: u8 = 3;
 const REQ_TICK: u8 = 4;
-const REQ_SET_POLICY: u8 = 5;
-const REQ_REMOVE: u8 = 6;
 const REQ_STATS: u8 = 7;
 const REQ_PING: u8 = 8;
+const REQ_APPLY: u8 = 9;
 
 const RSP_OK: u8 = 128;
 const RSP_REGISTERED: u8 = 129;
@@ -360,38 +324,14 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             e.u64(*block_ms);
             e.u32(*queue_capacity);
         }
-        Request::InstallSource { node, table, frame } => {
-            e.u8(REQ_INSTALL);
-            e.str(node);
-            e.str(table);
-            enc_frame(&mut e, frame);
-        }
-        Request::Register { module, sql, seq } => {
-            e.u8(REQ_REGISTER);
-            e.str(module);
-            e.str(sql);
-            e.u64(*seq);
-        }
-        Request::Ingest { node, table, frame, seq } => {
-            e.u8(REQ_INGEST);
-            e.str(node);
-            e.str(table);
-            enc_frame(&mut e, frame);
-            e.u64(*seq);
+        Request::Apply(cmd) => {
+            e.u8(REQ_APPLY);
+            e.u8(command_tag(cmd));
+            enc_command(&mut e, cmd);
         }
         Request::Tick { seq } => {
             e.u8(REQ_TICK);
             e.u64(*seq);
-        }
-        Request::SetPolicy { module, xml, seq } => {
-            e.u8(REQ_SET_POLICY);
-            e.str(module);
-            e.str(xml);
-            e.u64(*seq);
-        }
-        Request::RemoveQuery { handle } => {
-            e.u8(REQ_REMOVE);
-            e.u64(*handle);
         }
         Request::Stats => e.u8(REQ_STATS),
         Request::Ping => e.u8(REQ_PING),
@@ -411,21 +351,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
             block_ms: d.u64()?,
             queue_capacity: d.u32()?,
         },
-        REQ_INSTALL => Request::InstallSource {
-            node: d.str()?,
-            table: d.str()?,
-            frame: dec_frame(&mut d)?,
-        },
-        REQ_REGISTER => Request::Register { module: d.str()?, sql: d.str()?, seq: d.u64()? },
-        REQ_INGEST => Request::Ingest {
-            node: d.str()?,
-            table: d.str()?,
-            frame: dec_frame(&mut d)?,
-            seq: d.u64()?,
-        },
+        REQ_APPLY => {
+            let tag = d.u8()?;
+            Request::Apply(dec_command(&mut d, tag)?)
+        }
         REQ_TICK => Request::Tick { seq: d.u64()? },
-        REQ_SET_POLICY => Request::SetPolicy { module: d.str()?, xml: d.str()?, seq: d.u64()? },
-        REQ_REMOVE => Request::RemoveQuery { handle: d.u64()? },
         REQ_STATS => Request::Stats,
         REQ_PING => Request::Ping,
         tag => return Err(WireError::Malformed(format!("unknown request tag {tag}"))),
@@ -618,7 +548,10 @@ fn read_exact_framed(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paradise_core::QueryHandle;
     use paradise_engine::{DataType, Schema, Value};
+    use paradise_policy::parse_policy;
+    use paradise_sql::parse_query;
 
     fn sample_frame() -> Frame {
         let schema = Schema::from_pairs(&[("x", DataType::Integer), ("s", DataType::Text)]);
@@ -632,6 +565,38 @@ mod tests {
         .unwrap()
     }
 
+    /// One command of each kind, with a query and a policy that give
+    /// the SQL and XML parsers something to chew on.
+    fn sample_commands() -> Vec<Command> {
+        let xml = r#"<module module_ID="Mod"><attributeList>
+            <attribute name="x"><allow>true</allow>
+              <condition><atomicCondition>x &gt; 2</atomicCondition></condition></attribute>
+            <attribute name="s"><allow>true</allow><aggregation>
+              <aggregationType>COUNT</aggregationType><groupBy>x</groupBy></aggregation></attribute>
+          </attributeList></module>"#;
+        let query = parse_query("SELECT x, COUNT(s) FROM stream WHERE x > 2 GROUP BY x").unwrap();
+        vec![
+            Command::InstallSource {
+                node: "pc".into(),
+                table: "stream".into(),
+                frame: sample_frame(),
+            },
+            Command::Register { module: "Mod".into(), query: Box::new(query), origin: (9, 3) },
+            Command::Ingest {
+                node: "pc".into(),
+                table: "stream".into(),
+                frame: sample_frame(),
+                origin: (9, 4),
+            },
+            Command::SetPolicy {
+                module: "Mod".into(),
+                policy: parse_policy(xml).unwrap().modules.remove(0),
+                origin: (9, 6),
+            },
+            Command::RemoveQuery { handle: QueryHandle::from_id(0xDEAD_BEEF) },
+        ]
+    }
+
     #[test]
     fn requests_roundtrip() {
         for req in [
@@ -642,31 +607,44 @@ mod tests {
                 block_ms: 250,
                 queue_capacity: 4,
             },
-            Request::InstallSource {
-                node: "pc".into(),
-                table: "stream".into(),
-                frame: sample_frame(),
-            },
-            Request::Register {
-                module: "Mod".into(),
-                sql: "SELECT x FROM stream".into(),
-                seq: 3,
-            },
-            Request::Ingest {
-                node: "pc".into(),
-                table: "stream".into(),
-                frame: sample_frame(),
-                seq: 4,
-            },
             Request::Tick { seq: 5 },
-            Request::SetPolicy { module: "Mod".into(), xml: "<module/>".into(), seq: 6 },
-            Request::RemoveQuery { handle: 0xDEAD_BEEF },
             Request::Stats,
             Request::Ping,
-        ] {
+        ]
+        .into_iter()
+        .chain(sample_commands().into_iter().map(Request::Apply))
+        {
             let bytes = encode_request(&req);
             assert_eq!(decode_request(&bytes).unwrap(), req);
         }
+    }
+
+    #[test]
+    fn every_truncation_and_bit_flip_of_an_apply_decodes_or_errs() {
+        // a value or a typed error, never a panic: the decode parses
+        // the SQL and the XML too, so this feeds both parsers
+        for cmd in sample_commands() {
+            let bytes = encode_request(&Request::Apply(cmd));
+            let truncations = (0..bytes.len()).map(|n| bytes[..n].to_vec());
+            let flips = (0..bytes.len() * 8).map(|bit| {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                flipped
+            });
+            for input in truncations.chain(flips) {
+                let _ = decode_request(&input);
+            }
+        }
+    }
+
+    #[test]
+    fn an_unparseable_query_in_an_apply_is_malformed() {
+        let query = Box::new(parse_query("SELECT x FROM stream").unwrap());
+        let cmd = Command::Register { module: "Mod".into(), query, origin: (0, 0) };
+        let mut bytes = encode_request(&Request::Apply(cmd));
+        let at = bytes.windows(6).position(|w| w == b"SELECT").unwrap();
+        bytes[at + 4] = b'K';
+        assert!(matches!(decode_request(&bytes), Err(WireError::Malformed(_))));
     }
 
     #[test]

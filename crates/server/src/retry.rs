@@ -4,14 +4,14 @@
 //! re-send after a timeout or mid-frame disconnect is applied at most
 //! once by the server.
 //!
-//! The contract with the server (protocol v2):
+//! The contract with the server (protocol v3):
 //!
 //! - Every mutating request ([`RetryClient::ingest`],
-//!   [`RetryClient::register`], [`RetryClient::set_policy`]) carries a
-//!   fresh monotonically increasing `seq`; every retry of that request
-//!   re-sends the *same* `seq`. The server's per-session dedup window
-//!   (WAL-durable, so it survives crashes) applies each `(session,
-//!   seq)` exactly once.
+//!   [`RetryClient::register`], [`RetryClient::set_policy`]) is one
+//!   [`Command`] whose origin carries a fresh monotonically increasing
+//!   `seq`; every retry of that request re-sends the *same* command.
+//!   The server's per-session dedup window (WAL-durable, so it
+//!   survives crashes) applies each `(session, seq)` exactly once.
 //! - [`RetryClient::tick`] also carries a `seq`: a retried tick
 //!   returns the server's cached reply instead of evaluating — and
 //!   billing differential-privacy ε for — a second tick. That cache
@@ -25,11 +25,15 @@
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
+use paradise_core::Command;
 use paradise_engine::Frame;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::client::{Client, ClientError, IngestAck, StatsReply, TickReply};
+use crate::client::{
+    expect_ok, ingest_ack, register_command, registered, set_policy_command, Client,
+    ClientError, IngestAck, StatsReply, TickReply,
+};
 use crate::queue::OverloadPolicy;
 
 /// Tunables for a [`RetryClient`].
@@ -150,13 +154,16 @@ impl RetryClient {
         table: &str,
         frame: &Frame,
     ) -> Result<(), ClientError> {
-        self.request(|c| c.install_source(node, table, frame.clone()))
+        let frame = frame.clone();
+        let cmd = Command::InstallSource { node: node.into(), table: table.into(), frame };
+        self.request(|c| c.apply(cmd.clone())).and_then(expect_ok)
     }
 
-    /// Register a continuous query, exactly once.
+    /// Register a continuous query, exactly once. SQL that does not
+    /// parse is refused before sending.
     pub fn register(&mut self, module: &str, sql: &str) -> Result<u64, ClientError> {
-        let seq = self.take_seq();
-        self.request(|c| c.register_seq(module, sql, seq))
+        let cmd = register_command(module, sql, self.origin())?;
+        self.request(|c| c.apply(cmd.clone())).and_then(registered)
     }
 
     /// Queue one stream batch, applied at most once no matter how
@@ -168,8 +175,9 @@ impl RetryClient {
         table: &str,
         frame: &Frame,
     ) -> Result<IngestAck, ClientError> {
-        let seq = self.take_seq();
-        self.request(|c| c.ingest_seq(node, table, frame.clone(), seq))
+        let (node, table, frame) = (node.into(), table.into(), frame.clone());
+        let cmd = Command::Ingest { node, table, frame, origin: self.origin() };
+        self.request(|c| c.apply(cmd.clone())).and_then(ingest_ack)
     }
 
     /// Evaluate all registered queries. A retried tick is served from
@@ -181,10 +189,12 @@ impl RetryClient {
         self.request(|c| c.tick_seq(seq))
     }
 
-    /// Install or swap a module policy, exactly once.
+    /// Install or swap a module policy, exactly once. XML that does
+    /// not parse, or holds no policy for `module`, is refused before
+    /// sending.
     pub fn set_policy(&mut self, module: &str, xml: &str) -> Result<(), ClientError> {
-        let seq = self.take_seq();
-        self.request(|c| c.set_policy_seq(module, xml, seq))
+        let cmd = set_policy_command(module, xml, self.origin())?;
+        self.request(|c| c.apply(cmd.clone())).and_then(expect_ok)
     }
 
     /// Deregister a handle (single attempt after reconnect-if-needed:
@@ -213,6 +223,11 @@ impl RetryClient {
         let seq = self.next_seq;
         self.next_seq += 1;
         seq
+    }
+
+    /// A fresh origin for the next mutation.
+    fn origin(&mut self) -> (u64, u64) {
+        (self.config.session_id, self.take_seq())
     }
 
     /// Run one operation with reconnect + bounded backoff. The

@@ -4,11 +4,12 @@
 //!
 //! The engine thread is the robustness anchor: the runtime is never
 //! shared or locked, so no wire fault, slow client, or panicking
-//! connection can leave it half-mutated. Connections parse frames —
-//! SQL and policy XML included — into runtime [`Command`]s and forward
-//! them as [`EngineCommand`]s over an unbounded channel (control
-//! traffic must never deadlock); the engine thread applies each with
-//! one [`Runtime::apply`]. The *data* path is bounded per connection by
+//! connection can leave it half-mutated. A connection decodes each
+//! mutation frame into the runtime [`Command`] it carries — the decode
+//! parses its SQL and policy XML — sets the command's session to its
+//! own, and forwards it as an [`EngineCommand`] over an unbounded
+//! channel (control traffic must never deadlock); the engine thread
+//! applies each with one [`Runtime::apply`]. The *data* path is bounded per connection by
 //! the [`IngestGate`](crate::queue::IngestGate) instead. Shutdown
 //! drops every sender, lets the engine drain the channel — counting
 //! drained batches — and, when the runtime is durable, commits the
@@ -133,7 +134,7 @@ pub(crate) enum EngineCommand {
         /// Calling session (owns registered handles and deferred
         /// ingest errors).
         sess: SessKey,
-        /// The mutation, its origin already set from the session.
+        /// The mutation, its origin's session already the caller's.
         cmd: Command,
         /// Where the answer goes.
         reply: Reply,

@@ -606,38 +606,42 @@ mod wire {
         }
     }
 
-    /// A client speaking the wrong protocol version gets a typed
-    /// [`ErrorCode::Version`] refusal, the connection is closed, and
-    /// the reject is counted — it never reaches the engine.
+    /// A client speaking the wrong protocol version — newer, or the
+    /// previous one — gets a typed [`ErrorCode::Version`] refusal, the
+    /// connection is closed, and the reject is counted — it never
+    /// reaches the engine.
     #[test]
     fn hello_version_mismatch_is_typed_counted_and_closed() {
         use paradise::server::protocol::{self, Request, Response};
 
         let server = start_server(configure(1), "version-mismatch");
-        let mut s = TcpStream::connect(server.local_addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let hello = Request::Hello {
-            version: protocol::PROTOCOL_VERSION + 1,
-            session_id: 7,
-            shed: true,
-            block_ms: 0,
-            queue_capacity: protocol::QUEUE_CAPACITY_DEFAULT,
-        };
-        protocol::write_frame(&mut s, &protocol::encode_request(&hello)).unwrap();
-        let payload = protocol::read_frame(&mut s, 1 << 20).unwrap();
-        match protocol::decode_response(&payload).unwrap() {
-            Response::Error { code, message } => {
-                assert_eq!(code, ErrorCode::Version);
-                assert!(message.contains("unsupported protocol version"), "{message}");
+        let versions = [protocol::PROTOCOL_VERSION + 1, protocol::PROTOCOL_VERSION - 1];
+        for version in versions {
+            let mut s = TcpStream::connect(server.local_addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let hello = Request::Hello {
+                version,
+                session_id: 7,
+                shed: true,
+                block_ms: 0,
+                queue_capacity: protocol::QUEUE_CAPACITY_DEFAULT,
+            };
+            protocol::write_frame(&mut s, &protocol::encode_request(&hello)).unwrap();
+            let payload = protocol::read_frame(&mut s, 1 << 20).unwrap();
+            match protocol::decode_response(&payload).unwrap() {
+                Response::Error { code, message } => {
+                    assert_eq!(code, ErrorCode::Version, "version {version}");
+                    assert!(message.contains("unsupported protocol version"), "{message}");
+                }
+                other => panic!("version {version}: expected a refusal, got {other:?}"),
             }
-            other => panic!("expected a version refusal, got {other:?}"),
+            let mut rest = [0u8; 16];
+            match s.read(&mut rest) {
+                Ok(0) => {}
+                other => panic!("version {version}: connection stayed open: {other:?}"),
+            }
         }
-        let mut rest = [0u8; 16];
-        match s.read(&mut rest) {
-            Ok(0) => {}
-            other => panic!("connection stayed open after the refusal: {other:?}"),
-        }
-        assert_eq!(server.stats().version_rejected, 1);
+        assert_eq!(server.stats().version_rejected, versions.len() as u64);
         server.shutdown();
     }
 }
@@ -648,6 +652,7 @@ mod wire {
 
 mod crash {
     use super::*;
+    use paradise::server::protocol::Response;
 
     const SESSION: u64 = 0xBEEF;
 
@@ -726,9 +731,15 @@ mod crash {
                 "shards {shards}: durable dedup mark lost across the crash \
                  (ticks carry seqs but only mutations advance the mark)"
             );
-            match raw.ingest_seq("motion-sensor", "stream", batches[1].clone(), 5).unwrap() {
-                IngestAck::Accepted { .. } => {}
-                IngestAck::Overloaded { reason } => panic!("dedup re-send shed: {reason}"),
+            let resend = Command::Ingest {
+                node: "motion-sensor".into(),
+                table: "stream".into(),
+                frame: batches[1].clone(),
+                origin: (SESSION, 5),
+            };
+            match raw.apply(resend).unwrap() {
+                Response::Accepted { .. } => {}
+                other => panic!("dedup re-send shed: {other:?}"),
             }
             drop(raw);
             // The ack means "queued": the engine thread dedups when it

@@ -656,7 +656,8 @@ mod durability {
 
 mod wire {
     use super::*;
-    use paradise::server::protocol::{self, Request};
+    use paradise::core::Command;
+    use paradise::server::protocol::{self, Request, Response};
     use paradise::server::{Client, Server, ServerConfig};
     use std::io::{Read as _, Write as _};
     use std::net::{SocketAddr, TcpStream};
@@ -802,12 +803,12 @@ mod wire {
         // off halfway through its payload
         {
             let mut s = TcpStream::connect(addr).unwrap();
-            let payload = protocol::encode_request(&Request::Ingest {
+            let payload = protocol::encode_request(&Request::Apply(Command::Ingest {
                 node: "motion-sensor".into(),
                 table: "stream".into(),
                 frame: stream(50),
-                seq: 0,
-            });
+                origin: (0, 0),
+            }));
             let crc = paradise::core::storage::codec::crc32(&payload);
             s.write_all(&header(protocol::MAGIC, payload.len() as u32, crc)).unwrap();
             s.write_all(&payload[..payload.len() / 2]).unwrap();
@@ -906,6 +907,93 @@ mod wire {
         }
         assert!(server.stats().connections_rejected >= 1);
         first.ping().unwrap();
+        server.shutdown();
+    }
+
+    /// A session's dedup mark as a fresh connection resuming it sees it.
+    fn mark(addr: SocketAddr, session: u64) -> u64 {
+        let mut c = Client::connect(addr).unwrap();
+        c.set_timeout(Some(Duration::from_secs(30))).unwrap();
+        c.hello_session(OverloadPolicy::Shed, None, session).unwrap()
+    }
+
+    /// The session in a frame's origin is not the sender's to choose: a
+    /// raw `Apply` naming another session runs under the connection's
+    /// own, so it neither dedups against nor advances the named
+    /// session's mark.
+    #[test]
+    fn an_apply_naming_another_session_runs_under_the_connections_own() {
+        const OWNER: u64 = 77;
+        const INTRUDER: u64 = 88;
+        let server = start_server("foreign-origin");
+        let addr = server.local_addr();
+        let ingest = |origin| Command::Ingest {
+            node: "motion-sensor".into(),
+            table: "stream".into(),
+            frame: stream(5),
+            origin,
+        };
+        let connect = |session| {
+            let mut c = Client::connect(addr).unwrap();
+            c.set_timeout(Some(Duration::from_secs(30))).unwrap();
+            c.hello_session(OverloadPolicy::Shed, None, session).unwrap();
+            c
+        };
+
+        let mut owner = connect(OWNER);
+        owner.install_source("motion-sensor", "stream", stream(10)).unwrap();
+        assert!(matches!(owner.apply(ingest((OWNER, 5))).unwrap(), Response::Accepted { .. }));
+        wait_for("owner's ingest applied", 1, || server.stats().ingest_applied);
+        assert_eq!(mark(addr, OWNER), 5);
+
+        // the owner's (session, seq) again, from another session: a
+        // server that trusted the frame would drop it as a duplicate
+        let mut intruder = connect(INTRUDER);
+        assert!(matches!(intruder.apply(ingest((OWNER, 5))).unwrap(), Response::Accepted { .. }));
+        wait_for("intruder's ingest applied", 2, || server.stats().ingest_applied);
+        assert_eq!(server.stats().dedup_hits, 0, "deduplicated against another session");
+
+        // a higher seq naming the owner advances the intruder's mark
+        assert!(matches!(intruder.apply(ingest((OWNER, 9))).unwrap(), Response::Accepted { .. }));
+        wait_for("second intruder ingest applied", 3, || server.stats().ingest_applied);
+        assert_eq!(mark(addr, OWNER), 5, "another session moved the owner's mark");
+        assert_eq!(mark(addr, INTRUDER), 9);
+        server.shutdown();
+    }
+
+    /// SQL that does not parse and policy XML without the module are the
+    /// client's own typed refusals, before anything is sent; the
+    /// connection keeps serving.
+    #[test]
+    fn the_client_refuses_what_does_not_parse_as_a_bad_request() {
+        let server = start_server("client-refusals");
+        let mut c = Client::connect(server.local_addr()).unwrap();
+        c.set_timeout(Some(Duration::from_secs(30))).unwrap();
+        match c.register("M", "SELEKT x FROM stream") {
+            Err(ClientError::Server { code: ErrorCode::BadRequest, message }) => {
+                assert!(message.contains("parse error"), "{message}")
+            }
+            other => panic!("expected a bad request, got {other:?}"),
+        }
+        let foreign = r#"<module module_ID="Other"><attributeList/></module>"#;
+        match c.set_policy("M", foreign) {
+            Err(ClientError::Server { code: ErrorCode::BadRequest, message }) => {
+                assert!(message.contains("no module M"), "{message}")
+            }
+            other => panic!("expected a bad request, got {other:?}"),
+        }
+        match c.set_policy("M", "<module") {
+            Err(ClientError::Server { code: ErrorCode::BadRequest, .. }) => {}
+            other => panic!("expected a bad request, got {other:?}"),
+        }
+
+        c.ping().unwrap();
+        c.install_source("motion-sensor", "stream", stream(10)).unwrap();
+        let handle = c.register("M", "SELECT x, y, z, t FROM stream").unwrap();
+        assert_eq!(tick_rows(&mut c, handle).len(), 10);
+        let stats = server.stats();
+        assert_eq!(stats.malformed_frames, 0, "{stats:?}");
+        assert_eq!(stats.connections_closed, 0, "{stats:?}");
         server.shutdown();
     }
 }
