@@ -114,39 +114,35 @@ enum Carry {
     Full(Frame),
 }
 
-/// One successful pipeline run: the chain run plus the input rows each
-/// stage consumed, for the nodes' statistics.
+/// One successful pipeline run: the chain run, the input rows each
+/// stage consumed (for the nodes' statistics) and the Laplace draws its
+/// noise took.
 pub(crate) struct DeltaRun {
     pub(crate) run: ChainRun,
     pub(crate) rows_in: Vec<usize>,
+    pub(crate) draws: u64,
 }
 
 /// Run the stage pipeline delta-aware (see the module docs). The
 /// internal consistency signal [`EngineError::StalePlan`] — a stage's
 /// state fell out of sync with a mid-stream plan recompilation — resets
 /// the whole pipeline state and retries once from a clean rebuild; it
-/// can never mask a genuine query error, which propagates as-is.
+/// can never mask a genuine query error, which propagates as-is. Only
+/// the attempt that succeeds counts its draws.
 pub(crate) fn run_stages_delta(
     chain: &ProcessingChain,
     stages: &[Stage],
     hs: &mut HandleDeltaState,
     cache: &Mutex<PlanCache>,
     dp: Option<(&DpPlan, u64)>,
-    draws: &mut u64,
 ) -> CoreResult<DeltaRun> {
-    // count draws per attempt so a StalePlan retry doesn't double-count
-    let mut attempt_draws = 0u64;
-    let result = match try_run_stages_delta(chain, stages, hs, cache, dp, &mut attempt_draws) {
+    let result = match try_run_stages_delta(chain, stages, hs, cache, dp) {
         Err(CoreError::Node(NodeError::Engine(EngineError::StalePlan))) => {
             hs.reset();
-            attempt_draws = 0;
-            try_run_stages_delta(chain, stages, hs, cache, dp, &mut attempt_draws)
+            try_run_stages_delta(chain, stages, hs, cache, dp)
         }
         other => other,
     };
-    if result.is_ok() {
-        *draws += attempt_draws;
-    }
     if result.is_err() {
         // a failing stage may leave upstream states already advanced
         // past the tick's delta (their watermarks committed) while
@@ -164,7 +160,6 @@ fn try_run_stages_delta(
     hs: &mut HandleDeltaState,
     cache: &Mutex<PlanCache>,
     dp: Option<(&DpPlan, u64)>,
-    draws: &mut u64,
 ) -> CoreResult<DeltaRun> {
     if stages.is_empty() {
         return Err(CoreError::Node(NodeError::BadChain("no stages to run".into())));
@@ -184,6 +179,7 @@ fn try_run_stages_delta(
     let mut traffic = TrafficLog::default();
     let mut reports: Vec<StageReport> = Vec::with_capacity(stages.len());
     let mut rows_in: Vec<usize> = Vec::with_capacity(stages.len());
+    let mut draws = 0;
     let mut carry = Carry::Start;
 
     for (i, stage) in stages.iter().enumerate() {
@@ -232,7 +228,7 @@ fn try_run_stages_delta(
                 if plan.stage == i && plan.is_noisy() =>
             {
                 let (noised, n) = paradise_engine::apply_laplace(&full, &plan.specs, seed);
-                *draws += n;
+                draws += n;
                 Carry::Full(noised)
             }
             (_, produced) => produced,
@@ -255,7 +251,7 @@ fn try_run_stages_delta(
         Carry::Delta { full, .. } | Carry::Full(full) => full,
         Carry::Start => unreachable!("stages is non-empty"),
     };
-    Ok(DeltaRun { run: ChainRun { result, traffic, stages: reports }, rows_in })
+    Ok(DeltaRun { run: ChainRun { result, traffic, stages: reports }, rows_in, draws })
 }
 
 /// One admitted stage: take the slot's plans (from the runtime cache

@@ -1,7 +1,11 @@
-//! The shared tail of the Figure 2 pipeline: the options that steer a
-//! run, a handle's [`Planned`] pipeline, the [`Outcome`] a tick hands
-//! back per query, and its assembly from a chain run — anonymization step `A`, then the optional cloud
-//! remainder.
+//! The paper's three stages around the chain (Figure 2): the options
+//! that steer a run, a handle's [`Planned`] pipeline — §3.1
+//! preprocessing, fragmentation and placement, built at the events
+//! that change them — and `release`, the §3.2 postprocessing that
+//! turns a handle's chain run into the [`Outcome`] a tick hands back:
+//! anonymization step `A`, then the optional cloud remainder. A tick
+//! is admit → spend → execute → release → commit (see
+//! [`Runtime::tick_each`](crate::runtime::Runtime::tick_each)).
 
 use std::sync::Arc;
 
@@ -114,16 +118,18 @@ pub(crate) fn anonymization_site(chain: &ProcessingChain, stages: &[Stage]) -> S
         .unwrap_or_else(|| last_node.to_string())
 }
 
-/// The tail of every tick: anonymization step `A` at the most powerful
-/// in-apartment node, the optional cloud remainder, and the assembled
-/// [`Outcome`].
+/// §3.2 postprocessing, the one place where a handle's tick result
+/// leaves the chain: anonymization step `A` at the most powerful
+/// in-apartment node, then the optional cloud remainder. Every rule
+/// about what a module may receive belongs here. It runs inside the
+/// handle's pool job, so the handles of one tick release in parallel.
 ///
 /// Frames are handed on by *sharing column buffers* (`Frame::clone`
 /// bumps per-column `Arc`s): between the chain run's output and
 /// `Outcome.result` no row or cell is copied — `shipped`, the
 /// postprocessor input, `post.frame` and `result` all reference the
 /// same buffers unless a stage actually rewrites data.
-pub(crate) fn assemble_outcome(
+pub(crate) fn release(
     planned: Arc<Planned>,
     run: ChainRun,
     options: &RuntimeOptions,

@@ -24,7 +24,12 @@
 //!   independent queries out over the scoped thread pool
 //!   (`PARADISE_THREADS`; serial at 1), one fault-isolated result per
 //!   handle in the order named; ε is spent only for the named handles'
-//!   modules;
+//!   modules. A tick is admit → spend → execute → release → commit:
+//!   admission decides which named handles may run, the spend bills
+//!   their modules' ε, execution runs their stages on the chain,
+//!   `release` — the §3.2 postprocessing, anonymization then the cloud
+//!   remainder — is the one place where a result leaves, and the
+//!   commit accounts the nodes and group-commits the log;
 //! * [`Runtime::tick`] — `tick_each` over every live handle, in
 //!   registration order, atomic when some handle may not run;
 //! * [`Runtime::run_once`] — the one-shot session: register, tick that
@@ -64,7 +69,6 @@
 
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use minipool::ThreadPool;
@@ -79,9 +83,9 @@ use crate::checks::information_gain_check;
 use crate::dp::{self, DpPlan};
 use crate::error::{CoreError, CoreResult};
 use crate::fragment::{assign_to_chain, fragment_query};
-use crate::incremental::{run_stages_delta, DeltaRun, HandleDeltaState};
+use crate::incremental::{run_stages_delta, HandleDeltaState};
 use crate::pipeline::{
-    anonymization_site, assemble_outcome, source_fingerprint, Outcome, Planned, RuntimeOptions,
+    anonymization_site, release, source_fingerprint, Outcome, Planned, RuntimeOptions,
 };
 use crate::preprocess::preprocess;
 use crate::remainder::Remainder;
@@ -247,6 +251,27 @@ struct Registered {
     /// with the same origin resolves to the slot its first delivery
     /// created instead of registering twice.
     origin: (u64, u64),
+}
+
+/// One tick's bookkeeping, threaded through its steps (see
+/// [`Runtime::tick_each`]): a [`Step`] per named handle, in the order
+/// named.
+struct TickCtx {
+    steps: Vec<(QueryHandle, Step)>,
+}
+
+/// Where one named handle stands in a tick. Each ends as `Ran` or
+/// `Refused`; boxing `Ran` would cost an allocation per handle per tick.
+#[allow(clippy::large_enum_variant)]
+enum Step {
+    /// Not run and not billed: stale, repeated or refused.
+    Refused(CoreError),
+    /// Admitted: its slot, and the noise seed `spend` derived for it (0
+    /// for a plan that adds no noise).
+    Run { slot: usize, seed: u64 },
+    /// Executed and released: the Laplace draws its run took, and its
+    /// outcome with the input rows each stage consumed.
+    Ran { draws: u64, result: CoreResult<(Outcome, Vec<usize>)> },
 }
 
 /// Aggregate cache/tick counters of a [`Runtime`], from
@@ -1198,39 +1223,27 @@ impl Runtime {
     }
 
     /// Evaluate every registered query against the current stream state:
-    /// one tick of the continuous-query loop, [`Runtime::tick_each`]
-    /// over every live handle.
-    ///
-    /// Per handle: run its stored plan — built at the last event that
-    /// changed its inputs; a tick plans nothing — on the chain
-    /// delta-aware, over the rows ingested since the handle's last tick,
-    /// or the whole window when it has no state to fold them into.
-    /// Independent handles execute in parallel on the scoped thread pool
-    /// (`PARADISE_THREADS`; serial at 1; a lone handle stays on the
-    /// calling thread) — the result order is the registration order at
-    /// any thread count, and the first failing handle's error (in that
-    /// order) is returned.
+    /// one tick of the continuous-query loop, [`Runtime::tick_each`]'s
+    /// steps over every live handle. The result order is the
+    /// registration order at any thread count, and the first failing
+    /// handle's error (in that order) is returned.
     ///
     /// A tick some handle refuses is **atomic**: if a handle is denied
     /// (typically by a [`Runtime::set_policy`] swap its query no longer
     /// passes), its module's epsilon budget is exhausted, or it is noisy
-    /// while the runtime is degraded, the tick returns that error
-    /// *before* touching any counter, cache or state. The runtime stays
+    /// while the runtime is degraded, the tick returns that error *before*
+    /// touching any state but `dp_budget_exhausted`. The runtime stays
     /// consistent and retries are idempotent; recover by installing a
     /// compatible policy or [`Runtime::remove_query`]-ing the rejected
-    /// handle. An execution error is returned once the tick has run —
-    /// and committed — every other handle, as [`Runtime::tick_each`]
-    /// runs them; a failed commit takes precedence over it.
+    /// handle. An execution error is returned once the tick has run — and
+    /// committed — every other handle, as [`Runtime::tick_each`] runs them;
+    /// a failed commit takes precedence over it.
     pub fn tick(&mut self) -> CoreResult<Vec<(QueryHandle, Outcome)>> {
-        let refused = self.live().find_map(|(_, reg)| self.admit(reg).err());
-        if let Some(e) = refused {
-            if matches!(e, CoreError::BudgetExhausted { .. }) {
-                self.dp_budget_exhausted += 1;
-            }
-            return Err(e);
-        }
         let live: Vec<QueryHandle> = self.live().map(|(handle, _)| handle).collect();
-        self.tick_each(&live)?.into_iter().map(|(handle, outcome)| Ok((handle, outcome?))).collect()
+        let mut ctx = self.admit(&live, true)?;
+        self.spend(&mut ctx);
+        self.execute(&mut ctx);
+        self.commit(ctx)?.into_iter().map(|(handle, outcome)| Ok((handle, outcome?))).collect()
     }
 
     /// The one-shot session (paper Figure 2, once): [`Runtime::register`]
@@ -1276,37 +1289,60 @@ impl Runtime {
     /// quarantine on: one tenant ticks, and is billed for, its own
     /// handles alone, and its rejected query yields a typed error to
     /// that tenant alone.
+    ///
+    /// A tick is admit → spend → execute → release → commit (see the
+    /// module docs); [`Runtime::tick`] takes the same steps, admitting
+    /// atomically.
     pub fn tick_each(&mut self, handles: &[QueryHandle]) -> CoreResult<Vec<(QueryHandle, CoreResult<Outcome>)>> {
-        // phase 1 (serial): admit each named live handle once, then
-        // spend each DP module's per-tick epsilon — once per module,
-        // however many of its named handles will tick — and derive
-        // every noisy handle's noise seed from (handle id, ledger
-        // sequence). The spend is buffered as a log record here and
-        // reaches the OS in phase 4's group commit, i.e. *before* this
-        // tick's results are returned to any caller — so recovery can
-        // never observe released noisy results whose spend (and seed)
-        // it lost. Spends are not refunded if execution later fails:
-        // over-counting spend is privacy-safe, refunding is not.
-        let mut admitted: Vec<Option<CoreResult<u64>>> = self.slots.iter().map(|_| None).collect();
-        let mut named: Vec<Option<usize>> = Vec::with_capacity(handles.len());
-        let mut spent: HashMap<&str, u64> = HashMap::new();
-        for handle in handles {
-            let index = handle.index as usize;
-            let reg = self.slots.get(index).and_then(Option::as_ref);
-            let reg = reg.filter(|reg| reg.generation == handle.generation && admitted[index].is_none());
-            named.push(reg.map(|_| index));
-            let Some(reg) = reg else { continue };
-            if let Err(e) = self.admit(reg) {
-                if matches!(e, CoreError::BudgetExhausted { .. }) {
-                    self.dp_budget_exhausted += 1;
+        let mut ctx = self.admit(handles, false)?;
+        self.spend(&mut ctx);
+        self.execute(&mut ctx);
+        self.commit(ctx)
+    }
+
+    /// The tick's first step, one [`Step`] per named handle: a stale or
+    /// repeated handle is refused as [`CoreError::UnknownHandle`], one
+    /// that may not run ([`Runtime::may_run`]) with its error, counting
+    /// budget refusals; every other handle runs. An `atomic` tick
+    /// returns the first refusal before anything is spent or run.
+    fn admit(&mut self, handles: &[QueryHandle], atomic: bool) -> CoreResult<TickCtx> {
+        let mut steps: Vec<(QueryHandle, Step)> = Vec::with_capacity(handles.len());
+        for &handle in handles {
+            let repeat = steps.iter().any(|(named, _)| *named == handle);
+            let verdict = self.resolve(handle).and_then(|reg| match repeat {
+                true => Err(CoreError::UnknownHandle(handle.id())),
+                false => self.may_run(reg),
+            });
+            let step = match verdict {
+                Ok(()) => Step::Run { slot: handle.index as usize, seed: 0 },
+                Err(e) => {
+                    if matches!(e, CoreError::BudgetExhausted { .. }) {
+                        self.dp_budget_exhausted += 1;
+                    }
+                    if atomic {
+                        return Err(e);
+                    }
+                    Step::Refused(e)
                 }
-                admitted[index] = Some(Err(e));
-                continue;
-            }
-            let Some(cfg) = self.noisy_config(reg) else {
-                admitted[index] = Some(Ok(0));
-                continue;
             };
+            steps.push((handle, step));
+        }
+        Ok(TickCtx { steps })
+    }
+
+    /// Spend each DP module's per-tick epsilon once, however many of its
+    /// admitted handles tick, and seed every noisy handle from (handle
+    /// id, ledger sequence). The spend's log record reaches the OS in
+    /// [`Runtime::commit`]'s group commit, *before* any result is
+    /// returned, so recovery never sees a released noisy result whose
+    /// spend (and seed) it lost. A failed run is not refunded:
+    /// over-counting spend is privacy-safe, refunding is not.
+    fn spend(&mut self, ctx: &mut TickCtx) {
+        let mut spent: HashMap<&str, u64> = HashMap::new();
+        for (handle, step) in &mut ctx.steps {
+            let Step::Run { slot, seed } = step else { continue };
+            let Some(reg) = self.slots[*slot].as_ref() else { continue };
+            let Some(cfg) = self.noisy_config(reg) else { continue };
             let seq = *spent.entry(reg.module.as_str()).or_insert_with(|| {
                 let ledger = self.ledgers.entry(reg.module.clone()).or_default();
                 let seq = ledger.spend(cfg.epsilon_per_tick);
@@ -1319,93 +1355,90 @@ impl Runtime {
                 }
                 seq
             });
-            admitted[index] = Some(Ok(dp::derive_seed(handle.id(), seq)));
+            *seed = dp::derive_seed(handle.id(), seq);
         }
-        let noise_draws = AtomicU64::new(0);
+    }
 
-        // phase 2 (parallel): execute the admitted handles' pipelines on
-        // the chain, borrowed read-only
-        let mut results: Vec<Option<HandleRun>> = self.slots.iter().map(|_| None).collect();
-        {
-            let chain = &self.chain;
-            let plans = &self.plans;
-            let options = &self.options;
-            let remainder = self.remainder.as_ref();
-            let noise_draws = &noise_draws;
-            // a lone resident query ticks on the calling thread: queued,
-            // its tick would cost whatever the race between this thread
-            // and a woken worker for the one job happens to cost
-            let lone = admitted.iter().filter(|a| matches!(a, Some(Ok(_)))).count() == 1;
-            ThreadPool::global().scope(|scope| {
-                for ((slot, result), verdict) in
-                    self.slots.iter_mut().zip(results.iter_mut()).zip(&admitted)
-                {
-                    let (Some(reg), Some(Ok(dp_seed))) = (slot.as_mut(), verdict) else { continue };
-                    let dp_seed = *dp_seed;
-                    let mut job = move || {
-                        *result = Some(run_handle(
-                            reg,
-                            chain,
-                            plans,
-                            options,
-                            remainder,
-                            dp_seed,
-                            noise_draws,
-                        ));
-                    };
-                    if lone {
-                        job();
-                    } else {
-                        scope.spawn(job);
-                    }
-                }
-            });
-        }
-        self.ticks += 1;
-        self.dp_noise_draws += noise_draws.load(Ordering::Relaxed);
-
-        // phase 3 (serial): collect in the order the handles were named,
-        // and account every successful stage run on the chain's nodes
-        let mut out: Vec<(QueryHandle, CoreResult<Outcome>)> = Vec::with_capacity(handles.len());
-        for (&handle, index) in handles.iter().zip(named) {
-            let Some(index) = index else {
-                out.push((handle, Err(CoreError::UnknownHandle(handle.id()))));
-                continue;
-            };
-            let result = match (admitted[index].take(), results[index].take()) {
-                (Some(Err(e)), _) => Err(e),
-                (_, Some(Ok((outcome, rows_in)))) => {
-                    for (report, rows_in) in outcome.stage_reports.iter().zip(rows_in) {
-                        if let Ok(node) = self.chain.node_mut(&report.node) {
-                            node.account(rows_in, report.rows_out, report.bytes_out);
-                        }
-                    }
-                    Ok(outcome)
-                }
-                (_, Some(Err(e))) => {
-                    // a failed execution may have consumed part of its
-                    // delta: drop the handle's incremental state so the
-                    // next tick rebuilds from clean sources
-                    if let Some(Some(reg)) = self.slots.get_mut(index) {
+    /// Run every admitted handle on the chain, borrowed read-only —
+    /// delta-aware over the rows ingested since its last tick, or the
+    /// whole window when it has no state to fold them into — and
+    /// [`release`] its result, each handle in its own job on the scoped
+    /// pool. A lone admitted handle runs on the calling thread: queued,
+    /// its tick would cost whatever the race between this thread and a
+    /// woken worker for the one job happens to cost.
+    fn execute(&mut self, ctx: &mut TickCtx) {
+        // in slot order, so one walk over the slots lends each job its
+        // registration
+        let mut jobs: Vec<(usize, u64, &mut Step)> = ctx.steps.iter_mut()
+            .filter_map(|(_, step)| match *step {
+                Step::Run { slot, seed } => Some((slot, seed, step)),
+                _ => None,
+            })
+            .collect();
+        jobs.sort_unstable_by_key(|&(slot, ..)| slot);
+        let lone = jobs.len() == 1;
+        let (chain, plans, options) = (&self.chain, &self.plans, &self.options);
+        let (remainder, mut slots) = (self.remainder.as_ref(), self.slots.iter_mut().enumerate());
+        ThreadPool::global().scope(|scope| {
+            for (slot, seed, step) in jobs {
+                let Some((_, Some(reg))) = slots.find(|(index, _)| *index == slot) else { continue };
+                let mut job = move || {
+                    let mut draws = 0;
+                    let result = reg.plan.clone().and_then(|planned| {
+                        reg.stats.hits += 1;
+                        let dp = planned.dp.as_ref().filter(|p| p.is_noisy()).map(|p| (p, seed));
+                        let run = run_stages_delta(chain, &planned.stages, &mut reg.delta, plans, dp)?;
+                        draws = run.draws;
+                        Ok((release(planned, run.run, options, remainder)?, run.rows_in))
+                    });
+                    // a failed run may have consumed part of its delta:
+                    // the next tick rebuilds from clean sources
+                    if result.is_err() {
                         reg.delta.reset();
                     }
-                    Err(e)
+                    *step = Step::Ran { draws, result };
+                };
+                if lone {
+                    job();
+                } else {
+                    scope.spawn(job);
                 }
+            }
+        });
+    }
+
+    /// The tick's last step: count it, collect the results in the order
+    /// named and account every released run on the chain's nodes. Then
+    /// the durability group commit: every record buffered since the
+    /// last commit point (ingests, evictions, policy swaps, this tick's
+    /// ε-spends) reaches the OS in one write, whether or not some handle
+    /// failed, and the snapshot cadence advances. A failed write enters
+    /// degraded mode and withholds the results: a noisy result must
+    /// never be released before its spend reaches the log.
+    fn commit(&mut self, ctx: TickCtx) -> CoreResult<Vec<(QueryHandle, CoreResult<Outcome>)>> {
+        self.ticks += 1;
+        let out: Vec<_> = ctx.steps.into_iter().map(|(handle, step)| {
+            let result = match step {
+                Step::Refused(e) => Err(e),
                 // an admitted slot the pool never executed is an
                 // invariant violation; report it typed and keep collecting
-                (_, None) => Err(CoreError::Internal(format!("slot {index} was not executed this tick"))),
+                Step::Run { slot, .. } => {
+                    Err(CoreError::Internal(format!("slot {slot} was not executed this tick")))
+                }
+                Step::Ran { draws, result } => {
+                    self.dp_noise_draws += draws;
+                    result.map(|(outcome, rows_in)| {
+                        for (report, rows_in) in outcome.stage_reports.iter().zip(rows_in) {
+                            if let Ok(node) = self.chain.node_mut(&report.node) {
+                                node.account(rows_in, report.rows_out, report.bytes_out);
+                            }
+                        }
+                        outcome
+                    })
+                }
             };
-            out.push((handle, result));
-        }
-
-        // phase 4: the durability group commit — every record buffered
-        // since the last commit point (ingest batches, evictions,
-        // policy swaps, this tick's ε-spends) reaches the OS in one
-        // write, whether or not some handle failed: a durability fault
-        // is global, a tenant fault is not. A failed write enters
-        // degraded mode with the records preserved for the resume retry,
-        // and the tick's results are withheld — a noisy result must
-        // never be released before its spend reaches the log.
+            (handle, result)
+        }).collect();
         if self.degraded.is_none() {
             self.commit_durability()?;
         }
@@ -1423,7 +1456,7 @@ impl Runtime {
     /// May `reg` run this tick? Its stored plan (a denial is reported
     /// as stored), its module's epsilon budget and — for a noisy plan —
     /// degraded mode decide. Nothing is mutated.
-    fn admit(&self, reg: &Registered) -> CoreResult<()> {
+    fn may_run(&self, reg: &Registered) -> CoreResult<()> {
         if let Err(e) = &reg.plan {
             return Err(e.clone());
         }
@@ -1605,41 +1638,6 @@ fn plan(
         })
         .transpose()?;
     Ok(Planned { preprocess: pre, plan, stages, anonymized_at, dp, information_gain })
-}
-
-/// A handle's tick: its outcome and the input rows each stage consumed.
-type HandleRun = CoreResult<(Outcome, Vec<usize>)>;
-
-/// One handle's tick on its stored plan: the Figure 2 execution path
-/// over the chain, delta-aware (a first tick's delta is the whole
-/// window), then the release — anonymization and the optional
-/// remainder. It grades nothing: the information-gain check ran when
-/// the plan was built. Returns the outcome and the input rows each
-/// stage consumed.
-fn run_handle(
-    reg: &mut Registered,
-    chain: &ProcessingChain,
-    plans: &Mutex<PlanCache>,
-    options: &RuntimeOptions,
-    remainder: Option<&Remainder>,
-    dp_seed: u64,
-    noise_draws: &AtomicU64,
-) -> HandleRun {
-    let planned = reg.plan.clone()?;
-    reg.stats.hits += 1;
-    let dp = planned.dp.as_ref().filter(|p| p.is_noisy());
-    let mut draws = 0u64;
-    let DeltaRun { run, rows_in } = run_stages_delta(
-        chain,
-        &planned.stages,
-        &mut reg.delta,
-        plans,
-        dp.map(|p| (p, dp_seed)),
-        &mut draws,
-    )?;
-    noise_draws.fetch_add(draws, Ordering::Relaxed);
-    let outcome = assemble_outcome(planned, run, options, remainder)?;
-    Ok((outcome, rows_in))
 }
 
 #[cfg(test)]

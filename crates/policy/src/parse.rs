@@ -1,5 +1,6 @@
 //! Reading and writing policies in the PP4SE XML format of paper
-//! Figure 4, plus the exact Figure 4 document as a constant.
+//! Figure 4, plus the exact Figure 4 document as a constant and as the
+//! policy it parses to.
 
 use paradise_sql::parse_expr;
 
@@ -44,6 +45,27 @@ pub const FIG4_POLICY_XML: &str = r#"<module module_ID="ActionFilter">
   </attributeList>
 </module>
 "#;
+
+/// The Figure 4 policy built programmatically: the reference policy of
+/// the tests and the experiments, equal to [`FIG4_POLICY_XML`] parsed.
+pub fn figure4_policy() -> Policy {
+    let mut m = ModulePolicy::new("ActionFilter");
+    m.attributes.push(
+        AttributeRule::allowed("x").with_condition(parse_expr("x > y").expect("static")),
+    );
+    m.attributes.push(AttributeRule::allowed("y"));
+    m.attributes.push(
+        AttributeRule::allowed("z")
+            .with_condition(parse_expr("z < 2").expect("static"))
+            .with_aggregation(
+                AggregationSpec::new("AVG")
+                    .group_by(&["x", "y"])
+                    .having(parse_expr("SUM(z) > 100").expect("static")),
+            ),
+    );
+    m.attributes.push(AttributeRule::allowed("t"));
+    Policy::single(m)
+}
 
 /// Parse a policy document. The root may be a single `<module>` (like
 /// Figure 4) or a `<policy>` wrapping several modules.
@@ -283,6 +305,11 @@ fn module_to_node(module: &ModulePolicy) -> XmlNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn figure4_constant_matches_parsed_xml() {
+        assert_eq!(figure4_policy(), parse_policy(FIG4_POLICY_XML).unwrap());
+    }
 
     #[test]
     fn parses_figure4_document() {

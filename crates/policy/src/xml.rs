@@ -7,6 +7,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use paradise_sql::MAX_NESTING;
+
 /// An XML element node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct XmlNode {
@@ -152,11 +154,13 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-/// Parse a document into its root element.
+/// Parse a document into its root element. Elements nest at most
+/// [`MAX_NESTING`] deep, the SQL parser's limit: a deeper document is an
+/// error, not a stack overflow.
 pub fn parse_xml(input: &str) -> Result<XmlNode, XmlError> {
     let mut p = XmlParser { input, pos: 0 };
     p.skip_prolog_and_ws()?;
-    let root = p.parse_element()?;
+    let root = p.parse_element(1)?;
     p.skip_ws_and_comments()?;
     if p.pos < p.input.len() {
         return Err(p.err("trailing content after root element"));
@@ -239,7 +243,11 @@ impl<'a> XmlParser<'a> {
         Ok(self.input[start..self.pos].to_string())
     }
 
-    fn parse_element(&mut self) -> Result<XmlNode, XmlError> {
+    /// The element at `pos`, itself the `depth`-th open one.
+    fn parse_element(&mut self, depth: usize) -> Result<XmlNode, XmlError> {
+        if depth > MAX_NESTING {
+            return Err(self.err(&format!("elements nest deeper than {MAX_NESTING} levels")));
+        }
         if !self.eat("<") {
             return Err(self.err("expected '<'"));
         }
@@ -317,7 +325,7 @@ impl<'a> XmlParser<'a> {
             }
             match self.peek() {
                 Some('<') => {
-                    let child = self.parse_element()?;
+                    let child = self.parse_element(depth + 1)?;
                     node.children.push(child);
                 }
                 Some(_) => {
@@ -382,6 +390,20 @@ pub fn unescape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn elements_nest_at_most_the_sql_limit() {
+        let nested = |n: usize| format!("{}{}", "<a>".repeat(n), "</a>".repeat(n));
+        parse_xml(&nested(MAX_NESTING)).unwrap();
+        let err = parse_xml(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper than 24"), "{err}");
+        // far past the limit the reader stops at it: no stack overflow
+        let deep = std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(move || parse_xml(&nested(100_000)).is_err())
+            .unwrap();
+        assert!(deep.join().unwrap());
+    }
 
     #[test]
     fn parses_simple_element() {

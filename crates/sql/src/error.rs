@@ -59,6 +59,8 @@ pub enum ParseErrorKind {
     /// Structurally valid but semantically rejected constructs
     /// (e.g. `LIMIT` with a negative count).
     Semantic(String),
+    /// The input nests deeper than the parser's limit (the payload).
+    TooDeep(usize),
 }
 
 impl ParseError {
@@ -89,6 +91,9 @@ impl fmt::Display for ParseError {
                 write!(f, "expected {expected}, found end of input at {}", self.location)
             }
             ParseErrorKind::Semantic(msg) => write!(f, "{msg} at {}", self.location),
+            ParseErrorKind::TooDeep(limit) => {
+                write!(f, "nesting deeper than {limit} levels at {}", self.location)
+            }
         }
     }
 }

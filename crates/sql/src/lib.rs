@@ -39,4 +39,4 @@ pub use ast::{
     SelectItem, SortOrder, TableRef, UnaryOp, WindowSpec,
 };
 pub use error::{Location, ParseError, ParseErrorKind, ParseResult};
-pub use parser::{parse_expr, parse_query};
+pub use parser::{parse_expr, parse_query, MAX_NESTING};

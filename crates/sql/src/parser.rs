@@ -16,6 +16,12 @@
 //! expr       := precedence-climbing over OR < AND < NOT < comparison
 //!               < additive < multiplicative < unary < postfix < primary
 //! ```
+//!
+//! Nesting is bounded: every expression, query block, parenthesised
+//! join and prefix `NOT`/sign opens one level, and past
+//! [`MAX_NESTING`] open levels the parse fails with
+//! [`ParseErrorKind::TooDeep`] instead of overflowing the parsing
+//! thread's stack.
 
 use crate::ast::{
     BinaryOp, CaseBranch, ColumnRef, Expr, FunctionCall, JoinKind, Literal, OrderByItem, Query,
@@ -24,6 +30,15 @@ use crate::ast::{
 use crate::error::{Location, ParseError, ParseErrorKind, ParseResult};
 use crate::lexer::Lexer;
 use crate::token::{Keyword, Token, TokenKind};
+
+/// The deepest nesting the SQL parser and the policy XML reader accept
+/// (see the module docs). The deepest input that the tests, the
+/// examples, the experiments and the benchmark parse opens 5 levels of
+/// SQL and 7 of policy XML. Parsing up to the limit fits on half of a
+/// connection thread's 2 MiB stack in a debug build and on a
+/// fifteenth of it in a release build
+/// (`tests::the_nesting_limit_fits_half_a_connection_stack`).
+pub const MAX_NESTING: usize = 24;
 
 /// Parse a single `SELECT` query (optionally `UNION`-chained, optionally
 /// terminated by `;`) from `src`.
@@ -49,6 +64,8 @@ struct Parser {
     pos: usize,
     /// Location of the end of input, for EOF errors.
     end: Location,
+    /// Nesting levels open at `pos` (see [`MAX_NESTING`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -58,7 +75,7 @@ impl Parser {
             .last()
             .map(|t| t.location)
             .unwrap_or(Location::START);
-        Ok(Parser { tokens, pos: 0, end })
+        Ok(Parser { tokens, pos: 0, end, depth: 0 })
     }
 
     // ------------------------------------------------------------------
@@ -142,6 +159,17 @@ impl Parser {
         }
     }
 
+    /// Run `f` one nesting level deeper, failing past [`MAX_NESTING`].
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> ParseResult<T>) -> ParseResult<T> {
+        if self.depth == MAX_NESTING {
+            return Err(ParseError::new(ParseErrorKind::TooDeep(MAX_NESTING), self.location()));
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
+    }
+
     fn unexpected(&self, expected: &str) -> ParseError {
         match self.peek() {
             Some(t) => ParseError::new(
@@ -182,13 +210,15 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_query(&mut self) -> ParseResult<Query> {
-        let mut query = self.parse_select()?;
-        while self.eat_keyword(Keyword::Union) {
-            let all = self.eat_keyword(Keyword::All);
-            let next = self.parse_select()?;
-            query.unions.push((all, next));
-        }
-        Ok(query)
+        self.nested(|p| {
+            let mut query = p.parse_select()?;
+            while p.eat_keyword(Keyword::Union) {
+                let all = p.eat_keyword(Keyword::All);
+                let next = p.parse_select()?;
+                query.unions.push((all, next));
+            }
+            Ok(query)
+        })
     }
 
     fn parse_select(&mut self) -> ParseResult<Query> {
@@ -398,7 +428,7 @@ impl Parser {
                 let alias = self.parse_alias()?;
                 return Ok(TableRef::Subquery { query: Box::new(query), alias });
             }
-            let inner = self.parse_table_ref()?;
+            let inner = self.nested(Self::parse_table_ref)?;
             self.expect_kind(TokenKind::RParen)?;
             return Ok(inner);
         }
@@ -412,7 +442,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_expr(&mut self) -> ParseResult<Expr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> ParseResult<Expr> {
@@ -435,7 +465,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> ParseResult<Expr> {
         if self.eat_keyword(Keyword::Not) {
-            let inner = self.parse_not()?;
+            let inner = self.nested(Self::parse_not)?;
             Ok(Expr::Unary { op: UnaryOp::Not, expr: Box::new(inner) })
         } else {
             self.parse_comparison()
@@ -536,7 +566,7 @@ impl Parser {
 
     fn parse_unary(&mut self) -> ParseResult<Expr> {
         if self.eat_kind(&TokenKind::Minus) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             // fold `-<numeric literal>` into a negative literal so that
             // rendering round-trips (`-1` ≡ Literal(-1))
             return Ok(match inner {
@@ -546,7 +576,7 @@ impl Parser {
             });
         }
         if self.eat_kind(&TokenKind::Plus) {
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Self::parse_unary)?;
             return Ok(Expr::Unary { op: UnaryOp::Plus, expr: Box::new(inner) });
         }
         self.parse_primary()
@@ -1016,6 +1046,56 @@ mod tests {
         let over = f.over.as_ref().unwrap();
         assert!(over.partition_by.is_empty());
         assert_eq!(over.order_by.len(), 1);
+    }
+
+    /// `open` `n` times, then `core`, then `close` `n` times.
+    fn nest(open: &str, core: &str, close: &str, n: usize) -> String {
+        format!("{}{core}{}", open.repeat(n), close.repeat(n))
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_typed_error() {
+        // the query block and its select item open one level each
+        let at_limit = format!("SELECT {}", nest("(", "1", ")", MAX_NESTING - 2));
+        parse_query(&at_limit).unwrap();
+        let past = format!("SELECT {}", nest("(", "1", ")", MAX_NESTING - 1));
+        let err = parse_query(&past).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep(MAX_NESTING));
+        assert!(err.to_string().starts_with("nesting deeper than 24 levels"), "{err}");
+        parse_expr(&nest("NOT ", "TRUE", "", MAX_NESTING - 1)).unwrap();
+        let err = parse_expr(&nest("NOT ", "TRUE", "", MAX_NESTING)).unwrap_err();
+        assert_eq!(err.kind, ParseErrorKind::TooDeep(MAX_NESTING));
+    }
+
+    /// The margin behind [`MAX_NESTING`]: input nested far past it, in
+    /// every shape that recurses, is refused on half the stack of a
+    /// connection thread (2 MiB). Measured with the limit at 24, the
+    /// deepest shape (nested function calls in a debug build, derived
+    /// tables in a release build) needs ~740 KiB of stack in a debug
+    /// build and ~130 KiB in a release build.
+    #[test]
+    fn the_nesting_limit_fits_half_a_connection_stack() {
+        const DEEP: usize = 5_000;
+        let inputs = [
+            format!("SELECT {}", nest("1 + (", "1", ")", DEEP)),
+            format!("SELECT {}", nest("- ", "1", "", DEEP)),
+            format!("SELECT {}", nest("NOT ", "TRUE", "", DEEP)),
+            format!("SELECT {}", nest("(SELECT ", "1", ")", DEEP)),
+            format!("SELECT {}", nest("EXISTS (SELECT ", "1", ")", DEEP)),
+            format!("SELECT * FROM {}", nest("(SELECT * FROM ", "t", ")", DEEP)),
+            format!("SELECT * FROM {}", nest("(", "t", ")", DEEP)),
+            format!("SELECT {}", nest("f(", "1", ")", DEEP)),
+            format!("SELECT {}", nest("CAST(", "1", " AS INT)", DEEP)),
+            format!("SELECT {}", nest("1 IN (", "1", ")", DEEP)),
+            format!("SELECT {}", nest("CASE WHEN ", "1", " THEN 1 END", DEEP)),
+        ];
+        let probe = std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(move || inputs.map(|sql| parse_query(&sql).map(drop).map_err(|e| e.kind)))
+            .unwrap();
+        for verdict in probe.join().expect("the probe thread returns") {
+            assert_eq!(verdict, Err(ParseErrorKind::TooDeep(MAX_NESTING)));
+        }
     }
 
     #[test]

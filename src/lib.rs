@@ -13,7 +13,7 @@
 //! |-------|----------|
 //! | [`sql`] | lexer, parser, AST, SQL renderer, feature analyses |
 //! | [`engine`] | in-memory relational executor (joins, aggregates, windows) |
-//! | [`policy`] | PP4SE policy model, XML format, validation, generation |
+//! | [`policy`] | PP4SE policy model, XML format, validation |
 //! | [`anon`] | k-anonymity, slicing, QID detection, DD/KL metrics |
 //! | [`nodes`] | capability levels E1–E4, processing chain, sensor simulators |
 //! | [`core`] | preprocessor, vertical fragmenter, postprocessor, containment, the continuous-query [`Runtime`](crate::core::Runtime) — the one entry point; [`run_once`](crate::core::Runtime::run_once) is its one-shot session |
@@ -143,8 +143,8 @@ pub mod prelude {
     };
     pub use paradise_policy::{
         figure4_policy, parse_policy, policy_to_xml, validate_policy, AggregationSpec,
-        AttributeRule, DpConfig, EpsilonLedger, ModulePolicy, Policy, PolicyGenerator,
-        PolicyVersion, FIG4_POLICY_XML,
+        AttributeRule, DpConfig, EpsilonLedger, ModulePolicy, Policy, PolicyVersion,
+        FIG4_POLICY_XML,
     };
     pub use paradise_server::{
         AdmissionConfig, Client, ClientError, ErrorCode, IngestAck, OverloadPolicy, RetryClient,

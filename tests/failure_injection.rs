@@ -961,6 +961,53 @@ mod wire {
         server.shutdown();
     }
 
+    /// SQL nested far past the parser's limit, sent as a raw
+    /// `Apply(Register)` frame, is a typed bad request on that
+    /// connection. It must not overflow the connection thread's stack:
+    /// that aborts the server process, and every tenant with it.
+    #[test]
+    fn deeply_nested_sql_is_a_bad_request_not_a_crash() {
+        let server = start_server("deep-sql");
+        let addr = server.local_addr();
+        let mut bystander = Client::connect(addr).unwrap();
+        bystander.set_timeout(Some(Duration::from_secs(30))).unwrap();
+        bystander.install_source("motion-sensor", "stream", stream(10)).unwrap();
+        let handle = bystander.register("M", "SELECT x, y, z, t FROM stream").unwrap();
+
+        // the frame a client sends for `SELECT 1`, its SQL text swapped
+        // for `SELECT 1 + (1 + (… 1 …))`, 5 000 levels deep
+        let shallow = "SELECT 1";
+        let deep = format!("SELECT {}1{}", "1 + (".repeat(5_000), ")".repeat(5_000));
+        let template = protocol::encode_request(&Request::Apply(Command::Register {
+            module: "M".into(),
+            query: Box::new(parse_query(shallow).unwrap()),
+            origin: (0, 0),
+        }));
+        let mut text = (shallow.len() as u32).to_le_bytes().to_vec();
+        text.extend_from_slice(shallow.as_bytes());
+        let at = template.windows(text.len()).position(|w| w == text).expect("the SQL is in the frame");
+        let mut payload = template[..at].to_vec();
+        payload.extend_from_slice(&(deep.len() as u32).to_le_bytes());
+        payload.extend_from_slice(deep.as_bytes());
+        payload.extend_from_slice(&template[at + text.len()..]);
+
+        let mut s = TcpStream::connect(addr).unwrap();
+        let crc = paradise::core::storage::codec::crc32(&payload);
+        s.write_all(&header(protocol::MAGIC, payload.len() as u32, crc)).unwrap();
+        s.write_all(&payload).unwrap();
+        let reply = read_until_close(&mut s);
+        match protocol::decode_response(&reply[12..]) {
+            Ok(Response::Error { code: ErrorCode::BadRequest, message }) => {
+                assert!(message.contains("nesting deeper than"), "{message}")
+            }
+            other => panic!("expected a bad request, got {other:?}"),
+        }
+
+        bystander.ping().unwrap();
+        assert_eq!(tick_rows(&mut bystander, handle).len(), 10);
+        server.shutdown();
+    }
+
     /// SQL that does not parse and policy XML without the module are the
     /// client's own typed refusals, before anything is sent; the
     /// connection keeps serving.

@@ -1,7 +1,6 @@
-//! Cross-crate policy tests: Figure 4 round-trips, generated policies
-//! validate, and policies drive the preprocessor correctly.
+//! Cross-crate policy tests: Figure 4 round-trips and stream settings
+//! gate query intervals.
 
-use paradise::core::{preprocess, PreprocessOptions};
 use paradise::prelude::*;
 
 #[test]
@@ -13,41 +12,6 @@ fn figure4_xml_parses_validates_and_roundtrips() {
     assert_eq!(policy, again);
     // and equals the programmatic constant
     assert_eq!(policy, figure4_policy());
-}
-
-#[test]
-fn generated_policies_validate_and_apply() {
-    let generator = PolicyGenerator::new();
-    let module = generator.generate("M", &["tag", "x", "y", "z", "t", "valid"]);
-    let policy = Policy::single(module.clone());
-    let issues = validate_policy(&policy);
-    assert!(
-        issues.iter().all(|i| i.severity != paradise::policy::Severity::Error),
-        "{issues:?}"
-    );
-
-    // the generated policy denies the tag outright
-    let q = parse_query("SELECT tag, x FROM ubisense").unwrap();
-    let out = preprocess(&q, &module, &PreprocessOptions::default()).unwrap();
-    assert!(out.denied_attributes.contains(&"tag".to_string()));
-    // x is aggregate-only: the rewritten query aggregates it
-    assert!(out.query.to_string().contains("AVG(x) AS xAVG"));
-}
-
-#[test]
-fn merged_policies_are_more_restrictive_in_the_processor() {
-    use paradise::policy::merge_restrictive;
-    let base = figure4_policy().modules[0].clone();
-    let mut stricter = base.clone();
-    stricter.attributes.retain(|a| a.name != "t");
-    stricter.attributes.push(AttributeRule::denied("t"));
-    let merged = merge_restrictive(&base, &stricter);
-
-    let q = parse_query("SELECT x, y, t FROM stream").unwrap();
-    let merged_out = preprocess(&q, &merged, &PreprocessOptions::default()).unwrap();
-    assert!(merged_out.denied_attributes.contains(&"t".to_string()));
-    let base_out = preprocess(&q, &base, &PreprocessOptions::default()).unwrap();
-    assert!(base_out.denied_attributes.is_empty());
 }
 
 #[test]
@@ -63,19 +27,4 @@ fn stream_settings_gate_query_intervals() {
     assert!(!stream.permits_interval(59.0));
     assert!(stream.permits_level("hour"));
     assert!(!stream.permits_level("raw"));
-}
-
-#[test]
-fn policy_adaptation_covers_new_devices() {
-    use paradise::policy::adapt_to_schema;
-    let generator = PolicyGenerator::new();
-    let mut module = generator.generate("M", &["x", "t"]);
-    // a new SensFloor firmware exposes pressure
-    let added = adapt_to_schema(&mut module, &["x", "t", "pressure"], &generator);
-    assert_eq!(added, 1);
-    assert!(module.attribute("pressure").unwrap().requires_aggregation());
-    // policy still validates
-    assert!(validate_policy(&Policy::single(module))
-        .iter()
-        .all(|i| i.severity != paradise::policy::Severity::Error));
 }
