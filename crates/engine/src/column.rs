@@ -18,7 +18,7 @@
 //! memory than a plain `Vec`.
 
 use std::cmp::Ordering;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 
 use crate::plan::FxHashMap;
@@ -345,6 +345,19 @@ impl ColumnData {
         }
     }
 
+    /// Feed cell `i`'s [`GroupKey`] to `state` borrowed: the bytes
+    /// `self.group_key_at(i).hash(state)` feeds, with no key built and
+    /// no text cloned.
+    pub(crate) fn hash_key_at<H: Hasher>(&self, i: usize, state: &mut H) {
+        KeyRef::of(self.cell_ref(i)).hash(state);
+    }
+
+    /// Are the [`GroupKey`]s of cell `i` and of `other`'s cell `j`
+    /// equal? Compared borrowed, like [`ColumnData::hash_key_at`].
+    pub(crate) fn key_eq_at(&self, i: usize, other: &ColumnData, j: usize) -> bool {
+        KeyRef::of(self.cell_ref(i)) == KeyRef::of(other.cell_ref(j))
+    }
+
     /// A copy of this column with cell `i` replaced by the text
     /// `label(i)` wherever that is `Some`, written in one pass. Cells,
     /// buffer and size are those a [`ColumnData::set`] per labelled cell
@@ -560,23 +573,21 @@ impl ColumnData {
         out
     }
 
-    /// New column keeping the cells where `mask` is true.
+    /// New column keeping the cells where `mask` is true, each buffer
+    /// written once at its final length.
     pub fn filter(&self, mask: &[bool]) -> ColumnData {
-        fn keep<T: Clone>(v: &[Option<T>], mask: &[bool]) -> Vec<Option<T>> {
-            v.iter()
-                .zip(mask)
-                .filter(|(_, &m)| m)
-                .map(|(x, _)| x.clone())
-                .collect()
+        fn keep<T: Clone>(v: &[T], mask: &[bool], kept: usize) -> Cells<T> {
+            let mut out = Vec::with_capacity(kept);
+            out.extend(v.iter().zip(mask).filter(|(_, &m)| m).map(|(x, _)| x.clone()));
+            out.into()
         }
+        let kept = mask.iter().filter(|&&m| m).count();
         let buf = match &self.buf {
-            ColumnBuf::Int(v) => ColumnBuf::Int(keep(v, mask).into()),
-            ColumnBuf::Float(v) => ColumnBuf::Float(keep(v, mask).into()),
-            ColumnBuf::Bool(v) => ColumnBuf::Bool(keep(v, mask).into()),
-            ColumnBuf::Str(v) => ColumnBuf::Str(keep(v, mask).into()),
-            ColumnBuf::Mixed(v) => ColumnBuf::Mixed(
-                v.iter().zip(mask).filter(|(_, &m)| m).map(|(x, _)| x.clone()).collect::<Vec<_>>().into(),
-            ),
+            ColumnBuf::Int(v) => ColumnBuf::Int(keep(v, mask, kept)),
+            ColumnBuf::Float(v) => ColumnBuf::Float(keep(v, mask, kept)),
+            ColumnBuf::Bool(v) => ColumnBuf::Bool(keep(v, mask, kept)),
+            ColumnBuf::Str(v) => ColumnBuf::Str(keep(v, mask, kept)),
+            ColumnBuf::Mixed(v) => ColumnBuf::Mixed(keep(v, mask, kept)),
         };
         let mut out = ColumnData { buf, bytes: 0 };
         out.bytes = out.range_bytes(0..out.len());
@@ -814,7 +825,8 @@ fn cmp_cells(a: CellRef<'_>, b: CellRef<'_>) -> Ordering {
 }
 
 /// [`GroupKey`] over a borrowed cell: equal exactly when the owned keys
-/// are.
+/// are, and hashed as they are (the same variants in the same order;
+/// `&str` hashes as `String` does).
 #[derive(PartialEq, Eq, Hash)]
 enum KeyRef<'a> {
     Null,

@@ -235,10 +235,14 @@ impl Frame {
         Frame { schema: self.schema.clone(), columns, len: indices.len() }
     }
 
-    /// New frame keeping the rows where `mask` is true.
+    /// New frame keeping the rows where `mask` is true. A mask that
+    /// keeps every row shares the columns (an `Arc` bump each).
     pub fn filter_rows(&self, mask: &[bool]) -> Frame {
         debug_assert_eq!(mask.len(), self.len);
         let kept = mask.iter().filter(|&&m| m).count();
+        if kept == self.len {
+            return self.clone();
+        }
         let columns = self.columns.iter().map(|c| Arc::new(c.filter(mask))).collect();
         Frame { schema: self.schema.clone(), columns, len: kept }
     }
@@ -473,6 +477,7 @@ mod tests {
         let mut f = frame();
         let sel = f.select_rows(&[1, 0]);
         assert_eq!(sel.value(0, 0), Value::Int(2));
+        assert!(f.filter_rows(&[true, true]).shares_columns(&f), "an all-pass mask copies nothing");
         let filtered = f.filter_rows(&[false, true]);
         assert_eq!(filtered.len(), 1);
         assert_eq!(filtered.value(0, 1), Value::Str("bb".into()));

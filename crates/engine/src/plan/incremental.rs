@@ -36,6 +36,13 @@
 //! identical to a full rescan — including floating-point accumulation
 //! order.
 //!
+//! A grouped state finds a row's group by one hash of the row's
+//! borrowed key cells under `GroupKey` equality (integral floats fold
+//! onto ints, `-0.0` onto `0`, NaN compares by bits; the hash the shard
+//! router uses), confirmed against the key cells it stores once per
+//! group (`GroupKeys`). A fold builds no key and clones no text per
+//! row, so its allocations do not grow with the batch.
+//!
 //! A retention eviction behind the state's [`Watermark`] arrives as
 //! "the first E input rows are gone" beside the delta, and the state
 //! retracts them: an append stage drops the matching prefix of its
@@ -52,6 +59,8 @@
 //! aggregation (its one group straddles every cut) and partitioned
 //! (N > 1) grouped states.
 
+use std::borrow::Borrow;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use minipool::ThreadPool;
@@ -59,7 +68,7 @@ use minipool::ThreadPool;
 use super::sharded::GroupedState;
 use super::{
     agg_finalize, compile_query, expr_subqueries, filter_rows_parallel, select_rows_parallel,
-    AggBody, ArgFold, Body, ExprProgram, Executor, FxHashMap, PNode, ProjStep,
+    AggBody, ArgFold, Body, ExprProgram, Executor, FxHashMap, FxHasher, PNode, ProjStep,
 };
 use crate::catalog::{Catalog, Watermark};
 use crate::column::{merge_front, ColumnData};
@@ -69,7 +78,7 @@ use crate::exec::aggregate::Accumulator;
 use crate::exec::finalise_types;
 use crate::frame::Frame;
 use crate::schema::{Column, Schema};
-use crate::value::{DataType, GroupKey, Value};
+use crate::value::{DataType, Value};
 
 /// A query compiled for delta-aware re-execution (see the module docs
 /// for which shapes qualify). Compiled once per (query, schema) by
@@ -321,11 +330,12 @@ impl PassBits {
 /// recompute.
 #[derive(Debug)]
 pub(super) struct GroupState {
-    /// Group key → slot: the index of the group's accumulators, stable
-    /// while the group lives (a front eviction renumbers the dense group
-    /// ids, not the slots). The merged view of a partitioned state maps
-    /// keys to merged group ids instead.
-    pub(super) slots: FxHashMap<SlotKey, u32>,
+    /// The key of each slot's group, found by a hash of a row's borrowed
+    /// key cells. A slot is the index of the group's accumulators,
+    /// stable while the group lives (a front eviction renumbers the
+    /// dense group ids, not the slots). The merged view of a partitioned
+    /// state keys merged group ids instead.
+    pub(super) keys: GroupKeys,
     /// Number of groups (tracked explicitly: `calls` may be empty).
     pub(super) n_groups: u32,
     /// Representative (first-row) values per group, one buffer per
@@ -339,10 +349,10 @@ pub(super) struct GroupState {
     group_of: Vec<u32>,
     /// Free slots, reused by new groups.
     free: Vec<u32>,
-    /// Slots of groups a front eviction deleted, whose keys may still
-    /// be in `slots` (a stale entry reads as absent): the next tick's
-    /// fold drops those keys and frees the slots, which keeps the
-    /// O(all keys) sweep out of the eviction's tick.
+    /// Slots of groups a front eviction deleted, whose keys are still
+    /// chained in `keys` (a dead slot reads as absent): the next tick's
+    /// fold re-chains the live keys and frees the slots, which keeps the
+    /// O(all slots) sweep out of the eviction's tick.
     dead: Vec<u32>,
     /// Cached `finish()` of each group's accumulators per call, updated
     /// for the groups touched by each fold.
@@ -362,16 +372,12 @@ pub(super) struct GroupState {
     /// and refolded group ids identically to a rescan. Empty for global
     /// aggregation.
     pub(super) first_rows: Vec<u64>,
-    /// Partitioned states only (scratch, one entry per group created by
-    /// the current fold): the new groups' keys, for insertion into the
-    /// cross-shard merged map.
-    pub(super) new_keys: Vec<SlotKey>,
 }
 
 impl GroupState {
     pub(super) fn new(body: &AggBody, in_schema: &Schema) -> GroupState {
         let mut state = GroupState {
-            slots: FxHashMap::default(),
+            keys: GroupKeys::new(body.group.len()),
             n_groups: 0,
             reps: body
                 .rep_cols
@@ -393,7 +399,6 @@ impl GroupState {
                 body.having.as_ref().map(|_| Vec::new())
             },
             first_rows: Vec::new(),
-            new_keys: Vec::new(),
         };
         state.seed_global(body);
         state
@@ -403,7 +408,7 @@ impl GroupState {
     /// stationary window then re-grows neither the key map nor the
     /// per-group columns (one rehash-and-copy per rebuild otherwise).
     pub(super) fn clear(&mut self, body: &AggBody) {
-        self.slots.clear();
+        self.keys.clear();
         self.n_groups = 0;
         for col in self.reps.iter_mut().chain(self.vals.iter_mut()) {
             Arc::make_mut(col).truncate(0);
@@ -420,7 +425,6 @@ impl GroupState {
             mask.clear();
         }
         self.first_rows.clear();
-        self.new_keys.clear();
         self.seed_global(body);
     }
 
@@ -470,7 +474,7 @@ impl GroupState {
             return;
         }
         let group_of = &self.group_of;
-        self.slots.retain(|_, slot| group_of[*slot as usize] != u32::MAX);
+        self.keys.rechain(|slot| group_of[slot as usize] != u32::MAX);
         self.free.append(&mut self.dead);
     }
 
@@ -567,7 +571,7 @@ impl GroupState {
             }
         }
         let retained = input.select_rows(&picked);
-        fold_grouped(body, self, &retained, exec, &positions, Track::Nothing)?;
+        fold_grouped(body, self, &retained, exec, &positions, None)?;
         Ok((reached as u64, picked.len()))
     }
 }
@@ -579,16 +583,113 @@ fn merge_groups<T: Clone>(v: &mut Vec<T>, reached: usize, extra: &[T], from_extr
     v.drain(..reached - extra.len());
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(super) enum SlotKey {
-    One(GroupKey),
-    Many(Vec<GroupKey>),
+/// The key of each slot's group. A row's key is found by one hash of
+/// its borrowed key cells ([`GroupKey`] equality: integral floats fold
+/// onto ints, `-0.0` onto `0`, NaN compares by bits), so no key is
+/// built and no text cloned per row. The hash maps to the slot stored
+/// under it last; distinct keys with equal hashes chain through `next`,
+/// and a hit is confirmed against the stored cells.
+///
+/// [`GroupKey`]: crate::value::GroupKey
+#[derive(Debug)]
+pub(super) struct GroupKeys {
+    /// Key hash → the slot stored under it last.
+    heads: FxHashMap<u64, u32>,
+    /// Per slot: the slot stored under the same hash before it,
+    /// `u32::MAX` at the end of the chain.
+    next: Vec<u32>,
+    /// Per slot: the hash of its key.
+    pub(super) hashes: Vec<u64>,
+    /// Per key column: the key cell of each slot, written when the slot
+    /// gets its group.
+    pub(super) cells: Vec<ColumnData>,
 }
 
-fn slot_key(key_cols: &[Arc<ColumnData>], ri: usize) -> SlotKey {
-    match key_cols {
-        [c] => SlotKey::One(c.group_key_at(ri)),
-        cs => SlotKey::Many(cs.iter().map(|c| c.group_key_at(ri)).collect()),
+impl GroupKeys {
+    fn new(width: usize) -> Self {
+        GroupKeys {
+            heads: FxHashMap::default(),
+            next: Vec::new(),
+            hashes: Vec::new(),
+            cells: (0..width).map(|_| ColumnData::empty(DataType::Float)).collect(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.heads.clear();
+        self.next.clear();
+        self.hashes.clear();
+        self.cells.iter_mut().for_each(|c| c.truncate(0));
+    }
+
+    /// The hash of row `ri`'s key over the key columns `cols`.
+    pub(super) fn hash<C: Borrow<ColumnData>>(cols: &[C], ri: usize) -> u64 {
+        let mut h = FxHasher::default();
+        for col in cols {
+            col.borrow().hash_key_at(ri, &mut h);
+        }
+        h.finish()
+    }
+
+    /// The slot, among those `live` accepts, whose key equals row `ri`'s
+    /// over `cols`, which hashes to `h`.
+    pub(super) fn find<C: Borrow<ColumnData>>(
+        &self,
+        h: u64,
+        cols: &[C],
+        ri: usize,
+        live: impl Fn(u32) -> bool,
+    ) -> Option<u32> {
+        let mut slot = *self.heads.get(&h)?;
+        while slot != u32::MAX {
+            let at = slot as usize;
+            let equal = || {
+                let mut cells = self.cells.iter().zip(cols);
+                cells.all(|(c, col)| c.key_eq_at(at, col.borrow(), ri))
+            };
+            if live(slot) && equal() {
+                return Some(slot);
+            }
+            slot = self.next[at];
+        }
+        None
+    }
+
+    /// Store row `ri`'s key over `cols`, which hashes to `h`, as the key
+    /// of `slot`: a new slot (the next one) or a freed one.
+    pub(super) fn insert<C: Borrow<ColumnData>>(
+        &mut self,
+        slot: u32,
+        h: u64,
+        cols: &[C],
+        ri: usize,
+    ) {
+        let at = slot as usize;
+        let next = self.heads.insert(h, slot).unwrap_or(u32::MAX);
+        if at == self.hashes.len() {
+            self.hashes.push(h);
+            self.next.push(next);
+            for (c, col) in self.cells.iter_mut().zip(cols) {
+                c.push(col.borrow().value(ri));
+            }
+        } else {
+            self.hashes[at] = h;
+            self.next[at] = next;
+            for (c, col) in self.cells.iter_mut().zip(cols) {
+                c.set(at, col.borrow().value(ri));
+            }
+        }
+    }
+
+    /// Re-chain the slots `live` accepts from their stored hashes and
+    /// forget the others: O(slots).
+    fn rechain(&mut self, live: impl Fn(u32) -> bool) {
+        self.heads.clear();
+        for (slot, (&h, next)) in self.hashes.iter().zip(&mut self.next).enumerate() {
+            if live(slot as u32) {
+                *next = self.heads.insert(h, slot as u32).unwrap_or(u32::MAX);
+            }
+        }
     }
 }
 
@@ -906,35 +1007,24 @@ pub(super) fn filter_positions(
     Ok((fd, positions))
 }
 
-/// What [`fold_grouped`] records beyond the groups themselves.
-pub(super) enum Track<'a> {
-    /// Nothing more (a refold, global aggregation).
-    Nothing,
-    /// Each new group's key, in [`GroupState::new_keys`]: the shards of
-    /// a partitioned state, so the cross-shard merge can re-establish
-    /// global first-appearance order.
-    NewKeys,
-    /// Each row's slot, into the one shard's record of its retained
-    /// input rows, given with the position of its first entry.
-    Rows(&'a mut [u32], u64),
-}
-
 /// Fold one (filtered) delta batch into the group state. Rows are
 /// processed in ascending order, so each group's accumulator sees its
 /// rows in exactly the order the rescan kernels would — results,
 /// including floating-point sums, are identical.
 ///
 /// `positions` carries one stream position per row of `fd`: each new
-/// group records its first in [`GroupState::first_rows`]. `track` says
-/// what else the fold records. The groups the fold touches join
-/// [`GroupState::touched`], which the caller clears.
+/// group records its first in [`GroupState::first_rows`]. With `rows`
+/// (the one shard's record of its retained input rows, and the position
+/// of its first entry) the fold records each row's slot there. The
+/// groups the fold touches join [`GroupState::touched`], which the
+/// caller clears.
 pub(super) fn fold_grouped(
     body: &AggBody,
     gs: &mut GroupState,
     fd: &Frame,
     exec: &Executor<'_>,
     positions: &[u64],
-    mut track: Track<'_>,
+    mut rows: Option<(&mut [u32], u64)>,
 ) -> EngineResult<()> {
     let n = fd.len();
     if n == 0 {
@@ -965,25 +1055,24 @@ pub(super) fn fold_grouped(
             }
             (0, gs.slot_of[0])
         } else {
-            let key = slot_key(&key_cols, ri);
-            let slot = match gs.slots.get(&key) {
-                Some(&slot) if gs.group_of[slot as usize] != u32::MAX => slot,
-                // absent, or the stale key of a deleted group
-                _ => {
+            let h = GroupKeys::hash(&key_cols, ri);
+            let group_of = &gs.group_of;
+            let live = |slot: u32| group_of[slot as usize] != u32::MAX;
+            let slot = match gs.keys.find(h, &key_cols, ri, live) {
+                Some(slot) => slot,
+                // absent, or the key of a deleted group
+                None => {
                     // first appearance: capture the representative row
                     let slot = gs.new_group(body);
                     for (buf, &ci) in gs.reps.iter_mut().zip(&body.rep_cols) {
                         Arc::make_mut(buf).push(fd.column(ci).value(ri));
                     }
                     gs.first_rows.push(positions[ri]);
-                    if let Track::NewKeys = track {
-                        gs.new_keys.push(key.clone());
-                    }
-                    gs.slots.insert(key, slot);
+                    gs.keys.insert(slot, h, &key_cols, ri);
                     slot
                 }
             };
-            if let Track::Rows(rows, first) = &mut track {
+            if let Some((rows, first)) = &mut rows {
                 rows[(positions[ri] - *first) as usize] = slot;
             }
             (gs.group_of[slot as usize], slot)
@@ -1077,4 +1166,108 @@ fn refresh_having_mask(
         mask[g] = b;
     }
     Ok(indices.len() as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+
+    use super::*;
+    use crate::value::GroupKey;
+    use paradise_sql::parse_query;
+
+    #[test]
+    fn groups_are_keyed_by_group_key_equality_across_buffer_types() {
+        let schema = Schema::from_pairs(&[("k", DataType::Float)]);
+        let mut catalog = Catalog::new();
+        catalog.register("s", Frame::empty(schema.clone())).unwrap();
+        let exec = Executor::new(&catalog);
+        let query = parse_query("SELECT k, COUNT(*) AS n FROM s GROUP BY k").unwrap();
+        let plan = exec.compile_incremental(&query).unwrap().unwrap();
+        let IncKind::Grouped(body) = &plan.kind else { panic!("a grouped plan") };
+        let mut gs = GroupState::new(body, &plan.in_schema);
+
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        let batches = [
+            // an Int buffer, a Float buffer, a Mixed one
+            vec![Value::Int(2), Value::Int(0), Value::Null, Value::Int(2)],
+            vec![
+                Value::Float(2.0),
+                Value::Float(-0.0),
+                Value::Float(nan),
+                Value::Float(other_nan),
+                Value::Float(2.5),
+                Value::Null,
+            ],
+            vec![
+                Value::Str("2".into()),
+                Value::Float(2.0),
+                Value::Int(0),
+                Value::Float(other_nan),
+                Value::Null,
+                Value::Bool(true),
+                Value::Float(2.5),
+                Value::Str("2".into()),
+            ],
+        ];
+        let mut reference: HashMap<GroupKey, u32> = HashMap::new();
+        let mut first = 0;
+        for (b, values) in batches.into_iter().enumerate() {
+            let col = ColumnData::from_values(values.clone());
+            let kind = (col.int_slice().is_some(), col.float_slice().is_some());
+            assert_eq!(kind, [(true, false), (false, true), (false, false)][b]);
+            let frame = Frame::from_columns(schema.clone(), vec![col]).unwrap();
+            let positions: Vec<u64> = (first..first + values.len() as u64).collect();
+            let mut rows = vec![u32::MAX; values.len()];
+            let rows_at = Some((&mut rows[..], first));
+            fold_grouped(body, &mut gs, &frame, &exec, &positions, rows_at).unwrap();
+            first += values.len() as u64;
+            for (v, &slot) in values.iter().zip(&rows) {
+                let next = reference.len() as u32;
+                let want = *reference.entry(v.group_key()).or_insert(next);
+                assert_eq!(gs.group_of[slot as usize], want, "batch {b}, {v:?}");
+            }
+        }
+        // 2 (with 2.0), 0 (with -0.0), NULL, the two NaNs, 2.5, "2", true
+        assert_eq!((gs.n_groups as usize, reference.len()), (8, 8));
+    }
+
+    #[test]
+    fn distinct_keys_under_one_hash_are_both_found() {
+        let cols = [
+            ColumnData::from_values(vec![Value::Int(1), Value::Int(1), Value::Int(1)]),
+            ColumnData::from_values(["a", "b", "c"].map(|s| Value::Str(s.into())).to_vec()),
+        ];
+        let mut keys = GroupKeys::new(2);
+        keys.insert(0, 7, &cols, 0);
+        keys.insert(1, 7, &cols, 1);
+        let all = |_| true;
+        assert_eq!(keys.find(7, &cols, 0, all), Some(0));
+        assert_eq!(keys.find(7, &cols, 1, all), Some(1));
+        assert_eq!(keys.find(7, &cols, 2, all), None, "an unstored key under the hash");
+        assert_eq!(keys.find(8, &cols, 0, all), None, "a stored key under another hash");
+        // a dead slot reads as absent; re-chaining forgets it
+        assert_eq!(keys.find(7, &cols, 0, |slot| slot != 0), None);
+        keys.rechain(|slot| slot != 0);
+        assert_eq!((keys.find(7, &cols, 0, all), keys.find(7, &cols, 1, all)), (None, Some(1)));
+        // a freed slot takes a new key
+        keys.insert(0, 7, &cols, 2);
+        assert_eq!((keys.find(7, &cols, 2, all), keys.find(7, &cols, 1, all)), (Some(0), Some(1)));
+
+        // under one hash, keys compare as `GroupKey`s: NaN payloads by
+        // bits, an integral float as its integer
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        let floats = [Value::Float(nan), Value::Float(other_nan), Value::Float(2.0), Value::Int(2)];
+        let cols = [ColumnData::from_values(floats.to_vec())];
+        let mut keys = GroupKeys::new(1);
+        keys.insert(0, 7, &cols, 0);
+        assert_eq!(keys.find(7, &cols, 1, all), None, "NaN payloads differ");
+        keys.insert(1, 7, &cols, 1);
+        assert_eq!(keys.find(7, &cols, 2, all), None, "2.0 is no NaN");
+        keys.insert(2, 7, &cols, 2);
+        let found: Vec<_> = (0..4).map(|ri| keys.find(7, &cols, ri, all)).collect();
+        assert_eq!(found, [Some(0), Some(1), Some(2), Some(2)]);
+    }
 }

@@ -1048,9 +1048,7 @@ fn agg_finalize(
         // thread wins them.
         (Some(_), Some(mask)) => {
             debug_assert_eq!(mask.len(), ext_all.len());
-            let kept: Vec<usize> =
-                mask.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| i).collect();
-            ext_all.select_rows(&kept)
+            ext_all.select_rows(&set_indices(mask))
         }
         (Some(h), None) => {
             let mask = h.eval_mask(&ext_all, exec)?;
@@ -1084,6 +1082,26 @@ fn agg_finalize(
         });
     }
     sort_distinct_tail(frame, key_cols, &body.order, body.distinct, body.limit, body.offset)
+}
+
+/// The indices where `mask` is true, read eight entries at a time as
+/// one word and skipping the zero words: O(mask / 8 + set entries).
+fn set_indices(mask: &[bool]) -> Vec<usize> {
+    let mut set = Vec::new();
+    let words = mask.chunks_exact(8);
+    let tail = words.remainder();
+    for (w, chunk) in words.enumerate() {
+        let bytes: [bool; 8] = chunk.try_into().expect("a chunk of eight");
+        // one byte per entry, 0 or 1: each set entry is one bit
+        let mut word = u64::from_le_bytes(bytes.map(u8::from));
+        while word != 0 {
+            set.push(w * 8 + word.trailing_zeros() as usize / 8);
+            word &= word - 1;
+        }
+    }
+    let base = mask.len() - tail.len();
+    set.extend(tail.iter().enumerate().filter(|(_, &m)| m).map(|(i, _)| base + i));
+    set
 }
 
 /// Representative (first) values of the referenced input columns per
@@ -1637,7 +1655,7 @@ fn window_partition(
 // ---------------------------------------------------------------------
 
 /// `Frame::filter_rows`, gathering the surviving cells column-parallel
-/// when the frame has at least `min_rows` rows.
+/// when the frame has at least `min_rows` rows and the mask drops one.
 fn filter_rows_parallel_with(
     frame: &Frame,
     mask: &[bool],
@@ -1645,7 +1663,7 @@ fn filter_rows_parallel_with(
     min_rows: usize,
 ) -> Frame {
     let cols = frame.schema.len();
-    if pool.workers() == 0 || cols < 2 || frame.len() < min_rows {
+    if pool.workers() == 0 || cols < 2 || frame.len() < min_rows || mask.iter().all(|&m| m) {
         return frame.filter_rows(mask);
     }
     let mut outs: Vec<Option<ColumnData>> = Vec::with_capacity(cols);
@@ -1851,6 +1869,17 @@ mod tests {
     use super::*;
     use crate::value::GroupKey;
     use paradise_sql::parse_query;
+
+    #[test]
+    fn set_indices_reads_the_mask_word_by_word() {
+        for len in [0, 1, 7, 8, 9, 63, 64, 65, 200] {
+            for stride in [1, 2, 3, 8, 13, 1000] {
+                let mask: Vec<bool> = (0..len).map(|i| i % stride == stride - 1).collect();
+                let want: Vec<usize> = (0..len).filter(|&i| mask[i]).collect();
+                assert_eq!(set_indices(&mask), want, "len {len}, stride {stride}");
+            }
+        }
+    }
 
     #[test]
     fn fx_hashes_spread_keys_that_differ_only_in_high_bits() {

@@ -2,52 +2,55 @@
 //! shard of the stream, merged at the aggregation boundary.
 //!
 //! A catalog partitioned N ways by a key ([`Catalog::set_partitioning`])
-//! routes every row to a shard by a hash of the key. A grouped stage
-//! over it keeps N plain [`GroupState`]s, folds each shard's delta on
-//! the scoped thread pool, and merges per-group accumulators only at
-//! the aggregation boundary. Serial execution is the N = 1 case: one
-//! shard, folded on the calling thread with no merged view. N is 1 when
-//! the catalog is unpartitioned or the plan cannot be partitioned —
-//! global aggregation, `DISTINCT` aggregate calls (not mergeable) or an
-//! input without the key column. Only the one-shard state retracts a
-//! front eviction; a partitioned state rebuilds from the retained
-//! window instead.
+//! routes every row to a shard by a hash of the key: the hash of its
+//! borrowed cell, bitwise the hash of its owned `GroupKey`, so no key is
+//! built per row. A grouped stage over it keeps N plain [`GroupState`]s,
+//! folds each shard's delta on the scoped thread pool, and merges
+//! per-group accumulators only at the aggregation boundary. Serial
+//! execution is the N = 1 case: one shard, folded on the calling thread
+//! with no merged view. N is 1 when the catalog is unpartitioned or the
+//! plan cannot be partitioned — global aggregation, `DISTINCT` aggregate
+//! calls (not mergeable) or an input without the key column. Only the
+//! one-shard state retracts a front eviction; a partitioned state
+//! rebuilds from the retained window instead.
 //!
 //! For N > 1 a cross-shard [`MergedGroups`] view re-establishes the
 //! *global* first-appearance group order (via per-group first stream
 //! positions assigned pre-filter) and merges accumulators for groups
-//! that span shards. Rows of one group land on one shard whenever the
-//! partition key functionally determines the `GROUP BY` key — the
-//! intended deployment (partition by user id, group by user id) — in
-//! which case no accumulator is ever merged and results are bit-exact
-//! against one shard. When a group *does* span shards, moment-based
-//! accumulators ([`Accumulator::merge`]) keep results exact for integer
-//! inputs and equal up to floating-point re-association otherwise.
+//! that span shards. It finds a shard's new group by the key hash the
+//! shard stored, confirmed against the shard's key cells. Rows of one
+//! group land on one shard whenever the partition key functionally
+//! determines the `GROUP BY` key — the intended deployment (partition
+//! by user id, group by user id) — in which case no accumulator is ever
+//! merged and results are bit-exact against one shard. When a group
+//! *does* span shards, moment-based accumulators
+//! ([`Accumulator::merge`]) keep results exact for integer inputs and
+//! equal up to floating-point re-association otherwise.
 //!
 //! [`Catalog::set_partitioning`]: crate::Catalog::set_partitioning
 //! [`Accumulator::merge`]: crate::exec::aggregate::Accumulator::merge
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use minipool::ThreadPool;
 
-use super::incremental::{filter_positions, fold_grouped, GroupState, IncrementalPlan, Track};
+use super::incremental::{filter_positions, fold_grouped, GroupState, IncrementalPlan};
 use super::{AggBody, FxHasher, PARALLEL_MIN_ROWS};
 use crate::column::ColumnData;
 use crate::error::EngineResult;
 use crate::exec::Executor;
 use crate::frame::Frame;
 use crate::schema::Schema;
-use crate::value::GroupKey;
 
-/// Shard ordinal of one group key: FxHash reduced modulo the shard
-/// count. Uses [`GroupKey`] (not the raw value) so numerically equal
-/// keys of different types land on the same shard, exactly mirroring
-/// group-key equality.
-fn shard_of(key: &GroupKey, shards: usize) -> u32 {
+/// Shard ordinal of cell `ri` of `col`: the FxHash of its borrowed
+/// [`GroupKey`] reduced modulo the shard count. Keyed like the groups,
+/// so numerically equal keys of different types land on the same shard.
+///
+/// [`GroupKey`]: crate::value::GroupKey
+fn shard_of(col: &ColumnData, ri: usize, shards: usize) -> u32 {
     let mut h = FxHasher::default();
-    key.hash(&mut h);
+    col.hash_key_at(ri, &mut h);
     (h.finish() % shards as u64) as u32
 }
 
@@ -61,7 +64,7 @@ pub(crate) fn split_indices(col: &ColumnData, shards: usize, pool: &ThreadPool) 
     let ranges = pool.chunk_ranges(n, PARALLEL_MIN_ROWS);
     if ranges.len() <= 1 {
         for (ri, s) in sid.iter_mut().enumerate() {
-            *s = shard_of(&col.group_key_at(ri), shards);
+            *s = shard_of(col, ri, shards);
         }
     } else {
         pool.scope(|scope| {
@@ -72,7 +75,7 @@ pub(crate) fn split_indices(col: &ColumnData, shards: usize, pool: &ThreadPool) 
                 let base = range.start;
                 scope.spawn(move || {
                     for (i, s) in chunk.iter_mut().enumerate() {
-                        *s = shard_of(&col.group_key_at(base + i), shards);
+                        *s = shard_of(col, base + i, shards);
                     }
                 });
             }
@@ -228,14 +231,14 @@ impl GroupedState {
             }
             let (fd, positions) = filter_positions(plan, delta, exec, base)?;
             // global aggregation rebuilds on an eviction: no record
-            let track = match body.group.is_empty() {
-                true => Track::Nothing,
+            let rows = match body.group.is_empty() {
+                true => None,
                 false => {
                     self.row_groups.resize((self.next_pos - self.evicted) as usize, u32::MAX);
-                    Track::Rows(&mut self.row_groups, self.evicted)
+                    Some((&mut self.row_groups[..], self.evicted))
                 }
             };
-            fold_grouped(body, gs, &fd, exec, &positions, track)?;
+            fold_grouped(body, gs, &fd, exec, &positions, rows)?;
             return Ok((gs, retracted.0, retracted.1));
         };
         debug_assert!(retract.is_none(), "a partitioned state rebuilds on an eviction");
@@ -281,7 +284,6 @@ fn fold_shard(
 ) -> EngineResult<()> {
     // per-tick scratch, coherent for the merge step
     gs.touched.clear();
-    gs.new_keys.clear();
     if bucket.is_empty() {
         return Ok(());
     }
@@ -302,15 +304,16 @@ fn fold_shard(
         }
         None => sub,
     };
-    fold_grouped(body, gs, &fd, exec, &positions, Track::NewKeys)
+    fold_grouped(body, gs, &fd, exec, &positions, None)
 }
 
 impl MergedGroups {
     /// Insert the groups created by this tick's folds into the merged
-    /// map, in ascending order of their first (pre-filter) stream
+    /// view, in ascending order of their first (pre-filter) stream
     /// position — the exact order one fold over the un-split delta
     /// would have created them in, so merged group ids match one
-    /// shard's.
+    /// shard's. A new group is looked up by its shard's stored key hash
+    /// and confirmed against its shard's key cells.
     fn merge_new_groups(&mut self, shards: &[GroupState]) {
         let bases: Vec<usize> = self.to_merged.iter().map(Vec::len).collect();
         let mut created: Vec<(u64, u16, u32)> = Vec::new();
@@ -324,14 +327,13 @@ impl MergedGroups {
         for (_, si, lg) in created {
             let (si_us, lg_us) = (si as usize, lg as usize);
             let shard = &shards[si_us];
-            let key = shard.new_keys[lg_us - bases[si_us]].clone();
-            use std::collections::hash_map::Entry;
-            match groups.slots.entry(key) {
-                Entry::Occupied(e) => {
-                    // the key hashes to one shard, so a second owner can
-                    // only appear after a shard-count change rebuilt the
-                    // routing — still handled exactly
-                    let mg = *e.get();
+            let slot = shard.slot_of[lg_us] as usize;
+            let h = shard.keys.hashes[slot];
+            match groups.keys.find(h, &shard.keys.cells, slot, |_| true) {
+                Some(mg) => {
+                    // the group spans shards: the partition key does not
+                    // determine the group key (`GROUP BY x + y` over
+                    // shards by `x`)
                     match &mut self.owners[mg as usize] {
                         Owners::Many(list) => list.push((si, lg)),
                         one => {
@@ -341,10 +343,10 @@ impl MergedGroups {
                     }
                     self.to_merged[si_us].push(mg);
                 }
-                Entry::Vacant(e) => {
+                None => {
                     let mg = groups.n_groups;
                     groups.n_groups += 1;
-                    e.insert(mg);
+                    groups.keys.insert(mg, h, &shard.keys.cells, slot);
                     self.owners.push(Owners::One(si, lg));
                     for (buf, shard_rep) in groups.reps.iter_mut().zip(&shard.reps) {
                         Arc::make_mut(buf).push(shard_rep.value(lg_us));
@@ -444,6 +446,39 @@ mod tests {
             // buckets keep ascending row order
             for b in &buckets {
                 assert!(b.windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+    }
+
+    #[test]
+    fn shards_route_as_the_owned_group_key_hashes() {
+        use std::hash::Hash;
+        // the routing as it hashed an owned `GroupKey` per row
+        let by_group_key = |col: &ColumnData, ri: usize, shards: usize| {
+            let mut h = FxHasher::default();
+            col.group_key_at(ri).hash(&mut h);
+            (h.finish() % shards as u64) as u32
+        };
+        let col = ColumnData::from_values(vec![
+            Value::Int(7),
+            Value::Float(7.0),
+            Value::Float(2.5),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::from_bits(f64::NAN.to_bits() ^ 1)),
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Str("7".into()),
+            Value::Str(String::new()),
+            Value::Int(-3),
+            Value::Float(1e300),
+        ]);
+        for shards in [2usize, 4, 7, 64] {
+            for ri in 0..col.len() {
+                let want = by_group_key(&col, ri, shards);
+                assert_eq!(shard_of(&col, ri, shards), want, "row {ri}, {shards} shards");
             }
         }
     }

@@ -27,6 +27,11 @@ const MAINTAINABLE: &[&str] = &[
     "SELECT x, SUM(z) AS sz FROM stream GROUP BY x ORDER BY sz DESC LIMIT 3",
     "SELECT x, STDDEV(z) AS sd, regr_slope(y, x) AS sl FROM stream GROUP BY x",
     "SELECT x + y AS s, AVG(z) AS za FROM stream GROUP BY x + y",
+    // a three-column key with NULLs and non-integral floats (`z`)
+    "SELECT x, y, z, COUNT(*) AS n, SUM(t) AS st FROM stream GROUP BY x, y, z",
+    // a text-valued key
+    "SELECT CAST(x AS TEXT) || '/' || CAST(y AS TEXT) AS k, COUNT(*) AS n, AVG(z) AS za \
+     FROM stream GROUP BY CAST(x AS TEXT) || '/' || CAST(y AS TEXT)",
 ];
 
 /// Shapes that must *refuse* incremental compilation (fall back).

@@ -2,8 +2,11 @@
 //! resident tick, pinned as a ceiling per query shape, of the tick
 //! after a retention trim, of a tick whose 500-row release the
 //! postprocessor anonymises, and of the mutations around them (ingest,
-//! in memory and durable; register; a policy swap). A counting global allocator — in this test binary
-//! only — counts `alloc` and `realloc` calls. The count depends on the
+//! in memory and durable; register; a policy swap). The flat tick's
+//! count must also not grow with the batch: its medians after 250-,
+//! 500- and 1 000-row batches lie within 5 % of each other. A
+//! counting global allocator — in this test binary only — counts
+//! `alloc` and `realloc` calls. The count depends on the
 //! code and the seeded input, not on the machine, so it catches
 //! per-call work that timing on a noisy box cannot resolve. A lone
 //! handle ticks on the calling thread, so the count is the same at
@@ -60,16 +63,16 @@ const FLAT: &str = "SELECT x, y, z, t FROM stream";
 /// stages), the paper query (4 stages), and the flat projection over a
 /// stream partitioned 4 ways by `x`, which folds through the cross-shard
 /// merge. Each ceiling is the measured median plus 5 %.
-const SHAPES: &[(&str, usize, u64)] = &[(FLAT, 1, 609), (PAPER_ORIGINAL, 1, 643), (FLAT, 4, 1152)];
+const SHAPES: &[(&str, usize, u64)] = &[(FLAT, 1, 226), (PAPER_ORIGINAL, 1, 260), (FLAT, 4, 363)];
 
 /// Ceiling on the median allocations per steady scoped tick of one of
 /// two resident flat projections (the measured median plus 5 %).
-const SCOPED_TICK: u64 = 608;
+const SCOPED_TICK: u64 = 225;
 
 /// Ceiling on the median allocations per tick of the flat projection
 /// right after a batched retention trim of its 10k-row window (the
 /// measured median plus 5 %): the stages retract the evicted rows.
-const TRIM_TICK: u64 = 2571;
+const TRIM_TICK: u64 = 294;
 
 /// A per-user `SUM` policy: `uid` is released, `v` only as `SUM(v)` per
 /// `uid`, for users whose sum passes 50.
@@ -148,6 +151,38 @@ fn allocations_per_tick(sql: &str, shards: usize) -> Vec<u64> {
             n
         })
         .collect()
+}
+
+/// Batch sizes, in steps of the stream (10 rows each), of the
+/// batch-size shape: 250-, 500- and 1 000-row batches.
+const BATCH_STEPS: [usize; 3] = [25, 50, 100];
+
+/// Allocations inside each of 30 steady ticks of the flat projection
+/// with the anonymiser off, each after a batch of `steps` steps. The
+/// grouped fold keys a row's group without building a key, so its
+/// allocations do not grow with the batch. The anonymiser is off
+/// because in this never-trimmed window its release grows with the
+/// batch (84 → 141 rows between 750- and 900-row batches) and it
+/// allocates per released row: that is the release's cost, not the
+/// fold's.
+fn allocations_per_tick_after(steps: usize) -> Vec<u64> {
+    let options = RuntimeOptions { anon: AnonStrategy::None, ..Default::default() };
+    let mut rt = resident(FLAT, 1, None).with_options(options);
+    rt.tick().unwrap();
+    (0..30)
+        .map(|i| {
+            rt.ingest("motion-sensor", "stream", stream(100 + i, steps)).unwrap();
+            let (ticked, n) = allocations(|| rt.tick());
+            ticked.unwrap();
+            n
+        })
+        .collect()
+}
+
+/// The median of `counts`.
+fn median(mut counts: Vec<u64>) -> u64 {
+    counts.sort_unstable();
+    counts[counts.len() / 2]
 }
 
 /// Allocations inside each of 30 steady ticks that name one of two
@@ -312,6 +347,12 @@ fn steady_ticks_stay_within_their_allocation_ceilings() {
         let shape = format!("{sql:?}, {shards} shard(s)");
         check(&shape, "steady tick", allocations_per_tick(sql, shards), ceiling);
     }
+    // the steady tick pays per tick, not per batch row: the largest
+    // median over the batch sizes is within 5 % of the smallest
+    let medians = BATCH_STEPS.map(|steps| median(allocations_per_tick_after(steps)));
+    println!("work budget: FLAT, anonymiser off, 250 / 500 / 1 000-row batches: {medians:?}");
+    let (lo, hi) = (medians.iter().min().unwrap(), medians.iter().max().unwrap());
+    assert!(hi * 100 <= lo * 105, "allocations per tick grow with the batch: {medians:?}");
     let scoped = allocations_per_scoped_tick();
     check("FLAT, 1 of 2 residents named", "scoped tick", scoped, SCOPED_TICK);
     check("FLAT, after a retention trim", "tick", allocations_per_trim_tick(), TRIM_TICK);
