@@ -1045,13 +1045,13 @@ pub(super) fn fold_grouped(
         .collect();
 
     let global = body.group.is_empty();
+    // the first row of each new group, its representative
+    let mut rep_rows = Vec::with_capacity(n);
     for ri in 0..n {
         let (gid, slot) = if global {
             if !gs.have_global_rep {
                 gs.have_global_rep = true;
-                for (buf, &ci) in gs.reps.iter_mut().zip(&body.rep_cols) {
-                    Arc::make_mut(buf).push(fd.column(ci).value(ri));
-                }
+                rep_rows.push(ri);
             }
             (0, gs.slot_of[0])
         } else {
@@ -1062,11 +1062,8 @@ pub(super) fn fold_grouped(
                 Some(slot) => slot,
                 // absent, or the key of a deleted group
                 None => {
-                    // first appearance: capture the representative row
                     let slot = gs.new_group(body);
-                    for (buf, &ci) in gs.reps.iter_mut().zip(&body.rep_cols) {
-                        Arc::make_mut(buf).push(fd.column(ci).value(ri));
-                    }
+                    rep_rows.push(ri);
                     gs.first_rows.push(positions[ri]);
                     gs.keys.insert(slot, h, &key_cols, ri);
                     slot
@@ -1085,6 +1082,13 @@ pub(super) fn fold_grouped(
         }
     }
     gs.rows += n as u64;
+    // new groups take the next group ids, in the order of their first
+    // rows: their representatives append in one gather per column
+    if !rep_rows.is_empty() {
+        for (buf, &ci) in gs.reps.iter_mut().zip(&body.rep_cols) {
+            Arc::make_mut(buf).append_owned(fd.column(ci).gather(&rep_rows));
+        }
+    }
 
     // refresh the cached finish values of exactly the touched groups
     // (new groups are always touched; `touched` ascending puts their
