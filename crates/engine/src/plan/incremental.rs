@@ -623,7 +623,7 @@ impl GroupKeys {
     }
 
     /// The hash of row `ri`'s key over the key columns `cols`.
-    pub(super) fn hash<C: Borrow<ColumnData>>(cols: &[C], ri: usize) -> u64 {
+    fn hash<C: Borrow<ColumnData>>(cols: &[C], ri: usize) -> u64 {
         let mut h = FxHasher::default();
         for col in cols {
             col.borrow().hash_key_at(ri, &mut h);
