@@ -33,8 +33,8 @@
 //! number of output rows it dropped on beside its delta, so the next
 //! stage retracts those in the same tick. Invalidation is
 //! cascade-shaped: a source replacement, an eviction past a stage's
-//! mark or one a stage cannot retract makes that stage rebuild from its
-//! full input; its rebuild flag travels down the pipeline so every
+//! mark or a trim of a global aggregation makes that stage rebuild from
+//! its full input; its rebuild flag travels down the pipeline so every
 //! downstream state rebuilds in the same tick. Results are
 //! **identical** to re-executing every
 //! fragment over its full input — pinned by the engine's incremental

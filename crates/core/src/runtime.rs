@@ -445,14 +445,14 @@ impl Runtime {
 
     /// Builder: partition every node's streams `shards` ways by a hash
     /// of the `key` column ([`Catalog::set_partitioning`]). A grouped
-    /// aggregation stage over a partitioned stream folds each tick's
-    /// delta per shard in parallel and merges per-group accumulators
-    /// only at the aggregation boundary. Results are identical to one
-    /// shard — sharding is purely an execution strategy. Stages that
-    /// cannot shard — stateless filters, global aggregation, `DISTINCT`
-    /// aggregates, or fragments without the key column — fold as one
-    /// shard, and so does every stage when `shards` is `0` or `1`; the
-    /// count is clamped to `65535`.
+    /// aggregation stage whose `GROUP BY` holds the `key` column folds
+    /// each tick's delta per shard in parallel; each of its groups lives
+    /// on one shard. Results are identical to one shard — sharding is
+    /// purely an execution strategy. Other stages — stateless filters,
+    /// global aggregation, a `GROUP BY` without the key column, or
+    /// fragments without it — fold as one shard, and so does every
+    /// stage when `shards` is `0` or `1`; the count is clamped to
+    /// `65535`.
     ///
     /// Ingested batches are split per shard eagerly at the source, so
     /// steady-state ticks route each delta without re-hashing.

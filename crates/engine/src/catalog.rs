@@ -120,10 +120,10 @@ impl Catalog {
 
     /// Partition the catalog's streams `shards` ways by a hash of the
     /// `key` column (see [`Catalog`] docs). `0` and `1` mean
-    /// unpartitioned; the count is clamped to `65535`, because merged
-    /// groups name their shard in 16 bits. Applies to batches appended
-    /// from now on; tables whose schema lacks the key column are simply
-    /// never split.
+    /// unpartitioned; the count is clamped to `65535`, because a
+    /// grouped state names a retained row's shard in 16 bits. Applies
+    /// to batches appended from now on; tables whose schema lacks the
+    /// key column are simply never split.
     pub fn set_partitioning(&mut self, key: &str, shards: usize) {
         let shards = shards.min(u16::MAX as usize);
         self.partitioning = (shards > 1).then(|| (key.to_string(), shards));

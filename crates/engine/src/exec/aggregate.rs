@@ -226,52 +226,6 @@ impl Accumulator {
         self.n += by;
     }
 
-    /// Merge `other` into `self`: the result equals folding the
-    /// concatenation of both inputs (`self`'s rows first). All kinds
-    /// carry mergeable moments — counts and sums add, extrema compare
-    /// via [`Value::total_cmp`] (ties keep `self`, matching the
-    /// sequential fold which only replaces on a strict improvement) —
-    /// **except** DISTINCT, whose de-duplication is only correct within
-    /// one accumulator; merging a DISTINCT accumulator is an error.
-    ///
-    /// Exact for integer-fed inputs (integer sums are exact in `f64`
-    /// well past any realistic window); for float data the merged sums
-    /// are a re-association of the sequential ones.
-    pub fn merge(&mut self, other: &Accumulator) -> EngineResult<()> {
-        if self.kind != other.kind {
-            return Err(EngineError::TypeMismatch(format!(
-                "cannot merge {:?} accumulator into {:?}",
-                other.kind, self.kind
-            )));
-        }
-        if self.distinct || other.distinct {
-            return Err(EngineError::Unsupported(
-                "DISTINCT aggregates are not mergeable across partitions".into(),
-            ));
-        }
-        self.n += other.n;
-        self.sum += other.sum;
-        self.sum_sq += other.sum_sq;
-        self.rx_sum += other.rx_sum;
-        self.rx_sum_sq += other.rx_sum_sq;
-        self.rxy_sum += other.rxy_sum;
-        self.all_int &= other.all_int;
-        if let Some(theirs) = &other.extremum {
-            let better = match &self.extremum {
-                None => true,
-                Some(cur) => match self.kind {
-                    AggKind::Min => theirs.total_cmp(cur).is_lt(),
-                    AggKind::Max => theirs.total_cmp(cur).is_gt(),
-                    _ => false,
-                },
-            };
-            if better {
-                self.extremum = Some(theirs.clone());
-            }
-        }
-        Ok(())
-    }
-
     /// Final value of the aggregate.
     pub fn finish(&self) -> Value {
         let n = self.n as f64;
@@ -462,86 +416,5 @@ mod tests {
     fn aggregate_over_text_errors() {
         let mut acc = Accumulator::new(AggKind::Sum, false);
         assert!(acc.update(&[Value::Str("x".into())]).is_err());
-    }
-
-    /// For every non-DISTINCT kind: splitting an input at any point and
-    /// merging the two partial accumulators equals the sequential fold.
-    #[test]
-    fn merge_equals_sequential_fold() {
-        let kinds = [
-            AggKind::Count,
-            AggKind::Sum,
-            AggKind::Avg,
-            AggKind::Min,
-            AggKind::Max,
-            AggKind::Stddev,
-            AggKind::VarSamp,
-        ];
-        let rows = ints(&[5, -3, 9, 9, 0, 7, -3, 12]);
-        for kind in kinds {
-            for split in 0..=rows.len() {
-                let mut seq = Accumulator::new(kind, false);
-                for r in &rows {
-                    seq.update(r).unwrap();
-                }
-                let (mut left, mut right) =
-                    (Accumulator::new(kind, false), Accumulator::new(kind, false));
-                for r in &rows[..split] {
-                    left.update(r).unwrap();
-                }
-                for r in &rows[split..] {
-                    right.update(r).unwrap();
-                }
-                left.merge(&right).unwrap();
-                assert_eq!(left.finish(), seq.finish(), "{kind:?} split at {split}");
-            }
-        }
-    }
-
-    #[test]
-    fn merge_regression_kinds() {
-        // y = 2x + 1 split across two accumulators
-        let rows = xy_pairs(&[(3.0, 1.0), (5.0, 2.0), (7.0, 3.0), (9.0, 4.0)]);
-        for kind in
-            [AggKind::RegrSlope, AggKind::RegrIntercept, AggKind::RegrR2, AggKind::RegrCount]
-        {
-            let mut seq = Accumulator::new(kind, false);
-            let (mut a, mut b) = (Accumulator::new(kind, false), Accumulator::new(kind, false));
-            for (i, r) in rows.iter().enumerate() {
-                seq.update(r).unwrap();
-                if i < 2 { a.update(r).unwrap() } else { b.update(r).unwrap() };
-            }
-            a.merge(&b).unwrap();
-            assert_eq!(a.finish(), seq.finish(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn merge_preserves_sum_typing_and_empty_sides() {
-        // int + float side → Float result
-        let mut a = Accumulator::new(AggKind::Sum, false);
-        a.update(&[Value::Int(1)]).unwrap();
-        let mut b = Accumulator::new(AggKind::Sum, false);
-        b.update(&[Value::Float(0.5)]).unwrap();
-        a.merge(&b).unwrap();
-        assert_eq!(a.finish(), Value::Float(1.5));
-        // merging an empty accumulator changes nothing
-        let mut c = Accumulator::new(AggKind::Min, false);
-        c.update(&[Value::Int(4)]).unwrap();
-        c.merge(&Accumulator::new(AggKind::Min, false)).unwrap();
-        assert_eq!(c.finish(), Value::Int(4));
-        // an empty left side adopts the right side wholesale
-        let mut d = Accumulator::new(AggKind::Min, false);
-        d.merge(&c).unwrap();
-        assert_eq!(d.finish(), Value::Int(4));
-    }
-
-    #[test]
-    fn merge_rejects_distinct_and_kind_mismatch() {
-        let mut a = Accumulator::new(AggKind::Count, true);
-        let b = Accumulator::new(AggKind::Count, true);
-        assert!(a.merge(&b).is_err());
-        let mut c = Accumulator::new(AggKind::Sum, false);
-        assert!(c.merge(&Accumulator::new(AggKind::Avg, false)).is_err());
     }
 }

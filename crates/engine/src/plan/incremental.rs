@@ -21,8 +21,9 @@
 //! [`Executor::run_incremental`] is the one entry point for every N: N
 //! follows the executor's catalog partitioning
 //! ([`Catalog::set_partitioning`]) and is 1 when the catalog is
-//! unpartitioned or the plan cannot be partitioned (see the `sharded`
-//! module). One shard folds on the calling thread with no merged view.
+//! unpartitioned or no `GROUP BY` expression is exactly the partition
+//! column (see the `sharded` module). One shard folds on the calling
+//! thread with no merged view.
 //!
 //! Anything else — joins, window functions, `ORDER BY` over full
 //! history, subqueries — is **not** incrementally maintainable and
@@ -47,17 +48,16 @@
 //! "the first E input rows are gone" beside the delta, and the state
 //! retracts them: an append stage drops the matching prefix of its
 //! cached output (a [`PassBits`] record says how many of the E rows
-//! passed its `WHERE`), and a one-shard grouped stage deletes the
-//! groups whose rows were all evicted and *refolds* the few that
-//! straddle the cut from their retained rows — found through its record
-//! of each retained input row's group, and recomputed, never
+//! passed its `WHERE`), and a grouped stage deletes the groups whose
+//! rows were all evicted and *refolds* the few that straddle the cut
+//! from their retained rows — found through its record of each
+//! retained input row's group (and shard), and recomputed, never
 //! subtracted, so every accumulator stays bitwise-equal to a rescan.
 //! A trim then costs O(evicted rows + straddling groups' rows), plus
 //! an O(groups) renumbering. The state rebuilds from the full input
 //! only on the first run, a replaced table, an eviction past its mark
-//! (rows it never saw), and for states that cannot retract: global
-//! aggregation (its one group straddles every cut) and partitioned
-//! (N > 1) grouped states.
+//! (rows it never saw), and under global aggregation (its one group
+//! straddles every cut).
 
 use std::borrow::Borrow;
 use std::hash::Hasher;
@@ -126,18 +126,15 @@ impl IncrementalPlan {
 
     /// How this plan folds over `catalog`'s partitioning: the key
     /// column's ordinal in the plan's input schema and the shard count.
-    /// `None` — one shard — when the catalog is unpartitioned or the
-    /// plan cannot be partitioned: anything but grouped aggregation with
-    /// a non-empty `GROUP BY` and no DISTINCT aggregate call (DISTINCT
-    /// de-duplication is not mergeable across shards; global aggregation
-    /// has nothing to partition), or an input without the key column.
+    /// `None` — one shard — unless the catalog is partitioned and the
+    /// plan is grouped aggregation one of whose `GROUP BY` expressions
+    /// is exactly the key column. Rows with equal group keys then route
+    /// to one shard, so every group lives on exactly one.
     pub(super) fn partition(&self, catalog: &Catalog) -> Option<(usize, usize)> {
         let (key, shards) = catalog.partitioning()?;
         let IncKind::Grouped(body) = &self.kind else { return None };
-        if body.group.is_empty() || body.calls.iter().any(|c| c.distinct) {
-            return None;
-        }
-        Some((self.in_schema.try_resolve(None, key)?, shards))
+        let key = self.in_schema.try_resolve(None, key)?;
+        body.group.iter().any(|p| p.column() == Some(key)).then_some((key, shards))
     }
 }
 
@@ -155,8 +152,8 @@ pub enum DeltaInput<'a> {
     /// When `evicted > 0`, a grouped stage reads its retained input —
     /// the plan's table as the executor resolves it, i.e. the upstream
     /// stage's full output bound with [`Executor::with_input`] — to
-    /// refold the groups that straddle the cut (or to rebuild, when it
-    /// cannot retract).
+    /// refold the groups that straddle the cut (or, under global
+    /// aggregation, to rebuild from it).
     Pushed {
         /// The new input rows (or the full input when `reset`).
         delta: &'a Frame,
@@ -179,8 +176,8 @@ pub struct IncrementalRun {
     /// for grouped aggregation (downstream consumes `result`).
     pub delta: Option<Frame>,
     /// The state was rebuilt from the full input this tick (first run,
-    /// table replacement, eviction past the mark or one the state cannot
-    /// retract, upstream reset) — downstream stages must rebuild too.
+    /// table replacement, an eviction past the mark or of a global
+    /// aggregation, upstream reset) — downstream stages must rebuild too.
     pub reset: bool,
     /// For append stages: rows retracted from the front of the stage's
     /// output this tick, to push into a downstream stage with `delta`.
@@ -240,7 +237,7 @@ impl IncrementalState {
 
     /// Cumulative number of ticks that rebuilt the state from the full
     /// input (diagnostic): the first run, a replaced table, an eviction
-    /// past the mark or one the state cannot retract, an upstream reset.
+    /// past the mark or of a global aggregation, an upstream reset.
     /// A retention trim that the state retracts leaves it unchanged.
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
@@ -334,7 +331,7 @@ pub(super) struct GroupState {
     /// key cells. A slot is the index of the group's accumulators,
     /// stable while the group lives (a front eviction renumbers the
     /// dense group ids, not the slots). The merged view of a partitioned
-    /// state keys merged group ids instead.
+    /// state leaves it empty.
     pub(super) keys: GroupKeys,
     /// Number of groups (tracked explicitly: `calls` may be empty).
     pub(super) n_groups: u32,
@@ -365,7 +362,8 @@ pub(super) struct GroupState {
     pub(super) have_global_rep: bool,
     /// Cached HAVING mask (one bool per group), maintained for the
     /// touched groups per tick. `None` when the plan has no HAVING or
-    /// aggregates globally (one group — nothing to save).
+    /// aggregates globally (one group — nothing to save), and on the
+    /// shards of a partitioned state, whose merged view keeps it.
     pub(super) having: Option<Vec<bool>>,
     /// Stream position of each group's first row (assigned pre-filter,
     /// since the last rebuild), ascending in group id — orders merged
@@ -478,29 +476,24 @@ impl GroupState {
         self.free.append(&mut self.dead);
     }
 
-    /// The accumulator of `call` for group `gid`.
-    pub(super) fn acc(&self, call: usize, gid: u32) -> &Accumulator {
-        &self.accs[call][self.slot_of[gid as usize] as usize]
-    }
-
     /// Retract every input row before stream position `cut` from a
     /// grouped (non-global) state. The groups that start before the cut
     /// are a prefix of the group ids. Those with no retained row are
     /// deleted and free their slots. Those that straddle the cut —
-    /// found through `rows`, the slot of each retained input row of
-    /// `input` (whose row 0 is at position `cut`) — move to their first
-    /// retained row's place in first-appearance order, take it as their
-    /// representative, and are refolded from fresh accumulators over
-    /// their retained rows. Leaves the refolded groups in `touched`;
-    /// returns how many groups the cut reached and how many rows were
-    /// refolded.
+    /// found through `rows`, the index in `input` (whose row 0 is at
+    /// position `cut`) and the slot of each retained input row of this
+    /// state, ascending — move to their first retained row's place in
+    /// first-appearance order, take it as their representative, and are
+    /// refolded from fresh accumulators over their retained rows. Leaves
+    /// the refolded groups in `touched`; returns how many groups the cut
+    /// reached and how many rows were refolded.
     pub(super) fn retract(
         &mut self,
         body: &AggBody,
         exec: &Executor<'_>,
         input: &Frame,
         cut: u64,
-        rows: &[u32],
+        rows: impl Iterator<Item = (usize, u32)>,
     ) -> EngineResult<(u64, usize)> {
         let reached = self.first_rows.partition_point(|&first| first < cut);
         if reached == 0 {
@@ -511,7 +504,7 @@ impl GroupState {
         let mut straddles = vec![false; reached];
         let (mut straddlers, mut firsts) = (Vec::new(), Vec::new());
         let (mut picked, mut positions) = (Vec::new(), Vec::new());
-        for (ri, &slot) in rows.iter().enumerate() {
+        for (ri, slot) in rows {
             let Some(&g) = self.group_of.get(slot as usize) else { continue };
             if (g as usize) < reached {
                 if !std::mem::replace(&mut straddles[g as usize], true) {
@@ -571,7 +564,7 @@ impl GroupState {
             }
         }
         let retained = input.select_rows(&picked);
-        fold_grouped(body, self, &retained, exec, &positions, None)?;
+        fold_grouped(body, self, &retained, exec, &positions, |_, _| ())?;
         Ok((reached as u64, picked.len()))
     }
 }
@@ -771,13 +764,14 @@ impl<'a> Executor<'a> {
     ///
     /// When the delta is not derivable (first run, table replacement,
     /// eviction past the mark, upstream reset), or the state cannot
-    /// retract an eviction (global aggregation, a partitioned grouped
-    /// state), the state is rebuilt from the full input transparently
-    /// and `reset` is flagged so downstream consumers rebuild too.
+    /// retract an eviction (global aggregation), the state is rebuilt
+    /// from the full input transparently and `reset` is flagged so
+    /// downstream consumers rebuild too.
     ///
     /// A grouped stage folds per shard when the executor's catalog is
-    /// partitioned ([`Catalog::set_partitioning`]) and the plan can be
-    /// (see the `sharded` module); otherwise it is one shard.
+    /// partitioned ([`Catalog::set_partitioning`]) and a `GROUP BY`
+    /// expression is the key column (see the `sharded` module);
+    /// otherwise it is one shard.
     pub fn run_incremental(
         &self,
         plan: &IncrementalPlan,
@@ -799,8 +793,7 @@ impl<'a> Executor<'a> {
             };
         // a grouped state reads its retained input on an eviction: to
         // refold the groups that straddle the cut, or to rebuild from it
-        // when it cannot retract — global aggregation (its one group
-        // straddles every cut) and partitioned states
+        // under global aggregation, whose one group straddles every cut
         let mut retained = None;
         if let (true, false, StateData::Grouped(g)) = (compatible, reset, &state.data) {
             if evicted > 0 {
@@ -813,7 +806,7 @@ impl<'a> Executor<'a> {
         }
         let retracts = match &plan.kind {
             IncKind::Append { .. } => true,
-            IncKind::Grouped(body) => !body.group.is_empty() && partition.is_none(),
+            IncKind::Grouped(body) => !body.group.is_empty(),
         };
         if !compatible || (retained.is_some() && !retracts) {
             if !reset {
@@ -990,41 +983,23 @@ pub(super) fn filter_delta(
     })
 }
 
-/// `rows` with `plan`'s `WHERE` program applied, and the stream
-/// position of each kept row, the first of `rows` being at `base`.
-pub(super) fn filter_positions(
-    plan: &IncrementalPlan,
-    rows: Frame,
-    exec: &Executor<'_>,
-    base: u64,
-) -> EngineResult<(Frame, Vec<u64>)> {
-    let n = rows.len() as u64;
-    let (fd, mask) = filter_delta(plan, rows, exec)?;
-    let positions = match mask {
-        Some(mask) => (base..).zip(mask).filter_map(|(pos, keep)| keep.then_some(pos)).collect(),
-        None => (base..base + n).collect(),
-    };
-    Ok((fd, positions))
-}
-
 /// Fold one (filtered) delta batch into the group state. Rows are
 /// processed in ascending order, so each group's accumulator sees its
 /// rows in exactly the order the rescan kernels would — results,
 /// including floating-point sums, are identical.
 ///
 /// `positions` carries one stream position per row of `fd`: each new
-/// group records its first in [`GroupState::first_rows`]. With `rows`
-/// (the one shard's record of its retained input rows, and the position
-/// of its first entry) the fold records each row's slot there. The
-/// groups the fold touches join [`GroupState::touched`], which the
-/// caller clears.
+/// group records its first in [`GroupState::first_rows`]. Unless the
+/// aggregation is global, the fold hands each row's position and slot
+/// to `record`. The groups the fold touches join
+/// [`GroupState::touched`], which the caller clears.
 pub(super) fn fold_grouped(
     body: &AggBody,
     gs: &mut GroupState,
     fd: &Frame,
     exec: &Executor<'_>,
     positions: &[u64],
-    mut rows: Option<(&mut [u32], u64)>,
+    mut record: impl FnMut(u64, u32),
 ) -> EngineResult<()> {
     let n = fd.len();
     if n == 0 {
@@ -1047,7 +1022,7 @@ pub(super) fn fold_grouped(
     let global = body.group.is_empty();
     // the first row of each new group, its representative
     let mut rep_rows = Vec::with_capacity(n);
-    for ri in 0..n {
+    for (ri, &pos) in positions.iter().enumerate() {
         let (gid, slot) = if global {
             if !gs.have_global_rep {
                 gs.have_global_rep = true;
@@ -1064,14 +1039,12 @@ pub(super) fn fold_grouped(
                 None => {
                     let slot = gs.new_group(body);
                     rep_rows.push(ri);
-                    gs.first_rows.push(positions[ri]);
+                    gs.first_rows.push(pos);
                     gs.keys.insert(slot, h, &key_cols, ri);
                     slot
                 }
             };
-            if let Some((rows, first)) = &mut rows {
-                rows[(positions[ri] - *first) as usize] = slot;
-            }
+            record(pos, slot);
             (gs.group_of[slot as usize], slot)
         };
         if gs.touched.last() != Some(&gid) {
@@ -1224,8 +1197,8 @@ mod tests {
             let frame = Frame::from_columns(schema.clone(), vec![col]).unwrap();
             let positions: Vec<u64> = (first..first + values.len() as u64).collect();
             let mut rows = vec![u32::MAX; values.len()];
-            let rows_at = Some((&mut rows[..], first));
-            fold_grouped(body, &mut gs, &frame, &exec, &positions, rows_at).unwrap();
+            let record = |pos: u64, slot| rows[(pos - first) as usize] = slot;
+            fold_grouped(body, &mut gs, &frame, &exec, &positions, record).unwrap();
             first += values.len() as u64;
             for (v, &slot) in values.iter().zip(&rows) {
                 let next = reference.len() as u32;
@@ -1235,6 +1208,24 @@ mod tests {
         }
         // 2 (with 2.0), 0 (with -0.0), NULL, the two NaNs, 2.5, "2", true
         assert_eq!((gs.n_groups as usize, reference.len()), (8, 8));
+    }
+
+    #[test]
+    fn a_stage_shards_when_its_group_by_holds_the_partition_column() {
+        let schema = Schema::from_pairs(&[("x", DataType::Integer), ("y", DataType::Integer)]);
+        let mut catalog = Catalog::new();
+        catalog.set_partitioning("x", 4);
+        catalog.register("s", Frame::empty(schema)).unwrap();
+        let exec = Executor::new(&catalog);
+        for (sql, shards) in [
+            ("SELECT x, y, COUNT(*) AS n FROM s GROUP BY x, y", true),
+            ("SELECT x, COUNT(DISTINCT y) AS dy FROM s GROUP BY x", true),
+            ("SELECT x + y AS k, COUNT(*) AS n FROM s GROUP BY x + y", false),
+            ("SELECT COUNT(*) AS n, SUM(y) AS sy FROM s", false),
+        ] {
+            let plan = exec.compile_incremental(&parse_query(sql).unwrap()).unwrap().unwrap();
+            assert_eq!(plan.partition(&catalog), shards.then_some((0, 4)), "{sql}");
+        }
     }
 
     #[test]

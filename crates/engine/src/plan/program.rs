@@ -150,6 +150,15 @@ impl ExprProgram {
             && self.instrs.iter().zip(&other.instrs).all(|(a, b)| same(a, b))
     }
 
+    /// The ordinal of the column the program is, when it is exactly one
+    /// column.
+    pub(crate) fn column(&self) -> Option<usize> {
+        match self.instrs[..] {
+            [Instr::Col(c)] => Some(c),
+            _ => None,
+        }
+    }
+
     /// Column ordinals the program reads.
     pub(crate) fn column_ordinals(&self) -> impl Iterator<Item = usize> + '_ {
         self.instrs.iter().filter_map(|i| match i {

@@ -1,41 +1,39 @@
 //! The grouped state of an incremental aggregation: one fold state per
-//! shard of the stream, merged at the aggregation boundary.
+//! shard of the stream, and a merged view over them.
 //!
 //! A catalog partitioned N ways by a key ([`Catalog::set_partitioning`])
 //! routes every row to a shard by a hash of the key: the hash of its
 //! borrowed cell, bitwise the hash of its owned `GroupKey`, so no key is
-//! built per row. A grouped stage over it keeps N plain [`GroupState`]s,
-//! folds each shard's delta on the scoped thread pool, and merges
-//! per-group accumulators only at the aggregation boundary. Serial
-//! execution is the N = 1 case: one shard, folded on the calling thread
-//! with no merged view. N is 1 when the catalog is unpartitioned or the
-//! plan cannot be partitioned — global aggregation, `DISTINCT` aggregate
-//! calls (not mergeable) or an input without the key column. Only the
-//! one-shard state retracts a front eviction; a partitioned state
-//! rebuilds from the retained window instead.
+//! built per row. A grouped stage shards when one of its `GROUP BY`
+//! expressions is exactly the key column (see
+//! [`IncrementalPlan::partition`]): rows with equal group keys then have
+//! equal partition keys, so every group lives on exactly one shard — the
+//! intended deployment, partition by user id and group by user id. Its
+//! state keeps N plain [`GroupState`]s and folds each shard's delta on
+//! the scoped thread pool. Any other stage is the N = 1 case: one shard,
+//! folded on the calling thread over the whole delta, with no merged
+//! view.
 //!
-//! For N > 1 a cross-shard [`MergedGroups`] view re-establishes the
-//! *global* first-appearance group order (via per-group first stream
-//! positions assigned pre-filter) and merges accumulators for groups
-//! that span shards. It finds a shard's new group by the key hash the
-//! shard stored, confirmed against the shard's key cells. Rows of one
-//! group land on one shard whenever the partition key functionally
-//! determines the `GROUP BY` key — the intended deployment (partition
-//! by user id, group by user id) — in which case no accumulator is ever
-//! merged and results are bit-exact against one shard. When a group
-//! *does* span shards, moment-based accumulators
-//! ([`Accumulator::merge`]) keep results exact for integer inputs and
-//! equal up to floating-point re-association otherwise.
+//! Every N retracts a front eviction the same way: each shard retracts
+//! its own retained rows ([`GroupState::retract`]), found through the
+//! state's record of each retained row's slot and, for N > 1, shard.
+//!
+//! For N > 1 a [`MergedGroups`] view lays the shards' groups out in the
+//! *global* first-appearance order (via per-group first stream positions
+//! assigned pre-filter) and copies their cached finish values, so
+//! results are identical to one shard's. A fold appends the shards' new
+//! groups and copies the touched ones; a retraction renumbers the
+//! shards' groups, so after one the view is rebuilt from the shards in
+//! O(groups).
 //!
 //! [`Catalog::set_partitioning`]: crate::Catalog::set_partitioning
-//! [`Accumulator::merge`]: crate::exec::aggregate::Accumulator::merge
 
 use std::hash::Hasher;
 use std::sync::Arc;
 
 use minipool::ThreadPool;
 
-use super::incremental::{filter_positions, fold_grouped, GroupState, IncrementalPlan};
+use super::incremental::{filter_delta, fold_grouped, GroupState, IncrementalPlan};
 use super::{AggBody, FxHasher, PARALLEL_MIN_ROWS};
 use crate::column::ColumnData;
 use crate::error::EngineResult;
@@ -102,37 +100,28 @@ pub(super) struct GroupedState {
     /// Input rows evicted from the front since the last rebuild: the
     /// position of the first retained row.
     evicted: u64,
-    /// One shard, grouped: the slot of each retained input row's group
-    /// (`u32::MAX` where the `WHERE` dropped it), from position
-    /// `evicted` on — what a front eviction refolds from.
+    /// Grouped (not global) aggregation: the slot of each retained input
+    /// row's group on its shard (`u32::MAX` where the `WHERE` dropped
+    /// it), from position `evicted` on — what a front eviction refolds
+    /// from.
     row_groups: Vec<u32>,
-}
-
-/// Which shard-local accumulators feed one merged group.
-#[derive(Debug)]
-enum Owners {
-    /// The common case (partition key determines the group key): the
-    /// group lives on exactly one shard as `(shard, local gid)` and its
-    /// cached finish value is copied, never re-merged.
-    One(u16, u32),
-    /// The group spans shards; finish values are recomputed by merging
-    /// accumulator clones in first-appearance order.
-    Many(Vec<(u16, u32)>),
 }
 
 /// The cross-shard view of a partitioned grouped state.
 #[derive(Debug)]
 struct MergedGroups {
     /// The merged groups in *global* first-appearance order, held the
-    /// way one shard would hold them — key map, representatives, cached
-    /// finish values, HAVING mask, touched set — except that the
+    /// way one shard would hold them — representatives, cached finish
+    /// values, HAVING mask, touched set — except that the keys and
     /// accumulators stay with the shards, so its own stay empty.
     groups: GroupState,
-    /// Per merged group, the shard-local groups that feed it.
-    owners: Vec<Owners>,
     /// `to_merged[shard][local gid] = merged gid`; grows in lockstep
     /// with each shard's `n_groups`.
     to_merged: Vec<Vec<u32>>,
+    /// The shard of each row of [`GroupedState::row_groups`]
+    /// (`u16::MAX` where the `WHERE` dropped it): slots are
+    /// shard-local, so a shard retracts only the rows marked its own.
+    row_shards: Vec<u16>,
     /// Partition-key ordinal in the plan's input schema.
     key_col: usize,
 }
@@ -145,14 +134,19 @@ impl GroupedState {
         in_schema: &Schema,
         partition: Option<(usize, usize)>,
     ) -> Self {
-        let shards = partition.map_or(1, |(_, shards)| shards);
+        let shard = || {
+            let mut gs = GroupState::new(body, in_schema);
+            // the merged view keeps the HAVING mask
+            gs.having = gs.having.filter(|_| partition.is_none());
+            gs
+        };
         GroupedState {
-            shards: (0..shards).map(|_| GroupState::new(body, in_schema)).collect(),
+            shards: (0..partition.map_or(1, |(_, shards)| shards)).map(|_| shard()).collect(),
             merged: partition.map(|(key_col, shards)| {
                 Box::new(MergedGroups {
                     groups: GroupState::new(body, in_schema),
-                    owners: Vec::new(),
                     to_merged: vec![Vec::new(); shards],
+                    row_shards: Vec::new(),
                     key_col,
                 })
             }),
@@ -176,8 +170,8 @@ impl GroupedState {
         }
         if let Some(m) = &mut self.merged {
             m.groups.clear(body);
-            m.owners.clear();
             m.to_merged.iter_mut().for_each(Vec::clear);
+            m.row_shards.clear();
         }
         self.next_pos = 0;
         self.evicted = 0;
@@ -196,17 +190,16 @@ impl GroupedState {
     }
 
     /// Fold one tick and return the groups the stage's result is built
-    /// from — the one shard's, or the merged view refreshed for the
-    /// groups this tick touched — with how many groups the retraction
-    /// reached and how many retained rows it refolded.
+    /// from — the one shard's, or the merged view brought up to date —
+    /// with how many groups the retraction reached and how many retained
+    /// rows it refolded.
     ///
-    /// `retract` (one shard only: partitioned states rebuild instead)
-    /// is `(evicted, input)`: first retract the `evicted` input rows at
-    /// the front, refolding straddling groups from `input`, the
-    /// retained input (see [`GroupState::retract`]). Then fold the
-    /// unfiltered `delta`; `split` is the catalog's per-shard split of
-    /// it, when it has one. Error reporting is deterministic: the
-    /// lowest-numbered failing shard wins regardless of completion
+    /// `retract` is `(evicted, input)`: first retract the `evicted`
+    /// input rows at the front, refolding straddling groups from
+    /// `input`, the retained input (see [`GroupState::retract`]). Then
+    /// fold the unfiltered `delta`; `split` is the catalog's per-shard
+    /// split of it, when it has one. Error reporting is deterministic:
+    /// the lowest-numbered failing shard wins regardless of completion
     /// order.
     pub(super) fn fold(
         &mut self,
@@ -219,29 +212,31 @@ impl GroupedState {
     ) -> EngineResult<(&mut GroupState, u64, usize)> {
         let base = self.next_pos;
         self.next_pos += delta.len() as u64;
+        if let Some((evicted, _)) = retract {
+            self.row_groups.drain(..evicted as usize);
+            if let Some(m) = &mut self.merged {
+                m.row_shards.drain(..evicted as usize);
+            }
+            self.evicted += evicted;
+        }
+        let cut = retract.map(|(_, input)| (input, self.evicted));
+        // the delta's rows are recorded after the retained ones; global
+        // aggregation keeps no record (it rebuilds on an eviction)
+        let kept = self.row_groups.len();
+        if !body.group.is_empty() {
+            self.row_groups.resize((self.next_pos - self.evicted) as usize, u32::MAX);
+        }
+        let (old, new) = self.row_groups.split_at_mut(kept);
         let Some(m) = &mut self.merged else {
             let gs = &mut self.shards[0];
-            gs.touched.clear();
-            gs.drop_dead_keys();
-            let mut retracted = (0, 0);
-            if let Some((evicted, input)) = retract {
-                self.row_groups.drain(..evicted as usize);
-                self.evicted += evicted;
-                retracted = gs.retract(body, exec, input, self.evicted, &self.row_groups)?;
-            }
-            let (fd, positions) = filter_positions(plan, delta, exec, base)?;
-            // global aggregation rebuilds on an eviction: no record
-            let rows = match body.group.is_empty() {
-                true => None,
-                false => {
-                    self.row_groups.resize((self.next_pos - self.evicted) as usize, u32::MAX);
-                    Some((&mut self.row_groups[..], self.evicted))
-                }
-            };
-            fold_grouped(body, gs, &fd, exec, &positions, rows)?;
-            return Ok((gs, retracted.0, retracted.1));
+            let cut = cut.map(|(input, cut)| (input, cut, old.iter().copied().enumerate()));
+            let positions = base..self.next_pos;
+            let record = |pos: u64, slot| new[(pos - base) as usize] = slot;
+            let (reached, refolded) =
+                fold_shard(body, plan, exec, gs, cut, delta, positions, record)?;
+            return Ok((gs, reached, refolded));
         };
-        debug_assert!(retract.is_none(), "a partitioned state rebuilds on an eviction");
+        m.row_shards.resize(kept + new.len(), u16::MAX);
         let pool = ThreadPool::global();
         let computed;
         let buckets: &[Vec<u32>] = match &split {
@@ -251,148 +246,153 @@ impl GroupedState {
                 &computed
             }
         };
-        let mut results: Vec<EngineResult<()>> = Vec::with_capacity(self.shards.len());
-        results.resize_with(self.shards.len(), || Ok(()));
+        // per shard: what its retraction reached and refolded, and the
+        // position and slot of each row it folded
+        type Folded = EngineResult<((u64, usize), Vec<(u64, u32)>)>;
+        let mut results: Vec<Folded> = Vec::with_capacity(self.shards.len());
+        results.resize_with(self.shards.len(), || Ok(((0, 0), Vec::new())));
+        // on a trim, each shard's retained rows and their slots, found
+        // in one pass: slots are shard-local, so a shard sees only its own
+        let mut own: Vec<Vec<(u32, u32)>> = Vec::new();
+        if cut.is_some() {
+            let mut counts = vec![0; self.shards.len()];
+            for &s in &m.row_shards[..kept] {
+                if let Some(count) = counts.get_mut(s as usize) {
+                    *count += 1;
+                }
+            }
+            own = counts.into_iter().map(Vec::with_capacity).collect();
+            for (ri, (&slot, &s)) in old.iter().zip(&m.row_shards).enumerate() {
+                if let Some(rows) = own.get_mut(s as usize) {
+                    rows.push((ri as u32, slot));
+                }
+            }
+        }
         let delta = &delta;
         pool.scope(|scope| {
-            for ((gs, bucket), out) in self.shards.iter_mut().zip(buckets).zip(results.iter_mut()) {
+            let shards = self.shards.iter_mut().zip(buckets).zip(results.iter_mut());
+            for (si, ((gs, bucket), out)) in shards.enumerate() {
+                let own = own.get(si).map_or(&[][..], Vec::as_slice);
                 scope.spawn(move || {
-                    *out = fold_shard(body, plan, exec, gs, delta, bucket, base);
+                    if bucket.is_empty() && cut.is_none() {
+                        gs.touched.clear();
+                        return;
+                    }
+                    let own = own.iter().map(|&(ri, slot)| (ri as usize, slot));
+                    let cut = cut.map(|(input, cut)| (input, cut, own));
+                    let indices: Vec<usize> = bucket.iter().map(|&i| i as usize).collect();
+                    let positions = bucket.iter().map(|&i| base + i as u64);
+                    let mut folded = Vec::with_capacity(bucket.len());
+                    let record = |pos, slot| folded.push((pos, slot));
+                    let rows = delta.select_rows(&indices);
+                    *out = fold_shard(body, plan, exec, gs, cut, rows, positions, record)
+                        .map(|retracted| (retracted, folded));
                 });
             }
         });
-        for r in results {
-            r?;
+        let (mut reached, mut refolded) = (0, 0);
+        for (si, result) in results.into_iter().enumerate() {
+            let ((r, f), folded) = result?;
+            (reached, refolded) = (reached + r, refolded + f);
+            for (pos, slot) in folded {
+                let at = (pos - base) as usize;
+                new[at] = slot;
+                m.row_shards[kept + at] = si as u16;
+            }
         }
-        m.merge_new_groups(&self.shards);
-        m.refresh(&self.shards)?;
-        Ok((&mut m.groups, 0, 0))
+        m.refresh(body, &self.shards, reached > 0);
+        Ok((&mut m.groups, reached, refolded))
     }
 }
 
-/// Fold one shard's delta rows: gather the bucket, assign pre-filter
-/// stream positions, apply the `WHERE` program, and run the plain
-/// fold with position tracking.
+/// One shard's step of a tick: retract the rows before the cut, apply
+/// the `WHERE` program to `rows`, whose stream positions `positions`
+/// gives, fold the rows that pass, and hand each folded row's position
+/// and slot to `record`.
+///
+/// `cut` is `(input, cut, own)`: the retained input, whose row 0 is at
+/// position `cut`, and the index in `input` and the slot of each
+/// retained row of this shard. Returns how many groups the retraction
+/// reached and how many rows it refolded.
+#[allow(clippy::too_many_arguments)]
 fn fold_shard(
     body: &AggBody,
     plan: &IncrementalPlan,
     exec: &Executor<'_>,
     gs: &mut GroupState,
-    delta: &Frame,
-    bucket: &[u32],
-    base: u64,
-) -> EngineResult<()> {
-    // per-tick scratch, coherent for the merge step
+    cut: Option<(&Frame, u64, impl Iterator<Item = (usize, u32)>)>,
+    rows: Frame,
+    positions: impl Iterator<Item = u64>,
+    record: impl FnMut(u64, u32),
+) -> EngineResult<(u64, usize)> {
     gs.touched.clear();
-    if bucket.is_empty() {
-        return Ok(());
-    }
-    let indices: Vec<usize> = bucket.iter().map(|&i| i as usize).collect();
-    let sub = delta.select_rows(&indices);
-    let mut positions: Vec<u64> = bucket.iter().map(|&i| base + i as u64).collect();
-    let fd = match &plan.filter {
-        Some(p) => {
-            let mask = p.eval_mask(&sub, exec)?;
-            let mut kept = Vec::with_capacity(positions.len());
-            for (&pos, &keep) in positions.iter().zip(&mask) {
-                if keep {
-                    kept.push(pos);
-                }
-            }
-            positions = kept;
-            sub.filter_rows(&mask)
-        }
-        None => sub,
+    gs.drop_dead_keys();
+    let retracted = match cut {
+        Some((input, cut, own)) => gs.retract(body, exec, input, cut, own)?,
+        None => (0, 0),
     };
-    fold_grouped(body, gs, &fd, exec, &positions, None)
+    let (fd, mask) = filter_delta(plan, rows, exec)?;
+    let mut kept = Vec::with_capacity(fd.len());
+    match mask {
+        Some(mask) => kept.extend(positions.zip(mask).filter_map(|(pos, k)| k.then_some(pos))),
+        None => kept.extend(positions),
+    }
+    fold_grouped(body, gs, &fd, exec, &kept, record)?;
+    Ok(retracted)
 }
 
 impl MergedGroups {
-    /// Insert the groups created by this tick's folds into the merged
-    /// view, in ascending order of their first (pre-filter) stream
-    /// position — the exact order one fold over the un-split delta
+    /// Bring the view up to date with this tick's folds: append the
+    /// shards' new groups in ascending order of their first (pre-filter)
+    /// stream position — the order one fold over the un-split delta
     /// would have created them in, so merged group ids match one
-    /// shard's. A new group is looked up by its shard's stored key hash
-    /// and confirmed against its shard's key cells.
-    fn merge_new_groups(&mut self, shards: &[GroupState]) {
-        let bases: Vec<usize> = self.to_merged.iter().map(Vec::len).collect();
-        let mut created: Vec<(u64, u16, u32)> = Vec::new();
-        for (si, gs) in shards.iter().enumerate() {
-            for lg in bases[si]..gs.n_groups as usize {
+    /// shard's — and copy the touched groups' finish values. After a
+    /// retraction, which renumbers the shards' groups, rebuild the view
+    /// from the shards instead and mark every group touched.
+    fn refresh(&mut self, body: &AggBody, shards: &[GroupState], retracted: bool) {
+        let groups = &mut self.groups;
+        if retracted {
+            groups.clear(body);
+            self.to_merged.iter_mut().for_each(Vec::clear);
+        }
+        let old = groups.n_groups;
+        let new = shards.iter().zip(&self.to_merged).map(|(gs, m)| gs.n_groups as usize - m.len());
+        let mut created: Vec<(u64, u16, u32)> = Vec::with_capacity(new.sum());
+        for (si, (gs, to_merged)) in shards.iter().zip(&self.to_merged).enumerate() {
+            for lg in to_merged.len()..gs.n_groups as usize {
                 created.push((gs.first_rows[lg], si as u16, lg as u32));
             }
         }
         created.sort_unstable();
-        let groups = &mut self.groups;
         for (_, si, lg) in created {
-            let (si_us, lg_us) = (si as usize, lg as usize);
-            let shard = &shards[si_us];
-            let slot = shard.slot_of[lg_us] as usize;
-            let h = shard.keys.hashes[slot];
-            match groups.keys.find(h, &shard.keys.cells, slot, |_| true) {
-                Some(mg) => {
-                    // the group spans shards: the partition key does not
-                    // determine the group key (`GROUP BY x + y` over
-                    // shards by `x`)
-                    match &mut self.owners[mg as usize] {
-                        Owners::Many(list) => list.push((si, lg)),
-                        one => {
-                            let Owners::One(s0, g0) = *one else { unreachable!() };
-                            *one = Owners::Many(vec![(s0, g0), (si, lg)]);
-                        }
-                    }
-                    self.to_merged[si_us].push(mg);
-                }
-                None => {
-                    let mg = groups.n_groups;
-                    groups.n_groups += 1;
-                    groups.keys.insert(mg, h, &shard.keys.cells, slot);
-                    self.owners.push(Owners::One(si, lg));
-                    for (buf, shard_rep) in groups.reps.iter_mut().zip(&shard.reps) {
-                        Arc::make_mut(buf).push(shard_rep.value(lg_us));
-                    }
-                    self.to_merged[si_us].push(mg);
-                }
+            let shard = &shards[si as usize];
+            let cells = groups.reps.iter_mut().zip(&shard.reps);
+            for (buf, shard_buf) in cells.chain(groups.vals.iter_mut().zip(&shard.vals)) {
+                Arc::make_mut(buf).push(shard_buf.value(lg as usize));
             }
+            self.to_merged[si as usize].push(groups.n_groups);
+            groups.n_groups += 1;
         }
-    }
-
-    /// Refresh the merged touched set and the cached finish values of
-    /// exactly the merged groups touched by this tick's folds.
-    fn refresh(&mut self, shards: &[GroupState]) -> EngineResult<()> {
-        let groups = &mut self.groups;
         groups.touched.clear();
-        for (gs, to_merged) in shards.iter().zip(&self.to_merged) {
-            for &lg in &gs.touched {
-                groups.touched.push(to_merged[lg as usize]);
-            }
+        if retracted {
+            groups.touched.extend(0..groups.n_groups);
+            return;
         }
-        groups.touched.sort_unstable();
-        groups.touched.dedup();
+        for (gs, to_merged) in shards.iter().zip(&self.to_merged) {
+            groups.touched.extend(gs.touched.iter().map(|&lg| to_merged[lg as usize]));
+        }
+        // the new groups took their values above
         for (ci, vals) in groups.vals.iter_mut().enumerate() {
             let col = Arc::make_mut(vals);
-            for &mg in &groups.touched {
-                let v = match &self.owners[mg as usize] {
-                    Owners::One(s, g) => shards[*s as usize].vals[ci].value(*g as usize),
-                    Owners::Many(list) => {
-                        let (s0, g0) = list[0];
-                        let mut acc = shards[s0 as usize].acc(ci, g0).clone();
-                        for &(s, g) in &list[1..] {
-                            acc.merge(shards[s as usize].acc(ci, g))?;
-                        }
-                        acc.finish()
+            for (gs, to_merged) in shards.iter().zip(&self.to_merged) {
+                for &lg in &gs.touched {
+                    let mg = to_merged[lg as usize];
+                    if mg < old {
+                        col.set(mg as usize, gs.vals[ci].value(lg as usize));
                     }
-                };
-                // touched is ascending and new merged gids are contiguous
-                // at the tail, so pushes land in group order
-                if (mg as usize) < col.len() {
-                    col.set(mg as usize, v);
-                } else {
-                    col.push(v);
                 }
             }
         }
-        Ok(())
     }
 }
 

@@ -195,11 +195,9 @@ fn a_rebuild_refills_its_buffers_and_leaves_handed_out_results_alone() {
             let mut state = IncrementalState::new();
             let mut held: Vec<(Frame, Vec<Vec<Value>>)> = Vec::new();
             // the first tick and the replacement rebuild; the eviction
-            // retracts — except on a partitioned grouped state, which
-            // rebuilds — and the last append folds
+            // retracts and the last append folds
             let steps =
                 [Step::Append(1, 10), Step::Evict(55), Step::Replace(2, 5), Step::Append(3, 30)];
-            let partitioned = shards > 1 && plan.is_grouped();
             for (i, step) in steps.into_iter().enumerate() {
                 match step {
                     Step::Append(s, rows) => catalog.append("stream", batch(s, rows)).unwrap(),
@@ -209,7 +207,7 @@ fn a_rebuild_refills_its_buffers_and_leaves_handed_out_results_alone() {
                 let exec = Executor::new(&catalog);
                 let run = exec.run_incremental(&plan, &mut state, DeltaInput::Source).unwrap();
                 let at = format!("{sql}, {shards} shard(s): step {i}");
-                assert_eq!(run.reset, i == 0 || i == 2 || (i == 1 && partitioned), "{at}");
+                assert_eq!(run.reset, i == 0 || i == 2, "{at}");
                 assert_eq!(run.result.to_rows(), exec.execute(&query).unwrap().to_rows(), "{at}");
                 for (frame, rows) in &held {
                     assert_eq!(&frame.to_rows(), rows, "{at}: an earlier result changed");
@@ -320,12 +318,8 @@ struct Consumer {
     query: Query,
     plan: IncrementalPlan,
     state: IncrementalState,
-    /// A grouped plan that can only rebuild on an eviction: global
-    /// aggregation, or partitioned (N > 1) grouped state.
+    /// Global aggregation, which can only rebuild on an eviction.
     rebuilds_on_evict: bool,
-    /// Partitioned by `x` while grouping by more than `x` determines:
-    /// groups may span shards.
-    spans_shards: bool,
     shards: usize,
 }
 
@@ -333,12 +327,9 @@ impl Consumer {
     fn new(sql: &str, catalog: &Catalog, shards: usize) -> Consumer {
         let query = parse_query(sql).unwrap();
         let plan = Executor::new(catalog).compile_incremental(&query).unwrap().unwrap();
-        let global = !sql.contains("GROUP BY");
-        let partitioned = shards > 1 && !global && !sql.contains("DISTINCT");
-        let rebuilds_on_evict = plan.is_grouped() && (global || partitioned);
-        let spans_shards = partitioned && sql.contains("GROUP BY x + y");
+        let rebuilds_on_evict = plan.is_grouped() && !sql.contains("GROUP BY");
         let state = IncrementalState::new();
-        Consumer { query, plan, state, rebuilds_on_evict, spans_shards, shards }
+        Consumer { query, plan, state, rebuilds_on_evict, shards }
     }
 
     /// Run one tick and check it: the result equals the compiled plan
@@ -360,28 +351,12 @@ impl Consumer {
         prop_assert_eq!(self.state.rebuilds(), rebuilds + u64::from(run.reset));
         let compiled = exec.run_plan(&exec.compile(&self.query).unwrap()).unwrap();
         prop_assert_eq!(&run.result.schema, &compiled.schema);
-        if self.spans_shards {
-            // a group that spans shards merges moments: equal up to
-            // floating-point re-association (see the `sharded` module)
-            prop_assert!(approx_rows(&run.result, &compiled), "{}: incremental != compiled", at);
-        } else {
-            prop_assert_eq!(run.result.to_rows(), compiled.to_rows(), "{}: incremental != compiled", at);
-        }
+        let incremental = run.result.to_rows();
+        prop_assert_eq!(incremental, compiled.to_rows(), "{}: incremental != compiled", at);
         let reference = oracle::run(oracle_catalog, &self.query).unwrap();
         prop_assert_eq!(compiled, reference, "{}: compiled != oracle", at);
         Ok(run)
     }
-}
-
-/// Equal frames, floats up to a relative 1e-9.
-fn approx_rows(a: &Frame, b: &Frame) -> bool {
-    let close = |x: &Value, y: &Value| match (x, y) {
-        (Value::Float(x), Value::Float(y)) => (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),
-        _ => x == y,
-    };
-    let (a, b) = (a.to_rows(), b.to_rows());
-    a.len() == b.len()
-        && a.iter().zip(&b).all(|(r, s)| r.len() == s.len() && r.iter().zip(s).all(|(x, y)| close(x, y)))
 }
 
 /// Drive `sql` over a generated schedule at `shards` shards, twice: on
@@ -472,7 +447,7 @@ fn eviction_past_the_mark_rebuilds_and_behind_it_retracts() {
     for sql in MAINTAINABLE {
         for shards in [1, 4] {
             let retracted = run_generated(sql, shards, &steps).unwrap();
-            if shards == 1 && sql.contains("GROUP BY") {
+            if sql.contains("GROUP BY") {
                 assert!(retracted > 0, "{sql}, {shards} shard(s): the chained stage retracts");
             }
         }

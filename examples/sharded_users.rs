@@ -1,9 +1,9 @@
 //! Partition-parallel continuous queries over many users: declare a
 //! partition key with [`Runtime::with_partitioning`] and the runtime
 //! shards each registered stream by a hash of that key, folds every
-//! tick's batch shard-parallel over the thread pool, and merges
-//! per-group accumulators only at the aggregation boundary — with
-//! results identical to one shard.
+//! tick's batch shard-parallel over the thread pool (grouped by the
+//! key, every user's group lives on one shard), and lays the shards'
+//! groups out in one merged view — with results identical to one shard.
 //!
 //! Run with `cargo run --example sharded_users`; set `PARADISE_THREADS`
 //! to size the pool.

@@ -63,8 +63,7 @@ fn splitmix(s: &mut u64) -> u64 {
 }
 
 /// Deterministic integer stream: `x` the partition key, `(x, y)` the
-/// group key, `z` the measure (integer sums are exact in f64, so
-/// equality assertions stay exact under shard re-association).
+/// group key, `z` the measure.
 fn users(seed: u64, rows: usize) -> Frame {
     let schema = Schema::from_pairs(&[
         ("x", DataType::Integer),

@@ -4,10 +4,6 @@
 //! reference (`support/reference.rs`), across shard counts, randomized
 //! ingest/tick/evict/policy-swap schedules, and whatever
 //! `PARADISE_THREADS` the CI matrix sets.
-//!
-//! All stream data here is integer-valued: integer sums are exact in
-//! f64, so equality assertions are exact even for groups that would
-//! re-associate accumulation across shards.
 
 use proptest::prelude::*;
 
@@ -113,7 +109,8 @@ fn expected(rt: &Runtime, policies: &[ModulePolicy]) -> Vec<Outcome> {
 /// Fixed-schedule determinism: the exact same ingest/evict/policy-swap
 /// schedule must produce identical per-tick outcomes at every shard
 /// count — and identical to the reference — regardless of the thread
-/// count the CI matrix runs this under.
+/// count the CI matrix runs this under. A trim behind every handle's
+/// mark rebuilds no stage at any shard count.
 #[test]
 fn shard_count_never_changes_results() {
     let source = users(42, 300);
@@ -121,8 +118,9 @@ fn shard_count_never_changes_results() {
     let mut variants: Vec<(usize, Runtime)> =
         [1usize, 4, 64].iter().map(|&n| (n, build(Some(n), cap, &source))).collect();
     let mut policies = initial_policies();
+    let mut rebuilds: Vec<Vec<u64>> = vec![Vec::new(); variants.len()];
 
-    for step in 0..6u64 {
+    for step in 0..7u64 {
         match step {
             2 => {
                 // eviction: overrun the retention slack, all states rebuild
@@ -138,6 +136,15 @@ fn shard_count_never_changes_results() {
                     rt.set_policy("Mod0", policies[0].clone());
                 }
             }
+            6 => {
+                // trim behind the mark: the window ticked at the cap
+                // (600 rows), these 200 cross the slack, and the trim
+                // takes 200 rows every handle has seen
+                let batch = users(1000 + step, 200);
+                for (_, rt) in &mut variants {
+                    rt.ingest("motion-sensor", "stream", batch.clone()).unwrap();
+                }
+            }
             _ => {
                 let batch = users(100 + step, 120);
                 for (_, rt) in &mut variants {
@@ -145,8 +152,14 @@ fn shard_count_never_changes_results() {
                 }
             }
         }
-        for (n, rt) in &mut variants {
+        for ((n, rt), seen) in variants.iter_mut().zip(&mut rebuilds) {
             let got = rt.tick().unwrap();
+            let now: Vec<u64> =
+                got.iter().map(|(h, _)| rt.handle_stats(*h).unwrap().rebuilds).collect();
+            if step == 6 {
+                assert_eq!(&now, seen, "shards={n}: a trim behind the mark rebuilt a stage");
+            }
+            *seen = now;
             let expect = expected(rt, &policies);
             assert_eq!(got.len(), expect.len());
             for ((_, og), oe) in got.iter().zip(&expect) {
