@@ -957,7 +957,7 @@ impl<'a> Executor<'a> {
                         // watermark did not advance: poison the whole
                         // state so the next call rebuilds from the full
                         // input instead of double-folding re-delivered
-                        // rows — no partial merge is ever observable
+                        // rows — no partial fold is ever observable
                         *state = IncrementalState::default();
                         Err(e)
                     }
