@@ -1,7 +1,7 @@
 //! Binary encoding of the durable state: a small, hand-rolled,
 //! little-endian codec (the environment vendors no serde) plus the
-//! CRC-32 checksum both the write-ahead log and the snapshots frame
-//! their payloads with.
+//! CRC-32 checksum the write-ahead log, the snapshots and the wire
+//! frame their payloads with.
 //!
 //! Decoding is **paranoid by construction**: every read is
 //! bounds-checked and every structural inconsistency (bad tag, column
@@ -19,11 +19,11 @@ use crate::error::{CoreError, CoreResult};
 use crate::runtime::{Command, QueryHandle};
 
 // ------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven
+// CRC-32 (IEEE 802.3, reflected), slicing-by-16
 // ------------------------------------------------------------------
 
 /// 256-entry lookup table for the reflected IEEE polynomial
-/// (0xEDB88320), built at compile time.
+/// (0xEDB88320), built at compile time: the CRC of one byte.
 const CRC_TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -40,11 +40,53 @@ const CRC_TABLE: [u32; 256] = {
     table
 };
 
-/// CRC-32 (IEEE) of `bytes` — the checksum guarding every WAL record
-/// and snapshot payload against torn writes and bit rot.
+/// Sixteen lookup tables, built at compile time from [`CRC_TABLE`]:
+/// entry `i` of table `k` is the CRC register after byte `i` and then
+/// `k` zero bytes, so one step folds 16 bytes by 16 independent lookups.
+const CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [CRC_TABLE; 16];
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ CRC_TABLE[(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE) of `bytes` — the checksum guarding every WAL record,
+/// snapshot payload and wire frame against torn writes and bit rot.
+/// Slicing-by-16: 16 bytes per step, the remainder one byte at a time;
+/// the result is the bytewise table CRC's, bit for bit.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
+    let mut chunks = bytes.chunks_exact(16);
+    for c in &mut chunks {
+        // the register folds into the block's first four bytes
+        let r = crc.to_le_bytes();
+        crc = t[15][(c[0] ^ r[0]) as usize]
+            ^ t[14][(c[1] ^ r[1]) as usize]
+            ^ t[13][(c[2] ^ r[2]) as usize]
+            ^ t[12][(c[3] ^ r[3]) as usize]
+            ^ t[11][c[4] as usize]
+            ^ t[10][c[5] as usize]
+            ^ t[9][c[6] as usize]
+            ^ t[8][c[7] as usize]
+            ^ t[7][c[8] as usize]
+            ^ t[6][c[9] as usize]
+            ^ t[5][c[10] as usize]
+            ^ t[4][c[11] as usize]
+            ^ t[3][c[12] as usize]
+            ^ t[2][c[13] as usize]
+            ^ t[1][c[14] as usize]
+            ^ t[0][c[15] as usize];
+    }
+    for &b in chunks.remainder() {
         crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
@@ -100,6 +142,15 @@ impl Enc {
     pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
+    }
+}
+
+impl From<Vec<u8>> for Enc {
+    /// An encoder that writes after `buf`'s bytes: a record encodes
+    /// behind a header reserved in the same buffer, which is patched in
+    /// place once the record's length and CRC are known.
+    fn from(buf: Vec<u8>) -> Self {
+        Enc { buf }
     }
 }
 
@@ -281,7 +332,8 @@ pub fn dec_schema(d: &mut Dec<'_>) -> CoreResult<Schema> {
 // Column buffer encodings. The dense typed buffers are written as a
 // presence byte per cell plus the raw payload (the dominant ingest
 // shapes — int/float sensor streams — thus cost 9 bytes/cell and no
-// Value materialisation); a mixed-type column falls back to tagged
+// Value materialisation, either way: the decoder reads them straight
+// into a typed buffer); a mixed-type column falls back to tagged
 // values, which is exact for any mix.
 const COL_INT: u8 = 0;
 const COL_FLOAT: u8 = 1;
@@ -290,39 +342,18 @@ const COL_STR: u8 = 3;
 const COL_MIXED: u8 = 4;
 
 fn enc_column(e: &mut Enc, col: &ColumnData) {
+    // every tag writes a cell's `Value::size_bytes` plus at most one
+    // byte (presence or value tag), so this one reserve holds the column
+    e.buf.reserve(1 + col.bytes() + col.len());
     if let Some(cells) = col.int_slice() {
         e.u8(COL_INT);
-        for c in cells {
-            match c {
-                Some(x) => {
-                    e.u8(1);
-                    e.i64(*x);
-                }
-                None => e.u8(0),
-            }
-        }
+        enc_cells(e, cells, |x| x.to_le_bytes());
     } else if let Some(cells) = col.float_slice() {
         e.u8(COL_FLOAT);
-        for c in cells {
-            match c {
-                Some(x) => {
-                    e.u8(1);
-                    e.f64(*x);
-                }
-                None => e.u8(0),
-            }
-        }
+        enc_cells(e, cells, |x| x.to_bits().to_le_bytes());
     } else if let Some(cells) = col.bool_slice() {
         e.u8(COL_BOOL);
-        for c in cells {
-            match c {
-                Some(x) => {
-                    e.u8(1);
-                    e.u8(u8::from(*x));
-                }
-                None => e.u8(0),
-            }
-        }
+        enc_cells(e, cells, |x| [u8::from(x)]);
     } else if let Some(cells) = col.str_slice() {
         e.u8(COL_STR);
         for c in cells {
@@ -342,35 +373,82 @@ fn enc_column(e: &mut Enc, col: &ColumnData) {
     }
 }
 
-fn dec_column(d: &mut Dec<'_>, rows: usize, declared: DataType) -> CoreResult<ColumnData> {
-    let tag = d.u8()?;
-    let hint = match tag {
-        COL_INT => DataType::Integer,
-        COL_FLOAT => DataType::Float,
-        COL_BOOL => DataType::Boolean,
-        COL_STR => DataType::Text,
-        COL_MIXED => declared,
-        _ => return Err(corrupt(&format!("unknown column tag {tag}"))),
-    };
-    let mut col = ColumnData::with_capacity(hint, rows);
-    for _ in 0..rows {
-        let v = match tag {
-            COL_MIXED => dec_value(d)?,
-            _ => match d.u8()? {
-                0 => Value::Null,
-                1 => match tag {
-                    COL_INT => Value::Int(d.i64()?),
-                    COL_FLOAT => Value::Float(d.f64()?),
-                    COL_BOOL => Value::Bool(d.u8()? != 0),
-                    COL_STR => Value::Str(d.str()?),
-                    _ => unreachable!("tag validated above"),
-                },
-                p => return Err(corrupt(&format!("bad presence byte {p}"))),
-            },
-        };
-        col.push(v);
+/// Write fixed-width cells: a presence byte each, then `put`'s `W`
+/// payload bytes for a present one, into room `enc_column` reserved.
+fn enc_cells<T: Copy, const W: usize>(
+    e: &mut Enc,
+    cells: &[Option<T>],
+    put: impl Fn(T) -> [u8; W],
+) {
+    for c in cells {
+        if let Some(x) = *c {
+            e.buf.push(1);
+            e.buf.extend_from_slice(&put(x));
+        } else {
+            e.buf.push(0);
+        }
     }
-    Ok(col)
+}
+
+fn dec_column(d: &mut Dec<'_>, rows: usize, declared: DataType) -> CoreResult<ColumnData> {
+    Ok(match d.u8()? {
+        COL_INT => ColumnData::from_ints(dec_fixed(d, rows, i64::from_le_bytes)?),
+        COL_FLOAT => {
+            ColumnData::from_floats(dec_fixed(d, rows, |x| f64::from_bits(u64::from_le_bytes(x)))?)
+        }
+        COL_BOOL => ColumnData::from_bools(dec_fixed(d, rows, |[x]| x != 0)?),
+        COL_STR => ColumnData::from_strs(dec_texts(d, rows)?),
+        COL_MIXED => {
+            let mut col = ColumnData::with_capacity(declared, rows);
+            for _ in 0..rows {
+                col.push(dec_value(d)?);
+            }
+            col
+        }
+        tag => return Err(corrupt(&format!("unknown column tag {tag}"))),
+    })
+}
+
+/// `rows` fixed-width cells: a presence byte each, then `W` payload
+/// bytes `from` reads for a present one, straight into the column's
+/// buffer.
+fn dec_fixed<T, const W: usize>(
+    d: &mut Dec<'_>,
+    rows: usize,
+    from: impl Fn([u8; W]) -> T,
+) -> CoreResult<Vec<Option<T>>> {
+    let truncated = || corrupt("truncated payload");
+    let mut cells = Vec::with_capacity(rows);
+    let mut rest = &d.bytes[d.at..];
+    for _ in 0..rows {
+        let (&presence, tail) = rest.split_first().ok_or_else(truncated)?;
+        rest = tail;
+        cells.push(match presence {
+            0 => None,
+            1 => {
+                let (x, tail) = rest.split_first_chunk::<W>().ok_or_else(truncated)?;
+                rest = tail;
+                Some(from(*x))
+            }
+            p => return Err(corrupt(&format!("bad presence byte {p}"))),
+        });
+    }
+    d.at = d.bytes.len() - rest.len();
+    Ok(cells)
+}
+
+/// `rows` text cells: a presence byte each, then a length-prefixed
+/// string for a present one, straight into the column's buffer.
+fn dec_texts(d: &mut Dec<'_>, rows: usize) -> CoreResult<Vec<Option<String>>> {
+    let mut cells = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        cells.push(match d.u8()? {
+            0 => None,
+            1 => Some(d.str()?),
+            p => return Err(corrupt(&format!("bad presence byte {p}"))),
+        });
+    }
+    Ok(cells)
 }
 
 /// Encode a whole frame: schema, row count, then each column buffer.
@@ -380,6 +458,21 @@ pub fn enc_frame(e: &mut Enc, frame: &Frame) {
     for i in 0..frame.schema.len() {
         enc_column(e, frame.column(i));
     }
+}
+
+/// An upper bound on the bytes [`enc_frame`] writes for `frame`, so a
+/// caller can size its buffer once.
+pub(crate) fn frame_len_bound(frame: &Frame) -> usize {
+    let text = |s: &str| 4 + s.len();
+    let schema: usize = frame
+        .schema
+        .columns()
+        .iter()
+        .map(|c| text(&c.name) + 1 + c.source.as_deref().map_or(0, text) + 1)
+        .sum();
+    // the column and row counts, then per column its tag and a byte
+    // per cell beside the cells' cached size (see `enc_column`)
+    8 + schema + frame.schema.len() * (1 + frame.len()) + frame.size_bytes()
 }
 
 /// Decode a frame; every structural mismatch (column count, cell
@@ -544,6 +637,42 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bytewise table CRC `crc32` replaced, kept as its reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// `n` bytes of a seeded xorshift stream.
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn crc32_equals_the_bytewise_reference() {
+        // every length across the 16-byte steps, at every alignment
+        let buf = seeded_bytes(300 + 16);
+        for start in 0..16 {
+            for len in 0..=300 {
+                let bytes = &buf[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "start {start}, length {len}");
+            }
+        }
+        let big = seeded_bytes(4 << 20);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
+    }
+
     #[test]
     fn primitives_roundtrip() {
         let mut e = Enc::new();
@@ -638,6 +767,70 @@ mod tests {
         // zero-column frames keep their cardinality
         let zero = Frame::new(Schema::default(), vec![vec![], vec![]]).unwrap();
         assert_eq!(roundtrip_frame(&zero).len(), 2);
+    }
+
+    /// One column of each tag, NULLs first, in the middle and last.
+    fn columns_of_every_tag() -> Vec<(DataType, Vec<Value>)> {
+        let with_nulls = |a: Value, b: Value| vec![Value::Null, a, Value::Null, b, Value::Null];
+        vec![
+            (DataType::Integer, with_nulls(Value::Int(i64::MIN), Value::Int(7))),
+            (DataType::Float, with_nulls(Value::Float(f64::NAN), Value::Float(-0.0))),
+            (DataType::Boolean, with_nulls(Value::Bool(true), Value::Bool(false))),
+            (DataType::Text, with_nulls(Value::Str("☃".into()), Value::Str(String::new()))),
+            (DataType::Integer, with_nulls(Value::Int(3), Value::Str("x".into()))),
+        ]
+    }
+
+    #[test]
+    fn typed_columns_decode_as_from_values_builds_them() {
+        for (data_type, values) in columns_of_every_tag() {
+            let schema = Schema::from_pairs(&[("c", data_type)]);
+            let column = ColumnData::from_values(values.clone());
+            let frame = Frame::from_columns(schema, vec![column]).unwrap();
+            let back = roundtrip_frame(&frame);
+            assert_eq!(back, frame, "{values:?}");
+            assert_eq!(back.size_bytes(), frame.size_bytes(), "{values:?}");
+            // the cells' bit patterns: equality lets NaN and -0.0 pass
+            let bits = |f: &Frame| -> Vec<Option<u64>> {
+                f.column(0).iter_values().map(|v| v.as_f64().map(f64::to_bits)).collect()
+            };
+            assert_eq!(bits(&back), bits(&frame), "{values:?}");
+        }
+    }
+
+    #[test]
+    fn every_truncation_and_bad_presence_byte_of_a_typed_column_is_corrupt() {
+        for (data_type, values) in columns_of_every_tag().into_iter().take(4) {
+            let frame = Frame::from_columns(
+                Schema::from_pairs(&[("c", data_type)]),
+                vec![ColumnData::from_values(values.clone())],
+            )
+            .unwrap();
+            let mut e = Enc::new();
+            enc_frame(&mut e, &frame);
+            let bytes = e.into_bytes();
+            for n in 0..bytes.len() {
+                let got = dec_frame(&mut Dec::new(&bytes[..n]));
+                assert!(matches!(got, Err(CoreError::Corrupt(_))), "{data_type:?}, {n} bytes");
+            }
+            // the cells start after the schema, the row count and the
+            // column tag; each is its presence byte, then its payload
+            let mut schema = Enc::new();
+            enc_schema(&mut schema, &frame.schema);
+            let mut at = schema.into_bytes().len() + 4 + 1;
+            for v in &values {
+                assert_eq!(bytes[at], u8::from(!v.is_null()), "{data_type:?}, byte {at}");
+                for p in 2..=u8::MAX {
+                    let mut bad = bytes.clone();
+                    bad[at] = p;
+                    let got = dec_frame(&mut Dec::new(&bad));
+                    let what = format!("{data_type:?}, presence {p} at {at}");
+                    assert!(matches!(got, Err(CoreError::Corrupt(_))), "{what}");
+                }
+                at += 1 + if v.is_null() { 0 } else { v.size_bytes() };
+            }
+            assert_eq!(at, bytes.len());
+        }
     }
 
     #[test]

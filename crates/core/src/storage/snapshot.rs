@@ -30,7 +30,7 @@ use paradise_engine::Frame;
 
 use crate::error::{CoreError, CoreResult};
 
-use super::codec::{crc32, dec_frame, enc_frame, Dec, Enc};
+use super::codec::{crc32, dec_frame, enc_frame, frame_len_bound, Dec, Enc};
 use super::vfs::Vfs;
 use super::wal::{io_err, Registration, Spend};
 
@@ -135,15 +135,49 @@ pub fn list_generations(vfs: &Arc<dyn Vfs>, dir: &Path) -> CoreResult<(Vec<u64>,
     Ok((snapshots, wals))
 }
 
-fn encode(data: &SnapshotData) -> Vec<u8> {
-    let mut e = Enc::new();
+/// Bytes of the file header: magic, payload CRC, payload length.
+const HEADER: usize = 12;
+
+/// The snapshot file: [`HEADER`], then the payload, encoded into one
+/// buffer sized once by [`payload_bound`]; the header is patched in
+/// place when the payload is done.
+fn encode_file(data: &SnapshotData) -> Vec<u8> {
+    let mut bytes = Vec::with_capacity(HEADER + payload_bound(data));
+    bytes.resize(HEADER, 0);
+    let mut e = Enc::from(bytes);
+    encode(&mut e, data);
+    let mut bytes = e.into_bytes();
+    let (header, payload) = bytes.split_at_mut(HEADER);
+    header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
+    header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
+    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes
+}
+
+/// An upper bound on the payload [`encode`] writes for `data`.
+fn payload_bound(data: &SnapshotData) -> usize {
+    let text = |s: &str| 4 + s.len();
+    let tables: usize = data
+        .tables
+        .iter()
+        .map(|t| text(&t.node) + text(&t.table) + 8 + frame_len_bound(&t.frame))
+        .sum();
+    let policies: usize = data.policies.iter().map(|p| text(&p.module) + 8 + text(&p.xml)).sum();
+    let registrations: usize =
+        data.registrations.iter().map(|r| 8 + text(&r.module) + text(&r.sql) + 16).sum();
+    let ledgers: usize = data.ledgers.iter().map(|l| text(&l.module) + 16).sum();
+    // generation, version counter, slots, next generation, five counts
+    8 + 8 + 4 + 4 + 5 * 4 + tables + policies + registrations + ledgers + 16 * data.sessions.len()
+}
+
+fn encode(e: &mut Enc, data: &SnapshotData) {
     e.u64(data.generation);
     e.u32(data.tables.len() as u32);
     for t in &data.tables {
         e.str(&t.node);
         e.str(&t.table);
         e.u64(t.evicted);
-        enc_frame(&mut e, &t.frame);
+        enc_frame(e, &t.frame);
     }
     e.u32(data.policies.len() as u32);
     for p in &data.policies {
@@ -154,20 +188,19 @@ fn encode(data: &SnapshotData) -> Vec<u8> {
     e.u64(data.version_counter);
     e.u32(data.registrations.len() as u32);
     for r in &data.registrations {
-        r.enc(&mut e);
+        r.enc(e);
     }
     e.u32(data.slots);
     e.u32(data.next_generation);
     e.u32(data.ledgers.len() as u32);
     for l in &data.ledgers {
-        l.enc(&mut e);
+        l.enc(e);
     }
     e.u32(data.sessions.len() as u32);
     for s in &data.sessions {
         e.u64(s.session);
         e.u64(s.seq);
     }
-    e.into_bytes()
 }
 
 fn decode(payload: &[u8]) -> CoreResult<SnapshotData> {
@@ -220,13 +253,7 @@ fn decode(payload: &[u8]) -> CoreResult<SnapshotData> {
 /// Write `data` as generation `data.generation`'s snapshot, atomically
 /// (tmp + `fsync` + rename + directory `fsync`).
 pub fn write_snapshot(vfs: &Arc<dyn Vfs>, dir: &Path, data: &SnapshotData) -> CoreResult<()> {
-    let payload = encode(data);
-    let mut bytes = Vec::with_capacity(payload.len() + 12);
-    bytes.extend_from_slice(&MAGIC.to_le_bytes());
-    bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(&payload);
-
+    let bytes = encode_file(data);
     let tmp = dir.join("snapshot.tmp");
     let mut file =
         vfs.create(&tmp).map_err(|e| io_err("create snapshot temp file", &tmp, &e))?;
@@ -247,7 +274,7 @@ pub fn write_snapshot(vfs: &Arc<dyn Vfs>, dir: &Path, data: &SnapshotData) -> Co
 /// back to the previous generation.
 pub fn read_snapshot(vfs: &Arc<dyn Vfs>, path: &Path) -> CoreResult<SnapshotData> {
     let bytes = vfs.read(path).map_err(|e| io_err("read snapshot", path, &e))?;
-    if bytes.len() < 12 {
+    if bytes.len() < HEADER {
         return Err(CoreError::Corrupt(format!(
             "snapshot {} is truncated ({} bytes)",
             path.display(),
@@ -263,7 +290,7 @@ pub fn read_snapshot(vfs: &Arc<dyn Vfs>, path: &Path) -> CoreResult<SnapshotData
     }
     let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     let len = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-    let payload = bytes.get(12..).filter(|p| p.len() == len).ok_or_else(|| {
+    let payload = bytes.get(HEADER..).filter(|p| p.len() == len).ok_or_else(|| {
         CoreError::Corrupt(format!("snapshot {} payload length mismatch", path.display()))
     })?;
     if crc32(payload) != crc {
@@ -291,6 +318,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// The payload of `data`'s snapshot file.
+    fn encode(data: &SnapshotData) -> Vec<u8> {
+        encode_file(data).split_off(HEADER)
     }
 
     fn sample() -> SnapshotData {
@@ -332,6 +364,38 @@ mod tests {
         // reader for the old format
         let payload = encode(&sample());
         assert_eq!((payload.len(), crc32(&payload)), (272, 0x6EFE_AD02));
+    }
+
+    #[test]
+    fn the_payload_bound_holds_every_payload() {
+        // the file buffer is sized once: a payload past the bound would
+        // grow it, copying everything written so far
+        let mut wide = sample();
+        let schema = Schema::from_pairs(&[
+            ("f", DataType::Float),
+            ("b", DataType::Boolean),
+            ("t", DataType::Text),
+            ("m", DataType::Integer),
+        ]);
+        let rows = (0..50)
+            .map(|i| {
+                let present = i % 3 != 0;
+                vec![
+                    if present { Value::Float(i as f64) } else { Value::Null },
+                    if present { Value::Bool(i % 2 == 0) } else { Value::Null },
+                    if present { Value::Str("x".repeat(i)) } else { Value::Null },
+                    if present { Value::Int(i as i64) } else { Value::Str("mixed".into()) },
+                ]
+            })
+            .collect();
+        let frame = Frame::new(schema, rows).unwrap();
+        wide.tables.push(TableState { node: "n".into(), table: "t".into(), evicted: 0, frame });
+        for data in [sample(), wide] {
+            let bound = HEADER + payload_bound(&data);
+            let bytes = encode_file(&data);
+            assert!(bytes.len() <= bound, "{} bytes, bound {bound}", bytes.len());
+            assert_eq!(bytes.capacity(), bound, "the buffer never grew");
+        }
     }
 
     #[test]

@@ -176,22 +176,21 @@ const TAG_EVICT: u8 = 3;
 const TAG_SPEND_EPSILON: u8 = 7;
 
 impl WalRecord {
-    /// Encode as the framed body (tag + payload), without the
-    /// length/CRC header.
-    fn encode_body(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+    /// Encode the framed body (tag + payload), without the length/CRC
+    /// header.
+    fn enc(&self, e: &mut Enc) {
         match self {
             WalRecord::Command(cmd) => {
                 e.u8(command_tag(cmd));
-                enc_command(&mut e, cmd);
+                enc_command(e, cmd);
             }
             WalRecord::Ingest { node, table, start, origin, frame } => {
                 e.u8(TAG_INGEST);
                 e.str(node);
                 e.str(table);
                 e.u64(*start);
-                enc_origin(&mut e, *origin);
-                enc_frame(&mut e, frame);
+                enc_origin(e, *origin);
+                enc_frame(e, frame);
             }
             WalRecord::Evict { node, table, evicted_to } => {
                 e.u8(TAG_EVICT);
@@ -201,19 +200,18 @@ impl WalRecord {
             }
             WalRecord::Register(registration) => {
                 e.u8(TAG_REGISTER);
-                registration.enc(&mut e);
+                registration.enc(e);
             }
             WalRecord::SetPolicy { version, module, xml, origin } => {
                 e.u8(TAG_SET_POLICY);
                 e.u64(*version);
-                enc_text_body(&mut e, module, xml, *origin);
+                enc_text_body(e, module, xml, *origin);
             }
             WalRecord::SpendEpsilon(spend) => {
                 e.u8(TAG_SPEND_EPSILON);
-                spend.enc(&mut e);
+                spend.enc(e);
             }
         }
-        e.into_bytes()
     }
 
     /// Decode a framed body whose CRC already checked out. Structural
@@ -312,12 +310,16 @@ impl Wal {
 
     /// Buffer one record for the next [`Wal::commit`] (no I/O).
     pub fn append(&mut self, record: &WalRecord) {
-        let body = record.encode_body();
-        let mut header = [0u8; 8];
+        // the body encodes straight into the buffer, behind a
+        // placeholder header patched once its length and CRC are known
+        let at = self.pending.len();
+        self.pending.resize(at + 8, 0);
+        let mut e = Enc::from(std::mem::take(&mut self.pending));
+        record.enc(&mut e);
+        self.pending = e.into_bytes();
+        let (header, body) = self.pending[at..].split_at_mut(8);
         header[..4].copy_from_slice(&(body.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&crc32(&body).to_le_bytes());
-        self.pending.extend_from_slice(&header);
-        self.pending.extend_from_slice(&body);
+        header[4..].copy_from_slice(&crc32(body).to_le_bytes());
         self.pending_records += 1;
     }
 
@@ -449,6 +451,15 @@ mod tests {
 
     fn vfs() -> Arc<dyn Vfs> {
         RealVfs::shared()
+    }
+
+    impl WalRecord {
+        /// The framed body on its own.
+        fn encode_body(&self) -> Vec<u8> {
+            let mut e = Enc::new();
+            self.enc(&mut e);
+            e.into_bytes()
+        }
     }
 
     fn remove(id: u64) -> WalRecord {

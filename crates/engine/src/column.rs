@@ -197,6 +197,34 @@ impl ColumnData {
         ColumnData { buf, bytes: 0 }
     }
 
+    /// A column over integer cells (`None` = NULL), taken as its buffer.
+    pub fn from_ints(cells: Vec<Option<i64>>) -> Self {
+        Self::from_buf(ColumnBuf::Int(cells.into()))
+    }
+
+    /// A column over float cells (`None` = NULL), taken as its buffer.
+    pub fn from_floats(cells: Vec<Option<f64>>) -> Self {
+        Self::from_buf(ColumnBuf::Float(cells.into()))
+    }
+
+    /// A column over boolean cells (`None` = NULL), taken as its buffer.
+    pub fn from_bools(cells: Vec<Option<bool>>) -> Self {
+        Self::from_buf(ColumnBuf::Bool(cells.into()))
+    }
+
+    /// A column over text cells (`None` = NULL), taken as its buffer.
+    pub fn from_strs(cells: Vec<Option<String>>) -> Self {
+        Self::from_buf(ColumnBuf::Str(cells.into()))
+    }
+
+    /// A column over `buf`, its cached size summed once: the size a
+    /// [`ColumnData::push`] per cell would have left.
+    fn from_buf(buf: ColumnBuf) -> Self {
+        let mut out = ColumnData { buf, bytes: 0 };
+        out.bytes = out.range_bytes(0..out.len());
+        out
+    }
+
     /// Build from owned values; the buffer type follows the first
     /// non-null value, mixing promotes to the exact representation.
     pub fn from_values(values: Vec<Value>) -> Self {
@@ -380,9 +408,7 @@ impl ColumnData {
                     .into(),
             ),
         };
-        let mut out = ColumnData { buf, bytes: 0 };
-        out.bytes = out.range_bytes(0..n);
-        out
+        ColumnData::from_buf(buf)
     }
 
     /// A borrowed, allocation-free view of cell `i`.
@@ -568,9 +594,7 @@ impl ColumnData {
                 ColumnBuf::Mixed(indices.iter().map(|&i| v[i].clone()).collect::<Vec<_>>().into())
             }
         };
-        let mut out = ColumnData { buf, bytes: 0 };
-        out.bytes = out.range_bytes(0..out.len());
-        out
+        ColumnData::from_buf(buf)
     }
 
     /// New column keeping the cells where `mask` is true, each buffer
@@ -589,9 +613,7 @@ impl ColumnData {
             ColumnBuf::Str(v) => ColumnBuf::Str(keep(v, mask, kept)),
             ColumnBuf::Mixed(v) => ColumnBuf::Mixed(keep(v, mask, kept)),
         };
-        let mut out = ColumnData { buf, bytes: 0 };
-        out.bytes = out.range_bytes(0..out.len());
-        out
+        ColumnData::from_buf(buf)
     }
 
     /// New column holding the cells from `start` to the end (bulk
@@ -605,9 +627,7 @@ impl ColumnData {
             ColumnBuf::Str(v) => ColumnBuf::Str(v[start..].to_vec().into()),
             ColumnBuf::Mixed(v) => ColumnBuf::Mixed(v[start..].to_vec().into()),
         };
-        let mut out = ColumnData { buf, bytes: 0 };
-        out.bytes = out.range_bytes(0..out.len());
-        out
+        ColumnData::from_buf(buf)
     }
 
     /// Keep the first `n` cells.

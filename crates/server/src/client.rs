@@ -264,8 +264,7 @@ impl Client {
     /// One request/response round trip. `Error` replies become
     /// [`ClientError::Server`].
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
-        let payload = protocol::encode_request(req);
-        protocol::write_frame(&mut self.stream, &payload)?;
+        protocol::write_request(&mut self.stream, req)?;
         let reply = protocol::read_frame(&mut self.stream, self.max_frame_bytes)?;
         match protocol::decode_response(&reply)? {
             Response::Error { code, message } => Err(ClientError::Server { code, message }),

@@ -298,8 +298,7 @@ fn close_on_wire_fault(stream: &mut TcpStream, ctx: &ConnCtx, e: WireError) -> C
 }
 
 fn send_response(stream: &mut TcpStream, ctx: &ConnCtx, rsp: &Response) -> Result<(), String> {
-    let payload = protocol::encode_response(rsp);
-    protocol::write_frame(stream, &payload).map_err(|e| e.to_string())?;
+    protocol::write_response(stream, rsp).map_err(|e| e.to_string())?;
     StatsCell::bump(&ctx.stats.frames_sent);
     Ok(())
 }

@@ -315,6 +315,11 @@ const RSP_WELCOME: u8 = 136;
 /// Encode a request payload (without the frame header).
 pub fn encode_request(req: &Request) -> Vec<u8> {
     let mut e = Enc::new();
+    enc_request(&mut e, req);
+    e.into_bytes()
+}
+
+fn enc_request(e: &mut Enc, req: &Request) {
     match req {
         Request::Hello { version, session_id, shed, block_ms, queue_capacity } => {
             e.u8(REQ_HELLO);
@@ -327,7 +332,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Apply(cmd) => {
             e.u8(REQ_APPLY);
             e.u8(command_tag(cmd));
-            enc_command(&mut e, cmd);
+            enc_command(e, cmd);
         }
         Request::Tick { seq } => {
             e.u8(REQ_TICK);
@@ -336,7 +341,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Stats => e.u8(REQ_STATS),
         Request::Ping => e.u8(REQ_PING),
     }
-    e.into_bytes()
 }
 
 /// Decode a request payload. Trailing bytes after a complete message
@@ -369,6 +373,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, WireError> {
 /// Encode a response payload (without the frame header).
 pub fn encode_response(rsp: &Response) -> Vec<u8> {
     let mut e = Enc::new();
+    enc_response(&mut e, rsp);
+    e.into_bytes()
+}
+
+fn enc_response(e: &mut Enc, rsp: &Response) {
     match rsp {
         Response::Ok => e.u8(RSP_OK),
         Response::Welcome { session_id, last_seq } => {
@@ -401,7 +410,7 @@ pub fn encode_response(rsp: &Response) -> Vec<u8> {
                 match &entry.result {
                     Ok(frame) => {
                         e.u8(1);
-                        enc_frame(&mut e, frame);
+                        enc_frame(e, frame);
                     }
                     Err((code, message)) => {
                         e.u8(0);
@@ -425,7 +434,6 @@ pub fn encode_response(rsp: &Response) -> Vec<u8> {
         }
         Response::Pong => e.u8(RSP_PONG),
     }
-    e.into_bytes()
 }
 
 /// Decode a response payload.
@@ -476,14 +484,41 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
     Ok(rsp)
 }
 
-/// Write one frame (header + payload) to `w`.
+/// Bytes of a frame header: magic, payload length, payload CRC.
+const HEADER: usize = 12;
+
+/// Write one frame (header + payload) to `w`, as one `write_all` of
+/// one buffer.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; 12];
+    let mut frame = Vec::with_capacity(HEADER + payload.len());
+    frame.resize(HEADER, 0);
+    frame.extend_from_slice(payload);
+    send(w, frame)
+}
+
+/// Write `req` as one frame to `w`: the payload encodes behind the
+/// header in the same buffer, which goes out in one `write_all`.
+pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
+    let mut e = Enc::from(vec![0; HEADER]);
+    enc_request(&mut e, req);
+    send(w, e.into_bytes())
+}
+
+/// Write `rsp` as one frame to `w`, as [`write_request`] does.
+pub fn write_response(w: &mut impl Write, rsp: &Response) -> io::Result<()> {
+    let mut e = Enc::from(vec![0; HEADER]);
+    enc_response(&mut e, rsp);
+    send(w, e.into_bytes())
+}
+
+/// Patch the header of `frame` (its first [`HEADER`] bytes, reserved)
+/// from the payload behind it, then write the frame in one call.
+fn send(w: &mut impl Write, mut frame: Vec<u8>) -> io::Result<()> {
+    let (header, payload) = frame.split_at_mut(HEADER);
     header[0..4].copy_from_slice(&MAGIC.to_le_bytes());
     header[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[8..12].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -496,9 +531,9 @@ pub fn read_frame_after(
     first: u8,
     max_frame_bytes: usize,
 ) -> Result<Vec<u8>, WireError> {
-    let mut rest = [0u8; 11];
+    let mut rest = [0u8; HEADER - 1];
     read_exact_framed(r, &mut rest, "frame header")?;
-    let mut header = [0u8; 12];
+    let mut header = [0u8; HEADER];
     header[0] = first;
     header[1..].copy_from_slice(&rest);
     let magic = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
@@ -682,6 +717,50 @@ mod tests {
         let mut r = wire.as_slice();
         let got = read_frame(&mut r, DEFAULT_MAX_FRAME_BYTES).unwrap();
         assert_eq!(got, payload);
+    }
+
+    /// A byte sink that counts its `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_header_and_payload() {
+        let rsp = Response::TickResults {
+            results: vec![TickEntry { handle: 1, result: Ok(sample_frame()) }],
+            deferred: vec![],
+        };
+        let req = Request::Apply(sample_commands().remove(2));
+        type WriteWith<'a> = &'a dyn Fn(&mut CountingWriter) -> io::Result<()>;
+        let writes: [(Vec<u8>, WriteWith); 3] = [
+            (encode_response(&rsp), &|w| write_response(w, &rsp)),
+            (encode_request(&req), &|w| write_request(w, &req)),
+            (encode_request(&req), &|w| write_frame(w, &encode_request(&req))),
+        ];
+        for (payload, write) in writes {
+            let mut w = CountingWriter::default();
+            write(&mut w).unwrap();
+            // the header field by field: magic, payload length, CRC
+            let mut expected = MAGIC.to_le_bytes().to_vec();
+            expected.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            expected.extend_from_slice(&crc32(&payload).to_le_bytes());
+            expected.extend_from_slice(&payload);
+            assert_eq!((w.writes, w.bytes), (1, expected));
+        }
     }
 
     #[test]

@@ -422,11 +422,10 @@ fn accept_loop(
 /// Best-effort typed refusal for an over-cap connection.
 fn reject_connection(mut stream: TcpStream, config: &ServerConfig) {
     let _ = stream.set_write_timeout(Some(config.write_timeout));
-    let payload = protocol::encode_response(&Response::Error {
-        code: ErrorCode::Admission,
-        message: "connection limit reached".into(),
-    });
-    let _ = protocol::write_frame(&mut stream, &payload);
+    let _ = protocol::write_response(
+        &mut stream,
+        &Response::Error { code: ErrorCode::Admission, message: "connection limit reached".into() },
+    );
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 

@@ -2,10 +2,12 @@
 //! resident tick, pinned as a ceiling per query shape, of the tick
 //! after a retention trim at 1 and at 4 shards, of a tick whose
 //! 500-row release the postprocessor anonymises, and of the mutations
-//! around them (ingest, in memory and durable; register; a policy
-//! swap). The flat tick's
+//! around them (ingest, in memory and durable; a snapshot; register; a
+//! policy swap). The flat tick's
 //! count must also not grow with the batch: its medians after 250-,
-//! 500- and 1 000-row batches lie within 5 % of each other. A
+//! 500- and 1 000-row batches lie within 5 % of each other; nor must
+//! the snapshot's with the window: its medians over 25k- and 100k-row
+//! windows lie within 5 % of each other. A
 //! counting global allocator — in this test binary only — counts
 //! `alloc` and `realloc` calls. The count depends on the
 //! code and the seeded input, not on the machine, so it catches
@@ -110,10 +112,11 @@ fn stream(seed: u64, steps: usize) -> Frame {
 /// Ceilings on the median allocations inside one mutation call:
 /// `ingest` of a 500-row batch in memory (the two owned names a command
 /// may carry, nothing more) and durable (the log record owns the
-/// names); `register` of the paper query; `set_policy` over three
-/// resident flat projections.
+/// names, and its body encodes straight into the commit buffer);
+/// `register` of the paper query; `set_policy` over three resident flat
+/// projections.
 const INGEST: u64 = 4;
-const DURABLE_INGEST: u64 = 23;
+const DURABLE_INGEST: u64 = 11;
 const REGISTER: u64 = 287;
 const SET_POLICY: u64 = 517;
 
@@ -321,13 +324,48 @@ fn allocations_per_policy_swap() -> Vec<u64> {
         .collect()
 }
 
-/// A fresh directory for the durable shape.
+/// A fresh directory for a durable shape.
 fn scratch_dir() -> PathBuf {
     let base =
         option_env!("CARGO_TARGET_TMPDIR").map(PathBuf::from).unwrap_or_else(std::env::temp_dir);
     let dir = base.join(format!("work-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Window sizes, in steps of the stream (10 rows each), of the
+/// snapshot shape: 25k- and 100k-row windows.
+const SNAPSHOT_STEPS: [usize; 2] = [2_500, 10_000];
+
+/// Ceiling on the median allocations per `Runtime::snapshot` of the
+/// snapshot shape (the measured median plus 5 %).
+const SNAPSHOT: u64 = 189;
+
+/// Allocations inside each of 10 `Runtime::snapshot` calls of a durable
+/// runtime whose window holds `steps` steps of the stream, with the
+/// flat projection registered. The file is encoded into one buffer
+/// sized once, so the count does not grow with the window.
+fn allocations_per_snapshot(steps: usize) -> Vec<u64> {
+    let dir = scratch_dir();
+    let mut rt = Runtime::new(ProcessingChain::apartment())
+        .with_policy("ActionFilter", figure4_policy().modules.remove(0))
+        .with_retention(10_000_000)
+        .with_snapshot_every(0)
+        .durable(&dir)
+        .unwrap();
+    rt.install_source("motion-sensor", "stream", stream(1, steps)).unwrap();
+    rt.register("ActionFilter", &parse_query(FLAT).unwrap()).unwrap();
+    rt.tick().unwrap();
+    let counts = (0..10)
+        .map(|_| {
+            let (snapshot, n) = allocations(|| rt.snapshot());
+            snapshot.unwrap();
+            n
+        })
+        .collect();
+    drop(rt);
+    let _ = std::fs::remove_dir_all(&dir);
+    counts
 }
 
 /// Print a shape's counts and check its median against its ceiling.
@@ -369,6 +407,14 @@ fn steady_ticks_stay_within_their_allocation_ceilings() {
     let durable = allocations_per_ingest(Some(&dir));
     let _ = std::fs::remove_dir_all(&dir);
     check("ingest, durable", "500-row batch", durable, DURABLE_INGEST);
+    // a snapshot pays per table, not per row: the 100k-row window's
+    // median is within 5 % of the 25k-row window's
+    let [small, large] = SNAPSHOT_STEPS.map(allocations_per_snapshot);
+    let medians = [median(small), median(large.clone())];
+    println!("work budget: snapshot, 25k / 100k-row windows: {medians:?}");
+    let (lo, hi) = (medians.iter().min().unwrap(), medians.iter().max().unwrap());
+    assert!(hi * 100 <= lo * 105, "allocations per snapshot grow with the window: {medians:?}");
+    check("snapshot, 100k-row window", "call", large, SNAPSHOT);
     check("register, paper query", "call", allocations_per_register(), REGISTER);
     check("set_policy, 3 residents", "call", allocations_per_policy_swap(), SET_POLICY);
 }
