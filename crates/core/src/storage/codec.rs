@@ -460,21 +460,6 @@ pub fn enc_frame(e: &mut Enc, frame: &Frame) {
     }
 }
 
-/// An upper bound on the bytes [`enc_frame`] writes for `frame`, so a
-/// caller can size its buffer once.
-pub(crate) fn frame_len_bound(frame: &Frame) -> usize {
-    let text = |s: &str| 4 + s.len();
-    let schema: usize = frame
-        .schema
-        .columns()
-        .iter()
-        .map(|c| text(&c.name) + 1 + c.source.as_deref().map_or(0, text) + 1)
-        .sum();
-    // the column and row counts, then per column its tag and a byte
-    // per cell beside the cells' cached size (see `enc_column`)
-    8 + schema + frame.schema.len() * (1 + frame.len()) + frame.size_bytes()
-}
-
 /// Decode a frame; every structural mismatch (column count, cell
 /// count) is [`CoreError::Corrupt`].
 pub fn dec_frame(d: &mut Dec<'_>) -> CoreResult<Frame> {

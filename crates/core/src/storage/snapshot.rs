@@ -30,7 +30,7 @@ use paradise_engine::Frame;
 
 use crate::error::{CoreError, CoreResult};
 
-use super::codec::{crc32, dec_frame, enc_frame, frame_len_bound, Dec, Enc};
+use super::codec::{crc32, dec_frame, enc_frame, Dec, Enc};
 use super::vfs::Vfs;
 use super::wal::{io_err, Registration, Spend};
 
@@ -139,12 +139,9 @@ pub fn list_generations(vfs: &Arc<dyn Vfs>, dir: &Path) -> CoreResult<(Vec<u64>,
 const HEADER: usize = 12;
 
 /// The snapshot file: [`HEADER`], then the payload, encoded into one
-/// buffer sized once by [`payload_bound`]; the header is patched in
-/// place when the payload is done.
+/// buffer; the header is patched in place when the payload is done.
 fn encode_file(data: &SnapshotData) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(HEADER + payload_bound(data));
-    bytes.resize(HEADER, 0);
-    let mut e = Enc::from(bytes);
+    let mut e = Enc::from(vec![0; HEADER]);
     encode(&mut e, data);
     let mut bytes = e.into_bytes();
     let (header, payload) = bytes.split_at_mut(HEADER);
@@ -152,22 +149,6 @@ fn encode_file(data: &SnapshotData) -> Vec<u8> {
     header[4..8].copy_from_slice(&crc32(payload).to_le_bytes());
     header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes
-}
-
-/// An upper bound on the payload [`encode`] writes for `data`.
-fn payload_bound(data: &SnapshotData) -> usize {
-    let text = |s: &str| 4 + s.len();
-    let tables: usize = data
-        .tables
-        .iter()
-        .map(|t| text(&t.node) + text(&t.table) + 8 + frame_len_bound(&t.frame))
-        .sum();
-    let policies: usize = data.policies.iter().map(|p| text(&p.module) + 8 + text(&p.xml)).sum();
-    let registrations: usize =
-        data.registrations.iter().map(|r| 8 + text(&r.module) + text(&r.sql) + 16).sum();
-    let ledgers: usize = data.ledgers.iter().map(|l| text(&l.module) + 16).sum();
-    // generation, version counter, slots, next generation, five counts
-    8 + 8 + 4 + 4 + 5 * 4 + tables + policies + registrations + ledgers + 16 * data.sessions.len()
 }
 
 fn encode(e: &mut Enc, data: &SnapshotData) {
@@ -364,38 +345,6 @@ mod tests {
         // reader for the old format
         let payload = encode(&sample());
         assert_eq!((payload.len(), crc32(&payload)), (272, 0x6EFE_AD02));
-    }
-
-    #[test]
-    fn the_payload_bound_holds_every_payload() {
-        // the file buffer is sized once: a payload past the bound would
-        // grow it, copying everything written so far
-        let mut wide = sample();
-        let schema = Schema::from_pairs(&[
-            ("f", DataType::Float),
-            ("b", DataType::Boolean),
-            ("t", DataType::Text),
-            ("m", DataType::Integer),
-        ]);
-        let rows = (0..50)
-            .map(|i| {
-                let present = i % 3 != 0;
-                vec![
-                    if present { Value::Float(i as f64) } else { Value::Null },
-                    if present { Value::Bool(i % 2 == 0) } else { Value::Null },
-                    if present { Value::Str("x".repeat(i)) } else { Value::Null },
-                    if present { Value::Int(i as i64) } else { Value::Str("mixed".into()) },
-                ]
-            })
-            .collect();
-        let frame = Frame::new(schema, rows).unwrap();
-        wide.tables.push(TableState { node: "n".into(), table: "t".into(), evicted: 0, frame });
-        for data in [sample(), wide] {
-            let bound = HEADER + payload_bound(&data);
-            let bytes = encode_file(&data);
-            assert!(bytes.len() <= bound, "{} bytes, bound {bound}", bytes.len());
-            assert_eq!(bytes.capacity(), bound, "the buffer never grew");
-        }
     }
 
     #[test]

@@ -487,15 +487,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, WireError> {
 /// Bytes of a frame header: magic, payload length, payload CRC.
 const HEADER: usize = 12;
 
-/// Write one frame (header + payload) to `w`, as one `write_all` of
-/// one buffer.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut frame = Vec::with_capacity(HEADER + payload.len());
-    frame.resize(HEADER, 0);
-    frame.extend_from_slice(payload);
-    send(w, frame)
-}
-
 /// Write `req` as one frame to `w`: the payload encodes behind the
 /// header in the same buffer, which goes out in one `write_all`.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
@@ -711,9 +702,10 @@ mod tests {
 
     #[test]
     fn frames_roundtrip_through_a_byte_pipe() {
-        let payload = encode_request(&Request::Tick { seq: 0 });
+        let req = Request::Tick { seq: 0 };
+        let payload = encode_request(&req);
         let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        write_request(&mut wire, &req).unwrap();
         let mut r = wire.as_slice();
         let got = read_frame(&mut r, DEFAULT_MAX_FRAME_BYTES).unwrap();
         assert_eq!(got, payload);
@@ -746,10 +738,9 @@ mod tests {
         };
         let req = Request::Apply(sample_commands().remove(2));
         type WriteWith<'a> = &'a dyn Fn(&mut CountingWriter) -> io::Result<()>;
-        let writes: [(Vec<u8>, WriteWith); 3] = [
+        let writes: [(Vec<u8>, WriteWith); 2] = [
             (encode_response(&rsp), &|w| write_response(w, &rsp)),
             (encode_request(&req), &|w| write_request(w, &req)),
-            (encode_request(&req), &|w| write_frame(w, &encode_request(&req))),
         ];
         for (payload, write) in writes {
             let mut w = CountingWriter::default();
@@ -765,9 +756,8 @@ mod tests {
 
     #[test]
     fn bad_magic_oversized_and_crc_are_typed() {
-        let payload = encode_request(&Request::Ping);
         let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
+        write_request(&mut wire, &Request::Ping).unwrap();
 
         let mut garbage = wire.clone();
         garbage[0] = 0x00;

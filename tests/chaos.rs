@@ -626,7 +626,7 @@ mod wire {
                 block_ms: 0,
                 queue_capacity: protocol::QUEUE_CAPACITY_DEFAULT,
             };
-            protocol::write_frame(&mut s, &protocol::encode_request(&hello)).unwrap();
+            protocol::write_request(&mut s, &hello).unwrap();
             let payload = protocol::read_frame(&mut s, 1 << 20).unwrap();
             match protocol::decode_response(&payload).unwrap() {
                 Response::Error { code, message } => {
